@@ -11,8 +11,8 @@ effect a rank-1 projection.
 A frame morphism is a channel between the value systems that carries
 the source effects exactly onto the target effects.  Such a channel is
 automatically equivariant on the span of the source effects (this is
-checked numerically anyway); whether it is equivariant on the whole
-value system is recorded separately and never assumed.
+checked numerically anyway); equivariance on the whole value system is
+neither checked nor assumed.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from .systems import (
     compose_channels,
     full_system,
     identity_channel,
-    is_equivariant,
     same_system,
 )
 
@@ -207,7 +206,6 @@ class FrameMorphism:
     source: FrameObservable
     target: FrameObservable
     channel: ChannelMap
-    equivariant_on_value_system: bool
 
     @property
     def group(self) -> FiniteGroup:
@@ -241,13 +239,7 @@ def build_frame_morphism(
             dev = max_abs(lhs - rhs)
             if dev > tol:
                 raise EffectSpanNotEquivariant(g, dev)
-    full_eq = is_equivariant(channel, tol)
-    return FrameMorphism(
-        source=source,
-        target=target,
-        channel=channel,
-        equivariant_on_value_system=full_eq.equivariant,
-    )
+    return FrameMorphism(source=source, target=target, channel=channel)
 
 
 def identity_frame_morphism(frame: FrameObservable, tol: float = DEFAULT_TOL) -> FrameMorphism:

@@ -191,9 +191,13 @@ def unitary_rep(group: FiniteGroup, matrices, tol: float = DEFAULT_TOL) -> Unita
             "identity element does not map to the identity matrix", deviation=dev
         )
     stack = np.stack(mats)
-    products = np.einsum("gij,hjk->ghik", stack, stack)
-    expected = stack[group.mult]
-    dev_table = np.abs(products - expected).max(axis=(2, 3))
+    # One row of the table at a time keeps the products at |G| d^2.
+    dev_table = np.stack(
+        [
+            np.abs(stack[g] @ stack - stack[group.mult[g]]).max(axis=(1, 2))
+            for g in group.elements()
+        ]
+    )
     worst = float(dev_table.max())
     if worst > tol:
         g, h = np.unravel_index(int(dev_table.argmax()), dev_table.shape)

@@ -5,7 +5,9 @@ plain square ``complex128`` numpy arrays.  Subspaces of the d x d matrix
 space are carried as explicit orthonormal bases, so membership tests,
 projections and kernels stay cheap and bit-for-bit reproducible: bases
 come from a two-pass modified Gram-Schmidt with fixed input ordering,
-kernels from LAPACK's SVD, both deterministic on a given platform.
+kernels from LAPACK's SVD, both deterministic on a given platform.  The
+SVD is the reduced one unless the matrix is wide, so a tall constraint
+matrix never allocates a rows x rows ``U``.
 
 Tolerances are absolute and entrywise.  ``DEFAULT_TOL`` is the global
 default; every function takes an explicit override, which is how the
@@ -154,12 +156,15 @@ def vector_kernel(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal rows spanning the right null space of ``a``.
 
     The cutoff scales with the largest singular value so that an overall
-    rescaling of the constraint rows does not change the answer.
+    rescaling of the constraint rows does not change the answer.  Only a
+    wide matrix needs the full SVD: for it the reduced ``vh`` would drop
+    null directions, while for a tall one it is already cols x cols.
     """
     m = np.atleast_2d(np.asarray(a, dtype=np.complex128))
     if m.size == 0:
         raise DimensionError("empty constraint matrix")
-    _, s, vh = np.linalg.svd(m)
+    rows, cols = m.shape
+    _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
     cutoff = tol * max(1.0, s[0] if s.size else 0.0)
     rank = int(np.sum(s > cutoff))
     return np.conj(vh[rank:])

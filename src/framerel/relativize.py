@@ -59,7 +59,9 @@ from .systems import (
     ChannelMap,
     SemiQuantumSystem,
     StateClass,
+    _choi_matrix,
     build_channel,
+    is_equivariant,
     predual_channel,
     state_class,
     system_from_subspace,
@@ -83,13 +85,23 @@ class RelativizationMap:
         return self.joint_rep.dim
 
 
-def _relativize_raw(frame: FrameObservable, system: SemiQuantumSystem, a: np.ndarray) -> np.ndarray:
-    out = np.zeros(
-        (frame.rep.dim * system.dim, frame.rep.dim * system.dim), dtype=np.complex128
-    )
+def _relativize_stack(frame: FrameObservable, system: SemiQuantumSystem, mats) -> np.ndarray:
+    """Relativize a stack of system operators at once, shape (n, D, D).
+
+    For each element g in group order, every operator is moved to g.a
+    and multiplied entrywise into the Kronecker layout E(g)[i, j] *
+    g.a[k, l] of a zeroed (n, d_r, d, d_r, d) buffer.  The products and
+    their sum order are those of adding E(g) (x) g.a one operator at a
+    time, so each slice is bit-identical to that loop.
+    """
+    d_r, d = frame.rep.dim, system.dim
+    stack = np.asarray(mats, dtype=np.complex128).reshape(-1, d, d)
+    out = np.zeros((len(stack), d_r, d, d_r, d), dtype=np.complex128)
     for g in frame.group.elements():
-        out += tensor_product(frame.effects[g], act(system.rep, g, a))
-    return out
+        u = system.rep.matrices[g]
+        moved = u @ stack @ dagger(u)
+        out += frame.effects[g][None, :, None, :, None] * moved[:, None, :, None, :]
+    return out.reshape(len(stack), d_r * d, d_r * d)
 
 
 def relativization_map(
@@ -98,7 +110,7 @@ def relativization_map(
     if not same_group(frame.group, system.group):
         raise GroupMismatch("frame and system live over different groups")
     joint = tensor_rep(frame.rep, system.rep, tol)
-    images = tuple(_relativize_raw(frame, system, b) for b in system.space.basis)
+    images = tuple(_relativize_stack(frame, system, system.space.basis))
     return RelativizationMap(frame=frame, system=system, joint_rep=joint, images=images)
 
 
@@ -115,7 +127,7 @@ def relativize(
     res = system.space.residual(m)
     if res > tol:
         raise OperatorOutsideSystem(res)
-    return _relativize_raw(frame, system, m)
+    return _relativize_stack(frame, system, m)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,16 +219,15 @@ def check_channel_axioms(
     rng = np.random.default_rng(seed)
     n = system.space.dim
 
+    coeffs = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(samples)]
+    directs = _relativize_stack(frame, system, [system.space.combine(c) for c in coeffs])
     linearity = 0.0
-    for _ in range(samples):
-        coeff = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        a = system.space.combine(coeff)
-        direct = _relativize_raw(frame, system, a)
+    for coeff, direct in zip(coeffs, directs):
         combined = sum(c * im for c, im in zip(coeff, rmap.images))
         linearity = max(linearity, max_abs(direct - combined))
 
     unital = max_abs(
-        _relativize_raw(frame, system, identity(system.dim)) - identity(d_joint)
+        _relativize_stack(frame, system, identity(system.dim))[0] - identity(d_joint)
     )
 
     invariance = 0.0
@@ -231,31 +242,20 @@ def check_channel_axioms(
     )
     low = 0.0
     excess = 0.0
-    for s in psd_inputs:
-        out = _relativize_raw(frame, system, s)
+    for s, out in zip(psd_inputs, _relativize_stack(frame, system, psd_inputs)):
         low = min(low, min_eigenvalue(out))
         nrm = operator_norm(s)
         if nrm > tol:
             excess = max(excess, operator_norm(out) / nrm - 1.0)
-    for b in system.space.basis:
+    for b, out in zip(system.space.basis, rmap.images):
         nrm = operator_norm(b)
         if nrm > tol:
-            excess = max(
-                excess,
-                operator_norm(_relativize_raw(frame, system, b)) / nrm - 1.0,
-            )
+            excess = max(excess, operator_norm(out) / nrm - 1.0)
 
     choi_low: float | None = None
     mode = "sampled"
     if system.is_full_algebra:
-        d = system.dim
-        choi = np.zeros((d * d_joint, d * d_joint), dtype=np.complex128)
-        for i in range(d):
-            for j in range(d):
-                unit = np.zeros((d, d), dtype=np.complex128)
-                unit[i, j] = 1.0
-                choi += tensor_product(unit, rmap.images[i * d + j])
-        choi_low = min_eigenvalue(choi)
+        choi_low = min_eigenvalue(_choi_matrix(rmap.images, system.dim))
         mode = "choi+sampled"
 
     passed = (
@@ -317,29 +317,22 @@ def check_ideal_isomorphism(
         raise RequiresFullAlgebra(
             "the embedding question needs a full matrix algebra as the system"
         )
-    frame = rmap.frame
+    frame, images = rmap.frame, rmap.images
     basis = system.space.basis
     mult_dev = 0.0
     witness = None
     for i, a in enumerate(basis):
-        for j, b in enumerate(basis):
-            lhs = _relativize_raw(frame, system, a @ b)
-            rhs = _relativize_raw(frame, system, a) @ _relativize_raw(frame, system, b)
-            dev = operator_norm(lhs - rhs)
+        products = _relativize_stack(frame, system, [a @ b for b in basis])
+        for j, lhs in enumerate(products):
+            dev = operator_norm(lhs - images[i] @ images[j])
             if dev > mult_dev:
                 mult_dev = dev
                 witness = (i, j)
     iso_dev = max(
-        abs(operator_norm(_relativize_raw(frame, system, b)) - operator_norm(b))
-        for b in basis
+        abs(operator_norm(im) - operator_norm(b)) for b, im in zip(basis, images)
     )
-    adj_dev = max(
-        operator_norm(
-            _relativize_raw(frame, system, dagger(b))
-            - dagger(_relativize_raw(frame, system, b))
-        )
-        for b in basis
-    )
+    adjoints = _relativize_stack(frame, system, [dagger(b) for b in basis])
+    adj_dev = max(operator_norm(adj - dagger(im)) for adj, im in zip(adjoints, images))
     passed = mult_dev <= tol and iso_dev <= tol and adj_dev <= tol
     return IdealIsomorphismReport(
         frame_is_ideal=frame.is_ideal,
@@ -453,9 +446,12 @@ def relativize_morphisms(
     if target_rel is None:
         target_rel = build_relative_subspace(psi.target, phi.target, tol)
 
+    kernel = source_rel.kernel.basis
+    kernel_images = _relativize_stack(
+        psi.target, phi.target, [phi.apply(k, tol) for k in kernel]
+    )
     worst_kernel = 0.0
-    for k in source_rel.kernel.basis:
-        image = _relativize_raw(psi.target, phi.target, phi.apply(k, tol))
+    for k, image in zip(kernel, kernel_images):
         nrm = operator_norm(image)
         if nrm > worst_kernel:
             worst_kernel = nrm
@@ -464,10 +460,9 @@ def relativize_morphisms(
 
     columns = np.stack([vec(im) for im in source_rel.base.images], axis=1)
     pinv = np.linalg.pinv(columns)
-    target_images = [
-        _relativize_raw(psi.target, phi.target, phi.apply(b, tol))
-        for b in phi.source.space.basis
-    ]
+    target_images = _relativize_stack(
+        psi.target, phi.target, [phi.apply(b, tol) for b in phi.source.space.basis]
+    )
     images = []
     for s in source_rel.space.basis:
         coeff = pinv @ vec(s)
@@ -579,6 +574,19 @@ def check_functor_laws(links, tol: float = DEFAULT_TOL) -> FunctorLawsReport:
     )
 
 
+def _require_equivariant(phi: ChannelMap, tol: float) -> None:
+    """Raise ChannelNotEquivariant, with the worst witness, unless phi is equivariant."""
+    eq = is_equivariant(phi, tol)
+    if not eq.equivariant:
+        raise ChannelNotEquivariant(
+            eq.witness_element if eq.witness_element is not None else -1,
+            eq.deviation,
+            witness=None
+            if eq.witness_index is None
+            else phi.source.space.basis[eq.witness_index],
+        )
+
+
 @dataclass(frozen=True)
 class TensorFormReport:
     max_deviation: float
@@ -595,17 +603,7 @@ def check_equivariant_tensor_form(
     result is compared with the induced map's image.  Raises
     ChannelNotEquivariant when phi is not equivariant.
     """
-    from .systems import is_equivariant
-
-    eq = is_equivariant(phi, tol)
-    if not eq.equivariant:
-        raise ChannelNotEquivariant(
-            eq.witness_element if eq.witness_element is not None else -1,
-            eq.deviation,
-            witness=None
-            if eq.witness_index is None
-            else phi.source.space.basis[eq.witness_index],
-        )
+    _require_equivariant(phi, tol)
     induced = relativize_morphisms(psi, phi, tol)
     r_basis = psi.source.value_system.space.basis
     s_basis = phi.source.space.basis
@@ -668,25 +666,15 @@ def check_naturality(
     against the target system versus blockwise application of phi to the
     already relativized observable).
     """
-    from .systems import is_equivariant
-
-    eq = is_equivariant(phi, tol)
-    if not eq.equivariant:
-        raise ChannelNotEquivariant(
-            eq.witness_element if eq.witness_element is not None else -1,
-            eq.deviation,
-            witness=None
-            if eq.witness_index is None
-            else phi.source.space.basis[eq.witness_index],
-        )
+    _require_equivariant(phi, tol)
     if not same_group(frame.group, phi.source.group):
         raise GroupMismatch("frame and channel live over different groups")
+    basis = phi.source.space.basis
+    lhs_stack = _relativize_stack(frame, phi.target, [phi.apply(b, tol) for b in basis])
+    rel_stack = _relativize_stack(frame, phi.source, basis)
     worst, witness = 0.0, None
-    for i, b in enumerate(phi.source.space.basis):
-        lhs = _relativize_raw(frame, phi.target, phi.apply(b, tol))
-        rhs = _apply_on_second_factor(
-            _relativize_raw(frame, phi.source, b), frame.rep.dim, phi, tol
-        )
+    for i, (lhs, rel) in enumerate(zip(lhs_stack, rel_stack)):
+        rhs = _apply_on_second_factor(rel, frame.rep.dim, phi, tol)
         dev = max_abs(lhs - rhs)
         if dev > worst:
             worst, witness = dev, i

@@ -117,6 +117,8 @@ def _check_system_consistency(rep: UnitaryRep, space: MatrixSubspace, tol: float
         )
     if not space.contains(identity(rep.dim), tol):
         raise FramerelError("system span does not contain the identity")
+    if space.dim == rep.dim**2:
+        return  # a full span contains every translate
     for b in space.basis:
         for g in rep.group.elements():
             if not space.contains(act(rep, g, b), tol):

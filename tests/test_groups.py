@@ -129,6 +129,14 @@ def test_unitary_rep_validates_homomorphism():
         mats = [np.diag([1.0, w**k]).astype(complex) for k in range(4)]
         mats[2] = np.diag([1.0, -w**2]).astype(complex)
         unitary_rep(g4, mats)
+    g3 = build_cyclic_group(3)
+    w3 = np.exp(2j * np.pi / 3)
+    mats = [np.diag([1.0, w3**k]).astype(complex) for k in range(3)]
+    mats[2] = np.diag([1.0, w3**2 * np.exp(0.3j)])
+    # (1, 1), (1, 2) and (2, 1) are off by |e^{0.3i} - 1|, (2, 2) by |e^{0.6i} - 1|
+    with pytest.raises(InvalidRepresentation, match=r"pair \(2, 2\)") as err:
+        unitary_rep(g3, mats)
+    assert err.value.deviation == pytest.approx(abs(np.exp(0.6j) - 1.0))
 
 
 def test_phase_rep_is_valid_for_several_orders():

@@ -1,5 +1,7 @@
 """Linear-algebra layer: oracles first, then the library against them."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,24 @@ def test_vector_kernel_scale_invariant():
     k1 = vector_kernel(m)
     k2 = vector_kernel(1e6 * m)
     assert k1.shape == k2.shape == (2, 3)
+
+
+def test_vector_kernel_of_a_tall_matrix_stays_small():
+    rng = np.random.default_rng(5)
+    left = rng.standard_normal((3000, 2)) + 1j * rng.standard_normal((3000, 2))
+    right = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+    m = left @ right  # rank 2, so the kernel has dimension 2
+    tracemalloc.start()
+    try:
+        kern = vector_kernel(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kern.shape == (2, 4)
+    assert max_abs(m @ kern.T) < 1e-9
+    assert max_abs(kern @ np.conj(kern).T - np.eye(2)) < 1e-12
+    # a full SVD would allocate a 3000 x 3000 complex U, 137 MiB
+    assert peak < 16 * 2**20
 
 
 def test_null_space_of_commutation_constraint():

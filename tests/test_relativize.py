@@ -34,6 +34,7 @@ from framerel.relativize import (
     relativization_map,
     relativize,
     relativize_morphisms,
+    _relativize_stack,
 )
 from framerel.systems import (
     build_channel,
@@ -95,6 +96,22 @@ def qubit():
 
 
 # ------------------------------------------------------------- closed forms
+
+
+def test_relativize_stack_matches_the_kron_loop_bit_for_bit():
+    rep = s3_irrep2()
+    rng = np.random.default_rng(3)
+    full, plane = full_system(rep), subspace_system(rep, [proj(ket(0, 2))])
+    assert plane.space.dim < full.space.dim
+    for frame in (canonical_ideal_frame(s3()), smeared_canonical_frame(s3(), 0.3)):
+        for system in (full, plane):
+            n = system.space.dim
+            coeff = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            ops = list(system.space.basis) + [system.space.combine(coeff)]
+            got = _relativize_stack(frame, system, ops)
+            assert got.shape == (n + 1, 6 * 2, 6 * 2)
+            for a, out in zip(ops, got):
+                assert np.array_equal(out, relativize_oracle(frame, system, a))
 
 
 def test_ideal_frame_closed_forms():
