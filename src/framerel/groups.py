@@ -6,6 +6,13 @@ exhaustively (associativity up to a configurable cap), and representations
 are validated eagerly too: once a ``UnitaryRep`` exists, every matrix is
 unitary, the identity maps to I and the assignment is a homomorphism, so
 downstream code never re-checks.
+
+A representation whose matrices are all exactly 0/1 permutation matrices
+(regular representations, permutation actions and their tensor products)
+also carries them as index arrays.  Its validation is then index
+composition, and the action ``act`` moves matrix entries by a
+precomputed gather instead of two matrix products.  For 0/1 matrices
+both are exact, so they give the same numbers as the matrix path.
 """
 
 from __future__ import annotations
@@ -163,41 +170,84 @@ def build_symmetric_group(n: int) -> FiniteGroup:
 
 @dataclass(frozen=True, eq=False)
 class UnitaryRep:
+    """Validated matrices U(g), one per group element.
+
+    ``perms`` is set when every U(g) is exactly a permutation matrix: row
+    i of U(g) holds its 1 in column ``perms[g, i]``, so U(g) x =
+    x[perms[g]] and U(g) a U(g)^dag = a[perms[g]][:, perms[g]].
+    """
+
     group: FiniteGroup
     dim: int
     matrices: tuple[np.ndarray, ...]
+    perms: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.perms is not None:
+            p, d = self.perms, self.dim
+            gather = (p[:, :, None] * d + p[:, None, :]).reshape(len(p), d * d)
+            gather.setflags(write=False)
+            object.__setattr__(self, "_gather", gather)
 
     def matrix(self, g: int) -> np.ndarray:
         return self.matrices[g]
 
 
+def _permutation(m: np.ndarray) -> np.ndarray | None:
+    """Column of the 1 in each row when ``m`` is exactly a 0/1 permutation matrix."""
+    ones = m == 1
+    if (
+        np.all(ones | (m == 0))
+        and np.all(ones.sum(axis=0) == 1)
+        and np.all(ones.sum(axis=1) == 1)
+    ):
+        return ones.argmax(axis=1)
+    return None
+
+
 def unitary_rep(group: FiniteGroup, matrices, tol: float = DEFAULT_TOL) -> UnitaryRep:
-    """Validate one matrix per element into a unitary representation."""
+    """Validate one matrix per element into a unitary representation.
+
+    Permutation matrices are unitary as they stand, and their products
+    are compared by composing index arrays.  A pair that fails then has
+    deviation exactly 1.0 and the same (g, h) witness as the matrix
+    products give.
+    """
     mats = [as_operator(m).copy() for m in matrices]
     if len(mats) != group.order:
         raise DimensionError(
             f"expected {group.order} matrices, got {len(mats)}"
         )
     d = mats[0].shape[0]
+    perms = []
     for g, m in enumerate(mats):
         if m.shape[0] != d:
             raise DimensionError("representation matrices have mixed dimensions")
-        dev = max_abs(m @ dagger(m) - identity(d))
-        if dev > tol:
-            raise InvalidRepresentation("matrix is not unitary", element=g, deviation=dev)
+        perms.append(_permutation(m))
+        if perms[-1] is None:
+            dev = max_abs(m @ dagger(m) - identity(d))
+            if dev > tol:
+                raise InvalidRepresentation("matrix is not unitary", element=g, deviation=dev)
     dev = max_abs(mats[group.identity] - identity(d))
     if dev > tol:
         raise InvalidRepresentation(
             "identity element does not map to the identity matrix", deviation=dev
         )
-    stack = np.stack(mats)
-    # One row of the table at a time keeps the products at |G| d^2.
-    dev_table = np.stack(
-        [
-            np.abs(stack[g] @ stack - stack[group.mult[g]]).max(axis=(1, 2))
-            for g in group.elements()
-        ]
-    )
+    index = np.stack(perms) if all(p is not None for p in perms) else None
+    # One row of the table at a time keeps the work at |G| d^2 (|G| d for indices).
+    if index is not None:
+        # U(g) U(h) x = x[index[h][index[g]]]
+        dev_table = np.stack(
+            [np.any(index[:, index[g]] != index[group.mult[g]], axis=1) for g in group.elements()]
+        ).astype(float)
+    else:
+        stack = np.stack(mats)
+        dev_table = np.stack(
+            [
+                np.abs(stack[g] @ stack - stack[group.mult[g]]).max(axis=(1, 2))
+                for g in group.elements()
+            ]
+        )
     worst = float(dev_table.max())
     if worst > tol:
         g, h = np.unravel_index(int(dev_table.argmax()), dev_table.shape)
@@ -206,7 +256,9 @@ def unitary_rep(group: FiniteGroup, matrices, tol: float = DEFAULT_TOL) -> Unita
         )
     for m in mats:
         m.setflags(write=False)
-    return UnitaryRep(group=group, dim=d, matrices=tuple(mats))
+    if index is not None:
+        index.setflags(write=False)
+    return UnitaryRep(group=group, dim=d, matrices=tuple(mats), perms=index)
 
 
 def trivial_rep(group: FiniteGroup, dim: int = 1) -> UnitaryRep:
@@ -226,14 +278,35 @@ def regular_representation(group: FiniteGroup) -> UnitaryRep:
 
 
 def act(rep: UnitaryRep, g: int, a) -> np.ndarray:
-    """Conjugation action g.a = U(g) a U(g)^dag."""
-    m = as_operator(a)
-    if m.shape[0] != rep.dim:
+    """Conjugation action g.a = U(g) a U(g)^dag.
+
+    ``a`` is one d x d operator or a stack of shape (n, d, d), moved
+    slice by slice.  A permutation representation gathers the entries
+    instead of multiplying.
+    """
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim not in (2, 3) or m.shape[-2:] != (rep.dim, rep.dim):
         raise DimensionError(
-            f"operator of dimension {m.shape[0]} under a dimension-{rep.dim} action"
+            f"operator of shape {m.shape} under a dimension-{rep.dim} action"
         )
+    if rep.perms is not None:
+        flat = m.reshape(*m.shape[:-2], rep.dim * rep.dim)
+        return np.take(flat, rep._gather[g], axis=-1).reshape(m.shape)
     u = rep.matrices[g]
     return u @ m @ dagger(u)
+
+
+def commutation_deviation(rep: UnitaryRep, g: int, a) -> float:
+    """Largest entry of a U(g) - U(g) a over an operator or a stack of them.
+
+    For a permutation U(g) these are the entries of a - g.a, permuted
+    by columns, so the gather gives the same maximum.
+    """
+    m = np.asarray(a, dtype=np.complex128)
+    if rep.perms is not None:
+        return max_abs(m - act(rep, g, m))
+    u = rep.matrices[g]
+    return max_abs(m @ u - u @ m)
 
 
 def tensor_rep(r1: UnitaryRep, r2: UnitaryRep, tol: float = DEFAULT_TOL) -> UnitaryRep:

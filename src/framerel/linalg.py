@@ -3,7 +3,11 @@
 Everything downstream (group actions, frames, relativization) works on
 plain square ``complex128`` numpy arrays.  Subspaces of the d x d matrix
 space are carried as explicit orthonormal bases, so membership tests,
-projections and kernels stay cheap and bit-for-bit reproducible: bases
+projections and kernels stay cheap and bit-for-bit reproducible.
+Membership is tested one operator at a time (``residual``, ``contains``)
+or for a whole (k, d, d) stack with two matrix products
+(``residuals``); a full span answers without projecting, since it holds
+every operator of the right shape.  Bases
 come from a two-pass modified Gram-Schmidt with fixed input ordering,
 kernels from LAPACK's SVD, both deterministic on a given platform.  The
 SVD is the reduced one unless the matrix is wide, so a tall constraint
@@ -202,14 +206,28 @@ class MatrixSubspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def coefficients(self, m) -> np.ndarray:
-        """HS coefficients of ``m`` against the orthonormal basis."""
+    @property
+    def is_full(self) -> bool:
+        """True when the span is the whole d x d matrix space."""
+        return self.dim == self.ambient_dim**2
+
+    @property
+    def basis_stack(self) -> np.ndarray:
+        """The basis as one (dim, d, d) array (a view, not a copy)."""
+        d = self.ambient_dim
+        return self._stack.reshape(self.dim, d, d)
+
+    def _operator(self, m) -> np.ndarray:
         a = as_operator(m)
         if a.shape[0] != self.ambient_dim:
             raise DimensionError(
                 f"operator of dimension {a.shape[0]} in ambient {self.ambient_dim}"
             )
-        return np.conj(self._stack) @ vec(a)
+        return a
+
+    def coefficients(self, m) -> np.ndarray:
+        """HS coefficients of ``m`` against the orthonormal basis."""
+        return np.conj(self._stack) @ vec(self._operator(m))
 
     def project(self, m) -> np.ndarray:
         """Orthogonal projection of ``m`` onto the subspace."""
@@ -217,8 +235,26 @@ class MatrixSubspace:
         return unvec(self._stack.T @ c, self.ambient_dim)
 
     def residual(self, m) -> float:
-        """Entrywise distance from ``m`` to the subspace."""
-        return max_abs(as_operator(m) - self.project(m))
+        """Entrywise distance from ``m`` to the subspace (0.0 for a full span)."""
+        a = self._operator(m)
+        return 0.0 if self.is_full else max_abs(a - self.project(a))
+
+    def residuals(self, stack) -> np.ndarray:
+        """``residual`` of every operator in a (k, d, d) stack, at once.
+
+        The projections are two matrix products over the whole stack, so
+        the values agree with ``residual`` up to rounding, not bit for bit.
+        """
+        a = np.asarray(stack, dtype=np.complex128)
+        d = self.ambient_dim
+        if a.ndim != 3 or a.shape[1:] != (d, d):
+            raise DimensionError(f"stack of shape {a.shape} in ambient {d}")
+        if self.is_full:
+            return np.zeros(len(a))
+        flat = a.reshape(len(a), d * d)
+        diff = (flat @ np.conj(self._stack).T) @ self._stack
+        diff -= flat
+        return np.abs(diff).max(axis=1)
 
     def contains(self, m, tol: float = DEFAULT_TOL) -> bool:
         return self.residual(m) <= tol

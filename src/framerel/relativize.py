@@ -36,7 +36,7 @@ from .errors import (
     RequiresFullAlgebra,
 )
 from .frames import FrameMorphism, FrameObservable, born_measure
-from .groups import UnitaryRep, act, same_group, tensor_rep
+from .groups import UnitaryRep, act, commutation_deviation, same_group, tensor_rep
 from .linalg import (
     DEFAULT_TOL,
     MatrixSubspace,
@@ -88,19 +88,28 @@ class RelativizationMap:
 def _relativize_stack(frame: FrameObservable, system: SemiQuantumSystem, mats) -> np.ndarray:
     """Relativize a stack of system operators at once, shape (n, D, D).
 
-    For each element g in group order, every operator is moved to g.a
-    and multiplied entrywise into the Kronecker layout E(g)[i, j] *
-    g.a[k, l] of a zeroed (n, d_r, d, d_r, d) buffer.  The products and
-    their sum order are those of adding E(g) (x) g.a one operator at a
-    time, so each slice is bit-identical to that loop.
+    Only the blocks (i, j) in the union support of the effects, the
+    pairs where some E(g)[i, j] is nonzero, are accumulated: for each
+    element g in group order, E(g)[i, j] * g.a is added to block (i, j)
+    of every operator.  The blocks are then scattered into a zeroed
+    (n, d_r, d, d_r, d) buffer.  The kept products and their sum order
+    are those of adding E(g) (x) g.a one operator at a time.  A skipped
+    term is a product 0 * x, which is a signed zero, and adding a signed
+    zero to a sum that started at +0 leaves the sum unchanged.  So each
+    slice is bit-identical to that dense loop.  The canonical ideal
+    frame and its smearings are diagonal (d_r of the d_r^2 blocks); a
+    frame with dense support takes every block.
     """
     d_r, d = frame.rep.dim, system.dim
     stack = np.asarray(mats, dtype=np.complex128).reshape(-1, d, d)
-    out = np.zeros((len(stack), d_r, d, d_r, d), dtype=np.complex128)
+    effects = np.stack(frame.effects)
+    rows, cols = np.nonzero(np.any(effects != 0, axis=0))
+    weights = effects[:, rows, cols]
+    blocks = np.zeros((len(rows), len(stack), d, d), dtype=np.complex128)
     for g in frame.group.elements():
-        u = system.rep.matrices[g]
-        moved = u @ stack @ dagger(u)
-        out += frame.effects[g][None, :, None, :, None] * moved[:, None, :, None, :]
+        blocks += weights[g][:, None, None, None] * act(system.rep, g, stack)[None]
+    out = np.zeros((len(stack), d_r, d, d_r, d), dtype=np.complex128)
+    out[:, rows, :, cols, :] = blocks
     return out.reshape(len(stack), d_r * d, d_r * d)
 
 
@@ -230,11 +239,10 @@ def check_channel_axioms(
         _relativize_stack(frame, system, identity(system.dim))[0] - identity(d_joint)
     )
 
-    invariance = 0.0
-    for im in rmap.images:
-        for g in frame.group.elements():
-            u = rmap.joint_rep.matrices[g]
-            invariance = max(invariance, max_abs(im @ u - u @ im))
+    images = np.stack(rmap.images)
+    invariance = max(
+        commutation_deviation(rmap.joint_rep, g, images) for g in frame.group.elements()
+    )
 
     psd_inputs = psd_span_samples(
         system.space, count=samples, seed=seed,
@@ -609,28 +617,29 @@ def check_equivariant_tensor_form(
     s_basis = phi.source.space.basis
     psi_images = [psi.channel.apply(r, tol) for r in r_basis]
     phi_images = [phi.apply(s, tol) for s in s_basis]
-    worst = 0.0
-    for x in induced.source.space.basis:
-        tens = np.zeros(
-            (induced.target.space.ambient_dim, induced.target.space.ambient_dim),
-            dtype=np.complex128,
-        )
-        recon = np.zeros(
-            (induced.source.space.ambient_dim, induced.source.space.ambient_dim),
-            dtype=np.complex128,
-        )
-        for i, r in enumerate(r_basis):
-            for j, s in enumerate(s_basis):
-                c = complex(np.vdot(tensor_product(r, s), x))
+    xs = induced.source.space.basis
+    d_out = induced.target.space.ambient_dim
+    tens = [np.zeros((d_out, d_out), dtype=np.complex128) for _ in xs]
+    recon = [np.zeros_like(x) for x in xs]
+    for i, r in enumerate(r_basis):
+        for j, s in enumerate(s_basis):
+            rs = tensor_product(r, s)
+            coeffs = [complex(np.vdot(rs, x)) for x in xs]
+            if not any(coeffs):
+                continue
+            image = tensor_product(psi_images[i], phi_images[j])
+            for k, c in enumerate(coeffs):
                 if c != 0:
-                    tens += c * tensor_product(psi_images[i], phi_images[j])
-                    recon += c * tensor_product(r, s)
-        residual = max_abs(recon - x)
+                    tens[k] += c * image
+                    recon[k] += c * rs
+    worst = 0.0
+    for x, t, rec in zip(xs, tens, recon):
+        residual = max_abs(rec - x)
         if residual > tol:
             raise ObjectMismatch(
                 "relative observable does not expand in the product of value spans"
             )
-        worst = max(worst, max_abs(tens - induced.channel.apply(x, tol)))
+        worst = max(worst, max_abs(t - induced.channel.apply(x, tol)))
     return TensorFormReport(max_deviation=worst, passed=worst <= tol)
 
 

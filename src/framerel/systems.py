@@ -20,6 +20,7 @@ matrix comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -92,37 +93,14 @@ def _matrix_units(d: int) -> list[np.ndarray]:
 
 
 def _closed_under_products(space: MatrixSubspace, tol: float) -> bool:
-    for a in space.basis:
-        if not space.contains(dagger(a), tol):
-            return False
-        for b in space.basis:
-            if not space.contains(a @ b, tol):
-                return False
-    return True
+    """Adjoints, then one row of products a b at a time, tested as stacks."""
+    basis = space.basis_stack
+    if np.any(space.residuals(np.conj(basis).swapaxes(1, 2)) > tol):
+        return False
+    return not any(np.any(space.residuals(a @ basis) > tol) for a in basis)
 
 
-def _is_invariant_space(rep: UnitaryRep, space: MatrixSubspace, tol: float) -> bool:
-    return all(
-        max_abs(act(rep, g, b) - b) <= tol
-        for b in space.basis
-        for g in rep.group.elements()
-    )
-
-
-def _check_system_consistency(rep: UnitaryRep, space: MatrixSubspace, tol: float) -> None:
-    if space.ambient_dim != rep.dim:
-        raise DimensionError(
-            f"subspace ambient dimension {space.ambient_dim} does not match "
-            f"representation dimension {rep.dim}"
-        )
-    if not space.contains(identity(rep.dim), tol):
-        raise FramerelError("system span does not contain the identity")
-    if space.dim == rep.dim**2:
-        return  # a full span contains every translate
-    for b in space.basis:
-        for g in rep.group.elements():
-            if not space.contains(act(rep, g, b), tol):
-                raise FramerelError("system span is not closed under the group action")
+_TRANSLATE_CHUNK = 64  # basis elements moved at once: bounds the stack of translates
 
 
 def _assemble_system(
@@ -131,8 +109,31 @@ def _assemble_system(
     tol: float,
     saturation_added: bool = False,
 ) -> SemiQuantumSystem:
-    _check_system_consistency(rep, space, tol)
-    full = space.dim == rep.dim**2
+    """Validate a span against the action and record its flags.
+
+    Each group element's translates of the basis are formed once, in
+    chunks, and give both closure (skipped on a full span, which holds
+    every translate) and invariance (a full span stops at the first
+    element that moves it).
+    """
+    if space.ambient_dim != rep.dim:
+        raise DimensionError(
+            f"subspace ambient dimension {space.ambient_dim} does not match "
+            f"representation dimension {rep.dim}"
+        )
+    if not space.contains(identity(rep.dim), tol):
+        raise FramerelError("system span does not contain the identity")
+    full = space.is_full
+    basis = space.basis_stack
+    invariant = True
+    for g, lo in product(rep.group.elements(), range(0, len(basis), _TRANSLATE_CHUNK)):
+        if full and not invariant:
+            break
+        chunk = basis[lo : lo + _TRANSLATE_CHUNK]
+        moved = act(rep, g, chunk)
+        if not full and np.any(space.residuals(moved) > tol):
+            raise FramerelError("system span is not closed under the group action")
+        invariant = invariant and max_abs(moved - chunk) <= tol
     adjoint_space = (
         space if full else span_subspace([dagger(b) for b in space.basis], tol=tol)
     )
@@ -142,7 +143,7 @@ def _assemble_system(
         adjoint_space=adjoint_space,
         is_full_algebra=full,
         is_vn_algebra=full or _closed_under_products(space, tol),
-        is_invariant=_is_invariant_space(rep, space, tol),
+        is_invariant=invariant,
         saturation_added=saturation_added,
     )
 
@@ -270,14 +271,14 @@ class ChannelMap:
 
 
 def _choi_matrix(images: list[np.ndarray], d_source: int) -> np.ndarray:
+    """sum_ij E_ij (x) phi(E_ij) from the images of the matrix units.
+
+    Block (i, j) of the Choi matrix is image i d + j, so one transpose
+    of the image stack lays it out; every entry is copied, not summed.
+    """
     d_target = images[0].shape[0]
-    choi = np.zeros((d_source * d_target, d_source * d_target), dtype=np.complex128)
-    for i in range(d_source):
-        for j in range(d_source):
-            unit = np.zeros((d_source, d_source), dtype=np.complex128)
-            unit[i, j] = 1.0
-            choi += np.kron(unit, images[i * d_source + j])
-    return choi
+    blocks = np.asarray(images).reshape(d_source, d_source, d_target, d_target)
+    return blocks.transpose(0, 2, 1, 3).reshape(d_source * d_target, d_source * d_target)
 
 
 def build_channel(

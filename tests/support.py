@@ -1,4 +1,5 @@
-"""Shared constructions for the test suite: groups, reps, frames, channels.
+"""Shared constructions for the test suite: groups, reps, frames, channels,
+and a runner for the command-line interface.
 
 Everything here is deliberately independent of the library's internals:
 representations are given by explicit matrices, permutation products are
@@ -8,6 +9,10 @@ against these directly.
 """
 
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 
@@ -159,3 +164,25 @@ def random_density(rng, d):
 def random_span_element(rng, space):
     c = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
     return space.combine(c)
+
+
+# ----------------------------------------------------------------------- CLI
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def run_cli(*argv, env=None):
+    """Run ``python -m framerel`` from the repository root, importing from src/."""
+    full_env = dict(os.environ)
+    full_env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), full_env.get("PYTHONPATH")])
+    )
+    if env:
+        full_env.update(env)
+    return subprocess.run(
+        [sys.executable, "-m", "framerel", *argv],
+        capture_output=True,
+        text=True,
+        env=full_env,
+        cwd=str(ROOT),
+    )

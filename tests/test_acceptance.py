@@ -10,8 +10,6 @@ its two-dimensional representation, and one proper-subspace system.
 
 import json
 import pathlib
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -59,6 +57,7 @@ from .support import (
     proj,
     random_density,
     random_span_element,
+    run_cli,
     s3,
     s3_irrep2,
     smeared_canonical_frame,
@@ -331,25 +330,16 @@ def test_criterion_8_external_transforms_and_kernel_violation():
     _line(8)
 
 
-def _cli(*argv):
-    return subprocess.run(
-        [sys.executable, "-m", "framerel", *argv],
-        capture_output=True,
-        text=True,
-        cwd=str(FIXTURES.parent.parent),
-    )
-
-
 def test_criterion_9_cli_determinism_and_exit_codes():
     for name in ("golden_z2.json", "golden_s3.json"):
         path = str(FIXTURES / name)
-        first = _cli("run", path, "--report", "machine")
-        second = _cli("run", path, "--report", "machine")
+        first = run_cli("run", path, "--report", "machine")
+        second = run_cli("run", path, "--report", "machine")
         assert first.returncode == 0 and second.returncode == 0, name
         assert first.stdout == second.stdout, name
         assert json.loads(first.stdout)["format"] == "machine/1"
     codes = tuple(
-        _cli("run", str(FIXTURES / f), "--report", "machine").returncode
+        run_cli("run", str(FIXTURES / f), "--report", "machine").returncode
         for f in ("golden_z2.json", "fixture_fail.json", "fixture_error.json")
     )
     assert codes == (0, 1, 2)

@@ -18,6 +18,7 @@ from framerel.groups import (
     build_cyclic_group,
     build_group_from_table,
     build_symmetric_group,
+    commutation_deviation,
     regular_representation,
     same_group,
     tensor_rep,
@@ -216,3 +217,68 @@ def test_rep_matrices_are_copies_not_views():
     rep = unitary_rep(g, source)
     source[1][0, 0] = 99.0  # caller mutates their array afterwards
     assert max_abs(rep.matrices[1] - X) == 0.0
+
+
+# ------------------------------------------------- permutation representations
+
+
+def s3_permutation_rep():
+    """S3 permuting the basis of C^3, matrices built from itertools."""
+    mats = []
+    for p in sorted(itertools.permutations(range(3))):
+        m = np.zeros((3, 3), dtype=complex)
+        for k in range(3):
+            m[p[k], k] = 1.0
+        mats.append(m)
+    return unitary_rep(build_symmetric_group(3), mats)
+
+
+def first_failing_pair_oracle(group, mats):
+    """Row-major first (g, h) with U(g) U(h) != U(g h), by matrix products."""
+    for g in group.elements():
+        for h in group.elements():
+            if not np.array_equal(mats[g] @ mats[h], mats[group.multiply(g, h)]):
+                return g, h
+    return None
+
+
+def test_permutation_reps_act_by_gather_exactly():
+    regular = regular_representation(build_symmetric_group(3))
+    joint = tensor_rep(regular, s3_permutation_rep())
+    rng = np.random.default_rng(11)
+    for rep in (regular, joint):
+        assert rep.perms is not None and rep.perms.shape == (6, rep.dim)
+        d = rep.dim
+        stack = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
+        for g in rep.group.elements():
+            u = rep.matrices[g]
+            moved = act(rep, g, stack)
+            for a, out in zip(stack, moved):
+                assert np.array_equal(act(rep, g, a), u @ a @ np.conj(u).T)
+                assert np.array_equal(out, u @ a @ np.conj(u).T)
+            assert commutation_deviation(rep, g, stack) == max(
+                max_abs(a @ u - u @ a) for a in stack
+            )
+
+
+def test_signed_and_phased_monomials_are_not_permutations():
+    z2_sign = unitary_rep(build_cyclic_group(2), [I2, -X])
+    ix = 1j * X
+    z4_phase = unitary_rep(build_cyclic_group(4), [np.linalg.matrix_power(ix, k) for k in range(4)])
+    for rep in (z2_sign, z4_phase, zn_phase_rep(4)):
+        assert rep.perms is None
+    assert z2_flip_rep().perms is not None
+    a = np.array([[1.0, 2.0j], [3.0, 4.0]])
+    assert np.array_equal(act(z2_sign, 1, a), X @ a @ X)
+
+
+def test_non_homomorphic_permutations_raise_with_the_product_witness():
+    group = build_symmetric_group(3)
+    mats = list(regular_representation(group).matrices)
+    mats[3], mats[4] = mats[4], mats[3]
+    witness = first_failing_pair_oracle(group, mats)
+    assert witness is not None
+    pair = rf"pair \({witness[0]}, {witness[1]}\)"
+    with pytest.raises(InvalidRepresentation, match=pair) as err:
+        unitary_rep(group, mats)
+    assert err.value.deviation == 1.0

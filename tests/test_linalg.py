@@ -239,6 +239,42 @@ def test_subspace_membership_and_coefficients():
     assert max_abs(space.combine(space.coefficients(m)) - m) < 1e-14
 
 
+def test_residuals_agree_with_contains_verdicts():
+    rng = np.random.default_rng(17)
+    spanning = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(4)]
+    space = span_subspace(spanning)
+    members = [space.combine(rng.standard_normal(4) + 1j * rng.standard_normal(4)) for _ in range(5)]
+    others = [rng.standard_normal((3, 3)) for _ in range(5)]
+    stack = np.stack(members + others)
+    res = space.residuals(stack)
+    assert res.shape == (10,)
+    assert [bool(r <= 1e-9) for r in res] == [space.contains(m) for m in stack]
+    assert [space.contains(m) for m in stack] == [True] * 5 + [False] * 5
+    assert np.allclose(res, [space.residual(m) for m in stack], rtol=1e-9, atol=1e-12)
+    assert space.residuals(np.zeros((0, 3, 3))).shape == (0,)
+
+
+def test_full_span_membership_is_immediate():
+    units = []
+    for i in range(2):
+        for j in range(2):
+            m = np.zeros((2, 2), dtype=complex)
+            m[i, j] = 1.0
+            units.append(m)
+    full = MatrixSubspace(2, tuple(units))
+    assert full.is_full and not span_subspace(units[:3]).is_full
+    a = np.array([[1.0, 2.0 + 1j], [-3.0, 4.0]])
+    assert full.residual(a) == 0.0
+    assert full.contains(a, 0.0)
+    assert np.array_equal(full.residuals(np.stack([a, a.T])), [0.0, 0.0])
+    with pytest.raises(DimensionError):
+        full.residual(np.eye(3))
+    with pytest.raises(DimensionError):
+        full.residuals(np.eye(2))
+    with pytest.raises(DimensionError):
+        full.residuals(np.zeros((1, 3, 3)))
+
+
 def test_matrix_subspace_rejects_bad_shapes():
     with pytest.raises(DimensionError):
         MatrixSubspace(2, (np.eye(3, dtype=complex),))

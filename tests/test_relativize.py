@@ -19,7 +19,7 @@ from framerel.frames import (
     identity_frame_morphism,
     reorientation_morphism,
 )
-from framerel.groups import act, build_cyclic_group
+from framerel.groups import act, build_cyclic_group, regular_representation, unitary_rep
 from framerel.linalg import max_abs, operator_norm, tensor_product
 from framerel.relativize import (
     build_relative_subspace,
@@ -98,18 +98,31 @@ def qubit():
 # ------------------------------------------------------------- closed forms
 
 
+def rotated_frame(frame, v):
+    """The frame carried through the fixed unitary v: rep v U(g) v^dag,
+    effects v E(g) v^dag.  Still covariant, with dense effect support."""
+    rep = unitary_rep(frame.group, [v @ u @ np.conj(v).T for u in frame.rep.matrices])
+    return frame_from_effects(rep, [v @ e @ np.conj(v).T for e in frame.effects])
+
+
 def test_relativize_stack_matches_the_kron_loop_bit_for_bit():
     rep = s3_irrep2()
     rng = np.random.default_rng(3)
     full, plane = full_system(rep), subspace_system(rep, [proj(ket(0, 2))])
     assert plane.space.dim < full.space.dim
-    for frame in (canonical_ideal_frame(s3()), smeared_canonical_frame(s3(), 0.3)):
-        for system in (full, plane):
+    perm = full_system(regular_representation(s3()))
+    assert perm.rep.perms is not None
+    v, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    dense = rotated_frame(smeared_canonical_frame(s3(), 0.3), v)
+    assert np.all(np.any(np.stack(dense.effects) != 0, axis=0))  # support is every block
+    frames = (canonical_ideal_frame(s3()), smeared_canonical_frame(s3(), 0.3), dense)
+    for frame in frames:
+        for system in (full, plane, perm):
             n = system.space.dim
             coeff = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             ops = list(system.space.basis) + [system.space.combine(coeff)]
             got = _relativize_stack(frame, system, ops)
-            assert got.shape == (n + 1, 6 * 2, 6 * 2)
+            assert got.shape == (n + 1, 6 * system.dim, 6 * system.dim)
             for a, out in zip(ops, got):
                 assert np.array_equal(out, relativize_oracle(frame, system, a))
 

@@ -2,8 +2,6 @@
 
 import json
 import pathlib
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -17,6 +15,8 @@ from framerel.errors import (
 )
 from framerel.runner import emit_report, run_scenario
 from framerel.scenario import decode_matrix, encode_matrix, parse_scenario, serialize_scenario
+
+from .support import run_cli
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
@@ -233,21 +233,6 @@ def test_machine_reports_are_deterministic_in_process():
 
 
 # --------------------------------------------------------------------- CLI
-
-
-def run_cli(*argv, env=None):
-    import os
-
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
-    return subprocess.run(
-        [sys.executable, "-m", "framerel", *argv],
-        capture_output=True,
-        text=True,
-        env=full_env,
-        cwd=str(FIXTURES.parent.parent),
-    )
 
 
 def test_cli_validate_golden():

@@ -5,6 +5,7 @@ import pytest
 
 from framerel.errors import (
     DimensionError,
+    FramerelError,
     ImageOutsideTarget,
     NotAState,
     NotPositive,
@@ -13,9 +14,17 @@ from framerel.errors import (
     OperatorOutsideSystem,
     RequiresFullAlgebra,
 )
-from framerel.groups import act, build_cyclic_group, tensor_rep, trivial_rep, unitary_rep
+from framerel.groups import (
+    act,
+    build_cyclic_group,
+    regular_representation,
+    tensor_rep,
+    trivial_rep,
+    unitary_rep,
+)
 from framerel.linalg import max_abs, span_subspace
 from framerel.systems import (
+    _choi_matrix,
     build_channel,
     channel_superop,
     compose_channels,
@@ -29,6 +38,7 @@ from framerel.systems import (
     quotient_dimension,
     state_class,
     subspace_system,
+    system_from_subspace,
 )
 
 from .support import H, I2, X, Y, Z, depolarizing_channel, s3_irrep2, z2_flip_rep
@@ -98,6 +108,34 @@ def test_invariant_subalgebra_dims_match_twirl_trace_oracle():
 
 
 # ----------------------------------------------------------------- channels
+
+
+def test_system_flags_hold_across_translate_chunks():
+    # 81 basis elements: the translates are formed in more than one chunk
+    group = build_cyclic_group(9)
+    assert full_system(trivial_rep(group, 9)).is_invariant
+    shift = regular_representation(group)
+    assert not full_system(shift).is_invariant
+    rng = np.random.default_rng(23)
+    gens = [rng.standard_normal((9, 9)) for _ in range(70)]
+    fixed = subspace_system(trivial_rep(group, 9), gens)
+    assert fixed.space.dim == 71 and fixed.is_invariant and not fixed.is_vn_algebra
+    diagonal = subspace_system(shift, [np.diag(rng.standard_normal(9))])
+    assert diagonal.space.dim == 9 and diagonal.is_vn_algebra and not diagonal.is_invariant
+    with pytest.raises(FramerelError, match="not closed under the group action"):
+        system_from_subspace(shift, span_subspace(gens[:3] + [np.eye(9)]))
+
+
+def test_choi_matrix_matches_the_kron_sum():
+    rng = np.random.default_rng(29)
+    images = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(4)]
+    oracle = np.zeros((6, 6), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            unit = np.zeros((2, 2), dtype=complex)
+            unit[i, j] = 1.0
+            oracle += np.kron(unit, images[i * 2 + j])
+    assert np.array_equal(_choi_matrix(images, 2), oracle)
 
 
 def test_build_channel_validates_counts_unitality_and_targets():
