@@ -111,14 +111,16 @@ def _validate_frame(
     dev = max_abs(total - identity(rep.dim))
     if dev > tol:
         raise FrameInvalid(f"effects do not sum to the identity (deviation {dev:.3e})")
+    stack = np.stack(effects)
     for g in group.elements():
-        for h in group.elements():
-            dev = max_abs(effects[group.multiply(g, h)] - act(rep, g, effects[h]))
-            if dev > tol:
-                raise FrameInvalid(
-                    f"covariance fails at pair ({group.label(g)}, {group.label(h)}) "
-                    f"(deviation {dev:.3e})"
-                )
+        devs = np.abs(stack[group.mult[g]] - act(rep, g, stack)).max(axis=(1, 2))
+        bad = np.flatnonzero(devs > tol)
+        if bad.size:
+            h = int(bad[0])
+            raise FrameInvalid(
+                f"covariance fails at pair ({group.label(g)}, {group.label(h)}) "
+                f"(deviation {devs[h]:.3e})"
+            )
     return all(is_projection(e, tol) for e in effects)
 
 
@@ -226,19 +228,19 @@ def build_frame_morphism(
     if not same_system(channel.target, target.value_system, tol):
         raise ObjectMismatch("channel target is not the target value system")
     group = source.group
+    effects = np.stack(source.effects)
+    images = channel.apply(effects, tol)
     for g in group.elements():
-        dev = max_abs(channel.apply(source.effects[g], tol) - target.effects[g])
+        dev = max_abs(images[g] - target.effects[g])
         if dev > tol:
             raise FactorizationFails(g, dev, label=group.label(g))
     # Equivariance on the effect span is forced by factorization and
     # covariance; verify it numerically on the effects themselves.
     for g in group.elements():
-        for h in group.elements():
-            lhs = channel.apply(act(source.rep, g, source.effects[h]), tol)
-            rhs = act(target.rep, g, channel.apply(source.effects[h], tol))
-            dev = max_abs(lhs - rhs)
-            if dev > tol:
-                raise EffectSpanNotEquivariant(g, dev)
+        lhs = channel.apply(act(source.rep, g, effects), tol)
+        dev = max_abs(lhs - act(target.rep, g, images))
+        if dev > tol:
+            raise EffectSpanNotEquivariant(g, dev)
     return FrameMorphism(source=source, target=target, channel=channel)
 
 

@@ -4,14 +4,18 @@ Everything downstream (group actions, frames, relativization) works on
 plain square ``complex128`` numpy arrays.  Subspaces of the d x d matrix
 space are carried as explicit orthonormal bases, so membership tests,
 projections and kernels stay cheap and bit-for-bit reproducible.
-Membership is tested one operator at a time (``residual``, ``contains``)
-or for a whole (k, d, d) stack with two matrix products
+``coefficients``, ``combine`` and ``project`` take one operator (one
+coefficient vector) or a whole (k, d, d) stack (a (k, dim) stack).  A
+stack is run as one matrix-vector product per slice, the same BLAS call
+a single operator gets, so every slice is bit-identical to the single
+call.  Membership is tested one operator at a time (``residual``,
+``contains``) or for a whole stack with two matrix products
 (``residuals``); a full span answers without projecting, since it holds
-every operator of the right shape.  Bases
-come from a two-pass modified Gram-Schmidt with fixed input ordering,
-kernels from LAPACK's SVD, both deterministic on a given platform.  The
-SVD is the reduced one unless the matrix is wide, so a tall constraint
-matrix never allocates a rows x rows ``U``.
+every operator of the right shape.  Bases come from a two-pass modified
+Gram-Schmidt with fixed input ordering, kernels from LAPACK's SVD, both
+deterministic on a given platform.  The SVD is the reduced one unless the
+matrix is wide, so a tall constraint matrix never allocates a rows x rows
+``U``.
 
 Tolerances are absolute and entrywise.  ``DEFAULT_TOL`` is the global
 default; every function takes an explicit override, which is how the
@@ -49,11 +53,6 @@ def identity(dim: int) -> np.ndarray:
 def hs_inner(a, b) -> complex:
     """Hilbert-Schmidt inner product tr(a^dag b)."""
     return complex(np.vdot(a, b))
-
-
-def hs_norm(m) -> float:
-    """Frobenius norm, the norm of the HS inner product."""
-    return float(np.linalg.norm(m))
 
 
 def max_abs(m) -> float:
@@ -217,26 +216,40 @@ class MatrixSubspace:
         d = self.ambient_dim
         return self._stack.reshape(self.dim, d, d)
 
-    def _operator(self, m) -> np.ndarray:
-        a = as_operator(m)
-        if a.shape[0] != self.ambient_dim:
-            raise DimensionError(
-                f"operator of dimension {a.shape[0]} in ambient {self.ambient_dim}"
-            )
+    def _operators(self, m, ndims=(2, 3)) -> np.ndarray:
+        """``m`` as complex128: one d x d operator (ndim 2) or a (k, d, d) stack (ndim 3)."""
+        a = np.asarray(m, dtype=np.complex128)
+        d = self.ambient_dim
+        if a.ndim not in ndims or a.shape[-2:] != (d, d):
+            raise DimensionError(f"operator of shape {a.shape} in ambient {d}")
         return a
 
     def coefficients(self, m) -> np.ndarray:
-        """HS coefficients of ``m`` against the orthonormal basis."""
-        return np.conj(self._stack) @ vec(self._operator(m))
+        """HS coefficients of one operator, or of each operator of a stack.
+
+        Computed as conj(B @ conj(v)), which equals conj(B) @ v bit for
+        bit without a conjugate copy of the basis; the added +0.0 turns
+        the -0.0 that the outer conj leaves on exact zeros back into +0.0.
+        """
+        a = self._operators(m)
+        flat = np.conj(a.reshape(*a.shape[:-2], self.ambient_dim**2, 1))
+        return np.conj(self._stack @ flat)[..., 0] + 0.0
+
+    def combine(self, coefficients) -> np.ndarray:
+        """Linear combination of the basis, for one coefficient vector or a stack."""
+        c = np.asarray(coefficients, dtype=np.complex128)
+        if c.ndim not in (1, 2) or c.shape[-1] != self.dim:
+            raise DimensionError(f"expected {self.dim} coefficients, got {c.shape}")
+        d = self.ambient_dim
+        return (c[..., None, :] @ self._stack).reshape(*c.shape[:-1], d, d)
 
     def project(self, m) -> np.ndarray:
-        """Orthogonal projection of ``m`` onto the subspace."""
-        c = self.coefficients(m)
-        return unvec(self._stack.T @ c, self.ambient_dim)
+        """Orthogonal projection onto the subspace, of one operator or a stack."""
+        return self.combine(self.coefficients(m))
 
     def residual(self, m) -> float:
         """Entrywise distance from ``m`` to the subspace (0.0 for a full span)."""
-        a = self._operator(m)
+        a = self._operators(m, ndims=(2,))
         return 0.0 if self.is_full else max_abs(a - self.project(a))
 
     def residuals(self, stack) -> np.ndarray:
@@ -245,26 +258,16 @@ class MatrixSubspace:
         The projections are two matrix products over the whole stack, so
         the values agree with ``residual`` up to rounding, not bit for bit.
         """
-        a = np.asarray(stack, dtype=np.complex128)
-        d = self.ambient_dim
-        if a.ndim != 3 or a.shape[1:] != (d, d):
-            raise DimensionError(f"stack of shape {a.shape} in ambient {d}")
+        a = self._operators(stack, ndims=(3,))
         if self.is_full:
             return np.zeros(len(a))
-        flat = a.reshape(len(a), d * d)
+        flat = a.reshape(len(a), self.ambient_dim**2)
         diff = (flat @ np.conj(self._stack).T) @ self._stack
         diff -= flat
         return np.abs(diff).max(axis=1)
 
     def contains(self, m, tol: float = DEFAULT_TOL) -> bool:
         return self.residual(m) <= tol
-
-    def combine(self, coefficients) -> np.ndarray:
-        """Linear combination of the basis with the given coefficients."""
-        c = np.asarray(coefficients, dtype=np.complex128)
-        if c.shape != (self.dim,):
-            raise DimensionError(f"expected {self.dim} coefficients, got {c.shape}")
-        return unvec(self._stack.T @ c, self.ambient_dim)
 
 
 def span_subspace(matrices, ambient_dim: int | None = None, tol: float = DEFAULT_TOL) -> MatrixSubspace:
@@ -304,11 +307,6 @@ def null_space(rows, tol: float = DEFAULT_TOL) -> MatrixSubspace:
     return MatrixSubspace(d, tuple(unvec(v, d) for v in kernel))
 
 
-def hs_project(m, subspace: MatrixSubspace) -> np.ndarray:
-    """Orthogonal projection of ``m`` onto ``subspace`` (HS inner product)."""
-    return subspace.project(m)
-
-
 def _transpose_permutation(d: int) -> np.ndarray:
     return np.arange(d * d).reshape(d, d).T.reshape(-1)
 
@@ -324,7 +322,7 @@ def hermitian_basis(subspace: MatrixSubspace, tol: float = DEFAULT_TOL) -> list[
     if n == 0:
         return []
     d = subspace.ambient_dim
-    m = np.stack([vec(b) for b in subspace.basis], axis=1)  # (d*d, n)
+    m = subspace._stack.T  # (d*d, n)
     pm = m[_transpose_permutation(d), :]
     a1 = m - np.conj(pm)
     a2 = 1j * (m + np.conj(pm))
@@ -332,20 +330,21 @@ def hermitian_basis(subspace: MatrixSubspace, tol: float = DEFAULT_TOL) -> list[
         [[a1.real, a2.real], [a1.imag, a2.imag]]
     )  # (2 d^2, 2n) real
     rows = vector_kernel(real_system, tol)
-    out = []
-    for row in rows:
-        c = np.real(row[:n]) + 1j * np.real(row[n:])
-        h = subspace.combine(c)
-        out.append(hermitian_part(h))
-    return out
+    coeffs = np.real(rows[:, :n]) + 1j * np.real(rows[:, n:])
+    return [hermitian_part(h) for h in subspace.combine(coeffs)]
 
 
-def _shift_into_cone(h: np.ndarray, dim: int) -> np.ndarray | None:
-    """Shift a Hermitian matrix by a multiple of I into the PSD cone."""
+def _shift_into_cone(h: np.ndarray, dim: int, tol: float) -> np.ndarray | None:
+    """Shift a Hermitian matrix by a multiple of I into the PSD cone.
+
+    None when the shifted matrix is zero within ``tol``: h was a
+    multiple of I, and normalizing what is left would only scale up
+    rounding noise into a sample that is neither PSD nor in the span.
+    """
     low = float(np.linalg.eigvalsh(h)[0])
     shifted = h - min(low, 0.0) * identity(dim)
     nrm = operator_norm(shifted)
-    if nrm <= 1e-14:
+    if nrm <= tol:
         return None
     return shifted / nrm
 
@@ -387,7 +386,7 @@ def psd_span_samples(
             lattice.append(herm[i] - herm[j])
     for h in lattice:
         for sign in (1.0, -1.0):
-            s = _shift_into_cone(sign * h, d)
+            s = _shift_into_cone(sign * h, d, tol)
             if s is not None:
                 samples.append(s)
     if include_rank_one:
@@ -397,7 +396,7 @@ def psd_span_samples(
         for _ in range(count):
             coeff = rng.standard_normal(len(herm))
             h = sum(c * hk for c, hk in zip(coeff, herm))
-            s = _shift_into_cone(h, d)
+            s = _shift_into_cone(h, d, tol)
             if s is not None:
                 samples.append(s)
     return samples

@@ -232,8 +232,14 @@ class ChannelMap:
     """A unital positive linear map recorded on the source basis.
 
     ``positivity_check`` is "choi" when the exact full-algebra
-    certificate ran, otherwise "sampled" (with the seed and sample count
-    that were used).
+    certificate ran, otherwise "sampled", with the seed and the number
+    of seeded random samples that were asked for.
+
+    ``apply`` takes one operator or a whole (k, d, d) stack, and
+    ``matrix`` is one stacked coefficient call on the images.  Like
+    ``MatrixSubspace.coefficients``, a stack runs one matrix-vector
+    product per slice, so each slice is bit-identical to applying the
+    channel to that operator alone.
     """
 
     source: SemiQuantumSystem
@@ -252,22 +258,23 @@ class ChannelMap:
         object.__setattr__(self, "_image_stack", stack)
 
     def apply(self, a, tol: float = DEFAULT_TOL) -> np.ndarray:
-        """Apply to any operator in the source span."""
-        m = as_operator(a)
-        c = self.source.space.coefficients(m)
-        residual = max_abs(m - self.source.space.combine(c))
+        """Apply to one operator or a (k, d, d) stack in the source span.
+
+        Raises OperatorOutsideSystem with the largest residual over the
+        stack when some operator leaves the source span.
+        """
+        space = self.source.space
+        c = space.coefficients(a)
+        residual = max_abs(np.asarray(a, dtype=np.complex128) - space.combine(c))
         if residual > tol:
             raise OperatorOutsideSystem(residual)
-        return unvec(c @ self._image_stack, self.target.dim)
+        d = self.target.dim
+        return (c[..., None, :] @ self._image_stack).reshape(*c.shape[:-1], d, d)
 
     def matrix(self) -> np.ndarray:
         """Superoperator matrix between the published orthonormal bases."""
-        cols = [self.target.space.coefficients(im) for im in self.images]
-        return (
-            np.stack(cols, axis=1)
-            if cols
-            else np.zeros((self.target.space.dim, 0), dtype=np.complex128)
-        )
+        d = self.target.dim
+        return self.target.space.coefficients(self._image_stack.reshape(-1, d, d)).T
 
 
 def _choi_matrix(images: list[np.ndarray], d_source: int) -> np.ndarray:
@@ -311,13 +318,20 @@ def build_channel(
         if res > tol:
             raise ImageOutsideTarget(k, res, witness=im)
 
-    coeff_identity = source.space.coefficients(identity(source.dim))
-    image_of_identity = sum(c * im for c, im in zip(coeff_identity, imgs))
-    unital_dev = max_abs(image_of_identity - identity(target.dim))
+    exact = source.is_full_algebra and target.is_full_algebra
+    channel = ChannelMap(
+        source=source,
+        target=target,
+        images=tuple(imgs),
+        positivity_check="choi" if exact else "sampled",
+        positivity_seed=None if exact else seed,
+        positivity_samples=0 if exact else samples,
+    )
+    unital_dev = max_abs(channel.apply(identity(source.dim), tol) - identity(target.dim))
     if unital_dev > tol:
         raise NotUnital(unital_dev)
 
-    if source.is_full_algebra and target.is_full_algebra:
+    if exact:
         choi = _choi_matrix(imgs, source.dim)
         herm_dev = max_abs(choi - dagger(choi))
         low = min_eigenvalue(choi)
@@ -327,16 +341,12 @@ def build_channel(
                 f"{herm_dev:.3e}, minimum eigenvalue {low:.3e})",
                 min_eigenvalue=low,
             )
-        mode, used_seed, used_samples = "choi", None, 0
     else:
         psd = psd_span_samples(
             source.space, count=samples, seed=seed,
             include_rank_one=source.is_full_algebra, tol=tol,
         )
-        stack = np.stack([vec(m) for m in imgs])
-        for s in psd:
-            c = source.space.coefficients(s)
-            out = unvec(c @ stack, target.dim)
+        for s, out in zip(psd, channel.apply(np.stack(psd), tol)):
             low = min_eigenvalue(out)
             if low < -tol * target.dim:
                 raise NotPositive(
@@ -345,16 +355,7 @@ def build_channel(
                     witness=s,
                     min_eigenvalue=low,
                 )
-        mode, used_seed, used_samples = "sampled", seed, len(psd)
-
-    return ChannelMap(
-        source=source,
-        target=target,
-        images=tuple(imgs),
-        positivity_check=mode,
-        positivity_seed=used_seed,
-        positivity_samples=used_samples,
-    )
+    return channel
 
 
 def identity_channel(system: SemiQuantumSystem, tol: float = DEFAULT_TOL) -> ChannelMap:
@@ -406,14 +407,14 @@ def compose_channels(
     """The composite ``second after first`` (matching middle systems)."""
     if not same_system(first.target, second.source, tol):
         raise ObjectMismatch("channel composition endpoints do not match")
-    images = [second.apply(im, tol) for im in first.images]
+    sampled = second.positivity_seed is not None
     return build_channel(
         first.source,
         second.target,
-        images,
+        second.apply(np.stack(first.images), tol),
         tol,
-        samples=second.positivity_samples or DEFAULT_POSITIVITY_SAMPLES,
-        seed=second.positivity_seed or DEFAULT_POSITIVITY_SEED,
+        samples=second.positivity_samples if sampled else DEFAULT_POSITIVITY_SAMPLES,
+        seed=second.positivity_seed if sampled else DEFAULT_POSITIVITY_SEED,
     )
 
 
@@ -430,14 +431,17 @@ def is_equivariant(channel: ChannelMap, tol: float = DEFAULT_TOL) -> Equivarianc
     src, tgt = channel.source, channel.target
     if not same_group(src.group, tgt.group):
         raise GroupMismatch("equivariance needs one group on both sides")
-    worst, w_g, w_i = 0.0, None, None
-    for g in src.group.elements():
-        for i, b in enumerate(src.space.basis):
-            lhs = channel.apply(act(src.rep, g, b), tol)
-            rhs = act(tgt.rep, g, channel.apply(b, tol))
-            dev = max_abs(lhs - rhs)
-            if dev > worst:
-                worst, w_g, w_i = dev, g, i
+    basis = src.space.basis_stack
+    images = channel.apply(basis, tol)
+    # table[g, i] = |phi(g.b_i) - g.phi(b_i)|; argmax picks the first
+    # worst pair in (g, i) order.
+    table = np.stack([
+        np.abs(channel.apply(act(src.rep, g, basis), tol) - act(tgt.rep, g, images))
+        .max(axis=(1, 2))
+        for g in src.group.elements()
+    ])
+    w_g, w_i = (int(k) for k in np.unravel_index(np.argmax(table), table.shape))
+    worst = float(table[w_g, w_i])
     ok = worst <= tol
     return EquivarianceResult(
         equivariant=ok,
@@ -451,7 +455,7 @@ def channel_superop(channel: ChannelMap) -> np.ndarray:
     """Full-algebra superoperator S with vec(phi(a)) = S vec(a) (row-major)."""
     if not (channel.source.is_full_algebra and channel.target.is_full_algebra):
         raise RequiresFullAlgebra("superoperator form needs full algebras")
-    return np.stack([vec(im) for im in channel.images], axis=1)
+    return np.ascontiguousarray(channel._image_stack.T)
 
 
 def predual_channel(channel: ChannelMap, t, tol: float = DEFAULT_TOL) -> np.ndarray:

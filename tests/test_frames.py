@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from framerel.errors import (
+    EffectSpanNotEquivariant,
     FactorizationFails,
     FrameInvalid,
     NotAState,
@@ -26,7 +27,7 @@ from framerel.frames import (
 )
 from framerel.groups import act, build_cyclic_group, trivial_rep
 from framerel.linalg import max_abs
-from framerel.systems import subspace_system
+from framerel.systems import build_channel, subspace_system
 
 from .support import (
     I2,
@@ -177,6 +178,81 @@ def test_factorization_failure_carries_a_witness():
         build_frame_morphism(ideal, sm, identity_channel(ideal.value_system))
     assert err.value.deviation > 0.2  # identity misses by lambda/2 = 1/4
     assert err.value.element in (0, 1)
+
+
+def _cyclic_ideal(n):
+    return canonical_ideal_frame(build_cyclic_group(n))
+
+
+def _conjugation_images(frame, u):
+    return [u @ b @ np.conj(u).T for b in frame.value_system.space.basis]
+
+
+def _first_failing_pair(frame, effects, tol):
+    """Strict loop oracle over (g, h): first pair with |E(gh) - g.E(h)| > tol."""
+    group = frame.group
+    for g in group.elements():
+        for h in group.elements():
+            dev = max_abs(effects[group.multiply(g, h)] - act(frame.rep, g, effects[h]))
+            if dev > tol:
+                return g, h, dev
+    return None
+
+
+def test_covariance_failure_names_the_first_pair():
+    ideal = _cyclic_ideal(4)
+    e = ideal.effects
+    effects = [e[0], e[1], e[3], e[2]]  # sums to I, but 1.E(1) = E(2) is not E(3)
+    g, h, dev = _first_failing_pair(ideal, effects, 1e-9)
+    assert (g, h) == (1, 1)
+    with pytest.raises(FrameInvalid) as err:
+        frame_from_effects(ideal.rep, effects, ideal.value_system)
+    label = ideal.group.label
+    assert str(err.value) == f"covariance fails at pair ({label(g)}, {label(h)}) (deviation {dev:.3e})"
+
+
+def test_factorization_failure_names_the_first_element():
+    ideal = _cyclic_ideal(4)
+    swap = np.eye(4, dtype=complex)[[0, 1, 3, 2]]  # fixes E(0), E(1); swaps E(2), E(3)
+    channel = build_channel(ideal.value_system, ideal.value_system, _conjugation_images(ideal, swap))
+    first = next(
+        g for g in ideal.group.elements()
+        if max_abs(channel.apply(ideal.effects[g]) - ideal.effects[g]) > 1e-9
+    )
+    assert first == 2
+    with pytest.raises(FactorizationFails) as err:
+        build_frame_morphism(ideal, ideal, channel)
+    assert err.value.element == first
+    assert err.value.deviation == max_abs(channel.apply(ideal.effects[2]) - ideal.effects[2])
+
+
+def test_effect_span_failure_names_the_first_element():
+    # (1 - eps) id + eps Ad(V) on Z6, V a Hadamard on basis vectors 0, 3
+    # and one on 1, 4: every effect maps within eps/2 of itself, but the
+    # effect-span equivariance deviation is eps/2 at g = 1 and eps at
+    # g = 2, 3, 4
+    ideal = _cyclic_ideal(6)
+    v = np.eye(6, dtype=complex)
+    for pair in ([0, 3], [1, 4]):
+        v[np.ix_(pair, pair)] = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    eps, tol = 1e-3, 7.5e-4
+    vs = ideal.value_system
+    images = [(1 - eps) * b + eps * img for b, img in zip(vs.space.basis, _conjugation_images(ideal, v))]
+    channel = build_channel(vs, vs, images, tol)
+    fact = max(max_abs(channel.apply(e) - e) for e in ideal.effects)
+    images_of_effects = [channel.apply(e) for e in ideal.effects]
+    first = None
+    for g in ideal.group.elements():
+        for h in ideal.group.elements():
+            lhs = channel.apply(act(ideal.rep, g, ideal.effects[h]))
+            dev = max_abs(lhs - act(ideal.rep, g, images_of_effects[h]))
+            if first is None and dev > tol:
+                first = g
+    assert fact < tol and first == 2
+    with pytest.raises(EffectSpanNotEquivariant) as err:
+        build_frame_morphism(ideal, ideal, channel, tol)
+    assert err.value.element == first
+    assert err.value.deviation > tol
 
 
 def test_identity_and_composition_of_morphisms():

@@ -8,9 +8,9 @@ import pytest
 from framerel.errors import DimensionError
 from framerel.linalg import (
     MatrixSubspace,
+    _shift_into_cone,
     hermitian_basis,
     hs_inner,
-    hs_project,
     is_density_matrix,
     is_projection,
     is_psd,
@@ -205,8 +205,8 @@ def test_hs_project_matches_lstsq_oracle_on_fixed_case():
     space = span_subspace([eye, zmat])
     xmat = np.array([[0, 1], [1, 0]], dtype=complex)
     # oracle values: X is HS-orthogonal to span{I, Z}, (I+X)/2 projects to I/2
-    assert max_abs(hs_project(xmat, space)) == 0.0
-    got = hs_project((eye + xmat) / 2, space)
+    assert max_abs(space.project(xmat)) == 0.0
+    got = space.project((eye + xmat) / 2)
     assert max_abs(got - eye / 2) < 1e-14
     rng = np.random.default_rng(41)
     for _ in range(25):
@@ -273,6 +273,73 @@ def test_full_span_membership_is_immediate():
         full.residuals(np.eye(2))
     with pytest.raises(DimensionError):
         full.residuals(np.zeros((1, 3, 3)))
+
+
+def _matrix_units(d):
+    return [np.eye(d * d, dtype=complex)[k].reshape(d, d) for k in range(d * d)]
+
+
+def test_stacked_coefficients_combine_and_project_match_single_calls():
+    rng = np.random.default_rng(29)
+    full = MatrixSubspace(3, tuple(_matrix_units(3)))
+    proper = span_subspace([rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(4)])
+    for space in (full, proper):
+        stack = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+        view = stack.transpose(0, 2, 1)
+        assert not view.flags.c_contiguous
+        for ops in (stack, view):
+            coeffs = space.coefficients(ops)
+            assert coeffs.shape == (5, space.dim)
+            combined = space.combine(coeffs)
+            projected = space.project(ops)
+            for k in range(5):
+                single = np.ascontiguousarray(ops[k])
+                assert np.array_equal(coeffs[k], space.coefficients(single))
+                assert np.array_equal(combined[k], space.combine(coeffs[k]))
+                assert np.array_equal(projected[k], space.project(single))
+        assert space.coefficients(np.zeros((0, 3, 3))).shape == (0, space.dim)
+        assert space.combine(np.zeros((0, space.dim))).shape == (0, 3, 3)
+        assert space.project(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+
+
+def test_coefficients_equal_the_conjugate_basis_product_bit_for_bit():
+    # oracle: conj(B) @ vec(m), zero signs included (a real input on the
+    # matrix units leaves exact zeros in every imaginary part)
+    rng = np.random.default_rng(31)
+    for space in (
+        MatrixSubspace(2, tuple(_matrix_units(2))),
+        span_subspace([rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(3)]),
+    ):
+        basis = np.conj(np.stack([vec(b) for b in space.basis]))
+        for m in (np.array([[1.0, -2.0], [0.5, 3.0]]), rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))):
+            expected = basis @ vec(m)
+            assert space.coefficients(m).tobytes() == expected.tobytes()
+            assert space.coefficients(m[None])[0].tobytes() == expected.tobytes()
+
+
+def test_stack_calls_reject_wrong_shapes():
+    space = span_subspace([np.eye(2, dtype=complex), np.diag([1.0, -1.0])])
+    for bad in (np.zeros((2, 3, 3)), np.zeros((3, 3)), np.zeros((1, 2, 2, 2)), np.zeros(4)):
+        with pytest.raises(DimensionError):
+            space.coefficients(bad)
+        with pytest.raises(DimensionError):
+            space.project(bad)
+    with pytest.raises(DimensionError):
+        space.residual(np.zeros((1, 2, 2)))
+    for bad in (np.zeros(3), np.zeros((2, 3)), np.zeros((1, 2, 2))):
+        with pytest.raises(DimensionError):
+            space.combine(bad)
+
+
+def test_shift_into_cone_drops_a_multiple_of_the_identity():
+    # -c I plus rounding noise shifts to a matrix of norm ~1e-13; scaled up
+    # to norm 1 it would be a sample that is neither PSD nor in the span
+    rng = np.random.default_rng(43)
+    noise = rng.standard_normal((4, 4))
+    h = -0.45 * np.eye(4) + 1e-14 * (noise + noise.T)
+    assert _shift_into_cone(h, 4, 1e-9) is None
+    s = _shift_into_cone(np.diag([1.0, -1.0, 0.5, 0.0]).astype(complex), 4, 1e-9)
+    assert np.allclose(s, np.diag([1.0, 0.0, 0.75, 0.5]))
 
 
 def test_matrix_subspace_rejects_bad_shapes():

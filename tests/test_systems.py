@@ -41,7 +41,17 @@ from framerel.systems import (
     system_from_subspace,
 )
 
-from .support import H, I2, X, Y, Z, depolarizing_channel, s3_irrep2, z2_flip_rep
+from .support import (
+    H,
+    I2,
+    X,
+    Y,
+    Z,
+    ampliation_channel,
+    depolarizing_channel,
+    s3_irrep2,
+    z2_flip_rep,
+)
 
 
 # ------------------------------------------------------------------ oracles
@@ -198,6 +208,50 @@ def test_apply_rejects_operators_outside_source_span():
         ch.apply(X)
 
 
+def test_apply_on_stacks_matches_single_operator_calls():
+    rng = np.random.default_rng(37)
+    for system in (full_system(s3_irrep2()), subspace_system(z2_flip_rep(), [Z])):
+        ch = depolarizing_channel(system, 0.4)
+        d, n = system.dim, system.space.dim
+        stack = system.space.combine(rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n)))
+        view = stack.transpose(0, 2, 1)  # the span is closed under transposition here
+        assert not view.flags.c_contiguous
+        for ops in (stack, view):
+            out = ch.apply(ops)
+            assert out.shape == (4, d, d)
+            for k in range(4):
+                assert np.array_equal(out[k], ch.apply(np.ascontiguousarray(ops[k])))
+        assert ch.apply(np.zeros((0, d, d))).shape == (0, d, d)
+        with pytest.raises(DimensionError):
+            ch.apply(np.zeros((2, d + 1, d + 1)))
+
+
+def test_apply_on_a_stack_reports_the_largest_residual():
+    sys_iz = subspace_system(z2_flip_rep(), [Z])
+    ch = identity_channel(sys_iz)
+    far, near = X, 0.25 * X + Z
+    singles = []
+    for op in (far, near):
+        with pytest.raises(OperatorOutsideSystem) as err:
+            ch.apply(op)
+        singles.append(err.value.residual)
+    with pytest.raises(OperatorOutsideSystem) as err:
+        ch.apply(np.stack([I2, near, Z, far]))
+    assert err.value.residual == max(singles) == 1.0
+
+
+def test_composite_keeps_the_requested_sampling_settings():
+    sys_iz = subspace_system(z2_flip_rep(), [Z])
+    ch = build_channel(sys_iz, sys_iz, list(sys_iz.space.basis), samples=3, seed=0)
+    assert (ch.positivity_check, ch.positivity_samples, ch.positivity_seed) == ("sampled", 3, 0)
+    both = compose_channels(ch, compose_channels(ch, ch))
+    assert (both.positivity_check, both.positivity_samples, both.positivity_seed) == ("sampled", 3, 0)
+    # a Choi-certified second factor leaves nothing to copy: the defaults apply
+    ampl = ampliation_channel(sys_iz, 1)
+    into_full = compose_channels(ampl, ch)
+    assert (into_full.positivity_samples, into_full.positivity_seed) == (16, 7)
+
+
 def test_conjugation_equals_single_kraus():
     sq = full_system(z2_flip_rep())
     conj = conjugation_channel(sq, H)
@@ -258,6 +312,41 @@ def test_equivariance_of_depolarizer_for_nonabelian_rep():
     # conjugating by a non-central group element's matrix breaks it
     u = full.rep.matrices[1]
     assert not is_equivariant(conjugation_channel(full, u)).equivariant
+
+
+def _equivariance_oracle(channel):
+    """Deviation table over (g, i) and the strict-> loop's first worst pair."""
+    src, tgt = channel.source, channel.target
+    table = np.array([
+        [
+            max_abs(channel.apply(act(src.rep, g, b)) - act(tgt.rep, g, channel.apply(b)))
+            for b in src.space.basis
+        ]
+        for g in src.group.elements()
+    ])
+    worst, w_g, w_i = 0.0, None, None
+    for g, row in enumerate(table):
+        for i, dev in enumerate(row):
+            if dev > worst:
+                worst, w_g, w_i = dev, g, i
+    return table, worst, w_g, w_i
+
+
+def test_equivariance_witness_matches_the_loop_oracle():
+    full = full_system(s3_irrep2())
+    rng = np.random.default_rng(16)
+    u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    table, worst, g, i = _equivariance_oracle(conjugation_channel(full, u))
+    assert np.count_nonzero(table == worst) == 1  # a unique worst pair, at (5, 2)
+    assert (g, i) == (5, 2)
+    res = is_equivariant(conjugation_channel(full, u))
+    assert (res.witness_element, res.witness_index, res.deviation) == (g, i, worst)
+    # several pairs tie for the worst here: the first one in (g, i) order wins
+    hconj = conjugation_channel(full_system(z2_flip_rep()), H)
+    table, worst, g, i = _equivariance_oracle(hconj)
+    assert np.count_nonzero(table == worst) > 1
+    res = is_equivariant(hconj)
+    assert (res.witness_element, res.witness_index, res.deviation) == (g, i, worst)
 
 
 # ------------------------------------------------------------------ preduals
