@@ -57,7 +57,7 @@ from .groups import (
     trivial_rep,
     unitary_rep,
 )
-from .linalg import DEFAULT_TOL, MatrixSubspace, null_space, span_subspace
+from .linalg import DEFAULT_TOL, MatrixSubspace, matrix_unit_span, null_space, span_subspace
 from .relativize import (
     RelativeChannel,
     RelativeSubspace,

@@ -2,8 +2,12 @@
 
 Everything downstream (group actions, frames, relativization) works on
 plain square ``complex128`` numpy arrays.  Subspaces of the d x d matrix
-space are carried as explicit orthonormal bases, so membership tests,
-projections and kernels stay cheap and bit-for-bit reproducible.
+space are carried as orthonormal bases, stored once as a stack of
+flattened matrices, so membership tests, projections and kernels stay
+cheap and bit-for-bit reproducible.  The full matrix space with the
+matrix-unit basis is implicit: it stores no basis, its coefficients are
+the reshaped operator and its combinations the reshaped coefficients, so
+a full algebra costs no d^4 storage and no d^2 x d^2 products.
 ``coefficients``, ``combine`` and ``project`` take one operator (one
 coefficient vector) or a whole (k, d, d) stack (a (k, dim) stack).  A
 stack is run as one matrix-vector product per slice, the same BLAS call
@@ -23,8 +27,6 @@ scenario runner threads a configured value through.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -173,37 +175,51 @@ def vector_kernel(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     return np.conj(vh[rank:])
 
 
-@dataclass(frozen=True, eq=False)
 class MatrixSubspace:
     """A linear subspace of d x d matrices with an HS-orthonormal basis.
 
-    Factories (:func:`span_subspace`, :func:`null_space`) guarantee the
-    orthonormality; direct construction is for callers that already
-    hold an orthonormal family.
+    The basis is held once, as one (dim, d*d) stack of flattened
+    matrices; ``basis`` and ``basis_stack`` are views of it.  Factories
+    (:func:`span_subspace`, :func:`null_space`, :func:`matrix_unit_span`)
+    guarantee the orthonormality; direct construction is for callers
+    that already hold an orthonormal family.
+
+    The span made by :func:`matrix_unit_span` stores no stack at all:
+    its basis is the matrix units in row-major order, so coefficients
+    are the entries of the operator and a combination is the reshaped
+    coefficient vector.  Its units are built only when a caller asks
+    for ``basis`` or ``basis_stack``.
     """
 
-    ambient_dim: int
-    basis: tuple[np.ndarray, ...]
+    __slots__ = ("ambient_dim", "_stack")
 
-    def __post_init__(self):
-        d = self.ambient_dim
+    def __init__(self, ambient_dim: int, basis):
+        d = ambient_dim
         if d <= 0:
             raise DimensionError("ambient dimension must be positive")
-        for b in self.basis:
+        for b in basis:
             if b.shape != (d, d):
                 raise DimensionError(
                     f"basis element of shape {b.shape} in ambient dimension {d}"
                 )
-        stack = (
-            np.stack([vec(b) for b in self.basis])
-            if self.basis
+        self.ambient_dim = d
+        self._stack = (
+            np.stack([vec(b) for b in basis])
+            if len(basis)
             else np.zeros((0, d * d), dtype=np.complex128)
         )
-        object.__setattr__(self, "_stack", stack)
+
+    def __repr__(self) -> str:
+        return f"MatrixSubspace(ambient_dim={self.ambient_dim}, dim={self.dim})"
+
+    @property
+    def is_unit_span(self) -> bool:
+        """True for the implicit matrix-unit span of :func:`matrix_unit_span`."""
+        return self._stack is None
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.ambient_dim**2 if self.is_unit_span else len(self._stack)
 
     @property
     def is_full(self) -> bool:
@@ -212,9 +228,15 @@ class MatrixSubspace:
 
     @property
     def basis_stack(self) -> np.ndarray:
-        """The basis as one (dim, d, d) array (a view, not a copy)."""
+        """The basis as one (dim, d, d) array: a view, or fresh units."""
         d = self.ambient_dim
+        if self.is_unit_span:
+            return matrix_units(d)
         return self._stack.reshape(self.dim, d, d)
+
+    @property
+    def basis(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.basis_stack)
 
     def _operators(self, m, ndims=(2, 3)) -> np.ndarray:
         """``m`` as complex128: one d x d operator (ndim 2) or a (k, d, d) stack (ndim 3)."""
@@ -230,8 +252,12 @@ class MatrixSubspace:
         Computed as conj(B @ conj(v)), which equals conj(B) @ v bit for
         bit without a conjugate copy of the basis; the added +0.0 turns
         the -0.0 that the outer conj leaves on exact zeros back into +0.0.
+        On the unit span the coefficients are the entries themselves,
+        with the same +0.0 on zeros that the product with the units gives.
         """
         a = self._operators(m)
+        if self.is_unit_span:
+            return a.reshape(*a.shape[:-2], self.ambient_dim**2) + 0.0
         flat = np.conj(a.reshape(*a.shape[:-2], self.ambient_dim**2, 1))
         return np.conj(self._stack @ flat)[..., 0] + 0.0
 
@@ -241,6 +267,8 @@ class MatrixSubspace:
         if c.ndim not in (1, 2) or c.shape[-1] != self.dim:
             raise DimensionError(f"expected {self.dim} coefficients, got {c.shape}")
         d = self.ambient_dim
+        if self.is_unit_span:
+            return c.reshape(*c.shape[:-1], d, d) + 0.0
         return (c[..., None, :] @ self._stack).reshape(*c.shape[:-1], d, d)
 
     def project(self, m) -> np.ndarray:
@@ -268,6 +296,18 @@ class MatrixSubspace:
 
     def contains(self, m, tol: float = DEFAULT_TOL) -> bool:
         return self.residual(m) <= tol
+
+
+def matrix_units(d: int) -> np.ndarray:
+    """The d*d matrix units E_ij of d x d matrices, row-major, as one (d*d, d, d) stack."""
+    return np.eye(d * d, dtype=np.complex128).reshape(d * d, d, d)
+
+
+def matrix_unit_span(d: int) -> MatrixSubspace:
+    """The full d x d matrix space, with the matrix units as its implicit basis."""
+    space = MatrixSubspace(d, ())
+    space._stack = None
+    return space
 
 
 def span_subspace(matrices, ambient_dim: int | None = None, tol: float = DEFAULT_TOL) -> MatrixSubspace:
@@ -304,7 +344,7 @@ def null_space(rows, tol: float = DEFAULT_TOL) -> MatrixSubspace:
     if d * d != n:
         raise DimensionError(f"row length {n} is not a flattened square matrix")
     kernel = vector_kernel(np.stack(arr), tol)
-    return MatrixSubspace(d, tuple(unvec(v, d) for v in kernel))
+    return MatrixSubspace(d, kernel.reshape(-1, d, d))
 
 
 def _transpose_permutation(d: int) -> np.ndarray:
@@ -322,7 +362,7 @@ def hermitian_basis(subspace: MatrixSubspace, tol: float = DEFAULT_TOL) -> list[
     if n == 0:
         return []
     d = subspace.ambient_dim
-    m = subspace._stack.T  # (d*d, n)
+    m = subspace.basis_stack.reshape(n, d * d).T
     pm = m[_transpose_permutation(d), :]
     a1 = m - np.conj(pm)
     a2 = 1j * (m + np.conj(pm))

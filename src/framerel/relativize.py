@@ -44,6 +44,7 @@ from .linalg import (
     dagger,
     identity,
     is_density_matrix,
+    matrix_units,
     max_abs,
     min_eigenvalue,
     operator_norm,
@@ -118,7 +119,7 @@ def relativization_map(
     if not same_group(frame.group, system.group):
         raise GroupMismatch("frame and system live over different groups")
     joint = tensor_rep(frame.rep, system.rep, tol)
-    images = tuple(_relativize_stack(frame, system, system.space.basis))
+    images = tuple(_relativize_stack(frame, system, system.space.basis_stack))
     return RelativizationMap(frame=frame, system=system, joint_rep=joint, images=images)
 
 
@@ -164,7 +165,7 @@ def build_relative_subspace(
     space = span_subspace(rmap.images, ambient_dim=rmap.joint_dim, tol=tol)
     columns = np.stack([vec(im) for im in rmap.images], axis=1)
     coeff_kernel = vector_kernel(columns, tol)
-    kernel = MatrixSubspace(system.dim, tuple(system.space.combine(coeff_kernel)))
+    kernel = MatrixSubspace(system.dim, system.space.combine(coeff_kernel))
     if space.dim + kernel.dim != system.space.dim:
         raise ObjectMismatch(
             "rank plus nullity of the relativization map does not add up; "
@@ -261,7 +262,12 @@ def check_channel_axioms(
     choi_low: float | None = None
     mode = "sampled"
     if system.is_full_algebra:
-        choi_low = min_eigenvalue(_choi_matrix(rmap.images, system.dim))
+        units = (
+            rmap.images
+            if system.space.is_unit_span
+            else _relativize_stack(frame, system, matrix_units(system.dim))
+        )
+        choi_low = min_eigenvalue(_choi_matrix(units, system.dim))
         mode = "choi+sampled"
 
     passed = (
@@ -611,12 +617,12 @@ def check_equivariant_tensor_form(
     """
     _require_equivariant(phi, tol)
     induced = relativize_morphisms(psi, phi, tol)
-    r_basis = psi.source.value_system.space.basis
-    s_basis = phi.source.space.basis
-    psi_images = psi.channel.apply(psi.source.value_system.space.basis_stack, tol)
-    phi_images = phi.apply(phi.source.space.basis_stack, tol)
-    xs = induced.source.space.basis
-    induced_images = induced.channel.apply(induced.source.space.basis_stack, tol)
+    r_basis = psi.source.value_system.space.basis_stack
+    s_basis = phi.source.space.basis_stack
+    psi_images = psi.channel.apply(r_basis, tol)
+    phi_images = phi.apply(s_basis, tol)
+    xs = induced.source.space.basis_stack
+    induced_images = induced.channel.apply(xs, tol)
     d_out = induced.target.space.ambient_dim
     tens = [np.zeros((d_out, d_out), dtype=np.complex128) for _ in xs]
     recon = [np.zeros_like(x) for x in xs]

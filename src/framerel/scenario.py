@@ -393,12 +393,12 @@ def _parse_channels(
                 raise ScenarioSyntaxError(f"{where}.data: expected a list of matrix literals")
             ops = [decode_matrix(m, f"{where}.data[{i}]") for i, m in enumerate(data)]
             with _wrap_build("channels", name):
-                channels[name] = kraus_channel(source, target, ops, tol)
+                channels[name] = kraus_channel(source, target, ops, tol, samples, seed)
             canon_data = [encode_matrix(m) for m in ops]
         elif kind == "conjugate_unitary":
             u = decode_matrix(data, f"{where}.data")
             with _wrap_build("channels", name):
-                channels[name] = conjugation_channel(source, u, target, tol)
+                channels[name] = conjugation_channel(source, u, target, tol, samples, seed)
             canon_data = encode_matrix(u)
         else:
             raise ScenarioSyntaxError(

@@ -47,6 +47,8 @@ from .linalg import (
     identity,
     is_density_matrix,
     is_unitary,
+    matrix_unit_span,
+    matrix_units,
     max_abs,
     min_eigenvalue,
     psd_span_samples,
@@ -82,16 +84,6 @@ class SemiQuantumSystem:
         return self.rep.group
 
 
-def _matrix_units(d: int) -> list[np.ndarray]:
-    units = []
-    for i in range(d):
-        for j in range(d):
-            m = np.zeros((d, d), dtype=np.complex128)
-            m[i, j] = 1.0
-            units.append(m)
-    return units
-
-
 def _closed_under_products(space: MatrixSubspace, tol: float) -> bool:
     """Adjoints, then one row of products a b at a time, tested as stacks."""
     basis = space.basis_stack
@@ -111,10 +103,11 @@ def _assemble_system(
 ) -> SemiQuantumSystem:
     """Validate a span against the action and record its flags.
 
-    Each group element's translates of the basis are formed once, in
-    chunks, and give both closure (skipped on a full span, which holds
-    every translate) and invariance (a full span stops at the first
-    element that moves it).
+    A full span holds every translate, and it is invariant iff every
+    U(g) is a scalar within ``tol``, so it is read from the rep and no
+    basis element is moved.  On a proper span each group element's
+    translates of the basis are formed once, in chunks, and give both
+    closure and invariance.
     """
     if space.ambient_dim != rep.dim:
         raise DimensionError(
@@ -124,16 +117,18 @@ def _assemble_system(
     if not space.contains(identity(rep.dim), tol):
         raise FramerelError("system span does not contain the identity")
     full = space.is_full
-    basis = space.basis_stack
-    invariant = True
-    for g, lo in product(rep.group.elements(), range(0, len(basis), _TRANSLATE_CHUNK)):
-        if full and not invariant:
-            break
-        chunk = basis[lo : lo + _TRANSLATE_CHUNK]
-        moved = act(rep, g, chunk)
-        if not full and np.any(space.residuals(moved) > tol):
-            raise FramerelError("system span is not closed under the group action")
-        invariant = invariant and max_abs(moved - chunk) <= tol
+    if full:
+        eye = identity(rep.dim)
+        invariant = all(max_abs(u - u[0, 0] * eye) <= tol for u in rep.matrices)
+    else:
+        basis = space.basis_stack
+        invariant = True
+        for g, lo in product(rep.group.elements(), range(0, len(basis), _TRANSLATE_CHUNK)):
+            chunk = basis[lo : lo + _TRANSLATE_CHUNK]
+            moved = act(rep, g, chunk)
+            if np.any(space.residuals(moved) > tol):
+                raise FramerelError("system span is not closed under the group action")
+            invariant = invariant and max_abs(moved - chunk) <= tol
     adjoint_space = (
         space if full else span_subspace([dagger(b) for b in space.basis], tol=tol)
     )
@@ -152,10 +147,11 @@ def full_system(rep: UnitaryRep, tol: float = DEFAULT_TOL) -> SemiQuantumSystem:
     """The full matrix algebra on the representation space.
 
     The published basis is the matrix units in row-major order, which is
-    also the flattening order used by superoperator assembly.
+    also the flattening order used by superoperator assembly.  The span
+    is the implicit unit span of ``matrix_unit_span``: the d^2 units are
+    not stored, and they are built only when a caller asks for the basis.
     """
-    space = MatrixSubspace(rep.dim, tuple(_matrix_units(rep.dim)))
-    return _assemble_system(rep, space, tol)
+    return _assemble_system(rep, matrix_unit_span(rep.dim), tol)
 
 
 def subspace_system(rep: UnitaryRep, generators, tol: float = DEFAULT_TOL) -> SemiQuantumSystem:
@@ -195,8 +191,7 @@ def invariant_subalgebra(rep: UnitaryRep, tol: float = DEFAULT_TOL) -> SemiQuant
         u = rep.matrices[g]
         blocks.append(np.kron(eye, u.T) - np.kron(u, eye))
     kernel_rows = vector_kernel(np.vstack(blocks), tol)
-    space = MatrixSubspace(d, tuple(unvec(v, d) for v in kernel_rows))
-    return _assemble_system(rep, space, tol)
+    return _assemble_system(rep, MatrixSubspace(d, kernel_rows.reshape(-1, d, d)), tol)
 
 
 def system_from_subspace(
@@ -219,6 +214,8 @@ def same_system(a: SemiQuantumSystem, b: SemiQuantumSystem, tol: float = DEFAULT
         return False
     if a.space.dim != b.space.dim:
         return False
+    if a.space.is_full:
+        return True
     return all(b.space.contains(x, tol) for x in a.space.basis) and all(
         a.space.contains(x, tol) for x in b.space.basis
     )
@@ -261,13 +258,15 @@ class ChannelMap:
         """Apply to one operator or a (k, d, d) stack in the source span.
 
         Raises OperatorOutsideSystem with the largest residual over the
-        stack when some operator leaves the source span.
+        stack when some operator leaves the source span; a full source
+        holds every operator, so it skips the check.
         """
         space = self.source.space
         c = space.coefficients(a)
-        residual = max_abs(np.asarray(a, dtype=np.complex128) - space.combine(c))
-        if residual > tol:
-            raise OperatorOutsideSystem(residual)
+        if not space.is_full:
+            residual = max_abs(np.asarray(a, dtype=np.complex128) - space.combine(c))
+            if residual > tol:
+                raise OperatorOutsideSystem(residual)
         d = self.target.dim
         return (c[..., None, :] @ self._image_stack).reshape(*c.shape[:-1], d, d)
 
@@ -277,7 +276,7 @@ class ChannelMap:
         return self.target.space.coefficients(self._image_stack.reshape(-1, d, d)).T
 
 
-def _choi_matrix(images: list[np.ndarray], d_source: int) -> np.ndarray:
+def _choi_matrix(images, d_source: int) -> np.ndarray:
     """sum_ij E_ij (x) phi(E_ij) from the images of the matrix units.
 
     Block (i, j) of the Choi matrix is image i d + j, so one transpose
@@ -286,6 +285,18 @@ def _choi_matrix(images: list[np.ndarray], d_source: int) -> np.ndarray:
     d_target = images[0].shape[0]
     blocks = np.asarray(images).reshape(d_source, d_source, d_target, d_target)
     return blocks.transpose(0, 2, 1, 3).reshape(d_source * d_target, d_source * d_target)
+
+
+def _unit_images(channel: ChannelMap, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """The images of the matrix units of a full source, row-major, as one stack.
+
+    On the unit span these are the recorded images.  Any other full
+    span publishes another basis, so the units go through ``apply``.
+    """
+    if channel.source.space.is_unit_span:
+        d = channel.target.dim
+        return channel._image_stack.reshape(-1, d, d)
+    return channel.apply(matrix_units(channel.source.dim), tol)
 
 
 def build_channel(
@@ -332,7 +343,7 @@ def build_channel(
         raise NotUnital(unital_dev)
 
     if exact:
-        choi = _choi_matrix(imgs, source.dim)
+        choi = _choi_matrix(_unit_images(channel, tol), source.dim)
         herm_dev = max_abs(choi - dagger(choi))
         low = min_eigenvalue(choi)
         if herm_dev > tol or low < -tol * choi.shape[0]:
@@ -367,8 +378,14 @@ def conjugation_channel(
     u,
     target: SemiQuantumSystem | None = None,
     tol: float = DEFAULT_TOL,
+    samples: int = DEFAULT_POSITIVITY_SAMPLES,
+    seed: int = DEFAULT_POSITIVITY_SEED,
 ) -> ChannelMap:
-    """The channel a -> u a u^dag (u unitary)."""
+    """The channel a -> u a u^dag (u unitary).
+
+    ``samples``/``seed`` reach the sampled positivity check, as in
+    ``build_channel``.
+    """
     mat = as_operator(u)
     if not is_unitary(mat, tol):
         raise NotUnitary(max_abs(mat @ dagger(mat) - identity(mat.shape[0])))
@@ -376,7 +393,7 @@ def conjugation_channel(
     if mat.shape[0] != tgt.dim or mat.shape[0] != system.dim:
         raise DimensionError("conjugating unitary has the wrong dimension")
     images = [mat @ b @ dagger(mat) for b in system.space.basis]
-    return build_channel(system, tgt, images, tol)
+    return build_channel(system, tgt, images, tol, samples, seed)
 
 
 def kraus_channel(
@@ -384,8 +401,14 @@ def kraus_channel(
     target: SemiQuantumSystem,
     kraus_ops,
     tol: float = DEFAULT_TOL,
+    samples: int = DEFAULT_POSITIVITY_SAMPLES,
+    seed: int = DEFAULT_POSITIVITY_SEED,
 ) -> ChannelMap:
-    """Channel a -> sum_k K_k a K_k^dag from Kraus operators (target x source)."""
+    """Channel a -> sum_k K_k a K_k^dag from Kraus operators (target x source).
+
+    ``samples``/``seed`` reach the sampled positivity check, as in
+    ``build_channel``.
+    """
     ops = [np.asarray(k, dtype=np.complex128) for k in kraus_ops]
     if not ops:
         raise DimensionError("at least one Kraus operator is required")
@@ -398,7 +421,7 @@ def kraus_channel(
     images = [
         sum(k @ b @ dagger(k) for k in ops) for b in source.space.basis
     ]
-    return build_channel(source, target, images, tol)
+    return build_channel(source, target, images, tol, samples, seed)
 
 
 def compose_channels(
@@ -455,7 +478,8 @@ def channel_superop(channel: ChannelMap) -> np.ndarray:
     """Full-algebra superoperator S with vec(phi(a)) = S vec(a) (row-major)."""
     if not (channel.source.is_full_algebra and channel.target.is_full_algebra):
         raise RequiresFullAlgebra("superoperator form needs full algebras")
-    return np.ascontiguousarray(channel._image_stack.T)
+    d = channel.source.dim
+    return np.ascontiguousarray(_unit_images(channel).reshape(d * d, -1).T)
 
 
 def predual_channel(channel: ChannelMap, t, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -524,8 +548,11 @@ def quotient_dimension(system: SemiQuantumSystem, tol: float = DEFAULT_TOL) -> i
     Computed through the pairing: d^2 minus the dimension of the
     annihilator {T : tr[T a] = 0 for all a in the span}.  Banach space
     duality makes this equal to dim span(space), which the test suite
-    asserts as an exact integer identity.
+    asserts as an exact integer identity.  A full span has an empty
+    annihilator, so its answer is d^2 without an SVD.
     """
+    if system.space.is_full:
+        return system.dim**2
     rows = np.stack([vec(b.T) for b in system.space.basis])
     annihilator = vector_kernel(rows, tol)
     return system.dim**2 - annihilator.shape[0]

@@ -1,5 +1,9 @@
 """Covariant observable frames and the morphisms between them."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -30,6 +34,7 @@ from framerel.linalg import max_abs
 from framerel.systems import build_channel, subspace_system
 
 from .support import (
+    ROOT,
     I2,
     X,
     Z,
@@ -69,6 +74,28 @@ def test_canonical_ideal_frame_on_regular_rep():
         want = np.zeros((6, 6), dtype=complex)
         want[g, g] = 1.0
         assert max_abs(fr.effects[g] - want) == 0.0
+
+
+_S5_FRAME_UNDER_A_CAP = """
+import resource
+cap = int(4.77 * 2**30)
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+import framerel as fr
+frame = fr.canonical_ideal_frame(fr.build_symmetric_group(5))
+assert frame.is_ideal and frame.value_system.is_full_algebra
+"""
+
+
+def test_s5_canonical_frame_builds_under_a_4_77_gib_address_space_cap():
+    # The value system B(C^120) would be a 3.3 GB dense matrix-unit stack.
+    # The cap is set by the child on itself only; one BLAS thread keeps
+    # the thread buffers of a many-core machine out of the budget.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _S5_FRAME_UNDER_A_CAP], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
 
 
 def test_smeared_frames_are_not_ideal_but_still_covariant():

@@ -15,6 +15,7 @@ from framerel.linalg import (
     is_projection,
     is_psd,
     is_unitary,
+    matrix_unit_span,
     max_abs,
     min_eigenvalue,
     null_space,
@@ -315,6 +316,81 @@ def test_coefficients_equal_the_conjugate_basis_product_bit_for_bit():
             expected = basis @ vec(m)
             assert space.coefficients(m).tobytes() == expected.tobytes()
             assert space.coefficients(m[None])[0].tobytes() == expected.tobytes()
+
+
+def _same_bits(got, want):
+    """Equal values and equal zero signs, in both real and imaginary parts."""
+    return (
+        got.shape == want.shape
+        and np.array_equal(got, want)
+        and np.array_equal(np.signbit(got.real), np.signbit(want.real))
+        and np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+    )
+
+
+def _signed_zero_operators(rng, shape):
+    """Complex entries drawn from +-0.0 and nonzero values, parts independent."""
+    out = np.empty(shape, dtype=complex)
+    out.real = rng.choice([0.0, -0.0, 1.5, -2.0], size=shape)
+    out.imag = rng.choice([0.0, -0.0, 0.5, -1.0], size=shape)
+    return out
+
+
+def test_unit_span_matches_the_dense_matrix_unit_oracle_bit_for_bit():
+    # oracle: the explicit (d*d, d*d) unit stack B, coefficients conj(B) @ vec(m)
+    # and combinations c @ B, one matrix-vector product per operator
+    rng = np.random.default_rng(53)
+    for d in (1, 2, 3, 5):
+        space = matrix_unit_span(d)
+        assert space.is_unit_span and space.is_full and space.dim == d * d
+        units = np.eye(d * d, dtype=complex)
+        assert np.array_equal(space.basis_stack, units.reshape(d * d, d, d))
+        assert len(space.basis) == d * d
+        stack = _signed_zero_operators(rng, (4, d, d))
+        for ops in (stack, stack.transpose(0, 2, 1)):
+            dense = np.stack([np.conj(units) @ np.ascontiguousarray(m).reshape(-1) for m in ops])
+            assert _same_bits(space.coefficients(ops), dense)
+            for k, m in enumerate(ops):
+                assert _same_bits(space.coefficients(m), dense[k])
+            assert np.array_equal(space.residuals(ops), np.zeros(4))
+            assert all(space.residual(m) == 0.0 and space.contains(m, 0.0) for m in ops)
+        coeffs = _signed_zero_operators(rng, (4, d * d))
+        dense = np.stack([(c @ units).reshape(d, d) for c in coeffs])
+        assert _same_bits(space.combine(coeffs), dense)
+        for k, c in enumerate(coeffs):
+            assert _same_bits(space.combine(c), dense[k])
+        projected = np.stack([(np.conj(units) @ m.reshape(-1)) @ units for m in stack])
+        assert _same_bits(space.project(stack), projected.reshape(4, d, d))
+        assert space.coefficients(np.zeros((0, d, d))).shape == (0, d * d)
+        assert space.combine(np.zeros((0, d * d))).shape == (0, d, d)
+
+
+def test_unit_span_rejects_wrong_shapes():
+    space = matrix_unit_span(2)
+    for bad in (np.zeros((2, 3, 3)), np.zeros((3, 3)), np.zeros((1, 2, 2, 2)), np.zeros(4)):
+        with pytest.raises(DimensionError):
+            space.coefficients(bad)
+        with pytest.raises(DimensionError):
+            space.project(bad)
+    for bad in (np.zeros((3, 3)), np.zeros((1, 2, 2)), np.zeros(4)):
+        with pytest.raises(DimensionError):
+            space.residual(bad)
+    for bad in (np.eye(2), np.zeros((1, 3, 3))):
+        with pytest.raises(DimensionError):
+            space.residuals(bad)
+    for bad in (np.zeros(3), np.zeros((2, 5)), np.zeros((1, 2, 4))):
+        with pytest.raises(DimensionError):
+            space.combine(bad)
+    with pytest.raises(DimensionError):
+        matrix_unit_span(0)
+
+
+def test_every_span_holds_its_basis_once():
+    rng = np.random.default_rng(59)
+    space = span_subspace([rng.standard_normal((3, 3)) for _ in range(4)])
+    assert all(np.shares_memory(b, space.basis_stack) for b in space.basis)
+    # the unit span stores no basis; the units are built when asked for
+    assert matrix_unit_span(3)._stack is None
 
 
 def test_stack_calls_reject_wrong_shapes():

@@ -231,6 +231,18 @@ def test_channel_axioms_on_proper_subspace_samples_only():
     assert rep.samples_used > 0
 
 
+def test_choi_certificate_of_relativization_on_a_full_span_with_another_basis():
+    # span{I, X, Y, Z} is the full qubit algebra; its published basis is
+    # Gram-Schmidt, so the Choi matrix must come from the units
+    pauli = subspace_system(z2_flip_rep(), [X, Y, Z])
+    assert pauli.is_full_algebra and not pauli.space.is_unit_span
+    for fr in (z2_ideal_frame(), z2_smeared_frame(0.25)):
+        rep = check_channel_axioms(relativization_map(fr, pauli))
+        on_units = check_channel_axioms(relativization_map(fr, qubit()))
+        assert rep.passed and rep.positivity_mode == "choi+sampled"
+        assert abs(rep.choi_min_eigenvalue - on_units.choi_min_eigenvalue) < 1e-12
+
+
 def test_channel_axioms_nonabelian():
     fr = smeared_canonical_frame(s3(), 0.5)
     rep = check_channel_axioms(relativization_map(fr, full_system(s3_irrep2())))

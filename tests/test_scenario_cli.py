@@ -145,6 +145,25 @@ def test_tolerance_resolution_order():
     assert spec.tolerance == 1e-4  # fallback applies only when nothing is set
 
 
+def test_kraus_and_conjugation_channels_record_the_scenario_sampling():
+    # a proper subspace takes the sampled positivity check, so the
+    # scenario's seed and sample count must reach it
+    diag = [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]
+    eye = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+    doc = minimal(
+        options={"seed": 5, "samples": 3},
+        systems={"qubit": {"rep": "flip", "basis": "full"}, "diag": {"rep": "flip", "basis": [diag]}},
+        channels={
+            "K": {"source": "diag", "target": "diag", "kind": "kraus", "data": [eye]},
+            "U": {"source": "diag", "target": "diag", "kind": "conjugate_unitary", "data": eye},
+        },
+    )
+    spec = parse_scenario(json.dumps(doc))
+    for name in ("K", "U"):
+        ch = spec.channels[name]
+        assert (ch.positivity_check, ch.positivity_seed, ch.positivity_samples) == ("sampled", 5, 3)
+
+
 def test_declared_objects_are_built_eagerly():
     doc = minimal()
     doc["frames"]["F"]["seed"] = [[[1.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]]

@@ -1,5 +1,7 @@
 """Semi-quantum systems, channels, states: conventions pinned by oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,15 +19,17 @@ from framerel.errors import (
 from framerel.groups import (
     act,
     build_cyclic_group,
+    build_symmetric_group,
     regular_representation,
     tensor_rep,
     trivial_rep,
     unitary_rep,
 )
-from framerel.linalg import max_abs, span_subspace
+from framerel.linalg import matrix_unit_span, max_abs, span_subspace
 from framerel.systems import (
     _choi_matrix,
     build_channel,
+    same_system,
     channel_superop,
     compose_channels,
     conjugation_channel,
@@ -134,6 +138,109 @@ def test_system_flags_hold_across_translate_chunks():
     assert diagonal.space.dim == 9 and diagonal.is_vn_algebra and not diagonal.is_invariant
     with pytest.raises(FramerelError, match="not closed under the group action"):
         system_from_subspace(shift, span_subspace(gens[:3] + [np.eye(9)]))
+
+
+def _translate_loop_invariant(rep, tol=1e-9):
+    """Oracle: the full algebra is invariant iff every g fixes every matrix unit."""
+    d = rep.dim
+    for u in rep.matrices:
+        for k in range(d * d):
+            unit = np.zeros((d, d), dtype=complex)
+            unit.flat[k] = 1.0
+            if max_abs(u @ unit @ np.conj(u).T - unit) > tol:
+                return False
+    return True
+
+
+def test_full_system_invariance_agrees_with_the_translate_loop():
+    z4 = build_cyclic_group(4)
+    theta = np.pi / 2  # U(k) = e^{i k theta} I is a representation of Z4
+    reps = [
+        regular_representation(z4),  # permutation, not scalar
+        s3_irrep2(),  # dense, not scalar
+        z2_flip_rep(),
+        trivial_rep(z4, 3),
+        unitary_rep(z4, [np.exp(1j * theta * k) * np.eye(3) for k in range(4)]),
+    ]
+    flags = [full_system(rep).is_invariant for rep in reps]
+    assert flags == [_translate_loop_invariant(rep) for rep in reps]
+    assert flags == [False, False, False, True, True]
+
+
+def test_full_system_stores_no_basis():
+    sq = full_system(regular_representation(build_cyclic_group(5)))
+    assert sq.space.is_unit_span and sq.space._stack is None
+    assert sq.adjoint_space is sq.space
+    assert quotient_dimension(sq) == 25
+
+
+def test_full_system_on_s5_allocates_no_unit_stack():
+    # the dense (14400, 120, 120) unit stack would be 3.3 GB
+    rep = regular_representation(build_symmetric_group(5))
+    tracemalloc.start()
+    try:
+        sq = full_system(rep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sq.is_full_algebra and sq.space.dim == 14400
+    assert peak < 64 * 2**20
+
+
+def test_full_spans_are_the_same_system_whatever_their_basis():
+    rep = z2_flip_rep()
+    units = full_system(rep)
+    pauli = subspace_system(rep, [X, Y, Z])  # Gram-Schmidt basis, not the units
+    assert pauli.is_full_algebra and not pauli.space.is_unit_span
+    assert same_system(units, pauli) and same_system(pauli, units)
+    assert not same_system(units, subspace_system(rep, [Z]))
+
+
+def _unit_oracle_apply(channel, ops):
+    """Dense matrix-unit oracle: coefficients conj(B) @ vec(a), then c @ images."""
+    d = channel.source.dim
+    units = np.eye(d * d, dtype=complex)
+    images = np.stack([im.reshape(-1) for im in channel.images])
+    return np.stack([
+        (np.conj(units) @ np.ascontiguousarray(a).reshape(-1)) @ images for a in ops
+    ]).reshape(len(ops), channel.target.dim, channel.target.dim)
+
+
+def test_apply_on_the_unit_span_matches_the_dense_oracle_bit_for_bit():
+    rng = np.random.default_rng(61)
+    system = full_system(s3_irrep2())
+    ch = depolarizing_channel(system, 0.3)
+    stack = np.empty((5, 2, 2), dtype=complex)
+    stack.real = rng.choice([0.0, -0.0, 1.25, -0.5], size=(5, 2, 2))
+    stack.imag = rng.choice([0.0, -0.0, 2.0], size=(5, 2, 2))
+    for ops in (stack, stack.transpose(0, 2, 1)):
+        want = _unit_oracle_apply(ch, ops)
+        got = ch.apply(ops)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+        assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+        for k in range(len(ops)):
+            assert np.array_equal(ch.apply(np.ascontiguousarray(ops[k])), want[k])
+    with pytest.raises(DimensionError):
+        ch.apply(np.zeros((2, 3, 3)))
+
+
+def test_choi_certificate_reads_the_units_on_any_full_span():
+    # span{I, X, Y, Z} is the full qubit algebra with a Gram-Schmidt basis
+    rep = trivial_rep(build_cyclic_group(2), 2)
+    pauli = subspace_system(rep, [X, Y, Z])
+    assert pauli.is_full_algebra and not pauli.space.is_unit_span
+    ident = identity_channel(pauli)
+    assert ident.positivity_check == "choi"
+    assert max_abs(channel_superop(ident) - np.eye(4)) < 1e-12
+    # conjugation by H: the superoperator acts on the units, whatever the basis
+    conj = conjugation_channel(pauli, H)
+    units = full_system(rep)
+    assert max_abs(channel_superop(conj) - channel_superop(conjugation_channel(units, H))) < 1e-12
+    # the transpose map is positive but not completely positive
+    with pytest.raises(NotPositive) as err:
+        build_channel(pauli, pauli, [b.T for b in pauli.space.basis])
+    assert err.value.min_eigenvalue < -0.5
 
 
 def test_choi_matrix_matches_the_kron_sum():
