@@ -59,6 +59,7 @@ from .groups import (
 )
 from .linalg import DEFAULT_TOL, MatrixSubspace, matrix_unit_span, null_space, span_subspace
 from .relativize import (
+    LawReport,
     RelativeChannel,
     RelativeSubspace,
     RelativizationMap,

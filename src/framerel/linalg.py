@@ -44,8 +44,8 @@ def as_operator(m) -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.conj(m).T
+    """Conjugate transpose, of one operator or of each operator of a stack."""
+    return np.conj(m).swapaxes(-1, -2)
 
 
 def identity(dim: int) -> np.ndarray:

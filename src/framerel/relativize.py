@@ -15,14 +15,17 @@ morphism paired with a system channel.  The induced map is assembled by
 linear extension along the relativized images; a nonzero kernel makes
 well-definedness a real condition, checked witness by witness.
 
-Checks come in report form: every law verified numerically, with the
-worst deviation and a witness recorded, so the scenario runner can
-quote them.
+Every law check returns one :class:`LawReport`: the deviation of each
+checked component, the verdict, the witnesses and a one-line summary,
+so the scenario runner quotes any check the same way.  The checks work
+on operator stacks: the relativized basis is one (n, D, D) array, and
+each product of a law is one batched call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -35,7 +38,14 @@ from .errors import (
     OperatorOutsideSystem,
     RequiresFullAlgebra,
 )
-from .frames import FrameMorphism, FrameObservable, born_measure
+from .frames import (
+    FrameMorphism,
+    FrameObservable,
+    born_measure,
+    compose_frame_morphisms,
+    identity_frame_morphism,
+    same_frame,
+)
 from .groups import UnitaryRep, act, commutation_deviation, same_group, tensor_rep
 from .linalg import (
     DEFAULT_TOL,
@@ -47,12 +57,10 @@ from .linalg import (
     matrix_units,
     max_abs,
     min_eigenvalue,
-    operator_norm,
     partial_trace_first,
     psd_span_samples,
     span_subspace,
     tensor_product,
-    vec,
     vector_kernel,
 )
 from .systems import (
@@ -61,8 +69,11 @@ from .systems import (
     StateClass,
     _choi_matrix,
     build_channel,
+    compose_channels,
+    identity_channel,
     is_equivariant,
     predual_channel,
+    same_system,
     state_class,
     system_from_subspace,
 )
@@ -73,12 +84,16 @@ DEFAULT_CHECK_SEED = 7
 
 @dataclass(frozen=True, eq=False)
 class RelativizationMap:
-    """The map a -> sum_g E(g) (x) g.a, tabulated on the system basis."""
+    """The map a -> sum_g E(g) (x) g.a, tabulated on the system basis.
+
+    ``images`` is one (n, D, D) stack: the image of basis element k is
+    ``images[k]``.
+    """
 
     frame: FrameObservable
     system: SemiQuantumSystem
     joint_rep: UnitaryRep
-    images: tuple[np.ndarray, ...]
+    images: np.ndarray
 
     @property
     def joint_dim(self) -> int:
@@ -119,7 +134,7 @@ def relativization_map(
     if not same_group(frame.group, system.group):
         raise GroupMismatch("frame and system live over different groups")
     joint = tensor_rep(frame.rep, system.rep, tol)
-    images = tuple(_relativize_stack(frame, system, system.space.basis_stack))
+    images = _relativize_stack(frame, system, system.space.basis_stack)
     return RelativizationMap(frame=frame, system=system, joint_rep=joint, images=images)
 
 
@@ -163,8 +178,7 @@ def build_relative_subspace(
     """Span of the relativized basis, plus the kernel inside the system span."""
     rmap = relativization_map(frame, system, tol)
     space = span_subspace(rmap.images, ambient_dim=rmap.joint_dim, tol=tol)
-    columns = np.stack([vec(im) for im in rmap.images], axis=1)
-    coeff_kernel = vector_kernel(columns, tol)
+    coeff_kernel = vector_kernel(rmap.images.reshape(system.space.dim, -1).T, tol)
     kernel = MatrixSubspace(system.dim, system.space.combine(coeff_kernel))
     if space.dim + kernel.dim != system.space.dim:
         raise ObjectMismatch(
@@ -183,30 +197,37 @@ def build_relative_subspace(
 
 
 @dataclass(frozen=True)
-class ChannelAxiomsReport:
-    linearity_deviation: float
-    unital_deviation: float
-    invariance_deviation: float
-    positivity_min_eigenvalue: float
-    choi_min_eigenvalue: float | None
-    contraction_excess: float
-    positivity_mode: str
-    samples_used: int
-    seed: int
+class LawReport:
+    """The outcome of one law check.
+
+    ``deviations`` holds one entry per checked component, in check
+    order, each read as "larger is worse": a positivity component is
+    the negated smallest eigenvalue.  ``witnesses`` are what the
+    scenario runner emits with the entry (a basis pair or index), and
+    ``detail`` is its one-line summary.  ``expected`` is the verdict the
+    law predicts: true, except for the embedding check, which predicts
+    the frame's ideality.
+    """
+
+    deviations: dict[str, float]
     passed: bool
+    witnesses: dict[str, Any]
+    detail: str
+    expected: bool = True
 
     @property
     def max_deviation(self) -> float:
-        worst = max(
-            self.linearity_deviation,
-            self.unital_deviation,
-            self.invariance_deviation,
-            self.contraction_excess,
-            max(0.0, -self.positivity_min_eigenvalue),
-        )
-        if self.choi_min_eigenvalue is not None:
-            worst = max(worst, max(0.0, -self.choi_min_eigenvalue))
-        return worst
+        return max(0.0, *self.deviations.values())
+
+    @property
+    def consistent_with_ideality(self) -> bool:
+        """The claimed equivalence: embedding exactly for ideal frames."""
+        return self.passed == self.expected
+
+
+def _operator_norms(stack) -> np.ndarray:
+    """Largest singular value of every operator of a (k, d, d) stack."""
+    return np.linalg.norm(stack, 2, axis=(1, 2))
 
 
 def check_channel_axioms(
@@ -214,7 +235,7 @@ def check_channel_axioms(
     tol: float = DEFAULT_TOL,
     samples: int = DEFAULT_CHECK_SAMPLES,
     seed: int = DEFAULT_CHECK_SEED,
-) -> ChannelAxiomsReport:
+) -> LawReport:
     """Certify the relativization map as a unital positive invariant contraction.
 
     Linearity is exact by construction and verified on seeded random
@@ -222,53 +243,60 @@ def check_channel_axioms(
     algebra and sampled otherwise; the contraction property is checked
     on the basis and on the same samples.
     """
-    frame, system = rmap.frame, rmap.system
+    frame, system, images = rmap.frame, rmap.system, rmap.images
     d_joint = rmap.joint_dim
     rng = np.random.default_rng(seed)
     n = system.space.dim
 
-    coeffs = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(samples)]
-    directs = _relativize_stack(frame, system, system.space.combine(np.reshape(coeffs, (-1, n))))
-    linearity = 0.0
-    for coeff, direct in zip(coeffs, directs):
-        combined = sum(c * im for c, im in zip(coeff, rmap.images))
-        linearity = max(linearity, max_abs(direct - combined))
+    coeffs = np.reshape(
+        [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(samples)], (-1, n)
+    )
+    linearity = max_abs(
+        _relativize_stack(frame, system, system.space.combine(coeffs))
+        - np.tensordot(coeffs, images, axes=1)
+    )
 
     unital = max_abs(
         _relativize_stack(frame, system, identity(system.dim))[0] - identity(d_joint)
     )
 
-    images = np.stack(rmap.images)
     invariance = max(
         commutation_deviation(rmap.joint_rep, g, images) for g in frame.group.elements()
     )
 
-    psd_inputs = psd_span_samples(
-        system.space, count=samples, seed=seed,
-        include_rank_one=system.is_full_algebra, tol=tol,
-    )
-    low = 0.0
-    excess = 0.0
-    for s, out in zip(psd_inputs, _relativize_stack(frame, system, psd_inputs)):
-        low = min(low, min_eigenvalue(out))
-        nrm = operator_norm(s)
-        if nrm > tol:
-            excess = max(excess, operator_norm(out) / nrm - 1.0)
-    for b, out in zip(system.space.basis, rmap.images):
-        nrm = operator_norm(b)
-        if nrm > tol:
-            excess = max(excess, operator_norm(out) / nrm - 1.0)
-
-    choi_low: float | None = None
-    mode = "sampled"
+    choi_low = None
     if system.is_full_algebra:
         units = (
-            rmap.images
+            images
             if system.space.is_unit_span
             else _relativize_stack(frame, system, matrix_units(system.dim))
         )
         choi_low = min_eigenvalue(_choi_matrix(units, system.dim))
-        mode = "choi+sampled"
+
+    psd_inputs = np.stack(
+        psd_span_samples(
+            system.space, count=samples, seed=seed,
+            include_rank_one=system.is_full_algebra, tol=tol,
+        )
+    )
+    outputs = _relativize_stack(frame, system, psd_inputs)
+    low = min(0.0, *map(min_eigenvalue, outputs))
+    in_norms = np.concatenate(
+        [_operator_norms(psd_inputs), _operator_norms(system.space.basis_stack)]
+    )
+    out_norms = np.concatenate([_operator_norms(outputs), _operator_norms(images)])
+    kept = in_norms > tol
+    excess = float(np.max(out_norms[kept] / in_norms[kept] - 1.0, initial=0.0))
+
+    deviations = {
+        "linearity": linearity,
+        "unital": unital,
+        "invariance": invariance,
+        "positivity": 0.0 - low,
+        "contraction": excess,
+    }
+    if choi_low is not None:
+        deviations["choi"] = 0.0 - choi_low
 
     passed = (
         linearity <= tol
@@ -278,51 +306,23 @@ def check_channel_axioms(
         and excess <= tol
         and (choi_low is None or choi_low >= -tol * d_joint * system.dim)
     )
-    return ChannelAxiomsReport(
-        linearity_deviation=linearity,
-        unital_deviation=unital,
-        invariance_deviation=invariance,
-        positivity_min_eigenvalue=low,
-        choi_min_eigenvalue=choi_low,
-        contraction_excess=max(0.0, excess),
-        positivity_mode=mode,
-        samples_used=len(psd_inputs),
-        seed=seed,
-        passed=passed,
+    mode = "sampled" if choi_low is None else "choi+sampled"
+    detail = (
+        f"positivity {mode} over {len(psd_inputs)} inputs; "
+        f"unital {unital:.3e}, invariance {invariance:.3e}, "
+        f"contraction excess {excess:.3e}"
     )
+    return LawReport(deviations, passed, {}, detail)
 
 
-@dataclass(frozen=True)
-class IdealIsomorphismReport:
-    frame_is_ideal: bool
-    multiplicativity_deviation: float
-    isometry_deviation: float
-    adjoint_deviation: float
-    witness_indices: tuple[int, int] | None
-    passed: bool
-
-    @property
-    def max_deviation(self) -> float:
-        return max(
-            self.multiplicativity_deviation,
-            self.isometry_deviation,
-            self.adjoint_deviation,
-        )
-
-    @property
-    def consistent_with_ideality(self) -> bool:
-        """The claimed equivalence: embedding exactly for ideal frames."""
-        return self.passed == self.frame_is_ideal
-
-
-def check_ideal_isomorphism(
-    rmap: RelativizationMap, tol: float = DEFAULT_TOL
-) -> IdealIsomorphismReport:
+def check_ideal_isomorphism(rmap: RelativizationMap, tol: float = DEFAULT_TOL) -> LawReport:
     """Measure how far relativization is from a *-embedding.
 
     Multiplicativity, adjoint preservation and isometry are tested on
     the basis (bilinearity carries them to the whole algebra).  Only
     meaningful on full algebras, where products stay inside the domain.
+    Multiplicativity runs one basis row at a time, so the products of a
+    single row are the largest stack held.
     """
     system = rmap.system
     if not system.is_full_algebra:
@@ -330,29 +330,36 @@ def check_ideal_isomorphism(
             "the embedding question needs a full matrix algebra as the system"
         )
     frame, images = rmap.frame, rmap.images
-    basis = system.space.basis
+    basis = system.space.basis_stack
     mult_dev = 0.0
     witness = None
     for i, a in enumerate(basis):
-        products = _relativize_stack(frame, system, [a @ b for b in basis])
-        for j, lhs in enumerate(products):
-            dev = operator_norm(lhs - images[i] @ images[j])
-            if dev > mult_dev:
-                mult_dev = dev
-                witness = (i, j)
-    iso_dev = max(
-        abs(operator_norm(im) - operator_norm(b)) for b, im in zip(basis, images)
-    )
-    adjoints = _relativize_stack(frame, system, [dagger(b) for b in basis])
-    adj_dev = max(operator_norm(adj - dagger(im)) for adj, im in zip(adjoints, images))
+        products = _relativize_stack(frame, system, a @ basis)
+        devs = _operator_norms(products - images[i] @ images)
+        j = int(np.argmax(devs))
+        if devs[j] > mult_dev:
+            mult_dev = float(devs[j])
+            witness = (i, j)
+    iso_dev = float(np.max(np.abs(_operator_norms(images) - _operator_norms(basis))))
+    adjoints = _relativize_stack(frame, system, dagger(basis))
+    adj_dev = float(np.max(_operator_norms(adjoints - dagger(images))))
     passed = mult_dev <= tol and iso_dev <= tol and adj_dev <= tol
-    return IdealIsomorphismReport(
-        frame_is_ideal=frame.is_ideal,
-        multiplicativity_deviation=mult_dev,
-        isometry_deviation=iso_dev,
-        adjoint_deviation=adj_dev,
-        witness_indices=None if passed else witness,
+    if frame.is_ideal:
+        detail = (
+            f"ideal frame; embedding deviations mult {mult_dev:.3e}, "
+            f"isometry {iso_dev:.3e}, adjoint {adj_dev:.3e}"
+        )
+    else:
+        detail = (
+            f"non-ideal frame; embedding fails as required "
+            f"(multiplicativity deviation {mult_dev:.3e})"
+        )
+    return LawReport(
+        deviations={"multiplicativity": mult_dev, "isometry": iso_dev, "adjoint": adj_dev},
         passed=passed,
+        witnesses={} if passed or witness is None else {"basis_pair": list(witness)},
+        detail=detail,
+        expected=frame.is_ideal,
     )
 
 
@@ -458,27 +465,24 @@ def relativize_morphisms(
     if target_rel is None:
         target_rel = build_relative_subspace(psi.target, phi.target, tol)
 
-    kernel = source_rel.kernel.basis
-    kernel_images = _relativize_stack(
-        psi.target, phi.target, phi.apply(source_rel.kernel.basis_stack, tol)
+    kernel = source_rel.kernel.basis_stack
+    norms = _operator_norms(
+        _relativize_stack(psi.target, phi.target, phi.apply(kernel, tol))
     )
-    worst_kernel = 0.0
-    for k, image in zip(kernel, kernel_images):
-        nrm = operator_norm(image)
-        if nrm > worst_kernel:
-            worst_kernel = nrm
-            if nrm > tol:
-                raise IllDefined(kernel_witness=k, image_norm=nrm)
+    over = np.flatnonzero(norms > tol)
+    if len(over):
+        raise IllDefined(kernel_witness=kernel[over[0]], image_norm=float(norms[over[0]]))
 
-    columns = np.stack([vec(im) for im in source_rel.base.images], axis=1)
-    pinv = np.linalg.pinv(columns)
+    # coefficients of each relative basis element along the relativized
+    # system basis, carried over to the target relativizations
+    source_images = source_rel.base.images
+    coeffs = np.linalg.pinv(source_images.reshape(len(source_images), -1).T) @ (
+        source_rel.space.basis_stack.reshape(source_rel.space.dim, -1).T
+    )
     target_images = _relativize_stack(
         psi.target, phi.target, phi.apply(phi.source.space.basis_stack, tol)
     )
-    images = []
-    for s in source_rel.space.basis:
-        coeff = pinv @ vec(s)
-        images.append(sum(c * im for c, im in zip(coeff, target_images)))
+    images = np.tensordot(coeffs, target_images, axes=(0, 0))
     channel = build_channel(source_rel.as_system, target_rel.as_system, images, tol)
     return RelativeChannel(
         source=source_rel,
@@ -487,34 +491,20 @@ def relativize_morphisms(
         system_channel=phi,
         channel=channel,
         matrix=channel.matrix(),
-        kernel_image_norm=worst_kernel,
+        kernel_image_norm=float(np.max(norms, initial=0.0)),
     )
 
 
-@dataclass(frozen=True)
-class FunctorLawsReport:
-    identity_deviation: float
-    composition_deviations: tuple[float, ...]
-    full_chain_deviation: float
-    passed: bool
-
-    @property
-    def max_deviation(self) -> float:
-        tail = max(self.composition_deviations) if self.composition_deviations else 0.0
-        return max(self.identity_deviation, tail, self.full_chain_deviation)
-
-
-def check_functor_laws(links, tol: float = DEFAULT_TOL) -> FunctorLawsReport:
+def check_functor_laws(links, tol: float = DEFAULT_TOL) -> LawReport:
     """Verify identity and composition through a chain of morphism pairs.
 
     ``links`` is a sequence of (FrameMorphism, ChannelMap) pairs whose
     endpoints match up.  Identities are induced at the first node;
     every adjacent pair, and the full chain when longer, is compared
-    against the matrix product of the induced pieces.
+    against the matrix product of the induced pieces.  The deviations
+    are ``identity``, ``composition[i]`` for links i and i + 1, and
+    ``full_chain`` for chains of three or more links.
     """
-    from .frames import compose_frame_morphisms, identity_frame_morphism, same_frame
-    from .systems import compose_channels, identity_channel, same_system
-
     chain = list(links)
     if not chain:
         raise ObjectMismatch("an empty chain has no laws to check")
@@ -537,15 +527,13 @@ def check_functor_laws(links, tol: float = DEFAULT_TOL) -> FunctorLawsReport:
         source_rel=rel[0],
         target_rel=rel[0],
     )
-    eye = identity(rel[0].space.dim)
-    identity_dev = max_abs(ident.matrix - eye)
+    deviations = {"identity": max_abs(ident.matrix - identity(rel[0].space.dim))}
 
     induced = [
         relativize_morphisms(psi, phi, tol, source_rel=rel[i], target_rel=rel[i + 1])
         for i, (psi, phi) in enumerate(chain)
     ]
 
-    comp_devs = []
     for i in range(len(chain) - 1):
         psi_a, phi_a = chain[i]
         psi_b, phi_b = chain[i + 1]
@@ -554,11 +542,10 @@ def check_functor_laws(links, tol: float = DEFAULT_TOL) -> FunctorLawsReport:
         direct = relativize_morphisms(
             pair_morphism, pair_channel, tol, source_rel=rel[i], target_rel=rel[i + 2]
         )
-        comp_devs.append(
-            max_abs(direct.matrix - induced[i + 1].matrix @ induced[i].matrix)
+        deviations[f"composition[{i}]"] = max_abs(
+            direct.matrix - induced[i + 1].matrix @ induced[i].matrix
         )
 
-    full_dev = 0.0
     if len(chain) > 2:
         total_morphism = chain[0][0]
         total_channel = chain[0][1]
@@ -571,19 +558,13 @@ def check_functor_laws(links, tol: float = DEFAULT_TOL) -> FunctorLawsReport:
         product = induced[0].matrix
         for step in induced[1:]:
             product = step.matrix @ product
-        full_dev = max_abs(direct.matrix - product)
+        deviations["full_chain"] = max_abs(direct.matrix - product)
 
-    passed = (
-        identity_dev <= tol
-        and all(d <= tol for d in comp_devs)
-        and full_dev <= tol
+    detail = (
+        f"identity deviation {deviations['identity']:.3e} over a chain of "
+        f"{len(chain)} link(s)"
     )
-    return FunctorLawsReport(
-        identity_deviation=identity_dev,
-        composition_deviations=tuple(comp_devs),
-        full_chain_deviation=full_dev,
-        passed=passed,
-    )
+    return LawReport(deviations, all(d <= tol for d in deviations.values()), {}, detail)
 
 
 def _require_equivariant(phi: ChannelMap, tol: float) -> None:
@@ -599,65 +580,54 @@ def _require_equivariant(phi: ChannelMap, tol: float) -> None:
         )
 
 
-@dataclass(frozen=True)
-class TensorFormReport:
-    max_deviation: float
-    passed: bool
-
-
 def check_equivariant_tensor_form(
     psi: FrameMorphism, phi: ChannelMap, tol: float = DEFAULT_TOL
-) -> TensorFormReport:
+) -> LawReport:
     """For equivariant phi the induced map is just psi (x) phi; verify it.
 
-    Every relative observable is expanded in a product basis of the two
-    value spans, psi and phi are applied factor by factor, and the
-    result is compared with the induced map's image.  Raises
-    ChannelNotEquivariant when phi is not equivariant.
+    Every relative observable x is split as sum_j y_j (x) s_j along the
+    system basis s_j, with each frame part y_j projected onto the value
+    span; then psi (x) phi is sum_j psi(y_j) (x) phi(s_j), compared with
+    the induced map's image of x.  The whole basis of relative
+    observables goes through each step as one stack.  Raises
+    ChannelNotEquivariant when phi is not equivariant, and ObjectMismatch
+    when x does not lie in the product of the value spans.
     """
     _require_equivariant(phi, tol)
     induced = relativize_morphisms(psi, phi, tol)
-    r_basis = psi.source.value_system.space.basis_stack
+    d_r, d_s = psi.source.rep.dim, phi.source.dim
     s_basis = phi.source.space.basis_stack
-    psi_images = psi.channel.apply(r_basis, tol)
-    phi_images = phi.apply(s_basis, tol)
-    xs = induced.source.space.basis_stack
-    induced_images = induced.channel.apply(xs, tol)
-    d_out = induced.target.space.ambient_dim
-    tens = [np.zeros((d_out, d_out), dtype=np.complex128) for _ in xs]
-    recon = [np.zeros_like(x) for x in xs]
-    for i, r in enumerate(r_basis):
-        for j, s in enumerate(s_basis):
-            rs = tensor_product(r, s)
-            coeffs = [complex(np.vdot(rs, x)) for x in xs]
-            if not any(coeffs):
-                continue
-            image = tensor_product(psi_images[i], phi_images[j])
-            for k, c in enumerate(coeffs):
-                if c != 0:
-                    tens[k] += c * image
-                    recon[k] += c * rs
-    worst = 0.0
-    for x, t, rec, image in zip(xs, tens, recon, induced_images):
-        residual = max_abs(rec - x)
-        if residual > tol:
-            raise ObjectMismatch(
-                "relative observable does not expand in the product of value spans"
-            )
-        worst = max(worst, max_abs(t - image))
-    return TensorFormReport(max_deviation=worst, passed=worst <= tol)
-
-
-@dataclass(frozen=True)
-class NaturalityReport:
-    max_deviation: float
-    witness_index: int | None
-    passed: bool
+    x_stack = induced.source.space.basis_stack
+    xs = x_stack.reshape(-1, d_r, d_s, d_r, d_s)
+    k, j = len(xs), len(s_basis)
+    # frame factor of each x along each s_j: the partial HS product over
+    # the system factor, projected onto the source value span
+    frame_parts = psi.source.value_system.space.project(
+        np.einsum("jbd,kabcd->kjac", np.conj(s_basis), xs).reshape(k * j, d_r, d_r)
+    )
+    recon = np.einsum("kjac,jbd->kabcd", frame_parts.reshape(k, j, d_r, d_r), s_basis)
+    if max_abs(recon - xs) > tol:
+        raise ObjectMismatch(
+            "relative observable does not expand in the product of value spans"
+        )
+    psi_parts = psi.channel.apply(frame_parts, tol)
+    d_t = psi_parts.shape[-1]
+    tens = np.einsum(
+        "kjac,jbd->kabcd", psi_parts.reshape(k, j, d_t, d_t), phi.apply(s_basis, tol)
+    )
+    images = induced.channel.apply(x_stack, tol)
+    worst = max_abs(tens.reshape(images.shape) - images)
+    return LawReport(
+        {"tensor_form": worst},
+        worst <= tol,
+        {},
+        "induced map compared with the factorwise tensor form",
+    )
 
 
 def check_naturality(
     frame: FrameObservable, phi: ChannelMap, tol: float = DEFAULT_TOL
-) -> NaturalityReport:
+) -> LawReport:
     """Verify the naturality square for an equivariant system channel:
 
         relativize(phi(a))  =  (id (x) phi)(relativize(a))
@@ -680,10 +650,11 @@ def check_naturality(
     devs = np.abs(lhs - rhs.reshape(lhs.shape)).max(axis=(1, 2))
     witness = int(np.argmax(devs))
     worst = float(devs[witness])
-    return NaturalityReport(
-        max_deviation=worst,
-        witness_index=None if worst <= tol else witness,
-        passed=worst <= tol,
+    return LawReport(
+        {"naturality": worst},
+        worst <= tol,
+        {} if worst <= tol else {"basis_index": witness},
+        "naturality square verified on every source basis element",
     )
 
 

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Any
 
-import numpy as np
-
-from .errors import EngineError, FramerelError, LawViolation, UnknownFormat
+from .errors import FramerelError, LawViolation, UnknownFormat
 from .linalg import max_abs
 from .relativize import (
     build_relative_subspace,
@@ -144,72 +143,38 @@ def _run_external_transform(spec: ScenarioSpec, p: dict) -> tuple[bool, float, s
     )
 
 
-def _run_check_channel_axioms(spec: ScenarioSpec, p: dict) -> tuple[bool, float, str, dict]:
-    rmap = relativization_map(
-        spec.frames[p["frame"]], spec.systems[p["system"]], spec.tolerance
-    )
-    rep = check_channel_axioms(rmap, spec.tolerance, spec.samples, spec.seed)
-    detail = (
-        f"positivity {rep.positivity_mode} over {rep.samples_used} inputs; "
-        f"unital {rep.unital_deviation:.3e}, invariance {rep.invariance_deviation:.3e}, "
-        f"contraction excess {rep.contraction_excess:.3e}"
-    )
-    return rep.passed, rep.max_deviation, detail, {}
+def _rmap(spec: ScenarioSpec, p: dict):
+    return relativization_map(spec.frames[p["frame"]], spec.systems[p["system"]], spec.tolerance)
 
 
-def _run_check_ideal(spec: ScenarioSpec, p: dict) -> tuple[bool, float, str, dict]:
-    frame = spec.frames[p["frame"]]
-    rmap = relativization_map(frame, spec.systems[p["system"]], spec.tolerance)
-    rep = check_ideal_isomorphism(rmap, spec.tolerance)
-    passed = rep.consistent_with_ideality
-    if "expect_ideal" in p:
-        passed = passed and frame.is_ideal == p["expect_ideal"]
-    if frame.is_ideal:
-        detail = (
-            f"ideal frame; embedding deviations mult {rep.multiplicativity_deviation:.3e}, "
-            f"isometry {rep.isometry_deviation:.3e}, adjoint {rep.adjoint_deviation:.3e}"
-        )
-    else:
-        detail = (
-            f"non-ideal frame; embedding fails as required "
-            f"(multiplicativity deviation {rep.multiplicativity_deviation:.3e})"
-        )
-    witnesses: dict[str, Any] = {}
-    if rep.witness_indices is not None:
-        witnesses["basis_pair"] = list(rep.witness_indices)
-    return passed, rep.max_deviation, detail, witnesses
-
-
-def _run_check_functor_laws(spec: ScenarioSpec, p: dict) -> tuple[bool, float, str, dict]:
-    links = [
-        (spec.frame_morphisms[link["morphism"]], spec.channels[link["channel"]])
-        for link in p["links"]
-    ]
-    rep = check_functor_laws(links, spec.tolerance)
-    detail = (
-        f"identity deviation {rep.identity_deviation:.3e} over a chain of "
-        f"{len(links)} link(s)"
-    )
-    return rep.passed, rep.max_deviation, detail, {}
-
-
-def _run_check_naturality(spec: ScenarioSpec, p: dict) -> tuple[bool, float, str, dict]:
-    rep = check_naturality(
+# check name -> adapter from (spec, params) to the law check's LawReport
+_CHECKS = {
+    "channel_axioms": lambda spec, p: check_channel_axioms(
+        _rmap(spec, p), spec.tolerance, spec.samples, spec.seed
+    ),
+    "ideal_isomorphism": lambda spec, p: check_ideal_isomorphism(_rmap(spec, p), spec.tolerance),
+    "functor_laws": lambda spec, p: check_functor_laws(
+        [
+            (spec.frame_morphisms[link["morphism"]], spec.channels[link["channel"]])
+            for link in p["links"]
+        ],
+        spec.tolerance,
+    ),
+    "naturality": lambda spec, p: check_naturality(
         spec.frames[p["frame"]], spec.channels[p["channel"]], spec.tolerance
-    )
-    detail = "naturality square verified on every source basis element"
-    witnesses: dict[str, Any] = {}
-    if rep.witness_index is not None:
-        witnesses["basis_index"] = rep.witness_index
-    return rep.passed, rep.max_deviation, detail, witnesses
-
-
-def _run_check_tensor_form(spec: ScenarioSpec, p: dict) -> tuple[bool, float, str, dict]:
-    rep = check_equivariant_tensor_form(
+    ),
+    "tensor_form": lambda spec, p: check_equivariant_tensor_form(
         spec.frame_morphisms[p["morphism"]], spec.channels[p["channel"]], spec.tolerance
-    )
-    detail = "induced map compared with the factorwise tensor form"
-    return rep.passed, rep.max_deviation, detail, {}
+    ),
+}
+
+
+def _run_check(check, spec: ScenarioSpec, p: dict) -> tuple[bool, float, str, dict]:
+    """A law check passes when its verdict is the one the law predicts
+    (and, for ``expect_ideal``, the one the scenario declares)."""
+    rep = check(spec, p)
+    passed = rep.passed == rep.expected and p.get("expect_ideal", rep.expected) == rep.expected
+    return passed, rep.max_deviation, rep.detail, rep.witnesses
 
 
 _EXECUTORS = {
@@ -217,11 +182,7 @@ _EXECUTORS = {
     "relative_subspace": _run_relative_subspace,
     "yen_morphism": _run_yen_morphism,
     "external_transform": _run_external_transform,
-    "check:channel_axioms": _run_check_channel_axioms,
-    "check:ideal_isomorphism": _run_check_ideal,
-    "check:functor_laws": _run_check_functor_laws,
-    "check:naturality": _run_check_naturality,
-    "check:tensor_form": _run_check_tensor_form,
+    **{f"check:{name}": partial(_run_check, check) for name, check in _CHECKS.items()},
 }
 
 

@@ -67,20 +67,30 @@ from .systems import (
 DEFAULT_SEED = 7
 DEFAULT_SAMPLES = 16
 
-_CHECK_NAMES = (
-    "channel_axioms",
-    "ideal_isomorphism",
-    "functor_laws",
-    "naturality",
-    "tensor_form",
-)
-_TASK_KEYS = (
-    "relativize",
-    "relative_subspace",
-    "yen_morphism",
-    "check",
-    "external_transform",
-)
+# task kind -> (required, optional) parameters.  A check's kind is
+# "check:<name>"; its parameters sit beside "check" in the task object,
+# while every other kind nests them under its own key.
+_TASK_PARAMS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    "relativize": (("frame", "system", "operator"), ("expect",)),
+    "relative_subspace": (("frame", "system"), ("expect_dim", "expect_kernel_dim")),
+    "yen_morphism": (("morphism", "channel"), ("expect_matrix",)),
+    "check:channel_axioms": (("frame", "system"), ()),
+    "check:ideal_isomorphism": (("frame", "system"), ("expect_ideal",)),
+    "check:functor_laws": (("links",), ()),
+    "check:naturality": (("frame", "channel"), ()),
+    "check:tensor_form": (("morphism", "channel"), ()),
+    "external_transform": (("morphism", "system", "frame_state", "system_state"), ()),
+}
+_TASK_KEYS = tuple(dict.fromkeys(kind.partition(":")[0] for kind in _TASK_PARAMS))
+_CHECK_NAMES = tuple(kind[len("check:"):] for kind in _TASK_PARAMS if kind.startswith("check:"))
+# parameter -> the section its name refers to
+_REFERENCES = {
+    "frame": "frames",
+    "system": "systems",
+    "channel": "channels",
+    "morphism": "frame_morphisms",
+}
+_MATRIX_PARAMS = ("operator", "expect", "expect_matrix", "frame_state", "system_state")
 
 
 # ------------------------------------------------------------ matrix literals
@@ -434,22 +444,7 @@ def _parse_frame_morphisms(
     return morphisms, canon
 
 
-# kind -> (required, optional); reference/matrix handling is bespoke below
-_TASK_PARAM_SPECS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    "relativize": (("frame", "system", "operator"), ("expect",)),
-    "relative_subspace": (("frame", "system"), ("expect_dim", "expect_kernel_dim")),
-    "yen_morphism": (("morphism", "channel"), ("expect_matrix",)),
-    "external_transform": (("morphism", "system", "frame_state", "system_state"), ()),
-}
-
-
-def _parse_tasks(
-    stanza: Any,
-    frames: dict,
-    systems: dict,
-    channels: dict,
-    morphisms: dict,
-) -> tuple[tuple[ScenarioTask, ...], list]:
+def _parse_tasks(stanza: Any, tables: dict[str, dict]) -> tuple[tuple[ScenarioTask, ...], list]:
     if not isinstance(stanza, list) or not stanza:
         raise ScenarioSyntaxError("tasks: expected a non-empty list")
     tasks: list[ScenarioTask] = []
@@ -478,81 +473,38 @@ def _parse_tasks(
                     f"{where}: check must be one of {', '.join(_CHECK_NAMES)}"
                 )
             kind = f"check:{check}"
-            params, canon_task = _parse_check_params(
-                t, where, check, frames, systems, channels, morphisms
-            )
-            canon_task["id"] = task_id
-            canon_task["check"] = check
+            required, optional = _TASK_PARAMS[kind]
+            _require_keys(t, where, ("check",) + required, ("id",) + optional)
+            params, canon_task = _parse_params(t, where, kind, tables)
+            canon_task.update(id=task_id, check=check)
         else:
+            kind = key
             body = _require_mapping(t[key], f"{where}.{key}")
             _require_keys(t, where, (key,), ("id",))
-            required, optional = _TASK_PARAM_SPECS[key]
-            _require_keys(body, f"{where}.{key}", required, optional)
-            kind = key
-            params, canon_body = _parse_plain_params(
-                key, body, f"{where}.{key}", frames, systems, channels, morphisms
-            )
+            _require_keys(body, f"{where}.{key}", *_TASK_PARAMS[kind])
+            params, canon_body = _parse_params(body, f"{where}.{key}", kind, tables)
             canon_task = {"id": task_id, key: canon_body}
         tasks.append(ScenarioTask(task_id=task_id, kind=kind, params=params))
         canon.append(canon_task)
     return tuple(tasks), canon
 
 
-def _parse_plain_params(key, body, where, frames, systems, channels, morphisms):
-    params: dict[str, Any] = {}
-    canon: dict[str, Any] = {}
-    for pk, pv in body.items():
-        if pk in ("frame",):
-            _lookup(frames, pv, "frames")
-            params[pk], canon[pk] = pv, pv
-        elif pk in ("system",):
-            _lookup(systems, pv, "systems")
-            params[pk], canon[pk] = pv, pv
-        elif pk in ("channel",):
-            _lookup(channels, pv, "channels")
-            params[pk], canon[pk] = pv, pv
-        elif pk in ("morphism",):
-            _lookup(morphisms, pv, "frame_morphisms")
-            params[pk], canon[pk] = pv, pv
-        elif pk in ("operator", "expect", "expect_matrix", "frame_state", "system_state"):
-            m = decode_matrix(pv, f"{where}.{pk}")
-            params[pk] = m
-            canon[pk] = encode_matrix(m)
-        elif pk in ("expect_dim", "expect_kernel_dim"):
-            if not isinstance(pv, int) or pv < 0:
-                raise ScenarioSyntaxError(f"{where}.{pk}: expected a non-negative integer")
-            params[pk], canon[pk] = pv, pv
-        else:  # pragma: no cover - guarded by _require_keys
-            raise ScenarioSyntaxError(f"{where}: unknown parameter '{pk}'")
-    return params, canon
-
-
-_CHECK_PARAM_SPECS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    "channel_axioms": (("frame", "system"), ()),
-    "ideal_isomorphism": (("frame", "system"), ("expect_ideal",)),
-    "functor_laws": (("links",), ()),
-    "naturality": (("frame", "channel"), ()),
-    "tensor_form": (("morphism", "channel"), ()),
-}
-
-
-def _parse_check_params(t, where, check, frames, systems, channels, morphisms):
-    required, optional = _CHECK_PARAM_SPECS[check]
-    _require_keys(t, where, ("check",) + required, ("id",) + optional)
+def _parse_params(obj: dict, where: str, kind: str, tables: dict[str, dict]):
+    """Resolve and decode the parameters of one task, keys already checked."""
+    required, optional = _TASK_PARAMS[kind]
     params: dict[str, Any] = {}
     canon: dict[str, Any] = {}
     for pk in required + optional:
-        if pk not in t:
+        if pk not in obj:
             continue
-        pv = t[pk]
-        if pk == "frame":
-            _lookup(frames, pv, "frames")
-        elif pk == "system":
-            _lookup(systems, pv, "systems")
-        elif pk == "channel":
-            _lookup(channels, pv, "channels")
-        elif pk == "morphism":
-            _lookup(morphisms, pv, "frame_morphisms")
+        pv = obj[pk]
+        if pk in _REFERENCES:
+            _lookup(tables[_REFERENCES[pk]], pv, _REFERENCES[pk])
+        elif pk in _MATRIX_PARAMS:
+            pv = decode_matrix(pv, f"{where}.{pk}")
+        elif pk in ("expect_dim", "expect_kernel_dim"):
+            if not isinstance(pv, int) or pv < 0:
+                raise ScenarioSyntaxError(f"{where}.{pk}: expected a non-negative integer")
         elif pk == "expect_ideal":
             if not isinstance(pv, bool):
                 raise ScenarioSyntaxError(f"{where}.expect_ideal: expected true or false")
@@ -563,13 +515,13 @@ def _parse_check_params(t, where, check, frames, systems, channels, morphisms):
                 lw = f"{where}.links[{i}]"
                 link_map = _require_mapping(link, lw)
                 _require_keys(link_map, lw, ("morphism", "channel"))
-                _lookup(morphisms, link_map["morphism"], "frame_morphisms")
-                _lookup(channels, link_map["channel"], "channels")
+                _lookup(tables["frame_morphisms"], link_map["morphism"], "frame_morphisms")
+                _lookup(tables["channels"], link_map["channel"], "channels")
             pv = [
                 {"morphism": link["morphism"], "channel": link["channel"]} for link in pv
             ]
         params[pk] = pv
-        canon[pk] = pv
+        canon[pk] = encode_matrix(pv) if pk in _MATRIX_PARAMS else pv
     return params, canon
 
 
@@ -630,7 +582,8 @@ def parse_scenario(
         frames, channels, root.get("frame_morphisms", {}), tol
     )
     tasks, canon_tasks = _parse_tasks(
-        root.get("tasks"), frames, systems, channels, morphisms
+        root.get("tasks"),
+        {"frames": frames, "systems": systems, "channels": channels, "frame_morphisms": morphisms},
     )
 
     document: dict[str, Any] = {"group": canon_group, "tasks": canon_tasks}

@@ -1,5 +1,8 @@
 """The relativization map, its laws, and induced maps between frames."""
 
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
@@ -36,6 +39,7 @@ from framerel.relativize import (
     relativize_morphisms,
     _relativize_stack,
 )
+from framerel.scenario import parse_scenario
 from framerel.systems import (
     build_channel,
     conjugation_channel,
@@ -59,6 +63,7 @@ from .support import (
     s3,
     s3_irrep2,
     smeared_canonical_frame,
+    smearing_morphism,
     unlocalized_canonical_frame,
     z2,
     z2_flip_rep,
@@ -66,7 +71,11 @@ from .support import (
     z2_smeared_frame,
     z2_smearing_morphism,
     z2_unlocalized_frame,
+    zn_phase_rep,
 )
+
+
+FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
 
 # ------------------------------------------------------------------ oracles
@@ -215,10 +224,10 @@ def test_channel_axioms_hold_across_frames():
         rep = check_channel_axioms(relativization_map(fr, sq))
         assert rep.passed
         assert rep.max_deviation < 1e-9
-        assert rep.positivity_mode == "choi+sampled"
-        assert rep.choi_min_eigenvalue is not None
-        assert rep.choi_min_eigenvalue > -1e-9
-        assert rep.contraction_excess <= 1e-9
+        assert rep.detail.startswith("positivity choi+sampled over ")
+        assert "choi" in rep.deviations
+        assert rep.deviations["choi"] < 1e-9
+        assert rep.deviations["contraction"] <= 1e-9
 
 
 def test_channel_axioms_on_proper_subspace_samples_only():
@@ -226,9 +235,10 @@ def test_channel_axioms_on_proper_subspace_samples_only():
     diag = subspace_system(z2_flip_rep(), [Z])
     rep = check_channel_axioms(relativization_map(fr, diag))
     assert rep.passed
-    assert rep.positivity_mode == "sampled"
-    assert rep.choi_min_eigenvalue is None
-    assert rep.samples_used > 0
+    samples_used = re.match(r"positivity sampled over (\d+) inputs;", rep.detail)
+    assert samples_used is not None
+    assert "choi" not in rep.deviations
+    assert int(samples_used.group(1)) > 0
 
 
 def test_choi_certificate_of_relativization_on_a_full_span_with_another_basis():
@@ -239,15 +249,15 @@ def test_choi_certificate_of_relativization_on_a_full_span_with_another_basis():
     for fr in (z2_ideal_frame(), z2_smeared_frame(0.25)):
         rep = check_channel_axioms(relativization_map(fr, pauli))
         on_units = check_channel_axioms(relativization_map(fr, qubit()))
-        assert rep.passed and rep.positivity_mode == "choi+sampled"
-        assert abs(rep.choi_min_eigenvalue - on_units.choi_min_eigenvalue) < 1e-12
+        assert rep.passed and rep.detail.startswith("positivity choi+sampled over ")
+        assert abs(rep.deviations["choi"] - on_units.deviations["choi"]) < 1e-12
 
 
 def test_channel_axioms_nonabelian():
     fr = smeared_canonical_frame(s3(), 0.5)
     rep = check_channel_axioms(relativization_map(fr, full_system(s3_irrep2())))
     assert rep.passed
-    assert rep.invariance_deviation < 1e-12
+    assert rep.deviations["invariance"] < 1e-12
 
 
 # ------------------------------------------------------- ideal isomorphism
@@ -255,29 +265,29 @@ def test_channel_axioms_nonabelian():
 
 def test_ideal_frame_gives_multiplicative_embedding():
     rep = check_ideal_isomorphism(relativization_map(z2_ideal_frame(), qubit()))
-    assert rep.frame_is_ideal and rep.passed
+    assert rep.expected and rep.passed
     assert rep.consistent_with_ideality
-    assert rep.multiplicativity_deviation < 1e-12
-    assert rep.isometry_deviation < 1e-12
-    assert rep.adjoint_deviation < 1e-12
+    assert rep.deviations["multiplicativity"] < 1e-12
+    assert rep.deviations["isometry"] < 1e-12
+    assert rep.deviations["adjoint"] < 1e-12
 
 
 def test_smeared_frame_breaks_multiplicativity_with_witness():
     rep = check_ideal_isomorphism(relativization_map(z2_smeared_frame(0.5), qubit()))
-    assert not rep.frame_is_ideal and not rep.passed
+    assert not rep.expected and not rep.passed
     assert rep.consistent_with_ideality  # fails exactly because not ideal
-    assert rep.multiplicativity_deviation >= 1e-3
+    assert rep.deviations["multiplicativity"] >= 1e-3
     # |0><0| squared: deviation operator (E(0) - E(0)^2) (x) |0><0| has
     # operator norm 3/16 at lambda = 1/2
-    assert abs(rep.multiplicativity_deviation - 0.1875) < 1e-9
-    assert rep.witness_indices is not None
+    assert abs(rep.deviations["multiplicativity"] - 0.1875) < 1e-9
+    assert "basis_pair" in rep.witnesses
 
 
 def test_canonical_s3_frame_embedding_is_isometric():
     rep = check_ideal_isomorphism(
         relativization_map(canonical_ideal_frame(s3()), full_system(s3_irrep2()))
     )
-    assert rep.frame_is_ideal and rep.passed and rep.consistent_with_ideality
+    assert rep.expected and rep.passed and rep.consistent_with_ideality
 
 
 def test_ideal_isomorphism_requires_full_algebra():
@@ -371,6 +381,12 @@ def test_induced_map_rejects_kernel_violations():
     # the witness is a unit-norm kernel element with nonzero induced image
     w = err.value.kernel_witness
     assert max_abs(relativize(fr, sq, w)) < 1e-12
+    # and it is the first kernel basis element whose image is over tolerance
+    kernel = build_relative_subspace(fr, sq).kernel.basis
+    norms = [operator_norm(relativize(fr, sq, phi.apply(k))) for k in kernel]
+    first = next(i for i, nrm in enumerate(norms) if nrm > 1e-9)
+    assert np.array_equal(w, kernel[first])
+    assert err.value.image_norm == norms[first]
 
 
 def test_functor_laws_two_link_chain():
@@ -386,9 +402,10 @@ def test_functor_laws_two_link_chain():
     phi2 = depolarizing_channel(sq, 0.5)
     report = check_functor_laws([(psi1, phi1), (psi2, phi2)])
     assert report.passed
-    assert report.identity_deviation < 1e-12
-    assert all(d < 1e-10 for d in report.composition_deviations)
-    assert report.full_chain_deviation < 1e-10
+    assert report.deviations["identity"] < 1e-12
+    assert report.deviations["composition[0]"] < 1e-10
+    # with two links the one composition is the whole chain
+    assert list(report.deviations) == ["identity", "composition[0]"]
 
 
 def test_functor_laws_rejects_broken_chains():
@@ -411,6 +428,51 @@ def test_equivariant_pair_acts_as_tensor_product():
         report = check_equivariant_tensor_form(psi, phi)
         assert report.passed
         assert report.max_deviation < 1e-10
+
+
+def tensor_form_oracle(psi, phi, xs):
+    """psi (x) phi on each x, as the sum over the product basis r_i (x) s_j
+    of <r_i (x) s_j, x> psi(r_i) (x) phi(s_j), one Kronecker pair at a time
+    from the images the two channels record."""
+    r_basis, s_basis = psi.channel.source.space.basis, phi.source.space.basis
+    out = []
+    for x in xs:
+        total = 0
+        for r, psi_r in zip(r_basis, psi.channel.images):
+            for s, phi_s in zip(s_basis, phi.images):
+                total = total + np.vdot(np.kron(r, s), x) * np.kron(psi_r, phi_s)
+        out.append(total)
+    return np.array(out)
+
+
+def _scenario_pair(fixture, morphism, channel):
+    spec = parse_scenario((FIXTURES / fixture).read_text())
+    return spec.frame_morphisms[morphism], spec.channels[channel]
+
+
+def test_tensor_form_agrees_with_the_kronecker_oracle():
+    z8 = build_cyclic_group(8)
+    pairs = [
+        _scenario_pair("golden_z2.json", "m_smear", "conj_x"),
+        _scenario_pair("golden_s3.json", "m1", "dep"),
+        _scenario_pair("golden_s3.json", "m2", "dep2"),
+        (smearing_morphism(z8, 0.4), depolarizing_channel(full_system(zn_phase_rep(8)), 0.3)),
+        (z2_smearing_morphism(0.5), ampliation_channel(qubit(), 2)),
+        # the full qubit span through its Gram-Schmidt basis of X, Y, Z: complex entries
+        (
+            z2_smearing_morphism(0.25),
+            depolarizing_channel(subspace_system(z2_flip_rep(), [X, Y, Z]), 0.3),
+        ),
+    ]
+    for psi, phi in pairs:
+        report = check_equivariant_tensor_form(psi, phi)
+        induced = relativize_morphisms(psi, phi)
+        xs = induced.source.space.basis_stack
+        images = induced.channel.apply(xs)
+        oracle = tensor_form_oracle(psi, phi, xs)
+        assert oracle.shape == images.shape
+        assert report.passed
+        assert abs(report.deviations["tensor_form"] - max_abs(oracle - images)) <= 1e-12
 
 
 def test_tensor_form_requires_equivariance():
@@ -452,6 +514,32 @@ def test_naturality_nonabelian_with_ampliation():
         report = check_naturality(fr, phi)
         assert report.passed
         assert report.max_deviation < 1e-10
+
+
+# --------------------------------------------------------------- law reports
+
+
+def test_law_report_max_deviation_is_the_worst_component():
+    spec = parse_scenario((FIXTURES / "golden_s3.json").read_text())
+    spin, dep, dep2 = spec.systems["spin"], spec.channels["dep"], spec.channels["dep2"]
+    m1, m2 = spec.frame_morphisms["m1"], spec.frame_morphisms["m2"]
+    reports = [
+        check_functor_laws([(m1, dep), (m2, dep2)]),
+        check_naturality(spec.frames["F_smear"], dep),
+        check_equivariant_tensor_form(m1, dep),
+    ]
+    for name in ("F_canon", "F_smear"):
+        rmap = relativization_map(spec.frames[name], spin)
+        reports += [check_channel_axioms(rmap), check_ideal_isomorphism(rmap)]
+    assert {tuple(rep.deviations)[0] for rep in reports} == {
+        "identity", "naturality", "tensor_form", "linearity", "multiplicativity",
+    }
+    for rep in reports:
+        assert rep.max_deviation == max(0.0, *rep.deviations.values())
+    # the smeared frame's embedding check fails, as its law predicts
+    smeared = reports[-1]
+    assert not smeared.passed and not smeared.expected and smeared.consistent_with_ideality
+    assert smeared.max_deviation >= smeared.deviations["multiplicativity"] >= 1e-3
 
 
 # ------------------------------------------------------ external transforms

@@ -184,6 +184,23 @@ def test_golden_fixtures_are_serialization_fixed_points():
         assert serialize_scenario(parse_scenario(text)) == text
 
 
+def test_checked_in_fixtures_are_exactly_what_the_generator_writes(tmp_path, monkeypatch):
+    from .fixtures import generate
+
+    monkeypatch.setattr(generate, "HERE", tmp_path)
+    generate.main()
+    written = sorted(path.name for path in tmp_path.iterdir())
+    assert written == sorted(path.name for path in FIXTURES.glob("*.json"))
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes(), name
+
+
+def test_every_task_kind_has_an_executor():
+    from framerel import runner, scenario
+
+    assert set(scenario._TASK_PARAMS) == set(runner._EXECUTORS)
+
+
 # ------------------------------------------------------------------ runner
 
 
