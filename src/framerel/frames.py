@@ -112,8 +112,19 @@ def _validate_frame(
     if dev > tol:
         raise FrameInvalid(f"effects do not sum to the identity (deviation {dev:.3e})")
     stack = np.stack(effects)
+    if rep.perms is not None:
+        # g.E(h) is E(h) with rows and columns permuted, so both sides of
+        # E(gh) = g.E(h) vanish off the support's orbit: compare only there
+        p = rep.perms
+        support = np.any(stack != 0, axis=0)
+        rows, cols = np.nonzero(support[p[:, :, None], p[:, None, :]].any(axis=0))
+        values = stack[:, rows, cols]
+        moved = lambda g: stack[:, p[g, rows], p[g, cols]]
+    else:
+        values = stack.reshape(len(stack), -1)
+        moved = lambda g: act(rep, g, stack).reshape(len(stack), -1)
     for g in group.elements():
-        devs = np.abs(stack[group.mult[g]] - act(rep, g, stack)).max(axis=(1, 2))
+        devs = np.abs(values[group.mult[g]] - moved(g)).max(axis=1)
         bad = np.flatnonzero(devs > tol)
         if bad.size:
             h = int(bad[0])

@@ -21,6 +21,15 @@ deterministic on a given platform.  The SVD is the reduced one unless the
 matrix is wide, so a tall constraint matrix never allocates a rows x rows
 ``U``.
 
+Spectra of operators that are block-diagonal along a known index
+partition are taken block by block.  ``block_partition`` turns a support
+pattern into that partition (the connected components, one (m, b) index
+array per block size), ``diagonal_blocks`` gathers each stack into
+(n, m, b, b) blocks, and ``block_min_eigenvalues`` and
+``block_operator_norms`` make one batched ``eigvalsh`` or 2-norm call per
+block size.  A connected support is one block, the identity gather, so
+those values are the dense call's bit for bit.
+
 Tolerances are absolute and entrywise.  ``DEFAULT_TOL`` is the global
 default; every function takes an explicit override, which is how the
 scenario runner threads a configured value through.
@@ -122,6 +131,75 @@ def partial_trace_first(m, dim_first: int, dim_second: int) -> np.ndarray:
 def operator_norm(m) -> float:
     """Largest singular value."""
     return float(np.linalg.norm(as_operator(m), 2))
+
+
+def block_partition(support, inner: int = 1, outer: int = 1) -> tuple[np.ndarray, ...]:
+    """Index groups of the diagonal blocks that a support pattern forces.
+
+    Take an operator on C^outer (x) C^r (x) C^inner, index (k, i, s) at
+    (k r + i) inner + s, whose entry between (k, i, s) and (l, j, t)
+    vanishes unless i and j are joined in the graph with an edge wherever
+    ``support`` (r x r, boolean) is set.  Each connected component C of
+    that graph gives one diagonal block, the indices (k, i, s) with i in
+    C.  Blocks of equal size are stacked into one (m, b) index array, so
+    the partition holds one array per block size.  A connected support
+    gives the single block (0, ..., outer r inner - 1) in order.
+    """
+    adj = np.asarray(support, dtype=bool)
+    r = len(adj)
+    adj = adj | adj.T | np.eye(r, dtype=bool)
+    # each index takes the smallest label among its neighbours until none
+    # moves: then every component is labelled by its smallest index
+    labels = np.arange(r)
+    while True:
+        moved = np.where(adj, labels, r).min(axis=1)
+        if np.array_equal(moved, labels):
+            break
+        labels = moved
+    rank = np.searchsorted(np.flatnonzero(labels == np.arange(r)), labels)
+    sizes = np.bincount(rank)
+    order = np.argsort(rank, kind="stable")  # members of each component, in index order
+    offsets = np.arange(outer)[:, None, None] * r * inner + np.arange(inner)[None, None, :]
+    partition = []
+    for size in dict.fromkeys(sizes.tolist()):
+        members = order[(sizes == size)[rank[order]]].reshape(-1, size)
+        idx = offsets[None] + members[:, None, :, None] * inner
+        partition.append(idx.reshape(len(members), -1))
+    return tuple(partition)
+
+
+def diagonal_blocks(stack, partition) -> list[np.ndarray]:
+    """The diagonal blocks of every operator of a (n, D, D) stack.
+
+    One gather per index array of ``partition`` (see
+    :func:`block_partition`): an (m, b) array gives the (n, m, b, b)
+    blocks stack[:, idx_a, idx_a'] for its m index rows.
+    """
+    a = np.asarray(stack, dtype=np.complex128)
+    return [a[:, idx[:, :, None], idx[:, None, :]] for idx in partition]
+
+
+def block_min_eigenvalues(blocks) -> np.ndarray:
+    """Smallest eigenvalue of the Hermitian part of every operator, from its diagonal blocks.
+
+    ``blocks`` is what :func:`diagonal_blocks` returns for a stack that
+    vanishes off those blocks; the spectrum of such an operator is the
+    union of its block spectra, so this is one ``eigvalsh`` per block size.
+    """
+    return np.minimum.reduce(
+        [np.linalg.eigvalsh(hermitian_part(b))[..., 0].min(axis=-1) for b in blocks]
+    )
+
+
+def block_operator_norms(blocks) -> np.ndarray:
+    """Largest singular value of every operator, from its diagonal blocks.
+
+    As :func:`block_min_eigenvalues`: one batched 2-norm per block size,
+    then the largest block norm of each operator.
+    """
+    return np.maximum.reduce(
+        [np.linalg.norm(b, 2, axis=(-2, -1)).max(axis=-1) for b in blocks]
+    )
 
 
 def vec(m) -> np.ndarray:

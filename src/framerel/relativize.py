@@ -19,7 +19,12 @@ Every law check returns one :class:`LawReport`: the deviation of each
 checked component, the verdict, the witnesses and a one-line summary,
 so the scenario runner quotes any check the same way.  The checks work
 on operator stacks: the relativized basis is one (n, D, D) array, and
-each product of a law is one batched call.
+each product of a law is one batched call.  Block (i, j) of a relativized
+operator vanishes off the union support of the effects, so every
+relativized operator, every product and difference of them and their
+Choi matrix are block-diagonal along the connected components of that
+support; eigenvalues, operator norms and the embedding's products are
+taken on those blocks (one block for a frame with connected support).
 """
 
 from __future__ import annotations
@@ -51,12 +56,15 @@ from .linalg import (
     DEFAULT_TOL,
     MatrixSubspace,
     as_operator,
+    block_min_eigenvalues,
+    block_operator_norms,
+    block_partition,
     dagger,
+    diagonal_blocks,
     identity,
     is_density_matrix,
     matrix_units,
     max_abs,
-    min_eigenvalue,
     partial_trace_first,
     psd_span_samples,
     span_subspace,
@@ -64,6 +72,8 @@ from .linalg import (
     vector_kernel,
 )
 from .systems import (
+    DEFAULT_POSITIVITY_SAMPLES,
+    DEFAULT_POSITIVITY_SEED,
     ChannelMap,
     SemiQuantumSystem,
     StateClass,
@@ -100,6 +110,25 @@ class RelativizationMap:
         return self.joint_rep.dim
 
 
+def _effect_support(frame: FrameObservable) -> tuple[np.ndarray, np.ndarray]:
+    """The effects as one (|G|, d_r, d_r) stack, and their union support:
+    the (d_r, d_r) pattern of the entries (i, j) where some E(g)[i, j] != 0."""
+    effects = np.stack(frame.effects)
+    return effects, np.any(effects != 0, axis=0)
+
+
+def _joint_partition(frame: FrameObservable, d: int, outer: int = 1) -> tuple[np.ndarray, ...]:
+    """The diagonal blocks every relativized operator lives in.
+
+    Block (i, j) of a relativized operator vanishes off the effect
+    support, so each connected component C of the support gives one
+    block C x {0..d-1} of the joint space.  With ``outer`` the blocks
+    are those of an operator on C^outer (x) joint space built from
+    relativized blocks, such as the Choi matrix of the relativization.
+    """
+    return block_partition(_effect_support(frame)[1], inner=d, outer=outer)
+
+
 def _relativize_stack(frame: FrameObservable, system: SemiQuantumSystem, mats) -> np.ndarray:
     """Relativize a stack of system operators at once, shape (n, D, D).
 
@@ -117,8 +146,8 @@ def _relativize_stack(frame: FrameObservable, system: SemiQuantumSystem, mats) -
     """
     d_r, d = frame.rep.dim, system.dim
     stack = np.asarray(mats, dtype=np.complex128).reshape(-1, d, d)
-    effects = np.stack(frame.effects)
-    rows, cols = np.nonzero(np.any(effects != 0, axis=0))
+    effects, support = _effect_support(frame)
+    rows, cols = np.nonzero(support)
     weights = effects[:, rows, cols]
     blocks = np.zeros((len(rows), len(stack), d, d), dtype=np.complex128)
     for g in frame.group.elements():
@@ -264,6 +293,7 @@ def check_channel_axioms(
         commutation_deviation(rmap.joint_rep, g, images) for g in frame.group.elements()
     )
 
+    joint_blocks = _joint_partition(frame, system.dim)
     choi_low = None
     if system.is_full_algebra:
         units = (
@@ -271,7 +301,11 @@ def check_channel_axioms(
             if system.space.is_unit_span
             else _relativize_stack(frame, system, matrix_units(system.dim))
         )
-        choi_low = min_eigenvalue(_choi_matrix(units, system.dim))
+        choi_blocks = diagonal_blocks(
+            _choi_matrix(units, system.dim)[None],
+            _joint_partition(frame, system.dim, outer=system.dim),
+        )
+        choi_low = float(block_min_eigenvalues(choi_blocks)[0])
 
     psd_inputs = np.stack(
         psd_span_samples(
@@ -279,12 +313,17 @@ def check_channel_axioms(
             include_rank_one=system.is_full_algebra, tol=tol,
         )
     )
-    outputs = _relativize_stack(frame, system, psd_inputs)
-    low = min(0.0, *map(min_eigenvalue, outputs))
+    outputs = diagonal_blocks(_relativize_stack(frame, system, psd_inputs), joint_blocks)
+    low = min(0.0, float(np.min(block_min_eigenvalues(outputs))))
     in_norms = np.concatenate(
         [_operator_norms(psd_inputs), _operator_norms(system.space.basis_stack)]
     )
-    out_norms = np.concatenate([_operator_norms(outputs), _operator_norms(images)])
+    out_norms = np.concatenate(
+        [
+            block_operator_norms(outputs),
+            block_operator_norms(diagonal_blocks(images, joint_blocks)),
+        ]
+    )
     kept = in_norms > tol
     excess = float(np.max(out_norms[kept] / in_norms[kept] - 1.0, initial=0.0))
 
@@ -321,28 +360,35 @@ def check_ideal_isomorphism(rmap: RelativizationMap, tol: float = DEFAULT_TOL) -
     Multiplicativity, adjoint preservation and isometry are tested on
     the basis (bilinearity carries them to the whole algebra).  Only
     meaningful on full algebras, where products stay inside the domain.
-    Multiplicativity runs one basis row at a time, so the products of a
-    single row are the largest stack held.
+    Every relativized operator, and so every product and difference of
+    them, is block-diagonal along the effect support, so the products
+    and norms are taken block by block.  Multiplicativity runs one basis
+    row at a time, so the products of a single row are the largest
+    stack held.
     """
     system = rmap.system
     if not system.is_full_algebra:
         raise RequiresFullAlgebra(
             "the embedding question needs a full matrix algebra as the system"
         )
-    frame, images = rmap.frame, rmap.images
+    frame = rmap.frame
+    parts = _joint_partition(frame, system.dim)
+    images = diagonal_blocks(rmap.images, parts)
     basis = system.space.basis_stack
     mult_dev = 0.0
     witness = None
     for i, a in enumerate(basis):
-        products = _relativize_stack(frame, system, a @ basis)
-        devs = _operator_norms(products - images[i] @ images)
+        products = diagonal_blocks(_relativize_stack(frame, system, a @ basis), parts)
+        devs = block_operator_norms([p - q[i] @ q for p, q in zip(products, images)])
         j = int(np.argmax(devs))
         if devs[j] > mult_dev:
             mult_dev = float(devs[j])
             witness = (i, j)
-    iso_dev = float(np.max(np.abs(_operator_norms(images) - _operator_norms(basis))))
-    adjoints = _relativize_stack(frame, system, dagger(basis))
-    adj_dev = float(np.max(_operator_norms(adjoints - dagger(images))))
+    iso_dev = float(np.max(np.abs(block_operator_norms(images) - _operator_norms(basis))))
+    adjoints = diagonal_blocks(_relativize_stack(frame, system, dagger(basis)), parts)
+    adj_dev = float(
+        np.max(block_operator_norms([p - dagger(q) for p, q in zip(adjoints, images)]))
+    )
     passed = mult_dev <= tol and iso_dev <= tol and adj_dev <= tol
     if frame.is_ideal:
         detail = (
@@ -451,12 +497,16 @@ def relativize_morphisms(
     tol: float = DEFAULT_TOL,
     source_rel: RelativeSubspace | None = None,
     target_rel: RelativeSubspace | None = None,
+    samples: int = DEFAULT_POSITIVITY_SAMPLES,
+    seed: int = DEFAULT_POSITIVITY_SEED,
 ) -> RelativeChannel:
     """Induce the map of relative observables from a (frame, system) morphism pair.
 
     Well-definedness is witnessed on the kernel of the source
     relativization: every kernel element must still relativize to zero
     after the system channel, otherwise IllDefined carries the witness.
+    ``samples``/``seed`` reach the sampled positivity check of the
+    induced channel, as in ``build_channel``.
     """
     if not same_group(psi.group, phi.source.group):
         raise ObjectMismatch("frame morphism and system channel live over different groups")
@@ -483,7 +533,9 @@ def relativize_morphisms(
         psi.target, phi.target, phi.apply(phi.source.space.basis_stack, tol)
     )
     images = np.tensordot(coeffs, target_images, axes=(0, 0))
-    channel = build_channel(source_rel.as_system, target_rel.as_system, images, tol)
+    channel = build_channel(
+        source_rel.as_system, target_rel.as_system, images, tol, samples, seed
+    )
     return RelativeChannel(
         source=source_rel,
         target=target_rel,
@@ -495,7 +547,12 @@ def relativize_morphisms(
     )
 
 
-def check_functor_laws(links, tol: float = DEFAULT_TOL) -> LawReport:
+def check_functor_laws(
+    links,
+    tol: float = DEFAULT_TOL,
+    samples: int = DEFAULT_POSITIVITY_SAMPLES,
+    seed: int = DEFAULT_POSITIVITY_SEED,
+) -> LawReport:
     """Verify identity and composition through a chain of morphism pairs.
 
     ``links`` is a sequence of (FrameMorphism, ChannelMap) pairs whose
@@ -503,7 +560,8 @@ def check_functor_laws(links, tol: float = DEFAULT_TOL) -> LawReport:
     every adjacent pair, and the full chain when longer, is compared
     against the matrix product of the induced pieces.  The deviations
     are ``identity``, ``composition[i]`` for links i and i + 1, and
-    ``full_chain`` for chains of three or more links.
+    ``full_chain`` for chains of three or more links.  ``samples``/``seed``
+    reach every induced channel.
     """
     chain = list(links)
     if not chain:
@@ -526,11 +584,13 @@ def check_functor_laws(links, tol: float = DEFAULT_TOL) -> LawReport:
         tol,
         source_rel=rel[0],
         target_rel=rel[0],
+        samples=samples,
+        seed=seed,
     )
     deviations = {"identity": max_abs(ident.matrix - identity(rel[0].space.dim))}
 
     induced = [
-        relativize_morphisms(psi, phi, tol, source_rel=rel[i], target_rel=rel[i + 1])
+        relativize_morphisms(psi, phi, tol, rel[i], rel[i + 1], samples, seed)
         for i, (psi, phi) in enumerate(chain)
     ]
 
@@ -540,7 +600,7 @@ def check_functor_laws(links, tol: float = DEFAULT_TOL) -> LawReport:
         pair_morphism = compose_frame_morphisms(psi_a, psi_b, tol)
         pair_channel = compose_channels(phi_b, phi_a, tol)
         direct = relativize_morphisms(
-            pair_morphism, pair_channel, tol, source_rel=rel[i], target_rel=rel[i + 2]
+            pair_morphism, pair_channel, tol, rel[i], rel[i + 2], samples, seed
         )
         deviations[f"composition[{i}]"] = max_abs(
             direct.matrix - induced[i + 1].matrix @ induced[i].matrix
@@ -553,7 +613,7 @@ def check_functor_laws(links, tol: float = DEFAULT_TOL) -> LawReport:
             total_morphism = compose_frame_morphisms(total_morphism, psi, tol)
             total_channel = compose_channels(phi, total_channel, tol)
         direct = relativize_morphisms(
-            total_morphism, total_channel, tol, source_rel=rel[0], target_rel=rel[-1]
+            total_morphism, total_channel, tol, rel[0], rel[-1], samples, seed
         )
         product = induced[0].matrix
         for step in induced[1:]:
@@ -581,7 +641,11 @@ def _require_equivariant(phi: ChannelMap, tol: float) -> None:
 
 
 def check_equivariant_tensor_form(
-    psi: FrameMorphism, phi: ChannelMap, tol: float = DEFAULT_TOL
+    psi: FrameMorphism,
+    phi: ChannelMap,
+    tol: float = DEFAULT_TOL,
+    samples: int = DEFAULT_POSITIVITY_SAMPLES,
+    seed: int = DEFAULT_POSITIVITY_SEED,
 ) -> LawReport:
     """For equivariant phi the induced map is just psi (x) phi; verify it.
 
@@ -592,9 +656,10 @@ def check_equivariant_tensor_form(
     observables goes through each step as one stack.  Raises
     ChannelNotEquivariant when phi is not equivariant, and ObjectMismatch
     when x does not lie in the product of the value spans.
+    ``samples``/``seed`` reach the induced channel.
     """
     _require_equivariant(phi, tol)
-    induced = relativize_morphisms(psi, phi, tol)
+    induced = relativize_morphisms(psi, phi, tol, samples=samples, seed=seed)
     d_r, d_s = psi.source.rep.dim, phi.source.dim
     s_basis = phi.source.space.basis_stack
     x_stack = induced.source.space.basis_stack

@@ -112,7 +112,11 @@ def _run_relative_subspace(spec: ScenarioSpec, p: dict) -> tuple[bool, float, st
 
 def _run_yen_morphism(spec: ScenarioSpec, p: dict) -> tuple[bool, float, str, dict]:
     induced = relativize_morphisms(
-        spec.frame_morphisms[p["morphism"]], spec.channels[p["channel"]], spec.tolerance
+        spec.frame_morphisms[p["morphism"]],
+        spec.channels[p["channel"]],
+        spec.tolerance,
+        samples=spec.samples,
+        seed=spec.seed,
     )
     detail = (
         f"induced map on a {induced.source.space.dim}-dimensional relative "
@@ -159,12 +163,18 @@ _CHECKS = {
             for link in p["links"]
         ],
         spec.tolerance,
+        spec.samples,
+        spec.seed,
     ),
     "naturality": lambda spec, p: check_naturality(
         spec.frames[p["frame"]], spec.channels[p["channel"]], spec.tolerance
     ),
     "tensor_form": lambda spec, p: check_equivariant_tensor_form(
-        spec.frame_morphisms[p["morphism"]], spec.channels[p["channel"]], spec.tolerance
+        spec.frame_morphisms[p["morphism"]],
+        spec.channels[p["channel"]],
+        spec.tolerance,
+        spec.samples,
+        spec.seed,
     ),
 }
 

@@ -29,7 +29,7 @@ from framerel.frames import (
     reorientation_morphism,
     same_frame,
 )
-from framerel.groups import act, build_cyclic_group, trivial_rep
+from framerel.groups import act, build_cyclic_group, trivial_rep, unitary_rep
 from framerel.linalg import max_abs
 from framerel.systems import build_channel, subspace_system
 
@@ -236,6 +236,32 @@ def test_covariance_failure_names_the_first_pair():
         frame_from_effects(ideal.rep, effects, ideal.value_system)
     label = ideal.group.label
     assert str(err.value) == f"covariance fails at pair ({label(g)}, {label(h)}) (deviation {dev:.3e})"
+
+
+def test_covariance_on_the_support_orbit_fails_as_the_dense_check():
+    # A smeared S3 frame with a non-covariant off-diagonal bump: the
+    # permutation rep compares only on the orbit of the effect support,
+    # the same action with signs (no perms) compares every entry, and
+    # both name the first failing pair of the strict loop with the same
+    # deviation.
+    group = s3()
+    ideal = canonical_ideal_frame(group)
+    d, lam, eps = group.order, 0.3, 0.01
+    effects = [(1 - lam) * e + lam * np.eye(d) / d for e in ideal.effects]
+    bump = np.zeros((d, d), dtype=complex)
+    bump[0, 1] = bump[1, 0] = eps
+    effects[0] = effects[0] + bump
+    effects[1] = effects[1] - bump
+    sign = [round(np.linalg.det(np.eye(3)[[int(c) for c in group.label(g)]])) for g in group.elements()]
+    signed = unitary_rep(group, [s * m for s, m in zip(sign, ideal.rep.matrices)])
+    assert ideal.rep.perms is not None and signed.perms is None
+    g, h, dev = _first_failing_pair(ideal, effects, 1e-9)
+    label = group.label
+    want = f"covariance fails at pair ({label(g)}, {label(h)}) (deviation {dev:.3e})"
+    for rep, vs in ((ideal.rep, ideal.value_system), (signed, None)):
+        with pytest.raises(FrameInvalid) as err:
+            frame_from_effects(rep, effects, vs)
+        assert str(err.value) == want
 
 
 def test_factorization_failure_names_the_first_element():

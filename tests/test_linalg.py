@@ -9,6 +9,10 @@ from framerel.errors import DimensionError
 from framerel.linalg import (
     MatrixSubspace,
     _shift_into_cone,
+    block_min_eigenvalues,
+    block_operator_norms,
+    block_partition,
+    diagonal_blocks,
     hermitian_basis,
     hs_inner,
     is_density_matrix,
@@ -117,6 +121,115 @@ def test_predicates_on_fixed_matrices():
 def test_operator_norm_is_largest_singular_value():
     m = np.diag([3.0, -4.0]).astype(complex)
     assert operator_norm(m) == 4.0
+
+
+# ------------------------------------------------------- block-wise spectra
+#
+# Oracles: the dense np.linalg calls on each whole operator, and the
+# components of a support pattern written down by hand.
+
+# middle indices 0..6 in four components of unequal size, interleaved
+COMPONENTS = ([0, 4, 5], [1], [2, 6], [3])
+
+
+def _component_support(r, components):
+    support = np.zeros((r, r), dtype=bool)
+    for comp in components:
+        for a, b in zip(comp, comp[1:]):  # a path, not a clique: one direction only
+            support[a, b] = True
+    return support
+
+
+def _block_diagonal_stack(rng, n, partition, hermitian=False):
+    """Random operators that vanish off the blocks of ``partition``."""
+    size = sum(idx.size for idx in partition)
+    out = np.zeros((n, size, size), dtype=complex)
+    for idx in partition:
+        for rows in idx:
+            b = rows.size
+            block = rng.standard_normal((n, b, b)) + 1j * rng.standard_normal((n, b, b))
+            if hermitian:
+                block = block + np.conj(block).swapaxes(1, 2)
+            out[:, rows[:, None], rows[None, :]] = block
+    return out
+
+
+def test_block_partition_is_the_component_partition():
+    for inner, outer in ((1, 1), (2, 1), (2, 3)):
+        partition = block_partition(_component_support(7, COMPONENTS), inner, outer)
+        got = sorted(sorted(rows.tolist()) for idx in partition for rows in idx)
+        want = sorted(
+            sorted((k * 7 + i) * inner + s for k in range(outer) for i in comp for s in range(inner))
+            for comp in COMPONENTS
+        )
+        assert got == want
+        assert sorted(i for rows in got for i in rows) == list(range(7 * inner * outer))
+        # one index array per block size
+        assert len({idx.shape[1] for idx in partition}) == len(partition)
+
+
+def _components_oracle(support):
+    """Connected components by depth-first search over both edge directions."""
+    r = len(support)
+    seen, comps = set(), []
+    for start in range(r):
+        if start in seen:
+            continue
+        comp, todo = [], [start]
+        seen.add(start)
+        while todo:
+            i = todo.pop()
+            comp.append(i)
+            for j in range(r):
+                if (support[i, j] or support[j, i]) and j not in seen:
+                    seen.add(j)
+                    todo.append(j)
+        comps.append(sorted(comp))
+    return comps
+
+
+def test_block_partition_matches_a_search_oracle_on_random_supports():
+    rng = np.random.default_rng(19)
+    for r in (1, 5, 12, 30):
+        for density in (0.0, 0.05, 0.15):
+            support = rng.random((r, r)) < density
+            partition = block_partition(support, inner=2)
+            got = sorted(sorted((rows // 2).tolist()[::2]) for idx in partition for rows in idx)
+            assert got == sorted(_components_oracle(support))
+
+
+def test_block_partition_of_a_connected_support_is_the_identity():
+    support = np.zeros((4, 4), dtype=bool)
+    support[0, 3] = support[3, 1] = support[2, 1] = True
+    (idx,) = block_partition(support, inner=2)
+    assert np.array_equal(idx, np.arange(8)[None, :])
+
+
+def test_block_spectra_match_the_dense_calls():
+    rng = np.random.default_rng(17)
+    partition = block_partition(_component_support(7, COMPONENTS), inner=2)
+    for hermitian in (False, True):
+        stack = _block_diagonal_stack(rng, 20, partition, hermitian)
+        blocks = diagonal_blocks(stack, partition)
+        lows = block_min_eigenvalues(blocks)
+        norms = block_operator_norms(blocks)
+        assert lows.shape == norms.shape == (20,)
+        for m, low, nrm in zip(stack, lows, norms):
+            want_low = np.linalg.eigvalsh((m + np.conj(m).T) / 2)[0]
+            want_norm = np.linalg.norm(m, 2)
+            assert abs(low - want_low) <= 1e-12 * abs(want_low)
+            assert abs(nrm - want_norm) <= 1e-12 * want_norm
+
+
+def test_one_block_spectra_are_the_dense_calls_bit_for_bit():
+    rng = np.random.default_rng(18)
+    stack = rng.standard_normal((6, 9, 9)) + 1j * rng.standard_normal((6, 9, 9))
+    blocks = diagonal_blocks(stack, block_partition(np.ones((3, 3), dtype=bool), inner=3))
+    assert len(blocks) == 1 and np.array_equal(blocks[0][:, 0], stack)
+    assert np.array_equal(
+        block_min_eigenvalues(blocks), [min_eigenvalue(m) for m in stack]
+    )
+    assert np.array_equal(block_operator_norms(blocks), np.linalg.norm(stack, 2, axis=(1, 2)))
 
 
 # ----------------------------------------------------------- orthonormalize

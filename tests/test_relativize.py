@@ -1,5 +1,6 @@
 """The relativization map, its laws, and induced maps between frames."""
 
+import importlib
 import pathlib
 import re
 
@@ -22,8 +23,22 @@ from framerel.frames import (
     identity_frame_morphism,
     reorientation_morphism,
 )
-from framerel.groups import act, build_cyclic_group, regular_representation, unitary_rep
-from framerel.linalg import max_abs, operator_norm, tensor_product
+from framerel.groups import (
+    act,
+    build_cyclic_group,
+    build_symmetric_group,
+    regular_representation,
+    unitary_rep,
+)
+from framerel.linalg import (
+    block_min_eigenvalues,
+    diagonal_blocks,
+    max_abs,
+    min_eigenvalue,
+    operator_norm,
+    psd_span_samples,
+    tensor_product,
+)
 from framerel.relativize import (
     build_relative_subspace,
     check_channel_axioms,
@@ -37,10 +52,12 @@ from framerel.relativize import (
     relativization_map,
     relativize,
     relativize_morphisms,
+    _joint_partition,
     _relativize_stack,
 )
 from framerel.scenario import parse_scenario
 from framerel.systems import (
+    _choi_matrix,
     build_channel,
     conjugation_channel,
     full_system,
@@ -294,6 +311,139 @@ def test_ideal_isomorphism_requires_full_algebra():
     fr = z2_ideal_frame()
     with pytest.raises(RequiresFullAlgebra):
         check_ideal_isomorphism(relativization_map(fr, subspace_system(z2_flip_rep(), [Z])))
+
+
+# ---------------------------------------------------- block-diagonal spectra
+
+
+def _off_blocks(stack, partition):
+    """A copy of the stack with every diagonal block of the partition zeroed."""
+    rest = np.array(stack)
+    for idx in partition:
+        for rows in idx:
+            rest[:, rows[:, None], rows[None, :]] = 0
+    return rest
+
+
+def _dense_support_frames():
+    rng = np.random.default_rng(29)
+    v, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    return [
+        rotated_frame(canonical_ideal_frame(s3()), v),
+        rotated_frame(smeared_canonical_frame(s3(), 0.3), v),
+    ]
+
+
+def test_relativized_operators_and_choi_matrices_vanish_off_the_support_blocks():
+    system = full_system(s3_irrep2())
+    d = system.dim
+    frames = [
+        canonical_ideal_frame(s3()),
+        smeared_canonical_frame(s3(), 0.3),
+        unlocalized_canonical_frame(s3()),
+        *_dense_support_frames(),
+    ]
+    for frame in frames:
+        images = relativization_map(frame, system).images
+        joint = _joint_partition(frame, d)
+        assert max_abs(_off_blocks(images, joint)) == 0.0
+        choi = _choi_matrix(images, d)[None]
+        choi_parts = _joint_partition(frame, d, outer=d)
+        assert max_abs(_off_blocks(choi, choi_parts)) == 0.0
+        # the spectrum of the Choi matrix is the union of its block spectra
+        spectrum = np.sort(np.concatenate([
+            np.linalg.eigvalsh(b).reshape(-1) for b in diagonal_blocks(choi, choi_parts)
+        ]))
+        dense = np.linalg.eigvalsh(choi[0])
+        assert np.max(np.abs(spectrum - dense)) <= 1e-12 * np.max(np.abs(dense))
+        low = block_min_eigenvalues(diagonal_blocks(choi, choi_parts))[0]
+        assert abs(low - dense[0]) <= 1e-12 * np.max(np.abs(dense))
+    # the canonical S3 frame is diagonal: six blocks of d joint indices
+    (idx,) = _joint_partition(canonical_ideal_frame(s3()), d)
+    assert idx.shape == (6, d)
+
+
+def _dense_law_values(rmap, samples, seed):
+    """The axiom and embedding deviations from one dense call per operator."""
+    frame, system, images = rmap.frame, rmap.system, rmap.images
+    choi = -min_eigenvalue(_choi_matrix(images, system.dim))
+    inputs = np.stack(psd_span_samples(system.space, samples, seed, include_rank_one=True))
+    outputs = _relativize_stack(frame, system, inputs)
+    positivity = 0.0 - min(0.0, *map(min_eigenvalue, outputs))
+    ins = [operator_norm(m) for m in [*inputs, *system.space.basis]]
+    outs = [operator_norm(m) for m in [*outputs, *images]]
+    excess = max([0.0] + [o / i - 1.0 for o, i in zip(outs, ins) if i > 1e-9])
+    basis = system.space.basis_stack
+    mult, witness = 0.0, None
+    for i, a in enumerate(basis):
+        for j, b in enumerate(basis):
+            dev = operator_norm(relativize(frame, system, a @ b) - images[i] @ images[j])
+            if dev > mult:
+                mult, witness = dev, (i, j)
+    iso = max(abs(operator_norm(m) - operator_norm(b)) for m, b in zip(images, basis))
+    adj = max(
+        operator_norm(relativize(frame, system, np.conj(b).T) - np.conj(m).T)
+        for m, b in zip(images, basis)
+    )
+    return choi, positivity, excess, mult, witness, iso, adj
+
+
+def test_dense_support_reports_equal_the_dense_calls_bit_for_bit():
+    # a connected effect support is one block: the gather is the identity
+    # and every value is the one a dense call per operator gives
+    system = full_system(s3_irrep2())
+    for frame in _dense_support_frames():
+        rmap = relativization_map(frame, system)
+        assert len(_joint_partition(frame, system.dim)) == 1
+        axioms = check_channel_axioms(rmap, samples=5, seed=3)
+        embed = check_ideal_isomorphism(rmap)
+        choi, positivity, excess, mult, witness, iso, adj = _dense_law_values(rmap, 5, 3)
+        assert axioms.deviations["choi"] == choi
+        assert axioms.deviations["positivity"] == positivity
+        assert axioms.deviations["contraction"] == excess
+        assert embed.deviations == {"multiplicativity": mult, "isometry": iso, "adjoint": adj}
+        if not embed.passed:
+            assert embed.witnesses == {"basis_pair": list(witness)}
+
+
+def test_s4_law_checks_take_no_dense_joint_spectrum(monkeypatch):
+    # The S4 regular frame against the 4-dim permutation rep has a 96-dim
+    # joint space split into 24 blocks of 4 (Choi blocks of 16).  Every
+    # eigenvalue and singular-value call must stay within one block; the
+    # only SVD with vectors is the Hermitian-basis system of the 4-dim
+    # system algebra (2 d^2 = 32 columns), which does not grow with the frame.
+    group = build_symmetric_group(4)
+    perm = [np.zeros((4, 4), dtype=complex) for _ in group.elements()]
+    for g, m in enumerate(perm):
+        for k, pk in enumerate(int(c) for c in group.label(g)):
+            m[pk, k] = 1.0
+    system = full_system(unitary_rep(group, perm))
+    ideal = canonical_ideal_frame(group)
+    seed = 0.6 * ideal.effects[group.identity] + 0.4 * np.eye(24) / 24
+    smear = frame_from_effects(ideal.rep, [act(ideal.rep, g, seed) for g in group.elements()])
+    maps = [relativization_map(f, system) for f in (ideal, smear)]
+
+    spectra, kernels = [], []
+    impl = importlib.import_module(np.linalg.norm.__module__)
+    eigvalsh, svd = np.linalg.eigvalsh, np.linalg.svd
+
+    def recording_eigvalsh(a, *args, **kwargs):
+        spectra.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    def recording_svd(a, *args, **kwargs):
+        (kernels if kwargs.get("compute_uv", True) else spectra).append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    for module in {np.linalg, impl}:
+        monkeypatch.setattr(module, "eigvalsh", recording_eigvalsh)
+        monkeypatch.setattr(module, "svd", recording_svd)
+    for rmap in maps:
+        assert check_channel_axioms(rmap).passed
+    embed = check_ideal_isomorphism(maps[0])
+    assert embed.passed and embed.consistent_with_ideality
+    assert spectra and max(shape[-1] for shape in spectra) <= 16
+    assert set(kernels) == {(32, 32)}
 
 
 # ------------------------------------------------------------------ preduals

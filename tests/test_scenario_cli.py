@@ -1,5 +1,6 @@
 """Scenario wire format, runner reports, and the command line front end."""
 
+import importlib
 import json
 import pathlib
 
@@ -162,6 +163,28 @@ def test_kraus_and_conjugation_channels_record_the_scenario_sampling():
     for name in ("K", "U"):
         ch = spec.channels[name]
         assert (ch.positivity_check, ch.positivity_seed, ch.positivity_samples) == ("sampled", 5, 3)
+
+
+def test_induced_channels_record_the_scenario_sampling(monkeypatch):
+    # every induced map of the S3 golden scenario (yen_morphism,
+    # functor_laws, tensor_form) is built on a proper relative subspace,
+    # so it takes the sampled check with the scenario's seed and count
+    relativize_module = importlib.import_module("framerel.relativize")
+    built = []
+    original = relativize_module.build_channel
+
+    def recording(*args, **kwargs):
+        built.append(original(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(relativize_module, "build_channel", recording)
+    spec = parse_scenario((FIXTURES / "golden_s3.json").read_text(), samples=3)
+    assert spec.seed == 11
+    report = run_scenario(spec)
+    assert {e.task_id for e in report.entries if e.status != "pass"} == set()
+    assert len(built) >= 3
+    for ch in built:
+        assert (ch.positivity_check, ch.positivity_seed, ch.positivity_samples) == ("sampled", 11, 3)
 
 
 def test_declared_objects_are_built_eagerly():
