@@ -13,6 +13,9 @@ also carries them as index arrays.  Its validation is then index
 composition, and the action ``act`` moves matrix entries by a
 precomputed gather instead of two matrix products.  For 0/1 matrices
 both are exact, so they give the same numbers as the matrix path.
+Operators that live on a few entries are moved on those alone:
+``support_translates`` says where each g carries a support, and
+``invariance_deviation`` compares a stack with its translates there.
 """
 
 from __future__ import annotations
@@ -307,6 +310,40 @@ def commutation_deviation(rep: UnitaryRep, g: int, a) -> float:
         return max_abs(m - act(rep, g, m))
     u = rep.matrices[g]
     return max_abs(m @ u - u @ m)
+
+
+def support_translates(rep: UnitaryRep, support) -> tuple[np.ndarray, np.ndarray]:
+    """Where a permutation rep (``rep.perms`` set) moves the entries of operators on ``support``.
+
+    ``support`` holds increasing flat (row-major) indices.  Returns
+    ``(src, leaves)``, both (|G|, len(support)): on the support, g.a is
+    a.flat[src[g]], and ``leaves[g, k]`` is True when g carries the
+    entry support[k] off the support, where g.a then holds that value.
+    Every other entry of g.a is zero.  g carries entry s to the entry
+    that the gather of g^-1 reads at s, so no permutation is inverted.
+    """
+    inside = np.zeros(rep.dim * rep.dim, dtype=bool)
+    inside[support] = True
+    src = rep._gather[:, support]
+    return src, ~inside[rep._gather[rep.group.inverse[:, None], support]]
+
+
+def invariance_deviation(rep: UnitaryRep, a) -> float:
+    """Largest ``commutation_deviation`` over every group element, bit for bit.
+
+    For a permutation rep, a - g.a is compared on the support of a
+    alone.  Off the support it is zero but where g carries an entry s of
+    a, and there it is -a[s]; g^-1 reads that entry from off the
+    support, so a - g^-1.a holds a[s] - 0 = a[s] at s itself.  The
+    maximum over every element is therefore the same float.
+    """
+    m = np.asarray(a, dtype=np.complex128)
+    if rep.perms is None:
+        return max(commutation_deviation(rep, g, m) for g in rep.group.elements())
+    flat = m.reshape(-1, rep.dim * rep.dim)
+    support = np.flatnonzero(np.any(flat != 0, axis=0))
+    on = flat[:, support]
+    return max(max_abs(on - flat[:, src]) for src in rep._gather[:, support])
 
 
 def tensor_rep(r1: UnitaryRep, r2: UnitaryRep, tol: float = DEFAULT_TOL) -> UnitaryRep:

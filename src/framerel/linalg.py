@@ -13,9 +13,16 @@ coefficient vector) or a whole (k, d, d) stack (a (k, dim) stack).  A
 stack is run as one matrix-vector product per slice, the same BLAS call
 a single operator gets, so every slice is bit-identical to the single
 call.  Membership is tested one operator at a time (``residual``,
-``contains``) or for a whole stack with two matrix products
-(``residuals``); a full span answers without projecting, since it holds
-every operator of the right shape.  Bases come from a two-pass modified
+``contains``) or for a whole stack (``residuals``); a full span answers
+without projecting, since it holds every operator of the right shape.
+A stack is tested on the span's support, the entries where some basis
+element is nonzero, recorded once per span: the projection only reads
+and writes those entries, so ``residuals`` projects the support columns
+and takes the larger of that residual and the largest entry off the
+support.  Callers that know where their operators live pass those
+entries alone: the translates of ``systems`` give their support entries
+to ``support_residuals``, its products their block entries to
+``projection_errors``.  Bases come from a two-pass modified
 Gram-Schmidt with fixed input ordering, kernels from LAPACK's SVD, both
 deterministic on a given platform.  The SVD is the reduced one unless the
 matrix is wide, so a tall constraint matrix never allocates a rows x rows
@@ -147,22 +154,22 @@ def block_partition(support, inner: int = 1, outer: int = 1) -> tuple[np.ndarray
     """
     adj = np.asarray(support, dtype=bool)
     r = len(adj)
-    adj = adj | adj.T | np.eye(r, dtype=bool)
+    adj = adj | adj.T
+    np.fill_diagonal(adj, True)
     # each index takes the smallest label among its neighbours until none
     # moves: then every component is labelled by its smallest index
     labels = np.arange(r)
     while True:
         moved = np.where(adj, labels, r).min(axis=1)
-        if np.array_equal(moved, labels):
+        if (moved == labels).all():
             break
         labels = moved
-    rank = np.searchsorted(np.flatnonzero(labels == np.arange(r)), labels)
-    sizes = np.bincount(rank)
-    order = np.argsort(rank, kind="stable")  # members of each component, in index order
+    order = np.argsort(labels, kind="stable")  # components by smallest index, members in index order
+    sizes = np.bincount(labels, minlength=r)[labels[order]]  # the component size of each member
     offsets = np.arange(outer)[:, None, None] * r * inner + np.arange(inner)[None, None, :]
     partition = []
     for size in dict.fromkeys(sizes.tolist()):
-        members = order[(sizes == size)[rank[order]]].reshape(-1, size)
+        members = order[sizes == size].reshape(-1, size)
         idx = offsets[None] + members[:, None, :, None] * inner
         partition.append(idx.reshape(len(members), -1))
     return tuple(partition)
@@ -253,6 +260,17 @@ def vector_kernel(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     return np.conj(vh[rank:])
 
 
+def projection_errors(rows, basis) -> np.ndarray:
+    """|r - P r| entrywise, for every row r of ``rows``, P the projection onto ``basis``.
+
+    ``basis`` is a (k, m) stack of orthonormal rows, ``rows`` a (j, m)
+    stack; the projections are two matrix products over the stack.
+    """
+    diff = (rows @ np.conj(basis).T) @ basis
+    diff -= rows
+    return np.abs(diff)
+
+
 class MatrixSubspace:
     """A linear subspace of d x d matrices with an HS-orthonormal basis.
 
@@ -267,9 +285,14 @@ class MatrixSubspace:
     are the entries of the operator and a combination is the reshaped
     coefficient vector.  Its units are built only when a caller asks
     for ``basis`` or ``basis_stack``.
+
+    ``support`` holds the flat (row-major) indices of the entries where
+    some basis element is nonzero, recorded on first use; the unit
+    span's support is every entry.  Every element of the span vanishes
+    off it, so the projection of any operator does too.
     """
 
-    __slots__ = ("ambient_dim", "_stack")
+    __slots__ = ("ambient_dim", "_stack", "_support")
 
     def __init__(self, ambient_dim: int, basis):
         d = ambient_dim
@@ -286,6 +309,7 @@ class MatrixSubspace:
             if len(basis)
             else np.zeros((0, d * d), dtype=np.complex128)
         )
+        self._support = None
 
     def __repr__(self) -> str:
         return f"MatrixSubspace(ambient_dim={self.ambient_dim}, dim={self.dim})"
@@ -303,6 +327,21 @@ class MatrixSubspace:
     def is_full(self) -> bool:
         """True when the span is the whole d x d matrix space."""
         return self.dim == self.ambient_dim**2
+
+    @property
+    def support(self) -> np.ndarray:
+        """Increasing flat indices of the entries where some basis element is nonzero."""
+        return self._support_parts()[0]
+
+    def _support_parts(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The support and the basis on it, (dim, len(support)), recorded on first use."""
+        if self._support is None:
+            if self.is_unit_span:
+                self._support = (np.arange(self.ambient_dim**2), None)
+            else:
+                support = np.flatnonzero(np.any(self._stack != 0, axis=0))
+                self._support = (support, self._stack[:, support])
+        return self._support
 
     @property
     def basis_stack(self) -> np.ndarray:
@@ -361,16 +400,32 @@ class MatrixSubspace:
     def residuals(self, stack) -> np.ndarray:
         """``residual`` of every operator in a (k, d, d) stack, at once.
 
-        The projections are two matrix products over the whole stack, so
-        the values agree with ``residual`` up to rounding, not bit for bit.
+        The projection of an operator vanishes off the support, so its
+        residual is the larger of the residual on the support columns
+        (``support_residuals``) and the largest entry off them.  The
+        projections are two matrix products over the whole stack, so the
+        values agree with ``residual`` up to rounding, not bit for bit.
         """
         a = self._operators(stack, ndims=(3,))
         if self.is_full:
             return np.zeros(len(a))
+        support, basis = self._support_parts()
         flat = a.reshape(len(a), self.ambient_dim**2)
-        diff = (flat @ np.conj(self._stack).T) @ self._stack
-        diff -= flat
-        return np.abs(diff).max(axis=1)
+        errors = np.abs(flat)  # off the support, the entries themselves
+        errors[:, support] = projection_errors(flat[:, support], basis)
+        return errors.max(axis=1, initial=0.0)
+
+    def support_residuals(self, values) -> np.ndarray:
+        """Residuals on the support, of operators given by their support entries.
+
+        ``values`` is a (k, len(support)) stack, the entries of each
+        operator at ``support`` in order.  Only those entries count: the
+        full residual of an operator is the larger of this and its
+        largest entry off the support, which the projection leaves as is.
+        """
+        if self.is_full:
+            return np.zeros(len(values))
+        return projection_errors(values, self._support_parts()[1]).max(axis=1, initial=0.0)
 
     def contains(self, m, tol: float = DEFAULT_TOL) -> bool:
         return self.residual(m) <= tol

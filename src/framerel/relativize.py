@@ -25,6 +25,10 @@ relativized operator, every product and difference of them and their
 Choi matrix are block-diagonal along the connected components of that
 support; eigenvalues, operator norms and the embedding's products are
 taken on those blocks (one block for a frame with connected support).
+The relative subspace is validated as a system on the same support
+(membership, closure and products, see ``systems``), and the invariance
+of the channel is compared on the support of the images
+(``groups.invariance_deviation``), with the dense comparison's value.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from .frames import (
     identity_frame_morphism,
     same_frame,
 )
-from .groups import UnitaryRep, act, commutation_deviation, same_group, tensor_rep
+from .groups import UnitaryRep, act, invariance_deviation, same_group, tensor_rep
 from .linalg import (
     DEFAULT_TOL,
     MatrixSubspace,
@@ -289,9 +293,7 @@ def check_channel_axioms(
         _relativize_stack(frame, system, identity(system.dim))[0] - identity(d_joint)
     )
 
-    invariance = max(
-        commutation_deviation(rmap.joint_rep, g, images) for g in frame.group.elements()
-    )
+    invariance = invariance_deviation(rmap.joint_rep, images)
 
     joint_blocks = _joint_partition(frame, system.dim)
     choi_low = None
@@ -364,7 +366,9 @@ def check_ideal_isomorphism(rmap: RelativizationMap, tol: float = DEFAULT_TOL) -
     them, is block-diagonal along the effect support, so the products
     and norms are taken block by block.  Multiplicativity runs one basis
     row at a time, so the products of a single row are the largest
-    stack held.
+    stack held.  The witness is the first basis pair, in row-major
+    order, whose multiplicativity deviation lies within ``tol`` of the
+    largest: pairs that tie mathematically differ by rounding alone.
     """
     system = rmap.system
     if not system.is_full_algebra:
@@ -375,15 +379,16 @@ def check_ideal_isomorphism(rmap: RelativizationMap, tol: float = DEFAULT_TOL) -
     parts = _joint_partition(frame, system.dim)
     images = diagonal_blocks(rmap.images, parts)
     basis = system.space.basis_stack
-    mult_dev = 0.0
-    witness = None
+    rows = []
     for i, a in enumerate(basis):
         products = diagonal_blocks(_relativize_stack(frame, system, a @ basis), parts)
-        devs = block_operator_norms([p - q[i] @ q for p, q in zip(products, images)])
-        j = int(np.argmax(devs))
-        if devs[j] > mult_dev:
-            mult_dev = float(devs[j])
-            witness = (i, j)
+        rows.append(block_operator_norms([p - q[i] @ q for p, q in zip(products, images)]))
+    devs = np.stack(rows)  # devs[i, j]: deviation of the pair (i, j)
+    mult_dev = float(devs.max())
+    witness = (
+        None if mult_dev == 0.0
+        else tuple(int(k) for k in np.unravel_index(np.argmax(devs >= mult_dev - tol), devs.shape))
+    )
     iso_dev = float(np.max(np.abs(block_operator_norms(images) - _operator_norms(basis))))
     adjoints = diagonal_blocks(_relativize_stack(frame, system, dagger(basis)), parts)
     adj_dev = float(

@@ -10,6 +10,15 @@ basis; on full matrix algebras positivity is certified exactly through
 the Choi matrix, on proper subspaces it is sampled over a deterministic
 PSD family (and reported as sampled, never as proved).
 
+A proper span is validated on its support, the entries where some basis
+element is nonzero: its translates, adjoints and products are projected
+on those entries alone (the basis vanishes elsewhere), and their
+entries off the support are compared with the tolerance directly.  A
+permutation representation moves the support entries alone, and
+products are formed on the diagonal blocks of the support, so a span
+that lives on a few blocks of a large joint space costs what its blocks
+cost.
+
 States enter through operational equivalence: two density matrices are
 the same state of a system when every observable in the span gives them
 equal expectations.  ``state_class`` picks the canonical representative
@@ -20,7 +29,6 @@ matrix comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -37,12 +45,14 @@ from .errors import (
     OperatorOutsideSystem,
     RequiresFullAlgebra,
 )
-from .groups import UnitaryRep, act, same_group
+from .groups import UnitaryRep, act, same_group, support_translates
 from .linalg import (
     DEFAULT_TOL,
     MatrixSubspace,
     as_operator,
+    block_partition,
     dagger,
+    diagonal_blocks,
     hermitian_part,
     identity,
     is_density_matrix,
@@ -51,6 +61,7 @@ from .linalg import (
     matrix_units,
     max_abs,
     min_eigenvalue,
+    projection_errors,
     psd_span_samples,
     span_subspace,
     unvec,
@@ -84,15 +95,38 @@ class SemiQuantumSystem:
         return self.rep.group
 
 
+_CHUNK = 16  # translates or products formed at once (at least one per basis element)
+_NOT_CLOSED = "system span is not closed under the group action"
+
+
 def _closed_under_products(space: MatrixSubspace, tol: float) -> bool:
-    """Adjoints, then one row of products a b at a time, tested as stacks."""
-    basis = space.basis_stack
-    if np.any(space.residuals(np.conj(basis).swapaxes(1, 2)) > tol):
+    """Adjoints, then the products a b of basis elements, on the support blocks.
+
+    Every element vanishes off the span's support, so it is block
+    diagonal along the connected components of that support, and so
+    are its adjoint and every product of two elements.  Their residuals
+    are taken on the entries of those diagonal blocks alone, against the
+    basis restricted to them (still orthonormal, since every basis
+    element vanishes elsewhere).  The products are formed block by
+    block, a few rows of the basis at a time.
+    """
+    n, d = space.dim, space.ambient_dim
+    inside = np.zeros(d * d, dtype=bool)
+    inside[space.support] = True
+    blocks = diagonal_blocks(space.basis_stack, block_partition(inside.reshape(d, d)))
+
+    def entries(stacks):  # (k, ...) stacks of blocks, one per block size -> (k, block entries)
+        return np.concatenate([b.reshape(len(b), -1) for b in stacks], axis=1)
+
+    basis = entries(blocks)
+    if np.any(projection_errors(entries([dagger(b) for b in blocks]), basis) > tol):
         return False
-    return not any(np.any(space.residuals(a @ basis) > tol) for a in basis)
-
-
-_TRANSLATE_CHUNK = 64  # basis elements moved at once: bounds the stack of translates
+    step = max(1, _CHUNK // n)
+    for lo in range(0, n, step):
+        products = [(b[lo : lo + step, None] @ b[None]).reshape(-1, *b.shape[1:]) for b in blocks]
+        if np.any(projection_errors(entries(products), basis) > tol):
+            return False
+    return True
 
 
 def _assemble_system(
@@ -105,9 +139,14 @@ def _assemble_system(
 
     A full span holds every translate, and it is invariant iff every
     U(g) is a scalar within ``tol``, so it is read from the rep and no
-    basis element is moved.  On a proper span each group element's
-    translates of the basis are formed once, in chunks, and give both
-    closure and invariance.
+    basis element is moved.  On a proper span the translates of the
+    basis give both closure and invariance, a few group elements at a
+    time.  A permutation rep moves the support entries alone
+    (``support_translates``): a translate that carries an entry above
+    ``tol`` off the support leaves the span, and the rest is tested on
+    the support through ``support_residuals``.  Other reps conjugate the
+    basis densely, as ``act`` does, and ``residuals`` tests the
+    translates on the span's support and off it.
     """
     if space.ambient_dim != rep.dim:
         raise DimensionError(
@@ -117,18 +156,32 @@ def _assemble_system(
     if not space.contains(identity(rep.dim), tol):
         raise FramerelError("system span does not contain the identity")
     full = space.is_full
+    invariant = True
     if full:
         eye = identity(rep.dim)
         invariant = all(max_abs(u - u[0, 0] * eye) <= tol for u in rep.matrices)
+    elif rep.perms is not None:
+        flat = space.basis_stack.reshape(space.dim, -1)
+        values = flat[:, space.support]
+        src, leaves = support_translates(rep, space.support)
+        if np.any(leaves[:, np.abs(values).max(axis=0) > tol]):
+            raise FramerelError(_NOT_CLOSED)
+        step = max(1, _CHUNK // space.dim)
+        for lo in range(0, rep.group.order, step):
+            moved = flat[:, src[lo : lo + step]]  # (dim, elements, support): translates
+            if np.any(space.support_residuals(moved.reshape(-1, values.shape[1])) > tol):
+                raise FramerelError(_NOT_CLOSED)
+            invariant = invariant and max_abs(moved - values[:, None]) <= tol
     else:
         basis = space.basis_stack
-        invariant = True
-        for g, lo in product(rep.group.elements(), range(0, len(basis), _TRANSLATE_CHUNK)):
-            chunk = basis[lo : lo + _TRANSLATE_CHUNK]
-            moved = act(rep, g, chunk)
-            if np.any(space.residuals(moved) > tol):
-                raise FramerelError("system span is not closed under the group action")
-            invariant = invariant and max_abs(moved - chunk) <= tol
+        us = np.stack(rep.matrices)
+        step = max(1, _CHUNK // space.dim)
+        for lo in range(0, rep.group.order, step):
+            u = us[lo : lo + step, None]
+            moved = u @ basis @ dagger(u)  # (elements, dim, d, d): translates
+            if np.any(space.residuals(moved.reshape(-1, rep.dim, rep.dim)) > tol):
+                raise FramerelError(_NOT_CLOSED)
+            invariant = invariant and max_abs(moved - basis) <= tol
     adjoint_space = (
         space if full else span_subspace([dagger(b) for b in space.basis], tol=tol)
     )
@@ -170,10 +223,10 @@ def subspace_system(rep: UnitaryRep, generators, tol: float = DEFAULT_TOL) -> Se
             )
     seeds = gens + [identity(rep.dim)]
     plain_dim = span_subspace(seeds, ambient_dim=rep.dim, tol=tol).dim
-    orbit = list(seeds)
-    for m in seeds:
-        for g in rep.group.elements():
-            orbit.append(act(rep, g, m))
+    # one stacked act per element; the orbit lists each seed's translates in group order
+    stack = np.stack(seeds)
+    moved = np.stack([act(rep, g, stack) for g in rep.group.elements()], axis=1)
+    orbit = seeds + list(moved.reshape(-1, rep.dim, rep.dim))
     space = span_subspace(orbit, ambient_dim=rep.dim, tol=tol)
     return _assemble_system(rep, space, tol, saturation_added=space.dim > plain_dim)
 
@@ -216,8 +269,9 @@ def same_system(a: SemiQuantumSystem, b: SemiQuantumSystem, tol: float = DEFAULT
         return False
     if a.space.is_full:
         return True
-    return all(b.space.contains(x, tol) for x in a.space.basis) and all(
-        a.space.contains(x, tol) for x in b.space.basis
+    return bool(
+        np.all(b.space.residuals(a.space.basis_stack) <= tol)
+        and np.all(a.space.residuals(b.space.basis_stack) <= tol)
     )
 
 

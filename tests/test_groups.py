@@ -19,8 +19,10 @@ from framerel.groups import (
     build_group_from_table,
     build_symmetric_group,
     commutation_deviation,
+    invariance_deviation,
     regular_representation,
     same_group,
+    support_translates,
     tensor_rep,
     trivial_rep,
     unitary_rep,
@@ -259,6 +261,48 @@ def test_permutation_reps_act_by_gather_exactly():
             assert commutation_deviation(rep, g, stack) == max(
                 max_abs(a @ u - u @ a) for a in stack
             )
+
+
+def _sparse_stack(rng, k, d, density):
+    """k random complex d x d operators sharing one random support pattern."""
+    mask = rng.random((d, d)) < density
+    return (rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))) * mask
+
+
+def test_support_translates_describe_the_gather():
+    regular = regular_representation(build_symmetric_group(3))
+    joint = tensor_rep(regular, s3_permutation_rep())
+    rng = np.random.default_rng(19)
+    for rep in (regular, joint):
+        d = rep.dim
+        for density in (0.1, 0.5, 1.0):
+            stack = _sparse_stack(rng, 3, d, density)
+            flat = stack.reshape(3, -1)
+            support = np.flatnonzero(np.any(flat != 0, axis=0))
+            src, leaves = support_translates(rep, support)
+            for g in rep.group.elements():
+                moved = act(rep, g, stack).reshape(3, -1)
+                # on the support g.a reads a at src[g]; off it, g.a holds
+                # exactly the values that leave, and zeros elsewhere
+                assert np.array_equal(moved[:, support], flat[:, src[g]])
+                off = np.delete(moved, support, axis=1)
+                assert np.array_equal(
+                    np.sort(np.abs(off[off != 0])), np.sort(np.abs(flat[:, support[leaves[g]]]).reshape(-1))
+                )
+
+
+def test_invariance_deviation_is_the_commutation_maximum_bit_for_bit():
+    rng = np.random.default_rng(23)
+    regular = regular_representation(build_symmetric_group(3))
+    reps = [regular, tensor_rep(regular, s3_permutation_rep()), s3_irrep2(), zn_phase_rep(4)]
+    for rep in reps:
+        for density in (0.0, 0.1, 0.5, 1.0):
+            stack = _sparse_stack(rng, 4, rep.dim, density)
+            # a nearly invariant stack: small deviations, not dominated by noise
+            twirled = sum(act(rep, g, stack) for g in rep.group.elements()) / rep.group.order
+            for ops in (stack, twirled + 1e-13 * stack):
+                expected = max(commutation_deviation(rep, g, ops) for g in rep.group.elements())
+                assert invariance_deviation(rep, ops) == expected
 
 
 def test_signed_and_phased_monomials_are_not_permutations():

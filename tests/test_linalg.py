@@ -368,6 +368,39 @@ def test_residuals_agree_with_contains_verdicts():
     assert space.residuals(np.zeros((0, 3, 3))).shape == (0,)
 
 
+def _dense_residuals(space, stack):
+    """The two-product formula on the whole d x d entries."""
+    flat = stack.reshape(len(stack), -1)
+    basis = space.basis_stack.reshape(space.dim, -1)
+    return np.abs((flat @ np.conj(basis).T) @ basis - flat).max(axis=1)
+
+
+def test_support_residuals_match_the_dense_projection():
+    rng = np.random.default_rng(31)
+    # block-diagonal span on C^5, blocks {0, 1} and {2, 3, 4}: 13 of 25 entries
+    block = np.zeros((5, 5), dtype=bool)
+    block[:2, :2] = block[2:, 2:] = True
+    sparse = span_subspace([
+        (rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))) * block for _ in range(6)
+    ])
+    dense = span_subspace([rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)) for _ in range(6)])
+    assert np.array_equal(sparse.support, np.flatnonzero(block))
+    assert np.array_equal(dense.support, np.arange(25))
+    assert np.array_equal(matrix_unit_span(3).support, np.arange(9))
+    off_only = (rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))) * ~block
+    for space in (sparse, dense):
+        members = space.combine(rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6)))
+        others = rng.standard_normal((3, 5, 5)) + 1j * rng.standard_normal((3, 5, 5))
+        stack = np.concatenate([members, others, off_only[None], np.zeros((1, 5, 5))])
+        res = space.residuals(stack)
+        assert np.max(np.abs(res - _dense_residuals(space, stack))) <= 1e-12
+        assert res[-1] == 0.0 and np.all(res[:3] <= 1e-12)
+    # mass only off the support: the projection is zero, the residual its largest entry
+    assert sparse.residuals(off_only[None])[0] == max_abs(off_only)
+    on = sparse.support_residuals(off_only.reshape(1, -1)[:, sparse.support])
+    assert np.array_equal(on, [0.0])
+
+
 def test_full_span_membership_is_immediate():
     units = []
     for i in range(2):

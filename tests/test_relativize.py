@@ -2,11 +2,14 @@
 
 import importlib
 import pathlib
+import random
 import re
 
 import numpy as np
 import pytest
 
+import framerel.linalg
+import framerel.systems
 from framerel.errors import (
     ChannelNotEquivariant,
     GroupMismatch,
@@ -21,16 +24,19 @@ from framerel.frames import (
     canonical_ideal_frame,
     frame_from_effects,
     identity_frame_morphism,
+    principal_frame_from_seed,
     reorientation_morphism,
 )
 from framerel.groups import (
     act,
     build_cyclic_group,
     build_symmetric_group,
+    commutation_deviation,
     regular_representation,
     unitary_rep,
 )
 from framerel.linalg import (
+    MatrixSubspace,
     block_min_eigenvalues,
     diagonal_blocks,
     max_abs,
@@ -363,6 +369,24 @@ def test_relativized_operators_and_choi_matrices_vanish_off_the_support_blocks()
     assert idx.shape == (6, d)
 
 
+def _dense_multiplicativity(rmap):
+    """devs[i, j]: dense operator norm of rel(b_i b_j) - rel(b_i) rel(b_j)."""
+    frame, system, images = rmap.frame, rmap.system, rmap.images
+    basis = system.space.basis_stack
+    return np.array([
+        [operator_norm(relativize(frame, system, a @ b) - images[i] @ images[j])
+         for j, b in enumerate(basis)]
+        for i, a in enumerate(basis)
+    ])
+
+
+def _first_pair_near_max(devs, tol):
+    """First (i, j) in row-major order whose deviation is within tol of the largest."""
+    for i, j in np.ndindex(*devs.shape):
+        if devs[i, j] >= devs.max() - tol:
+            return (i, j)
+
+
 def _dense_law_values(rmap, samples, seed):
     """The axiom and embedding deviations from one dense call per operator."""
     frame, system, images = rmap.frame, rmap.system, rmap.images
@@ -373,13 +397,10 @@ def _dense_law_values(rmap, samples, seed):
     ins = [operator_norm(m) for m in [*inputs, *system.space.basis]]
     outs = [operator_norm(m) for m in [*outputs, *images]]
     excess = max([0.0] + [o / i - 1.0 for o, i in zip(outs, ins) if i > 1e-9])
+    mult_devs = _dense_multiplicativity(rmap)
+    mult = float(mult_devs.max())
+    witness = None if mult == 0.0 else _first_pair_near_max(mult_devs, 1e-9)
     basis = system.space.basis_stack
-    mult, witness = 0.0, None
-    for i, a in enumerate(basis):
-        for j, b in enumerate(basis):
-            dev = operator_norm(relativize(frame, system, a @ b) - images[i] @ images[j])
-            if dev > mult:
-                mult, witness = dev, (i, j)
     iso = max(abs(operator_norm(m) - operator_norm(b)) for m, b in zip(images, basis))
     adj = max(
         operator_norm(relativize(frame, system, np.conj(b).T) - np.conj(m).T)
@@ -406,21 +427,31 @@ def test_dense_support_reports_equal_the_dense_calls_bit_for_bit():
             assert embed.witnesses == {"basis_pair": list(witness)}
 
 
+def _permutation_system(group, n):
+    """The full algebra of the n-dim permutation rep of S_n."""
+    perm = [np.zeros((n, n), dtype=complex) for _ in group.elements()]
+    for g, m in enumerate(perm):
+        for k, pk in enumerate(int(c) for c in group.label(g)):
+            m[pk, k] = 1.0
+    return full_system(unitary_rep(group, perm))
+
+
+def _s4_frames_and_system():
+    """The S4 regular ideal frame, a smearing of it, and the 4-dim permutation algebra."""
+    group = build_symmetric_group(4)
+    ideal = canonical_ideal_frame(group)
+    seed = 0.6 * ideal.effects[group.identity] + 0.4 * np.eye(24) / 24
+    smear = frame_from_effects(ideal.rep, [act(ideal.rep, g, seed) for g in group.elements()])
+    return ideal, smear, _permutation_system(group, 4)
+
+
 def test_s4_law_checks_take_no_dense_joint_spectrum(monkeypatch):
     # The S4 regular frame against the 4-dim permutation rep has a 96-dim
     # joint space split into 24 blocks of 4 (Choi blocks of 16).  Every
     # eigenvalue and singular-value call must stay within one block; the
     # only SVD with vectors is the Hermitian-basis system of the 4-dim
     # system algebra (2 d^2 = 32 columns), which does not grow with the frame.
-    group = build_symmetric_group(4)
-    perm = [np.zeros((4, 4), dtype=complex) for _ in group.elements()]
-    for g, m in enumerate(perm):
-        for k, pk in enumerate(int(c) for c in group.label(g)):
-            m[pk, k] = 1.0
-    system = full_system(unitary_rep(group, perm))
-    ideal = canonical_ideal_frame(group)
-    seed = 0.6 * ideal.effects[group.identity] + 0.4 * np.eye(24) / 24
-    smear = frame_from_effects(ideal.rep, [act(ideal.rep, g, seed) for g in group.elements()])
+    ideal, smear, system = _s4_frames_and_system()
     maps = [relativization_map(f, system) for f in (ideal, smear)]
 
     spectra, kernels = [], []
@@ -444,6 +475,87 @@ def test_s4_law_checks_take_no_dense_joint_spectrum(monkeypatch):
     assert embed.passed and embed.consistent_with_ideality
     assert spectra and max(shape[-1] for shape in spectra) <= 16
     assert set(kernels) == {(32, 32)}
+
+
+def test_s4_relative_subspace_forms_no_dense_joint_stack(monkeypatch):
+    # The 16-dim S4 relative span vanishes off 24 diagonal blocks of 4 in
+    # the 96-dim joint space (384 of 9216 entries).  Its validation moves
+    # and projects those entries alone: no translate through act, no
+    # residual of a dense (k, 96, 96) stack, every product formed on
+    # blocks of 4 and every projection at most 384 entries wide.
+    ideal, _, system = _s4_frames_and_system()
+    widths, block_sizes = [], []
+    project, blocks = framerel.linalg.projection_errors, framerel.systems.diagonal_blocks
+
+    def recording_projection(rows, basis):
+        widths.append(np.shape(rows)[-1])
+        return project(rows, basis)
+
+    def recording_blocks(stack, partition):
+        block_sizes.extend(idx.shape[-1] for idx in partition)
+        return blocks(stack, partition)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense joint stack")
+
+    for module in (framerel.linalg, framerel.systems):
+        monkeypatch.setattr(module, "projection_errors", recording_projection)
+    monkeypatch.setattr(framerel.systems, "diagonal_blocks", recording_blocks)
+    monkeypatch.setattr(framerel.systems, "act", refuse)
+    monkeypatch.setattr(MatrixSubspace, "residuals", refuse)
+    rel = build_relative_subspace(ideal, system)
+    assert (rel.space.dim, rel.kernel.dim) == (16, 0)
+    assert rel.as_system.is_vn_algebra and rel.as_system.is_invariant
+    assert len(rel.space.support) == 384
+    assert widths and max(widths) == 384
+    assert set(block_sizes) == {4}
+
+
+def _dense_support_permutation_frame():
+    """An S3 frame on the regular (permutation) rep whose effects have dense support.
+
+    The seed is a smeared ideal seed plus a small Hermitian perturbation
+    with zero twirl, so the effects still sum to the identity.
+    """
+    group = s3()
+    rep = regular_representation(group)
+    rng = np.random.default_rng(41)
+    k = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    k = k + np.conj(k).T
+    k -= sum(act(rep, g, k) for g in group.elements()) / group.order
+    seed = 0.5 * proj(ket(group.identity, 6)) + 0.5 * np.eye(6) / 6 + 0.01 * k / np.abs(k).max()
+    return frame_from_effects(rep, [act(rep, g, seed) for g in group.elements()])
+
+
+def test_invariance_is_the_dense_commutation_maximum_bit_for_bit():
+    ideal, smear, system = _s4_frames_and_system()
+    dense = _dense_support_permutation_frame()
+    assert np.all(np.stack(dense.effects) != 0)
+    cases = [(ideal, system), (smear, system), (dense, _permutation_system(s3(), 3))]
+    cases += [(f, full_system(s3_irrep2())) for f in _dense_support_frames()]
+    for frame, sys_ in cases:
+        rmap = relativization_map(frame, sys_)
+        expected = max(
+            commutation_deviation(rmap.joint_rep, g, rmap.images) for g in frame.group.elements()
+        )
+        assert check_channel_axioms(rmap, samples=2).deviations["invariance"] == expected
+
+
+def test_embedding_witness_is_the_first_pair_near_the_largest_deviation():
+    # The smeared S3 frame and the qutrit permutation algebra of the
+    # generated S3 zoo scenario of seed 17 (task embed-smear-t): six pairs
+    # tie with the worst one, and dense and block norms order them
+    # differently by rounding.  Both must name the first of them.
+    group = s3()
+    lam = random.Random("17:s3").uniform(0.2, 0.8)
+    seed = np.diag([round(1 - lam + lam / 6, 12)] + [round(lam / 6, 12)] * 5).astype(complex)
+    frame = principal_frame_from_seed(regular_representation(group), seed)
+    rmap = relativization_map(frame, _permutation_system(group, 3))
+    devs = _dense_multiplicativity(rmap)
+    assert len(np.argwhere(devs >= devs.max() - 1e-12)) == 6
+    report = check_ideal_isomorphism(rmap)
+    assert report.witnesses == {"basis_pair": [1, 3]}
+    assert report.witnesses == {"basis_pair": list(_first_pair_near_max(devs, 1e-9))}
 
 
 # ------------------------------------------------------------------ preduals

@@ -21,6 +21,7 @@ from framerel.groups import (
     build_cyclic_group,
     build_symmetric_group,
     regular_representation,
+    support_translates,
     tensor_rep,
     trivial_rep,
     unitary_rep,
@@ -53,8 +54,10 @@ from .support import (
     Z,
     ampliation_channel,
     depolarizing_channel,
+    s3,
     s3_irrep2,
     z2_flip_rep,
+    zn_phase_rep,
 )
 
 
@@ -138,6 +141,102 @@ def test_system_flags_hold_across_translate_chunks():
     assert diagonal.space.dim == 9 and diagonal.is_vn_algebra and not diagonal.is_invariant
     with pytest.raises(FramerelError, match="not closed under the group action"):
         system_from_subspace(shift, span_subspace(gens[:3] + [np.eye(9)]))
+
+
+def _unit(d, i, j):
+    m = np.zeros((d, d), dtype=complex)
+    m[i, j] = 1.0
+    return m
+
+
+def _dense_residual(space, m):
+    """Entrywise distance from m to the span, from the dense basis."""
+    flat = space.basis_stack.reshape(space.dim, -1)
+    v = np.asarray(m, dtype=complex).reshape(-1)
+    return np.abs((np.conj(flat) @ v) @ flat - v).max()
+
+
+def _dense_flags_oracle(rep, space, tol=1e-9):
+    """(closed, invariant, *-algebra) from dense translates, adjoints and products."""
+    basis = space.basis_stack
+    translates = [(b, u @ b @ np.conj(u).T) for u in rep.matrices for b in basis]
+    closed = all(_dense_residual(space, t) <= tol for _, t in translates)
+    invariant = all(max_abs(t - b) <= tol for b, t in translates)
+    algebra = all(_dense_residual(space, np.conj(b).T) <= tol for b in basis) and all(
+        _dense_residual(space, a @ b) <= tol for a in basis for b in basis
+    )
+    return closed, invariant, algebra
+
+
+def test_permutation_translates_agree_with_the_dense_oracle():
+    # Spans on the Z3 regular (permutation) rep whose supports the action
+    # keeps, moves within, or carries off.  Entries below the tolerance
+    # may leave the support without leaving the span.
+    rep = regular_representation(build_cyclic_group(3))
+    eye, shift, eps = np.eye(3, dtype=complex), rep.matrices[1], 1e-12
+    spans = {
+        "diagonal": ([_unit(3, k, k) for k in range(3)], (True, False, True)),
+        "circulant": ([eye, shift, shift @ shift], (True, True, True)),
+        "shift-eps": ([eye, shift + eps * _unit(3, 0, 1)], (True, True, False)),
+        "diagonal-eps": (
+            [_unit(3, 0, 0) + eps * _unit(3, 0, 1), _unit(3, 1, 1), _unit(3, 2, 2)],
+            (True, False, True),
+        ),
+        "one-unit": ([eye, _unit(3, 0, 0)], (False, False, True)),
+        "off-diagonal": ([eye, _unit(3, 0, 1) + _unit(3, 1, 0)], (False, False, False)),
+    }
+    for name, (mats, flags) in spans.items():
+        space = span_subspace(mats)
+        assert _dense_flags_oracle(rep, space) == flags, name
+        _, leaves = support_translates(rep, space.support)
+        assert leaves.any() == (name in ("shift-eps", "diagonal-eps", "off-diagonal")), name
+        closed, invariant, algebra = flags
+        if closed:
+            system = system_from_subspace(rep, space)
+            assert (system.is_invariant, system.is_vn_algebra) == (invariant, algebra), name
+        else:
+            with pytest.raises(FramerelError, match="not closed under the group action"):
+                system_from_subspace(rep, space)
+
+
+def test_system_flags_agree_with_the_dense_oracle_on_generated_spans():
+    rng = np.random.default_rng(37)
+    reps = [s3_irrep2(), zn_phase_rep(4), regular_representation(s3()), regular_representation(build_cyclic_group(4))]
+    for rep in reps:
+        d = rep.dim
+        for gens in (
+            [rng.standard_normal((d, d))],
+            [np.diag(rng.standard_normal(d))],
+            [_unit(d, 0, 0)],
+            [_unit(d, 0, 1) + _unit(d, 1, 0)],
+        ):
+            system = subspace_system(rep, gens)
+            closed, invariant, algebra = _dense_flags_oracle(rep, system.space)
+            assert closed
+            assert (system.is_invariant, system.is_vn_algebra) == (invariant, algebra)
+
+
+def test_subspace_system_orbit_matches_the_per_element_loop_bit_for_bit():
+    rng = np.random.default_rng(43)
+    for rep in (s3_irrep2(), zn_phase_rep(5), regular_representation(s3())):
+        d = rep.dim
+        gens = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(2)]
+        seeds = gens + [np.eye(d, dtype=complex)]
+        orbit = seeds + [act(rep, g, m) for m in seeds for g in rep.group.elements()]
+        expected = span_subspace(orbit, ambient_dim=d)
+        assert np.array_equal(subspace_system(rep, gens).space.basis_stack, expected.basis_stack)
+
+
+def test_same_system_compares_proper_spans_whatever_their_basis():
+    rep = regular_representation(build_cyclic_group(3))
+    diagonal = subspace_system(rep, [_unit(3, 0, 0)])
+    rebased = system_from_subspace(
+        rep, span_subspace([np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 1.0, 1.0]), np.diag([1.0, 0.0, 1.0])])
+    )
+    circulant = subspace_system(rep, [rep.matrices[1], rep.matrices[2]])
+    assert diagonal.space.dim == rebased.space.dim == circulant.space.dim == 3
+    assert same_system(diagonal, rebased) and same_system(rebased, diagonal)
+    assert not same_system(diagonal, circulant) and not same_system(circulant, diagonal)
 
 
 def _translate_loop_invariant(rep, tol=1e-9):
