@@ -346,9 +346,20 @@ def invariance_deviation(rep: UnitaryRep, a) -> float:
     return max(max_abs(on - flat[:, src]) for src in rep._gather[:, support])
 
 
-def tensor_rep(r1: UnitaryRep, r2: UnitaryRep, tol: float = DEFAULT_TOL) -> UnitaryRep:
-    """Elementwise Kronecker product of two representations of one group."""
+def tensor_rep(r1: UnitaryRep, r2: UnitaryRep) -> UnitaryRep:
+    """Elementwise Kronecker product of two representations of one group.
+
+    Both factors are already valid, so their product is too and it is not
+    validated again.  When both carry ``perms``, the joint U(g) sends row
+    (i, k) to column (p1[g, i], p2[g, k]), which is index arithmetic.
+    """
     if not same_group(r1.group, r2.group):
         raise GroupMismatch("tensor product of representations of different groups")
     mats = [np.kron(r1.matrices[g], r2.matrices[g]) for g in r1.group.elements()]
-    return unitary_rep(r1.group, mats, tol)
+    for m in mats:
+        m.setflags(write=False)
+    perms = None
+    if r1.perms is not None and r2.perms is not None:
+        perms = (r1.perms[:, :, None] * r2.dim + r2.perms[:, None, :]).reshape(len(mats), -1)
+        perms.setflags(write=False)
+    return UnitaryRep(group=r1.group, dim=r1.dim * r2.dim, matrices=tuple(mats), perms=perms)

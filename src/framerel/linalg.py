@@ -37,6 +37,9 @@ array per block size), ``diagonal_blocks`` gathers each stack into
 block size.  A connected support is one block, the identity gather, so
 those values are the dense call's bit for bit.
 
+``psd_span_samples`` draws the inputs of sampled positivity checks as one
+stack, shifted into the PSD cone with one batched ``eigvalsh``.
+
 Tolerances are absolute and entrywise.  ``DEFAULT_TOL`` is the global
 default; every function takes an explicit override, which is how the
 scenario runner threads a configured value through.
@@ -507,69 +510,41 @@ def hermitian_basis(subspace: MatrixSubspace, tol: float = DEFAULT_TOL) -> list[
     return [hermitian_part(h) for h in subspace.combine(coeffs)]
 
 
-def _shift_into_cone(h: np.ndarray, dim: int, tol: float) -> np.ndarray | None:
-    """Shift a Hermitian matrix by a multiple of I into the PSD cone.
-
-    None when the shifted matrix is zero within ``tol``: h was a
-    multiple of I, and normalizing what is left would only scale up
-    rounding noise into a sample that is neither PSD nor in the span.
-    """
-    low = float(np.linalg.eigvalsh(h)[0])
-    shifted = h - min(low, 0.0) * identity(dim)
-    nrm = operator_norm(shifted)
-    if nrm <= tol:
-        return None
-    return shifted / nrm
-
-
-def _rank_one_lattice(dim: int) -> list[np.ndarray]:
-    """Deterministic rank-1 projectors: basis kets and pairwise superpositions."""
-    kets = [np.eye(dim, dtype=np.complex128)[:, i] for i in range(dim)]
-    vs = list(kets)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            vs.append((kets[i] + kets[j]) / np.sqrt(2))
-            vs.append((kets[i] - kets[j]) / np.sqrt(2))
-            vs.append((kets[i] + 1j * kets[j]) / np.sqrt(2))
-    return [np.outer(v, np.conj(v)) for v in vs]
-
-
 def psd_span_samples(
     subspace: MatrixSubspace,
     count: int = 16,
     seed: int = 7,
-    include_rank_one: bool = False,
     tol: float = DEFAULT_TOL,
-) -> list[np.ndarray]:
-    """Deterministic PSD elements of the span, for sampled positivity checks.
+) -> np.ndarray:
+    """Deterministic PSD elements of the span, as one (k, d, d) stack.
 
-    A fixed lattice (Hermitian basis directions and pairwise combinations,
-    shifted into the cone along I, which the callers guarantee lies in the
-    span) is extended with ``count`` seeded random Hermitian combinations.
-    With ``include_rank_one`` (full algebras) rank-1 projectors onto a
-    fixed set of directions are added as well.
+    The candidates are a fixed lattice (the first eight Hermitian basis
+    directions and pairwise sums and differences of the first six, each
+    with both signs) and ``count`` seeded random Hermitian combinations,
+    drawn as one (count, n) normal array.  All of them are shifted into
+    the cone along I (which the callers guarantee lies in the span) and
+    scaled to operator norm 1 at once, with one batched ``eigvalsh`` and
+    one batched 2-norm.  A candidate that shifts to zero within ``tol``
+    was a multiple of I; normalizing what is left of it would only scale
+    up rounding noise, so it is dropped.  The identity comes first.
     """
     d = subspace.ambient_dim
     herm = hermitian_basis(subspace, tol)
-    samples: list[np.ndarray] = [identity(d)]
+    if not herm:
+        return identity(d)[None]
     lattice = list(herm[:8])
     for i in range(min(len(herm), 6)):
         for j in range(i + 1, min(len(herm), 6)):
             lattice.append(herm[i] + herm[j])
             lattice.append(herm[i] - herm[j])
-    for h in lattice:
-        for sign in (1.0, -1.0):
-            s = _shift_into_cone(sign * h, d, tol)
-            if s is not None:
-                samples.append(s)
-    if include_rank_one:
-        samples.extend(_rank_one_lattice(d))
-    if herm and count > 0:
-        rng = np.random.default_rng(seed)
-        for _ in range(count):
-            coeff = rng.standard_normal(len(herm))
-            h = sum(c * hk for c, hk in zip(coeff, herm))
-            s = _shift_into_cone(h, d, tol)
-            if s is not None:
-                samples.append(s)
-    return samples
+    coeffs = np.random.default_rng(seed).standard_normal((max(count, 0), len(herm)))
+    # (0 + c_0 h_0) + c_1 h_1 + ...: the order in which Python's sum() adds
+    combos = 0.0 + coeffs[:, 0, None, None] * herm[0]
+    for k in range(1, len(herm)):
+        combos += coeffs[:, k, None, None] * herm[k]
+    signed = np.stack(lattice)[:, None] * np.array([1.0, -1.0])[:, None, None]
+    h = np.concatenate([signed.reshape(-1, d, d), combos])
+    h -= np.minimum(np.linalg.eigvalsh(h)[:, 0], 0.0)[:, None, None] * identity(d)
+    norms = np.linalg.norm(h, 2, axis=(1, 2))
+    kept = norms > tol
+    return np.concatenate([identity(d)[None], h[kept] / norms[kept, None, None]])

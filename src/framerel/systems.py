@@ -6,9 +6,13 @@ group's conjugation action.  It is the finite stand-in for an
 ultraweakly closed operator subspace: enough structure to pair with
 states, too little (in general) to multiply.  Channels between systems
 are unital positive linear maps recorded by their images on the source
-basis; on full matrix algebras positivity is certified exactly through
-the Choi matrix, on proper subspaces it is sampled over a deterministic
-PSD family (and reported as sampled, never as proved).
+basis.  Positivity has one rule per source kind.  A full-algebra source
+is certified exactly, whatever the target: the Choi matrix is PSD iff
+the map is completely positive (Choi 1975), and a unital positive map
+has norm 1 (Russo-Dye), so the certificate covers contraction as well.
+A proper source is sampled over one deterministic PSD stack, whose
+images are tested with one batched ``eigvalsh`` (and reported as
+sampled, never as proved).
 
 A proper span is validated on its support, the entries where some basis
 element is nonzero: its translates, adjoints and products are projected
@@ -282,9 +286,9 @@ def same_system(a: SemiQuantumSystem, b: SemiQuantumSystem, tol: float = DEFAULT
 class ChannelMap:
     """A unital positive linear map recorded on the source basis.
 
-    ``positivity_check`` is "choi" when the exact full-algebra
-    certificate ran, otherwise "sampled", with the seed and the number
-    of seeded random samples that were asked for.
+    ``positivity_check`` is "choi" when the source is a full algebra and
+    the exact Choi certificate ran, otherwise "sampled", with the seed
+    and the number of seeded random samples that were asked for.
 
     ``apply`` takes one operator or a whole (k, d, d) stack, and
     ``matrix`` is one stacked coefficient call on the images.  Like
@@ -363,9 +367,13 @@ def build_channel(
 ) -> ChannelMap:
     """Validate one image per source basis element into a channel.
 
-    Raises ImageOutsideTarget, NotUnital or NotPositive (with witness)
-    when the declared data does not describe a unital positive map into
-    the target span.
+    Raises ImageOutsideTarget, NotUnital or NotPositive when the
+    declared data does not describe a unital positive map into the
+    target span.  A full-algebra source takes the Choi certificate,
+    whatever the target, and NotPositive carries its smallest
+    eigenvalue.  A proper source is sampled: ``psd_span_samples`` of
+    the source span with ``samples``/``seed``, all images tested at
+    once, and NotPositive names the first failing sample as witness.
     """
     if not same_group(source.group, target.group):
         raise GroupMismatch("channel endpoints live over different groups")
@@ -383,7 +391,7 @@ def build_channel(
         if res > tol:
             raise ImageOutsideTarget(k, res, witness=im)
 
-    exact = source.is_full_algebra and target.is_full_algebra
+    exact = source.is_full_algebra
     channel = ChannelMap(
         source=source,
         target=target,
@@ -407,19 +415,17 @@ def build_channel(
                 min_eigenvalue=low,
             )
     else:
-        psd = psd_span_samples(
-            source.space, count=samples, seed=seed,
-            include_rank_one=source.is_full_algebra, tol=tol,
-        )
-        for s, out in zip(psd, channel.apply(np.stack(psd), tol)):
-            low = min_eigenvalue(out)
-            if low < -tol * target.dim:
-                raise NotPositive(
-                    f"sampled PSD input maps to a non-PSD image "
-                    f"(minimum eigenvalue {low:.3e})",
-                    witness=s,
-                    min_eigenvalue=low,
-                )
+        psd = psd_span_samples(source.space, count=samples, seed=seed, tol=tol)
+        lows = np.linalg.eigvalsh(hermitian_part(channel.apply(psd, tol)))[:, 0]
+        failing = np.flatnonzero(lows < -tol * target.dim)
+        if len(failing):
+            low = float(lows[failing[0]])
+            raise NotPositive(
+                f"sampled PSD input maps to a non-PSD image "
+                f"(minimum eigenvalue {low:.3e})",
+                witness=psd[failing[0]],
+                min_eigenvalue=low,
+            )
     return channel
 
 

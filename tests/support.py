@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 import framerel as fr
+from framerel.linalg import hermitian_basis
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -153,6 +154,42 @@ def ampliation_channel(system, extra_dim):
     eye = np.eye(extra_dim, dtype=complex)
     images = [np.kron(b, eye) for b in system.space.basis]
     return fr.build_channel(system, target, images)
+
+
+def psd_span_samples_loop(subspace, count=16, seed=7, tol=1e-9):
+    """The PSD sampler one candidate at a time: a reference for the stacked one.
+
+    Each lattice direction (both signs) and each seeded random combination
+    of the Hermitian basis is shifted into the cone along I and scaled to
+    operator norm 1 on its own; a candidate that shifts to zero within tol
+    is dropped.
+    """
+    d = subspace.ambient_dim
+    herm = hermitian_basis(subspace, tol)
+
+    def shift_into_cone(h):
+        low = float(np.linalg.eigvalsh(h)[0])
+        shifted = h - min(low, 0.0) * np.eye(d, dtype=complex)
+        nrm = float(np.linalg.norm(shifted, 2))
+        return None if nrm <= tol else shifted / nrm
+
+    lattice = list(herm[:8])
+    for i in range(min(len(herm), 6)):
+        for j in range(i + 1, min(len(herm), 6)):
+            lattice.append(herm[i] + herm[j])
+            lattice.append(herm[i] - herm[j])
+    candidates = [sign * h for h in lattice for sign in (1.0, -1.0)]
+    if herm and count > 0:
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            coeff = rng.standard_normal(len(herm))
+            candidates.append(sum(c * hk for c, hk in zip(coeff, herm)))
+    samples = [np.eye(d, dtype=complex)]
+    for h in candidates:
+        s = shift_into_cone(h)
+        if s is not None:
+            samples.append(s)
+    return samples
 
 
 def random_density(rng, d):

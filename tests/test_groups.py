@@ -14,6 +14,7 @@ from framerel.errors import (
     NotAssociative,
 )
 from framerel.groups import (
+    _permutation,
     act,
     build_cyclic_group,
     build_group_from_table,
@@ -261,6 +262,32 @@ def test_permutation_reps_act_by_gather_exactly():
             assert commutation_deviation(rep, g, stack) == max(
                 max_abs(a @ u - u @ a) for a in stack
             )
+
+
+def test_joint_perms_are_index_arithmetic_on_the_factors():
+    # S4 regular (x) the 4-dim permutation rep: the joint perms are the
+    # ones the 0/1 detection reads off each Kronecker product
+    group = build_symmetric_group(4)
+    perm4 = []
+    for g in group.elements():
+        m = np.zeros((4, 4), dtype=complex)
+        for k, pk in enumerate(int(c) for c in group.label(g)):
+            m[pk, k] = 1.0
+        perm4.append(m)
+    regular = regular_representation(group)
+    joint = tensor_rep(regular, unitary_rep(group, perm4))
+    assert joint.dim == 96 and joint.perms.shape == (24, 96)
+    for g in group.elements():
+        kron = np.kron(regular.matrices[g], perm4[g])
+        assert np.array_equal(joint.matrices[g], kron)
+        assert not joint.matrices[g].flags.writeable
+        assert np.array_equal(joint.perms[g], _permutation(kron))
+    # a phase factor is no permutation, so the joint has no perms
+    regular, phase = regular_representation(build_cyclic_group(4)), zn_phase_rep(4)
+    phased = tensor_rep(regular, phase)
+    assert phased.perms is None
+    for g in regular.group.elements():
+        assert np.array_equal(phased.matrices[g], np.kron(regular.matrices[g], phase.matrices[g]))
 
 
 def _sparse_stack(rng, k, d, density):

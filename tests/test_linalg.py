@@ -8,7 +8,6 @@ import pytest
 from framerel.errors import DimensionError
 from framerel.linalg import (
     MatrixSubspace,
-    _shift_into_cone,
     block_min_eigenvalues,
     block_operator_norms,
     block_partition,
@@ -554,14 +553,22 @@ def test_stack_calls_reject_wrong_shapes():
 
 
 def test_shift_into_cone_drops_a_multiple_of_the_identity():
-    # -c I plus rounding noise shifts to a matrix of norm ~1e-13; scaled up
-    # to norm 1 it would be a sample that is neither PSD nor in the span
+    # span{h}, h = -c I plus rounding noise: the candidate -h/|h| shifts to
+    # I up to that noise, +h/|h| to a matrix of norm ~1e-13; scaled up to
+    # norm 1 it would be a sample that is neither PSD nor in the span
     rng = np.random.default_rng(43)
     noise = rng.standard_normal((4, 4))
     h = -0.45 * np.eye(4) + 1e-14 * (noise + noise.T)
-    assert _shift_into_cone(h, 4, 1e-9) is None
-    s = _shift_into_cone(np.diag([1.0, -1.0, 0.5, 0.0]).astype(complex), 4, 1e-9)
-    assert np.allclose(s, np.diag([1.0, 0.0, 0.75, 0.5]))
+    samples = psd_span_samples(span_subspace([h]), count=0, tol=1e-9)
+    assert samples.shape == (2, 4, 4)
+    assert np.allclose(samples, np.eye(4))
+    # span{D}: the candidates are +-D/|D|, each shifted by its smallest
+    # eigenvalue (-2/3 for both) and scaled to operator norm 1
+    d = np.diag([1.0, -1.0, 0.5, 0.0]).astype(complex)
+    samples = psd_span_samples(span_subspace([d]), count=0, tol=1e-9)
+    assert samples.shape == (3, 4, 4)
+    shifted = sorted(np.diag(s).real.round(12).tolist() for s in samples[1:])
+    assert shifted == [[0.0, 1.0, 0.25, 0.5], [1.0, 0.0, 0.75, 0.5]]
 
 
 def test_matrix_subspace_rejects_bad_shapes():

@@ -82,6 +82,7 @@ from .support import (
     depolarizing_channel,
     ket,
     proj,
+    psd_span_samples_loop,
     random_density,
     s3,
     s3_irrep2,
@@ -247,9 +248,8 @@ def test_channel_axioms_hold_across_frames():
         rep = check_channel_axioms(relativization_map(fr, sq))
         assert rep.passed
         assert rep.max_deviation < 1e-9
-        assert rep.detail.startswith("positivity choi+sampled over ")
-        assert "choi" in rep.deviations
-        assert rep.deviations["choi"] < 1e-9
+        assert rep.detail.startswith("positivity choi; ")
+        assert rep.deviations["positivity"] < 1e-9  # the negated smallest Choi eigenvalue
         assert rep.deviations["contraction"] <= 1e-9
 
 
@@ -260,8 +260,30 @@ def test_channel_axioms_on_proper_subspace_samples_only():
     assert rep.passed
     samples_used = re.match(r"positivity sampled over (\d+) inputs;", rep.detail)
     assert samples_used is not None
-    assert "choi" not in rep.deviations
-    assert int(samples_used.group(1)) > 0
+    assert int(samples_used.group(1)) == len(psd_span_samples(diag.space, 12, 7))
+
+
+def test_stacked_psd_samples_equal_the_per_candidate_loop_bit_for_bit():
+    # the loop draws count normal rows of n one at a time, the stack one
+    # (count, n) array: with count > 0 this also pins that they are one stream
+    z4 = build_cyclic_group(4)
+    perm3 = _permutation_system(s3(), 3).rep
+    e01 = np.zeros((3, 3), dtype=complex)
+    e01[0, 1] = e01[1, 0] = 1.0
+    spaces = [
+        subspace_system(z2_flip_rep(), [Z]).space,
+        subspace_system(perm3, [np.diag([1.0, 0.0, 0.0]), e01]).space,
+        build_relative_subspace(
+            smeared_canonical_frame(z4, 0.5), full_system(zn_phase_rep(4))
+        ).space,
+    ]
+    assert [space.is_full for space in spaces] == [False] * 3
+    for space in spaces:
+        for count, seed in [(0, 7), (3, 0), (16, 7), (12, 11)]:
+            stack = psd_span_samples(space, count, seed)
+            loop = psd_span_samples_loop(space, count, seed)
+            assert stack.shape == (len(loop), space.ambient_dim, space.ambient_dim)
+            assert all(np.array_equal(a, b) for a, b in zip(stack, loop))
 
 
 def test_choi_certificate_of_relativization_on_a_full_span_with_another_basis():
@@ -272,8 +294,8 @@ def test_choi_certificate_of_relativization_on_a_full_span_with_another_basis():
     for fr in (z2_ideal_frame(), z2_smeared_frame(0.25)):
         rep = check_channel_axioms(relativization_map(fr, pauli))
         on_units = check_channel_axioms(relativization_map(fr, qubit()))
-        assert rep.passed and rep.detail.startswith("positivity choi+sampled over ")
-        assert abs(rep.deviations["choi"] - on_units.deviations["choi"]) < 1e-12
+        assert rep.passed and rep.detail.startswith("positivity choi; ")
+        assert abs(rep.deviations["positivity"] - on_units.deviations["positivity"]) < 1e-12
 
 
 def test_channel_axioms_nonabelian():
@@ -387,15 +409,16 @@ def _first_pair_near_max(devs, tol):
             return (i, j)
 
 
-def _dense_law_values(rmap, samples, seed):
-    """The axiom and embedding deviations from one dense call per operator."""
+def _dense_law_values(rmap):
+    """The axiom and embedding deviations from one dense call per operator.
+
+    On a full algebra positivity is the negated smallest eigenvalue of the
+    dense Choi matrix, and contraction is read from the basis alone.
+    """
     frame, system, images = rmap.frame, rmap.system, rmap.images
-    choi = -min_eigenvalue(_choi_matrix(images, system.dim))
-    inputs = np.stack(psd_span_samples(system.space, samples, seed, include_rank_one=True))
-    outputs = _relativize_stack(frame, system, inputs)
-    positivity = 0.0 - min(0.0, *map(min_eigenvalue, outputs))
-    ins = [operator_norm(m) for m in [*inputs, *system.space.basis]]
-    outs = [operator_norm(m) for m in [*outputs, *images]]
+    positivity = -min_eigenvalue(_choi_matrix(images, system.dim))
+    ins = [operator_norm(m) for m in system.space.basis]
+    outs = [operator_norm(m) for m in images]
     excess = max([0.0] + [o / i - 1.0 for o, i in zip(outs, ins) if i > 1e-9])
     mult_devs = _dense_multiplicativity(rmap)
     mult = float(mult_devs.max())
@@ -406,7 +429,7 @@ def _dense_law_values(rmap, samples, seed):
         operator_norm(relativize(frame, system, np.conj(b).T) - np.conj(m).T)
         for m, b in zip(images, basis)
     )
-    return choi, positivity, excess, mult, witness, iso, adj
+    return positivity, excess, mult, witness, iso, adj
 
 
 def test_dense_support_reports_equal_the_dense_calls_bit_for_bit():
@@ -418,8 +441,8 @@ def test_dense_support_reports_equal_the_dense_calls_bit_for_bit():
         assert len(_joint_partition(frame, system.dim)) == 1
         axioms = check_channel_axioms(rmap, samples=5, seed=3)
         embed = check_ideal_isomorphism(rmap)
-        choi, positivity, excess, mult, witness, iso, adj = _dense_law_values(rmap, 5, 3)
-        assert axioms.deviations["choi"] == choi
+        positivity, excess, mult, witness, iso, adj = _dense_law_values(rmap)
+        assert axioms.detail.startswith("positivity choi; ")
         assert axioms.deviations["positivity"] == positivity
         assert axioms.deviations["contraction"] == excess
         assert embed.deviations == {"multiplicativity": mult, "isometry": iso, "adjoint": adj}
@@ -448,9 +471,9 @@ def _s4_frames_and_system():
 def test_s4_law_checks_take_no_dense_joint_spectrum(monkeypatch):
     # The S4 regular frame against the 4-dim permutation rep has a 96-dim
     # joint space split into 24 blocks of 4 (Choi blocks of 16).  Every
-    # eigenvalue and singular-value call must stay within one block; the
-    # only SVD with vectors is the Hermitian-basis system of the 4-dim
-    # system algebra (2 d^2 = 32 columns), which does not grow with the frame.
+    # eigenvalue and singular-value call must stay within one block.  The
+    # system is a full algebra, so positivity is the Choi certificate
+    # alone: no PSD samples, so no Hermitian basis and no SVD with vectors.
     ideal, smear, system = _s4_frames_and_system()
     maps = [relativization_map(f, system) for f in (ideal, smear)]
 
@@ -466,15 +489,19 @@ def test_s4_law_checks_take_no_dense_joint_spectrum(monkeypatch):
         (kernels if kwargs.get("compute_uv", True) else spectra).append(np.shape(a))
         return svd(a, *args, **kwargs)
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("Hermitian basis of a full system")
+
     for module in {np.linalg, impl}:
         monkeypatch.setattr(module, "eigvalsh", recording_eigvalsh)
         monkeypatch.setattr(module, "svd", recording_svd)
+    monkeypatch.setattr(framerel.linalg, "hermitian_basis", refuse)
     for rmap in maps:
         assert check_channel_axioms(rmap).passed
     embed = check_ideal_isomorphism(maps[0])
     assert embed.passed and embed.consistent_with_ideality
     assert spectra and max(shape[-1] for shape in spectra) <= 16
-    assert set(kernels) == {(32, 32)}
+    assert kernels == []
 
 
 def test_s4_relative_subspace_forms_no_dense_joint_stack(monkeypatch):
@@ -668,6 +695,43 @@ def test_functor_laws_two_link_chain():
     assert report.deviations["composition[0]"] < 1e-10
     # with two links the one composition is the whole chain
     assert list(report.deviations) == ["identity", "composition[0]"]
+
+
+def test_functor_laws_take_the_sampling_settings_everywhere(monkeypatch):
+    # frame value system and system are both span{I, Z}: every channel of
+    # the check, the two identities included, is sampled with the given
+    # count and seed
+    values = subspace_system(z2_flip_rep(), [Z])
+    frame = principal_frame_from_seed(z2_flip_rep(), np.diag([1.0, 0.0]), value_system=values)
+    system = subspace_system(z2_flip_rep(), [Z])
+    psi = build_frame_morphism(
+        frame, frame, build_channel(values, values, values.space.basis, samples=3, seed=0)
+    )
+    images = [0.5 * b + 0.5 * np.trace(b) * I2 / 2 for b in system.space.basis]
+    phi = build_channel(system, system, images, samples=3, seed=0)
+
+    built = []
+    original = framerel.systems.build_channel
+
+    def recording(*args, **kwargs):
+        built.append(original(*args, **kwargs))
+        return built[-1]
+
+    for name in ("systems", "frames", "relativize"):
+        monkeypatch.setattr(importlib.import_module(f"framerel.{name}"), "build_channel", recording)
+    report = check_functor_laws([(psi, phi), (psi, phi)], samples=3, seed=0)
+    assert report.passed
+    assert {(ch.positivity_check, ch.positivity_samples, ch.positivity_seed) for ch in built} == {
+        ("sampled", 3, 0)
+    }
+    identities = [
+        ch.source
+        for ch in built
+        if ch.source is ch.target
+        and np.array_equal(np.stack(ch.images), ch.source.space.basis_stack)
+    ]
+    assert any(source is values for source in identities)
+    assert any(source is system for source in identities)
 
 
 def test_functor_laws_rejects_broken_chains():

@@ -168,7 +168,8 @@ def test_kraus_and_conjugation_channels_record_the_scenario_sampling():
 def test_induced_channels_record_the_scenario_sampling(monkeypatch):
     # every induced map of the S3 golden scenario (yen_morphism,
     # functor_laws, tensor_form) is built on a proper relative subspace,
-    # so it takes the sampled check with the scenario's seed and count
+    # so it takes the sampled check with the scenario's seed and count;
+    # the identity on a frame's full value system takes the Choi certificate
     relativize_module = importlib.import_module("framerel.relativize")
     built = []
     original = relativize_module.build_channel
@@ -182,9 +183,13 @@ def test_induced_channels_record_the_scenario_sampling(monkeypatch):
     assert spec.seed == 11
     report = run_scenario(spec)
     assert {e.task_id for e in report.entries if e.status != "pass"} == set()
-    assert len(built) >= 3
-    for ch in built:
+    sampled = [ch for ch in built if not ch.source.is_full_algebra]
+    assert len(sampled) >= 3
+    for ch in sampled:
         assert (ch.positivity_check, ch.positivity_seed, ch.positivity_samples) == ("sampled", 11, 3)
+    for ch in built:
+        if ch.source.is_full_algebra:
+            assert (ch.positivity_check, ch.positivity_seed) == ("choi", None)
 
 
 def test_declared_objects_are_built_eagerly():

@@ -377,6 +377,26 @@ def test_positivity_rejected_via_choi_on_full_algebras():
     assert err.value.min_eigenvalue < -0.1
 
 
+def test_full_source_takes_the_choi_certificate_whatever_the_target():
+    sq = full_system(z2_flip_rep())
+    sys_iz = subspace_system(z2_flip_rep(), [Z])
+    # the pinching onto the diagonal is completely positive
+    pinch = build_channel(sq, sys_iz, [E00, 0 * E01, 0 * E10, E11])
+    assert (pinch.positivity_check, pinch.positivity_seed) == ("choi", None)
+    # the Z-stretch into span{I, Z} sends E00 to diag(3/2, -1/2): the Choi
+    # matrix is diag(3/2, -1/2, -1/2, 3/2) on the nonzero units, no sample
+    # is drawn and no witness is named
+    with pytest.raises(NotPositive) as err:
+        build_channel(sq, sys_iz, [_stretch_z(E00), 0 * E01, 0 * E10, _stretch_z(E11)])
+    assert "Choi matrix" in str(err.value)
+    assert err.value.witness is None
+    assert abs(err.value.min_eigenvalue + 0.5) < 1e-12
+    # the transpose map is positive but not completely positive
+    with pytest.raises(NotPositive) as err:
+        build_channel(sq, sq, [E00, E10, E01, E11])
+    assert abs(err.value.min_eigenvalue + 1.0) < 1e-12
+
+
 def test_positivity_rejected_by_sampling_on_proper_subspace():
     sys_iz = subspace_system(z2_flip_rep(), [Z])
     with pytest.raises(NotPositive) as err:
