@@ -53,6 +53,7 @@ from .groups import (
     build_symmetric_group,
     regular_representation,
     same_group,
+    same_rep,
     tensor_rep,
     trivial_rep,
     unitary_rep,
@@ -96,6 +97,7 @@ from .systems import (
     identity_channel,
     invariant_subalgebra,
     is_equivariant,
+    is_vn_algebra,
     kraus_channel,
     predual_channel,
     quotient_dimension,

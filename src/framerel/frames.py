@@ -6,7 +6,10 @@ frame's own representation: E(g h) = g.E(h).  Principal frames arise by
 translating a single seed effect around the group; the canonical ideal
 frame of a group puts the regular representation on C^|G| and seeds it
 with the projection onto the identity basis vector, which makes every
-effect a rank-1 projection.
+effect a rank-1 projection.  A frame holds its effects once, as the
+read-only (|G|, d, d) stack that relativization reads, and validates
+them as a stack: positivity, value-span membership and the projection
+test are one batched call each.
 
 A frame morphism is a channel between the value systems that carries
 the source effects exactly onto the target effects.  Such a channel is
@@ -34,14 +37,14 @@ from .errors import (
     SeedNotNormalizing,
     SeedNotPSD,
 )
-from .groups import FiniteGroup, UnitaryRep, act, regular_representation, same_group
+from .groups import FiniteGroup, UnitaryRep, act, regular_representation, same_group, same_rep
 from .linalg import (
     DEFAULT_TOL,
     as_operator,
     dagger,
+    hermitian_part,
     identity,
     is_density_matrix,
-    is_projection,
     is_psd,
     is_unitary,
     max_abs,
@@ -50,6 +53,7 @@ from .linalg import (
 from .systems import (
     ChannelMap,
     SemiQuantumSystem,
+    _equivariance_table,
     build_channel,
     compose_channels,
     full_system,
@@ -60,10 +64,13 @@ from .systems import (
 
 @dataclass(frozen=True, eq=False)
 class FrameObservable:
-    """A covariant POVM over a finite group, effects indexed by element id."""
+    """A covariant POVM over a finite group, effects indexed by element id.
+
+    ``effects`` is one read-only (|G|, d, d) stack: E(g) is ``effects[g]``.
+    """
 
     rep: UnitaryRep
-    effects: tuple[np.ndarray, ...]
+    effects: np.ndarray
     value_system: SemiQuantumSystem
     is_ideal: bool
 
@@ -80,7 +87,12 @@ def _validate_frame(
     effects: list[np.ndarray],
     value_system: SemiQuantumSystem,
     tol: float,
-) -> bool:
+) -> tuple[np.ndarray, bool]:
+    """The effects as one read-only stack, and whether they are all projections.
+
+    Each test runs on the whole stack; a failure names the first failing
+    element, positivity before membership, as a loop over them would.
+    """
     group = rep.group
     if len(effects) != group.order:
         raise DimensionError(
@@ -88,30 +100,26 @@ def _validate_frame(
         )
     if value_system.dim != rep.dim or not same_group(value_system.group, group):
         raise ObjectMismatch("value system does not live on the frame representation")
-    if any(
-        max_abs(value_system.rep.matrices[g] - rep.matrices[g]) > tol
-        for g in group.elements()
-    ):
+    if not same_rep(value_system.rep, rep, tol):
         raise ObjectMismatch("value system carries a different action")
-    total = np.zeros((rep.dim, rep.dim), dtype=np.complex128)
     for g, e in enumerate(effects):
         if e.shape[0] != rep.dim:
             raise DimensionError(
                 f"effect {g} has dimension {e.shape[0]}, representation has {rep.dim}"
             )
-        if not is_psd(e, tol):
-            raise FrameInvalid(
-                f"effect for element {group.label(g)} is not positive semidefinite"
-            )
-        if not value_system.space.contains(e, tol):
-            raise FrameInvalid(
-                f"effect for element {group.label(g)} leaves the value system span"
-            )
-        total += e
-    dev = max_abs(total - identity(rep.dim))
+    stack = np.stack(effects)
+    stack.setflags(write=False)
+    lows = np.linalg.eigvalsh(hermitian_part(stack))[:, 0]
+    psd = (np.abs(stack - dagger(stack)).max(axis=(1, 2)) <= tol) & (lows >= -tol * rep.dim)
+    inside = value_system.space.residuals(stack) <= tol
+    bad = np.flatnonzero(~(psd & inside))
+    if bad.size:
+        g = int(bad[0])
+        problem = "leaves the value system span" if psd[g] else "is not positive semidefinite"
+        raise FrameInvalid(f"effect for element {group.label(g)} {problem}")
+    dev = max_abs(sum(stack) - identity(rep.dim))
     if dev > tol:
         raise FrameInvalid(f"effects do not sum to the identity (deviation {dev:.3e})")
-    stack = np.stack(effects)
     if rep.perms is not None:
         # g.E(h) is E(h) with rows and columns permuted, so both sides of
         # E(gh) = g.E(h) vanish off the support's orbit: compare only there
@@ -132,7 +140,7 @@ def _validate_frame(
                 f"covariance fails at pair ({group.label(g)}, {group.label(h)}) "
                 f"(deviation {devs[h]:.3e})"
             )
-    return all(is_projection(e, tol) for e in effects)
+    return stack, bool(np.all(np.abs(stack @ stack - stack) <= tol))
 
 
 def frame_from_effects(
@@ -144,8 +152,8 @@ def frame_from_effects(
     """Validate an explicit effect family into a frame observable."""
     effs = [as_operator(e) for e in effects]
     vs = value_system if value_system is not None else full_system(rep, tol)
-    ideal = _validate_frame(rep, effs, vs, tol)
-    return FrameObservable(rep=rep, effects=tuple(effs), value_system=vs, is_ideal=ideal)
+    stack, ideal = _validate_frame(rep, effs, vs, tol)
+    return FrameObservable(rep=rep, effects=stack, value_system=vs, is_ideal=ideal)
 
 
 def principal_frame_from_seed(
@@ -168,8 +176,8 @@ def principal_frame_from_seed(
     if dev > tol:
         raise SeedNotNormalizing(dev)
     vs = value_system if value_system is not None else full_system(rep, tol)
-    ideal = _validate_frame(rep, effects, vs, tol)
-    return FrameObservable(rep=rep, effects=tuple(effects), value_system=vs, is_ideal=ideal)
+    stack, ideal = _validate_frame(rep, effects, vs, tol)
+    return FrameObservable(rep=rep, effects=stack, value_system=vs, is_ideal=ideal)
 
 
 def canonical_ideal_frame(group: FiniteGroup, tol: float = DEFAULT_TOL) -> FrameObservable:
@@ -198,15 +206,7 @@ def born_measure(frame: FrameObservable, omega, tol: float = DEFAULT_TOL) -> np.
 def same_frame(a: FrameObservable, b: FrameObservable, tol: float = DEFAULT_TOL) -> bool:
     if a is b:
         return True
-    if not same_group(a.group, b.group) or a.rep.dim != b.rep.dim:
-        return False
-    if any(
-        max_abs(a.rep.matrices[g] - b.rep.matrices[g]) > tol for g in a.group.elements()
-    ):
-        return False
-    return all(
-        max_abs(a.effects[g] - b.effects[g]) <= tol for g in a.group.elements()
-    )
+    return same_rep(a.rep, b.rep, tol) and max_abs(a.effects - b.effects) <= tol
 
 
 # ------------------------------------------------------------------- morphisms
@@ -238,20 +238,18 @@ def build_frame_morphism(
         raise ObjectMismatch("channel source is not the source value system")
     if not same_system(channel.target, target.value_system, tol):
         raise ObjectMismatch("channel target is not the target value system")
-    group = source.group
-    effects = np.stack(source.effects)
-    images = channel.apply(effects, tol)
-    for g in group.elements():
-        dev = max_abs(images[g] - target.effects[g])
-        if dev > tol:
-            raise FactorizationFails(g, dev, label=group.label(g))
+    images = channel.apply(source.effects, tol)
+    devs = np.abs(images - target.effects).max(axis=(1, 2))
+    bad = np.flatnonzero(devs > tol)
+    if bad.size:
+        g = int(bad[0])
+        raise FactorizationFails(g, float(devs[g]), label=source.group.label(g))
     # Equivariance on the effect span is forced by factorization and
     # covariance; verify it numerically on the effects themselves.
-    for g in group.elements():
-        lhs = channel.apply(act(source.rep, g, effects), tol)
-        dev = max_abs(lhs - act(target.rep, g, images))
-        if dev > tol:
-            raise EffectSpanNotEquivariant(g, dev)
+    worst = _equivariance_table(channel, source.effects, images, tol).max(axis=1)
+    bad = np.flatnonzero(worst > tol)
+    if bad.size:
+        raise EffectSpanNotEquivariant(int(bad[0]), float(worst[bad[0]]))
     return FrameMorphism(source=source, target=target, channel=channel)
 
 
@@ -287,7 +285,7 @@ def reorientation_morphism(
     vs = frame.value_system
     images = [act(frame.rep, h, b) for b in vs.space.basis]
     channel = build_channel(vs, vs, images, tol)
-    translated = [act(frame.rep, h, e) for e in frame.effects]
+    translated = act(frame.rep, h, frame.effects)
     try:
         target = frame_from_effects(frame.rep, translated, vs, tol)
     except FrameInvalid as exc:
@@ -321,14 +319,8 @@ def frames_isomorphic_by(
         raise GroupMismatch("frames live over different groups")
     if mat.shape[0] != f1.rep.dim or f1.rep.dim != f2.rep.dim:
         raise DimensionError("conjugating unitary has the wrong dimension")
-    fwd = max(
-        max_abs(mat @ f1.effects[g] @ dagger(mat) - f2.effects[g])
-        for g in f1.group.elements()
-    )
-    inv = max(
-        max_abs(dagger(mat) @ f2.effects[g] @ mat - f1.effects[g])
-        for g in f1.group.elements()
-    )
+    fwd = max_abs(mat @ f1.effects @ dagger(mat) - f2.effects)
+    inv = max_abs(dagger(mat) @ f2.effects @ mat - f1.effects)
     ok = fwd <= tol and inv <= tol
     detail = "isomorphism verified" if ok else "effects do not correspond under t"
     return FrameIsomorphismReport(

@@ -196,6 +196,17 @@ class UnitaryRep:
         return self.matrices[g]
 
 
+def same_rep(a: UnitaryRep, b: UnitaryRep, tol: float = DEFAULT_TOL) -> bool:
+    """Same group, same dimension and every U(g) equal within ``tol``."""
+    if a is b:
+        return True
+    return (
+        same_group(a.group, b.group)
+        and a.dim == b.dim
+        and max_abs(np.stack(a.matrices) - np.stack(b.matrices)) <= tol
+    )
+
+
 def _permutation(m: np.ndarray) -> np.ndarray | None:
     """Column of the 1 in each row when ``m`` is exactly a 0/1 permutation matrix."""
     ones = m == 1

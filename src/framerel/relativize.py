@@ -95,7 +95,6 @@ from .systems import (
 )
 
 DEFAULT_CHECK_SAMPLES = 12
-DEFAULT_CHECK_SEED = 7
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,11 +115,10 @@ class RelativizationMap:
         return self.joint_rep.dim
 
 
-def _effect_support(frame: FrameObservable) -> tuple[np.ndarray, np.ndarray]:
-    """The effects as one (|G|, d_r, d_r) stack, and their union support:
-    the (d_r, d_r) pattern of the entries (i, j) where some E(g)[i, j] != 0."""
-    effects = np.stack(frame.effects)
-    return effects, np.any(effects != 0, axis=0)
+def _effect_support(frame: FrameObservable) -> np.ndarray:
+    """The union support of the effects: the (d_r, d_r) pattern of the
+    entries (i, j) where some E(g)[i, j] != 0."""
+    return np.any(frame.effects != 0, axis=0)
 
 
 def _joint_partition(frame: FrameObservable, d: int, outer: int = 1) -> tuple[np.ndarray, ...]:
@@ -132,7 +130,7 @@ def _joint_partition(frame: FrameObservable, d: int, outer: int = 1) -> tuple[np
     are those of an operator on C^outer (x) joint space built from
     relativized blocks, such as the Choi matrix of the relativization.
     """
-    return block_partition(_effect_support(frame)[1], inner=d, outer=outer)
+    return block_partition(_effect_support(frame), inner=d, outer=outer)
 
 
 def _relativize_stack(frame: FrameObservable, system: SemiQuantumSystem, mats) -> np.ndarray:
@@ -152,9 +150,8 @@ def _relativize_stack(frame: FrameObservable, system: SemiQuantumSystem, mats) -
     """
     d_r, d = frame.rep.dim, system.dim
     stack = np.asarray(mats, dtype=np.complex128).reshape(-1, d, d)
-    effects, support = _effect_support(frame)
-    rows, cols = np.nonzero(support)
-    weights = effects[:, rows, cols]
+    rows, cols = np.nonzero(_effect_support(frame))
+    weights = frame.effects[:, rows, cols]
     blocks = np.zeros((len(rows), len(stack), d, d), dtype=np.complex128)
     for g in frame.group.elements():
         blocks += weights[g][:, None, None, None] * act(system.rep, g, stack)[None]
@@ -194,9 +191,13 @@ class RelativeSubspace:
     """Image and kernel of a relativization map, with the image as a system."""
 
     base: RelativizationMap
-    space: MatrixSubspace
     kernel: MatrixSubspace
     as_system: SemiQuantumSystem
+
+    @property
+    def space(self) -> MatrixSubspace:
+        """The image span, held once by ``as_system``."""
+        return self.as_system.space
 
     @property
     def frame(self) -> FrameObservable:
@@ -222,7 +223,6 @@ def build_relative_subspace(
         )
     return RelativeSubspace(
         base=rmap,
-        space=space,
         kernel=kernel,
         as_system=system_from_subspace(rmap.joint_rep, space, tol),
     )
@@ -269,7 +269,7 @@ def check_channel_axioms(
     rmap: RelativizationMap,
     tol: float = DEFAULT_TOL,
     samples: int = DEFAULT_CHECK_SAMPLES,
-    seed: int = DEFAULT_CHECK_SEED,
+    seed: int = DEFAULT_POSITIVITY_SEED,
 ) -> LawReport:
     """Certify the relativization map as a unital positive invariant contraction.
 

@@ -55,6 +55,8 @@ from .frames import (
 from .groups import FiniteGroup, UnitaryRep, build_cyclic_group, build_group_from_table, unitary_rep
 from .linalg import DEFAULT_TOL
 from .systems import (
+    DEFAULT_POSITIVITY_SAMPLES,
+    DEFAULT_POSITIVITY_SEED,
     ChannelMap,
     SemiQuantumSystem,
     build_channel,
@@ -63,9 +65,6 @@ from .systems import (
     kraus_channel,
     subspace_system,
 )
-
-DEFAULT_SEED = 7
-DEFAULT_SAMPLES = 16
 
 # task kind -> (required, optional) parameters.  A check's kind is
 # "check:<name>"; its parameters sit beside "check" in the task object,
@@ -566,8 +565,8 @@ def parse_scenario(
     )
     if tol <= 0:
         raise ScenarioSyntaxError("tolerance must be positive")
-    run_seed = int(seed if seed is not None else options.get("seed", DEFAULT_SEED))
-    run_samples = int(samples if samples is not None else options.get("samples", DEFAULT_SAMPLES))
+    run_seed = int(seed if seed is not None else options.get("seed", DEFAULT_POSITIVITY_SEED))
+    run_samples = int(samples if samples is not None else options.get("samples", DEFAULT_POSITIVITY_SAMPLES))
     if run_samples < 0:
         raise ScenarioSyntaxError("options.samples: expected a non-negative integer")
 

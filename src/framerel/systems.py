@@ -4,9 +4,10 @@ A semi-quantum system is a linear subspace of observables on a finite
 dimensional Hilbert space, containing the identity and closed under a
 group's conjugation action.  It is the finite stand-in for an
 ultraweakly closed operator subspace: enough structure to pair with
-states, too little (in general) to multiply.  Channels between systems
-are unital positive linear maps recorded by their images on the source
-basis.  Positivity has one rule per source kind.  A full-algebra source
+states, too little (in general) to multiply (``is_vn_algebra`` tells,
+on request).  Channels between systems are unital positive linear maps
+recorded by their images on the source basis, one read-only (k, d, d)
+stack.  Positivity has one rule per source kind.  A full-algebra source
 is certified exactly, whatever the target: the Choi matrix is PSD iff
 the map is completely positive (Choi 1975), and a unital positive map
 has norm 1 (Russo-Dye), so the certificate covers contraction as well.
@@ -49,7 +50,7 @@ from .errors import (
     OperatorOutsideSystem,
     RequiresFullAlgebra,
 )
-from .groups import UnitaryRep, act, same_group, support_translates
+from .groups import UnitaryRep, act, same_group, same_rep, support_translates
 from .linalg import (
     DEFAULT_TOL,
     MatrixSubspace,
@@ -85,9 +86,7 @@ class SemiQuantumSystem:
     space: MatrixSubspace
     adjoint_space: MatrixSubspace
     is_full_algebra: bool
-    is_vn_algebra: bool
     is_invariant: bool
-    saturation_added: bool = False
 
     @property
     def dim(self) -> int:
@@ -133,12 +132,12 @@ def _closed_under_products(space: MatrixSubspace, tol: float) -> bool:
     return True
 
 
-def _assemble_system(
-    rep: UnitaryRep,
-    space: MatrixSubspace,
-    tol: float,
-    saturation_added: bool = False,
-) -> SemiQuantumSystem:
+def is_vn_algebra(system: SemiQuantumSystem, tol: float = DEFAULT_TOL) -> bool:
+    """Whether the span is closed under adjoints and products (a full span is)."""
+    return system.space.is_full or _closed_under_products(system.space, tol)
+
+
+def _assemble_system(rep: UnitaryRep, space: MatrixSubspace, tol: float) -> SemiQuantumSystem:
     """Validate a span against the action and record its flags.
 
     A full span holds every translate, and it is invariant iff every
@@ -194,9 +193,7 @@ def _assemble_system(
         space=space,
         adjoint_space=adjoint_space,
         is_full_algebra=full,
-        is_vn_algebra=full or _closed_under_products(space, tol),
         is_invariant=invariant,
-        saturation_added=saturation_added,
     )
 
 
@@ -216,8 +213,7 @@ def subspace_system(rep: UnitaryRep, generators, tol: float = DEFAULT_TOL) -> Se
 
     Saturation is a single sweep: the span of {generators, I} and all
     their translates is already closed because translates of translates
-    are translates.  ``saturation_added`` records whether the sweep
-    enlarged the plain span of {generators, I}.
+    are translates.
     """
     gens = [as_operator(g) for g in generators]
     for g in gens:
@@ -226,13 +222,12 @@ def subspace_system(rep: UnitaryRep, generators, tol: float = DEFAULT_TOL) -> Se
                 f"generator of dimension {g.shape[0]} for a dimension-{rep.dim} system"
             )
     seeds = gens + [identity(rep.dim)]
-    plain_dim = span_subspace(seeds, ambient_dim=rep.dim, tol=tol).dim
     # one stacked act per element; the orbit lists each seed's translates in group order
     stack = np.stack(seeds)
     moved = np.stack([act(rep, g, stack) for g in rep.group.elements()], axis=1)
     orbit = seeds + list(moved.reshape(-1, rep.dim, rep.dim))
     space = span_subspace(orbit, ambient_dim=rep.dim, tol=tol)
-    return _assemble_system(rep, space, tol, saturation_added=space.dim > plain_dim)
+    return _assemble_system(rep, space, tol)
 
 
 def invariant_subalgebra(rep: UnitaryRep, tol: float = DEFAULT_TOL) -> SemiQuantumSystem:
@@ -262,14 +257,7 @@ def same_system(a: SemiQuantumSystem, b: SemiQuantumSystem, tol: float = DEFAULT
     """Same group, same action, same span (mutual containment)."""
     if a is b:
         return True
-    if not same_group(a.group, b.group) or a.dim != b.dim:
-        return False
-    if any(
-        max_abs(a.rep.matrices[g] - b.rep.matrices[g]) > tol
-        for g in a.group.elements()
-    ):
-        return False
-    if a.space.dim != b.space.dim:
+    if not same_rep(a.rep, b.rep, tol) or a.space.dim != b.space.dim:
         return False
     if a.space.is_full:
         return True
@@ -290,27 +278,20 @@ class ChannelMap:
     the exact Choi certificate ran, otherwise "sampled", with the seed
     and the number of seeded random samples that were asked for.
 
-    ``apply`` takes one operator or a whole (k, d, d) stack, and
-    ``matrix`` is one stacked coefficient call on the images.  Like
-    ``MatrixSubspace.coefficients``, a stack runs one matrix-vector
-    product per slice, so each slice is bit-identical to applying the
-    channel to that operator alone.
+    ``images`` is one read-only (k, d, d) stack, the image of source
+    basis element i at ``images[i]``.  ``apply`` takes one operator or
+    a whole (k, d, d) stack, and ``matrix`` is one stacked coefficient
+    call on the images.  Like ``MatrixSubspace.coefficients``, a stack
+    runs one matrix-vector product per slice, so each slice is
+    bit-identical to applying the channel to that operator alone.
     """
 
     source: SemiQuantumSystem
     target: SemiQuantumSystem
-    images: tuple[np.ndarray, ...]
+    images: np.ndarray
     positivity_check: str
     positivity_seed: int | None
     positivity_samples: int
-
-    def __post_init__(self):
-        stack = (
-            np.stack([vec(m) for m in self.images])
-            if self.images
-            else np.zeros((0, self.target.dim**2), dtype=np.complex128)
-        )
-        object.__setattr__(self, "_image_stack", stack)
 
     def apply(self, a, tol: float = DEFAULT_TOL) -> np.ndarray:
         """Apply to one operator or a (k, d, d) stack in the source span.
@@ -326,12 +307,12 @@ class ChannelMap:
             if residual > tol:
                 raise OperatorOutsideSystem(residual)
         d = self.target.dim
-        return (c[..., None, :] @ self._image_stack).reshape(*c.shape[:-1], d, d)
+        flat = self.images.reshape(len(self.images), d * d)
+        return (c[..., None, :] @ flat).reshape(*c.shape[:-1], d, d)
 
     def matrix(self) -> np.ndarray:
         """Superoperator matrix between the published orthonormal bases."""
-        d = self.target.dim
-        return self.target.space.coefficients(self._image_stack.reshape(-1, d, d)).T
+        return self.target.space.coefficients(self.images).T
 
 
 def _choi_matrix(images, d_source: int) -> np.ndarray:
@@ -352,8 +333,7 @@ def _unit_images(channel: ChannelMap, tol: float = DEFAULT_TOL) -> np.ndarray:
     span publishes another basis, so the units go through ``apply``.
     """
     if channel.source.space.is_unit_span:
-        d = channel.target.dim
-        return channel._image_stack.reshape(-1, d, d)
+        return channel.images
     return channel.apply(matrix_units(channel.source.dim), tol)
 
 
@@ -390,12 +370,14 @@ def build_channel(
         res = target.space.residual(im)
         if res > tol:
             raise ImageOutsideTarget(k, res, witness=im)
+    stack = np.stack(imgs)
+    stack.setflags(write=False)
 
     exact = source.is_full_algebra
     channel = ChannelMap(
         source=source,
         target=target,
-        images=tuple(imgs),
+        images=stack,
         positivity_check="choi" if exact else "sampled",
         positivity_seed=None if exact else seed,
         positivity_samples=0 if exact else samples,
@@ -487,17 +469,17 @@ def kraus_channel(
 def compose_channels(
     second: ChannelMap, first: ChannelMap, tol: float = DEFAULT_TOL
 ) -> ChannelMap:
-    """The composite ``second after first`` (matching middle systems)."""
+    """The composite ``second after first``, certified with ``first``'s settings
+    (both start on ``first.source``)."""
     if not same_system(first.target, second.source, tol):
         raise ObjectMismatch("channel composition endpoints do not match")
-    sampled = second.positivity_seed is not None
     return build_channel(
         first.source,
         second.target,
-        second.apply(np.stack(first.images), tol),
+        second.apply(first.images, tol),
         tol,
-        samples=second.positivity_samples if sampled else DEFAULT_POSITIVITY_SAMPLES,
-        seed=second.positivity_seed if sampled else DEFAULT_POSITIVITY_SEED,
+        samples=first.positivity_samples,
+        seed=first.positivity_seed,
     )
 
 
@@ -509,20 +491,26 @@ class EquivarianceResult:
     witness_index: int | None = None
 
 
-def is_equivariant(channel: ChannelMap, tol: float = DEFAULT_TOL) -> EquivarianceResult:
-    """Check phi(g.a) = g.phi(a) on the source basis, for every element."""
-    src, tgt = channel.source, channel.target
-    if not same_group(src.group, tgt.group):
-        raise GroupMismatch("equivariance needs one group on both sides")
-    basis = src.space.basis_stack
-    images = channel.apply(basis, tol)
-    # table[g, i] = |phi(g.b_i) - g.phi(b_i)|; argmax picks the first
-    # worst pair in (g, i) order.
-    table = np.stack([
-        np.abs(channel.apply(act(src.rep, g, basis), tol) - act(tgt.rep, g, images))
-        .max(axis=(1, 2))
+def _equivariance_table(channel: ChannelMap, stack, images, tol: float) -> np.ndarray:
+    """table[g, i] = |phi(g.x_i) - g.phi(x_i)| (largest entry), for a stack x.
+
+    ``images`` is ``channel.apply(stack)``; the rows run over the group
+    elements in order.
+    """
+    src, tgt = channel.source.rep, channel.target.rep
+    return np.stack([
+        np.abs(channel.apply(act(src, g, stack), tol) - act(tgt, g, images)).max(axis=(1, 2))
         for g in src.group.elements()
     ])
+
+
+def is_equivariant(channel: ChannelMap, tol: float = DEFAULT_TOL) -> EquivarianceResult:
+    """Check phi(g.a) = g.phi(a) on the source basis, for every element."""
+    if not same_group(channel.source.group, channel.target.group):
+        raise GroupMismatch("equivariance needs one group on both sides")
+    basis = channel.source.space.basis_stack
+    # argmax picks the first worst pair in (g, i) order
+    table = _equivariance_table(channel, basis, channel.apply(basis, tol), tol)
     w_g, w_i = (int(k) for k in np.unravel_index(np.argmax(table), table.shape))
     worst = float(table[w_g, w_i])
     ok = worst <= tol

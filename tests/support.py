@@ -156,6 +156,19 @@ def ampliation_channel(system, extra_dim):
     return fr.build_channel(system, target, images)
 
 
+def image_stack_apply(channel, ops):
+    """A channel applied through a flattened copy of its images, made one image at a time.
+
+    Coefficients along the source basis, times the stack of the row-major
+    flattened images: the product ``ChannelMap.apply`` forms, on a copy
+    built image by image instead of on the channel's own stack.
+    """
+    images = np.stack([np.asarray(m, dtype=complex).reshape(-1) for m in channel.images])
+    c = channel.source.space.coefficients(ops)
+    d = channel.target.dim
+    return (c[..., None, :] @ images).reshape(*c.shape[:-1], d, d)
+
+
 def psd_span_samples_loop(subspace, count=16, seed=7, tol=1e-9):
     """The PSD sampler one candidate at a time: a reference for the stacked one.
 

@@ -30,7 +30,7 @@ from framerel.frames import (
     same_frame,
 )
 from framerel.groups import act, build_cyclic_group, trivial_rep, unitary_rep
-from framerel.linalg import max_abs
+from framerel.linalg import is_projection, is_psd, max_abs
 from framerel.systems import build_channel, subspace_system
 
 from .support import (
@@ -141,6 +141,68 @@ def test_frame_value_space_containment():
     with pytest.raises(FrameInvalid):
         # X/2 +/- ... effects leave the declared diagonal span
         frame_from_effects(rep, [(I2 + X) / 2, (I2 - X) / 2], value_system=diag)
+
+
+def _validation_loop_oracle(frame, effects, value_system, tol=1e-9):
+    """Per-element frame validation: the (type, message) it raises, or is_ideal.
+
+    Positivity, then membership, one element at a time; then the sum to
+    the identity, covariance over (g, h), and the projection test.
+    """
+    label = frame.group.label
+    for g, e in enumerate(effects):
+        if not is_psd(e, tol):
+            return FrameInvalid, f"effect for element {label(g)} is not positive semidefinite"
+        if not value_system.space.contains(e, tol):
+            return FrameInvalid, f"effect for element {label(g)} leaves the value system span"
+    dev = max_abs(sum(effects) - np.eye(frame.rep.dim))
+    if dev > tol:
+        return FrameInvalid, f"effects do not sum to the identity (deviation {dev:.3e})"
+    pair = _first_failing_pair(frame, effects, tol)
+    if pair is not None:
+        g, h, dev = pair
+        return FrameInvalid, f"covariance fails at pair ({label(g)}, {label(h)}) (deviation {dev:.3e})"
+    return all(is_projection(e, tol) for e in effects)
+
+
+def test_batched_frame_validation_matches_the_loop_oracle():
+    ideal = _cyclic_ideal(4)
+    smeared = smeared_canonical_frame(s3(), 0.3)
+    e = ideal.effects
+    not_psd = [e[0], e[1], e[2] + 1.5 * e[3], -0.5 * e[3]]  # only E(3) fails
+    rep = z2_flip_rep()
+    diag = subspace_system(rep, [Z])
+    half = z2_ideal_frame()
+    failing = [
+        (ideal, not_psd, ideal.value_system, "element 3 is not positive"),
+        (half, [(I2 + X) / 2, (I2 - X) / 2], diag, "element 0 leaves"),
+        (half, [E00 + 0.2 * X, E11 - 0.2 * X], diag, "element 0 is not positive"),
+        (ideal, [e[0], e[1], e[3], e[2]], ideal.value_system, "covariance"),
+    ]
+    for frame, effects, vs, expect in failing:
+        want = _validation_loop_oracle(frame, effects, vs)
+        assert want[0] is FrameInvalid and expect in want[1]
+        with pytest.raises(FrameInvalid) as err:
+            frame_from_effects(frame.rep, effects, vs)
+        assert str(err.value) == want[1]
+    for frame in (ideal, smeared, half, z2_smeared_frame(0.4), z2_unlocalized_frame()):
+        want = _validation_loop_oracle(frame, list(frame.effects), frame.value_system)
+        again = frame_from_effects(frame.rep, frame.effects, frame.value_system)
+        assert frame.is_ideal == again.is_ideal == want
+
+
+def test_effects_are_one_read_only_stack():
+    for frame in (z2_ideal_frame(), smeared_canonical_frame(s3(), 0.3)):
+        d = frame.rep.dim
+        assert isinstance(frame.effects, np.ndarray)
+        assert frame.effects.shape == (frame.group.order, d, d)
+        assert not frame.effects.flags.writeable
+        with pytest.raises(ValueError):
+            frame.effects[0, 0, 0] = 2.0
+    given = [E00.copy(), E11.copy()]
+    frame = frame_from_effects(z2_flip_rep(), given)
+    given[0][0, 0] = 5.0  # the frame holds its own copy
+    assert frame.effects[0, 0, 0] == 1.0
 
 
 def test_same_frame_is_structural():

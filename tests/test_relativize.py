@@ -68,6 +68,7 @@ from framerel.systems import (
     conjugation_channel,
     full_system,
     identity_channel,
+    is_vn_algebra,
     predual_channel,
     subspace_system,
 )
@@ -532,10 +533,37 @@ def test_s4_relative_subspace_forms_no_dense_joint_stack(monkeypatch):
     monkeypatch.setattr(MatrixSubspace, "residuals", refuse)
     rel = build_relative_subspace(ideal, system)
     assert (rel.space.dim, rel.kernel.dim) == (16, 0)
-    assert rel.as_system.is_vn_algebra and rel.as_system.is_invariant
+    assert not block_sizes  # the product check runs on request only
+    assert is_vn_algebra(rel.as_system) and rel.as_system.is_invariant
     assert len(rel.space.support) == 384
     assert widths and max(widths) == 384
     assert set(block_sizes) == {4}
+
+
+def test_build_relative_subspace_leaves_the_product_check_to_is_vn_algebra(monkeypatch):
+    # Nothing in the engine reads whether a relative subspace is an
+    # algebra, so building one forms no product blocks; is_vn_algebra
+    # forms them when asked.
+    calls = []
+    blocks = framerel.systems.diagonal_blocks
+
+    def recording_blocks(stack, partition):
+        calls.append(len(partition))
+        return blocks(stack, partition)
+
+    monkeypatch.setattr(framerel.systems, "diagonal_blocks", recording_blocks)
+    cases = [
+        (canonical_ideal_frame(s3()), full_system(s3_irrep2())),
+        (smeared_canonical_frame(s3(), 0.3), full_system(s3_irrep2())),
+        (z2_ideal_frame(), subspace_system(z2_flip_rep(), [Z])),
+    ]
+    for frame, system in cases:
+        rel = build_relative_subspace(frame, system)
+        assert not calls
+        algebra = is_vn_algebra(rel.as_system)
+        assert calls
+        assert algebra or not frame.is_ideal  # an ideal frame relativizes multiplicatively
+        calls.clear()
 
 
 def _dense_support_permutation_frame():

@@ -38,6 +38,7 @@ from framerel.systems import (
     identity_channel,
     invariant_subalgebra,
     is_equivariant,
+    is_vn_algebra,
     kraus_channel,
     predual_channel,
     quotient_dimension,
@@ -54,6 +55,7 @@ from .support import (
     Z,
     ampliation_channel,
     depolarizing_channel,
+    image_stack_apply,
     s3,
     s3_irrep2,
     z2_flip_rep,
@@ -83,7 +85,7 @@ E11 = np.diag([0.0, 1.0]).astype(complex)
 
 def test_full_system_basis_is_matrix_units_row_major():
     sq = full_system(z2_flip_rep())
-    assert sq.is_full_algebra and sq.is_vn_algebra and not sq.is_invariant
+    assert sq.is_full_algebra and is_vn_algebra(sq) and not sq.is_invariant
     assert sq.space.dim == 4
     for got, want in zip(sq.space.basis, [E00, E01, E10, E11]):
         assert max_abs(got - want) == 0.0
@@ -92,8 +94,7 @@ def test_full_system_basis_is_matrix_units_row_major():
 def test_subspace_system_without_saturation():
     sys_iz = subspace_system(z2_flip_rep(), [Z])
     assert sys_iz.space.dim == 2
-    assert not sys_iz.saturation_added
-    assert sys_iz.is_vn_algebra  # diagonal algebra is closed under products
+    assert is_vn_algebra(sys_iz)  # diagonal algebra is closed under products
     assert not sys_iz.is_invariant  # X Z X = -Z moves elements, span is fixed
     assert sys_iz.space.contains(np.diag([2.0, -1.0]).astype(complex))
     assert not sys_iz.space.contains(X)
@@ -102,10 +103,10 @@ def test_subspace_system_without_saturation():
 def test_subspace_system_saturates_group_translates():
     sys_e01 = subspace_system(z2_flip_rep(), [E01])
     # X E01 X = E10 had to be added
-    assert sys_e01.saturation_added
+    assert span_subspace([E01, I2]).dim == 2
     assert sys_e01.space.dim == 3
     assert sys_e01.space.contains(E10)
-    assert not sys_e01.is_vn_algebra  # E01 E10 = E00 is outside the span
+    assert not is_vn_algebra(sys_e01)  # E01 E10 = E00 is outside the span
     # adjoint span coincides here (E01^dag = E10 is in the span)
     assert sys_e01.adjoint_space.dim == 3
 
@@ -118,7 +119,7 @@ def test_invariant_subalgebra_dims_match_twirl_trace_oracle():
     irr = s3_irrep2()
     assert invariant_subalgebra(irr).space.dim == commutant_dim_oracle(irr) == 1
     inv = invariant_subalgebra(joint)
-    assert inv.is_invariant and inv.is_vn_algebra
+    assert inv.is_invariant and is_vn_algebra(inv)
     for b in inv.space.basis:
         for g in joint.group.elements():
             assert max_abs(act(joint, g, b) - b) < 1e-12
@@ -136,9 +137,9 @@ def test_system_flags_hold_across_translate_chunks():
     rng = np.random.default_rng(23)
     gens = [rng.standard_normal((9, 9)) for _ in range(70)]
     fixed = subspace_system(trivial_rep(group, 9), gens)
-    assert fixed.space.dim == 71 and fixed.is_invariant and not fixed.is_vn_algebra
+    assert fixed.space.dim == 71 and fixed.is_invariant and not is_vn_algebra(fixed)
     diagonal = subspace_system(shift, [np.diag(rng.standard_normal(9))])
-    assert diagonal.space.dim == 9 and diagonal.is_vn_algebra and not diagonal.is_invariant
+    assert diagonal.space.dim == 9 and is_vn_algebra(diagonal) and not diagonal.is_invariant
     with pytest.raises(FramerelError, match="not closed under the group action"):
         system_from_subspace(shift, span_subspace(gens[:3] + [np.eye(9)]))
 
@@ -193,7 +194,7 @@ def test_permutation_translates_agree_with_the_dense_oracle():
         closed, invariant, algebra = flags
         if closed:
             system = system_from_subspace(rep, space)
-            assert (system.is_invariant, system.is_vn_algebra) == (invariant, algebra), name
+            assert (system.is_invariant, is_vn_algebra(system)) == (invariant, algebra), name
         else:
             with pytest.raises(FramerelError, match="not closed under the group action"):
                 system_from_subspace(rep, space)
@@ -213,7 +214,7 @@ def test_system_flags_agree_with_the_dense_oracle_on_generated_spans():
             system = subspace_system(rep, gens)
             closed, invariant, algebra = _dense_flags_oracle(rep, system.space)
             assert closed
-            assert (system.is_invariant, system.is_vn_algebra) == (invariant, algebra)
+            assert (system.is_invariant, is_vn_algebra(system)) == (invariant, algebra)
 
 
 def test_subspace_system_orbit_matches_the_per_element_loop_bit_for_bit():
@@ -472,10 +473,34 @@ def test_composite_keeps_the_requested_sampling_settings():
     assert (ch.positivity_check, ch.positivity_samples, ch.positivity_seed) == ("sampled", 3, 0)
     both = compose_channels(ch, compose_channels(ch, ch))
     assert (both.positivity_check, both.positivity_samples, both.positivity_seed) == ("sampled", 3, 0)
-    # a Choi-certified second factor leaves nothing to copy: the defaults apply
+    # the composite starts on the first factor's source, so it keeps the
+    # first factor's settings even after a Choi-certified second factor
     ampl = ampliation_channel(sys_iz, 1)
     into_full = compose_channels(ampl, ch)
-    assert (into_full.positivity_samples, into_full.positivity_seed) == (16, 7)
+    assert (into_full.positivity_samples, into_full.positivity_seed) == (3, 0)
+
+
+def test_images_are_one_read_only_stack_and_apply_matches_the_flattened_copy():
+    rng = np.random.default_rng(71)
+    qubit = full_system(z2_flip_rep())
+    sys_iz = subspace_system(z2_flip_rep(), [Z])
+    pauli = subspace_system(z2_flip_rep(), [X, Y, Z])
+    plane = full_system(s3_irrep2())
+    channels = [
+        depolarizing_channel(qubit, 0.3),
+        conjugation_channel(pauli, H),
+        build_channel(sys_iz, sys_iz, list(sys_iz.space.basis), samples=3, seed=0),
+        ampliation_channel(sys_iz, 2),
+        compose_channels(depolarizing_channel(plane, 0.2), depolarizing_channel(plane, 0.6)),
+    ]
+    for channel in channels:
+        n, d = channel.source.space.dim, channel.target.dim
+        assert channel.images.shape == (n, d, d) and not channel.images.flags.writeable
+        with pytest.raises(ValueError):
+            channel.images[0, 0, 0] = 1.0
+        ops = channel.source.space.combine(rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n)))
+        assert np.array_equal(channel.apply(ops), image_stack_apply(channel, ops))
+        assert np.array_equal(channel.apply(ops[0]), image_stack_apply(channel, ops[0]))
 
 
 def test_conjugation_equals_single_kraus():
