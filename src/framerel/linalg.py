@@ -256,11 +256,16 @@ def vector_kernel(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     m = np.atleast_2d(np.asarray(a, dtype=np.complex128))
     if m.size == 0:
         raise DimensionError("empty constraint matrix")
+    return np.conj(_svd_kernel(m, tol))
+
+
+def _svd_kernel(m: np.ndarray, tol: float) -> np.ndarray:
+    """The rows of ``vh`` past the numerical rank of a 2-d matrix, in its own dtype."""
     rows, cols = m.shape
     _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
     cutoff = tol * max(1.0, s[0] if s.size else 0.0)
     rank = int(np.sum(s > cutoff))
-    return np.conj(vh[rank:])
+    return vh[rank:]
 
 
 def projection_errors(rows, basis) -> np.ndarray:
@@ -492,7 +497,9 @@ def hermitian_basis(subspace: MatrixSubspace, tol: float = DEFAULT_TOL) -> list[
 
     Solves H = H^dag as a real-linear condition on the complex basis
     coefficients; the result can be smaller than the complex dimension
-    when the span is not closed under the adjoint.
+    when the span is not closed under the adjoint.  The condition is a
+    real (2 d^2, 2n) system, and its kernel comes from a float64 SVD
+    under the cutoff rule of ``vector_kernel``.
     """
     n = subspace.dim
     if n == 0:
@@ -505,8 +512,8 @@ def hermitian_basis(subspace: MatrixSubspace, tol: float = DEFAULT_TOL) -> list[
     real_system = np.block(
         [[a1.real, a2.real], [a1.imag, a2.imag]]
     )  # (2 d^2, 2n) real
-    rows = vector_kernel(real_system, tol)
-    coeffs = np.real(rows[:, :n]) + 1j * np.real(rows[:, n:])
+    rows = _svd_kernel(real_system, tol)
+    coeffs = rows[:, :n] + 1j * rows[:, n:]
     return [hermitian_part(h) for h in subspace.combine(coeffs)]
 
 

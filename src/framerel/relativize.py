@@ -32,6 +32,11 @@ of the channel is compared on the support of the images
 
 Positivity follows the rule of ``systems``: the axiom check reads the
 Choi matrix alone on a full algebra and samples one PSD stack otherwise.
+An induced map whose frame morphism and system channel both carry Choi
+certificates is the restriction of psi (x) phi, which is completely
+positive; it is certified by comparing its images with psi (x) phi
+("tensor"), and is sampled only when a factor was sampled or the two
+disagree.
 """
 
 from __future__ import annotations
@@ -87,6 +92,7 @@ from .systems import (
     _choi_matrix,
     build_channel,
     compose_channels,
+    identity_channel,
     is_equivariant,
     predual_channel,
     same_system,
@@ -491,6 +497,28 @@ class RelativeChannel:
         return self.channel.apply(a, tol)
 
 
+def _tensor_images(psi: FrameMorphism, phi: ChannelMap, coeffs, tol: float) -> np.ndarray:
+    """(psi (x) phi)(x_k) for the source relative basis x_k, from generators.
+
+    x_k = sum_j coeffs[j, k] sum_g E(g) (x) g.s_j along the system basis
+    s_j, so its image is sum_j coeffs[j, k] sum_g psi(E(g)) (x) phi(g.s_j).
+    psi takes the effects as one stack and phi the |G| n translates as
+    one stack; the sum over g is one matrix product, and no Kronecker
+    product or Choi matrix of psi (x) phi is formed.
+    """
+    system = phi.source
+    basis = system.space.basis_stack
+    n, order = len(basis), psi.group.order
+    frame_parts = psi.channel.apply(psi.source.effects, tol)
+    translates = np.stack([act(system.rep, g, basis) for g in psi.group.elements()])
+    system_parts = phi.apply(translates.reshape(-1, system.dim, system.dim), tol)
+    d_f, d_s = frame_parts.shape[-1], system_parts.shape[-1]
+    # sums[a c, j b d] = sum_g psi(E(g))[a, c] phi(g.s_j)[b, d]
+    sums = frame_parts.reshape(order, -1).T @ system_parts.reshape(order, -1)
+    per_basis = sums.reshape(d_f, d_f, n, d_s, d_s).transpose(2, 0, 3, 1, 4)
+    return np.tensordot(coeffs, per_basis.reshape(n, d_f * d_s, d_f * d_s), axes=(0, 0))
+
+
 def relativize_morphisms(
     psi: FrameMorphism,
     phi: ChannelMap,
@@ -505,8 +533,11 @@ def relativize_morphisms(
     Well-definedness is witnessed on the kernel of the source
     relativization: every kernel element must still relativize to zero
     after the system channel, otherwise IllDefined carries the witness.
-    ``samples``/``seed`` reach the sampled positivity check of the
-    induced channel, as in ``build_channel``.
+    When psi's channel and phi are both Choi-certified, the induced
+    channel on a proper relative subspace is certified "tensor" if its
+    images agree with (psi (x) phi) within ``tol``; otherwise
+    ``samples``/``seed`` reach its sampled positivity check, as in
+    ``build_channel``.  A "tensor" channel records them as well.
     """
     if not same_group(psi.group, phi.source.group):
         raise ObjectMismatch("frame morphism and system channel live over different groups")
@@ -533,8 +564,14 @@ def relativize_morphisms(
         psi.target, phi.target, phi.apply(phi.source.space.basis_stack, tol)
     )
     images = np.tensordot(coeffs, target_images, axes=(0, 0))
+    certified = (
+        psi.channel.positivity_check == phi.positivity_check == "choi"
+        and not source_rel.as_system.is_full_algebra
+        and max_abs(_tensor_images(psi, phi, coeffs, tol) - images) <= tol
+    )
     channel = build_channel(
-        source_rel.as_system, target_rel.as_system, images, tol, samples, seed
+        source_rel.as_system, target_rel.as_system, images, tol, samples, seed,
+        _tensor_certified=certified,
     )
     return RelativeChannel(
         source=source_rel,
@@ -579,12 +616,11 @@ def check_functor_laws(
 
     first_frame, first_system = nodes[0]
     values = first_frame.value_system
-    frame_identity = build_channel(values, values, values.space.basis_stack, tol, samples, seed)
     ident = relativize_morphisms(
-        build_frame_morphism(first_frame, first_frame, frame_identity, tol),
-        build_channel(
-            first_system, first_system, first_system.space.basis_stack, tol, samples, seed
+        build_frame_morphism(
+            first_frame, first_frame, identity_channel(values, tol, samples, seed), tol
         ),
+        identity_channel(first_system, tol, samples, seed),
         tol,
         source_rel=rel[0],
         target_rel=rel[0],

@@ -11,9 +11,12 @@ stack.  Positivity has one rule per source kind.  A full-algebra source
 is certified exactly, whatever the target: the Choi matrix is PSD iff
 the map is completely positive (Choi 1975), and a unital positive map
 has norm 1 (Russo-Dye), so the certificate covers contraction as well.
-A proper source is sampled over one deterministic PSD stack, whose
-images are tested with one batched ``eigvalsh`` (and reported as
-sampled, never as proved).
+Its spectrum is taken block by block along the connected components of
+the Choi matrix's nonzero pattern.  A proper source is sampled over one
+deterministic PSD stack, whose images are tested with one batched
+``eigvalsh`` (and reported as sampled, never as proved), unless the
+caller has shown the map to be the restriction of a completely positive
+map (the induced maps of ``relativize``, from their tensor form).
 
 A proper span is validated on its support, the entries where some basis
 element is nonzero: its translates, adjoints and products are projected
@@ -55,6 +58,7 @@ from .linalg import (
     DEFAULT_TOL,
     MatrixSubspace,
     as_operator,
+    block_min_eigenvalues,
     block_partition,
     dagger,
     diagonal_blocks,
@@ -274,9 +278,20 @@ def same_system(a: SemiQuantumSystem, b: SemiQuantumSystem, tol: float = DEFAULT
 class ChannelMap:
     """A unital positive linear map recorded on the source basis.
 
-    ``positivity_check`` is "choi" when the source is a full algebra and
-    the exact Choi certificate ran, otherwise "sampled", with the seed
-    and the number of seeded random samples that were asked for.
+    ``positivity_check`` names the certificate, one of three:
+
+    - "choi": the source is a full algebra and the exact Choi
+      certificate ran (seed None, 0 samples);
+    - "tensor": an induced map on a proper relative subspace whose
+      frame morphism and system channel are both "choi"; it agrees with
+      psi (x) phi, a completely positive map, within tol, so it is
+      positive and nothing is sampled;
+    - "sampled": every other proper source, tested on seeded random
+      PSD samples of the span.
+
+    "tensor" and "sampled" channels record the seed and the number of
+    samples that were asked for, so a composite starting on their
+    source samples with the same settings.
 
     ``images`` is one read-only (k, d, d) stack, the image of source
     basis element i at ``images[i]``.  ``apply`` takes one operator or
@@ -344,6 +359,7 @@ def build_channel(
     tol: float = DEFAULT_TOL,
     samples: int = DEFAULT_POSITIVITY_SAMPLES,
     seed: int = DEFAULT_POSITIVITY_SEED,
+    _tensor_certified: bool = False,
 ) -> ChannelMap:
     """Validate one image per source basis element into a channel.
 
@@ -351,9 +367,13 @@ def build_channel(
     declared data does not describe a unital positive map into the
     target span.  A full-algebra source takes the Choi certificate,
     whatever the target, and NotPositive carries its smallest
-    eigenvalue.  A proper source is sampled: ``psd_span_samples`` of
-    the source span with ``samples``/``seed``, all images tested at
-    once, and NotPositive names the first failing sample as witness.
+    eigenvalue over the diagonal blocks of the Choi matrix.  A proper
+    source is sampled: ``psd_span_samples`` of the source span with
+    ``samples``/``seed``, all images tested at once, and NotPositive
+    names the first failing sample as witness.  ``_tensor_certified``
+    is set by ``relativize_morphisms`` alone, when the images agree with
+    the tensor product of two Choi-certified channels: a proper source
+    then records "tensor" and skips the samples.
     """
     if not same_group(source.group, target.group):
         raise GroupMismatch("channel endpoints live over different groups")
@@ -378,7 +398,7 @@ def build_channel(
         source=source,
         target=target,
         images=stack,
-        positivity_check="choi" if exact else "sampled",
+        positivity_check="choi" if exact else "tensor" if _tensor_certified else "sampled",
         positivity_seed=None if exact else seed,
         positivity_samples=0 if exact else samples,
     )
@@ -389,14 +409,15 @@ def build_channel(
     if exact:
         choi = _choi_matrix(_unit_images(channel, tol), source.dim)
         herm_dev = max_abs(choi - dagger(choi))
-        low = min_eigenvalue(choi)
+        blocks = diagonal_blocks(choi[None], block_partition(choi != 0))
+        low = float(block_min_eigenvalues(blocks)[0])
         if herm_dev > tol or low < -tol * choi.shape[0]:
             raise NotPositive(
                 f"Choi matrix fails positivity (hermiticity deviation "
                 f"{herm_dev:.3e}, minimum eigenvalue {low:.3e})",
                 min_eigenvalue=low,
             )
-    else:
+    elif not _tensor_certified:
         psd = psd_span_samples(source.space, count=samples, seed=seed, tol=tol)
         lows = np.linalg.eigvalsh(hermitian_part(channel.apply(psd, tol)))[:, 0]
         failing = np.flatnonzero(lows < -tol * target.dim)
@@ -411,8 +432,14 @@ def build_channel(
     return channel
 
 
-def identity_channel(system: SemiQuantumSystem, tol: float = DEFAULT_TOL) -> ChannelMap:
-    return build_channel(system, system, list(system.space.basis), tol)
+def identity_channel(
+    system: SemiQuantumSystem,
+    tol: float = DEFAULT_TOL,
+    samples: int = DEFAULT_POSITIVITY_SAMPLES,
+    seed: int = DEFAULT_POSITIVITY_SEED,
+) -> ChannelMap:
+    """The identity on a system; ``samples``/``seed`` as in ``build_channel``."""
+    return build_channel(system, system, system.space.basis_stack, tol, samples, seed)
 
 
 def conjugation_channel(

@@ -1,6 +1,7 @@
 """The relativization map, its laws, and induced maps between frames."""
 
 import importlib
+import itertools
 import pathlib
 import random
 import re
@@ -60,11 +61,13 @@ from framerel.relativize import (
     relativize_morphisms,
     _joint_partition,
     _relativize_stack,
+    _tensor_images,
 )
 from framerel.scenario import parse_scenario
 from framerel.systems import (
     _choi_matrix,
     build_channel,
+    compose_channels,
     conjugation_channel,
     full_system,
     identity_channel,
@@ -834,6 +837,109 @@ def test_tensor_form_requires_equivariance():
     sq = qubit()
     with pytest.raises(ChannelNotEquivariant):
         check_equivariant_tensor_form(psi, conjugation_channel(sq, H))
+
+
+def _kron_unit_oracle(psi, phi, xs):
+    """(psi (x) phi)(x) for each x of a stack, summed over the joint matrix
+    units E_ac (x) E_bd: x[(a, b), (c, d)] psi(E_ac) (x) phi(E_bd), one
+    Kronecker product of the two channels' unit images at a time."""
+    d_r, d_s = psi.channel.source.dim, phi.source.dim
+    psi_units = psi.channel.apply(np.eye(d_r * d_r).reshape(-1, d_r, d_r))
+    phi_units = phi.apply(np.eye(d_s * d_s).reshape(-1, d_s, d_s))
+    out = []
+    for x in xs:
+        blocks = x.reshape(d_r, d_s, d_r, d_s)
+        total = 0
+        for a, b, c, d in np.ndindex(d_r, d_s, d_r, d_s):
+            if blocks[a, b, c, d] != 0:
+                term = np.kron(psi_units[a * d_r + c], phi_units[b * d_s + d])
+                total = total + blocks[a, b, c, d] * term
+        out.append(total)
+    return np.array(out)
+
+
+def test_tensor_images_match_the_kronecker_unit_oracle():
+    # the generator formula sum_g psi(E(g)) (x) phi(g.s_j) is psi (x) phi
+    # on the relativized basis, equivariant phi or not; the rotated frame
+    # has complex effects, so a transposed frame factor would show
+    rng = np.random.default_rng(13)
+    cases = [
+        (build_cyclic_group(3), full_system(zn_phase_rep(3))),
+        (s3(), full_system(s3_irrep2())),
+    ]
+    for group, system in cases:
+        n = group.order
+        v, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        rotated = rotated_frame(canonical_ideal_frame(group), v)
+        for psi, phi in itertools.product(
+            (smearing_morphism(group, 0.3), smearing_morphism(group, 0.3, rotated)),
+            (depolarizing_channel(system, 0.4), conjugation_channel(system, H)),
+        ):
+            xs = _relativize_stack(psi.source, system, system.space.basis_stack)
+            tensor = _tensor_images(psi, phi, np.eye(len(xs)), 1e-9)
+            assert tensor.shape == xs.shape[:1] + (psi.target.rep.dim * system.dim,) * 2
+            assert max_abs(tensor - _kron_unit_oracle(psi, phi, xs)) <= 1e-12
+
+
+def test_tensor_certified_channels_pass_the_sampled_check():
+    for group, system in (
+        (build_cyclic_group(4), full_system(zn_phase_rep(4))),
+        (s3(), full_system(s3_irrep2())),
+    ):
+        ideal = canonical_ideal_frame(group)
+        smear = smearing_morphism(group, 0.35, ideal)
+        pairs = [
+            (identity_frame_morphism(ideal), identity_channel(system)),
+            (identity_frame_morphism(ideal), depolarizing_channel(system, 0.4)),
+            (smear, identity_channel(system)),
+            (smear, depolarizing_channel(system, 0.6)),
+            (identity_frame_morphism(smear.target), depolarizing_channel(system, 0.2)),
+        ]
+        for psi, phi in pairs:
+            channel = relativize_morphisms(psi, phi).channel
+            assert channel.positivity_check == "tensor"
+            d = channel.target.dim
+            psd = psd_span_samples(channel.source.space, count=16, seed=7)
+            lows = np.linalg.eigvalsh(channel.apply(psd))[:, 0]
+            assert lows.min() >= -1e-9 * d
+
+
+def test_non_equivariant_channel_falls_back_to_sampling():
+    # conjugation by H is Choi-certified on the full qubit but does not
+    # commute with the Z4 phase action, so the induced map is not psi (x) phi
+    group = build_cyclic_group(4)
+    system = full_system(zn_phase_rep(4))
+    phi = conjugation_channel(system, H)
+    assert phi.positivity_check == "choi"
+    psi = identity_frame_morphism(canonical_ideal_frame(group))
+    induced = relativize_morphisms(psi, phi, samples=5, seed=3)
+    channel = induced.channel
+    assert (channel.positivity_check, channel.positivity_samples, channel.positivity_seed) == (
+        "sampled", 5, 3,
+    )
+
+
+def test_composites_of_tensor_channels_sample_deterministically(monkeypatch):
+    system = full_system(zn_phase_rep(4))
+    psi = identity_frame_morphism(canonical_ideal_frame(build_cyclic_group(4)))
+    first, second = (
+        relativize_morphisms(psi, depolarizing_channel(system, nu), samples=5, seed=2).channel
+        for nu in (0.3, 0.5)
+    )
+    assert first.positivity_check == second.positivity_check == "tensor"
+    seeds = []
+    original = framerel.systems.psd_span_samples
+
+    def recording(subspace, count, seed, tol):
+        seeds.append((count, seed))
+        return original(subspace, count=count, seed=seed, tol=tol)
+
+    monkeypatch.setattr(framerel.systems, "psd_span_samples", recording)
+    runs = [compose_channels(second, first) for _ in range(2)]
+    assert seeds == [(5, 2), (5, 2)]
+    for ch in runs:
+        assert (ch.positivity_check, ch.positivity_samples, ch.positivity_seed) == ("sampled", 5, 2)
+    assert np.array_equal(runs[0].images, runs[1].images)
 
 
 # -------------------------------------------------------------- naturality

@@ -167,26 +167,44 @@ def test_kraus_and_conjugation_channels_record_the_scenario_sampling():
 
 def test_induced_channels_record_the_scenario_sampling(monkeypatch):
     # every induced map of the S3 golden scenario (yen_morphism,
-    # functor_laws, tensor_form) is built on a proper relative subspace,
-    # so it takes the sampled check with the scenario's seed and count;
-    # the identity on a frame's full value system takes the Choi certificate
+    # functor_laws, tensor_form) is built on a proper relative subspace;
+    # one whose frame morphism and system channel are both Choi-certified
+    # takes the tensor-form certificate, any other one is sampled, and
+    # both record the scenario's seed and count; the identity on a
+    # frame's full value system takes the Choi certificate
     relativize_module = importlib.import_module("framerel.relativize")
-    built = []
+    built, induced = [], []
     original = relativize_module.build_channel
+    original_induce = relativize_module.relativize_morphisms
 
     def recording(*args, **kwargs):
         built.append(original(*args, **kwargs))
         return built[-1]
 
+    def recording_induce(*args, **kwargs):
+        induced.append(original_induce(*args, **kwargs))
+        return induced[-1]
+
     monkeypatch.setattr(relativize_module, "build_channel", recording)
+    for name in ("relativize", "runner"):
+        monkeypatch.setattr(
+            importlib.import_module(f"framerel.{name}"), "relativize_morphisms", recording_induce
+        )
     spec = parse_scenario((FIXTURES / "golden_s3.json").read_text(), samples=3)
     assert spec.seed == 11
     report = run_scenario(spec)
     assert {e.task_id for e in report.entries if e.status != "pass"} == set()
-    sampled = [ch for ch in built if not ch.source.is_full_algebra]
-    assert len(sampled) >= 3
-    for ch in sampled:
-        assert (ch.positivity_check, ch.positivity_seed, ch.positivity_samples) == ("sampled", 11, 3)
+    proper = [ch for ch in built if not ch.source.is_full_algebra]
+    assert len(proper) >= 3
+    for ch in proper:
+        assert (ch.positivity_seed, ch.positivity_samples) == (11, 3)
+        assert ch.positivity_check in ("tensor", "sampled")
+    assert len(induced) >= 3
+    for rel in induced:
+        factors = (rel.frame_morphism.channel.positivity_check, rel.system_channel.positivity_check)
+        expected = "tensor" if factors == ("choi", "choi") else "sampled"
+        assert rel.channel.positivity_check == expected
+    assert any(rel.channel.positivity_check == "tensor" for rel in induced)
     for ch in built:
         if ch.source.is_full_algebra:
             assert (ch.positivity_check, ch.positivity_seed) == ("choi", None)

@@ -26,7 +26,7 @@ from framerel.groups import (
     trivial_rep,
     unitary_rep,
 )
-from framerel.linalg import matrix_unit_span, max_abs, span_subspace
+from framerel.linalg import block_partition, matrix_unit_span, max_abs, span_subspace
 from framerel.systems import (
     _choi_matrix,
     build_channel,
@@ -396,6 +396,22 @@ def test_full_source_takes_the_choi_certificate_whatever_the_target():
     with pytest.raises(NotPositive) as err:
         build_channel(sq, sq, [E00, E10, E01, E11])
     assert abs(err.value.min_eigenvalue + 1.0) < 1e-12
+
+
+def test_choi_spectrum_is_taken_per_block_of_its_pattern():
+    # a -> -a/2 + (3/2) tr(a) I/3 on the full qutrit: the Choi matrix is
+    # -(1/2) |Omega><Omega| + I/2, nonzero on the |ii> block and the
+    # diagonal, so it splits into one 3 x 3 block and six 1 x 1 blocks;
+    # the smallest eigenvalue, -1 on Omega, is the dense one
+    rep = trivial_rep(build_cyclic_group(2), 3)
+    full = full_system(rep)
+    images = [-0.5 * b + 0.5 * np.trace(b) * np.eye(3) for b in full.space.basis]
+    choi = _choi_matrix(np.stack(images), 3)
+    assert sorted(idx.shape for idx in block_partition(choi != 0)) == [(1, 3), (6, 1)]
+    with pytest.raises(NotPositive) as err:
+        build_channel(full, full, images)
+    assert abs(err.value.min_eigenvalue + 1.0) < 1e-12
+    assert abs(err.value.min_eigenvalue - np.linalg.eigvalsh(choi)[0]) < 1e-12
 
 
 def test_positivity_rejected_by_sampling_on_proper_subspace():
