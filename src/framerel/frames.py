@@ -37,7 +37,17 @@ from .errors import (
     SeedNotNormalizing,
     SeedNotPSD,
 )
-from .groups import FiniteGroup, UnitaryRep, act, regular_representation, same_group, same_rep
+from .groups import (
+    FiniteGroup,
+    UnitaryRep,
+    _support_sources,
+    act,
+    regular_representation,
+    same_group,
+    same_rep,
+    support_phases,
+    translates,
+)
 from .linalg import (
     DEFAULT_TOL,
     as_operator,
@@ -121,13 +131,18 @@ def _validate_frame(
     if dev > tol:
         raise FrameInvalid(f"effects do not sum to the identity (deviation {dev:.3e})")
     if rep.perms is not None:
-        # g.E(h) is E(h) with rows and columns permuted, so both sides of
-        # E(gh) = g.E(h) vanish off the support's orbit: compare only there
+        # g.E(h) is E(h) with rows and columns permuted and scaled, so both
+        # sides of E(gh) = g.E(h) vanish off the support's orbit: compare only there
         p = rep.perms
         support = np.any(stack != 0, axis=0)
-        rows, cols = np.nonzero(support[p[:, :, None], p[:, None, :]].any(axis=0))
-        values = stack[:, rows, cols]
-        moved = lambda g: stack[:, p[g, rows], p[g, cols]]
+        orbit = np.flatnonzero(support[p[:, :, None], p[:, None, :]].any(axis=0))
+        flat = stack.reshape(len(stack), -1)
+        values = flat[:, orbit]
+        src, scale = _support_sources(rep, orbit), support_phases(rep, orbit)
+        if scale is None:
+            moved = lambda g: flat[:, src[g]]
+        else:
+            moved = lambda g: flat[:, src[g]] * scale[g]
     else:
         values = stack.reshape(len(stack), -1)
         moved = lambda g: act(rep, g, stack).reshape(len(stack), -1)
@@ -170,7 +185,7 @@ def principal_frame_from_seed(
         )
     if not is_psd(s, tol):
         raise SeedNotPSD(min_eigenvalue(s))
-    effects = [act(rep, g, s) for g in rep.group.elements()]
+    effects = list(translates(rep, s))
     total = sum(effects)
     dev = max_abs(total - identity(rep.dim))
     if dev > tol:

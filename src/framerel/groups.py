@@ -7,20 +7,27 @@ are validated eagerly too: once a ``UnitaryRep`` exists, every matrix is
 unitary, the identity maps to I and the assignment is a homomorphism, so
 downstream code never re-checks.
 
-A representation whose matrices are all exactly 0/1 permutation matrices
-(regular representations, permutation actions and their tensor products)
-also carries them as index arrays.  Its validation is then index
-composition, and the action ``act`` moves matrix entries by a
-precomputed gather instead of two matrix products.  For 0/1 matrices
-both are exact, so they give the same numbers as the matrix path.
-Operators that live on a few entries are moved on those alone:
-``support_translates`` says where each g carries a support, and
+A representation whose matrices are all monomial, U(g) = diag(chi_g) P_g
+with one nonzero entry per row and column (regular representations,
+permutation actions, diagonal phase reps, signed permutations and their
+tensor products), is held as a permutation array and a phase array
+instead of matrices.  Its validation is index composition plus phase
+products, and the action ``act`` gathers matrix entries and scales them
+by the outer product of the phases, in place of two matrix products.  A
+permutation rep (every phase exactly 1) has no phase array, so its
+gather is the whole action and gives the matrix path's numbers bit for
+bit; other phases agree with it within rounding.  Operators that live on
+a few entries are moved on those alone: ``support_translates`` says
+where each g carries a support, ``support_phases`` by what factor, and
 ``invariance_deviation`` compares a stack with its translates there.
+Tensor products of monomial reps are index and phase arithmetic, and
+their matrices are built only when a caller asks for them.  Every other
+representation keeps its matrices and takes the matrix path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import permutations
 
 import numpy as np
@@ -36,6 +43,7 @@ from .errors import (
 from .linalg import DEFAULT_TOL, as_operator, dagger, identity, max_abs
 
 ASSOCIATIVITY_CAP = 64
+_TABLE_CHUNK = 1 << 16  # (g, h, i) entries of the monomial homomorphism table formed at once
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,89 +181,129 @@ def build_symmetric_group(n: int) -> FiniteGroup:
 
 @dataclass(frozen=True, eq=False)
 class UnitaryRep:
-    """Validated matrices U(g), one per group element.
+    """A validated unitary representation: one matrix U(g) per group element.
 
-    ``perms`` is set when every U(g) is exactly a permutation matrix: row
-    i of U(g) holds its 1 in column ``perms[g, i]``, so U(g) x =
-    x[perms[g]] and U(g) a U(g)^dag = a[perms[g]][:, perms[g]].
+    ``perms`` is set when every U(g) is monomial, U(g) = diag(phases[g])
+    P(g): row i of U(g) holds its one nonzero entry, ``phases[g, i]``,
+    in column ``perms[g, i]``.  Then U(g) x = phases[g] * x[perms[g]],
+    and U(g) a U(g)^dag is a[perms[g]][:, perms[g]] times the outer
+    product of phases[g] with its conjugate.  ``phases`` is None when
+    every entry is exactly 1 (a permutation rep).  A monomial rep builds
+    ``matrices`` from the index arrays on first request; every other rep
+    is given them.
     """
 
     group: FiniteGroup
     dim: int
-    matrices: tuple[np.ndarray, ...]
     perms: np.ndarray | None = None
+    phases: np.ndarray | None = None
+    _matrices: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
 
-    def __post_init__(self):
-        if self.perms is not None:
-            p, d = self.perms, self.dim
-            gather = (p[:, :, None] * d + p[:, None, :]).reshape(len(p), d * d)
-            gather.setflags(write=False)
-            object.__setattr__(self, "_gather", gather)
+    @property
+    def matrices(self) -> tuple[np.ndarray, ...]:
+        if self._matrices is None:
+            n, d = self.perms.shape
+            stack = np.zeros((n, d, d), dtype=np.complex128)
+            stack[np.arange(n)[:, None], np.arange(d), self.perms] = _phases(self)
+            stack.setflags(write=False)
+            object.__setattr__(self, "_matrices", tuple(stack))
+        return self._matrices
 
     def matrix(self, g: int) -> np.ndarray:
         return self.matrices[g]
+
+
+def _phases(rep: UnitaryRep) -> np.ndarray:
+    """The (|G|, d) phases of a monomial rep; ones for a permutation rep."""
+    return np.ones(rep.perms.shape) if rep.phases is None else rep.phases
+
+
+def _monomial_parts(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(perms, phases) of a (n, d, d) stack whose matrices all have exactly
+    one nonzero entry in every row and every column; None otherwise."""
+    nonzero = stack != 0
+    if not (np.all(nonzero.sum(axis=1) == 1) and np.all(nonzero.sum(axis=2) == 1)):
+        return None
+    perms = nonzero.argmax(axis=2)
+    return perms, np.take_along_axis(stack, perms[:, :, None], axis=2)[:, :, 0]
+
+
+def _monomial_gap(p, c, q, b) -> np.ndarray:
+    """Largest entry of diag(c) P - diag(b) Q, reduced over the last axis.
+
+    A row where the two columns agree holds c_i - b_i there; a row
+    where they differ holds c_i and -b_i in two columns.  All other
+    entries are zero, so this is the dense difference's maximum.  Phases
+    None stand for all ones: two permutations differ by 0 or 1.
+    """
+    if c is None and b is None:
+        return np.any(p != q, axis=-1).astype(float)
+    c, b = (np.ones(np.shape(p)) if x is None else x for x in (c, b))
+    return np.where(p == q, np.abs(c - b), np.maximum(np.abs(c), np.abs(b))).max(axis=-1)
 
 
 def same_rep(a: UnitaryRep, b: UnitaryRep, tol: float = DEFAULT_TOL) -> bool:
     """Same group, same dimension and every U(g) equal within ``tol``."""
     if a is b:
         return True
-    return (
-        same_group(a.group, b.group)
-        and a.dim == b.dim
-        and max_abs(np.stack(a.matrices) - np.stack(b.matrices)) <= tol
-    )
-
-
-def _permutation(m: np.ndarray) -> np.ndarray | None:
-    """Column of the 1 in each row when ``m`` is exactly a 0/1 permutation matrix."""
-    ones = m == 1
-    if (
-        np.all(ones | (m == 0))
-        and np.all(ones.sum(axis=0) == 1)
-        and np.all(ones.sum(axis=1) == 1)
-    ):
-        return ones.argmax(axis=1)
-    return None
+    if not (same_group(a.group, b.group) and a.dim == b.dim):
+        return False
+    if a.perms is not None and b.perms is not None:
+        return bool(np.all(_monomial_gap(a.perms, a.phases, b.perms, b.phases) <= tol))
+    return max_abs(np.stack(a.matrices) - np.stack(b.matrices)) <= tol
 
 
 def unitary_rep(group: FiniteGroup, matrices, tol: float = DEFAULT_TOL) -> UnitaryRep:
     """Validate one matrix per element into a unitary representation.
 
-    Permutation matrices are unitary as they stand, and their products
-    are compared by composing index arrays.  A pair that fails then has
-    deviation exactly 1.0 and the same (g, h) witness as the matrix
-    products give.
+    When every matrix is monomial, the rep keeps the index arrays alone.
+    A monomial matrix is unitary when its entries have modulus 1, and
+    U(g) U(h) is the monomial matrix with columns perms[h][perms[g]] and
+    entries phases[g] * phases[h][perms[g]].  The deviations are read
+    from those entries: the same verdicts and (g, h) witness as the
+    matrix products, with values equal within rounding.  A permutation
+    rep fails a pair with deviation exactly 1.0.
     """
-    mats = [as_operator(m).copy() for m in matrices]
+    mats = [as_operator(m) for m in matrices]
     if len(mats) != group.order:
         raise DimensionError(
             f"expected {group.order} matrices, got {len(mats)}"
         )
     d = mats[0].shape[0]
-    perms = []
-    for g, m in enumerate(mats):
-        if m.shape[0] != d:
-            raise DimensionError("representation matrices have mixed dimensions")
-        perms.append(_permutation(m))
-        if perms[-1] is None:
-            dev = max_abs(m @ dagger(m) - identity(d))
-            if dev > tol:
-                raise InvalidRepresentation("matrix is not unitary", element=g, deviation=dev)
-    dev = max_abs(mats[group.identity] - identity(d))
+    if any(m.shape[0] != d for m in mats):
+        raise DimensionError("representation matrices have mixed dimensions")
+    stack = np.stack(mats)
+    monomial = _monomial_parts(stack)
+    if monomial is None:
+        unitarity = (max_abs(m @ dagger(m) - identity(d)) for m in stack)
+    else:
+        perms, phases = monomial
+        unitarity = np.abs(phases * np.conj(phases) - 1).max(axis=1)
+    for g, dev in enumerate(unitarity):
+        if dev > tol:
+            raise InvalidRepresentation("matrix is not unitary", element=g, deviation=float(dev))
+    dev = max_abs(stack[group.identity] - identity(d))
     if dev > tol:
         raise InvalidRepresentation(
             "identity element does not map to the identity matrix", deviation=dev
         )
-    index = np.stack(perms) if all(p is not None for p in perms) else None
-    # One row of the table at a time keeps the work at |G| d^2 (|G| d for indices).
-    if index is not None:
-        # U(g) U(h) x = x[index[h][index[g]]]
-        dev_table = np.stack(
-            [np.any(index[:, index[g]] != index[group.mult[g]], axis=1) for g in group.elements()]
-        ).astype(float)
+    # One row of the table at a time keeps the work at |G| d^2; the index
+    # form takes a few rows of |G| d entries at once.
+    if monomial is not None:
+        if np.all(phases == 1):
+            phases = None
+        step = max(1, _TABLE_CHUNK // (group.order * d))
+        rows = []
+        for lo in range(0, group.order, step):
+            p_g = perms[lo : lo + step]
+            target = group.mult[lo : lo + step]
+            c = b = None
+            if phases is not None:
+                c = phases[lo : lo + step, None, :] * phases[:, p_g].swapaxes(0, 1)
+                b = phases[target]
+            rows.append(_monomial_gap(perms[:, p_g].swapaxes(0, 1), c, perms[target], b))
+        dev_table = np.concatenate(rows)
     else:
-        stack = np.stack(mats)
         dev_table = np.stack(
             [
                 np.abs(stack[g] @ stack - stack[group.mult[g]]).max(axis=(1, 2))
@@ -268,11 +316,13 @@ def unitary_rep(group: FiniteGroup, matrices, tol: float = DEFAULT_TOL) -> Unita
         raise InvalidRepresentation(
             f"assignment is not a homomorphism at pair ({g}, {h})", deviation=worst
         )
-    for m in mats:
-        m.setflags(write=False)
-    if index is not None:
-        index.setflags(write=False)
-    return UnitaryRep(group=group, dim=d, matrices=tuple(mats), perms=index)
+    if monomial is None:
+        stack.setflags(write=False)
+        return UnitaryRep(group=group, dim=d, _matrices=tuple(stack))
+    for a in (perms, phases):
+        if a is not None:
+            a.setflags(write=False)
+    return UnitaryRep(group=group, dim=d, perms=perms, phases=phases)
 
 
 def trivial_rep(group: FiniteGroup, dim: int = 1) -> UnitaryRep:
@@ -291,30 +341,61 @@ def regular_representation(group: FiniteGroup) -> UnitaryRep:
     return unitary_rep(group, mats)
 
 
-def act(rep: UnitaryRep, g: int, a) -> np.ndarray:
-    """Conjugation action g.a = U(g) a U(g)^dag.
-
-    ``a`` is one d x d operator or a stack of shape (n, d, d), moved
-    slice by slice.  A permutation representation gathers the entries
-    instead of multiplying.
-    """
+def _check_operand(rep: UnitaryRep, a) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim not in (2, 3) or m.shape[-2:] != (rep.dim, rep.dim):
         raise DimensionError(
             f"operator of shape {m.shape} under a dimension-{rep.dim} action"
         )
-    if rep.perms is not None:
-        flat = m.reshape(*m.shape[:-2], rep.dim * rep.dim)
-        return np.take(flat, rep._gather[g], axis=-1).reshape(m.shape)
-    u = rep.matrices[g]
-    return u @ m @ dagger(u)
+    return m
+
+
+def act(rep: UnitaryRep, g: int, a) -> np.ndarray:
+    """Conjugation action g.a = U(g) a U(g)^dag.
+
+    ``a`` is one d x d operator or a stack of shape (n, d, d), moved
+    slice by slice.  A monomial representation gathers the entries and
+    scales them by the outer product of the phases instead of
+    multiplying; a permutation rep only gathers.
+    """
+    m = _check_operand(rep, a)
+    if rep.perms is None:
+        u = rep.matrices[g]
+        return u @ m @ dagger(u)
+    p = rep.perms[g]
+    moved = m[..., p[:, None], p]
+    if rep.phases is not None:
+        c = rep.phases[g]
+        moved *= c[:, None] * np.conj(c)
+    return moved
+
+
+def translates(rep: UnitaryRep, a) -> np.ndarray:
+    """``act(rep, g, a)`` for every element g in order, shape (|G|, *a.shape).
+
+    A monomial rep takes every translate from one gather, with the same
+    arithmetic as ``act``, so each slice is bit-identical to it.
+    """
+    m = _check_operand(rep, a)
+    if rep.perms is None:
+        return np.stack([act(rep, g, m) for g in rep.group.elements()])
+    p = rep.perms
+    moved = m[..., p[:, :, None], p[:, None, :]]
+    if m.ndim == 3:
+        moved = moved.swapaxes(0, 1)  # (|G|, n, d, d)
+    if rep.phases is not None:
+        c = rep.phases
+        outer = c[:, :, None] * np.conj(c)[:, None, :]
+        moved = moved * outer.reshape(len(p), *(1,) * (m.ndim - 2), rep.dim, rep.dim)
+    return moved
 
 
 def commutation_deviation(rep: UnitaryRep, g: int, a) -> float:
     """Largest entry of a U(g) - U(g) a over an operator or a stack of them.
 
-    For a permutation U(g) these are the entries of a - g.a, permuted
-    by columns, so the gather gives the same maximum.
+    For a monomial U(g) this is (a - g.a) U(g): the entries of a - g.a
+    permuted by columns and scaled by the phases, of modulus 1, so the
+    gather gives the same maximum (bit for bit for a permutation rep).
     """
     m = np.asarray(a, dtype=np.complex128)
     if rep.perms is not None:
@@ -323,30 +404,63 @@ def commutation_deviation(rep: UnitaryRep, g: int, a) -> float:
     return max_abs(m @ u - u @ m)
 
 
+def acts_trivially(rep: UnitaryRep, tol: float = DEFAULT_TOL) -> bool:
+    """Whether every U(g) is a scalar multiple of I within ``tol``.
+
+    The scalar is U(g)[0, 0]; for a monomial rep the difference is a
+    gap between two monomial matrices, read from the entries.
+    """
+    if rep.perms is None:
+        eye = identity(rep.dim)
+        return all(max_abs(u - u[0, 0] * eye) <= tol for u in rep.matrices)
+    p, c = rep.perms, _phases(rep)
+    corner = c[:, :1] * (p[:, :1] == 0)  # U(g)[0, 0]
+    return bool(np.all(_monomial_gap(p, c, np.arange(rep.dim), corner) <= tol))
+
+
+def _support_sources(rep: UnitaryRep, support) -> np.ndarray:
+    """(|G|, len(support)): the flat index that g.a reads at each support entry."""
+    rows, cols = np.divmod(np.asarray(support), rep.dim)
+    return rep.perms[:, rows] * rep.dim + rep.perms[:, cols]
+
+
 def support_translates(rep: UnitaryRep, support) -> tuple[np.ndarray, np.ndarray]:
-    """Where a permutation rep (``rep.perms`` set) moves the entries of operators on ``support``.
+    """Where a monomial rep (``rep.perms`` set) moves the entries of operators on ``support``.
 
     ``support`` holds increasing flat (row-major) indices.  Returns
     ``(src, leaves)``, both (|G|, len(support)): on the support, g.a is
-    a.flat[src[g]], and ``leaves[g, k]`` is True when g carries the
-    entry support[k] off the support, where g.a then holds that value.
-    Every other entry of g.a is zero.  g carries entry s to the entry
-    that the gather of g^-1 reads at s, so no permutation is inverted.
+    a.flat[src[g]] scaled by ``support_phases``, and ``leaves[g, k]`` is
+    True when g carries the entry support[k] off the support, where g.a
+    then holds that value times a phase.  Every other entry of g.a is
+    zero.  g carries entry s to the entry that the gather of g^-1 reads
+    at s, so no permutation is inverted.
     """
     inside = np.zeros(rep.dim * rep.dim, dtype=bool)
     inside[support] = True
-    src = rep._gather[:, support]
-    return src, ~inside[rep._gather[rep.group.inverse[:, None], support]]
+    src = _support_sources(rep, support)
+    return src, ~inside[src[rep.group.inverse]]
+
+
+def support_phases(rep: UnitaryRep, support) -> np.ndarray | None:
+    """(|G|, len(support)) factors phases[g, i] * conj(phases[g, j]) by which
+    g.a scales the entry it reads at each support entry (i, j); None for
+    a permutation rep, whose gather is the whole action."""
+    if rep.phases is None:
+        return None
+    rows, cols = np.divmod(np.asarray(support), rep.dim)
+    return rep.phases[:, rows] * np.conj(rep.phases[:, cols])
 
 
 def invariance_deviation(rep: UnitaryRep, a) -> float:
-    """Largest ``commutation_deviation`` over every group element, bit for bit.
+    """Largest ``commutation_deviation`` over every group element.
 
-    For a permutation rep, a - g.a is compared on the support of a
-    alone.  Off the support it is zero but where g carries an entry s of
-    a, and there it is -a[s]; g^-1 reads that entry from off the
+    For a monomial rep, a - g.a is compared on the support of a alone.
+    Off the support it is zero but where g carries an entry s of a, and
+    there it is -a[s] times a phase; g^-1 reads that entry from off the
     support, so a - g^-1.a holds a[s] - 0 = a[s] at s itself.  The
-    maximum over every element is therefore the same float.
+    maximum over every element is therefore the same: the same float
+    for a permutation rep, within rounding of the phases' modulus
+    otherwise.
     """
     m = np.asarray(a, dtype=np.complex128)
     if rep.perms is None:
@@ -354,23 +468,33 @@ def invariance_deviation(rep: UnitaryRep, a) -> float:
     flat = m.reshape(-1, rep.dim * rep.dim)
     support = np.flatnonzero(np.any(flat != 0, axis=0))
     on = flat[:, support]
-    return max(max_abs(on - flat[:, src]) for src in rep._gather[:, support])
+    src, scale = _support_sources(rep, support), support_phases(rep, support)
+    if scale is None:
+        return max(max_abs(on - flat[:, s]) for s in src)
+    return max(max_abs(on - flat[:, s] * c) for s, c in zip(src, scale))
 
 
 def tensor_rep(r1: UnitaryRep, r2: UnitaryRep) -> UnitaryRep:
     """Elementwise Kronecker product of two representations of one group.
 
     Both factors are already valid, so their product is too and it is not
-    validated again.  When both carry ``perms``, the joint U(g) sends row
-    (i, k) to column (p1[g, i], p2[g, k]), which is index arithmetic.
+    validated again.  When both are monomial, the joint U(g) sends row
+    (i, k) to column (p1[g, i], p2[g, k]) with entry c1[g, i] * c2[g, k],
+    which is index and phase arithmetic; its matrices, built on request,
+    equal the Kronecker products.
     """
     if not same_group(r1.group, r2.group):
         raise GroupMismatch("tensor product of representations of different groups")
-    mats = [np.kron(r1.matrices[g], r2.matrices[g]) for g in r1.group.elements()]
-    for m in mats:
-        m.setflags(write=False)
-    perms = None
-    if r1.perms is not None and r2.perms is not None:
-        perms = (r1.perms[:, :, None] * r2.dim + r2.perms[:, None, :]).reshape(len(mats), -1)
-        perms.setflags(write=False)
-    return UnitaryRep(group=r1.group, dim=r1.dim * r2.dim, matrices=tuple(mats), perms=perms)
+    n, dim = r1.group.order, r1.dim * r2.dim
+    if r1.perms is None or r2.perms is None:
+        mats = [np.kron(r1.matrices[g], r2.matrices[g]) for g in r1.group.elements()]
+        for m in mats:
+            m.setflags(write=False)
+        return UnitaryRep(group=r1.group, dim=dim, _matrices=tuple(mats))
+    perms = (r1.perms[:, :, None] * r2.dim + r2.perms[:, None, :]).reshape(n, dim)
+    perms.setflags(write=False)
+    phases = None
+    if r1.phases is not None or r2.phases is not None:
+        phases = (_phases(r1)[:, :, None] * _phases(r2)[:, None, :]).reshape(n, dim)
+        phases.setflags(write=False)
+    return UnitaryRep(group=r1.group, dim=dim, perms=perms, phases=phases)

@@ -63,7 +63,7 @@ from .frames import (
     compose_frame_morphisms,
     same_frame,
 )
-from .groups import UnitaryRep, act, invariance_deviation, same_group, tensor_rep
+from .groups import UnitaryRep, act, invariance_deviation, same_group, tensor_rep, translates
 from .linalg import (
     DEFAULT_TOL,
     MatrixSubspace,
@@ -145,7 +145,8 @@ def _relativize_stack(frame: FrameObservable, system: SemiQuantumSystem, mats) -
     Only the blocks (i, j) in the union support of the effects, the
     pairs where some E(g)[i, j] is nonzero, are accumulated: for each
     element g in group order, E(g)[i, j] * g.a is added to block (i, j)
-    of every operator.  The blocks are then scattered into a zeroed
+    of every operator, the translates g.a of every element taken at
+    once (``groups.translates``).  The blocks are then scattered into a zeroed
     (n, d_r, d, d_r, d) buffer.  The kept products and their sum order
     are those of adding E(g) (x) g.a one operator at a time.  A skipped
     term is a product 0 * x, which is a signed zero, and adding a signed
@@ -158,9 +159,10 @@ def _relativize_stack(frame: FrameObservable, system: SemiQuantumSystem, mats) -
     stack = np.asarray(mats, dtype=np.complex128).reshape(-1, d, d)
     rows, cols = np.nonzero(_effect_support(frame))
     weights = frame.effects[:, rows, cols]
+    moved = translates(system.rep, stack)
     blocks = np.zeros((len(rows), len(stack), d, d), dtype=np.complex128)
     for g in frame.group.elements():
-        blocks += weights[g][:, None, None, None] * act(system.rep, g, stack)[None]
+        blocks += weights[g][:, None, None, None] * moved[g][None]
     out = np.zeros((len(stack), d_r, d, d_r, d), dtype=np.complex128)
     out[:, rows, :, cols, :] = blocks
     return out.reshape(len(stack), d_r * d, d_r * d)
@@ -510,8 +512,8 @@ def _tensor_images(psi: FrameMorphism, phi: ChannelMap, coeffs, tol: float) -> n
     basis = system.space.basis_stack
     n, order = len(basis), psi.group.order
     frame_parts = psi.channel.apply(psi.source.effects, tol)
-    translates = np.stack([act(system.rep, g, basis) for g in psi.group.elements()])
-    system_parts = phi.apply(translates.reshape(-1, system.dim, system.dim), tol)
+    moved = translates(system.rep, basis)
+    system_parts = phi.apply(moved.reshape(-1, system.dim, system.dim), tol)
     d_f, d_s = frame_parts.shape[-1], system_parts.shape[-1]
     # sums[a c, j b d] = sum_g psi(E(g))[a, c] phi(g.s_j)[b, d]
     sums = frame_parts.reshape(order, -1).T @ system_parts.reshape(order, -1)

@@ -22,7 +22,7 @@ A proper span is validated on its support, the entries where some basis
 element is nonzero: its translates, adjoints and products are projected
 on those entries alone (the basis vanishes elsewhere), and their
 entries off the support are compared with the tolerance directly.  A
-permutation representation moves the support entries alone, and
+monomial representation moves the support entries alone, and
 products are formed on the diagonal blocks of the support, so a span
 that lives on a few blocks of a large joint space costs what its blocks
 cost.
@@ -53,7 +53,16 @@ from .errors import (
     OperatorOutsideSystem,
     RequiresFullAlgebra,
 )
-from .groups import UnitaryRep, act, same_group, same_rep, support_translates
+from .groups import (
+    UnitaryRep,
+    act,
+    acts_trivially,
+    same_group,
+    same_rep,
+    support_phases,
+    support_translates,
+    translates,
+)
 from .linalg import (
     DEFAULT_TOL,
     MatrixSubspace,
@@ -148,8 +157,9 @@ def _assemble_system(rep: UnitaryRep, space: MatrixSubspace, tol: float) -> Semi
     U(g) is a scalar within ``tol``, so it is read from the rep and no
     basis element is moved.  On a proper span the translates of the
     basis give both closure and invariance, a few group elements at a
-    time.  A permutation rep moves the support entries alone
-    (``support_translates``): a translate that carries an entry above
+    time.  A monomial rep moves the support entries alone and scales
+    them by its phases (``support_translates``, ``support_phases``): a
+    translate that carries an entry above
     ``tol`` off the support leaves the span, and the rest is tested on
     the support through ``support_residuals``.  Other reps conjugate the
     basis densely, as ``act`` does, and ``residuals`` tests the
@@ -165,17 +175,19 @@ def _assemble_system(rep: UnitaryRep, space: MatrixSubspace, tol: float) -> Semi
     full = space.is_full
     invariant = True
     if full:
-        eye = identity(rep.dim)
-        invariant = all(max_abs(u - u[0, 0] * eye) <= tol for u in rep.matrices)
+        invariant = acts_trivially(rep, tol)
     elif rep.perms is not None:
         flat = space.basis_stack.reshape(space.dim, -1)
         values = flat[:, space.support]
         src, leaves = support_translates(rep, space.support)
+        scale = support_phases(rep, space.support)
         if np.any(leaves[:, np.abs(values).max(axis=0) > tol]):
             raise FramerelError(_NOT_CLOSED)
         step = max(1, _CHUNK // space.dim)
         for lo in range(0, rep.group.order, step):
             moved = flat[:, src[lo : lo + step]]  # (dim, elements, support): translates
+            if scale is not None:
+                moved = moved * scale[lo : lo + step]
             if np.any(space.support_residuals(moved.reshape(-1, values.shape[1])) > tol):
                 raise FramerelError(_NOT_CLOSED)
             invariant = invariant and max_abs(moved - values[:, None]) <= tol
@@ -226,9 +238,8 @@ def subspace_system(rep: UnitaryRep, generators, tol: float = DEFAULT_TOL) -> Se
                 f"generator of dimension {g.shape[0]} for a dimension-{rep.dim} system"
             )
     seeds = gens + [identity(rep.dim)]
-    # one stacked act per element; the orbit lists each seed's translates in group order
-    stack = np.stack(seeds)
-    moved = np.stack([act(rep, g, stack) for g in rep.group.elements()], axis=1)
+    # the orbit lists each seed's translates in group order
+    moved = translates(rep, np.stack(seeds)).swapaxes(0, 1)
     orbit = seeds + list(moved.reshape(-1, rep.dim, rep.dim))
     space = span_subspace(orbit, ambient_dim=rep.dim, tol=tol)
     return _assemble_system(rep, space, tol)
@@ -409,8 +420,11 @@ def build_channel(
     if exact:
         choi = _choi_matrix(_unit_images(channel, tol), source.dim)
         herm_dev = max_abs(choi - dagger(choi))
-        blocks = diagonal_blocks(choi[None], block_partition(choi != 0))
-        low = float(block_min_eigenvalues(blocks)[0])
+        support = choi != 0
+        if support.all():  # one block, the whole matrix
+            low = min_eigenvalue(choi)
+        else:
+            low = float(block_min_eigenvalues(diagonal_blocks(choi[None], block_partition(support)))[0])
         if herm_dev > tol or low < -tol * choi.shape[0]:
             raise NotPositive(
                 f"Choi matrix fails positivity (hermiticity deviation "

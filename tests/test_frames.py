@@ -29,7 +29,7 @@ from framerel.frames import (
     reorientation_morphism,
     same_frame,
 )
-from framerel.groups import act, build_cyclic_group, trivial_rep, unitary_rep
+from framerel.groups import UnitaryRep, act, build_cyclic_group, trivial_rep, unitary_rep
 from framerel.linalg import is_projection, is_psd, max_abs
 from framerel.systems import build_channel, subspace_system
 
@@ -303,9 +303,10 @@ def test_covariance_failure_names_the_first_pair():
 def test_covariance_on_the_support_orbit_fails_as_the_dense_check():
     # A smeared S3 frame with a non-covariant off-diagonal bump: the
     # permutation rep compares only on the orbit of the effect support,
-    # the same action with signs (no perms) compares every entry, and
-    # both name the first failing pair of the strict loop with the same
-    # deviation.
+    # the same action with signs (a monomial rep with phases) too, and
+    # the signed matrices held as a matrix-path rep compare every entry.
+    # All three name the first failing pair of the strict loop with the
+    # same deviation.
     group = s3()
     ideal = canonical_ideal_frame(group)
     d, lam, eps = group.order, 0.3, 0.01
@@ -316,11 +317,12 @@ def test_covariance_on_the_support_orbit_fails_as_the_dense_check():
     effects[1] = effects[1] - bump
     sign = [round(np.linalg.det(np.eye(3)[[int(c) for c in group.label(g)]])) for g in group.elements()]
     signed = unitary_rep(group, [s * m for s, m in zip(sign, ideal.rep.matrices)])
-    assert ideal.rep.perms is not None and signed.perms is None
+    dense = UnitaryRep(group=group, dim=d, _matrices=signed.matrices)
+    assert ideal.rep.phases is None and signed.phases is not None and dense.perms is None
     g, h, dev = _first_failing_pair(ideal, effects, 1e-9)
     label = group.label
     want = f"covariance fails at pair ({label(g)}, {label(h)}) (deviation {dev:.3e})"
-    for rep, vs in ((ideal.rep, ideal.value_system), (signed, None)):
+    for rep, vs in ((ideal.rep, ideal.value_system), (signed, None), (dense, None)):
         with pytest.raises(FrameInvalid) as err:
             frame_from_effects(rep, effects, vs)
         assert str(err.value) == want

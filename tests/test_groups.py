@@ -1,9 +1,12 @@
 """Finite groups and unitary representations against independent oracles."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framerel.errors import (
     DimensionError,
@@ -14,7 +17,6 @@ from framerel.errors import (
     NotAssociative,
 )
 from framerel.groups import (
-    _permutation,
     act,
     build_cyclic_group,
     build_group_from_table,
@@ -25,15 +27,31 @@ from framerel.groups import (
     same_group,
     support_translates,
     tensor_rep,
+    translates,
     trivial_rep,
     unitary_rep,
 )
 from framerel.linalg import max_abs
 
+from .strategies import cyclic_monomial_reps
 from .support import I2, X, Z, s3_irrep2, z2_flip_rep, zn_phase_rep
 
 
 # ------------------------------------------------------------------ oracles
+
+
+def monomial_oracle(m):
+    """(column, entry) of the one nonzero in each row of a monomial matrix, else None."""
+    cols, entries = [], []
+    for row in m:
+        nonzero = [j for j, x in enumerate(row) if x != 0]
+        if len(nonzero) != 1:
+            return None
+        cols.append(nonzero[0])
+        entries.append(row[nonzero[0]])
+    if sorted(cols) != list(range(len(m))):
+        return None
+    return np.array(cols), np.array(entries)
 
 
 def compose_perms(p, q):
@@ -281,13 +299,17 @@ def test_joint_perms_are_index_arithmetic_on_the_factors():
         kron = np.kron(regular.matrices[g], perm4[g])
         assert np.array_equal(joint.matrices[g], kron)
         assert not joint.matrices[g].flags.writeable
-        assert np.array_equal(joint.perms[g], _permutation(kron))
-    # a phase factor is no permutation, so the joint has no perms
+        assert np.array_equal(joint.perms[g], monomial_oracle(kron)[0])
+    assert joint.phases is None
+    # a phase factor makes the joint monomial with the product phases
     regular, phase = regular_representation(build_cyclic_group(4)), zn_phase_rep(4)
     phased = tensor_rep(regular, phase)
-    assert phased.perms is None
+    assert phased.perms is not None and phased.phases is not None
     for g in regular.group.elements():
-        assert np.array_equal(phased.matrices[g], np.kron(regular.matrices[g], phase.matrices[g]))
+        kron = np.kron(regular.matrices[g], phase.matrices[g])
+        assert np.array_equal(phased.matrices[g], kron)
+        perm, entries = monomial_oracle(kron)
+        assert np.array_equal(phased.perms[g], perm) and np.array_equal(phased.phases[g], entries)
 
 
 def _sparse_stack(rng, k, d, density):
@@ -333,12 +355,24 @@ def test_invariance_deviation_is_the_commutation_maximum_bit_for_bit():
 
 
 def test_signed_and_phased_monomials_are_not_permutations():
-    z2_sign = unitary_rep(build_cyclic_group(2), [I2, -X])
+    w = np.exp(2j * np.pi / 4)
     ix = 1j * X
-    z4_phase = unitary_rep(build_cyclic_group(4), [np.linalg.matrix_power(ix, k) for k in range(4)])
-    for rep in (z2_sign, z4_phase, zn_phase_rep(4)):
-        assert rep.perms is None
-    assert z2_flip_rep().perms is not None
+    inputs = [
+        (build_cyclic_group(2), [I2, -X]),
+        (build_cyclic_group(4), [np.linalg.matrix_power(ix, k) for k in range(4)]),
+        (build_cyclic_group(4), [np.diag([1.0, w**k]).astype(complex) for k in range(4)]),
+    ]
+    # monomial: index arrays with a phase array; a permutation has no phases
+    for group, mats in inputs:
+        rep = unitary_rep(group, mats)
+        assert rep.perms is not None and rep.phases is not None
+        for g in group.elements():
+            perm, entries = monomial_oracle(mats[g])
+            assert np.array_equal(rep.perms[g], perm) and np.array_equal(rep.phases[g], entries)
+            assert np.array_equal(rep.matrices[g], mats[g])
+    z2_sign = unitary_rep(*inputs[0])
+    assert np.array_equal(z2_sign.phases, [[1, 1], [-1, -1]])
+    assert z2_flip_rep().perms is not None and z2_flip_rep().phases is None
     a = np.array([[1.0, 2.0j], [3.0, 4.0]])
     assert np.array_equal(act(z2_sign, 1, a), X @ a @ X)
 
@@ -353,3 +387,160 @@ def test_non_homomorphic_permutations_raise_with_the_product_witness():
     with pytest.raises(InvalidRepresentation, match=pair) as err:
         unitary_rep(group, mats)
     assert err.value.deviation == 1.0
+
+
+# --------------------------------------------------- monomial representations
+
+
+def signed_regular_mats(group):
+    """Regular rep of S_n times the sign character, from itertools permutations."""
+    mats = []
+    for g in group.elements():
+        sign = round(np.linalg.det(np.eye(len(group.label(g)))[[int(c) for c in group.label(g)]]))
+        m = np.zeros((group.order, group.order), dtype=complex)
+        for h in group.elements():
+            m[group.multiply(g, h), h] = sign
+        mats.append(m)
+    return mats
+
+
+def phased_reps():
+    """(rep, dense matrices) pairs: phase qubits, a signed Z2, signed S3 and phased joints."""
+    w = np.exp(2j * np.pi / 5)
+    z5 = build_cyclic_group(5)
+    z5_phase = [np.diag([1.0, w**k, w ** (2 * k)]) for k in range(5)]
+    s3_sign = signed_regular_mats(build_symmetric_group(3))
+    z2_sign = [I2, -X]
+    z4_regular = regular_representation(build_cyclic_group(4))
+    z4_phase = zn_phase_rep(4)
+    w6 = np.exp(2j * np.pi / 6)
+    pairs = [
+        (zn_phase_rep(6), [np.diag([1.0, w6**k]) for k in range(6)]),
+        (unitary_rep(z5, z5_phase), z5_phase),
+        (unitary_rep(build_cyclic_group(2), z2_sign), z2_sign),
+        (unitary_rep(build_symmetric_group(3), s3_sign), s3_sign),
+    ]
+    for r1, r2 in ((z4_regular, z4_phase), (z4_phase, z4_regular), (z4_phase, z4_phase)):
+        kron = [np.kron(a, b) for a, b in zip(r1.matrices, r2.matrices)]
+        pairs.append((tensor_rep(r1, r2), kron))
+    return pairs
+
+
+def test_monomial_reps_act_as_dense_conjugation():
+    rng = np.random.default_rng(29)
+    for rep, mats in phased_reps():
+        assert rep.perms is not None and rep.phases is not None
+        d = rep.dim
+        stack = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
+        twirled = sum(u @ stack @ np.conj(u).T for u in mats) / len(mats)
+        for g, u in enumerate(mats):
+            dense = u @ stack @ np.conj(u).T
+            assert max_abs(act(rep, g, stack) - dense) < 1e-14
+            assert max_abs(act(rep, g, stack[0]) - dense[0]) < 1e-14
+            for ops in (stack, twirled):
+                expected = max(max_abs(a @ u - u @ a) for a in ops)
+                assert abs(commutation_deviation(rep, g, ops) - expected) < 1e-14
+        for ops in (stack, twirled + 1e-13 * stack, _sparse_stack(rng, 2, d, 0.3)):
+            expected = max(max_abs(a @ u - u @ a) for u in mats for a in ops)
+            assert abs(invariance_deviation(rep, ops) - expected) < 1e-14
+        assert np.array_equal(translates(rep, stack), np.stack([act(rep, g, stack) for g in rep.group.elements()]))
+
+
+def dense_homomorphism_witness(group, mats):
+    """The argmax (g, h) of |U(g) U(h) - U(gh)| by matrix products, and its value."""
+    table = np.array(
+        [[max_abs(mats[g] @ mats[h] - mats[group.multiply(g, h)]) for h in group.elements()] for g in group.elements()]
+    )
+    g, h = np.unravel_index(int(table.argmax()), table.shape)
+    return (int(g), int(h)), float(table.max())
+
+
+def test_monomial_validation_raises_with_the_dense_witness():
+    # a monomial matrix off the unit circle fails unitarity at its element
+    z3 = build_cyclic_group(3)
+    w = np.exp(2j * np.pi / 3)
+    stretched = [np.diag([1.0, w**k]).astype(complex) for k in range(3)]
+    stretched[2] = np.array([[0, 1.0], [w**2 * 1.001, 0]])
+    with pytest.raises(InvalidRepresentation, match="not unitary") as err:
+        unitary_rep(z3, stretched)
+    u = stretched[2]
+    assert err.value.element == 2
+    assert abs(err.value.deviation - max_abs(u @ np.conj(u).T - np.eye(2))) < 1e-14
+    # phased reps that are not homomorphisms: a flipped sign, a twisted
+    # phase, and two swapped signed permutations
+    s3 = build_symmetric_group(3)
+    flipped = signed_regular_mats(s3)
+    flipped[4] = -flipped[4]
+    twisted = signed_regular_mats(s3)
+    twisted[5] = twisted[5] * np.exp(0.3j)
+    swapped = signed_regular_mats(s3)
+    swapped[3], swapped[4] = swapped[4], swapped[3]
+    z4 = build_cyclic_group(4)
+    corrupted = [np.kron(np.linalg.matrix_power(np.roll(np.eye(2), 1, axis=0), k), np.diag([1.0, 1j**k])) for k in range(4)]
+    corrupted[3] = corrupted[3] * np.exp(-0.2j)
+    for group, mats in ((s3, flipped), (s3, twisted), (s3, swapped), (z4, corrupted)):
+        (g, h), dev = dense_homomorphism_witness(group, mats)
+        assert dev > 1e-9
+        with pytest.raises(InvalidRepresentation, match=rf"pair \({g}, {h}\)") as err:
+            unitary_rep(group, mats)
+        assert abs(err.value.deviation - dev) < 1e-14
+
+
+def test_reps_with_some_dense_matrix_keep_the_matrix_path():
+    # the S3 irrep with its rounding dust cleared: the identity and "102"
+    # are monomial, the four others are not, so the rep stays dense
+    raw = s3_irrep2()
+    assert raw.perms is None
+    mats = [np.where(np.abs(m) < 1e-12, 0, m) for m in raw.matrices]
+    rep = unitary_rep(raw.group, mats)
+    assert rep.perms is None and rep.phases is None
+    labels = [rep.group.label(g) for g in rep.group.elements() if monomial_oracle(mats[g]) is not None]
+    assert labels == ["012", "102"]
+    for g in rep.group.elements():
+        assert np.array_equal(rep.matrices[g], mats[g])
+    # so does its product with a permutation rep
+    regular = regular_representation(rep.group)
+    joint = tensor_rep(rep, regular)
+    assert joint.perms is None
+    for g in rep.group.elements():
+        assert np.array_equal(joint.matrices[g], np.kron(mats[g], regular.matrices[g]))
+
+
+def test_tensor_rep_of_s5_builds_no_joint_matrices():
+    # 120 dense 600 x 600 joint matrices would take 660 MiB
+    group = build_symmetric_group(5)
+    regular = regular_representation(group)
+    perm5 = []
+    for g in group.elements():
+        m = np.zeros((5, 5), dtype=complex)
+        for k, pk in enumerate(int(c) for c in group.label(g)):
+            m[pk, k] = 1.0
+        perm5.append(m)
+    perm5 = unitary_rep(group, perm5)
+    tracemalloc.start()
+    try:
+        joint = tensor_rep(regular, perm5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert joint.dim == 600 and joint.perms.shape == (120, 600) and joint.phases is None
+    assert joint._matrices is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_generated_monomial_reps_act_as_dense_conjugation(data):
+    n, mats = data.draw(cyclic_monomial_reps())
+    rep = unitary_rep(build_cyclic_group(n), mats)
+    assert rep.perms is not None
+    d = rep.dim
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    stack = rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d))
+    for g, u in enumerate(mats):
+        assert np.array_equal(rep.matrices[g], u)
+        assert max_abs(act(rep, g, stack) - u @ stack @ np.conj(u).T) < 1e-14
+    _, other = data.draw(cyclic_monomial_reps(order=n))
+    joint = tensor_rep(rep, unitary_rep(rep.group, other))
+    for g in rep.group.elements():
+        assert np.array_equal(joint.matrices[g], np.kron(mats[g], other[g]))

@@ -17,6 +17,7 @@ from framerel.errors import (
     RequiresFullAlgebra,
 )
 from framerel.groups import (
+    UnitaryRep,
     act,
     build_cyclic_group,
     build_symmetric_group,
@@ -26,8 +27,16 @@ from framerel.groups import (
     trivial_rep,
     unitary_rep,
 )
-from framerel.linalg import block_partition, matrix_unit_span, max_abs, span_subspace
+from framerel.linalg import (
+    block_min_eigenvalues,
+    block_partition,
+    diagonal_blocks,
+    matrix_unit_span,
+    max_abs,
+    span_subspace,
+)
 from framerel.systems import (
+    _NOT_CLOSED,
     _choi_matrix,
     build_channel,
     same_system,
@@ -215,6 +224,46 @@ def test_system_flags_agree_with_the_dense_oracle_on_generated_spans():
             closed, invariant, algebra = _dense_flags_oracle(rep, system.space)
             assert closed
             assert (system.is_invariant, is_vn_algebra(system)) == (invariant, algebra)
+
+
+def test_phased_spans_assemble_as_on_the_matrix_path():
+    # A monomial rep with phases validates a proper span on its support;
+    # its matrices held as a matrix-path rep conjugate the basis densely.
+    # Both give the dense oracle's invariance flag, or the same closure
+    # error, on closed and unclosed spans.
+    z4 = build_cyclic_group(4)
+    phase = zn_phase_rep(4)
+    joint = tensor_rep(regular_representation(z4), phase)
+    signed = unitary_rep(z4, [np.linalg.matrix_power(1j * X, k) for k in range(4)])
+    rng = np.random.default_rng(53)
+    for rep in (phase, joint, signed):
+        assert rep.phases is not None
+        dense = UnitaryRep(group=rep.group, dim=rep.dim, _matrices=rep.matrices)
+        d = rep.dim
+        a = rng.standard_normal((d, d))
+        twirl = sum(u @ a @ np.conj(u).T for u in rep.matrices)
+        spans = [
+            span_subspace([np.eye(d), twirl]),
+            subspace_system(rep, [rng.standard_normal((d, d))]).space,
+            subspace_system(rep, [np.diag(rng.standard_normal(d))]).space,
+            subspace_system(rep, [_unit(d, 0, 0)]).space,
+            span_subspace([np.eye(d), np.diag(rng.standard_normal(d))]),
+            span_subspace([np.eye(d), _unit(d, 0, 1) + _unit(d, 1, 0)]),
+            span_subspace([np.eye(d), rng.standard_normal((d, d))]),
+        ]
+        seen = set()
+        for space in spans:
+            closed, invariant, _ = _dense_flags_oracle(dense, space)
+            outcomes = []
+            for r in (rep, dense):
+                try:
+                    outcomes.append(system_from_subspace(r, space).is_invariant)
+                except FramerelError as err:
+                    outcomes.append(str(err))
+            assert outcomes[0] == outcomes[1]
+            assert outcomes[0] == (invariant if closed else _NOT_CLOSED)
+            seen.add(outcomes[0])
+        assert seen == {True, False, _NOT_CLOSED}
 
 
 def test_subspace_system_orbit_matches_the_per_element_loop_bit_for_bit():
@@ -412,6 +461,23 @@ def test_choi_spectrum_is_taken_per_block_of_its_pattern():
         build_channel(full, full, images)
     assert abs(err.value.min_eigenvalue + 1.0) < 1e-12
     assert abs(err.value.min_eigenvalue - np.linalg.eigvalsh(choi)[0]) < 1e-12
+
+
+def test_dense_choi_takes_one_spectrum_of_the_whole_matrix():
+    # a -> V a^T V^dag for a generic unitary V is unital, and not positive;
+    # its Choi matrix has no zero entry, so its spectrum is taken whole,
+    # bit-identical to the block path's single block
+    full = full_system(trivial_rep(build_cyclic_group(2), 3))
+    rng = np.random.default_rng(61)
+    v, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    images = [v @ b.T @ np.conj(v).T for b in full.space.basis]
+    choi = _choi_matrix(np.stack(images), 3)
+    assert np.all(choi != 0)
+    blocks = diagonal_blocks(choi[None], block_partition(choi != 0))
+    with pytest.raises(NotPositive) as err:
+        build_channel(full, full, images)
+    assert err.value.min_eigenvalue == float(block_min_eigenvalues(blocks)[0])
+    assert abs(err.value.min_eigenvalue + 1.0) < 1e-12
 
 
 def test_positivity_rejected_by_sampling_on_proper_subspace():
