@@ -40,12 +40,11 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     UnitaryRep,
-    _support_sources,
     act,
     regular_representation,
     same_group,
     same_rep,
-    support_phases,
+    support_values,
     translates,
 )
 from .linalg import (
@@ -138,11 +137,7 @@ def _validate_frame(
         orbit = np.flatnonzero(support[p[:, :, None], p[:, None, :]].any(axis=0))
         flat = stack.reshape(len(stack), -1)
         values = flat[:, orbit]
-        src, scale = _support_sources(rep, orbit), support_phases(rep, orbit)
-        if scale is None:
-            moved = lambda g: flat[:, src[g]]
-        else:
-            moved = lambda g: flat[:, src[g]] * scale[g]
+        moved = lambda g: support_values(rep, flat, orbit, g)
     else:
         values = stack.reshape(len(stack), -1)
         moved = lambda g: act(rep, g, stack).reshape(len(stack), -1)

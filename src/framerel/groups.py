@@ -13,12 +13,13 @@ permutation actions, diagonal phase reps, signed permutations and their
 tensor products), is held as a permutation array and a phase array
 instead of matrices.  Its validation is index composition plus phase
 products, and the action ``act`` gathers matrix entries and scales them
-by the outer product of the phases, in place of two matrix products.  A
-permutation rep (every phase exactly 1) has no phase array, so its
-gather is the whole action and gives the matrix path's numbers bit for
-bit; other phases agree with it within rounding.  Operators that live on
-a few entries are moved on those alone: ``support_translates`` says
-where each g carries a support, ``support_phases`` by what factor, and
+by the phases in the order the matrix products multiply them, in place
+of two matrix products.  A permutation rep (every phase exactly 1) has
+no phase array, so its gather is the whole action and gives the matrix
+path's numbers bit for bit; other phases agree with it within rounding.
+Operators that live on a few entries are moved on those alone:
+``support_translates`` says where each g carries a support,
+``support_values`` gives the moved and scaled entries there, and
 ``invariance_deviation`` compares a stack with its translates there.
 Tensor products of monomial reps are index and phase arithmetic, and
 their matrices are built only when a caller asks for them.  Every other
@@ -354,9 +355,10 @@ def act(rep: UnitaryRep, g: int, a) -> np.ndarray:
     """Conjugation action g.a = U(g) a U(g)^dag.
 
     ``a`` is one d x d operator or a stack of shape (n, d, d), moved
-    slice by slice.  A monomial representation gathers the entries and
-    scales them by the outer product of the phases instead of
-    multiplying; a permutation rep only gathers.
+    slice by slice.  A monomial representation gathers the entries
+    instead of multiplying, and scales entry (i, j) in the order the
+    matrix products do, (phases[g, i] * a') * conj(phases[g, j]); a
+    permutation rep only gathers.
     """
     m = _check_operand(rep, a)
     if rep.perms is None:
@@ -366,42 +368,48 @@ def act(rep: UnitaryRep, g: int, a) -> np.ndarray:
     moved = m[..., p[:, None], p]
     if rep.phases is not None:
         c = rep.phases[g]
-        moved *= c[:, None] * np.conj(c)
+        moved = c[:, None] * moved * np.conj(c)
     return moved
 
 
-def translates(rep: UnitaryRep, a) -> np.ndarray:
-    """``act(rep, g, a)`` for every element g in order, shape (|G|, *a.shape).
+def translates(rep: UnitaryRep, a, elements: slice = slice(None)) -> np.ndarray:
+    """``act(rep, g, a)`` for every g in ``elements`` (all of them by
+    default) in order, shape (len(elements), *a.shape).
 
-    A monomial rep takes every translate from one gather, with the same
+    A monomial rep takes these translates from one gather, with the same
     arithmetic as ``act``, so each slice is bit-identical to it.
     """
     m = _check_operand(rep, a)
     if rep.perms is None:
-        return np.stack([act(rep, g, m) for g in rep.group.elements()])
-    p = rep.perms
+        return np.stack([act(rep, g, m) for g in range(rep.group.order)[elements]])
+    p = rep.perms[elements]
     moved = m[..., p[:, :, None], p[:, None, :]]
     if m.ndim == 3:
-        moved = moved.swapaxes(0, 1)  # (|G|, n, d, d)
+        moved = moved.swapaxes(0, 1)  # (elements, n, d, d)
     if rep.phases is not None:
-        c = rep.phases
-        outer = c[:, :, None] * np.conj(c)[:, None, :]
-        moved = moved * outer.reshape(len(p), *(1,) * (m.ndim - 2), rep.dim, rep.dim)
+        c = rep.phases[elements].reshape(len(p), *(1,) * (m.ndim - 2), rep.dim)
+        moved = c[..., :, None] * moved * np.conj(c)[..., None, :]
     return moved
 
 
 def commutation_deviation(rep: UnitaryRep, g: int, a) -> float:
     """Largest entry of a U(g) - U(g) a over an operator or a stack of them.
 
-    For a monomial U(g) this is (a - g.a) U(g): the entries of a - g.a
-    permuted by columns and scaled by the phases, of modulus 1, so the
-    gather gives the same maximum (bit for bit for a permutation rep).
+    For a monomial U(g), column perms[g, k] of that difference holds
+    a[i, k] phases[g, k] - phases[g, i] a[perms[g, i], perms[g, k]], the
+    products the matrix path forms; for a permutation rep these are the
+    entries of a - g.a.
     """
     m = np.asarray(a, dtype=np.complex128)
-    if rep.perms is not None:
-        return max_abs(m - act(rep, g, m))
-    u = rep.matrices[g]
-    return max_abs(m @ u - u @ m)
+    if rep.perms is None:
+        u = rep.matrices[g]
+        return max_abs(m @ u - u @ m)
+    p = rep.perms[g]
+    moved = m[..., p[:, None], p]
+    if rep.phases is None:
+        return max_abs(m - moved)
+    c = rep.phases[g]
+    return max_abs(m * c - c[:, None] * moved)
 
 
 def acts_trivially(rep: UnitaryRep, tol: float = DEFAULT_TOL) -> bool:
@@ -418,49 +426,56 @@ def acts_trivially(rep: UnitaryRep, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.all(_monomial_gap(p, c, np.arange(rep.dim), corner) <= tol))
 
 
-def _support_sources(rep: UnitaryRep, support) -> np.ndarray:
-    """(|G|, len(support)): the flat index that g.a reads at each support entry."""
-    rows, cols = np.divmod(np.asarray(support), rep.dim)
-    return rep.perms[:, rows] * rep.dim + rep.perms[:, cols]
+def _support_sources(perms: np.ndarray, support, d: int) -> np.ndarray:
+    """The flat index that g.a reads at each support entry, for every row g of ``perms``."""
+    rows, cols = np.divmod(np.asarray(support), d)
+    return perms[..., rows] * d + perms[..., cols]
 
 
 def support_translates(rep: UnitaryRep, support) -> tuple[np.ndarray, np.ndarray]:
     """Where a monomial rep (``rep.perms`` set) moves the entries of operators on ``support``.
 
     ``support`` holds increasing flat (row-major) indices.  Returns
-    ``(src, leaves)``, both (|G|, len(support)): on the support, g.a is
-    a.flat[src[g]] scaled by ``support_phases``, and ``leaves[g, k]`` is
-    True when g carries the entry support[k] off the support, where g.a
-    then holds that value times a phase.  Every other entry of g.a is
-    zero.  g carries entry s to the entry that the gather of g^-1 reads
-    at s, so no permutation is inverted.
+    ``(src, leaves)``, both (|G|, len(support)): on the support, g.a
+    reads a.flat[src[g]] (``support_values`` gives the scaled values),
+    and ``leaves[g, k]`` is True when g carries the entry support[k] off
+    the support, where g.a then holds that value times a phase.  Every
+    other entry of g.a is zero.  g carries entry s to the entry that the
+    gather of g^-1 reads at s, so no permutation is inverted.
     """
     inside = np.zeros(rep.dim * rep.dim, dtype=bool)
     inside[support] = True
-    src = _support_sources(rep, support)
+    src = _support_sources(rep.perms, support, rep.dim)
     return src, ~inside[src[rep.group.inverse]]
 
 
-def support_phases(rep: UnitaryRep, support) -> np.ndarray | None:
-    """(|G|, len(support)) factors phases[g, i] * conj(phases[g, j]) by which
-    g.a scales the entry it reads at each support entry (i, j); None for
-    a permutation rep, whose gather is the whole action."""
-    if rep.phases is None:
-        return None
+def support_values(rep: UnitaryRep, flat, support, elements) -> np.ndarray:
+    """The entries of g.a on ``support`` under a monomial rep, as ``act`` computes them.
+
+    ``flat`` is a (n, d*d) stack of row-major operators and ``support``
+    holds flat indices.  ``elements`` is one element, giving (n,
+    len(support)), or a slice of elements, giving (n, len(slice),
+    len(support)).  Each value is bit-identical to that entry of ``act``.
+    """
     rows, cols = np.divmod(np.asarray(support), rep.dim)
-    return rep.phases[:, rows] * np.conj(rep.phases[:, cols])
+    moved = flat[..., _support_sources(rep.perms[elements], support, rep.dim)]
+    if rep.phases is None:
+        return moved
+    c = rep.phases[elements]
+    return c[..., rows] * moved * np.conj(c[..., cols])
 
 
 def invariance_deviation(rep: UnitaryRep, a) -> float:
     """Largest ``commutation_deviation`` over every group element.
 
-    For a monomial rep, a - g.a is compared on the support of a alone.
-    Off the support it is zero but where g carries an entry s of a, and
-    there it is -a[s] times a phase; g^-1 reads that entry from off the
-    support, so a - g^-1.a holds a[s] - 0 = a[s] at s itself.  The
-    maximum over every element is therefore the same: the same float
-    for a permutation rep, within rounding of the phases' modulus
-    otherwise.
+    For a monomial rep, a U(g) - U(g) a is formed on the support of a
+    alone, with ``commutation_deviation``'s products.  Off the support
+    it is zero but where g carries an entry s of a, and there it is
+    -a[s] times a phase; g^-1 reads that entry from off the support, so
+    its difference holds a[s] times a phase at s itself.  The maximum
+    over every element is therefore the same: the same float for a
+    permutation rep, and within rounding of the phases' modulus at
+    those entries otherwise.
     """
     m = np.asarray(a, dtype=np.complex128)
     if rep.perms is None:
@@ -468,10 +483,12 @@ def invariance_deviation(rep: UnitaryRep, a) -> float:
     flat = m.reshape(-1, rep.dim * rep.dim)
     support = np.flatnonzero(np.any(flat != 0, axis=0))
     on = flat[:, support]
-    src, scale = _support_sources(rep, support), support_phases(rep, support)
-    if scale is None:
+    src = _support_sources(rep.perms, support, rep.dim)
+    if rep.phases is None:
         return max(max_abs(on - flat[:, s]) for s in src)
-    return max(max_abs(on - flat[:, s] * c) for s, c in zip(src, scale))
+    rows, cols = np.divmod(support, rep.dim)
+    c = rep.phases
+    return max(max_abs(on * c[g, cols] - c[g, rows] * flat[:, s]) for g, s in enumerate(src))
 
 
 def tensor_rep(r1: UnitaryRep, r2: UnitaryRep) -> UnitaryRep:

@@ -145,24 +145,27 @@ def _relativize_stack(frame: FrameObservable, system: SemiQuantumSystem, mats) -
     Only the blocks (i, j) in the union support of the effects, the
     pairs where some E(g)[i, j] is nonzero, are accumulated: for each
     element g in group order, E(g)[i, j] * g.a is added to block (i, j)
-    of every operator, the translates g.a of every element taken at
-    once (``groups.translates``).  The blocks are then scattered into a zeroed
-    (n, d_r, d, d_r, d) buffer.  The kept products and their sum order
-    are those of adding E(g) (x) g.a one operator at a time.  A skipped
-    term is a product 0 * x, which is a signed zero, and adding a signed
-    zero to a sum that started at +0 leaves the sum unchanged.  So each
-    slice is bit-identical to that dense loop.  The canonical ideal
-    frame and its smearings are diagonal (d_r of the d_r^2 blocks); a
-    frame with dense support takes every block.
+    of every operator.  The translates g.a come from ``groups.translates``
+    for as many elements at a time as there are blocks, so they never
+    take more memory than the blocks do.  The blocks are then scattered
+    into a zeroed (n, d_r, d, d_r, d) buffer.  The kept products and
+    their sum order are those of adding E(g) (x) g.a one operator at a
+    time.  A skipped term is a product 0 * x, which is a signed zero,
+    and adding a signed zero to a sum that started at +0 leaves the sum
+    unchanged.  So each slice is bit-identical to that dense loop.  The
+    canonical ideal frame and its smearings are diagonal (d_r of the
+    d_r^2 blocks); a frame with dense support takes every block.
     """
     d_r, d = frame.rep.dim, system.dim
     stack = np.asarray(mats, dtype=np.complex128).reshape(-1, d, d)
     rows, cols = np.nonzero(_effect_support(frame))
     weights = frame.effects[:, rows, cols]
-    moved = translates(system.rep, stack)
     blocks = np.zeros((len(rows), len(stack), d, d), dtype=np.complex128)
-    for g in frame.group.elements():
-        blocks += weights[g][:, None, None, None] * moved[g][None]
+    step = len(rows)
+    for lo in range(0, frame.group.order, step):
+        moved = translates(system.rep, stack, slice(lo, lo + step))
+        for g, m in enumerate(moved, lo):
+            blocks += weights[g][:, None, None, None] * m[None]
     out = np.zeros((len(stack), d_r, d, d_r, d), dtype=np.complex128)
     out[:, rows, :, cols, :] = blocks
     return out.reshape(len(stack), d_r * d, d_r * d)

@@ -59,8 +59,8 @@ from .groups import (
     acts_trivially,
     same_group,
     same_rep,
-    support_phases,
     support_translates,
+    support_values,
     translates,
 )
 from .linalg import (
@@ -158,12 +158,12 @@ def _assemble_system(rep: UnitaryRep, space: MatrixSubspace, tol: float) -> Semi
     basis element is moved.  On a proper span the translates of the
     basis give both closure and invariance, a few group elements at a
     time.  A monomial rep moves the support entries alone and scales
-    them by its phases (``support_translates``, ``support_phases``): a
-    translate that carries an entry above
-    ``tol`` off the support leaves the span, and the rest is tested on
-    the support through ``support_residuals``.  Other reps conjugate the
-    basis densely, as ``act`` does, and ``residuals`` tests the
-    translates on the span's support and off it.
+    them by its phases (``support_translates``, ``support_values``): a
+    translate that carries an entry above ``tol`` off the support leaves
+    the span, and the rest is tested on the support through
+    ``support_residuals``.  Other reps conjugate the basis densely, as
+    ``act`` does, and ``residuals`` tests the translates on the span's
+    support and off it.
     """
     if space.ambient_dim != rep.dim:
         raise DimensionError(
@@ -179,15 +179,13 @@ def _assemble_system(rep: UnitaryRep, space: MatrixSubspace, tol: float) -> Semi
     elif rep.perms is not None:
         flat = space.basis_stack.reshape(space.dim, -1)
         values = flat[:, space.support]
-        src, leaves = support_translates(rep, space.support)
-        scale = support_phases(rep, space.support)
+        _, leaves = support_translates(rep, space.support)
         if np.any(leaves[:, np.abs(values).max(axis=0) > tol]):
             raise FramerelError(_NOT_CLOSED)
         step = max(1, _CHUNK // space.dim)
         for lo in range(0, rep.group.order, step):
-            moved = flat[:, src[lo : lo + step]]  # (dim, elements, support): translates
-            if scale is not None:
-                moved = moved * scale[lo : lo + step]
+            # (dim, elements, support): the translates on the support
+            moved = support_values(rep, flat, space.support, slice(lo, lo + step))
             if np.any(space.support_residuals(moved.reshape(-1, values.shape[1])) > tol):
                 raise FramerelError(_NOT_CLOSED)
             invariant = invariant and max_abs(moved - values[:, None]) <= tol
@@ -420,11 +418,8 @@ def build_channel(
     if exact:
         choi = _choi_matrix(_unit_images(channel, tol), source.dim)
         herm_dev = max_abs(choi - dagger(choi))
-        support = choi != 0
-        if support.all():  # one block, the whole matrix
-            low = min_eigenvalue(choi)
-        else:
-            low = float(block_min_eigenvalues(diagonal_blocks(choi[None], block_partition(support)))[0])
+        blocks = diagonal_blocks(choi[None], block_partition(choi != 0))
+        low = float(block_min_eigenvalues(blocks)[0])
         if herm_dev > tol or low < -tol * choi.shape[0]:
             raise NotPositive(
                 f"Choi matrix fails positivity (hermiticity deviation "

@@ -26,6 +26,7 @@ from framerel.groups import (
     regular_representation,
     same_group,
     support_translates,
+    support_values,
     tensor_rep,
     translates,
     trivial_rep,
@@ -340,6 +341,21 @@ def test_support_translates_describe_the_gather():
                 )
 
 
+def test_support_values_are_the_entries_of_act_bit_for_bit():
+    rng = np.random.default_rng(31)
+    regular = regular_representation(build_symmetric_group(3))
+    reps = [regular, tensor_rep(regular, s3_permutation_rep())] + [rep for rep, _ in phased_reps()]
+    for rep in reps:
+        stack = _sparse_stack(rng, 3, rep.dim, 0.4)
+        flat = stack.reshape(3, -1)
+        support = np.flatnonzero(np.any(flat != 0, axis=0))
+        each = np.stack([act(rep, g, stack).reshape(3, -1)[:, support] for g in rep.group.elements()])
+        for g in rep.group.elements():
+            assert np.array_equal(support_values(rep, flat, support, g), each[g])
+        chunk = support_values(rep, flat, support, slice(1, 3))
+        assert np.array_equal(chunk, each[1:3].swapaxes(0, 1))
+
+
 def test_invariance_deviation_is_the_commutation_maximum_bit_for_bit():
     rng = np.random.default_rng(23)
     regular = regular_representation(build_symmetric_group(3))
@@ -443,7 +459,10 @@ def test_monomial_reps_act_as_dense_conjugation():
         for ops in (stack, twirled + 1e-13 * stack, _sparse_stack(rng, 2, d, 0.3)):
             expected = max(max_abs(a @ u - u @ a) for u in mats for a in ops)
             assert abs(invariance_deviation(rep, ops) - expected) < 1e-14
-        assert np.array_equal(translates(rep, stack), np.stack([act(rep, g, stack) for g in rep.group.elements()]))
+        each = np.stack([act(rep, g, stack) for g in rep.group.elements()])
+        assert np.array_equal(translates(rep, stack), each)
+        assert np.array_equal(translates(rep, stack, slice(1, 4)), each[1:4])
+        assert np.array_equal(translates(rep, stack[0], slice(2, None)), each[2:, 0])
 
 
 def dense_homomorphism_witness(group, mats):

@@ -5,6 +5,7 @@ import itertools
 import pathlib
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +99,7 @@ from .support import (
     z2_ideal_frame,
     z2_smeared_frame,
     z2_smearing_morphism,
+    zn_phase_rep,
     z2_unlocalized_frame,
     zn_phase_rep,
 )
@@ -162,6 +164,40 @@ def test_relativize_stack_matches_the_kron_loop_bit_for_bit():
             assert got.shape == (n + 1, 6 * system.dim, 6 * system.dim)
             for a, out in zip(ops, got):
                 assert np.array_equal(out, relativize_oracle(frame, system, a))
+
+
+def test_relativize_stack_takes_translates_a_few_elements_at_a_time():
+    # a qubit-valued Z8 frame has 4 support blocks, fewer than its 8
+    # elements, so the translates come in two chunks of 4 elements; each
+    # slice is still the loop over act bit for bit, on a phased and on a
+    # permutation system
+    value = zn_phase_rep(8)
+    frame = principal_frame_from_seed(value, np.full((2, 2), 1 / 8, dtype=complex))
+    for system in (full_system(zn_phase_rep(8)), full_system(regular_representation(value.group))):
+        ops = system.space.basis_stack
+        got = _relativize_stack(frame, system, ops)
+        for a, out in zip(ops, got):
+            expected = np.zeros_like(out)
+            for g in value.group.elements():
+                expected += np.kron(frame.effects[g], act(system.rep, g, a))
+            assert np.array_equal(out, expected)
+
+
+def test_relativize_stack_holds_no_more_translates_than_blocks():
+    # Z16 qubit frame against the 16-dim regular system: 4 blocks of the
+    # 256 basis operators take 4 MiB, the output 4 MiB, and all 16
+    # translates at once would take 16 MiB more
+    value = zn_phase_rep(16)
+    frame = principal_frame_from_seed(value, np.full((2, 2), 1 / 16, dtype=complex))
+    system = full_system(regular_representation(value.group))
+    ops = system.space.basis_stack
+    tracemalloc.start()
+    try:
+        _relativize_stack(frame, system, ops)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_ideal_frame_closed_forms():

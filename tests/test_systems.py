@@ -27,14 +27,7 @@ from framerel.groups import (
     trivial_rep,
     unitary_rep,
 )
-from framerel.linalg import (
-    block_min_eigenvalues,
-    block_partition,
-    diagonal_blocks,
-    matrix_unit_span,
-    max_abs,
-    span_subspace,
-)
+from framerel.linalg import block_partition, matrix_unit_span, max_abs, span_subspace
 from framerel.systems import (
     _NOT_CLOSED,
     _choi_matrix,
@@ -461,23 +454,6 @@ def test_choi_spectrum_is_taken_per_block_of_its_pattern():
         build_channel(full, full, images)
     assert abs(err.value.min_eigenvalue + 1.0) < 1e-12
     assert abs(err.value.min_eigenvalue - np.linalg.eigvalsh(choi)[0]) < 1e-12
-
-
-def test_dense_choi_takes_one_spectrum_of_the_whole_matrix():
-    # a -> V a^T V^dag for a generic unitary V is unital, and not positive;
-    # its Choi matrix has no zero entry, so its spectrum is taken whole,
-    # bit-identical to the block path's single block
-    full = full_system(trivial_rep(build_cyclic_group(2), 3))
-    rng = np.random.default_rng(61)
-    v, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-    images = [v @ b.T @ np.conj(v).T for b in full.space.basis]
-    choi = _choi_matrix(np.stack(images), 3)
-    assert np.all(choi != 0)
-    blocks = diagonal_blocks(choi[None], block_partition(choi != 0))
-    with pytest.raises(NotPositive) as err:
-        build_channel(full, full, images)
-    assert err.value.min_eigenvalue == float(block_min_eigenvalues(blocks)[0])
-    assert abs(err.value.min_eigenvalue + 1.0) < 1e-12
 
 
 def test_positivity_rejected_by_sampling_on_proper_subspace():
