@@ -60,6 +60,8 @@ from .linalg import (
     min_eigenvalue,
 )
 from .systems import (
+    DEFAULT_POSITIVITY_SAMPLES,
+    DEFAULT_POSITIVITY_SEED,
     ChannelMap,
     SemiQuantumSystem,
     _equivariance_table,
@@ -263,9 +265,15 @@ def build_frame_morphism(
     return FrameMorphism(source=source, target=target, channel=channel)
 
 
-def identity_frame_morphism(frame: FrameObservable, tol: float = DEFAULT_TOL) -> FrameMorphism:
+def identity_frame_morphism(
+    frame: FrameObservable,
+    tol: float = DEFAULT_TOL,
+    samples: int = DEFAULT_POSITIVITY_SAMPLES,
+    seed: int = DEFAULT_POSITIVITY_SEED,
+) -> FrameMorphism:
+    """The identity on a frame; ``samples``/``seed`` as in ``identity_channel``."""
     return build_frame_morphism(
-        frame, frame, identity_channel(frame.value_system, tol), tol
+        frame, frame, identity_channel(frame.value_system, tol, samples, seed), tol
     )
 
 
@@ -293,7 +301,7 @@ def reorientation_morphism(
     if not 0 <= h < group.order:
         raise DimensionError(f"element id {h} outside 0..{group.order - 1}")
     vs = frame.value_system
-    images = [act(frame.rep, h, b) for b in vs.space.basis]
+    images = act(frame.rep, h, vs.space.basis_stack)
     channel = build_channel(vs, vs, images, tol)
     translated = act(frame.rep, h, frame.effects)
     try:

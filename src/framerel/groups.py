@@ -44,7 +44,7 @@ from .errors import (
 from .linalg import DEFAULT_TOL, as_operator, dagger, identity, max_abs
 
 ASSOCIATIVITY_CAP = 64
-_TABLE_CHUNK = 1 << 16  # (g, h, i) entries of the monomial homomorphism table formed at once
+_TABLE_CHUNK = 1 << 16  # entries formed at once: (g, h, i) of the monomial homomorphism table, or translates
 
 
 @dataclass(frozen=True, eq=False)

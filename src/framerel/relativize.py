@@ -59,8 +59,8 @@ from .frames import (
     FrameMorphism,
     FrameObservable,
     born_measure,
-    build_frame_morphism,
     compose_frame_morphisms,
+    identity_frame_morphism,
     same_frame,
 )
 from .groups import UnitaryRep, act, invariance_deviation, same_group, tensor_rep, translates
@@ -620,11 +620,8 @@ def check_functor_laws(
     rel = [build_relative_subspace(f, s, tol) for f, s in nodes]
 
     first_frame, first_system = nodes[0]
-    values = first_frame.value_system
     ident = relativize_morphisms(
-        build_frame_morphism(
-            first_frame, first_frame, identity_channel(values, tol, samples, seed), tol
-        ),
+        identity_frame_morphism(first_frame, tol, samples, seed),
         identity_channel(first_system, tol, samples, seed),
         tol,
         source_rel=rel[0],

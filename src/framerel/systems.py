@@ -54,8 +54,8 @@ from .errors import (
     RequiresFullAlgebra,
 )
 from .groups import (
+    _TABLE_CHUNK,
     UnitaryRep,
-    act,
     acts_trivially,
     same_group,
     same_rep,
@@ -305,9 +305,11 @@ class ChannelMap:
     ``images`` is one read-only (k, d, d) stack, the image of source
     basis element i at ``images[i]``.  ``apply`` takes one operator or
     a whole (k, d, d) stack, and ``matrix`` is one stacked coefficient
-    call on the images.  Like ``MatrixSubspace.coefficients``, a stack
-    runs one matrix-vector product per slice, so each slice is
-    bit-identical to applying the channel to that operator alone.
+    call on the images.  ``apply`` contracts a whole stack in one
+    matrix product, over the source coefficients where some operator
+    of the stack is nonzero, so the images are read once per stack; a
+    slice agrees with applying the channel to that operator alone
+    within rounding, not bit for bit.
     """
 
     source: SemiQuantumSystem
@@ -323,6 +325,18 @@ class ChannelMap:
         Raises OperatorOutsideSystem with the largest residual over the
         stack when some operator leaves the source span; a full source
         holds every operator, so it skips the check.
+
+        The coefficients of the stack form one (k, n) matrix.  A column
+        that is zero for every operator adds only signed zeros, so when
+        at most half of the columns are nonzero the product runs over
+        those columns and the images they name (the frame effects of a
+        Z_n regular value system use n of its n^2).  The gather copies
+        the images it keeps, so past half, and always when every column
+        is in use, the product reads the whole image matrix in place.
+        Half is about where the two break even: on 144 and 256 columns
+        the gathered product took 0.2 of the in-place one's time with
+        1/8 of the columns in use and 0.9-1.2 with half (one BLAS
+        thread).
         """
         space = self.source.space
         c = space.coefficients(a)
@@ -330,9 +344,13 @@ class ChannelMap:
             residual = max_abs(np.asarray(a, dtype=np.complex128) - space.combine(c))
             if residual > tol:
                 raise OperatorOutsideSystem(residual)
-        d = self.target.dim
-        flat = self.images.reshape(len(self.images), d * d)
-        return (c[..., None, :] @ flat).reshape(*c.shape[:-1], d, d)
+        d, n = self.target.dim, len(self.images)
+        rows = c.reshape(-1, n)
+        flat = self.images.reshape(n, d * d)
+        used = rows.any(axis=0).nonzero()[0]
+        if 2 * len(used) <= n:
+            rows, flat = rows.take(used, axis=1), flat.take(used, axis=0)
+        return (rows @ flat).reshape(*c.shape[:-1], d, d)
 
     def matrix(self) -> np.ndarray:
         """Superoperator matrix between the published orthonormal bases."""
@@ -361,6 +379,23 @@ def _unit_images(channel: ChannelMap, tol: float = DEFAULT_TOL) -> np.ndarray:
     return channel.apply(matrix_units(channel.source.dim), tol)
 
 
+def _image_stack(images, count: int, dim: int) -> np.ndarray:
+    """The images as one fresh complex (count, dim, dim) stack.
+
+    The count and the shapes are read before the one coercion, so a
+    list of images of different shapes raises DimensionError naming
+    the first image of the wrong shape, not numpy's ragged-array error.
+    """
+    n = len(images)
+    if n != count:
+        raise DimensionError(f"expected {count} images, got {n}")
+    is_stack = isinstance(images, np.ndarray)
+    for k, shape in enumerate([images.shape[1:]] if is_stack else map(np.shape, images)):
+        if shape != (dim, dim):
+            raise DimensionError(f"image {k} has shape {shape}, target has dimension {dim}")
+    return np.array(images, dtype=np.complex128)
+
+
 def build_channel(
     source: SemiQuantumSystem,
     target: SemiQuantumSystem,
@@ -386,20 +421,15 @@ def build_channel(
     """
     if not same_group(source.group, target.group):
         raise GroupMismatch("channel endpoints live over different groups")
-    imgs = [as_operator(m) for m in images]
-    if len(imgs) != source.space.dim:
-        raise DimensionError(
-            f"expected {source.space.dim} images, got {len(imgs)}"
-        )
-    for k, im in enumerate(imgs):
-        if im.shape[0] != target.dim:
-            raise DimensionError(
-                f"image {k} has dimension {im.shape[0]}, target has {target.dim}"
-            )
-        res = target.space.residual(im)
-        if res > tol:
-            raise ImageOutsideTarget(k, res, witness=im)
-    stack = np.stack(imgs)
+    stack = _image_stack(images, source.space.dim, target.dim)
+    if not target.space.is_full:
+        # _CHUNK images at a time: the residuals' temporaries stay a few images large
+        for lo in range(0, len(stack), _CHUNK):
+            residuals = target.space.residuals(stack[lo : lo + _CHUNK])
+            outside = np.flatnonzero(residuals > tol)
+            if outside.size:
+                k = lo + int(outside[0])
+                raise ImageOutsideTarget(k, residuals[k - lo], witness=stack[k].copy())
     stack.setflags(write=False)
 
     exact = source.is_full_algebra
@@ -531,13 +561,25 @@ def _equivariance_table(channel: ChannelMap, stack, images, tol: float) -> np.nd
     """table[g, i] = |phi(g.x_i) - g.phi(x_i)| (largest entry), for a stack x.
 
     ``images`` is ``channel.apply(stack)``; the rows run over the group
-    elements in order.
+    elements in order.  The elements are taken a run at a time: the
+    translates of the stack on both sides come from ``translates``, and
+    the source ones go through one ``apply``.  A run's translates hold
+    at most as many entries as ``channel.images``, or ``_TABLE_CHUNK``
+    when the images are smaller (a run has at least one element), so
+    the table's temporaries grow with the channel, not with the group
+    order, and a channel with small images takes the group in one run.
     """
     src, tgt = channel.source.rep, channel.target.rep
-    return np.stack([
-        np.abs(channel.apply(act(src, g, stack), tol) - act(tgt, g, images)).max(axis=(1, 2))
-        for g in src.group.elements()
-    ])
+    k = len(stack)
+    budget = max(channel.images.size, _TABLE_CHUNK)
+    step = max(1, budget // (k * max(src.dim, tgt.dim) ** 2))
+    table = np.empty((src.group.order, k))
+    for lo in range(0, src.group.order, step):
+        run = slice(lo, lo + step)
+        moved = translates(src, stack, run).reshape(-1, src.dim, src.dim)
+        mapped = channel.apply(moved, tol).reshape(-1, k, tgt.dim, tgt.dim)
+        table[run] = np.abs(mapped - translates(tgt, images, run)).max(axis=(2, 3))
+    return table
 
 
 def is_equivariant(channel: ChannelMap, tol: float = DEFAULT_TOL) -> EquivarianceResult:

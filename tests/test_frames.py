@@ -372,6 +372,17 @@ def test_effect_span_failure_names_the_first_element():
     assert err.value.deviation > tol
 
 
+def test_identity_morphism_keeps_the_sampling_settings():
+    # a proper value system is sampled, so its channel records samples/seed
+    vs = subspace_system(z2_flip_rep(), [Z])
+    frame = frame_from_effects(z2_flip_rep(), [E00, E11], vs)
+    assert not vs.is_full_algebra
+    for samples, seed in ((3, 7), (5, 11)):
+        channel = identity_frame_morphism(frame, samples=samples, seed=seed).channel
+        assert channel.positivity_check == "sampled"
+        assert (channel.positivity_samples, channel.positivity_seed) == (samples, seed)
+
+
 def test_identity_and_composition_of_morphisms():
     ideal = z2_ideal_frame()
     ident = identity_frame_morphism(ideal)

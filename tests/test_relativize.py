@@ -547,7 +547,7 @@ def test_s4_law_checks_take_no_dense_joint_spectrum(monkeypatch):
 def test_s4_relative_subspace_forms_no_dense_joint_stack(monkeypatch):
     # The 16-dim S4 relative span vanishes off 24 diagonal blocks of 4 in
     # the 96-dim joint space (384 of 9216 entries).  Its validation moves
-    # and projects those entries alone: no translate through act, no
+    # and projects those entries alone: no dense translates, no
     # residual of a dense (k, 96, 96) stack, every product formed on
     # blocks of 4 and every projection at most 384 entries wide.
     ideal, _, system = _s4_frames_and_system()
@@ -568,7 +568,7 @@ def test_s4_relative_subspace_forms_no_dense_joint_stack(monkeypatch):
     for module in (framerel.linalg, framerel.systems):
         monkeypatch.setattr(module, "projection_errors", recording_projection)
     monkeypatch.setattr(framerel.systems, "diagonal_blocks", recording_blocks)
-    monkeypatch.setattr(framerel.systems, "act", refuse)
+    monkeypatch.setattr(framerel.systems, "translates", refuse)
     monkeypatch.setattr(MatrixSubspace, "residuals", refuse)
     rel = build_relative_subspace(ideal, system)
     assert (rel.space.dim, rel.kernel.dim) == (16, 0)

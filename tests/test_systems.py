@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import framerel.systems
+
 from framerel.errors import (
     DimensionError,
     FramerelError,
@@ -16,6 +18,7 @@ from framerel.errors import (
     OperatorOutsideSystem,
     RequiresFullAlgebra,
 )
+from framerel.frames import canonical_ideal_frame
 from framerel.groups import (
     UnitaryRep,
     act,
@@ -24,6 +27,7 @@ from framerel.groups import (
     regular_representation,
     support_translates,
     tensor_rep,
+    translates,
     trivial_rep,
     unitary_rep,
 )
@@ -31,6 +35,7 @@ from framerel.linalg import block_partition, matrix_unit_span, max_abs, span_sub
 from framerel.systems import (
     _NOT_CLOSED,
     _choi_matrix,
+    _equivariance_table,
     build_channel,
     same_system,
     channel_superop,
@@ -408,6 +413,25 @@ def test_build_channel_validates_counts_unitality_and_targets():
         # X is not in the diagonal target span
         build_channel(sq, sys_iz, [E00, X / 2, X / 2, E11])
     assert err.value.index == 1
+    # the stacked check names the first image outside, not the farthest
+    images = [E00, 0.25 * X, X, E11]
+    with pytest.raises(ImageOutsideTarget) as err:
+        build_channel(sq, sys_iz, images)
+    assert err.value.index == 1 and abs(err.value.residual - 0.25) < 1e-15
+    assert np.array_equal(err.value.witness, images[1])
+    # images are tested 16 at a time: the first failure in a later chunk,
+    # with a farther one after it, keeps its index, and its witness is a copy
+    z5 = regular_representation(build_cyclic_group(5))
+    diagonal = subspace_system(z5, list(np.eye(5)[:, None] * np.eye(5)))
+    images = np.zeros((25, 5, 5), dtype=complex)
+    images[18, 0, 1], images[23, 2, 3] = 0.25, 1.0
+    with pytest.raises(ImageOutsideTarget) as err:
+        build_channel(full_system(z5), diagonal, images)
+    assert err.value.index == 18 and abs(err.value.residual - 0.25) < 1e-15
+    assert np.array_equal(err.value.witness, images[18]) and err.value.witness.base is None
+    # shapes are read before the one coercion: a ragged list is a DimensionError
+    with pytest.raises(DimensionError, match="image 2"):
+        build_channel(sq, sq, [E00, E01, np.eye(3), E11])
 
 
 def test_positivity_rejected_via_choi_on_full_algebras():
@@ -561,6 +585,39 @@ def test_images_are_one_read_only_stack_and_apply_matches_the_flattened_copy():
         assert np.array_equal(channel.apply(ops[0]), image_stack_apply(channel, ops[0]))
 
 
+def _per_operator_apply(channel, ops):
+    """One vector-matrix product per operator, over every source coefficient."""
+    d = channel.target.dim
+    flat = channel.images.reshape(len(channel.images), d * d)
+    return np.stack([
+        channel.source.space.coefficients(a) @ flat for a in ops
+    ]).reshape(len(ops), d, d)
+
+
+def test_apply_matches_the_per_operator_oracle_within_rounding():
+    rng = np.random.default_rng(83)
+    frame = canonical_ideal_frame(build_cyclic_group(16))
+    full = depolarizing_channel(frame.value_system, 0.3)
+    sys_iz = subspace_system(z2_flip_rep(), [Z])
+    proper = build_channel(sys_iz, sys_iz, [0.5 * b + 0.5 * np.trace(b) * I2 / 2 for b in sys_iz.space.basis])
+    effects = frame.effects  # diagonal: 16 of the 256 unit coefficients are in use
+    used = np.any(full.source.space.coefficients(effects) != 0, axis=0)
+    assert np.count_nonzero(used) == 16
+    dense = rng.standard_normal((5, 16, 16)) + 1j * rng.standard_normal((5, 16, 16))
+    inside = sys_iz.space.combine(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
+    for channel, ops in ((full, effects), (full, dense), (proper, inside)):
+        bound = 1e-13 * np.abs(channel.images).max()
+        assert max_abs(channel.apply(ops) - _per_operator_apply(channel, ops)) <= bound
+        for k in range(len(ops)):
+            assert max_abs(channel.apply(ops[k]) - _per_operator_apply(channel, ops[k : k + 1])[0]) <= bound
+    zeros = full.apply(np.zeros((3, 16, 16)))
+    assert np.array_equal(zeros, np.zeros((3, 16, 16))) and not np.any(np.signbit(zeros.view(float)))
+    assert full.apply(np.zeros((0, 16, 16))).shape == (0, 16, 16)
+    with pytest.raises(OperatorOutsideSystem) as err:
+        proper.apply(np.concatenate([inside, X[None]]))
+    assert err.value.residual == 1.0
+
+
 def test_conjugation_equals_single_kraus():
     sq = full_system(z2_flip_rep())
     conj = conjugation_channel(sq, H)
@@ -650,12 +707,91 @@ def test_equivariance_witness_matches_the_loop_oracle():
     assert (g, i) == (5, 2)
     res = is_equivariant(conjugation_channel(full, u))
     assert (res.witness_element, res.witness_index, res.deviation) == (g, i, worst)
+    # a monomial rep on a proper span: a mixing with a random conjugation on
+    # Z6, its worst pair unique by a wide margin
+    rep = regular_representation(build_cyclic_group(6))
+    a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    source = subspace_system(rep, [a + np.conj(a).T])
+    v, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    images = [0.75 * b + 0.25 * v @ b @ np.conj(v).T for b in source.space.basis]
+    mixing = build_channel(source, full_system(rep), images)
+    table, worst, g, i = _equivariance_oracle(mixing)
+    ranked = np.sort(table.ravel())
+    assert ranked[-1] - ranked[-2] > 1e-3
+    res = is_equivariant(mixing)
+    assert (res.witness_element, res.witness_index) == (g, i)
+    assert abs(res.deviation - worst) < 1e-14
     # several pairs tie for the worst here: the first one in (g, i) order wins
     hconj = conjugation_channel(full_system(z2_flip_rep()), H)
     table, worst, g, i = _equivariance_oracle(hconj)
     assert np.count_nonzero(table == worst) > 1
     res = is_equivariant(hconj)
     assert (res.witness_element, res.witness_index, res.deviation) == (g, i, worst)
+
+
+def _equivariance_table_loop(channel, stack, images):
+    """One act/apply/act per group element: the table before runs of elements."""
+    src, tgt = channel.source.rep, channel.target.rep
+    return np.stack([
+        np.abs(channel.apply(act(src, g, stack)) - act(tgt, g, images)).max(axis=(1, 2))
+        for g in src.group.elements()
+    ])
+
+
+def test_equivariance_table_matches_the_per_element_loop(monkeypatch):
+    rng = np.random.default_rng(29)
+    frame = canonical_ideal_frame(build_cyclic_group(16))
+    basis = frame.value_system.space.basis_stack
+    u, _ = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
+    plane = full_system(s3_irrep2())
+    s4 = build_symmetric_group(4)
+    perm = [np.zeros((4, 4), dtype=complex) for _ in s4.elements()]
+    for g, m in enumerate(perm):
+        m[[int(c) for c in s4.label(g)], range(4)] = 1.0
+    s4_system = full_system(unitary_rep(s4, perm))
+    v, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    cases = [  # channel, stack, runs
+        (depolarizing_channel(frame.value_system, 0.3), frame.effects, 1),
+        (conjugation_channel(frame.value_system, u), basis[::8], 2),  # 32 operators: runs of 8
+        (conjugation_channel(frame.value_system, u), basis, 16),  # one element per run
+        (conjugation_channel(plane, plane.rep.matrices[1]), plane.space.basis_stack, 1),  # matrix path
+        # 16 images of 4 x 4: the run floor takes all 24 elements at once
+        (conjugation_channel(s4_system, v), s4_system.space.basis_stack, 1),
+    ]
+    moves = []
+
+    def counting(rep, stack, elements):
+        moves.append(elements)
+        return translates(rep, stack, elements)
+
+    monkeypatch.setattr(framerel.systems, "translates", counting)
+    for channel, stack, runs in cases:
+        images = channel.apply(stack)
+        moves.clear()
+        table = _equivariance_table(channel, stack, images, 1e-9)
+        assert len(moves) == 2 * runs
+        want = _equivariance_table_loop(channel, stack, images)
+        assert table.shape == want.shape == (channel.source.group.order, len(stack))
+        assert max_abs(table - want) <= 1e-13 * max(1.0, want.max())
+
+
+def test_equivariance_table_holds_no_more_than_the_channel_images():
+    # A Z16 value channel on its 256 basis elements: the translates of the
+    # whole group would be 16 image stacks each.  One element per run
+    # keeps the source translates, their images, the target translates
+    # and their difference at one image stack each.
+    frame = canonical_ideal_frame(build_cyclic_group(16))
+    channel = depolarizing_channel(frame.value_system, 0.3)
+    basis = frame.value_system.space.basis_stack
+    images = channel.apply(basis)
+    tracemalloc.start()
+    try:
+        table = _equivariance_table(channel, basis, images, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (16, 256) and table.max() < 1e-12
+    assert peak < 6 * channel.images.nbytes
 
 
 # ------------------------------------------------------------------ preduals
