@@ -38,7 +38,6 @@ from .frames import (
     canonical_ideal_frame,
     compose_frame_morphisms,
     frame_from_effects,
-    frames_isomorphic_by,
     identity_frame_morphism,
     principal_frame_from_seed,
     reorientation_morphism,
@@ -58,7 +57,7 @@ from .groups import (
     trivial_rep,
     unitary_rep,
 )
-from .linalg import DEFAULT_TOL, MatrixSubspace, matrix_unit_span, null_space, span_subspace
+from .linalg import DEFAULT_TOL, MatrixSubspace, matrix_unit_span, span_subspace
 from .relativize import (
     LawReport,
     RelativeChannel,

@@ -32,7 +32,6 @@ from .errors import (
     GroupMismatch,
     NotAState,
     NotCentral,
-    NotUnitary,
     ObjectMismatch,
     SeedNotNormalizing,
     SeedNotPSD,
@@ -55,7 +54,6 @@ from .linalg import (
     identity,
     is_density_matrix,
     is_psd,
-    is_unitary,
     max_abs,
     min_eigenvalue,
 )
@@ -309,38 +307,3 @@ def reorientation_morphism(
     except FrameInvalid as exc:
         raise NotCentral(h) from exc
     return build_frame_morphism(frame, target, channel, tol)
-
-
-@dataclass(frozen=True)
-class FrameIsomorphismReport:
-    isomorphic: bool
-    forward_deviation: float
-    inverse_deviation: float
-    detail: str
-
-
-def frames_isomorphic_by(
-    f1: FrameObservable,
-    f2: FrameObservable,
-    t,
-    tol: float = DEFAULT_TOL,
-) -> FrameIsomorphismReport:
-    """Check whether conjugation by the unitary t is a frame isomorphism.
-
-    Verification only: confirms a -> t a t^dag carries f1's effects onto
-    f2's and its inverse carries them back.  No search is attempted.
-    """
-    mat = as_operator(t)
-    if not is_unitary(mat, tol):
-        raise NotUnitary(max_abs(mat @ dagger(mat) - identity(mat.shape[0])))
-    if not same_group(f1.group, f2.group):
-        raise GroupMismatch("frames live over different groups")
-    if mat.shape[0] != f1.rep.dim or f1.rep.dim != f2.rep.dim:
-        raise DimensionError("conjugating unitary has the wrong dimension")
-    fwd = max_abs(mat @ f1.effects @ dagger(mat) - f2.effects)
-    inv = max_abs(dagger(mat) @ f2.effects @ mat - f1.effects)
-    ok = fwd <= tol and inv <= tol
-    detail = "isomorphism verified" if ok else "effects do not correspond under t"
-    return FrameIsomorphismReport(
-        isomorphic=ok, forward_deviation=fwd, inverse_deviation=inv, detail=detail
-    )

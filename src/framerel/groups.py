@@ -41,10 +41,9 @@ from .errors import (
     NoInverse,
     NotAssociative,
 )
-from .linalg import DEFAULT_TOL, as_operator, dagger, identity, max_abs
+from .linalg import DEFAULT_TOL, as_operator, chunks, dagger, identity, max_abs
 
 ASSOCIATIVITY_CAP = 64
-_TABLE_CHUNK = 1 << 16  # entries formed at once: (g, h, i) of the monomial homomorphism table, or translates
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,18 +288,16 @@ def unitary_rep(group: FiniteGroup, matrices, tol: float = DEFAULT_TOL) -> Unita
             "identity element does not map to the identity matrix", deviation=dev
         )
     # One row of the table at a time keeps the work at |G| d^2; the index
-    # form takes a few rows of |G| d entries at once.
+    # form takes rows of |G| d entries a working set at a time.
     if monomial is not None:
         if np.all(phases == 1):
             phases = None
-        step = max(1, _TABLE_CHUNK // (group.order * d))
         rows = []
-        for lo in range(0, group.order, step):
-            p_g = perms[lo : lo + step]
-            target = group.mult[lo : lo + step]
+        for run in chunks(group.order, group.order * d):
+            p_g, target = perms[run], group.mult[run]
             c = b = None
             if phases is not None:
-                c = phases[lo : lo + step, None, :] * phases[:, p_g].swapaxes(0, 1)
+                c = phases[run, None, :] * phases[:, p_g].swapaxes(0, 1)
                 b = phases[target]
             rows.append(_monomial_gap(perms[:, p_g].swapaxes(0, 1), c, perms[target], b))
         dev_table = np.concatenate(rows)
@@ -331,15 +328,15 @@ def trivial_rep(group: FiniteGroup, dim: int = 1) -> UnitaryRep:
 
 
 def regular_representation(group: FiniteGroup) -> UnitaryRep:
-    """Permutation matrices of left multiplication on C^|G|."""
-    n = group.order
-    mats = []
-    for g in group.elements():
-        m = np.zeros((n, n), dtype=np.complex128)
-        for h in group.elements():
-            m[group.multiply(g, h), h] = 1.0
-        mats.append(m)
-    return unitary_rep(group, mats)
+    """Left multiplication on C^|G|, U(g) e_h = e_{gh}, by index arithmetic.
+
+    Row i of U(g) holds its one entry in column g^-1 i, so the perms are
+    the rows of the table at the inverses; a valid table makes this a
+    valid rep, and its matrices are built on request.
+    """
+    perms = group.mult[group.inverse]
+    perms.setflags(write=False)
+    return UnitaryRep(group=group, dim=group.order, perms=perms)
 
 
 def _check_operand(rep: UnitaryRep, a) -> np.ndarray:

@@ -40,6 +40,15 @@ those values are the dense call's bit for bit.
 ``psd_span_samples`` draws the inputs of sampled positivity checks as one
 stack, shifted into the PSD cone with one batched ``eigvalsh``.
 
+Loops that would form a large stack of temporaries take their items a
+slice at a time, under one rule: ``chunks`` keeps a slice's temporaries
+within max(``WORKING_SET``, an array the caller already holds).
+``WORKING_SET`` is 2^13 complex entries, 128 KiB, glibc's default mmap
+threshold: larger temporaries are mapped and unmapped call by call, and
+S4 timings then follow glibc's moving thresholds.  A slice only splits
+the items; the tests pin every chunked loop's results at budgets of 1 and
+2^30 entries.
+
 Tolerances are absolute and entrywise.  ``DEFAULT_TOL`` is the global
 default; every function takes an explicit override, which is how the
 scenario runner threads a configured value through.
@@ -52,6 +61,16 @@ import numpy as np
 from .errors import DimensionError
 
 DEFAULT_TOL = 1e-9
+WORKING_SET = 1 << 13  # complex entries a chunked loop forms at once: 128 KiB
+
+
+def chunks(count: int, per_item: int, held=0):
+    """Slices of ``range(count)``, each as many items of ``per_item`` entries as
+    fit in max(``WORKING_SET``, ``np.size(held)``) entries, and at least one."""
+    budget = max(WORKING_SET, np.size(held))
+    step = max(1, budget // max(1, per_item))
+    for lo in range(0, count, step):
+        yield slice(lo, lo + step)
 
 
 def as_operator(m) -> np.ndarray:
@@ -71,11 +90,6 @@ def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=np.complex128)
 
 
-def hs_inner(a, b) -> complex:
-    """Hilbert-Schmidt inner product tr(a^dag b)."""
-    return complex(np.vdot(a, b))
-
-
 def max_abs(m) -> float:
     """Largest entrywise absolute value (0.0 for empty input)."""
     a = np.asarray(m)
@@ -84,11 +98,6 @@ def max_abs(m) -> float:
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + dagger(m)) / 2.0
-
-
-def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
-    a = as_operator(m)
-    return max_abs(a - dagger(a)) <= tol
 
 
 def min_eigenvalue(m) -> float:
@@ -102,11 +111,6 @@ def is_psd(m, tol: float = DEFAULT_TOL) -> bool:
     if max_abs(a - dagger(a)) > tol:
         return False
     return min_eigenvalue(a) >= -tol * a.shape[0]
-
-
-def is_projection(m, tol: float = DEFAULT_TOL) -> bool:
-    a = as_operator(m)
-    return is_hermitian(a, tol) and max_abs(a @ a - a) <= tol
 
 
 def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
@@ -284,7 +288,7 @@ class MatrixSubspace:
 
     The basis is held once, as one (dim, d*d) stack of flattened
     matrices; ``basis`` and ``basis_stack`` are views of it.  Factories
-    (:func:`span_subspace`, :func:`null_space`, :func:`matrix_unit_span`)
+    (:func:`span_subspace`, :func:`matrix_unit_span`)
     guarantee the orthonormality; direct construction is for callers
     that already hold an orthonormal family.
 
@@ -466,26 +470,6 @@ def span_subspace(matrices, ambient_dim: int | None = None, tol: float = DEFAULT
             raise DimensionError("mixed matrix dimensions in span")
     ortho = orthonormalize([vec(m) for m in mats], tol)
     return MatrixSubspace(d, tuple(unvec(v, d) for v in ortho))
-
-
-def null_space(rows, tol: float = DEFAULT_TOL) -> MatrixSubspace:
-    """Joint kernel of a family of flattened-matrix constraint rows.
-
-    Each row is a d x d matrix flattened as a vector; the solutions are
-    returned as an orthonormal basis of d x d matrices.
-    """
-    arr = [np.asarray(r, dtype=np.complex128).reshape(-1) for r in rows]
-    if not arr:
-        raise DimensionError("at least one constraint row is required")
-    n = arr[0].size
-    for r in arr:
-        if r.size != n:
-            raise DimensionError("constraint rows have mixed lengths")
-    d = int(round(np.sqrt(n)))
-    if d * d != n:
-        raise DimensionError(f"row length {n} is not a flattened square matrix")
-    kernel = vector_kernel(np.stack(arr), tol)
-    return MatrixSubspace(d, kernel.reshape(-1, d, d))
 
 
 def _transpose_permutation(d: int) -> np.ndarray:

@@ -32,11 +32,12 @@ of the channel is compared on the support of the images
 
 Positivity follows the rule of ``systems``: the axiom check reads the
 Choi matrix alone on a full algebra and samples one PSD stack otherwise.
-An induced map whose frame morphism and system channel both carry Choi
-certificates is the restriction of psi (x) phi, which is completely
-positive; it is certified by comparing its images with psi (x) phi
-("tensor"), and is sampled only when a factor was sampled or the two
-disagree.
+Every induced map is compared once, where it is built, with psi (x) phi
+formed from generators; the largest gap is its ``tensor_deviation``.
+The tensor-form law reads it, and so does positivity: with Choi-certified
+factors the map is then the restriction of the completely positive
+psi (x) phi ("tensor"), sampled only when a factor was sampled or the
+two disagree.
 """
 
 from __future__ import annotations
@@ -71,6 +72,7 @@ from .linalg import (
     block_min_eigenvalues,
     block_operator_norms,
     block_partition,
+    chunks,
     dagger,
     diagonal_blocks,
     identity,
@@ -146,25 +148,25 @@ def _relativize_stack(frame: FrameObservable, system: SemiQuantumSystem, mats) -
     pairs where some E(g)[i, j] is nonzero, are accumulated: for each
     element g in group order, E(g)[i, j] * g.a is added to block (i, j)
     of every operator.  The translates g.a come from ``groups.translates``
-    for as many elements at a time as there are blocks, so they never
-    take more memory than the blocks do.  The blocks are then scattered
-    into a zeroed (n, d_r, d, d_r, d) buffer.  The kept products and
-    their sum order are those of adding E(g) (x) g.a one operator at a
-    time.  A skipped term is a product 0 * x, which is a signed zero,
-    and adding a signed zero to a sum that started at +0 leaves the sum
-    unchanged.  So each slice is bit-identical to that dense loop.  The
-    canonical ideal frame and its smearings are diagonal (d_r of the
-    d_r^2 blocks); a frame with dense support takes every block.
+    a run of elements at a time (``chunks``, the block buffer held), so
+    they take no more memory than the working set or the blocks do.  The
+    blocks are then scattered into a zeroed (n, d_r, d, d_r, d) buffer.
+    The kept products and their sum order are those of adding
+    E(g) (x) g.a one operator at a time.  A skipped term is a product
+    0 * x, which is a signed zero, and adding a signed zero to a sum that
+    started at +0 leaves the sum unchanged.  So each slice is
+    bit-identical to that dense loop.  The canonical ideal frame and its
+    smearings are diagonal (d_r of the d_r^2 blocks); a frame with dense
+    support takes every block.
     """
     d_r, d = frame.rep.dim, system.dim
     stack = np.asarray(mats, dtype=np.complex128).reshape(-1, d, d)
     rows, cols = np.nonzero(_effect_support(frame))
     weights = frame.effects[:, rows, cols]
     blocks = np.zeros((len(rows), len(stack), d, d), dtype=np.complex128)
-    step = len(rows)
-    for lo in range(0, frame.group.order, step):
-        moved = translates(system.rep, stack, slice(lo, lo + step))
-        for g, m in enumerate(moved, lo):
+    for run in chunks(frame.group.order, stack.size, blocks):
+        moved = translates(system.rep, stack, run)
+        for g, m in enumerate(moved, run.start):
             blocks += weights[g][:, None, None, None] * m[None]
     out = np.zeros((len(stack), d_r, d, d_r, d), dtype=np.complex128)
     out[:, rows, :, cols, :] = blocks
@@ -488,6 +490,8 @@ class RelativeChannel:
     relativization of phi(a) against the target frame, extended
     linearly.  ``matrix`` is the superoperator between the published
     orthonormal bases of the two relative subspaces.
+    ``tensor_deviation`` is the largest entry of (psi (x) phi)(x) minus
+    the induced image of x, over the source relative basis.
     """
 
     source: RelativeSubspace
@@ -497,6 +501,7 @@ class RelativeChannel:
     channel: ChannelMap
     matrix: np.ndarray
     kernel_image_norm: float
+    tensor_deviation: float
 
     def apply(self, a, tol: float = DEFAULT_TOL) -> np.ndarray:
         return self.channel.apply(a, tol)
@@ -538,9 +543,11 @@ def relativize_morphisms(
     Well-definedness is witnessed on the kernel of the source
     relativization: every kernel element must still relativize to zero
     after the system channel, otherwise IllDefined carries the witness.
-    When psi's channel and phi are both Choi-certified, the induced
-    channel on a proper relative subspace is certified "tensor" if its
-    images agree with (psi (x) phi) within ``tol``; otherwise
+    The images of the relative basis are compared once with
+    (psi (x) phi) from generators (``_tensor_images``), and the largest
+    gap is ``tensor_deviation``.  When psi's channel and phi are both
+    Choi-certified, the induced channel on a proper relative subspace is
+    certified "tensor" if that gap is within ``tol``; otherwise
     ``samples``/``seed`` reach its sampled positivity check, as in
     ``build_channel``.  A "tensor" channel records them as well.
     """
@@ -569,10 +576,11 @@ def relativize_morphisms(
         psi.target, phi.target, phi.apply(phi.source.space.basis_stack, tol)
     )
     images = np.tensordot(coeffs, target_images, axes=(0, 0))
+    tensor_deviation = max_abs(_tensor_images(psi, phi, coeffs, tol) - images)
     certified = (
         psi.channel.positivity_check == phi.positivity_check == "choi"
         and not source_rel.as_system.is_full_algebra
-        and max_abs(_tensor_images(psi, phi, coeffs, tol) - images) <= tol
+        and tensor_deviation <= tol
     )
     channel = build_channel(
         source_rel.as_system, target_rel.as_system, images, tol, samples, seed,
@@ -586,6 +594,7 @@ def relativize_morphisms(
         channel=channel,
         matrix=channel.matrix(),
         kernel_image_norm=float(np.max(norms, initial=0.0)),
+        tensor_deviation=tensor_deviation,
     )
 
 
@@ -691,39 +700,15 @@ def check_equivariant_tensor_form(
 ) -> LawReport:
     """For equivariant phi the induced map is just psi (x) phi; verify it.
 
-    Every relative observable x is split as sum_j y_j (x) s_j along the
-    system basis s_j, with each frame part y_j projected onto the value
-    span; then psi (x) phi is sum_j psi(y_j) (x) phi(s_j), compared with
-    the induced map's image of x.  The whole basis of relative
-    observables goes through each step as one stack.  Raises
-    ChannelNotEquivariant when phi is not equivariant, and ObjectMismatch
-    when x does not lie in the product of the value spans.
-    ``samples``/``seed`` reach the induced channel.
+    The deviation is the induced map's ``tensor_deviation``: its images
+    of the relative basis against (psi (x) phi) from generators.  Every
+    relative observable is sum_g E(g) (x) g.s for s in the system span,
+    so it lies in the product of the value span and the system span, and
+    psi (x) phi is defined on it.  Raises ChannelNotEquivariant when phi
+    is not equivariant.  ``samples``/``seed`` reach the induced channel.
     """
     _require_equivariant(phi, tol)
-    induced = relativize_morphisms(psi, phi, tol, samples=samples, seed=seed)
-    d_r, d_s = psi.source.rep.dim, phi.source.dim
-    s_basis = phi.source.space.basis_stack
-    x_stack = induced.source.space.basis_stack
-    xs = x_stack.reshape(-1, d_r, d_s, d_r, d_s)
-    k, j = len(xs), len(s_basis)
-    # frame factor of each x along each s_j: the partial HS product over
-    # the system factor, projected onto the source value span
-    frame_parts = psi.source.value_system.space.project(
-        np.einsum("jbd,kabcd->kjac", np.conj(s_basis), xs).reshape(k * j, d_r, d_r)
-    )
-    recon = np.einsum("kjac,jbd->kabcd", frame_parts.reshape(k, j, d_r, d_r), s_basis)
-    if max_abs(recon - xs) > tol:
-        raise ObjectMismatch(
-            "relative observable does not expand in the product of value spans"
-        )
-    psi_parts = psi.channel.apply(frame_parts, tol)
-    d_t = psi_parts.shape[-1]
-    tens = np.einsum(
-        "kjac,jbd->kabcd", psi_parts.reshape(k, j, d_t, d_t), phi.apply(s_basis, tol)
-    )
-    images = induced.channel.apply(x_stack, tol)
-    worst = max_abs(tens.reshape(images.shape) - images)
+    worst = relativize_morphisms(psi, phi, tol, samples=samples, seed=seed).tensor_deviation
     return LawReport(
         {"tensor_form": worst},
         worst <= tol,

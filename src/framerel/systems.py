@@ -54,7 +54,6 @@ from .errors import (
     RequiresFullAlgebra,
 )
 from .groups import (
-    _TABLE_CHUNK,
     UnitaryRep,
     acts_trivially,
     same_group,
@@ -69,6 +68,7 @@ from .linalg import (
     as_operator,
     block_min_eigenvalues,
     block_partition,
+    chunks,
     dagger,
     diagonal_blocks,
     hermitian_part,
@@ -111,7 +111,6 @@ class SemiQuantumSystem:
         return self.rep.group
 
 
-_CHUNK = 16  # translates or products formed at once (at least one per basis element)
 _NOT_CLOSED = "system span is not closed under the group action"
 
 
@@ -124,7 +123,7 @@ def _closed_under_products(space: MatrixSubspace, tol: float) -> bool:
     are taken on the entries of those diagonal blocks alone, against the
     basis restricted to them (still orthonormal, since every basis
     element vanishes elsewhere).  The products are formed block by
-    block, a few rows of the basis at a time.
+    block, the rows of the basis a working set at a time (``chunks``).
     """
     n, d = space.dim, space.ambient_dim
     inside = np.zeros(d * d, dtype=bool)
@@ -137,9 +136,8 @@ def _closed_under_products(space: MatrixSubspace, tol: float) -> bool:
     basis = entries(blocks)
     if np.any(projection_errors(entries([dagger(b) for b in blocks]), basis) > tol):
         return False
-    step = max(1, _CHUNK // n)
-    for lo in range(0, n, step):
-        products = [(b[lo : lo + step, None] @ b[None]).reshape(-1, *b.shape[1:]) for b in blocks]
+    for run in chunks(n, n * basis.shape[1]):
+        products = [(b[run, None] @ b[None]).reshape(-1, *b.shape[1:]) for b in blocks]
         if np.any(projection_errors(entries(products), basis) > tol):
             return False
     return True
@@ -156,14 +154,14 @@ def _assemble_system(rep: UnitaryRep, space: MatrixSubspace, tol: float) -> Semi
     A full span holds every translate, and it is invariant iff every
     U(g) is a scalar within ``tol``, so it is read from the rep and no
     basis element is moved.  On a proper span the translates of the
-    basis give both closure and invariance, a few group elements at a
-    time.  A monomial rep moves the support entries alone and scales
-    them by its phases (``support_translates``, ``support_values``): a
-    translate that carries an entry above ``tol`` off the support leaves
-    the span, and the rest is tested on the support through
-    ``support_residuals``.  Other reps conjugate the basis densely, as
-    ``act`` does, and ``residuals`` tests the translates on the span's
-    support and off it.
+    basis give both closure and invariance, the group elements a working
+    set at a time (``chunks``).  A monomial rep moves the support entries
+    alone and scales them by its phases (``support_translates``,
+    ``support_values``): a translate that carries an entry above ``tol``
+    off the support leaves the span, and the rest is tested on the
+    support through ``support_residuals``.  Other reps conjugate the
+    basis densely, as ``act`` does, and ``residuals`` tests the
+    translates on the span's support and off it.
     """
     if space.ambient_dim != rep.dim:
         raise DimensionError(
@@ -182,19 +180,17 @@ def _assemble_system(rep: UnitaryRep, space: MatrixSubspace, tol: float) -> Semi
         _, leaves = support_translates(rep, space.support)
         if np.any(leaves[:, np.abs(values).max(axis=0) > tol]):
             raise FramerelError(_NOT_CLOSED)
-        step = max(1, _CHUNK // space.dim)
-        for lo in range(0, rep.group.order, step):
+        for run in chunks(rep.group.order, values.size):
             # (dim, elements, support): the translates on the support
-            moved = support_values(rep, flat, space.support, slice(lo, lo + step))
+            moved = support_values(rep, flat, space.support, run)
             if np.any(space.support_residuals(moved.reshape(-1, values.shape[1])) > tol):
                 raise FramerelError(_NOT_CLOSED)
             invariant = invariant and max_abs(moved - values[:, None]) <= tol
     else:
         basis = space.basis_stack
         us = np.stack(rep.matrices)
-        step = max(1, _CHUNK // space.dim)
-        for lo in range(0, rep.group.order, step):
-            u = us[lo : lo + step, None]
+        for run in chunks(rep.group.order, basis.size):
+            u = us[run, None]
             moved = u @ basis @ dagger(u)  # (elements, dim, d, d): translates
             if np.any(space.residuals(moved.reshape(-1, rep.dim, rep.dim)) > tol):
                 raise FramerelError(_NOT_CLOSED)
@@ -423,13 +419,12 @@ def build_channel(
         raise GroupMismatch("channel endpoints live over different groups")
     stack = _image_stack(images, source.space.dim, target.dim)
     if not target.space.is_full:
-        # _CHUNK images at a time: the residuals' temporaries stay a few images large
-        for lo in range(0, len(stack), _CHUNK):
-            residuals = target.space.residuals(stack[lo : lo + _CHUNK])
+        for run in chunks(len(stack), target.dim**2):
+            residuals = target.space.residuals(stack[run])
             outside = np.flatnonzero(residuals > tol)
             if outside.size:
-                k = lo + int(outside[0])
-                raise ImageOutsideTarget(k, residuals[k - lo], witness=stack[k].copy())
+                k = run.start + int(outside[0])
+                raise ImageOutsideTarget(k, residuals[outside[0]], witness=stack[k].copy())
     stack.setflags(write=False)
 
     exact = source.is_full_algebra
@@ -563,19 +558,15 @@ def _equivariance_table(channel: ChannelMap, stack, images, tol: float) -> np.nd
     ``images`` is ``channel.apply(stack)``; the rows run over the group
     elements in order.  The elements are taken a run at a time: the
     translates of the stack on both sides come from ``translates``, and
-    the source ones go through one ``apply``.  A run's translates hold
-    at most as many entries as ``channel.images``, or ``_TABLE_CHUNK``
-    when the images are smaller (a run has at least one element), so
-    the table's temporaries grow with the channel, not with the group
-    order, and a channel with small images takes the group in one run.
+    the source ones go through one ``apply``.  The runs come from
+    ``chunks`` with the channel's images as the held array, so the
+    table's temporaries grow with the channel, not with the group order,
+    and a channel with small images takes the group in one run.
     """
     src, tgt = channel.source.rep, channel.target.rep
     k = len(stack)
-    budget = max(channel.images.size, _TABLE_CHUNK)
-    step = max(1, budget // (k * max(src.dim, tgt.dim) ** 2))
     table = np.empty((src.group.order, k))
-    for lo in range(0, src.group.order, step):
-        run = slice(lo, lo + step)
+    for run in chunks(src.group.order, k * max(src.dim, tgt.dim) ** 2, channel.images):
         moved = translates(src, stack, run).reshape(-1, src.dim, src.dim)
         mapped = channel.apply(moved, tol).reshape(-1, k, tgt.dim, tgt.dim)
         table[run] = np.abs(mapped - translates(tgt, images, run)).max(axis=(2, 3))

@@ -186,6 +186,21 @@ def test_regular_representation_permutes_basis_by_left_translation():
             assert max_abs(u @ e - expected) == 0.0
 
 
+def test_regular_representation_equals_the_validated_left_multiplication_matrices():
+    # index arithmetic gives what unitary_rep detects in the dense matrices
+    for group in (build_cyclic_group(5), build_symmetric_group(3), build_symmetric_group(4)):
+        n = group.order
+        mats = np.zeros((n, n, n), dtype=complex)
+        for a in group.elements():
+            for b in group.elements():
+                mats[a, group.multiply(a, b), b] = 1.0
+        validated, rep = unitary_rep(group, mats), regular_representation(group)
+        assert rep.phases is None and not rep.perms.flags.writeable
+        assert rep.perms.dtype == validated.perms.dtype
+        assert np.array_equal(rep.perms, validated.perms)
+        assert np.array_equal(np.stack(rep.matrices), mats)
+
+
 def test_s3_irrep_is_faithful_and_unitary():
     rep = s3_irrep2()
     assert rep.dim == 2

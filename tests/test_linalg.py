@@ -11,17 +11,15 @@ from framerel.linalg import (
     block_min_eigenvalues,
     block_operator_norms,
     block_partition,
+    chunks,
     diagonal_blocks,
     hermitian_basis,
-    hs_inner,
     is_density_matrix,
-    is_projection,
     is_psd,
     is_unitary,
     matrix_unit_span,
     max_abs,
     min_eigenvalue,
-    null_space,
     operator_norm,
     orthonormalize,
     partial_trace_first,
@@ -108,8 +106,6 @@ def test_predicates_on_fixed_matrices():
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     assert is_unitary(x)
     assert not is_unitary(x + 0.1 * np.eye(2))
-    assert is_projection(np.diag([1.0, 0.0]).astype(complex))
-    assert not is_projection(np.diag([0.5, 0.5]).astype(complex))
     assert is_psd(np.diag([0.3, 0.0]).astype(complex))
     assert not is_psd(np.diag([0.3, -0.2]).astype(complex))
     assert is_density_matrix(np.diag([0.75, 0.25]).astype(complex))
@@ -298,15 +294,14 @@ def test_vector_kernel_of_a_tall_matrix_stays_small():
     assert peak < 16 * 2**20
 
 
-def test_null_space_of_commutation_constraint():
-    # matrices commuting with diag(1, -1) are the diagonals: dimension 2
-    z = np.diag([1.0, -1.0]).astype(complex)
-    eye = np.eye(2)
-    constraint = np.kron(eye, z.T) - np.kron(z, eye)  # vec(Xz - zX) rows
-    space = null_space(constraint)
-    assert space.dim == 2
-    for b in space.basis:
-        assert max_abs(b @ z - z @ b) < 1e-12
+def test_chunks_cover_the_items_within_the_working_set(monkeypatch):
+    monkeypatch.setattr("framerel.linalg.WORKING_SET", 10)
+    assert list(chunks(7, 3)) == [slice(0, 3), slice(3, 6), slice(6, 9)]
+    # an item larger than the budget still takes a step of its own
+    assert list(chunks(3, 20)) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+    # a held array at least as large as the budget raises it to its size
+    assert list(chunks(5, 20, np.zeros((2, 20)))) == [slice(0, 2), slice(2, 4), slice(4, 6)]
+    assert list(chunks(0, 3)) == []
 
 
 # ---------------------------------------------------------------- subspaces
@@ -336,8 +331,8 @@ def test_projection_is_idempotent_and_self_adjoint():
         b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         pa = space.project(a)
         assert max_abs(space.project(pa) - pa) < 1e-12
-        lhs = hs_inner(space.project(a), b)
-        rhs = hs_inner(a, space.project(b))
+        lhs = np.vdot(space.project(a), b)
+        rhs = np.vdot(a, space.project(b))
         assert abs(lhs - rhs) < 1e-11
 
 

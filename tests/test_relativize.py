@@ -166,11 +166,13 @@ def test_relativize_stack_matches_the_kron_loop_bit_for_bit():
                 assert np.array_equal(out, relativize_oracle(frame, system, a))
 
 
-def test_relativize_stack_takes_translates_a_few_elements_at_a_time():
+def test_relativize_stack_takes_translates_a_few_elements_at_a_time(monkeypatch):
     # a qubit-valued Z8 frame has 4 support blocks, fewer than its 8
-    # elements, so the translates come in two chunks of 4 elements; each
-    # slice is still the loop over act bit for bit, on a phased and on a
+    # elements; with no working set beyond the block buffer the
+    # translates come in two chunks of 4 elements, and each slice is
+    # still the loop over act bit for bit, on a phased and on a
     # permutation system
+    monkeypatch.setattr(framerel.linalg, "WORKING_SET", 1)
     value = zn_phase_rep(8)
     frame = principal_frame_from_seed(value, np.full((2, 2), 1 / 8, dtype=complex))
     for system in (full_system(zn_phase_rep(8)), full_system(regular_representation(value.group))):
@@ -865,7 +867,8 @@ def test_tensor_form_agrees_with_the_kronecker_oracle():
         oracle = tensor_form_oracle(psi, phi, xs)
         assert oracle.shape == images.shape
         assert report.passed
-        assert abs(report.deviations["tensor_form"] - max_abs(oracle - images)) <= 1e-12
+        assert report.deviations["tensor_form"] == induced.tensor_deviation
+        assert abs(induced.tensor_deviation - max_abs(oracle - images)) <= 1e-12
 
 
 def test_tensor_form_requires_equivariance():
@@ -873,6 +876,20 @@ def test_tensor_form_requires_equivariance():
     sq = qubit()
     with pytest.raises(ChannelNotEquivariant):
         check_equivariant_tensor_form(psi, conjugation_channel(sq, H))
+
+
+def test_induced_map_of_a_non_equivariant_channel_is_not_the_tensor_form():
+    # H X H = Z: conjugation by H does not commute with the flip, so the
+    # induced map exists (the ideal source frame has no kernel) but is
+    # not psi (x) phi, and the tensor-form check refuses the channel
+    psi, phi = z2_smearing_morphism(0.5), conjugation_channel(qubit(), H)
+    induced = relativize_morphisms(psi, phi)
+    assert induced.tensor_deviation > 1e-9
+    xs = induced.source.space.basis_stack
+    oracle = tensor_form_oracle(psi, phi, xs)
+    assert abs(induced.tensor_deviation - max_abs(oracle - induced.channel.apply(xs))) <= 1e-12
+    with pytest.raises(ChannelNotEquivariant):
+        check_equivariant_tensor_form(psi, phi)
 
 
 def _kron_unit_oracle(psi, phi, xs):

@@ -5,12 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import framerel.linalg
 import framerel.systems
 
 from framerel.errors import (
     DimensionError,
     FramerelError,
     ImageOutsideTarget,
+    InvalidRepresentation,
     NotAState,
     NotPositive,
     NotUnital,
@@ -18,7 +20,7 @@ from framerel.errors import (
     OperatorOutsideSystem,
     RequiresFullAlgebra,
 )
-from framerel.frames import canonical_ideal_frame
+from framerel.frames import canonical_ideal_frame, principal_frame_from_seed
 from framerel.groups import (
     UnitaryRep,
     act,
@@ -32,6 +34,7 @@ from framerel.groups import (
     unitary_rep,
 )
 from framerel.linalg import block_partition, matrix_unit_span, max_abs, span_subspace
+from framerel.relativize import relativization_map
 from framerel.systems import (
     _NOT_CLOSED,
     _choi_matrix,
@@ -65,6 +68,7 @@ from .support import (
     image_stack_apply,
     s3,
     s3_irrep2,
+    smeared_canonical_frame,
     z2_flip_rep,
     zn_phase_rep,
 )
@@ -419,8 +423,8 @@ def test_build_channel_validates_counts_unitality_and_targets():
         build_channel(sq, sys_iz, images)
     assert err.value.index == 1 and abs(err.value.residual - 0.25) < 1e-15
     assert np.array_equal(err.value.witness, images[1])
-    # images are tested 16 at a time: the first failure in a later chunk,
-    # with a farther one after it, keeps its index, and its witness is a copy
+    # the first failure, with a farther one after it, keeps its index, and
+    # its witness is a copy
     z5 = regular_representation(build_cyclic_group(5))
     diagonal = subspace_system(z5, list(np.eye(5)[:, None] * np.eye(5)))
     images = np.zeros((25, 5, 5), dtype=complex)
@@ -885,3 +889,58 @@ def test_effect_expectations_determine_the_class():
         assert c1.same_as(c2)
         for b in sys_iz.space.basis:
             assert abs(np.trace(rho1 @ b) - np.trace(rho2 @ b)) < 1e-12
+
+
+
+# ----------------------------------------------------------------- working set
+
+
+def _chunked_outputs(group, rep):
+    """What each loop cut by ``linalg.chunks`` returns or raises, on one group."""
+    rng = np.random.default_rng(61)
+    regular = regular_representation(group)
+    d, n = rep.dim, group.order
+    out = []
+    # the flat frame has 4 support blocks: fewer than the 6 elements of S3
+    frames = (smeared_canonical_frame(group, 0.3), principal_frame_from_seed(rep, np.eye(d) / n))
+    for frame in frames:
+        for system in (full_system(rep), subspace_system(rep, [rng.standard_normal((d, d))])):
+            out.append(relativization_map(frame, system).images)
+    for r in (rep, regular):  # the matrix or phase path, and the permutation path
+        system = subspace_system(r, [np.diag(rng.standard_normal(r.dim))])
+        out.append((system.is_full_algebra, system.is_invariant, is_vn_algebra(system)))
+        unclosed = span_subspace([np.eye(r.dim), rng.standard_normal((r.dim, r.dim))])
+        with pytest.raises(FramerelError, match=_NOT_CLOSED):
+            system_from_subspace(r, unclosed)
+    for phi in (depolarizing_channel(full_system(rep), 0.3), conjugation_channel(full_system(rep), H)):
+        eq = is_equivariant(phi)
+        out.append((eq.deviation, eq.witness_element, eq.witness_index))
+    broken = list(regular.matrices)
+    broken[1], broken[2] = broken[2], broken[1]
+    with pytest.raises(InvalidRepresentation) as err:
+        unitary_rep(group, broken)
+    out.append((str(err.value), err.value.deviation))
+    diagonal = subspace_system(regular, list(np.eye(n)[:, None] * np.eye(n)))
+    images = np.zeros((n * n, n, n), dtype=complex)
+    images[n + 1, 0, 1], images[-1, 1, 2] = 0.25, 1.0
+    with pytest.raises(ImageOutsideTarget) as err:
+        build_channel(full_system(regular), diagonal, images)
+    out.append(err.value.index)
+    return out
+
+
+@pytest.mark.parametrize("budget", [1, 2**30])
+def test_chunked_loops_give_the_same_results_at_any_working_set(monkeypatch, budget):
+    # a budget of 1 takes one item per step (or what the held array
+    # allows), 2^30 takes every item at once
+    for group, rep in ((build_cyclic_group(4), zn_phase_rep(4)), (s3(), s3_irrep2())):
+        default = _chunked_outputs(group, rep)
+        monkeypatch.setattr(framerel.linalg, "WORKING_SET", budget)
+        chunked = _chunked_outputs(group, rep)
+        monkeypatch.undo()
+        assert len(chunked) == len(default) == 10
+        for got, expected in zip(chunked, default):
+            if isinstance(got, np.ndarray):
+                assert np.array_equal(got, expected)
+            else:
+                assert got == expected
