@@ -20,7 +20,7 @@ neither checked nor assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from .groups import (
 from .linalg import (
     DEFAULT_TOL,
     as_operator,
+    block_partition,
     dagger,
     hermitian_part,
     identity,
@@ -76,16 +77,26 @@ class FrameObservable:
     """A covariant POVM over a finite group, effects indexed by element id.
 
     ``effects`` is one read-only (|G|, d, d) stack: E(g) is ``effects[g]``.
+    ``components`` is ``block_partition`` of the effects' union support
+    (where some E(g)[i, j] != 0), computed once, on first request.
     """
 
     rep: UnitaryRep
     effects: np.ndarray
     value_system: SemiQuantumSystem
     is_ideal: bool
+    _components: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
 
     @property
     def group(self) -> FiniteGroup:
         return self.rep.group
+
+    @property
+    def components(self) -> tuple[np.ndarray, ...]:
+        if self._components is None:
+            support = np.any(self.effects != 0, axis=0)
+            object.__setattr__(self, "_components", block_partition(support))
+        return self._components
 
     def effect(self, g: int) -> np.ndarray:
         return self.effects[g]
@@ -135,9 +146,8 @@ def _validate_frame(
         p = rep.perms
         support = np.any(stack != 0, axis=0)
         orbit = np.flatnonzero(support[p[:, :, None], p[:, None, :]].any(axis=0))
-        flat = stack.reshape(len(stack), -1)
-        values = flat[:, orbit]
-        moved = lambda g: support_values(rep, flat, orbit, g)
+        values = stack.reshape(len(stack), -1)[:, orbit]
+        moved = lambda g: support_values(rep, values, orbit, g)
     else:
         values = stack.reshape(len(stack), -1)
         moved = lambda g: act(rep, g, stack).reshape(len(stack), -1)

@@ -18,7 +18,8 @@ of two matrix products.  A permutation rep (every phase exactly 1) has
 no phase array, so its gather is the whole action and gives the matrix
 path's numbers bit for bit; other phases agree with it within rounding.
 Operators that live on a few entries are moved on those alone:
-``support_translates`` says where each g carries a support,
+they are given by their entries on the support, and every other entry
+is zero.  ``support_translates`` says where each g carries a support,
 ``support_values`` gives the moved and scaled entries there, and
 ``invariance_deviation`` compares a stack with its translates there.
 Tensor products of monomial reps are index and phase arithmetic, and
@@ -446,46 +447,59 @@ def support_translates(rep: UnitaryRep, support) -> tuple[np.ndarray, np.ndarray
     return src, ~inside[src[rep.group.inverse]]
 
 
-def support_values(rep: UnitaryRep, flat, support, elements) -> np.ndarray:
+def _lookup(values, support, src) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` (..., k) on the increasing ``support``, with a zero column
+    appended, and the column each flat index of ``src`` reads (zero off it)."""
+    pos = np.searchsorted(support, src)
+    pos[np.append(support, -1)[pos] != src] = len(support)
+    zero = np.zeros((*values.shape[:-1], 1), dtype=values.dtype)
+    return np.concatenate([values, zero], axis=-1), pos
+
+
+def support_values(rep: UnitaryRep, values, support, elements) -> np.ndarray:
     """The entries of g.a on ``support`` under a monomial rep, as ``act`` computes them.
 
-    ``flat`` is a (n, d*d) stack of row-major operators and ``support``
-    holds flat indices.  ``elements`` is one element, giving (n,
-    len(support)), or a slice of elements, giving (n, len(slice),
-    len(support)).  Each value is bit-identical to that entry of ``act``.
+    ``values`` holds the entries at ``support`` (increasing flat indices)
+    of n operators that vanish off it.  ``elements`` is one element,
+    giving (n, len(support)), or a slice, giving (n, len(slice),
+    len(support)); each value is that entry of ``act``, bit for bit.
     """
-    rows, cols = np.divmod(np.asarray(support), rep.dim)
-    moved = flat[..., _support_sources(rep.perms[elements], support, rep.dim)]
+    rows, cols = np.divmod(support, rep.dim)
+    src = _support_sources(rep.perms[elements], support, rep.dim)
+    padded, pos = _lookup(np.asarray(values), support, src)
+    moved = padded[..., pos]
     if rep.phases is None:
         return moved
     c = rep.phases[elements]
     return c[..., rows] * moved * np.conj(c[..., cols])
 
 
-def invariance_deviation(rep: UnitaryRep, a) -> float:
-    """Largest ``commutation_deviation`` over every group element.
+def invariance_deviation(rep: UnitaryRep, values, support) -> float:
+    """Largest ``commutation_deviation`` over every group element, of
+    operators given by their entries on ``support`` as in ``support_values``.
 
-    For a monomial rep, a U(g) - U(g) a is formed on the support of a
-    alone, with ``commutation_deviation``'s products.  Off the support
-    it is zero but where g carries an entry s of a, and there it is
-    -a[s] times a phase; g^-1 reads that entry from off the support, so
-    its difference holds a[s] times a phase at s itself.  The maximum
-    over every element is therefore the same: the same float for a
-    permutation rep, and within rounding of the phases' modulus at
-    those entries otherwise.
+    The support may hold entries where every operator is zero.  For a
+    monomial rep, a U(g) - U(g) a is formed on the support alone, with
+    ``commutation_deviation``'s products.  Off the support it is zero
+    but where g carries an entry s of a, and there it is -a[s] times a
+    phase; g^-1 reads that entry from off the support, so its difference
+    holds a[s] times a phase at s itself.  The maximum over every
+    element is therefore the same: the same float for a permutation rep,
+    and within rounding of the phases' modulus at those entries
+    otherwise.  Any other rep compares the dense operators.
     """
-    m = np.asarray(a, dtype=np.complex128)
+    values, support = np.asarray(values, dtype=np.complex128), np.asarray(support)
     if rep.perms is None:
-        return max(commutation_deviation(rep, g, m) for g in rep.group.elements())
-    flat = m.reshape(-1, rep.dim * rep.dim)
-    support = np.flatnonzero(np.any(flat != 0, axis=0))
-    on = flat[:, support]
-    src = _support_sources(rep.perms, support, rep.dim)
+        dense = np.zeros((len(values), rep.dim * rep.dim), dtype=np.complex128)
+        dense[:, support] = values
+        dense = dense.reshape(-1, rep.dim, rep.dim)
+        return max(commutation_deviation(rep, g, dense) for g in rep.group.elements())
+    padded, pos = _lookup(values, support, _support_sources(rep.perms, support, rep.dim))
     if rep.phases is None:
-        return max(max_abs(on - flat[:, s]) for s in src)
+        return max(max_abs(values - padded[:, p]) for p in pos)
     rows, cols = np.divmod(support, rep.dim)
     c = rep.phases
-    return max(max_abs(on * c[g, cols] - c[g, rows] * flat[:, s]) for g, s in enumerate(src))
+    return max(max_abs(values * c[g, cols] - c[g, rows] * padded[:, p]) for g, p in enumerate(pos))
 
 
 def tensor_rep(r1: UnitaryRep, r2: UnitaryRep) -> UnitaryRep:

@@ -2,12 +2,13 @@
 
 Everything downstream (group actions, frames, relativization) works on
 plain square ``complex128`` numpy arrays.  Subspaces of the d x d matrix
-space are carried as orthonormal bases, stored once as a stack of
-flattened matrices, so membership tests, projections and kernels stay
-cheap and bit-for-bit reproducible.  The full matrix space with the
-matrix-unit basis is implicit: it stores no basis, its coefficients are
-the reshaped operator and its combinations the reshaped coefficients, so
-a full algebra costs no d^4 storage and no d^2 x d^2 products.
+space are carried as orthonormal bases held on their support, the
+entries where some basis element is nonzero, so membership tests,
+projections and kernels read those entries alone.  The full matrix
+space with the matrix-unit basis is implicit: it stores no basis, its
+coefficients are the reshaped operator and its combinations the reshaped
+coefficients, so a full algebra costs no d^4 storage and no d^2 x d^2
+products.
 ``coefficients``, ``combine`` and ``project`` take one operator (one
 coefficient vector) or a whole (k, d, d) stack (a (k, dim) stack).  A
 stack is run as one matrix-vector product per slice, the same BLAS call
@@ -15,8 +16,7 @@ a single operator gets, so every slice is bit-identical to the single
 call.  Membership is tested one operator at a time (``residual``,
 ``contains``) or for a whole stack (``residuals``); a full span answers
 without projecting, since it holds every operator of the right shape.
-A stack is tested on the span's support, the entries where some basis
-element is nonzero, recorded once per span: the projection only reads
+A stack is tested on the span's support: the projection only reads
 and writes those entries, so ``residuals`` projects the support columns
 and takes the larger of that residual and the largest entry off the
 support.  Callers that know where their operators live pass those
@@ -31,11 +31,13 @@ matrix is wide, so a tall constraint matrix never allocates a rows x rows
 Spectra of operators that are block-diagonal along a known index
 partition are taken block by block.  ``block_partition`` turns a support
 pattern into that partition (the connected components, one (m, b) index
-array per block size), ``diagonal_blocks`` gathers each stack into
-(n, m, b, b) blocks, and ``block_min_eigenvalues`` and
-``block_operator_norms`` make one batched ``eigvalsh`` or 2-norm call per
-block size.  A connected support is one block, the identity gather, so
-those values are the dense call's bit for bit.
+array per block size), ``widen_partition`` carries it to a tensor
+product with C^inner, ``diagonal_blocks`` gathers each stack into
+(n, m, b, b) blocks (``block_diagonal`` scatters them back), and
+``block_min_eigenvalues`` and ``block_operator_norms`` make one batched
+``eigvalsh`` or 2-norm call per block size.  A connected support is one
+block, the identity gather, so those values are the dense call's bit for
+bit.
 
 ``psd_span_samples`` draws the inputs of sampled positivity checks as one
 stack, shifted into the PSD cone with one batched ``eigvalsh``.
@@ -147,17 +149,14 @@ def operator_norm(m) -> float:
     return float(np.linalg.norm(as_operator(m), 2))
 
 
-def block_partition(support, inner: int = 1, outer: int = 1) -> tuple[np.ndarray, ...]:
-    """Index groups of the diagonal blocks that a support pattern forces.
+def block_partition(support) -> tuple[np.ndarray, ...]:
+    """The connected components of a support pattern, grouped by size.
 
-    Take an operator on C^outer (x) C^r (x) C^inner, index (k, i, s) at
-    (k r + i) inner + s, whose entry between (k, i, s) and (l, j, t)
-    vanishes unless i and j are joined in the graph with an edge wherever
-    ``support`` (r x r, boolean) is set.  Each connected component C of
-    that graph gives one diagonal block, the indices (k, i, s) with i in
-    C.  Blocks of equal size are stacked into one (m, b) index array, so
-    the partition holds one array per block size.  A connected support
-    gives the single block (0, ..., outer r inner - 1) in order.
+    ``support`` (r x r, boolean) is the graph on 0..r-1 with an edge
+    wherever it is set, in either direction; an operator that vanishes off
+    it is block-diagonal, one block per component.  Components of equal
+    size are stacked into one (m, c) array of members in increasing order.
+    A connected support gives the single block (0, ..., r - 1).
     """
     adj = np.asarray(support, dtype=bool)
     r = len(adj)
@@ -173,13 +172,17 @@ def block_partition(support, inner: int = 1, outer: int = 1) -> tuple[np.ndarray
         labels = moved
     order = np.argsort(labels, kind="stable")  # components by smallest index, members in index order
     sizes = np.bincount(labels, minlength=r)[labels[order]]  # the component size of each member
-    offsets = np.arange(outer)[:, None, None] * r * inner + np.arange(inner)[None, None, :]
-    partition = []
-    for size in dict.fromkeys(sizes.tolist()):
-        members = order[sizes == size].reshape(-1, size)
-        idx = offsets[None] + members[:, None, :, None] * inner
-        partition.append(idx.reshape(len(members), -1))
-    return tuple(partition)
+    return tuple(order[sizes == size].reshape(-1, size) for size in dict.fromkeys(sizes.tolist()))
+
+
+def widen_partition(components, inner: int) -> tuple[np.ndarray, ...]:
+    """The blocks of C^r (x) C^inner, index (i, s) at i inner + s, that the
+    ``components`` of an r x r support (:func:`block_partition`) force:
+    the indices (i, s) with i in C, for each component C."""
+    return tuple(
+        (members[:, :, None] * inner + np.arange(inner)).reshape(len(members), -1)
+        for members in components
+    )
 
 
 def diagonal_blocks(stack, partition) -> list[np.ndarray]:
@@ -209,11 +212,25 @@ def block_operator_norms(blocks) -> np.ndarray:
     """Largest singular value of every operator, from its diagonal blocks.
 
     As :func:`block_min_eigenvalues`: one batched 2-norm per block size,
-    then the largest block norm of each operator.
+    then the largest block norm of each operator.  Only blocks with a
+    nonzero entry are decomposed; a zero block's norm is exactly 0.0.
     """
-    return np.maximum.reduce(
-        [np.linalg.norm(b, 2, axis=(-2, -1)).max(axis=-1) for b in blocks]
-    )
+    out = []
+    for b in blocks:
+        norms = np.zeros(b.shape[:-2])
+        nonzero = b.any(axis=(-2, -1))
+        norms[nonzero] = np.linalg.norm(b[nonzero], 2, axis=(-2, -1))
+        out.append(norms.max(axis=-1))
+    return np.maximum.reduce(out)
+
+
+def block_diagonal(blocks, partition, dim: int) -> np.ndarray:
+    """The dense (n, dim, dim) stack with diagonal blocks ``blocks`` and zeros
+    elsewhere: the inverse of :func:`diagonal_blocks`."""
+    out = np.zeros((len(blocks[0]), dim, dim), dtype=np.complex128)
+    for b, idx in zip(blocks, partition):
+        out[:, idx[:, :, None], idx[:, None, :]] = b
+    return out
 
 
 def vec(m) -> np.ndarray:
@@ -286,42 +303,51 @@ def projection_errors(rows, basis) -> np.ndarray:
 class MatrixSubspace:
     """A linear subspace of d x d matrices with an HS-orthonormal basis.
 
-    The basis is held once, as one (dim, d*d) stack of flattened
-    matrices; ``basis`` and ``basis_stack`` are views of it.  Factories
-    (:func:`span_subspace`, :func:`matrix_unit_span`)
-    guarantee the orthonormality; direct construction is for callers
-    that already hold an orthonormal family.
-
-    The span made by :func:`matrix_unit_span` stores no stack at all:
-    its basis is the matrix units in row-major order, so coefficients
-    are the entries of the operator and a combination is the reshaped
-    coefficient vector.  Its units are built only when a caller asks
-    for ``basis`` or ``basis_stack``.
-
-    ``support`` holds the flat (row-major) indices of the entries where
-    some basis element is nonzero, recorded on first use; the unit
-    span's support is every entry.  Every element of the span vanishes
-    off it, so the projection of any operator does too.
+    The basis is held on ``support``, the flat (row-major) indices of the
+    entries where some basis element is nonzero, as one (dim,
+    len(support)) array.  Every element of the span vanishes off the
+    support, so coefficients read an operator's support entries alone
+    and combinations are zero off it.  Factories (:func:`span_subspace`,
+    :func:`matrix_unit_span`) guarantee the orthonormality; direct
+    construction, from dense matrices (reduced to their support) or
+    :meth:`on_support`, is for callers that already hold an orthonormal
+    family.  ``basis_stack`` is built from the support on first request
+    and kept; ``basis`` is views of it.  The unit span of
+    :func:`matrix_unit_span` stores no basis: its coefficients are the
+    entries of the operator, and its units are built only on request.
     """
 
-    __slots__ = ("ambient_dim", "_stack", "_support")
+    __slots__ = ("ambient_dim", "_support", "_stack")
 
     def __init__(self, ambient_dim: int, basis):
         d = ambient_dim
-        if d <= 0:
-            raise DimensionError("ambient dimension must be positive")
         for b in basis:
             if b.shape != (d, d):
                 raise DimensionError(
                     f"basis element of shape {b.shape} in ambient dimension {d}"
                 )
-        self.ambient_dim = d
-        self._stack = (
+        flat = (
             np.stack([vec(b) for b in basis])
             if len(basis)
             else np.zeros((0, d * d), dtype=np.complex128)
         )
-        self._support = None
+        support = np.flatnonzero(np.any(flat != 0, axis=0))
+        self._hold(d, (support, np.ascontiguousarray(flat[:, support])))
+
+    def _hold(self, ambient_dim: int, parts) -> None:
+        """Hold the (support, values) pair ``parts``; None is the unit span."""
+        if ambient_dim <= 0:
+            raise DimensionError("ambient dimension must be positive")
+        self.ambient_dim = ambient_dim
+        self._support = parts
+        self._stack = None
+
+    @classmethod
+    def on_support(cls, ambient_dim: int, support, values) -> "MatrixSubspace":
+        """The span of orthonormal rows ``values`` on the increasing flat ``support``."""
+        space = cls.__new__(cls)
+        space._hold(ambient_dim, (np.asarray(support), np.ascontiguousarray(values, dtype=np.complex128)))
+        return space
 
     def __repr__(self) -> str:
         return f"MatrixSubspace(ambient_dim={self.ambient_dim}, dim={self.dim})"
@@ -329,11 +355,11 @@ class MatrixSubspace:
     @property
     def is_unit_span(self) -> bool:
         """True for the implicit matrix-unit span of :func:`matrix_unit_span`."""
-        return self._stack is None
+        return self._support is None
 
     @property
     def dim(self) -> int:
-        return self.ambient_dim**2 if self.is_unit_span else len(self._stack)
+        return self.ambient_dim**2 if self.is_unit_span else len(self._support[1])
 
     @property
     def is_full(self) -> bool:
@@ -345,23 +371,27 @@ class MatrixSubspace:
         """Increasing flat indices of the entries where some basis element is nonzero."""
         return self._support_parts()[0]
 
+    @property
+    def support_basis(self) -> np.ndarray | None:
+        """The basis on ``support``, (dim, len(support)); None for the unit span."""
+        return self._support_parts()[1]
+
     def _support_parts(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """The support and the basis on it, (dim, len(support)), recorded on first use."""
-        if self._support is None:
-            if self.is_unit_span:
-                self._support = (np.arange(self.ambient_dim**2), None)
-            else:
-                support = np.flatnonzero(np.any(self._stack != 0, axis=0))
-                self._support = (support, self._stack[:, support])
-        return self._support
+        """The support and the basis on it."""
+        return (np.arange(self.ambient_dim**2), None) if self.is_unit_span else self._support
 
     @property
     def basis_stack(self) -> np.ndarray:
-        """The basis as one (dim, d, d) array: a view, or fresh units."""
+        """The basis as one (dim, d, d) array, kept once built; fresh units for the unit span."""
         d = self.ambient_dim
         if self.is_unit_span:
             return matrix_units(d)
-        return self._stack.reshape(self.dim, d, d)
+        if self._stack is None:
+            support, values = self._support
+            stack = np.zeros((len(values), d * d), dtype=np.complex128)
+            stack[:, support] = values
+            self._stack = stack.reshape(-1, d, d)
+        return self._stack
 
     @property
     def basis(self) -> tuple[np.ndarray, ...]:
@@ -378,17 +408,19 @@ class MatrixSubspace:
     def coefficients(self, m) -> np.ndarray:
         """HS coefficients of one operator, or of each operator of a stack.
 
-        Computed as conj(B @ conj(v)), which equals conj(B) @ v bit for
-        bit without a conjugate copy of the basis; the added +0.0 turns
-        the -0.0 that the outer conj leaves on exact zeros back into +0.0.
-        On the unit span the coefficients are the entries themselves,
-        with the same +0.0 on zeros that the product with the units gives.
+        Computed on the support as conj(B @ conj(v)), which equals
+        conj(B) @ v bit for bit without a conjugate copy of the basis; the
+        added +0.0 turns the -0.0 that the outer conj leaves on exact zeros
+        back into +0.0.  On the unit span the coefficients are the entries
+        themselves, with the same +0.0 on zeros that the product with the
+        units gives.
         """
         a = self._operators(m)
+        flat = a.reshape(*a.shape[:-2], self.ambient_dim**2)
         if self.is_unit_span:
-            return a.reshape(*a.shape[:-2], self.ambient_dim**2) + 0.0
-        flat = np.conj(a.reshape(*a.shape[:-2], self.ambient_dim**2, 1))
-        return np.conj(self._stack @ flat)[..., 0] + 0.0
+            return flat + 0.0
+        support, basis = self._support_parts()
+        return np.conj(basis @ np.conj(flat[..., support, None]))[..., 0] + 0.0
 
     def combine(self, coefficients) -> np.ndarray:
         """Linear combination of the basis, for one coefficient vector or a stack."""
@@ -398,7 +430,10 @@ class MatrixSubspace:
         d = self.ambient_dim
         if self.is_unit_span:
             return c.reshape(*c.shape[:-1], d, d) + 0.0
-        return (c[..., None, :] @ self._stack).reshape(*c.shape[:-1], d, d)
+        support, basis = self._support_parts()
+        out = np.zeros((*c.shape[:-1], d * d), dtype=np.complex128)
+        out[..., support] = (c[..., None, :] @ basis)[..., 0, :]
+        return out.reshape(*c.shape[:-1], d, d)
 
     def project(self, m) -> np.ndarray:
         """Orthogonal projection onto the subspace, of one operator or a stack."""
@@ -450,8 +485,8 @@ def matrix_units(d: int) -> np.ndarray:
 
 def matrix_unit_span(d: int) -> MatrixSubspace:
     """The full d x d matrix space, with the matrix units as its implicit basis."""
-    space = MatrixSubspace(d, ())
-    space._stack = None
+    space = MatrixSubspace.__new__(MatrixSubspace)
+    space._hold(d, None)
     return space
 
 

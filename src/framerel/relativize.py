@@ -17,18 +17,20 @@ well-definedness a real condition, checked witness by witness.
 
 Every law check returns one :class:`LawReport`: the deviation of each
 checked component, the verdict, the witnesses and a one-line summary,
-so the scenario runner quotes any check the same way.  The checks work
-on operator stacks: the relativized basis is one (n, D, D) array, and
-each product of a law is one batched call.  Block (i, j) of a relativized
-operator vanishes off the union support of the effects, so every
-relativized operator, every product and difference of them and their
-Choi matrix are block-diagonal along the connected components of that
-support; eigenvalues, operator norms and the embedding's products are
-taken on those blocks (one block for a frame with connected support).
-The relative subspace is validated as a system on the same support
-(membership, closure and products, see ``systems``), and the invariance
-of the channel is compared on the support of the images
-(``groups.invariance_deviation``), with the dense comparison's value.
+so the scenario runner quotes any check the same way.
+
+Block (i, j) of a relativized operator vanishes off the union support
+of the effects, so every relativized operator, and every product,
+adjoint and Choi matrix formed from them, is block-diagonal along the
+components of that support, which the frame computes once
+(``FrameObservable.components``).  A relativized stack is held as those
+diagonal blocks, one (n, m, b, b) array per block size, and the law
+checks work on them alone: products, norms, spectra and the Choi matrix
+are taken block by block in batched calls, the relative subspace is
+spanned and validated on the entries of the blocks, and invariance is
+compared there (``groups.invariance_deviation``).  Dense (n, D, D)
+images are built on request only, for ``relativize``'s return value,
+the induced maps and witness encoding (``RelativizationMap.images``).
 
 Positivity follows the rule of ``systems``: the axiom check reads the
 Choi matrix alone on a full algebra and samples one PSD stack otherwise.
@@ -42,7 +44,7 @@ two disagree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -69,21 +71,21 @@ from .linalg import (
     DEFAULT_TOL,
     MatrixSubspace,
     as_operator,
+    block_diagonal,
     block_min_eigenvalues,
     block_operator_norms,
-    block_partition,
     chunks,
     dagger,
-    diagonal_blocks,
     identity,
     is_density_matrix,
     matrix_units,
     max_abs,
+    orthonormalize,
     partial_trace_first,
     psd_span_samples,
-    span_subspace,
     tensor_product,
     vector_kernel,
+    widen_partition,
 )
 from .systems import (
     DEFAULT_POSITIVITY_SAMPLES,
@@ -91,7 +93,6 @@ from .systems import (
     ChannelMap,
     SemiQuantumSystem,
     StateClass,
-    _choi_matrix,
     build_channel,
     compose_channels,
     identity_channel,
@@ -105,72 +106,82 @@ from .systems import (
 DEFAULT_CHECK_SAMPLES = 12
 
 
+def _joint_partition(frame: FrameObservable, d: int) -> tuple[np.ndarray, ...]:
+    """The diagonal blocks C x {0..d-1} of every relativized operator, for
+    the components C of the effect support (``frame.components``)."""
+    return widen_partition(frame.components, inner=d)
+
+
 @dataclass(frozen=True, eq=False)
 class RelativizationMap:
     """The map a -> sum_g E(g) (x) g.a, tabulated on the system basis.
 
-    ``images`` is one (n, D, D) stack: the image of basis element k is
-    ``images[k]``.
+    ``blocks`` holds the images on the diagonal blocks of ``partition``,
+    one (n, m, b, b) array per block size: ``blocks[s][k, mu]`` is block
+    mu of the image of basis element k, which vanishes off the blocks.
+    ``images``, the dense (n, D, D) stack, is built on first request.
     """
 
     frame: FrameObservable
     system: SemiQuantumSystem
     joint_rep: UnitaryRep
-    images: np.ndarray
+    blocks: tuple[np.ndarray, ...]
+    partition: tuple[np.ndarray, ...]
+    _images: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def joint_dim(self) -> int:
         return self.joint_rep.dim
 
+    @property
+    def images(self) -> np.ndarray:
+        if self._images is None:
+            images = block_diagonal(self.blocks, self.partition, self.joint_dim)
+            images.setflags(write=False)
+            object.__setattr__(self, "_images", images)
+        return self._images
 
-def _effect_support(frame: FrameObservable) -> np.ndarray:
-    """The union support of the effects: the (d_r, d_r) pattern of the
-    entries (i, j) where some E(g)[i, j] != 0."""
-    return np.any(frame.effects != 0, axis=0)
 
+def _relativize_stack(frame: FrameObservable, system: SemiQuantumSystem, mats) -> list[np.ndarray]:
+    """Relativize a stack of n system operators at once, as blocks.
 
-def _joint_partition(frame: FrameObservable, d: int, outer: int = 1) -> tuple[np.ndarray, ...]:
-    """The diagonal blocks every relativized operator lives in.
-
-    Block (i, j) of a relativized operator vanishes off the effect
-    support, so each connected component C of the support gives one
-    block C x {0..d-1} of the joint space.  With ``outer`` the blocks
-    are those of an operator on C^outer (x) joint space built from
-    relativized blocks, such as the Choi matrix of the relativization.
+    Returns the diagonal blocks of ``_joint_partition(frame, d)``, one
+    (n, m, c d, c d) array per size c of ``frame.components``.  Entry
+    ((i, s), (j, t)) of a block accumulates E(g)[i, j] * (g.a)[s, t] for
+    each element g in group order, the translates a run of elements at a
+    time (``chunks``, the blocks held).  These are the products and the
+    sum order of adding E(g) (x) g.a one operator at a time, and a pair
+    (i, j) off the support adds signed zeros 0 * x to a sum that started
+    at +0, so each block is bit-identical to that block of the dense
+    loop, which vanishes off the blocks.
     """
-    return block_partition(_effect_support(frame), inner=d, outer=outer)
-
-
-def _relativize_stack(frame: FrameObservable, system: SemiQuantumSystem, mats) -> np.ndarray:
-    """Relativize a stack of system operators at once, shape (n, D, D).
-
-    Only the blocks (i, j) in the union support of the effects, the
-    pairs where some E(g)[i, j] is nonzero, are accumulated: for each
-    element g in group order, E(g)[i, j] * g.a is added to block (i, j)
-    of every operator.  The translates g.a come from ``groups.translates``
-    a run of elements at a time (``chunks``, the block buffer held), so
-    they take no more memory than the working set or the blocks do.  The
-    blocks are then scattered into a zeroed (n, d_r, d, d_r, d) buffer.
-    The kept products and their sum order are those of adding
-    E(g) (x) g.a one operator at a time.  A skipped term is a product
-    0 * x, which is a signed zero, and adding a signed zero to a sum that
-    started at +0 leaves the sum unchanged.  So each slice is
-    bit-identical to that dense loop.  The canonical ideal frame and its
-    smearings are diagonal (d_r of the d_r^2 blocks); a frame with dense
-    support takes every block.
-    """
-    d_r, d = frame.rep.dim, system.dim
+    d = system.dim
     stack = np.asarray(mats, dtype=np.complex128).reshape(-1, d, d)
-    rows, cols = np.nonzero(_effect_support(frame))
-    weights = frame.effects[:, rows, cols]
-    blocks = np.zeros((len(rows), len(stack), d, d), dtype=np.complex128)
-    for run in chunks(frame.group.order, stack.size, blocks):
-        moved = translates(system.rep, stack, run)
-        for g, m in enumerate(moved, run.start):
-            blocks += weights[g][:, None, None, None] * m[None]
-    out = np.zeros((len(stack), d_r, d, d_r, d), dtype=np.complex128)
-    out[:, rows, :, cols, :] = blocks
-    return out.reshape(len(stack), d_r * d, d_r * d)
+    weights = [frame.effects[:, c[:, :, None], c[:, None, :]] for c in frame.components]
+    shapes = [(len(stack), m, c, d, c, d) for _, m, c, _ in map(np.shape, weights)]
+    blocks = [np.zeros(shape, dtype=np.complex128) for shape in shapes]
+    for run in chunks(frame.group.order, stack.size, max(blocks, key=np.size)):
+        for g, m in enumerate(translates(system.rep, stack, run), run.start):
+            for out, w in zip(blocks, weights):
+                out += w[g][None, :, :, None, :, None] * m[:, None, None, :, None, :]
+    return [b.reshape(*b.shape[:2], b.shape[2] * d, b.shape[2] * d) for b in blocks]
+
+
+def _relativize_dense(frame: FrameObservable, system: SemiQuantumSystem, mats) -> np.ndarray:
+    """The relativized stack as one dense (n, D, D) array, zero off the blocks."""
+    blocks, d = _relativize_stack(frame, system, mats), system.dim
+    return block_diagonal(blocks, _joint_partition(frame, d), frame.rep.dim * d)
+
+
+def _support_values(rmap: RelativizationMap) -> tuple[np.ndarray, np.ndarray]:
+    """The images on the entries where some image is nonzero, (n, K), and
+    those flat entries of the joint space, increasing."""
+    flat = [p[:, :, None] * rmap.joint_dim + p[:, None, :] for p in rmap.partition]
+    entries = np.concatenate([f.ravel() for f in flat])
+    values = np.concatenate([b.reshape(len(b), -1) for b in rmap.blocks], axis=1)
+    kept = np.flatnonzero(values.any(axis=0))
+    order = kept[np.argsort(entries[kept])]
+    return values[:, order], entries[order]
 
 
 def relativization_map(
@@ -178,9 +189,13 @@ def relativization_map(
 ) -> RelativizationMap:
     if not same_group(frame.group, system.group):
         raise GroupMismatch("frame and system live over different groups")
-    joint = tensor_rep(frame.rep, system.rep)
-    images = _relativize_stack(frame, system, system.space.basis_stack)
-    return RelativizationMap(frame=frame, system=system, joint_rep=joint, images=images)
+    return RelativizationMap(
+        frame=frame,
+        system=system,
+        joint_rep=tensor_rep(frame.rep, system.rep),
+        blocks=tuple(_relativize_stack(frame, system, system.space.basis_stack)),
+        partition=_joint_partition(frame, system.dim),
+    )
 
 
 def relativize(
@@ -189,14 +204,14 @@ def relativize(
     a,
     tol: float = DEFAULT_TOL,
 ) -> np.ndarray:
-    """Relativize a single system observable (must lie in the system span)."""
+    """Relativize a single system observable (must lie in the system span), densely."""
     if not same_group(frame.group, system.group):
         raise GroupMismatch("frame and system live over different groups")
     m = as_operator(a)
     res = system.space.residual(m)
     if res > tol:
         raise OperatorOutsideSystem(res)
-    return _relativize_stack(frame, system, m)[0]
+    return _relativize_dense(frame, system, m)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,10 +239,18 @@ class RelativeSubspace:
 def build_relative_subspace(
     frame: FrameObservable, system: SemiQuantumSystem, tol: float = DEFAULT_TOL
 ) -> RelativeSubspace:
-    """Span of the relativized basis, plus the kernel inside the system span."""
+    """Span of the relativized basis, plus the kernel inside the system span.
+
+    Both come from the (n, K) matrix of the images on the entries where
+    some image is nonzero: the span is orthonormalised and held there
+    (``MatrixSubspace.on_support``) and validated as a system on that
+    support, and the kernel is that of the (K, n) matrix.
+    """
     rmap = relativization_map(frame, system, tol)
-    space = span_subspace(rmap.images, ambient_dim=rmap.joint_dim, tol=tol)
-    coeff_kernel = vector_kernel(rmap.images.reshape(system.space.dim, -1).T, tol)
+    values, support = _support_values(rmap)
+    basis = np.reshape(orthonormalize(values, tol), (-1, len(support)))
+    space = MatrixSubspace.on_support(rmap.joint_dim, support, basis)
+    coeff_kernel = vector_kernel(values.T, tol)
     kernel = MatrixSubspace(system.dim, system.space.combine(coeff_kernel))
     if space.dim + kernel.dim != system.space.dim:
         raise ObjectMismatch(
@@ -286,56 +309,52 @@ def check_channel_axioms(
 ) -> LawReport:
     """Certify the relativization map as a unital positive invariant contraction.
 
-    Linearity is exact by construction and verified on seeded random
-    combinations.  On a full-algebra system positivity is the Choi
-    certificate alone: the ``positivity`` component is the negated
-    smallest Choi eigenvalue, and contraction is read from the basis
-    images, since a unital completely positive map has norm 1.  On a
-    proper span positivity is sampled over ``psd_span_samples`` and
-    contraction is checked on the basis and on the same samples.
-    ``detail`` opens with the mode: "positivity choi" or "positivity
-    sampled over N inputs".
+    Every component is computed on the support blocks.  Linearity is
+    exact by construction and verified on seeded random combinations.  On
+    a full-algebra system positivity is the Choi certificate alone: the
+    ``positivity`` component is the negated smallest eigenvalue over the
+    Choi blocks, and contraction is read from the basis images, since a
+    unital completely positive map has norm 1.  On a proper span
+    positivity is sampled over ``psd_span_samples`` and contraction is
+    checked on the basis and on the same samples.  ``detail`` opens with
+    the mode: "positivity choi" or "positivity sampled over N inputs".
     """
-    frame, system, images = rmap.frame, rmap.system, rmap.images
-    d_joint = rmap.joint_dim
+    frame, system, images = rmap.frame, rmap.system, rmap.blocks
     rng = np.random.default_rng(seed)
     n = system.space.dim
 
     coeffs = np.reshape(
         [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(samples)], (-1, n)
     )
-    linearity = max_abs(
-        _relativize_stack(frame, system, system.space.combine(coeffs))
-        - np.tensordot(coeffs, images, axes=1)
-    )
+    combos = _relativize_stack(frame, system, system.space.combine(coeffs))
+    linearity = max(max_abs(c - np.tensordot(coeffs, q, axes=1)) for c, q in zip(combos, images))
 
-    unital = max_abs(
-        _relativize_stack(frame, system, identity(system.dim))[0] - identity(d_joint)
-    )
+    eye = _relativize_stack(frame, system, identity(system.dim))
+    unital = max(max_abs(b[0] - identity(b.shape[-1])) for b in eye)
 
-    invariance = invariance_deviation(rmap.joint_rep, images)
+    invariance = invariance_deviation(rmap.joint_rep, *_support_values(rmap))
 
-    joint_blocks = _joint_partition(frame, system.dim)
     in_norms = _operator_norms(system.space.basis_stack)
-    out_norms = block_operator_norms(diagonal_blocks(images, joint_blocks))
+    out_norms = block_operator_norms(images)
     if system.is_full_algebra:
         units = (
             images
             if system.space.is_unit_span
             else _relativize_stack(frame, system, matrix_units(system.dim))
         )
-        choi_blocks = diagonal_blocks(
-            _choi_matrix(units, system.dim)[None],
-            _joint_partition(frame, system.dim, outer=system.dim),
-        )
-        low = float(block_min_eigenvalues(choi_blocks)[0])
-        positive = low >= -tol * d_joint * system.dim
+        # Choi block mu, indexed (k, (i, s)), holds yen(E_kl) in block mu at
+        # ((k, (i, s)), (l, (j, t))): one transpose of the unit blocks
+        d = system.dim
+        choi = [u.reshape(d, d, *u.shape[1:]).transpose(2, 0, 3, 1, 4) for u in units]
+        choi = [c.reshape(1, len(c), d * c.shape[2], -1) for c in choi]
+        low = float(block_min_eigenvalues(choi)[0])
+        positive = low >= -tol * rmap.joint_dim * system.dim
         mode = "choi"
     else:
         psd_inputs = psd_span_samples(system.space, count=samples, seed=seed, tol=tol)
-        outputs = diagonal_blocks(_relativize_stack(frame, system, psd_inputs), joint_blocks)
+        outputs = _relativize_stack(frame, system, psd_inputs)
         low = min(0.0, float(np.min(block_min_eigenvalues(outputs))))
-        positive = low >= -tol * d_joint
+        positive = low >= -tol * rmap.joint_dim
         mode = f"sampled over {len(psd_inputs)} inputs"
         in_norms = np.concatenate([_operator_norms(psd_inputs), in_norms])
         out_norms = np.concatenate([block_operator_norms(outputs), out_norms])
@@ -370,38 +389,41 @@ def check_ideal_isomorphism(rmap: RelativizationMap, tol: float = DEFAULT_TOL) -
     Multiplicativity, adjoint preservation and isometry are tested on
     the basis (bilinearity carries them to the whole algebra).  Only
     meaningful on full algebras, where products stay inside the domain.
-    Every relativized operator, and so every product and difference of
-    them, is block-diagonal along the effect support, so the products
-    and norms are taken block by block.  Multiplicativity runs one basis
-    row at a time, so the products of a single row are the largest
-    stack held.  The witness is the first basis pair, in row-major
-    order, whose multiplicativity deviation lies within ``tol`` of the
-    largest: pairs that tie mathematically differ by rounding alone.
+    Relativization is linear, so the image of b_i b_j (and of b_k^dag) is
+    the combination of the block images along its basis coefficients,
+    exact 0/1 on the unit span.  The products q_i q_j run a working set
+    of rows at a time (``chunks``), and norms are taken per block, of the
+    nonzero blocks alone.  The witness is the first basis pair in
+    row-major order whose multiplicativity deviation lies within ``tol``
+    of the largest: pairs that tie mathematically differ by rounding
+    alone.
     """
     system = rmap.system
     if not system.is_full_algebra:
         raise RequiresFullAlgebra(
             "the embedding question needs a full matrix algebra as the system"
         )
-    frame = rmap.frame
-    parts = _joint_partition(frame, system.dim)
-    images = diagonal_blocks(rmap.images, parts)
-    basis = system.space.basis_stack
+    frame, images, space = rmap.frame, rmap.blocks, system.space
+    basis = space.basis_stack
+    n = len(basis)
     rows = []
-    for i, a in enumerate(basis):
-        products = diagonal_blocks(_relativize_stack(frame, system, a @ basis), parts)
-        rows.append(block_operator_norms([p - q[i] @ q for p, q in zip(products, images)]))
-    devs = np.stack(rows)  # devs[i, j]: deviation of the pair (i, j)
+    for run in chunks(n, n * sum(q[0].size for q in images)):
+        products = (basis[run, None] @ basis[None]).reshape(-1, *basis.shape[1:])
+        coeffs = space.coefficients(products).reshape(-1, n, n)  # [i, j]: b_i b_j along the basis
+        rows.append(block_operator_norms(
+            [np.tensordot(coeffs, q, axes=1) - q[run, None] @ q[None] for q in images]
+        ))
+    devs = np.concatenate(rows)  # devs[i, j]: deviation of the pair (i, j)
     mult_dev = float(devs.max())
     witness = (
         None if mult_dev == 0.0
         else tuple(int(k) for k in np.unravel_index(np.argmax(devs >= mult_dev - tol), devs.shape))
     )
     iso_dev = float(np.max(np.abs(block_operator_norms(images) - _operator_norms(basis))))
-    adjoints = diagonal_blocks(_relativize_stack(frame, system, dagger(basis)), parts)
-    adj_dev = float(
-        np.max(block_operator_norms([p - dagger(q) for p, q in zip(adjoints, images)]))
-    )
+    adjoint_coeffs = space.coefficients(dagger(basis))
+    adj_dev = float(np.max(block_operator_norms(
+        [np.tensordot(adjoint_coeffs, q, axes=1) - dagger(q) for q in images]
+    )))
     passed = mult_dev <= tol and iso_dev <= tol and adj_dev <= tol
     if frame.is_ideal:
         detail = (
@@ -559,9 +581,7 @@ def relativize_morphisms(
         target_rel = build_relative_subspace(psi.target, phi.target, tol)
 
     kernel = source_rel.kernel.basis_stack
-    norms = _operator_norms(
-        _relativize_stack(psi.target, phi.target, phi.apply(kernel, tol))
-    )
+    norms = _operator_norms(_relativize_dense(psi.target, phi.target, phi.apply(kernel, tol)))
     over = np.flatnonzero(norms > tol)
     if len(over):
         raise IllDefined(kernel_witness=kernel[over[0]], image_norm=float(norms[over[0]]))
@@ -572,7 +592,7 @@ def relativize_morphisms(
     coeffs = np.linalg.pinv(source_images.reshape(len(source_images), -1).T) @ (
         source_rel.space.basis_stack.reshape(source_rel.space.dim, -1).T
     )
-    target_images = _relativize_stack(
+    target_images = _relativize_dense(
         psi.target, phi.target, phi.apply(phi.source.space.basis_stack, tol)
     )
     images = np.tensordot(coeffs, target_images, axes=(0, 0))
@@ -726,20 +746,24 @@ def check_naturality(
 
     computed through two independent code paths (direct relativization
     against the target system versus blockwise application of phi to the
-    already relativized observable).
+    already relativized observable), both on the support blocks, where
+    the two sides have every nonzero entry.
     """
     _require_equivariant(phi, tol)
     if not same_group(frame.group, phi.source.group):
         raise GroupMismatch("frame and channel live over different groups")
     basis = phi.source.space.basis_stack
-    n, d_r, d_in, d_out = len(basis), frame.rep.dim, phi.source.dim, phi.target.dim
+    n, d_in, d_out = len(basis), phi.source.dim, phi.target.dim
     lhs = _relativize_stack(frame, phi.target, phi.apply(basis, tol))
-    # (id (x) phi) applied to every frame-index block (i, j) of every
-    # relativized basis element, in one stacked call.
-    blocks = _relativize_stack(frame, phi.source, basis).reshape(n, d_r, d_in, d_r, d_in)
-    images = phi.apply(blocks.transpose(0, 1, 3, 2, 4).reshape(-1, d_in, d_in), tol)
-    rhs = images.reshape(n, d_r, d_r, d_out, d_out).transpose(0, 1, 3, 2, 4)
-    devs = np.abs(lhs - rhs.reshape(lhs.shape)).max(axis=(1, 2))
+    devs = np.zeros(n)
+    for left, right in zip(lhs, _relativize_stack(frame, phi.source, basis)):
+        m, c = right.shape[1], right.shape[2] // d_in
+        # (id (x) phi) applied to every frame-index block (i, j) of every
+        # block of every relativized basis element, in one stacked call
+        pieces = right.reshape(n, m, c, d_in, c, d_in).transpose(0, 1, 2, 4, 3, 5)
+        images = phi.apply(pieces.reshape(-1, d_in, d_in), tol)
+        rhs = images.reshape(n, m, c, c, d_out, d_out).transpose(0, 1, 2, 4, 3, 5)
+        devs = np.maximum(devs, np.abs(left - rhs.reshape(left.shape)).max(axis=(1, 2, 3)))
     witness = int(np.argmax(devs))
     worst = float(devs[witness])
     return LawReport(

@@ -31,7 +31,8 @@ States enter through operational equivalence: two density matrices are
 the same state of a system when every observable in the span gives them
 equal expectations.  ``state_class`` picks the canonical representative
 by projecting onto the span of adjoints, which makes class equality a
-matrix comparison.
+matrix comparison.  That projection is read from the span itself,
+P_{S^dag}(X) = P_S(X^dag)^dag, so no system holds a second span.
 """
 
 from __future__ import annotations
@@ -97,7 +98,6 @@ class SemiQuantumSystem:
 
     rep: UnitaryRep
     space: MatrixSubspace
-    adjoint_space: MatrixSubspace
     is_full_algebra: bool
     is_invariant: bool
 
@@ -175,14 +175,13 @@ def _assemble_system(rep: UnitaryRep, space: MatrixSubspace, tol: float) -> Semi
     if full:
         invariant = acts_trivially(rep, tol)
     elif rep.perms is not None:
-        flat = space.basis_stack.reshape(space.dim, -1)
-        values = flat[:, space.support]
-        _, leaves = support_translates(rep, space.support)
+        support, values = space.support, space.support_basis
+        _, leaves = support_translates(rep, support)
         if np.any(leaves[:, np.abs(values).max(axis=0) > tol]):
             raise FramerelError(_NOT_CLOSED)
         for run in chunks(rep.group.order, values.size):
             # (dim, elements, support): the translates on the support
-            moved = support_values(rep, flat, space.support, run)
+            moved = support_values(rep, values, support, run)
             if np.any(space.support_residuals(moved.reshape(-1, values.shape[1])) > tol):
                 raise FramerelError(_NOT_CLOSED)
             invariant = invariant and max_abs(moved - values[:, None]) <= tol
@@ -195,13 +194,9 @@ def _assemble_system(rep: UnitaryRep, space: MatrixSubspace, tol: float) -> Semi
             if np.any(space.residuals(moved.reshape(-1, rep.dim, rep.dim)) > tol):
                 raise FramerelError(_NOT_CLOSED)
             invariant = invariant and max_abs(moved - basis) <= tol
-    adjoint_space = (
-        space if full else span_subspace([dagger(b) for b in space.basis], tol=tol)
-    )
     return SemiQuantumSystem(
         rep=rep,
         space=space,
-        adjoint_space=adjoint_space,
         is_full_algebra=full,
         is_invariant=invariant,
     )
@@ -656,7 +651,7 @@ def state_class(
             f"not a density matrix (trace {complex(np.trace(mat)):.6f}, "
             f"minimum eigenvalue {min_eigenvalue(hermitian_part(mat)):.3e})"
         )
-    return StateClass(system=system, canonical=system.adjoint_space.project(mat))
+    return StateClass(system=system, canonical=dagger(system.space.project(dagger(mat))))
 
 
 def quotient_dimension(system: SemiQuantumSystem, tol: float = DEFAULT_TOL) -> int:

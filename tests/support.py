@@ -169,6 +169,88 @@ def image_stack_apply(channel, ops):
     return (c[..., None, :] @ images).reshape(*c.shape[:-1], d, d)
 
 
+def dense_relativize(frame, system, a):
+    """sum_g E(g) (x) U(g) a U(g)^dag, one Kronecker product per element."""
+    out = 0
+    for g in frame.group.elements():
+        u = np.asarray(system.rep.matrices[g])
+        out = out + np.kron(frame.effects[g], u @ a @ np.conj(u).T)
+    return out
+
+
+def first_pair_near_max(devs, tol):
+    """First (i, j) in row-major order whose deviation is within tol of the largest."""
+    for i, j in np.ndindex(*devs.shape):
+        if devs[i, j] >= devs.max() - tol:
+            return (i, j)
+
+
+def dense_law_values(frame, system, phi=None, samples=12, seed=7, tol=1e-9):
+    """Every deviation of the axiom, embedding and naturality checks, densely.
+
+    The relativized operators are the Kronecker sums of ``dense_relativize``;
+    norms, spectra and the Choi matrix are taken of whole joint matrices,
+    and the products b_i b_j and adjoints are relativized directly.  The
+    system must be a full algebra; ``phi``, an equivariant channel from
+    it, adds the naturality deviation, with phi applied through its
+    recorded images along the published basis.  ``pairs`` is the table of
+    multiplicativity deviations and ``basis_pair`` the first pair within
+    ``tol`` of the largest (None when the largest is 0).
+    """
+    def rel(a):
+        return dense_relativize(frame, system, a)
+
+    def norm(m):
+        return float(np.linalg.norm(m, 2))
+
+    basis = list(system.space.basis)
+    n, d = len(basis), system.dim
+    images = [rel(b) for b in basis]
+    big = images[0].shape[0]
+    rng = np.random.default_rng(seed)
+    linearity = 0.0
+    for _ in range(samples):
+        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        combo = rel(sum(ck * b for ck, b in zip(c, basis)))
+        linearity = max(linearity, np.abs(combo - sum(ck * m for ck, m in zip(c, images))).max())
+    invariance = 0.0
+    for g in frame.group.elements():
+        u = np.kron(frame.rep.matrices[g], system.rep.matrices[g])
+        invariance = max(invariance, max(np.abs(m @ u - u @ m).max() for m in images))
+    choi = np.zeros((d * big, d * big), dtype=complex)
+    for i, j in np.ndindex(d, d):
+        unit = np.zeros((d, d), dtype=complex)
+        unit[i, j] = 1.0
+        choi[i * big:(i + 1) * big, j * big:(j + 1) * big] = rel(unit)
+    pairs = np.array([[norm(rel(a @ b) - images[i] @ images[j]) for j, b in enumerate(basis)]
+                      for i, a in enumerate(basis)])
+    values = {
+        "linearity": float(linearity),
+        "unital": float(np.abs(rel(np.eye(d)) - np.eye(big)).max()),
+        "invariance": float(invariance),
+        "positivity": -float(np.linalg.eigvalsh((choi + np.conj(choi).T) / 2)[0]),
+        "contraction": max([0.0] + [norm(m) / norm(b) - 1.0 for m, b in zip(images, basis)]),
+        "multiplicativity": float(pairs.max()),
+        "isometry": max(abs(norm(m) - norm(b)) for m, b in zip(images, basis)),
+        "adjoint": max(norm(rel(np.conj(b).T) - np.conj(m).T) for m, b in zip(images, basis)),
+        "pairs": pairs,
+        "basis_pair": None if pairs.max() == 0.0 else first_pair_near_max(pairs, tol),
+    }
+    if phi is not None:
+        def apply(x):
+            return sum(np.vdot(b, x) * im for b, im in zip(basis, phi.images))
+
+        d_r, e = frame.rep.dim, phi.target.dim
+        worst = 0.0
+        for b, m in zip(basis, images):
+            rhs = np.zeros((d_r * e, d_r * e), dtype=complex)
+            for i, j in np.ndindex(d_r, d_r):
+                rhs[i * e:(i + 1) * e, j * e:(j + 1) * e] = apply(m[i * d:(i + 1) * d, j * d:(j + 1) * d])
+            worst = max(worst, np.abs(dense_relativize(frame, phi.target, apply(b)) - rhs).max())
+        values["naturality"] = float(worst)
+    return values
+
+
 def psd_span_samples_loop(subspace, count=16, seed=7, tol=1e-9):
     """The PSD sampler one candidate at a time: a reference for the stacked one.
 

@@ -29,6 +29,7 @@ from framerel.linalg import (
     unvec,
     vec,
     vector_kernel,
+    widen_partition,
 )
 
 # ----------------------------------------------------------------- oracles
@@ -150,15 +151,13 @@ def _block_diagonal_stack(rng, n, partition, hermitian=False):
 
 
 def test_block_partition_is_the_component_partition():
-    for inner, outer in ((1, 1), (2, 1), (2, 3)):
-        partition = block_partition(_component_support(7, COMPONENTS), inner, outer)
+    components = block_partition(_component_support(7, COMPONENTS))
+    for inner in (1, 2, 3):
+        partition = widen_partition(components, inner)
         got = sorted(sorted(rows.tolist()) for idx in partition for rows in idx)
-        want = sorted(
-            sorted((k * 7 + i) * inner + s for k in range(outer) for i in comp for s in range(inner))
-            for comp in COMPONENTS
-        )
+        want = sorted(sorted(i * inner + s for i in comp for s in range(inner)) for comp in COMPONENTS)
         assert got == want
-        assert sorted(i for rows in got for i in rows) == list(range(7 * inner * outer))
+        assert sorted(i for rows in got for i in rows) == list(range(7 * inner))
         # one index array per block size
         assert len({idx.shape[1] for idx in partition}) == len(partition)
 
@@ -188,21 +187,23 @@ def test_block_partition_matches_a_search_oracle_on_random_supports():
     for r in (1, 5, 12, 30):
         for density in (0.0, 0.05, 0.15):
             support = rng.random((r, r)) < density
-            partition = block_partition(support, inner=2)
-            got = sorted(sorted((rows // 2).tolist()[::2]) for idx in partition for rows in idx)
+            partition = block_partition(support)
+            got = sorted(rows.tolist() for idx in partition for rows in idx)
             assert got == sorted(_components_oracle(support))
 
 
 def test_block_partition_of_a_connected_support_is_the_identity():
     support = np.zeros((4, 4), dtype=bool)
     support[0, 3] = support[3, 1] = support[2, 1] = True
-    (idx,) = block_partition(support, inner=2)
+    (members,) = block_partition(support)
+    assert np.array_equal(members, np.arange(4)[None, :])
+    (idx,) = widen_partition((members,), inner=2)
     assert np.array_equal(idx, np.arange(8)[None, :])
 
 
 def test_block_spectra_match_the_dense_calls():
     rng = np.random.default_rng(17)
-    partition = block_partition(_component_support(7, COMPONENTS), inner=2)
+    partition = widen_partition(block_partition(_component_support(7, COMPONENTS)), inner=2)
     for hermitian in (False, True):
         stack = _block_diagonal_stack(rng, 20, partition, hermitian)
         blocks = diagonal_blocks(stack, partition)
@@ -219,7 +220,7 @@ def test_block_spectra_match_the_dense_calls():
 def test_one_block_spectra_are_the_dense_calls_bit_for_bit():
     rng = np.random.default_rng(18)
     stack = rng.standard_normal((6, 9, 9)) + 1j * rng.standard_normal((6, 9, 9))
-    blocks = diagonal_blocks(stack, block_partition(np.ones((3, 3), dtype=bool), inner=3))
+    blocks = diagonal_blocks(stack, widen_partition(block_partition(np.ones((3, 3), dtype=bool)), inner=3))
     assert len(blocks) == 1 and np.array_equal(blocks[0][:, 0], stack)
     assert np.array_equal(
         block_min_eigenvalues(blocks), [min_eigenvalue(m) for m in stack]

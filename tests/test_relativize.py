@@ -42,7 +42,6 @@ from framerel.linalg import (
     block_min_eigenvalues,
     diagonal_blocks,
     max_abs,
-    min_eigenvalue,
     operator_norm,
     psd_span_samples,
     tensor_product,
@@ -61,6 +60,7 @@ from framerel.relativize import (
     relativize,
     relativize_morphisms,
     _joint_partition,
+    _relativize_dense,
     _relativize_stack,
     _tensor_images,
 )
@@ -84,6 +84,8 @@ from .support import (
     Y,
     Z,
     ampliation_channel,
+    dense_law_values,
+    dense_relativize,
     depolarizing_channel,
     ket,
     proj,
@@ -109,15 +111,6 @@ FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
 
 # ------------------------------------------------------------------ oracles
-
-
-def relativize_oracle(frame, system, a):
-    """Direct loop: sum over group of effect tensor conjugated operator."""
-    out = np.zeros((frame.rep.dim * system.dim,) * 2, dtype=complex)
-    for g in frame.rep.group.elements():
-        u = system.rep.matrices[g]
-        out += np.kron(frame.effects[g], u @ a @ np.conj(u).T)
-    return out
 
 
 def relative_state_oracle(frame, system, mu, rho):
@@ -160,10 +153,10 @@ def test_relativize_stack_matches_the_kron_loop_bit_for_bit():
             n = system.space.dim
             coeff = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             ops = list(system.space.basis) + [system.space.combine(coeff)]
-            got = _relativize_stack(frame, system, ops)
+            got = _relativize_dense(frame, system, ops)
             assert got.shape == (n + 1, 6 * system.dim, 6 * system.dim)
             for a, out in zip(ops, got):
-                assert np.array_equal(out, relativize_oracle(frame, system, a))
+                assert np.array_equal(out, dense_relativize(frame, system, a))
 
 
 def test_relativize_stack_takes_translates_a_few_elements_at_a_time(monkeypatch):
@@ -177,7 +170,7 @@ def test_relativize_stack_takes_translates_a_few_elements_at_a_time(monkeypatch)
     frame = principal_frame_from_seed(value, np.full((2, 2), 1 / 8, dtype=complex))
     for system in (full_system(zn_phase_rep(8)), full_system(regular_representation(value.group))):
         ops = system.space.basis_stack
-        got = _relativize_stack(frame, system, ops)
+        got = _relativize_dense(frame, system, ops)
         for a, out in zip(ops, got):
             expected = np.zeros_like(out)
             for g in value.group.elements():
@@ -209,7 +202,7 @@ def test_ideal_frame_closed_forms():
     assert max_abs(relativize(fr, sq, X) - tensor_product(I2, X)) < 1e-12
     assert max_abs(relativize(fr, sq, I2) - np.eye(4)) < 1e-12
     for a in (Z, X, Y, proj(ket(0, 2))):
-        assert max_abs(relativize(fr, sq, a) - relativize_oracle(fr, sq, a)) < 1e-13
+        assert max_abs(relativize(fr, sq, a) - dense_relativize(fr, sq, a)) < 1e-13
 
 
 def test_smeared_frame_shrinks_the_z_component():
@@ -418,7 +411,12 @@ def test_relativized_operators_and_choi_matrices_vanish_off_the_support_blocks()
         joint = _joint_partition(frame, d)
         assert max_abs(_off_blocks(images, joint)) == 0.0
         choi = _choi_matrix(images, d)[None]
-        choi_parts = _joint_partition(frame, d, outer=d)
+        # the blocks of C^d (x) joint space that check_channel_axioms lays out:
+        # index (k, j) at k D + j, one block of every k with the j of a joint block
+        D = frame.rep.dim * d
+        choi_parts = tuple(
+            (np.arange(d)[:, None] * D + idx[:, None, :]).reshape(len(idx), -1) for idx in joint
+        )
         assert max_abs(_off_blocks(choi, choi_parts)) == 0.0
         # the spectrum of the Choi matrix is the union of its block spectra
         spectrum = np.sort(np.concatenate([
@@ -433,47 +431,6 @@ def test_relativized_operators_and_choi_matrices_vanish_off_the_support_blocks()
     assert idx.shape == (6, d)
 
 
-def _dense_multiplicativity(rmap):
-    """devs[i, j]: dense operator norm of rel(b_i b_j) - rel(b_i) rel(b_j)."""
-    frame, system, images = rmap.frame, rmap.system, rmap.images
-    basis = system.space.basis_stack
-    return np.array([
-        [operator_norm(relativize(frame, system, a @ b) - images[i] @ images[j])
-         for j, b in enumerate(basis)]
-        for i, a in enumerate(basis)
-    ])
-
-
-def _first_pair_near_max(devs, tol):
-    """First (i, j) in row-major order whose deviation is within tol of the largest."""
-    for i, j in np.ndindex(*devs.shape):
-        if devs[i, j] >= devs.max() - tol:
-            return (i, j)
-
-
-def _dense_law_values(rmap):
-    """The axiom and embedding deviations from one dense call per operator.
-
-    On a full algebra positivity is the negated smallest eigenvalue of the
-    dense Choi matrix, and contraction is read from the basis alone.
-    """
-    frame, system, images = rmap.frame, rmap.system, rmap.images
-    positivity = -min_eigenvalue(_choi_matrix(images, system.dim))
-    ins = [operator_norm(m) for m in system.space.basis]
-    outs = [operator_norm(m) for m in images]
-    excess = max([0.0] + [o / i - 1.0 for o, i in zip(outs, ins) if i > 1e-9])
-    mult_devs = _dense_multiplicativity(rmap)
-    mult = float(mult_devs.max())
-    witness = None if mult == 0.0 else _first_pair_near_max(mult_devs, 1e-9)
-    basis = system.space.basis_stack
-    iso = max(abs(operator_norm(m) - operator_norm(b)) for m, b in zip(images, basis))
-    adj = max(
-        operator_norm(relativize(frame, system, np.conj(b).T) - np.conj(m).T)
-        for m, b in zip(images, basis)
-    )
-    return positivity, excess, mult, witness, iso, adj
-
-
 def test_dense_support_reports_equal_the_dense_calls_bit_for_bit():
     # a connected effect support is one block: the gather is the identity
     # and every value is the one a dense call per operator gives
@@ -483,13 +440,13 @@ def test_dense_support_reports_equal_the_dense_calls_bit_for_bit():
         assert len(_joint_partition(frame, system.dim)) == 1
         axioms = check_channel_axioms(rmap, samples=5, seed=3)
         embed = check_ideal_isomorphism(rmap)
-        positivity, excess, mult, witness, iso, adj = _dense_law_values(rmap)
+        dense = dense_law_values(frame, system, samples=5, seed=3)
         assert axioms.detail.startswith("positivity choi; ")
-        assert axioms.deviations["positivity"] == positivity
-        assert axioms.deviations["contraction"] == excess
-        assert embed.deviations == {"multiplicativity": mult, "isometry": iso, "adjoint": adj}
+        assert axioms.deviations["positivity"] == dense["positivity"]
+        assert axioms.deviations["contraction"] == dense["contraction"]
+        assert embed.deviations == {k: dense[k] for k in embed.deviations}
         if not embed.passed:
-            assert embed.witnesses == {"basis_pair": list(witness)}
+            assert embed.witnesses == {"basis_pair": list(dense["basis_pair"])}
 
 
 def _permutation_system(group, n):
@@ -646,12 +603,71 @@ def test_embedding_witness_is_the_first_pair_near_the_largest_deviation():
     lam = random.Random("17:s3").uniform(0.2, 0.8)
     seed = np.diag([round(1 - lam + lam / 6, 12)] + [round(lam / 6, 12)] * 5).astype(complex)
     frame = principal_frame_from_seed(regular_representation(group), seed)
-    rmap = relativization_map(frame, _permutation_system(group, 3))
-    devs = _dense_multiplicativity(rmap)
+    system = _permutation_system(group, 3)
+    dense = dense_law_values(frame, system)
+    devs = dense["pairs"]
     assert len(np.argwhere(devs >= devs.max() - 1e-12)) == 6
-    report = check_ideal_isomorphism(rmap)
+    report = check_ideal_isomorphism(relativization_map(frame, system))
     assert report.witnesses == {"basis_pair": [1, 3]}
-    assert report.witnesses == {"basis_pair": list(_first_pair_near_max(devs, 1e-9))}
+    assert report.witnesses == {"basis_pair": list(dense["basis_pair"])}
+
+
+def test_block_checks_agree_with_the_dense_oracle():
+    # every deviation of the axiom, embedding and naturality checks, and
+    # the witness of a failing embedding, against Kronecker sums and dense
+    # norms and spectra: diagonal supports (Z4, S3, S4) and a connected one
+    z4 = build_cyclic_group(4)
+    s3_system = full_system(s3_irrep2())
+    s4_ideal, s4_smear, s4_system = _s4_frames_and_system()
+    cases = [
+        (canonical_ideal_frame(z4), full_system(zn_phase_rep(4))),
+        (smeared_canonical_frame(s3(), 0.3), s3_system),
+        (_dense_support_frames()[1], s3_system),
+        (s4_ideal, s4_system),
+        (s4_smear, s4_system),
+    ]
+    assert len(_joint_partition(cases[2][0], 2)) == 1
+    for frame, system in cases:
+        phi = depolarizing_channel(system, 0.4)
+        dense = dense_law_values(frame, system, phi, samples=4, seed=5)
+        rmap = relativization_map(frame, system)
+        reports = [
+            check_channel_axioms(rmap, samples=4, seed=5),
+            check_ideal_isomorphism(rmap),
+            check_naturality(frame, phi),
+        ]
+        for report in reports:
+            for name, value in report.deviations.items():
+                assert abs(value - dense[name]) <= 1e-12, (name, value, dense[name])
+        embed = reports[1]
+        assert embed.passed == frame.is_ideal
+        if not embed.passed:
+            assert embed.witnesses == {"basis_pair": list(dense["basis_pair"])}
+
+
+def test_s4_law_checks_peak_under_one_mib():
+    # the dense (16, 96, 96) image stack alone is 2.25 MiB; every check
+    # works on the 24 support blocks of 4 x 4 and the 384 entries of them
+    ideal, smear, system = _s4_frames_and_system()
+    maps = [relativization_map(f, system) for f in (ideal, smear)]
+    phi = depolarizing_channel(system, 0.4)
+    calls = [
+        lambda: build_relative_subspace(ideal, system),
+        lambda: check_channel_axioms(maps[0]),
+        lambda: check_channel_axioms(maps[1]),
+        lambda: check_ideal_isomorphism(maps[0]),
+        lambda: check_ideal_isomorphism(maps[1]),
+        lambda: check_naturality(smear, phi),
+    ]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+    assert all(rmap._images is None for rmap in maps)  # built on request only
 
 
 # ------------------------------------------------------------------ preduals
@@ -928,7 +944,7 @@ def test_tensor_images_match_the_kronecker_unit_oracle():
             (smearing_morphism(group, 0.3), smearing_morphism(group, 0.3, rotated)),
             (depolarizing_channel(system, 0.4), conjugation_channel(system, H)),
         ):
-            xs = _relativize_stack(psi.source, system, system.space.basis_stack)
+            xs = _relativize_dense(psi.source, system, system.space.basis_stack)
             tensor = _tensor_images(psi, phi, np.eye(len(xs)), 1e-9)
             assert tensor.shape == xs.shape[:1] + (psi.target.rep.dim * system.dim,) * 2
             assert max_abs(tensor - _kron_unit_oracle(psi, phi, xs)) <= 1e-12

@@ -66,6 +66,7 @@ from .support import (
     ampliation_channel,
     depolarizing_channel,
     image_stack_apply,
+    random_density,
     s3,
     s3_irrep2,
     smeared_canonical_frame,
@@ -118,8 +119,12 @@ def test_subspace_system_saturates_group_translates():
     assert sys_e01.space.dim == 3
     assert sys_e01.space.contains(E10)
     assert not is_vn_algebra(sys_e01)  # E01 E10 = E00 is outside the span
-    # adjoint span coincides here (E01^dag = E10 is in the span)
-    assert sys_e01.adjoint_space.dim == 3
+    # the span is closed under adjoints (E01^dag = E10), so a state's
+    # canonical representative is its projection onto span{E01, E10, I}:
+    # the off-diagonal entries kept, the diagonal averaged
+    rho = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+    canonical = state_class(sys_e01, rho).canonical
+    assert max_abs(canonical - np.array([[0.5, 0.2 - 0.1j], [0.2 + 0.1j, 0.5]])) < 1e-15
 
 
 def test_invariant_subalgebra_dims_match_twirl_trace_oracle():
@@ -321,7 +326,9 @@ def test_full_system_invariance_agrees_with_the_translate_loop():
 def test_full_system_stores_no_basis():
     sq = full_system(regular_representation(build_cyclic_group(5)))
     assert sq.space.is_unit_span and sq.space._stack is None
-    assert sq.adjoint_space is sq.space
+    # a full system keeps every state as its own canonical representative
+    rho = random_density(np.random.default_rng(3), 5)
+    assert np.array_equal(state_class(sq, rho).canonical, rho)
     assert quotient_dimension(sq) == 25
 
 
