@@ -63,6 +63,7 @@ from .relativize import (
     RelativeChannel,
     RelativeSubspace,
     RelativizationMap,
+    Workspace,
     build_relative_subspace,
     check_channel_axioms,
     check_equivariant_tensor_form,

@@ -19,6 +19,11 @@ Every law check returns one :class:`LawReport`: the deviation of each
 checked component, the verdict, the witnesses and a one-line summary,
 so the scenario runner quotes any check the same way.
 
+A map and a relative subspace depend only on their (frame, system)
+pair, and an induced map only on its (frame morphism, system channel)
+pair: a ``Workspace`` builds each once for every caller that shares it,
+as the tasks of one scenario run do.
+
 Block (i, j) of a relativized operator vanishes off the union support
 of the effects, so every relativized operator, and every product,
 adjoint and Choi matrix formed from them, is block-diagonal along the
@@ -189,11 +194,14 @@ def relativization_map(
 ) -> RelativizationMap:
     if not same_group(frame.group, system.group):
         raise GroupMismatch("frame and system live over different groups")
+    blocks = tuple(_relativize_stack(frame, system, system.space.basis_stack))
+    for b in blocks:
+        b.setflags(write=False)
     return RelativizationMap(
         frame=frame,
         system=system,
         joint_rep=tensor_rep(frame.rep, system.rep),
-        blocks=tuple(_relativize_stack(frame, system, system.space.basis_stack)),
+        blocks=blocks,
         partition=_joint_partition(frame, system.dim),
     )
 
@@ -239,14 +247,19 @@ class RelativeSubspace:
 def build_relative_subspace(
     frame: FrameObservable, system: SemiQuantumSystem, tol: float = DEFAULT_TOL
 ) -> RelativeSubspace:
-    """Span of the relativized basis, plus the kernel inside the system span.
+    """Span of the relativized basis, plus the kernel inside the system span."""
+    return _relative_subspace(relativization_map(frame, system, tol), tol)
 
-    Both come from the (n, K) matrix of the images on the entries where
-    some image is nonzero: the span is orthonormalised and held there
-    (``MatrixSubspace.on_support``) and validated as a system on that
-    support, and the kernel is that of the (K, n) matrix.
+
+def _relative_subspace(rmap: RelativizationMap, tol: float) -> RelativeSubspace:
+    """The relative subspace of ``rmap``.
+
+    Image and kernel both come from the (n, K) matrix of the images on
+    the entries where some image is nonzero: the span is orthonormalised
+    and held there (``MatrixSubspace.on_support``) and validated as a
+    system on that support, and the kernel is that of the (K, n) matrix.
     """
-    rmap = relativization_map(frame, system, tol)
+    system = rmap.system
     values, support = _support_values(rmap)
     basis = np.reshape(orthonormalize(values, tol), (-1, len(support)))
     space = MatrixSubspace.on_support(rmap.joint_dim, support, basis)
@@ -262,6 +275,63 @@ def build_relative_subspace(
         kernel=kernel,
         as_system=system_from_subspace(rmap.joint_rep, space, tol),
     )
+
+
+@dataclass(eq=False)
+class Workspace:
+    """Relativizations shared by every caller that holds this workspace.
+
+    A relativization map and a relative subspace depend only on their
+    (frame, system) pair, and an induced map only on its (frame
+    morphism, system channel) pair and its positivity ``samples`` and
+    ``seed``, all at the workspace's ``tol``.  Each is built on first
+    request and then handed out again.  The keys are the engine's own
+    objects, which compare by identity, and the workspace holds them, so
+    a key stays unique while it lives.  Only successes are stored: a
+    build that raises stores nothing and raises again on the next
+    request.  A scenario run holds one workspace for all its tasks.
+    """
+
+    tol: float = DEFAULT_TOL
+    maps: dict = field(default_factory=dict, init=False, repr=False)
+    subspaces: dict = field(default_factory=dict, init=False, repr=False)
+    channels: dict = field(default_factory=dict, init=False, repr=False)
+
+    def relativization_map(
+        self, frame: FrameObservable, system: SemiQuantumSystem
+    ) -> RelativizationMap:
+        key = (frame, system)
+        if key not in self.maps:
+            self.maps[key] = relativization_map(frame, system, self.tol)
+        return self.maps[key]
+
+    def relative_subspace(
+        self, frame: FrameObservable, system: SemiQuantumSystem
+    ) -> RelativeSubspace:
+        key = (frame, system)
+        if key not in self.subspaces:
+            rmap = self.relativization_map(frame, system)
+            self.subspaces[key] = _relative_subspace(rmap, self.tol)
+        return self.subspaces[key]
+
+    def induced(
+        self, psi: FrameMorphism, phi: ChannelMap, samples: int, seed: int
+    ) -> RelativeChannel:
+        key = (psi, phi, samples, seed)
+        if key not in self.channels:
+            self.channels[key] = _induce(psi, phi, self, samples, seed)
+        return self.channels[key]
+
+
+def _workspace(workspace: Workspace | None, tol: float) -> Workspace:
+    """``workspace``, or a fresh private one when None, at tolerance ``tol``."""
+    if workspace is None:
+        return Workspace(tol)
+    if workspace.tol != tol:
+        raise ObjectMismatch(
+            f"workspace tolerance {workspace.tol:.3e} differs from the requested {tol:.3e}"
+        )
+    return workspace
 
 
 # ------------------------------------------------------------------ reports
@@ -555,10 +625,9 @@ def relativize_morphisms(
     psi: FrameMorphism,
     phi: ChannelMap,
     tol: float = DEFAULT_TOL,
-    source_rel: RelativeSubspace | None = None,
-    target_rel: RelativeSubspace | None = None,
     samples: int = DEFAULT_POSITIVITY_SAMPLES,
     seed: int = DEFAULT_POSITIVITY_SEED,
+    workspace: Workspace | None = None,
 ) -> RelativeChannel:
     """Induce the map of relative observables from a (frame, system) morphism pair.
 
@@ -572,13 +641,23 @@ def relativize_morphisms(
     certified "tensor" if that gap is within ``tol``; otherwise
     ``samples``/``seed`` reach its sampled positivity check, as in
     ``build_channel``.  A "tensor" channel records them as well.
+
+    The two relative subspaces and the induced map come from
+    ``workspace`` (a fresh private one when None), so a pair asked for
+    again is built once.
     """
+    return _workspace(workspace, tol).induced(psi, phi, samples, seed)
+
+
+def _induce(
+    psi: FrameMorphism, phi: ChannelMap, workspace: Workspace, samples: int, seed: int
+) -> RelativeChannel:
+    """Build the induced map of ``relativize_morphisms`` on ``workspace``'s subspaces."""
     if not same_group(psi.group, phi.source.group):
         raise ObjectMismatch("frame morphism and system channel live over different groups")
-    if source_rel is None:
-        source_rel = build_relative_subspace(psi.source, phi.source, tol)
-    if target_rel is None:
-        target_rel = build_relative_subspace(psi.target, phi.target, tol)
+    tol = workspace.tol
+    source_rel = workspace.relative_subspace(psi.source, phi.source)
+    target_rel = workspace.relative_subspace(psi.target, phi.target)
 
     kernel = source_rel.kernel.basis_stack
     norms = _operator_norms(_relativize_dense(psi.target, phi.target, phi.apply(kernel, tol)))
@@ -623,6 +702,7 @@ def check_functor_laws(
     tol: float = DEFAULT_TOL,
     samples: int = DEFAULT_POSITIVITY_SAMPLES,
     seed: int = DEFAULT_POSITIVITY_SEED,
+    workspace: Workspace | None = None,
 ) -> LawReport:
     """Verify identity and composition through a chain of morphism pairs.
 
@@ -633,7 +713,10 @@ def check_functor_laws(
     are ``identity``, ``composition[i]`` for links i and i + 1, and
     ``full_chain`` for chains of three or more links.  ``samples``/``seed``
     reach every induced channel and both identities at the first node.
+    The relative subspaces of the nodes and the induced maps of the links
+    come from ``workspace`` (a fresh private one when None).
     """
+    workspace = _workspace(workspace, tol)
     chain = list(links)
     if not chain:
         raise ObjectMismatch("an empty chain has no laws to check")
@@ -646,33 +729,27 @@ def check_functor_laws(
     nodes = [(chain[0][0].source, chain[0][1].source)]
     for psi, phi in chain:
         nodes.append((psi.target, phi.target))
-    rel = [build_relative_subspace(f, s, tol) for f, s in nodes]
+    rel = [workspace.relative_subspace(f, s) for f, s in nodes]
 
     first_frame, first_system = nodes[0]
     ident = relativize_morphisms(
         identity_frame_morphism(first_frame, tol, samples, seed),
         identity_channel(first_system, tol, samples, seed),
         tol,
-        source_rel=rel[0],
-        target_rel=rel[0],
-        samples=samples,
-        seed=seed,
+        samples,
+        seed,
+        workspace,
     )
     deviations = {"identity": max_abs(ident.matrix - identity(rel[0].space.dim))}
 
-    induced = [
-        relativize_morphisms(psi, phi, tol, rel[i], rel[i + 1], samples, seed)
-        for i, (psi, phi) in enumerate(chain)
-    ]
+    induced = [relativize_morphisms(psi, phi, tol, samples, seed, workspace) for psi, phi in chain]
 
     for i in range(len(chain) - 1):
         psi_a, phi_a = chain[i]
         psi_b, phi_b = chain[i + 1]
         pair_morphism = compose_frame_morphisms(psi_a, psi_b, tol)
         pair_channel = compose_channels(phi_b, phi_a, tol)
-        direct = relativize_morphisms(
-            pair_morphism, pair_channel, tol, rel[i], rel[i + 2], samples, seed
-        )
+        direct = relativize_morphisms(pair_morphism, pair_channel, tol, samples, seed, workspace)
         deviations[f"composition[{i}]"] = max_abs(
             direct.matrix - induced[i + 1].matrix @ induced[i].matrix
         )
@@ -683,9 +760,7 @@ def check_functor_laws(
         for psi, phi in chain[1:]:
             total_morphism = compose_frame_morphisms(total_morphism, psi, tol)
             total_channel = compose_channels(phi, total_channel, tol)
-        direct = relativize_morphisms(
-            total_morphism, total_channel, tol, rel[0], rel[-1], samples, seed
-        )
+        direct = relativize_morphisms(total_morphism, total_channel, tol, samples, seed, workspace)
         product = induced[0].matrix
         for step in induced[1:]:
             product = step.matrix @ product
@@ -717,6 +792,7 @@ def check_equivariant_tensor_form(
     tol: float = DEFAULT_TOL,
     samples: int = DEFAULT_POSITIVITY_SAMPLES,
     seed: int = DEFAULT_POSITIVITY_SEED,
+    workspace: Workspace | None = None,
 ) -> LawReport:
     """For equivariant phi the induced map is just psi (x) phi; verify it.
 
@@ -725,10 +801,11 @@ def check_equivariant_tensor_form(
     relative observable is sum_g E(g) (x) g.s for s in the system span,
     so it lies in the product of the value span and the system span, and
     psi (x) phi is defined on it.  Raises ChannelNotEquivariant when phi
-    is not equivariant.  ``samples``/``seed`` reach the induced channel.
+    is not equivariant.  ``samples``/``seed`` reach the induced channel,
+    which comes from ``workspace`` (a fresh private one when None).
     """
     _require_equivariant(phi, tol)
-    worst = relativize_morphisms(psi, phi, tol, samples=samples, seed=seed).tensor_deviation
+    worst = relativize_morphisms(psi, phi, tol, samples, seed, workspace).tensor_deviation
     return LawReport(
         {"tensor_form": worst},
         worst <= tol,
@@ -738,7 +815,10 @@ def check_equivariant_tensor_form(
 
 
 def check_naturality(
-    frame: FrameObservable, phi: ChannelMap, tol: float = DEFAULT_TOL
+    frame: FrameObservable,
+    phi: ChannelMap,
+    tol: float = DEFAULT_TOL,
+    workspace: Workspace | None = None,
 ) -> LawReport:
     """Verify the naturality square for an equivariant system channel:
 
@@ -747,7 +827,9 @@ def check_naturality(
     computed through two independent code paths (direct relativization
     against the target system versus blockwise application of phi to the
     already relativized observable), both on the support blocks, where
-    the two sides have every nonzero entry.
+    the two sides have every nonzero entry.  The relativized source basis
+    is the blocks of the (frame, source system) map of ``workspace`` (a
+    fresh private one when None).
     """
     _require_equivariant(phi, tol)
     if not same_group(frame.group, phi.source.group):
@@ -755,8 +837,9 @@ def check_naturality(
     basis = phi.source.space.basis_stack
     n, d_in, d_out = len(basis), phi.source.dim, phi.target.dim
     lhs = _relativize_stack(frame, phi.target, phi.apply(basis, tol))
+    source = _workspace(workspace, tol).relativization_map(frame, phi.source)
     devs = np.zeros(n)
-    for left, right in zip(lhs, _relativize_stack(frame, phi.source, basis)):
+    for left, right in zip(lhs, source.blocks):
         m, c = right.shape[1], right.shape[2] // d_in
         # (id (x) phi) applied to every frame-index block (i, j) of every
         # block of every relativized basis element, in one stacked call

@@ -3,6 +3,9 @@
 Tasks run in declared order, fail-soft: a violated law becomes a
 ``fail`` entry, a structurally impossible request becomes an ``error``
 entry, and the run always produces exactly one entry per task.  The
+tasks of one run share one ``Workspace``, so a relativization map,
+relative subspace or induced map that several tasks ask for is built
+once, and its build time is charged to the first task that asks.  The
 machine report is canonical JSON (sorted keys, floats normalized to 12
 significant digits, witness matrices rounded) and is byte-identical
 across repeat runs with the same scenario, seed and tolerance on one
@@ -17,17 +20,16 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any
 
-from .errors import FramerelError, LawViolation, UnknownFormat
+from .errors import DimensionMismatch, FramerelError, LawViolation, UnknownFormat
 from .linalg import max_abs
 from .relativize import (
-    build_relative_subspace,
+    Workspace,
     check_channel_axioms,
     check_equivariant_tensor_form,
     check_functor_laws,
     check_ideal_isomorphism,
     check_naturality,
     external_frame_transform,
-    relativization_map,
     relativize,
     relativize_morphisms,
 )
@@ -84,21 +86,28 @@ def _canon_float(x) -> float | None:
 # ------------------------------------------------------------- task executors
 
 
-def _run_relativize(spec: ScenarioSpec, p: dict) -> tuple[bool, float, str, dict]:
+def _deviation_from(result, expected, name: str) -> float:
+    """Largest entry of ``result - expected``; the shapes must agree."""
+    if expected.shape != result.shape:
+        raise DimensionMismatch(
+            f"{name} has shape {expected.shape}, the result has shape {result.shape}"
+        )
+    return max_abs(result - expected)
+
+
+def _run_relativize(spec: ScenarioSpec, p: dict, ws: Workspace) -> tuple[bool, float, str, dict]:
     frame = spec.frames[p["frame"]]
     system = spec.systems[p["system"]]
     result = relativize(frame, system, p["operator"], spec.tolerance)
     witnesses = {"result": encode_matrix(result)}
     if "expect" in p:
-        dev = max_abs(result - p["expect"])
+        dev = _deviation_from(result, p["expect"], "expect")
         return dev <= spec.tolerance, dev, "relativized observable compared with expectation", witnesses
     return True, 0.0, "relativized observable computed", witnesses
 
 
-def _run_relative_subspace(spec: ScenarioSpec, p: dict) -> tuple[bool, float, str, dict]:
-    rel = build_relative_subspace(
-        spec.frames[p["frame"]], spec.systems[p["system"]], spec.tolerance
-    )
+def _run_relative_subspace(spec: ScenarioSpec, p: dict, ws: Workspace) -> tuple[bool, float, str, dict]:
+    rel = ws.relative_subspace(spec.frames[p["frame"]], spec.systems[p["system"]])
     detail = f"image dimension {rel.space.dim}, kernel dimension {rel.kernel.dim}"
     passed, dev = True, 0.0
     if "expect_dim" in p and rel.space.dim != p["expect_dim"]:
@@ -110,13 +119,14 @@ def _run_relative_subspace(spec: ScenarioSpec, p: dict) -> tuple[bool, float, st
     return passed, dev, detail, {}
 
 
-def _run_yen_morphism(spec: ScenarioSpec, p: dict) -> tuple[bool, float, str, dict]:
+def _run_yen_morphism(spec: ScenarioSpec, p: dict, ws: Workspace) -> tuple[bool, float, str, dict]:
     induced = relativize_morphisms(
         spec.frame_morphisms[p["morphism"]],
         spec.channels[p["channel"]],
         spec.tolerance,
-        samples=spec.samples,
-        seed=spec.seed,
+        spec.samples,
+        spec.seed,
+        ws,
     )
     detail = (
         f"induced map on a {induced.source.space.dim}-dimensional relative "
@@ -124,12 +134,12 @@ def _run_yen_morphism(spec: ScenarioSpec, p: dict) -> tuple[bool, float, str, di
     )
     witnesses = {"matrix": encode_matrix(induced.matrix)}
     if "expect_matrix" in p:
-        dev = max_abs(induced.matrix - p["expect_matrix"])
+        dev = _deviation_from(induced.matrix, p["expect_matrix"], "expect_matrix")
         return dev <= spec.tolerance, dev, detail, witnesses
     return True, 0.0, detail, witnesses
 
 
-def _run_external_transform(spec: ScenarioSpec, p: dict) -> tuple[bool, float, str, dict]:
+def _run_external_transform(spec: ScenarioSpec, p: dict, ws: Workspace) -> tuple[bool, float, str, dict]:
     target_side, source_side = external_frame_transform(
         spec.frame_morphisms[p["morphism"]],
         spec.systems[p["system"]],
@@ -147,17 +157,19 @@ def _run_external_transform(spec: ScenarioSpec, p: dict) -> tuple[bool, float, s
     )
 
 
-def _rmap(spec: ScenarioSpec, p: dict):
-    return relativization_map(spec.frames[p["frame"]], spec.systems[p["system"]], spec.tolerance)
+def _rmap(spec: ScenarioSpec, p: dict, ws: Workspace):
+    return ws.relativization_map(spec.frames[p["frame"]], spec.systems[p["system"]])
 
 
-# check name -> adapter from (spec, params) to the law check's LawReport
+# check name -> adapter from (spec, params, workspace) to the law check's LawReport
 _CHECKS = {
-    "channel_axioms": lambda spec, p: check_channel_axioms(
-        _rmap(spec, p), spec.tolerance, spec.samples, spec.seed
+    "channel_axioms": lambda spec, p, ws: check_channel_axioms(
+        _rmap(spec, p, ws), spec.tolerance, spec.samples, spec.seed
     ),
-    "ideal_isomorphism": lambda spec, p: check_ideal_isomorphism(_rmap(spec, p), spec.tolerance),
-    "functor_laws": lambda spec, p: check_functor_laws(
+    "ideal_isomorphism": lambda spec, p, ws: check_ideal_isomorphism(
+        _rmap(spec, p, ws), spec.tolerance
+    ),
+    "functor_laws": lambda spec, p, ws: check_functor_laws(
         [
             (spec.frame_morphisms[link["morphism"]], spec.channels[link["channel"]])
             for link in p["links"]
@@ -165,24 +177,26 @@ _CHECKS = {
         spec.tolerance,
         spec.samples,
         spec.seed,
+        ws,
     ),
-    "naturality": lambda spec, p: check_naturality(
-        spec.frames[p["frame"]], spec.channels[p["channel"]], spec.tolerance
+    "naturality": lambda spec, p, ws: check_naturality(
+        spec.frames[p["frame"]], spec.channels[p["channel"]], spec.tolerance, ws
     ),
-    "tensor_form": lambda spec, p: check_equivariant_tensor_form(
+    "tensor_form": lambda spec, p, ws: check_equivariant_tensor_form(
         spec.frame_morphisms[p["morphism"]],
         spec.channels[p["channel"]],
         spec.tolerance,
         spec.samples,
         spec.seed,
+        ws,
     ),
 }
 
 
-def _run_check(check, spec: ScenarioSpec, p: dict) -> tuple[bool, float, str, dict]:
+def _run_check(check, spec: ScenarioSpec, p: dict, ws: Workspace) -> tuple[bool, float, str, dict]:
     """A law check passes when its verdict is the one the law predicts
     (and, for ``expect_ideal``, the one the scenario declares)."""
-    rep = check(spec, p)
+    rep = check(spec, p, ws)
     passed = rep.passed == rep.expected and p.get("expect_ideal", rep.expected) == rep.expected
     return passed, rep.max_deviation, rep.detail, rep.witnesses
 
@@ -216,10 +230,13 @@ def _violation_payload(exc: LawViolation) -> tuple[float | None, dict[str, Any]]
     return deviation, witnesses
 
 
-def run_task(spec: ScenarioSpec, task: ScenarioTask) -> TaskResult:
+def run_task(spec: ScenarioSpec, task: ScenarioTask, workspace: Workspace | None = None) -> TaskResult:
+    """Run one task, fail-soft, on ``workspace`` (a fresh one when None)."""
+    if workspace is None:
+        workspace = Workspace(spec.tolerance)
     start = time.perf_counter()
     try:
-        passed, deviation, detail, witnesses = _EXECUTORS[task.kind](spec, task.params)
+        passed, deviation, detail, witnesses = _EXECUTORS[task.kind](spec, task.params, workspace)
         status = "pass" if passed else "fail"
     except LawViolation as exc:
         status = "fail"
@@ -242,8 +259,9 @@ def run_task(spec: ScenarioSpec, task: ScenarioTask) -> TaskResult:
 
 
 def run_scenario(spec: ScenarioSpec) -> RunReport:
-    """Run every task in order; failures never abort the run."""
-    entries = tuple(run_task(spec, task) for task in spec.tasks)
+    """Run every task in order on one shared workspace; failures never abort the run."""
+    workspace = Workspace(spec.tolerance)
+    entries = tuple(run_task(spec, task, workspace) for task in spec.tasks)
     return RunReport(
         tolerance=spec.tolerance,
         seed=spec.seed,

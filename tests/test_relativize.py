@@ -59,6 +59,7 @@ from framerel.relativize import (
     relativization_map,
     relativize,
     relativize_morphisms,
+    Workspace,
     _joint_partition,
     _relativize_dense,
     _relativize_stack,
@@ -66,6 +67,8 @@ from framerel.relativize import (
 )
 from framerel.scenario import parse_scenario
 from framerel.systems import (
+    DEFAULT_POSITIVITY_SAMPLES,
+    DEFAULT_POSITIVITY_SEED,
     _choi_matrix,
     build_channel,
     compose_channels,
@@ -738,6 +741,32 @@ def test_induced_map_intertwines_relativizations():
         lhs = induced.apply(relativize(src_fr, sq, a))
         rhs = relativize(tgt_fr, sq, phi.apply(a))
         assert max_abs(lhs - rhs) < 1e-11
+
+
+def test_workspace_builds_each_relativization_once():
+    psi = z2_smearing_morphism(0.5)
+    sq = qubit()
+    phi = conjugation_channel(sq, X)
+    ws = Workspace()
+    induced = relativize_morphisms(psi, phi, workspace=ws)
+    assert relativize_morphisms(psi, phi, workspace=ws) is induced
+    assert check_equivariant_tensor_form(psi, phi, workspace=ws).passed
+    assert list(ws.channels) == [(psi, phi, DEFAULT_POSITIVITY_SAMPLES, DEFAULT_POSITIVITY_SEED)]
+    # the relative subspaces are the workspace's, built on its maps
+    assert induced.source is ws.relative_subspace(psi.source, sq)
+    assert induced.target is ws.relative_subspace(psi.target, sq)
+    assert induced.source.base is ws.relativization_map(psi.source, sq)
+    assert all(not b.flags.writeable for b in induced.source.base.blocks)
+    # other positivity settings are another induced map on the same subspaces
+    other = relativize_morphisms(psi, phi, samples=3, seed=1, workspace=ws)
+    assert other is not induced and other.source is induced.source
+    assert len(ws.channels) == 2 and len(ws.subspaces) == 2
+    # a private workspace builds the same map again
+    fresh = relativize_morphisms(psi, phi)
+    assert fresh is not induced
+    assert np.array_equal(fresh.matrix, induced.matrix)
+    with pytest.raises(ObjectMismatch):
+        relativize_morphisms(psi, phi, tol=1e-6, workspace=ws)
 
 
 def test_induced_map_rejects_kernel_violations():

@@ -3,6 +3,7 @@
 import importlib
 import json
 import pathlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from framerel.errors import (
     UnknownFormat,
     UnknownReference,
 )
-from framerel.runner import emit_report, run_scenario
+from framerel.relativize import Workspace
+from framerel.runner import emit_report, run_scenario, run_task
 from framerel.scenario import decode_matrix, encode_matrix, parse_scenario, serialize_scenario
 
 from .support import run_cli
@@ -281,6 +283,126 @@ def test_illdefined_induced_map_reports_witness():
     assert entry.max_deviation >= 1e-3
     assert "kernel_witness" in entry.witnesses
     assert report.exit_code == 1
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 3)])
+def test_expected_matrices_of_the_wrong_shape_are_errors(shape):
+    # a 1 x 1 expectation would broadcast against the result and a 3 x 3
+    # one would not; both are a malformed task, not a law verdict
+    literal = [[[1.0, 0.0]] * shape[1]] * shape[0]
+    doc = minimal()
+    doc["tasks"][0]["relativize"]["expect"] = literal
+    golden = json.loads((FIXTURES / "golden_z2.json").read_text())
+    (induce,) = [t for t in golden["tasks"] if t["id"] == "induce"]
+    induce["yen_morphism"]["expect_matrix"] = literal
+    for spec_doc, task_id in ((doc, "task-1"), (golden, "induce")):  # both results are 4 x 4
+        report = run_scenario(parse_scenario(json.dumps(spec_doc)))
+        (entry,) = [e for e in report.entries if e.task_id == task_id]
+        assert entry.status == "error"
+        assert entry.detail.startswith("DimensionMismatch:")
+        assert f"shape {shape}" in entry.detail and "shape (4, 4)" in entry.detail
+        assert entry.max_deviation is None and entry.witnesses == {}
+
+
+FIXTURE_NAMES = ("golden_z2", "golden_s3", "fixture_fail", "fixture_error", "fixture_illdefined")
+
+
+def _verdict(entry):
+    return entry.status, entry.max_deviation, entry.detail, entry.witnesses
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_tasks_sharing_a_workspace_report_what_they_report_alone(name):
+    spec = parse_scenario((FIXTURES / f"{name}.json").read_text())
+    shared = run_scenario(spec).entries
+    alone = [run_task(spec, task) for task in spec.tasks]
+    assert [_verdict(e) for e in shared] == [_verdict(e) for e in alone]
+
+
+def _pairs_touched(spec):
+    """(frame, system) pairs whose map and relative subspace the tasks
+    need, and the declared (morphism, channel) pairs they induce."""
+    maps, subspaces, induced = set(), set(), set()
+    for task in spec.tasks:
+        p = task.params
+        if task.kind in ("relative_subspace", "check:channel_axioms", "check:ideal_isomorphism"):
+            pair = (spec.frames[p["frame"]], spec.systems[p["system"]])
+            (subspaces if task.kind == "relative_subspace" else maps).add(pair)
+        elif task.kind == "check:naturality":
+            maps.add((spec.frames[p["frame"]], spec.channels[p["channel"]].source))
+        elif task.kind in ("yen_morphism", "check:tensor_form", "check:functor_laws"):
+            links = p.get("links", [p])
+            for link in links:
+                psi, phi = spec.frame_morphisms[link["morphism"]], spec.channels[link["channel"]]
+                induced.add((psi, phi))
+                subspaces |= {(psi.source, phi.source), (psi.target, phi.target)}
+    return maps | subspaces, subspaces, induced
+
+
+def test_one_scenario_run_builds_each_relativization_once(monkeypatch):
+    relativize_module = importlib.import_module("framerel.relativize")
+    built = {"maps": [], "subspaces": [], "induced": []}
+    requests = Counter()
+
+    def recording(kind, fn, key):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            built[kind].append(key(args, result))
+            return result
+
+        return wrapper
+
+    monkeypatch.setattr(
+        relativize_module,
+        "relativization_map",
+        recording("maps", relativize_module.relativization_map, lambda a, r: (a[0], a[1])),
+    )
+    monkeypatch.setattr(
+        relativize_module,
+        "_relative_subspace",
+        recording("subspaces", relativize_module._relative_subspace, lambda a, r: (r.frame, r.system)),
+    )
+    monkeypatch.setattr(
+        relativize_module,
+        "_induce",
+        recording("induced", relativize_module._induce, lambda a, r: (a[0], a[1])),
+    )
+    induced_by = Workspace.induced
+
+    def counting(self, psi, phi, samples, seed):
+        requests[(psi, phi)] += 1
+        return induced_by(self, psi, phi, samples, seed)
+
+    monkeypatch.setattr(Workspace, "induced", counting)
+
+    spec = parse_scenario((FIXTURES / "golden_s3.json").read_text())
+    report = run_scenario(spec)
+    assert report.pass_count == len(spec.tasks)
+    maps, subspaces, declared = _pairs_touched(spec)
+    assert Counter(built["maps"]) == Counter(maps)
+    assert Counter(built["subspaces"]) == Counter(subspaces)
+    # functor_laws also induces an identity and a composite on fresh objects
+    assert set(Counter(built["induced"]).values()) == {1}
+    assert declared <= set(built["induced"])
+    assert sum(requests[pair] for pair in declared) > len(declared)  # some pair is asked for again
+
+
+def test_an_ill_defined_induced_map_fails_every_task_that_asks_for_it():
+    doc = json.loads((FIXTURES / "fixture_illdefined.json").read_text())
+    (bad,) = [t for t in doc["tasks"] if t["id"] == "bad-induce"]
+    doc["tasks"].append(dict(bad, id="bad-induce-again"))
+    spec = parse_scenario(json.dumps(doc))
+    by_id = {e.task_id: e for e in run_scenario(spec).entries}
+    first, again = by_id["bad-induce"], by_id["bad-induce-again"]
+    assert first.status == "fail" and "IllDefined" in first.detail
+    assert "kernel_witness" in first.witnesses
+    assert _verdict(again) == _verdict(first)
+    # the failed build is not stored; its relative subspaces are
+    ws = Workspace(spec.tolerance)
+    for task in spec.tasks:
+        run_task(spec, task, ws)
+    assert not ws.channels
+    assert ws.subspaces
 
 
 def test_machine_report_shape():
