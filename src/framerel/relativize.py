@@ -41,10 +41,11 @@ Positivity follows the rule of ``systems``: the axiom check reads the
 Choi matrix alone on a full algebra and samples one PSD stack otherwise.
 Every induced map is compared once, where it is built, with psi (x) phi
 formed from generators; the largest gap is its ``tensor_deviation``.
-The tensor-form law reads it, and so does positivity: with Choi-certified
-factors the map is then the restriction of the completely positive
-psi (x) phi ("tensor"), sampled only when a factor was sampled or the
-two disagree.
+The tensor-form law reads it, and so does positivity: with exact
+factors (Choi-certified, or "structure" chains such as the identities
+and composites of the functor laws) the map is then the restriction of
+the completely positive psi (x) phi ("tensor"), sampled only when a
+factor was not exact or the two disagree.
 """
 
 from __future__ import annotations
@@ -95,6 +96,7 @@ from .linalg import (
 from .systems import (
     DEFAULT_POSITIVITY_SAMPLES,
     DEFAULT_POSITIVITY_SEED,
+    EXACT_CERTIFICATES,
     ChannelMap,
     SemiQuantumSystem,
     StateClass,
@@ -637,10 +639,11 @@ def relativize_morphisms(
     The images of the relative basis are compared once with
     (psi (x) phi) from generators (``_tensor_images``), and the largest
     gap is ``tensor_deviation``.  When psi's channel and phi are both
-    Choi-certified, the induced channel on a proper relative subspace is
-    certified "tensor" if that gap is within ``tol``; otherwise
-    ``samples``/``seed`` reach its sampled positivity check, as in
-    ``build_channel``.  A "tensor" channel records them as well.
+    exact ("choi" or "structure"), the induced channel on a proper
+    relative subspace is certified "tensor" if that gap is within
+    ``tol``; otherwise ``samples``/``seed`` reach its sampled positivity
+    check, as in ``build_channel``.  A "tensor" channel records them as
+    well.
 
     The two relative subspaces and the induced map come from
     ``workspace`` (a fresh private one when None), so a pair asked for
@@ -677,7 +680,8 @@ def _induce(
     images = np.tensordot(coeffs, target_images, axes=(0, 0))
     tensor_deviation = max_abs(_tensor_images(psi, phi, coeffs, tol) - images)
     certified = (
-        psi.channel.positivity_check == phi.positivity_check == "choi"
+        psi.channel.positivity_check in EXACT_CERTIFICATES
+        and phi.positivity_check in EXACT_CERTIFICATES
         and not source_rel.as_system.is_full_algebra
         and tensor_deviation <= tol
     )

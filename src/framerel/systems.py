@@ -7,12 +7,17 @@ ultraweakly closed operator subspace: enough structure to pair with
 states, too little (in general) to multiply (``is_vn_algebra`` tells,
 on request).  Channels between systems are unital positive linear maps
 recorded by their images on the source basis, one read-only (k, d, d)
-stack.  Positivity has one rule per source kind.  A full-algebra source
-is certified exactly, whatever the target: the Choi matrix is PSD iff
-the map is completely positive (Choi 1975), and a unital positive map
-has norm 1 (Russo-Dye), so the certificate covers contraction as well.
-Its spectrum is taken block by block along the connected components of
-the Choi matrix's nonzero pattern.  A proper source is sampled over one
+stack, or held as a chain of such channels applied in order: the
+identity is the empty chain and a composite the chain of its factors,
+so neither forms a d^4 image stack or a product of two, and a chain
+builds its images only on request.  Positivity has one rule per source
+kind.  A full-algebra source is certified exactly, whatever the target:
+the Choi matrix is PSD iff the map is completely positive (Choi 1975),
+and a unital positive map has norm 1 (Russo-Dye), so the certificate
+covers contraction as well.  Its spectrum is taken block by block along
+the connected components of the Choi matrix's nonzero pattern.  A chain
+of exact factors needs no spectrum: a composite of completely positive
+maps is completely positive.  A proper source is sampled over one
 deterministic PSD stack, whose images are tested with one batched
 ``eigvalsh`` (and reported as sampled, never as proved), unless the
 caller has shown the map to be the restriction of a completely positive
@@ -37,7 +42,7 @@ P_{S^dag}(X) = P_S(X^dag)^dag, so no system holds a second span.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -276,65 +281,103 @@ def same_system(a: SemiQuantumSystem, b: SemiQuantumSystem, tol: float = DEFAULT
 
 @dataclass(frozen=True, eq=False)
 class ChannelMap:
-    """A unital positive linear map recorded on the source basis.
+    """A unital positive linear map, held as its images or as a chain of factors.
 
-    ``positivity_check`` names the certificate, one of three:
+    An explicit channel holds ``images``, one read-only (k, d, d) stack,
+    the image of source basis element i at ``images[i]``.  A chain holds
+    ``factors``, explicit channels applied in order (``compose_channels``
+    flattens nested chains); the empty chain is the identity
+    (``identity_channel``).  A chain's ``images`` and ``matrix`` are
+    built on first request, once, by folding its source basis through
+    the factors.
+
+    ``positivity_check`` names the certificate, one of four:
 
     - "choi": the source is a full algebra and the exact Choi
       certificate ran (seed None, 0 samples);
+    - "structure": a chain whose factors are all exact ("choi" or
+      "structure"; the empty chain counts).  Each factor is completely
+      positive, or the identity, on its source, and a composite of
+      completely positive maps is completely positive (Choi 1975), so
+      nothing is computed;
     - "tensor": an induced map on a proper relative subspace whose
-      frame morphism and system channel are both "choi"; it agrees with
+      frame morphism and system channel are both exact; it agrees with
       psi (x) phi, a completely positive map, within tol, so it is
       positive and nothing is sampled;
     - "sampled": every other proper source, tested on seeded random
       PSD samples of the span.
 
-    "tensor" and "sampled" channels record the seed and the number of
-    samples that were asked for, so a composite starting on their
-    source samples with the same settings.
+    "structure", "tensor" and "sampled" channels record the seed and the
+    number of samples that were asked for, so a composite starting on
+    their source samples with the same settings.
 
-    ``images`` is one read-only (k, d, d) stack, the image of source
-    basis element i at ``images[i]``.  ``apply`` takes one operator or
-    a whole (k, d, d) stack, and ``matrix`` is one stacked coefficient
-    call on the images.  ``apply`` contracts a whole stack in one
-    matrix product, over the source coefficients where some operator
-    of the stack is nonzero, so the images are read once per stack; a
-    slice agrees with applying the channel to that operator alone
-    within rounding, not bit for bit.
+    ``apply`` takes one operator or a whole (k, d, d) stack.  An explicit
+    channel contracts the stack in one matrix product, over the source
+    coefficients where some operator of the stack is nonzero, so the
+    images are read once per stack; a slice agrees with applying the
+    channel to that operator alone within rounding, not bit for bit.  A
+    chain passes the stack through its factors' products in turn.
     """
 
     source: SemiQuantumSystem
     target: SemiQuantumSystem
-    images: np.ndarray
     positivity_check: str
     positivity_seed: int | None
     positivity_samples: int
+    factors: tuple[ChannelMap, ...] | None = None
+    _images: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def images(self) -> np.ndarray:
+        """The read-only (k, d, d) image stack; a chain builds it on first request."""
+        if self._images is None:
+            if self.factors:
+                images = self.factors[0].images
+                for factor in self.factors[1:]:
+                    images = factor._product(factor.source.space.coefficients(images))
+            else:
+                images = np.array(self.source.space.basis_stack)
+            images.setflags(write=False)
+            object.__setattr__(self, "_images", images)
+        return self._images
 
     def apply(self, a, tol: float = DEFAULT_TOL) -> np.ndarray:
         """Apply to one operator or a (k, d, d) stack in the source span.
 
         Raises OperatorOutsideSystem with the largest residual over the
         stack when some operator leaves the source span; a full source
-        holds every operator, so it skips the check.
-
-        The coefficients of the stack form one (k, n) matrix.  A column
-        that is zero for every operator adds only signed zeros, so when
-        at most half of the columns are nonzero the product runs over
-        those columns and the images they name (the frame effects of a
-        Z_n regular value system use n of its n^2).  The gather copies
-        the images it keeps, so past half, and always when every column
-        is in use, the product reads the whole image matrix in place.
-        Half is about where the two break even: on 144 and 256 columns
-        the gathered product took 0.2 of the in-place one's time with
-        1/8 of the columns in use and 0.9-1.2 with half (one BLAS
-        thread).
+        holds every operator, so it skips the check.  A chain then hands
+        the stack to each factor's product in turn, along that factor's
+        source coefficients (the identity returns a copy).
         """
         space = self.source.space
-        c = space.coefficients(a)
+        # a chain reads the coefficients of a proper source for the check alone
+        c = None if space.is_full and self.factors is not None else space.coefficients(a)
         if not space.is_full:
             residual = max_abs(np.asarray(a, dtype=np.complex128) - space.combine(c))
             if residual > tol:
                 raise OperatorOutsideSystem(residual)
+        if self.factors is None:
+            return self._product(c)
+        out = np.array(a, dtype=np.complex128)
+        for factor in self.factors:
+            out = factor._product(factor.source.space.coefficients(out))
+        return out
+
+    def _product(self, c) -> np.ndarray:
+        """The images of the (..., n) source coefficients ``c`` (explicit channels).
+
+        The coefficients form one (k, n) matrix.  A column that is zero
+        for every operator adds only signed zeros, so when at most half
+        of the columns are nonzero the product runs over those columns
+        and the images they name (the frame effects of a Z_n regular
+        value system use n of its n^2).  The gather copies the images it
+        keeps, so past half, and always when every column is in use, the
+        product reads the whole image matrix in place.  Half is about
+        where the two break even: on 144 and 256 columns the gathered
+        product took 0.2 of the in-place one's time with 1/8 of the
+        columns in use and 0.9-1.2 with half (one BLAS thread).
+        """
         d, n = self.target.dim, len(self.images)
         rows = c.reshape(-1, n)
         flat = self.images.reshape(n, d * d)
@@ -346,6 +389,9 @@ class ChannelMap:
     def matrix(self) -> np.ndarray:
         """Superoperator matrix between the published orthonormal bases."""
         return self.target.space.coefficients(self.images).T
+
+
+EXACT_CERTIFICATES = ("choi", "structure")
 
 
 def _choi_matrix(images, d_source: int) -> np.ndarray:
@@ -396,7 +442,7 @@ def build_channel(
     seed: int = DEFAULT_POSITIVITY_SEED,
     _tensor_certified: bool = False,
 ) -> ChannelMap:
-    """Validate one image per source basis element into a channel.
+    """Validate one image per source basis element into an explicit channel.
 
     Raises ImageOutsideTarget, NotUnital or NotPositive when the
     declared data does not describe a unital positive map into the
@@ -407,35 +453,87 @@ def build_channel(
     ``samples``/``seed``, all images tested at once, and NotPositive
     names the first failing sample as witness.  ``_tensor_certified``
     is set by ``relativize_morphisms`` alone, when the images agree with
-    the tensor product of two Choi-certified channels: a proper source
-    then records "tensor" and skips the samples.
+    the tensor product of two exact channels: a proper source then
+    records "tensor" and skips the samples.
     """
     if not same_group(source.group, target.group):
         raise GroupMismatch("channel endpoints live over different groups")
     stack = _image_stack(images, source.space.dim, target.dim)
-    if not target.space.is_full:
-        for run in chunks(len(stack), target.dim**2):
-            residuals = target.space.residuals(stack[run])
-            outside = np.flatnonzero(residuals > tol)
-            if outside.size:
-                k = run.start + int(outside[0])
-                raise ImageOutsideTarget(k, residuals[outside[0]], witness=stack[k].copy())
     stack.setflags(write=False)
-
     exact = source.is_full_algebra
     channel = ChannelMap(
         source=source,
         target=target,
-        images=stack,
         positivity_check="choi" if exact else "tensor" if _tensor_certified else "sampled",
         positivity_seed=None if exact else seed,
         positivity_samples=0 if exact else samples,
+        _images=stack,
     )
+    return _validated(channel, tol)
+
+
+def _chain(
+    source: SemiQuantumSystem,
+    target: SemiQuantumSystem,
+    factors: tuple[ChannelMap, ...],
+    tol: float,
+    samples: int,
+    seed: int | None,
+) -> ChannelMap:
+    """Validate explicit ``factors``, applied in order, into a chain.
+
+    All exact factors give "structure".  Otherwise the chain takes the
+    certificate an explicit channel on ``source`` would, sampling with
+    ``samples``/``seed``.
+    """
+    exact = all(f.positivity_check in EXACT_CERTIFICATES for f in factors)
+    choi = not exact and source.is_full_algebra
+    channel = ChannelMap(
+        source=source,
+        target=target,
+        positivity_check="structure" if exact else "choi" if choi else "sampled",
+        positivity_seed=None if choi else seed,
+        positivity_samples=0 if choi else samples,
+        factors=factors,
+    )
+    return _validated(channel, tol)
+
+
+def _basis_run(space: MatrixSubspace, run: slice) -> np.ndarray:
+    """Basis elements ``run`` of a span, without the whole stack of a unit span."""
+    lo, hi, _ = run.indices(space.dim)
+    return space.combine(np.eye(hi - lo, space.dim, k=lo, dtype=np.complex128))
+
+
+def _validated(channel: ChannelMap, tol: float) -> ChannelMap:
+    """Check a new channel's images against its target, then unitality and its certificate.
+
+    A proper target tests the images a working set at a time
+    (``chunks``): an explicit channel's from its stack, a chain's
+    through ``apply`` on runs of the source basis, so no chain forms its
+    dense images here.  "choi" reads the images of the matrix units,
+    "sampled" applies the channel to one PSD stack drawn with the
+    recorded samples and seed, and "structure" and "tensor" are
+    certified by how the channel was made.
+    """
+    source, target = channel.source, channel.target
+    if not target.space.is_full:
+        for run in chunks(source.space.dim, target.dim**2):
+            if channel.factors is None:
+                stack = channel.images[run]
+            else:
+                stack = channel.apply(_basis_run(source.space, run), tol)
+            residuals = target.space.residuals(stack)
+            outside = np.flatnonzero(residuals > tol)
+            if outside.size:
+                k = int(outside[0])
+                raise ImageOutsideTarget(run.start + k, residuals[k], witness=stack[k].copy())
+
     unital_dev = max_abs(channel.apply(identity(source.dim), tol) - identity(target.dim))
     if unital_dev > tol:
         raise NotUnital(unital_dev)
 
-    if exact:
+    if channel.positivity_check == "choi":
         choi = _choi_matrix(_unit_images(channel, tol), source.dim)
         herm_dev = max_abs(choi - dagger(choi))
         blocks = diagonal_blocks(choi[None], block_partition(choi != 0))
@@ -446,8 +544,10 @@ def build_channel(
                 f"{herm_dev:.3e}, minimum eigenvalue {low:.3e})",
                 min_eigenvalue=low,
             )
-    elif not _tensor_certified:
-        psd = psd_span_samples(source.space, count=samples, seed=seed, tol=tol)
+    elif channel.positivity_check == "sampled":
+        psd = psd_span_samples(
+            source.space, count=channel.positivity_samples, seed=channel.positivity_seed, tol=tol
+        )
         lows = np.linalg.eigvalsh(hermitian_part(channel.apply(psd, tol)))[:, 0]
         failing = np.flatnonzero(lows < -tol * target.dim)
         if len(failing):
@@ -467,8 +567,12 @@ def identity_channel(
     samples: int = DEFAULT_POSITIVITY_SAMPLES,
     seed: int = DEFAULT_POSITIVITY_SEED,
 ) -> ChannelMap:
-    """The identity on a system; ``samples``/``seed`` as in ``build_channel``."""
-    return build_channel(system, system, system.space.basis_stack, tol, samples, seed)
+    """The identity on a system: the empty chain, certified "structure".
+
+    It records ``samples``/``seed``, so a composite that starts on it and
+    has a sampled factor samples with them.
+    """
+    return _chain(system, system, (), tol, samples, seed)
 
 
 def conjugation_channel(
@@ -525,17 +629,21 @@ def kraus_channel(
 def compose_channels(
     second: ChannelMap, first: ChannelMap, tol: float = DEFAULT_TOL
 ) -> ChannelMap:
-    """The composite ``second after first``, certified with ``first``'s settings
-    (both start on ``first.source``)."""
+    """The composite ``second after first``, as the flattened chain of their factors.
+
+    No product of the two image stacks is formed: the composite applies
+    ``first``'s factors and then ``second``'s, and builds its images on
+    request.  It is "structure" when every factor is exact; otherwise it
+    is certified as an explicit channel on ``first.source`` would be,
+    with ``first``'s samples and seed.
+    """
     if not same_system(first.target, second.source, tol):
         raise ObjectMismatch("channel composition endpoints do not match")
-    return build_channel(
-        first.source,
-        second.target,
-        second.apply(first.images, tol),
-        tol,
-        samples=first.positivity_samples,
-        seed=first.positivity_seed,
+    factors = tuple(
+        f for ch in (first, second) for f in (ch.factors if ch.factors is not None else (ch,))
+    )
+    return _chain(
+        first.source, second.target, factors, tol, first.positivity_samples, first.positivity_seed
     )
 
 
@@ -554,14 +662,16 @@ def _equivariance_table(channel: ChannelMap, stack, images, tol: float) -> np.nd
     elements in order.  The elements are taken a run at a time: the
     translates of the stack on both sides come from ``translates``, and
     the source ones go through one ``apply``.  The runs come from
-    ``chunks`` with the channel's images as the held array, so the
-    table's temporaries grow with the channel, not with the group order,
-    and a channel with small images takes the group in one run.
+    ``chunks`` with an explicit channel's images as the held array, so
+    the table's temporaries grow with the channel, not with the group
+    order, and a channel with small images takes the group in one run.
+    A chain holds no images of its own and takes ``WORKING_SET`` runs.
     """
     src, tgt = channel.source.rep, channel.target.rep
     k = len(stack)
     table = np.empty((src.group.order, k))
-    for run in chunks(src.group.order, k * max(src.dim, tgt.dim) ** 2, channel.images):
+    held = channel.images if channel.factors is None else 0
+    for run in chunks(src.group.order, k * max(src.dim, tgt.dim) ** 2, held):
         moved = translates(src, stack, run).reshape(-1, src.dim, src.dim)
         mapped = channel.apply(moved, tol).reshape(-1, k, tgt.dim, tgt.dim)
         table[run] = np.abs(mapped - translates(tgt, images, run)).max(axis=(2, 3))

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from framerel.frames import (
 )
 from framerel.groups import UnitaryRep, act, build_cyclic_group, trivial_rep, unitary_rep
 from framerel.linalg import is_psd, max_abs
-from framerel.systems import build_channel, subspace_system
+from framerel.systems import build_channel, compose_channels, identity_channel, subspace_system
 
 from .support import (
     ROOT,
@@ -368,17 +369,62 @@ def test_effect_span_failure_names_the_first_element():
         build_frame_morphism(ideal, ideal, channel, tol)
     assert err.value.element == first
     assert err.value.deviation > tol
+    # the same channel behind the identity, as a chain, fails the same way
+    chain = compose_channels(channel, identity_channel(vs, tol))
+    assert chain.factors == (channel,)
+    with pytest.raises(EffectSpanNotEquivariant) as chained:
+        build_frame_morphism(ideal, ideal, chain, tol)
+    assert chained.value.element == first
+    assert abs(chained.value.deviation - err.value.deviation) < 1e-15
+
+
+def test_chains_are_checked_for_factorization():
+    ideal = _cyclic_ideal(4)
+    vs = ideal.value_system
+    swap = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
+    channel = build_channel(vs, vs, _conjugation_images(ideal, swap))
+    chain = compose_channels(identity_channel(vs), channel)
+    assert chain.factors == (channel,) and chain.positivity_check == "structure"
+    with pytest.raises(FactorizationFails) as explicit:
+        build_frame_morphism(ideal, ideal, channel)
+    with pytest.raises(FactorizationFails) as chained:
+        build_frame_morphism(ideal, ideal, chain)
+    assert chained.value.element == explicit.value.element == 2
+    assert chained.value.deviation == explicit.value.deviation
+
+
+def test_identity_morphism_on_z16_peaks_under_one_mib():
+    # the matrix units of the full Z16 value system alone take 1 MiB; the
+    # identity is the empty chain and builds neither them nor a Choi matrix
+    frame = _cyclic_ideal(16)
+    tracemalloc.start()
+    try:
+        ident = identity_frame_morphism(frame)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ident.channel.factors == () and ident.channel._images is None
+    assert peak < 2**20
 
 
 def test_identity_morphism_keeps_the_sampling_settings():
-    # a proper value system is sampled, so its channel records samples/seed
+    # the identity is the empty chain, certified "structure" on a proper
+    # value system too; it records samples/seed, and a composite starting
+    # on it with a sampled factor samples with them
     vs = subspace_system(z2_flip_rep(), [Z])
     frame = frame_from_effects(z2_flip_rep(), [E00, E11], vs)
     assert not vs.is_full_algebra
+    sampled = build_channel(vs, vs, list(vs.space.basis), samples=2, seed=1)
     for samples, seed in ((3, 7), (5, 11)):
         channel = identity_frame_morphism(frame, samples=samples, seed=seed).channel
-        assert channel.positivity_check == "sampled"
+        assert channel.positivity_check == "structure" and channel.factors == ()
         assert (channel.positivity_samples, channel.positivity_seed) == (samples, seed)
+        both = compose_channels(sampled, channel)
+        assert (both.positivity_check, both.positivity_samples, both.positivity_seed) == (
+            "sampled",
+            samples,
+            seed,
+        )
 
 
 def test_identity_and_composition_of_morphisms():

@@ -812,9 +812,11 @@ def test_functor_laws_two_link_chain():
 
 
 def test_functor_laws_take_the_sampling_settings_everywhere(monkeypatch):
-    # frame value system and system are both span{I, Z}: every channel of
-    # the check, the two identities included, is sampled with the given
-    # count and seed
+    # frame value system and system are both span{I, Z}: the two
+    # identities at the first node are "structure" chains and the
+    # composites of the sampled links are sampled chains; the induced map
+    # of the identities is "tensor" and every other one is sampled; each
+    # records the given count and seed
     values = subspace_system(z2_flip_rep(), [Z])
     frame = principal_frame_from_seed(z2_flip_rep(), np.diag([1.0, 0.0]), value_system=values)
     system = subspace_system(z2_flip_rep(), [Z])
@@ -824,28 +826,100 @@ def test_functor_laws_take_the_sampling_settings_everywhere(monkeypatch):
     images = [0.5 * b + 0.5 * np.trace(b) * I2 / 2 for b in system.space.basis]
     phi = build_channel(system, system, images, samples=3, seed=0)
 
-    built = []
-    original = framerel.systems.build_channel
+    built, chains = [], []
+    original, original_chain = framerel.systems.build_channel, framerel.systems._chain
 
     def recording(*args, **kwargs):
         built.append(original(*args, **kwargs))
         return built[-1]
 
+    def recording_chain(*args, **kwargs):
+        chains.append(original_chain(*args, **kwargs))
+        return chains[-1]
+
     for name in ("systems", "frames", "relativize"):
         monkeypatch.setattr(importlib.import_module(f"framerel.{name}"), "build_channel", recording)
+    monkeypatch.setattr(framerel.systems, "_chain", recording_chain)
     report = check_functor_laws([(psi, phi), (psi, phi)], samples=3, seed=0)
     assert report.passed
-    assert {(ch.positivity_check, ch.positivity_samples, ch.positivity_seed) for ch in built} == {
-        ("sampled", 3, 0)
-    }
-    identities = [
-        ch.source
-        for ch in built
-        if ch.source is ch.target
-        and np.array_equal(np.stack(ch.images), ch.source.space.basis_stack)
+
+    def settings(channels):
+        return {(ch.positivity_check, ch.positivity_samples, ch.positivity_seed) for ch in channels}
+
+    assert settings(built) == {("sampled", 3, 0), ("tensor", 3, 0)}
+    assert settings(chains) == {("structure", 3, 0), ("sampled", 3, 0)}
+    identities = [ch for ch in chains if ch.factors == ()]
+    assert len(identities) == 2 and {id(ch.source) for ch in identities} == {id(values), id(system)}
+    assert all(ch.positivity_check == "structure" for ch in identities)
+    assert all(ch.positivity_check == "sampled" for ch in chains if ch.factors)
+    (tensor,) = [ch for ch in built if ch.positivity_check == "tensor"]
+    assert max_abs(tensor.matrix() - np.eye(tensor.source.space.dim)) < 1e-12
+
+
+def _smearing_links(group, system, lams, nus):
+    """Links ideal -> smeared -> smeared of a canonical frame, with depolarizing system channels.
+
+    Each frame is smeared by lams[k] further, so the frame retention
+    multiplies along the chain.
+    """
+    frame = canonical_ideal_frame(group)
+    links, kept = [], 1.0
+    for lam, nu in zip(lams, nus):
+        kept *= 1 - lam
+        target = smeared_canonical_frame(group, 1 - kept)
+        channel = depolarizing_channel(frame.value_system, lam)
+        links.append((build_frame_morphism(frame, target, channel), depolarizing_channel(system, nu)))
+        frame = target
+    return links
+
+
+def test_functor_laws_structure_chains_have_a_psd_choi_matrix(monkeypatch):
+    # every identity and composite the check builds on these full value
+    # systems and systems is a "structure" chain; its dense Choi matrix,
+    # formed here and nowhere in the check, is PSD
+    tol = 1e-9
+    cases = [
+        (build_cyclic_group(4), full_system(zn_phase_rep(4))),
+        (build_cyclic_group(8), full_system(zn_phase_rep(8))),
+        (s3(), full_system(s3_irrep2())),
+        (z2(), full_system(z2_flip_rep())),
     ]
-    assert any(source is values for source in identities)
-    assert any(source is system for source in identities)
+    chains = []
+    original = framerel.systems._chain
+
+    def recording(*args, **kwargs):
+        chains.append(original(*args, **kwargs))
+        return chains[-1]
+
+    monkeypatch.setattr(framerel.systems, "_chain", recording)
+    for group, system in cases:
+        del chains[:]
+        links = _smearing_links(group, system, (0.2, 0.3, 0.25), (0.1, 0.4, 0.2))
+        assert check_functor_laws(links, tol).passed
+        # two identities, two pair composites and two full-chain steps, on both sides
+        assert len(chains) == 10
+        for chain in chains:
+            assert chain.positivity_check == "structure" and chain.source.is_full_algebra
+            choi = _choi_matrix(chain.images, chain.source.dim)
+            assert np.linalg.eigvalsh(choi)[0] >= -tol * choi.shape[0]
+
+
+def test_functor_laws_on_z16_peak_under_two_mib():
+    # each Z16 value channel holds a 1 MiB image stack; the identity and
+    # the composite at the first node were a 1 MiB stack of units and a
+    # dense 256^3 product, and are now chains that build no images
+    group = build_cyclic_group(16)
+    w = np.exp(2j * np.pi / 16)
+    qubit_16 = full_system(unitary_rep(group, [np.diag([1.0, w**k]) for k in range(16)]))
+    links = _smearing_links(group, qubit_16, (0.35, 0.5), (0.25, 0.6))
+    tracemalloc.start()
+    try:
+        report = check_functor_laws(links)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 2 * 2**20
 
 
 def test_functor_laws_rejects_broken_chains():

@@ -170,10 +170,10 @@ def test_kraus_and_conjugation_channels_record_the_scenario_sampling():
 def test_induced_channels_record_the_scenario_sampling(monkeypatch):
     # every induced map of the S3 golden scenario (yen_morphism,
     # functor_laws, tensor_form) is built on a proper relative subspace;
-    # one whose frame morphism and system channel are both Choi-certified
-    # takes the tensor-form certificate, any other one is sampled, and
-    # both record the scenario's seed and count; the identity on a
-    # frame's full value system takes the Choi certificate
+    # one whose frame morphism and system channel are both exact (Choi or
+    # structure: the identities and composites of functor_laws) takes the
+    # tensor-form certificate, any other one is sampled, and both record
+    # the scenario's seed and count
     relativize_module = importlib.import_module("framerel.relativize")
     built, induced = [], []
     original = relativize_module.build_channel
@@ -186,6 +186,9 @@ def test_induced_channels_record_the_scenario_sampling(monkeypatch):
     def recording_induce(*args, **kwargs):
         induced.append(original_induce(*args, **kwargs))
         return induced[-1]
+
+    def factors_of(rel):
+        return (rel.frame_morphism.channel.positivity_check, rel.system_channel.positivity_check)
 
     monkeypatch.setattr(relativize_module, "build_channel", recording)
     for name in ("relativize", "runner"):
@@ -203,10 +206,19 @@ def test_induced_channels_record_the_scenario_sampling(monkeypatch):
         assert ch.positivity_check in ("tensor", "sampled")
     assert len(induced) >= 3
     for rel in induced:
-        factors = (rel.frame_morphism.channel.positivity_check, rel.system_channel.positivity_check)
-        expected = "tensor" if factors == ("choi", "choi") else "sampled"
-        assert rel.channel.positivity_check == expected
+        exact = all(check in ("choi", "structure") for check in factors_of(rel))
+        assert rel.channel.positivity_check == ("tensor" if exact else "sampled")
     assert any(rel.channel.positivity_check == "tensor" for rel in induced)
+    structured = [rel for rel in induced if "structure" in factors_of(rel)]
+    assert structured and all(rel.channel.positivity_check == "tensor" for rel in structured)
+    # the identities record the scenario's settings, a composite those of
+    # its first (Choi-certified) factor
+    for rel in structured:
+        for ch in (rel.frame_morphism.channel, rel.system_channel):
+            settings = (ch.positivity_samples, ch.positivity_seed)
+            assert settings == ((3, 11) if ch.factors == () else (0, None))
+    assert any(rel.system_channel.factors == () for rel in structured)
+    assert any(rel.system_channel.factors for rel in structured)
     for ch in built:
         if ch.source.is_full_algebra:
             assert (ch.positivity_check, ch.positivity_seed) == ("choi", None)

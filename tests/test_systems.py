@@ -36,7 +36,10 @@ from framerel.groups import (
 from framerel.linalg import block_partition, matrix_unit_span, max_abs, span_subspace
 from framerel.relativize import relativization_map
 from framerel.systems import (
+    DEFAULT_POSITIVITY_SAMPLES,
+    DEFAULT_POSITIVITY_SEED,
     _NOT_CLOSED,
+    ChannelMap,
     _choi_matrix,
     _equivariance_table,
     build_channel,
@@ -388,9 +391,17 @@ def test_choi_certificate_reads_the_units_on_any_full_span():
     rep = trivial_rep(build_cyclic_group(2), 2)
     pauli = subspace_system(rep, [X, Y, Z])
     assert pauli.is_full_algebra and not pauli.space.is_unit_span
-    ident = identity_channel(pauli)
-    assert ident.positivity_check == "choi"
+    # the identity is certified by structure, the same images by Choi
+    ident = identity_channel(pauli, samples=4, seed=2)
+    assert (ident.positivity_check, ident.positivity_samples, ident.positivity_seed) == (
+        "structure",
+        4,
+        2,
+    )
     assert max_abs(channel_superop(ident) - np.eye(4)) < 1e-12
+    explicit = build_channel(pauli, pauli, pauli.space.basis_stack)
+    assert (explicit.positivity_check, explicit.positivity_seed) == ("choi", None)
+    assert max_abs(channel_superop(explicit) - np.eye(4)) < 1e-12
     # conjugation by H: the superoperator acts on the units, whatever the basis
     conj = conjugation_channel(pauli, H)
     units = full_system(rep)
@@ -513,12 +524,28 @@ def _stretch_z(a):
 def test_channel_positivity_mode_bookkeeping():
     sq = full_system(z2_flip_rep())
     sys_iz = subspace_system(z2_flip_rep(), [Z])
-    full_ch = identity_channel(sq)
-    assert full_ch.positivity_check == "choi"
-    assert full_ch.positivity_seed is None
-    proper_ch = identity_channel(sys_iz)
-    assert proper_ch.positivity_check == "sampled"
-    assert proper_ch.positivity_samples > 0
+    # explicit images: Choi on a full source, sampled on a proper one
+    full_ch = build_channel(sq, sq, sq.space.basis_stack)
+    assert (full_ch.positivity_check, full_ch.positivity_samples, full_ch.positivity_seed) == (
+        "choi",
+        0,
+        None,
+    )
+    proper_ch = build_channel(sys_iz, sys_iz, sys_iz.space.basis_stack)
+    assert (proper_ch.positivity_check, proper_ch.positivity_samples, proper_ch.positivity_seed) == (
+        "sampled",
+        DEFAULT_POSITIVITY_SAMPLES,
+        DEFAULT_POSITIVITY_SEED,
+    )
+    # the identity is the empty chain on either kind, and records its settings
+    for system in (sq, sys_iz):
+        ident = identity_channel(system)
+        assert ident.factors == ()
+        assert (ident.positivity_check, ident.positivity_samples, ident.positivity_seed) == (
+            "structure",
+            DEFAULT_POSITIVITY_SAMPLES,
+            DEFAULT_POSITIVITY_SEED,
+        )
 
 
 def test_apply_rejects_operators_outside_source_span():
@@ -585,6 +612,8 @@ def test_images_are_one_read_only_stack_and_apply_matches_the_flattened_copy():
         build_channel(sys_iz, sys_iz, list(sys_iz.space.basis), samples=3, seed=0),
         ampliation_channel(sys_iz, 2),
         compose_channels(depolarizing_channel(plane, 0.2), depolarizing_channel(plane, 0.6)),
+        compose_channels(conjugation_channel(pauli, H), identity_channel(pauli)),
+        identity_channel(sys_iz),
     ]
     for channel in channels:
         n, d = channel.source.space.dim, channel.target.dim
@@ -592,8 +621,15 @@ def test_images_are_one_read_only_stack_and_apply_matches_the_flattened_copy():
         with pytest.raises(ValueError):
             channel.images[0, 0, 0] = 1.0
         ops = channel.source.space.combine(rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n)))
-        assert np.array_equal(channel.apply(ops), image_stack_apply(channel, ops))
-        assert np.array_equal(channel.apply(ops[0]), image_stack_apply(channel, ops[0]))
+        if channel.factors is None:
+            # an explicit channel applies its own stack, bit for bit
+            assert np.array_equal(channel.apply(ops), image_stack_apply(channel, ops))
+            assert np.array_equal(channel.apply(ops[0]), image_stack_apply(channel, ops[0]))
+        else:
+            # a chain folds through its factors, and its dense images agree
+            assert max_abs(channel.apply(ops) - image_stack_apply(channel, ops)) < 1e-13
+            assert max_abs(channel.apply(ops[0]) - image_stack_apply(channel, ops[0])) < 1e-13
+    assert [ch.factors is None for ch in channels] == [True] * 4 + [False] * 3
 
 
 def _per_operator_apply(channel, ops):
@@ -660,6 +696,124 @@ def test_depolarizer_composition_multiplies_retention():
     expected = depolarizing_channel(sq, 1 - (1 - 0.25) * (1 - 1 / 3))
     for a, b in zip(both.images, expected.images):
         assert max_abs(a - b) < 1e-12
+
+
+# ------------------------------------------------------------------- chains
+
+
+def _chain_systems():
+    """The Z4 and Z8 frame value systems, the S3 plane, the qubit and span{I, Z}."""
+    return [
+        canonical_ideal_frame(build_cyclic_group(4)).value_system,
+        canonical_ideal_frame(build_cyclic_group(8)).value_system,
+        full_system(s3_irrep2()),
+        full_system(z2_flip_rep()),
+        subspace_system(z2_flip_rep(), [Z]),
+    ]
+
+
+def _factor_pairs(system):
+    """Two explicit channels on a system: depolarizing, then conjugation or depolarizing."""
+    second = depolarizing_channel(system, 0.55)
+    if system.is_full_algebra:
+        second = conjugation_channel(system, system.rep.matrices[1])
+    return depolarizing_channel(system, 0.3), second
+
+
+def test_chain_images_and_matrix_agree_with_the_dense_composite():
+    rng = np.random.default_rng(5)
+    for system in _chain_systems():
+        first, second = _factor_pairs(system)
+        both = compose_channels(second, first)
+        assert both.factors == (first, second) and both._images is None
+        assert both.positivity_check == ("structure" if system.is_full_algebra else "sampled")
+        ops = system.space.combine(rng.standard_normal((3, system.space.dim)))
+        assert max_abs(both.apply(ops) - second.apply(first.apply(ops))) < 1e-13
+        assert both._images is None  # apply builds no dense images
+        dense = second.apply(first.images)
+        assert max_abs(both.images - dense) < 1e-13
+        assert max_abs(both.matrix() - system.space.coefficients(dense).T) < 1e-13
+        ident = identity_channel(system)
+        assert np.array_equal(ident.apply(ops), ops)
+        assert max_abs(ident.images - system.space.basis_stack) < 1e-13
+        assert max_abs(ident.matrix() - np.eye(system.space.dim)) < 1e-13
+        # identities drop out and nested chains flatten
+        nested = compose_channels(ident, compose_channels(both, ident))
+        assert nested.factors == (first, second)
+        assert max_abs(nested.images - dense) < 1e-13
+
+
+def test_structure_chains_are_completely_positive_by_the_dense_choi_matrix():
+    tol = 1e-9
+    for system in _chain_systems():
+        if not system.is_full_algebra:
+            continue
+        first, second = _factor_pairs(system)
+        for chain in (identity_channel(system), compose_channels(second, first)):
+            choi = _choi_matrix(chain.images, system.dim)
+            assert np.linalg.eigvalsh(choi)[0] >= -tol * choi.shape[0]
+        # the transpose map is positive but not completely positive: given
+        # as images it is still rejected
+        with pytest.raises(NotPositive) as err:
+            build_channel(system, system, system.space.basis_stack.transpose(0, 2, 1))
+        assert err.value.min_eigenvalue < -0.5
+
+
+def test_a_chain_with_a_sampled_factor_samples_with_the_first_settings(monkeypatch):
+    sys_iz = subspace_system(z2_flip_rep(), [Z])
+    sampled = build_channel(sys_iz, sys_iz, list(sys_iz.space.basis), samples=2, seed=1)
+    drawn = []
+    original = framerel.systems.psd_span_samples
+
+    def recording(subspace, count, seed, tol):
+        drawn.append((count, seed))
+        return original(subspace, count=count, seed=seed, tol=tol)
+
+    monkeypatch.setattr(framerel.systems, "psd_span_samples", recording)
+    first = identity_channel(sys_iz, samples=4, seed=9)
+    both = compose_channels(sampled, first)
+    assert (both.positivity_check, both.positivity_samples, both.positivity_seed) == ("sampled", 4, 9)
+    assert drawn == [(4, 9)]
+    # a factor that is not positive (doubles the Z component; never
+    # validated) is caught by the chain's samples, with the explicit witness
+    stretch = np.stack([_stretch_z(b) for b in sys_iz.space.basis])
+    unchecked = ChannelMap(sys_iz, sys_iz, "sampled", 9, 4, _images=stretch)
+    with pytest.raises(NotPositive) as explicit:
+        build_channel(sys_iz, sys_iz, stretch, samples=4, seed=9)
+    with pytest.raises(NotPositive) as chained:
+        compose_channels(unchecked, first)
+    assert chained.value.min_eigenvalue == explicit.value.min_eigenvalue
+    assert np.array_equal(chained.value.witness, explicit.value.witness)
+
+
+def test_chains_still_check_unitality_and_the_target_span():
+    sq = full_system(z2_flip_rep())
+    sys_iz = subspace_system(z2_flip_rep(), [Z])
+    dep = depolarizing_channel(sq, 0.3)
+    # X and Y keep 0.7 of themselves, outside span{I, Z}: same witness
+    with pytest.raises(ImageOutsideTarget) as explicit:
+        build_channel(sq, sys_iz, dep.images)
+    with pytest.raises(ImageOutsideTarget) as chained:
+        framerel.systems._chain(sq, sys_iz, (dep,), 1e-9, 16, 7)
+    assert chained.value.index == explicit.value.index == 1
+    assert np.array_equal(chained.value.witness, explicit.value.witness)
+    halved = ChannelMap(sq, sq, "choi", None, 0, _images=0.5 * sq.space.basis_stack)
+    with pytest.raises(NotUnital):
+        compose_channels(halved, identity_channel(sq))
+
+
+def test_superoperator_and_predual_of_a_chain():
+    rng = np.random.default_rng(17)
+    for system in _chain_systems():
+        if not system.is_full_algebra:
+            continue
+        first, second = _factor_pairs(system)
+        both = compose_channels(second, first)
+        expected = channel_superop(second) @ channel_superop(first)
+        assert max_abs(channel_superop(both) - expected) < 1e-13
+        t = random_density(rng, system.dim)
+        twice = predual_channel(first, predual_channel(second, t))
+        assert max_abs(predual_channel(both, t) - twice) < 1e-13
 
 
 # -------------------------------------------------------------- equivariance
