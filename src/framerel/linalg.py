@@ -48,8 +48,9 @@ within max(``WORKING_SET``, an array the caller already holds).
 ``WORKING_SET`` is 2^13 complex entries, 128 KiB, glibc's default mmap
 threshold: larger temporaries are mapped and unmapped call by call, and
 S4 timings then follow glibc's moving thresholds.  A slice only splits
-the items; the tests pin every chunked loop's results at budgets of 1 and
-2^30 entries.
+the items, except in the relativization kernel, whose runs of group
+elements split its sums and so move them by rounding; the tests pin
+every chunked loop's results at budgets of 1 and 2^30 entries.
 
 Tolerances are absolute and entrywise.  ``DEFAULT_TOL`` is the global
 default; every function takes an explicit override, which is how the

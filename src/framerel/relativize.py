@@ -29,13 +29,17 @@ of the effects, so every relativized operator, and every product,
 adjoint and Choi matrix formed from them, is block-diagonal along the
 components of that support, which the frame computes once
 (``FrameObservable.components``).  A relativized stack is held as those
-diagonal blocks, one (n, m, b, b) array per block size, and the law
-checks work on them alone: products, norms, spectra and the Choi matrix
-are taken block by block in batched calls, the relative subspace is
-spanned and validated on the entries of the blocks, and invariance is
-compared there (``groups.invariance_deviation``).  Dense (n, D, D)
+diagonal blocks, one (n, m, b, b) array per block size, formed by one
+matrix product over the group per block size (``_relativize_stack``);
+the predual on joint states is its adjoint.  The law checks work on
+the blocks alone: products, norms, spectra and the Choi matrix are
+taken block by block in batched calls, the relative subspace is spanned
+and validated on the entries of the blocks, and invariance is compared
+there (``groups.invariance_deviation``).  Dense (n, D, D)
 images are built on request only, for ``relativize``'s return value,
-the induced maps and witness encoding (``RelativizationMap.images``).
+the targets of the induced maps and witness encoding
+(``RelativizationMap.images``); an induced map takes its coefficients
+from the values on the support entries.
 
 Positivity follows the rule of ``systems``: the axiom check reads the
 Choi matrix alone on a full algebra and samples one PSD stack otherwise.
@@ -82,14 +86,13 @@ from .linalg import (
     block_operator_norms,
     chunks,
     dagger,
+    diagonal_blocks,
     identity,
     is_density_matrix,
     matrix_units,
     max_abs,
     orthonormalize,
-    partial_trace_first,
     psd_span_samples,
-    tensor_product,
     vector_kernel,
     widen_partition,
 )
@@ -126,7 +129,10 @@ class RelativizationMap:
     ``blocks`` holds the images on the diagonal blocks of ``partition``,
     one (n, m, b, b) array per block size: ``blocks[s][k, mu]`` is block
     mu of the image of basis element k, which vanishes off the blocks.
-    ``images``, the dense (n, D, D) stack, is built on first request.
+    They come from ``_relativize_stack``, one matrix product over the
+    group per block size; the predual (``predual_relativize``) is its
+    adjoint.  ``images``, the dense (n, D, D) stack, is built on first
+    request.
     """
 
     frame: FrameObservable
@@ -153,25 +159,32 @@ def _relativize_stack(frame: FrameObservable, system: SemiQuantumSystem, mats) -
     """Relativize a stack of n system operators at once, as blocks.
 
     Returns the diagonal blocks of ``_joint_partition(frame, d)``, one
-    (n, m, c d, c d) array per size c of ``frame.components``.  Entry
-    ((i, s), (j, t)) of a block accumulates E(g)[i, j] * (g.a)[s, t] for
-    each element g in group order, the translates a run of elements at a
-    time (``chunks``, the blocks held).  These are the products and the
-    sum order of adding E(g) (x) g.a one operator at a time, and a pair
-    (i, j) off the support adds signed zeros 0 * x to a sum that started
-    at +0, so each block is bit-identical to that block of the dense
-    loop, which vanishes off the blocks.
+    (n, m, c d, c d) C-contiguous array per size c of ``frame.components``.
+    The sum over the group is one matrix product per block size, W.T @ M:
+    W is the (|G|, m c^2) gather of the effects on the blocks and M the
+    (|G|, n d^2) translates of the stack, taken a run of elements at a
+    time (``chunks``, the product held) and accumulated.  One transpose
+    then brings entry ((mu, i, j), (k, s, t)) of the product to entry
+    ((i, s), (j, t)) of block mu of operator k.  Each entry is a sum of
+    |G| products, so it agrees with adding E(g) (x) g.a one element at a
+    time to within the rounding of that sum, and exactly where a sum has
+    a single nonzero term, as for a canonical ideal frame.  The predual
+    (``predual_relativize``) is its adjoint.
     """
     d = system.dim
     stack = np.asarray(mats, dtype=np.complex128).reshape(-1, d, d)
-    weights = [frame.effects[:, c[:, :, None], c[:, None, :]] for c in frame.components]
-    shapes = [(len(stack), m, c, d, c, d) for _, m, c, _ in map(np.shape, weights)]
-    blocks = [np.zeros(shape, dtype=np.complex128) for shape in shapes]
-    for run in chunks(frame.group.order, stack.size, max(blocks, key=np.size)):
-        for g, m in enumerate(translates(system.rep, stack, run), run.start):
-            for out, w in zip(blocks, weights):
-                out += w[g][None, :, :, None, :, None] * m[:, None, None, :, None, :]
-    return [b.reshape(*b.shape[:2], b.shape[2] * d, b.shape[2] * d) for b in blocks]
+    blocks = []
+    for c in frame.components:
+        m, size = c.shape
+        w = frame.effects[:, c[:, :, None], c[:, None, :]].reshape(frame.group.order, -1)
+        total = np.zeros((w.shape[1], stack.size), dtype=np.complex128)
+        for run in chunks(frame.group.order, stack.size, total):
+            weights = w[run]
+            # inline, so the gathered translates are freed once flattened
+            total += weights.T @ translates(system.rep, stack, run).reshape(len(weights), -1)
+        out = total.reshape(m, size, size, len(stack), d, d).transpose(3, 0, 1, 4, 2, 5)
+        blocks.append(np.ascontiguousarray(out).reshape(len(stack), m, size * d, size * d))
+    return blocks
 
 
 def _relativize_dense(frame: FrameObservable, system: SemiQuantumSystem, mats) -> np.ndarray:
@@ -525,12 +538,16 @@ def predual_relativize(
     joint_state,
     tol: float = DEFAULT_TOL,
 ) -> StateClass:
-    """Predual of relativization on a joint state T:
+    """Predual of relativization on a joint state T, the adjoint of the
+    relativization kernel:
 
-        sum_g  g^{-1} . tr_frame[(E(g) (x) I) T]
+        sigma[s, t] = tr[T yen(E_ts)],   yen(a) = sum_g E(g) (x) g.a,
 
-    satisfying tr[result a] = tr[T sum_g E(g) (x) g.a] for every system
-    observable a.  Returns the operational state class on the system.
+    so tr[sigma a] = tr[T yen(a)] for every system observable a.  The
+    matrix units E_ts are relativized by ``_relativize_stack`` a working
+    set at a time (``chunks``), and each trace reads T on the support
+    blocks alone, where every yen(E_ts) has its nonzero entries.
+    Returns the operational state class on the system.
     """
     if not same_group(frame.group, system.group):
         raise GroupMismatch("frame and system live over different groups")
@@ -542,14 +559,14 @@ def predual_relativize(
         )
     if not is_density_matrix(t, tol):
         raise NotAState("joint state is not a density matrix")
-    eye_s = identity(d_s)
-    sigma = np.zeros((d_s, d_s), dtype=np.complex128)
-    for g in frame.group.elements():
-        reduced = partial_trace_first(
-            tensor_product(frame.effects[g], eye_s) @ t, d_r, d_s
-        )
-        sigma += act(system.rep, frame.group.inv(g), reduced)
-    return state_class(system, sigma, tol)
+    # tr[T B] on block mu is the sum of B_mu[x, y] T_mu[y, x]
+    blocks = diagonal_blocks(t[None], _joint_partition(frame, d_s))
+    parts = [b[0].transpose(0, 2, 1).ravel() for b in blocks]
+    units, traces = matrix_units(d_s), []
+    for run in chunks(len(units), sum(p.size for p in parts)):
+        images = _relativize_stack(frame, system, units[run])
+        traces.append(sum(u.reshape(len(u), -1) @ p for u, p in zip(images, parts)))
+    return state_class(system, np.concatenate(traces).reshape(d_s, d_s).T, tol)
 
 
 def product_relative_state(
@@ -662,18 +679,20 @@ def _induce(
     source_rel = workspace.relative_subspace(psi.source, phi.source)
     target_rel = workspace.relative_subspace(psi.target, phi.target)
 
-    kernel = source_rel.kernel.basis_stack
-    norms = _operator_norms(_relativize_dense(psi.target, phi.target, phi.apply(kernel, tol)))
-    over = np.flatnonzero(norms > tol)
-    if len(over):
-        raise IllDefined(kernel_witness=kernel[over[0]], image_norm=float(norms[over[0]]))
+    kernel_image_norm = 0.0
+    if source_rel.kernel.dim:
+        kernel = source_rel.kernel.basis_stack
+        norms = _operator_norms(_relativize_dense(psi.target, phi.target, phi.apply(kernel, tol)))
+        over = np.flatnonzero(norms > tol)
+        if len(over):
+            raise IllDefined(kernel_witness=kernel[over[0]], image_norm=float(norms[over[0]]))
+        kernel_image_norm = float(norms.max())
 
     # coefficients of each relative basis element along the relativized
-    # system basis, carried over to the target relativizations
-    source_images = source_rel.base.images
-    coeffs = np.linalg.pinv(source_images.reshape(len(source_images), -1).T) @ (
-        source_rel.space.basis_stack.reshape(source_rel.space.dim, -1).T
-    )
+    # system basis, read on the support entries, where both have every
+    # nonzero entry, and carried over to the target relativizations
+    values, _ = _support_values(source_rel.base)
+    coeffs = np.linalg.pinv(values.T) @ source_rel.space.support_basis.T
     target_images = _relativize_dense(
         psi.target, phi.target, phi.apply(phi.source.space.basis_stack, tol)
     )
@@ -696,7 +715,7 @@ def _induce(
         system_channel=phi,
         channel=channel,
         matrix=channel.matrix(),
-        kernel_image_norm=float(np.max(norms, initial=0.0)),
+        kernel_image_norm=kernel_image_norm,
         tensor_deviation=tensor_deviation,
     )
 

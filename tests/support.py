@@ -178,6 +178,46 @@ def dense_relativize(frame, system, a):
     return out
 
 
+def kernel_bound(frame, ops):
+    """8 |G| 2^-52 max|E| max|a|: how far the relativization kernel may
+    stray from the Kronecker loop on the operators ``ops``.
+
+    Each entry of sum_g E(g) (x) g.a is a sum of |G| products, which the
+    kernel forms in one matrix product over the group and the loop one
+    element at a time; either order rounds each partial sum once.
+    """
+    eps = 2.0**-52
+    return 8 * frame.group.order * eps * np.abs(frame.effects).max() * np.abs(ops).max()
+
+
+def predual_loop(frame, system, t):
+    """sum_g g^-1 . tr_frame[(E(g) (x) I) T], one Kronecker product per element."""
+    d_r, d_s = frame.rep.dim, system.dim
+    sigma = np.zeros((d_s, d_s), dtype=complex)
+    for g in frame.group.elements():
+        joint = (np.kron(frame.effects[g], np.eye(d_s)) @ t).reshape(d_r, d_s, d_r, d_s)
+        reduced = np.einsum("ijil->jl", joint)
+        u = np.asarray(system.rep.matrices[int(frame.group.inverse[g])])
+        sigma += u @ reduced @ np.conj(u).T
+    return sigma
+
+
+def dense_induced_matrix(induced):
+    """The matrix of an induced map through a pseudo-inverse of the dense
+    (D^2, n) source images: each relative basis element along the
+    relativized system basis, carried to the target relativizations and
+    read along the target's relative basis."""
+    psi, phi = induced.frame_morphism, induced.system_channel
+    basis = phi.source.space.basis_stack
+    sources = np.stack([dense_relativize(psi.source, phi.source, b).reshape(-1) for b in basis])
+    xs = induced.source.space.basis_stack
+    coeffs = np.linalg.pinv(sources.T) @ xs.reshape(len(xs), -1).T
+    targets = np.stack([dense_relativize(psi.target, phi.target, im) for im in phi.images])
+    images = np.tensordot(coeffs, targets, axes=(0, 0))
+    ys = induced.target.space.basis_stack
+    return np.array([[np.vdot(y, im) for im in images] for y in ys])
+
+
 def first_pair_near_max(devs, tol):
     """First (i, j) in row-major order whose deviation is within tol of the largest."""
     for i, j in np.ndindex(*devs.shape):
