@@ -374,8 +374,11 @@ def translates(rep: UnitaryRep, a, elements: slice = slice(None)) -> np.ndarray:
     """``act(rep, g, a)`` for every g in ``elements`` (all of them by
     default) in order, shape (len(elements), *a.shape).
 
-    A monomial rep takes these translates from one gather, with the same
-    arithmetic as ``act``, so each slice is bit-identical to it.
+    A monomial rep takes these translates from one gather.  A permutation
+    rep only gathers, so each slice is bit-identical to ``act``.  A phased
+    rep scales by the same products, but numpy can round a complex product
+    on this array layout apart from the one ``act`` forms, so a slice agrees
+    with ``act`` to a few units in the last place, not bit for bit.
     """
     m = _check_operand(rep, a)
     if rep.perms is None:

@@ -131,20 +131,6 @@ def tensor_product(a, b) -> np.ndarray:
     return np.kron(as_operator(a), as_operator(b))
 
 
-def partial_trace_first(m, dim_first: int, dim_second: int) -> np.ndarray:
-    """Trace out the first tensor factor of an operator on C^a (x) C^b."""
-    a = as_operator(m)
-    if dim_first <= 0 or dim_second <= 0:
-        raise DimensionError("tensor factor dimensions must be positive")
-    if a.shape[0] != dim_first * dim_second:
-        raise DimensionError(
-            f"operator of dimension {a.shape[0]} does not factor as "
-            f"{dim_first} x {dim_second}"
-        )
-    blocks = a.reshape(dim_first, dim_second, dim_first, dim_second)
-    return np.einsum("ijil->jl", blocks)
-
-
 def operator_norm(m) -> float:
     """Largest singular value."""
     return float(np.linalg.norm(as_operator(m), 2))

@@ -8,13 +8,15 @@ systems, frames, channels and frame morphisms are constructed and
 validated immediately, so a scenario that parses is a scenario whose
 declared objects all exist.  Validation failures from the constructors
 are wrapped in :class:`~framerel.errors.ScenarioValidationError` with
-the section and name attached.
+the section and name attached.  The spec keeps the document as parsed,
+and :func:`serialize_scenario` writes it back as sorted, indented JSON.
 
 Sections
 --------
 ``options``            tolerance / seed / samples overridable per file
 ``group``              ``{"type":"cyclic","order":n}`` or
-                       ``{"type":"table","mult":[[...]],"labels":[...]}``
+                       ``{"type":"table","mult":[[...]],"labels":[...],
+                       "identity":id}`` (labels and identity optional)
 ``representations``    ``{"dim":d,"matrices":{"<element-label-or-id>":M}}``
 ``systems``            ``{"rep":name,"basis":"full" | [M, ...]}``
 ``frames``             ``{"rep":name,"seed":M}`` or
@@ -33,6 +35,7 @@ Sections
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -156,7 +159,7 @@ class ScenarioTask:
 
 @dataclass(frozen=True, eq=False)
 class ScenarioSpec:
-    """A parsed scenario with every declared object already constructed."""
+    """A parsed scenario: every declared object constructed, and the document as parsed."""
 
     group: FiniteGroup
     representations: dict[str, UnitaryRep]
@@ -172,7 +175,11 @@ class ScenarioSpec:
 
 
 def serialize_scenario(spec: ScenarioSpec) -> str:
-    """Canonical JSON text; parsing it back yields an equivalent spec."""
+    """The document as parsed, written as sorted, indented JSON.
+
+    Nothing is rounded on the way, so parsing the text back builds the
+    same objects bit for bit.
+    """
     return json.dumps(spec.document, indent=2, sort_keys=True) + "\n"
 
 
@@ -194,11 +201,15 @@ def _require_keys(obj: dict, where: str, required: tuple[str, ...], optional: tu
             raise ScenarioSyntaxError(f"{where}: unknown key '{k}'")
 
 
+def _is_int(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _resolve_element(group: FiniteGroup, key: str, section: str) -> int:
-    try:
-        return group.element_of_label(key)
-    except FramerelError:
-        raise UnknownReference(key, section) from None
+    g = group.element_of_label(key)
+    if g is None:
+        raise UnknownReference(key, section)
+    return g
 
 
 def _lookup(table: dict, name: Any, section: str):
@@ -207,57 +218,53 @@ def _lookup(table: dict, name: Any, section: str):
     return table[name]
 
 
+@contextmanager
 def _wrap_build(section: str, name: str):
-    """Context manager turning constructor failures into scenario diagnostics."""
-
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, FramerelError) and not isinstance(
-                exc, (ScenarioSyntaxError, UnknownReference, DimensionMismatch, ScenarioValidationError)
-            ):
-                raise ScenarioValidationError(section, name, exc) from exc
-            return False
-
-    return _Ctx()
+    """Turn constructor failures into scenario diagnostics."""
+    try:
+        yield
+    except (ScenarioSyntaxError, UnknownReference, DimensionMismatch, ScenarioValidationError):
+        raise
+    except FramerelError as exc:
+        raise ScenarioValidationError(section, name, exc) from exc
 
 
 # -------------------------------------------------------------------- parsing
 
 
-def _parse_group(stanza: Any) -> tuple[FiniteGroup, dict]:
+def _parse_group(stanza: Any) -> FiniteGroup:
     g = _require_mapping(stanza, "group")
     gtype = g.get("type")
     if gtype == "cyclic":
         _require_keys(g, "group", ("type", "order"))
         order = g["order"]
-        if not isinstance(order, int) or order < 1:
+        if not _is_int(order) or order < 1:
             raise ScenarioSyntaxError("group: 'order' must be a positive integer")
         with _wrap_build("group", f"cyclic-{order}"):
-            return build_cyclic_group(order), {"type": "cyclic", "order": order}
+            return build_cyclic_group(order)
     if gtype == "table":
         _require_keys(g, "group", ("type", "mult"), ("labels", "identity"))
         mult = g["mult"]
-        if not isinstance(mult, list) or not all(isinstance(r, list) for r in mult):
-            raise ScenarioSyntaxError("group: 'mult' must be a list of rows")
+        if not isinstance(mult, list) or not all(
+            isinstance(r, list) and len(r) == len(mult) and all(map(_is_int, r)) for r in mult
+        ):
+            raise ScenarioSyntaxError("group: 'mult' must be a square list of rows of integer ids")
         labels = g.get("labels")
+        if labels is not None and not (
+            isinstance(labels, list) and all(isinstance(x, str) for x in labels)
+        ):
+            raise ScenarioSyntaxError("group: 'labels' must be a list of strings")
         identity = g.get("identity")
+        if identity is not None and not (_is_int(identity) and 0 <= identity < len(mult)):
+            raise ScenarioSyntaxError("group: 'identity' must be an integer element id")
         with _wrap_build("group", "table"):
-            built = build_group_from_table(mult, identity_element=identity, labels=labels)
-        canon = {"type": "table", "mult": [list(map(int, r)) for r in mult]}
-        if labels is not None:
-            canon["labels"] = list(labels)
-        if identity is not None:
-            canon["identity"] = int(identity)
-        return built, canon
+            return build_group_from_table(mult, identity_element=identity, labels=labels)
     raise ScenarioSyntaxError("group: 'type' must be 'cyclic' or 'table'")
 
 
 def _parse_element_keyed_matrices(
     group: FiniteGroup, obj: Any, where: str, section: str, dim: int | None
-) -> tuple[list[np.ndarray], dict]:
+) -> list[np.ndarray]:
     """Decode a {element-label-or-id: matrix} map covering the whole group."""
     mapping = _require_mapping(obj, where)
     out: list[np.ndarray | None] = [None] * group.order
@@ -276,65 +283,59 @@ def _parse_element_keyed_matrices(
     missing = [group.label(g) for g in group.elements() if out[g] is None]
     if missing:
         raise ScenarioSyntaxError(f"{where}: no matrix for element(s) {', '.join(missing)}")
-    canon = {group.label(g): encode_matrix(out[g]) for g in group.elements()}
-    return [m for m in out], canon  # type: ignore[list-item]
+    return out  # type: ignore[return-value]
 
 
 def _parse_representations(group: FiniteGroup, stanza: Any, tol: float):
     reps: dict[str, UnitaryRep] = {}
-    canon: dict[str, Any] = {}
     for name, entry in _require_mapping(stanza, "representations").items():
         where = f"representations['{name}']"
         e = _require_mapping(entry, where)
         _require_keys(e, where, ("dim", "matrices"))
         dim = e["dim"]
-        if not isinstance(dim, int) or dim < 1:
+        if not _is_int(dim) or dim < 1:
             raise ScenarioSyntaxError(f"{where}: 'dim' must be a positive integer")
-        mats, canon_mats = _parse_element_keyed_matrices(
+        mats = _parse_element_keyed_matrices(
             group, e["matrices"], f"{where}.matrices", "representations", dim
         )
         with _wrap_build("representations", name):
             reps[name] = unitary_rep(group, mats, tol)
-        canon[name] = {"dim": dim, "matrices": canon_mats}
-    return reps, canon
+    return reps
 
 
-def _parse_basis_field(value: Any, where: str) -> tuple[str | list[np.ndarray], Any]:
+def _parse_basis_field(value: Any, where: str) -> str | list[np.ndarray]:
     if value == "full":
-        return "full", "full"
+        return "full"
     if isinstance(value, list):
         mats = [decode_matrix(m, f"{where}[{i}]") for i, m in enumerate(value)]
         for i, m in enumerate(mats):
             if m.shape[0] != m.shape[1]:
                 raise DimensionMismatch(f"{where}[{i}]: matrix must be square")
-        return mats, [encode_matrix(m) for m in mats]
+        return mats
     raise ScenarioSyntaxError(f"{where}: expected 'full' or a list of matrix literals")
 
 
 def _parse_systems(reps: dict[str, UnitaryRep], stanza: Any, tol: float):
     systems: dict[str, SemiQuantumSystem] = {}
-    canon: dict[str, Any] = {}
     for name, entry in _require_mapping(stanza, "systems").items():
         where = f"systems['{name}']"
         e = _require_mapping(entry, where)
         _require_keys(e, where, ("rep", "basis"))
         rep = _lookup(reps, e["rep"], "representations")
-        basis, canon_basis = _parse_basis_field(e["basis"], f"{where}.basis")
+        basis = _parse_basis_field(e["basis"], f"{where}.basis")
         with _wrap_build("systems", name):
             systems[name] = (
                 full_system(rep, tol)
                 if basis == "full"
                 else subspace_system(rep, basis, tol)
             )
-        canon[name] = {"rep": e["rep"], "basis": canon_basis}
-    return systems, canon
+    return systems
 
 
 def _parse_frames(
     group: FiniteGroup, reps: dict[str, UnitaryRep], stanza: Any, tol: float
 ):
     frames: dict[str, FrameObservable] = {}
-    canon: dict[str, Any] = {}
     for name, entry in _require_mapping(stanza, "frames").items():
         where = f"frames['{name}']"
         e = _require_mapping(entry, where)
@@ -343,14 +344,10 @@ def _parse_frames(
         if ("seed" in e) == ("effects" in e):
             raise ScenarioSyntaxError(f"{where}: give exactly one of 'seed' or 'effects'")
         value_system = None
-        canon_entry: dict[str, Any] = {"rep": e["rep"]}
-        if "value_space" in e and e["value_space"] != "full":
-            gens, canon_vs = _parse_basis_field(e["value_space"], f"{where}.value_space")
+        gens = _parse_basis_field(e.get("value_space", "full"), f"{where}.value_space")
+        if gens != "full":
             with _wrap_build("frames", name):
                 value_system = subspace_system(rep, gens, tol)
-            canon_entry["value_space"] = canon_vs
-        elif e.get("value_space") == "full":
-            canon_entry["value_space"] = "full"
         if "seed" in e:
             seed = decode_matrix(e["seed"], f"{where}.seed")
             if seed.shape != (rep.dim, rep.dim):
@@ -360,23 +357,19 @@ def _parse_frames(
                 )
             with _wrap_build("frames", name):
                 frames[name] = principal_frame_from_seed(rep, seed, value_system, tol)
-            canon_entry["seed"] = encode_matrix(seed)
         else:
-            effects, canon_eff = _parse_element_keyed_matrices(
+            effects = _parse_element_keyed_matrices(
                 group, e["effects"], f"{where}.effects", "frames", rep.dim
             )
             with _wrap_build("frames", name):
                 frames[name] = frame_from_effects(rep, effects, value_system, tol)
-            canon_entry["effects"] = canon_eff
-        canon[name] = canon_entry
-    return frames, canon
+    return frames
 
 
 def _parse_channels(
     systems: dict[str, SemiQuantumSystem], stanza: Any, tol: float, samples: int, seed: int
 ):
     channels: dict[str, ChannelMap] = {}
-    canon: dict[str, Any] = {}
     for name, entry in _require_mapping(stanza, "channels").items():
         where = f"channels['{name}']"
         e = _require_mapping(entry, where)
@@ -396,30 +389,21 @@ def _parse_channels(
                 )
             with _wrap_build("channels", name):
                 channels[name] = build_channel(source, target, images, tol, samples, seed)
-            canon_data = [encode_matrix(m) for m in images]
         elif kind == "kraus":
             if not isinstance(data, list):
                 raise ScenarioSyntaxError(f"{where}.data: expected a list of matrix literals")
             ops = [decode_matrix(m, f"{where}.data[{i}]") for i, m in enumerate(data)]
             with _wrap_build("channels", name):
                 channels[name] = kraus_channel(source, target, ops, tol, samples, seed)
-            canon_data = [encode_matrix(m) for m in ops]
         elif kind == "conjugate_unitary":
             u = decode_matrix(data, f"{where}.data")
             with _wrap_build("channels", name):
                 channels[name] = conjugation_channel(source, u, target, tol, samples, seed)
-            canon_data = encode_matrix(u)
         else:
             raise ScenarioSyntaxError(
                 f"{where}: 'kind' must be matrix_images, kraus or conjugate_unitary"
             )
-        canon[name] = {
-            "source": e["source"],
-            "target": e["target"],
-            "kind": kind,
-            "data": canon_data,
-        }
-    return channels, canon
+    return channels
 
 
 def _parse_frame_morphisms(
@@ -429,7 +413,6 @@ def _parse_frame_morphisms(
     tol: float,
 ):
     morphisms: dict[str, FrameMorphism] = {}
-    canon: dict[str, Any] = {}
     for name, entry in _require_mapping(stanza, "frame_morphisms").items():
         where = f"frame_morphisms['{name}']"
         e = _require_mapping(entry, where)
@@ -439,15 +422,13 @@ def _parse_frame_morphisms(
         channel = _lookup(channels, e["channel"], "channels")
         with _wrap_build("frame_morphisms", name):
             morphisms[name] = build_frame_morphism(source, target, channel, tol)
-        canon[name] = {"source": e["source"], "target": e["target"], "channel": e["channel"]}
-    return morphisms, canon
+    return morphisms
 
 
-def _parse_tasks(stanza: Any, tables: dict[str, dict]) -> tuple[tuple[ScenarioTask, ...], list]:
+def _parse_tasks(stanza: Any, tables: dict[str, dict]) -> tuple[ScenarioTask, ...]:
     if not isinstance(stanza, list) or not stanza:
         raise ScenarioSyntaxError("tasks: expected a non-empty list")
     tasks: list[ScenarioTask] = []
-    canon: list[Any] = []
     seen_ids: set[str] = set()
     for idx, raw in enumerate(stanza):
         where = f"tasks[{idx}]"
@@ -474,25 +455,21 @@ def _parse_tasks(stanza: Any, tables: dict[str, dict]) -> tuple[tuple[ScenarioTa
             kind = f"check:{check}"
             required, optional = _TASK_PARAMS[kind]
             _require_keys(t, where, ("check",) + required, ("id",) + optional)
-            params, canon_task = _parse_params(t, where, kind, tables)
-            canon_task.update(id=task_id, check=check)
+            params = _parse_params(t, where, kind, tables)
         else:
             kind = key
             body = _require_mapping(t[key], f"{where}.{key}")
             _require_keys(t, where, (key,), ("id",))
             _require_keys(body, f"{where}.{key}", *_TASK_PARAMS[kind])
-            params, canon_body = _parse_params(body, f"{where}.{key}", kind, tables)
-            canon_task = {"id": task_id, key: canon_body}
+            params = _parse_params(body, f"{where}.{key}", kind, tables)
         tasks.append(ScenarioTask(task_id=task_id, kind=kind, params=params))
-        canon.append(canon_task)
-    return tuple(tasks), canon
+    return tuple(tasks)
 
 
-def _parse_params(obj: dict, where: str, kind: str, tables: dict[str, dict]):
+def _parse_params(obj: dict, where: str, kind: str, tables: dict[str, dict]) -> dict[str, Any]:
     """Resolve and decode the parameters of one task, keys already checked."""
     required, optional = _TASK_PARAMS[kind]
     params: dict[str, Any] = {}
-    canon: dict[str, Any] = {}
     for pk in required + optional:
         if pk not in obj:
             continue
@@ -502,7 +479,7 @@ def _parse_params(obj: dict, where: str, kind: str, tables: dict[str, dict]):
         elif pk in _MATRIX_PARAMS:
             pv = decode_matrix(pv, f"{where}.{pk}")
         elif pk in ("expect_dim", "expect_kernel_dim"):
-            if not isinstance(pv, int) or pv < 0:
+            if not _is_int(pv) or pv < 0:
                 raise ScenarioSyntaxError(f"{where}.{pk}: expected a non-negative integer")
         elif pk == "expect_ideal":
             if not isinstance(pv, bool):
@@ -516,12 +493,8 @@ def _parse_params(obj: dict, where: str, kind: str, tables: dict[str, dict]):
                 _require_keys(link_map, lw, ("morphism", "channel"))
                 _lookup(tables["frame_morphisms"], link_map["morphism"], "frame_morphisms")
                 _lookup(tables["channels"], link_map["channel"], "channels")
-            pv = [
-                {"morphism": link["morphism"], "channel": link["channel"]} for link in pv
-            ]
         params[pk] = pv
-        canon[pk] = encode_matrix(pv) if pk in _MATRIX_PARAMS else pv
-    return params, canon
+    return params
 
 
 def parse_scenario(
@@ -570,33 +543,16 @@ def parse_scenario(
     if run_samples < 0:
         raise ScenarioSyntaxError("options.samples: expected a non-negative integer")
 
-    group, canon_group = _parse_group(root["group"])
-    reps, canon_reps = _parse_representations(group, root.get("representations", {}), tol)
-    systems, canon_systems = _parse_systems(reps, root.get("systems", {}), tol)
-    frames, canon_frames = _parse_frames(group, reps, root.get("frames", {}), tol)
-    channels, canon_channels = _parse_channels(
-        systems, root.get("channels", {}), tol, run_samples, run_seed
-    )
-    morphisms, canon_morphisms = _parse_frame_morphisms(
-        frames, channels, root.get("frame_morphisms", {}), tol
-    )
-    tasks, canon_tasks = _parse_tasks(
+    group = _parse_group(root["group"])
+    reps = _parse_representations(group, root.get("representations", {}), tol)
+    systems = _parse_systems(reps, root.get("systems", {}), tol)
+    frames = _parse_frames(group, reps, root.get("frames", {}), tol)
+    channels = _parse_channels(systems, root.get("channels", {}), tol, run_samples, run_seed)
+    morphisms = _parse_frame_morphisms(frames, channels, root.get("frame_morphisms", {}), tol)
+    tasks = _parse_tasks(
         root.get("tasks"),
         {"frames": frames, "systems": systems, "channels": channels, "frame_morphisms": morphisms},
     )
-
-    document: dict[str, Any] = {"group": canon_group, "tasks": canon_tasks}
-    if "options" in root:
-        document["options"] = dict(options)
-    for section, canon in (
-        ("representations", canon_reps),
-        ("systems", canon_systems),
-        ("frames", canon_frames),
-        ("channels", canon_channels),
-        ("frame_morphisms", canon_morphisms),
-    ):
-        if canon:
-            document[section] = canon
 
     return ScenarioSpec(
         group=group,
@@ -609,5 +565,5 @@ def parse_scenario(
         tolerance=tol,
         seed=run_seed,
         samples=run_samples,
-        document=document,
+        document=root,
     )

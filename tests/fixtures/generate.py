@@ -4,11 +4,13 @@ Run from the repository root:
 
     python3 -m tests.fixtures.generate
 
-Every fixture is canonicalized through the scenario parser before being
-written, so the stored files are byte-stable under a parse/serialize
-round trip.  The two golden reports are produced by an actual run and
-then frozen; the generator refuses to write anything if a scenario does
-not produce the statuses it is supposed to.
+Every fixture is parsed, which builds and validates each declared
+object, before being written.  The spec keeps the document as parsed and
+the serializer writes it as sorted, indented JSON, so the stored files
+are byte-stable under a parse/serialize round trip.  The two golden
+reports are produced by an actual run and then frozen; the generator
+refuses to write anything if a scenario does not produce the statuses it
+is supposed to.
 """
 
 from __future__ import annotations
@@ -53,12 +55,12 @@ def mixing_images(dim, lam):
     return out
 
 
-def canonicalize(doc):
+def parsed(doc):
     return parse_scenario(json.dumps(doc))
 
 
 def write_fixture(name, doc):
-    spec = canonicalize(doc)
+    spec = parsed(doc)
     path = HERE / name
     path.write_text(serialize_scenario(spec))
     # the stored text must be a fixed point of parse -> serialize
@@ -369,7 +371,7 @@ def build_illdefined():
 
 def pin_induced_matrix(doc, task_id):
     """Run once, copy the induced matrix back in as the pinned expectation."""
-    spec = canonicalize(doc)
+    spec = parsed(doc)
     report = run_scenario(spec)
     by_id = {e.task_id: e for e in report.entries}
     entry = by_id[task_id]

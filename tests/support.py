@@ -17,7 +17,8 @@ import sys
 import numpy as np
 
 import framerel as fr
-from framerel.linalg import hermitian_basis
+from framerel.errors import DimensionError
+from framerel.linalg import as_operator, hermitian_basis
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -34,6 +35,20 @@ def ket(i, d):
 
 def proj(v):
     return np.outer(v, np.conj(v))
+
+
+def partial_trace_first(m, dim_first: int, dim_second: int) -> np.ndarray:
+    """Trace out the first tensor factor of an operator on C^a (x) C^b."""
+    a = as_operator(m)
+    if dim_first <= 0 or dim_second <= 0:
+        raise DimensionError("tensor factor dimensions must be positive")
+    if a.shape[0] != dim_first * dim_second:
+        raise DimensionError(
+            f"operator of dimension {a.shape[0]} does not factor as "
+            f"{dim_first} x {dim_second}"
+        )
+    blocks = a.reshape(dim_first, dim_second, dim_first, dim_second)
+    return np.einsum("ijil->jl", blocks)
 
 
 # ------------------------------------------------------------------- groups

@@ -485,6 +485,11 @@ def test_monomial_reps_act_as_dense_conjugation():
         assert np.array_equal(translates(rep, stack), each)
         assert np.array_equal(translates(rep, stack, slice(1, 4)), each[1:4])
         assert np.array_equal(translates(rep, stack[0], slice(2, None)), each[2:, 0])
+    # on the 1-dim Z3 phase rep the two products round apart in the last place
+    z3 = unitary_rep(build_cyclic_group(3), [np.array([[np.exp(2j * np.pi * k / 3)]]) for k in range(3)])
+    for a in rng.standard_normal((8, 1, 1, 1)) + 1j * rng.standard_normal((8, 1, 1, 1)):
+        assert max_abs(translates(z3, a) - np.stack([act(z3, g, a) for g in range(3)])) < 1e-15
+        assert max_abs(translates(z3, a[0]) - np.stack([act(z3, g, a[0]) for g in range(3)])) < 1e-15
 
 
 def dense_homomorphism_witness(group, mats):

@@ -22,7 +22,6 @@ from framerel.linalg import (
     min_eigenvalue,
     operator_norm,
     orthonormalize,
-    partial_trace_first,
     psd_span_samples,
     span_subspace,
     tensor_product,
@@ -31,6 +30,8 @@ from framerel.linalg import (
     vector_kernel,
     widen_partition,
 )
+
+from .support import partial_trace_first
 
 # ----------------------------------------------------------------- oracles
 #

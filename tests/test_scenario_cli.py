@@ -10,6 +10,7 @@ import pytest
 
 from framerel.errors import (
     DimensionMismatch,
+    FramerelError,
     ScenarioSyntaxError,
     ScenarioValidationError,
     UnknownFormat,
@@ -138,6 +139,84 @@ def test_options_are_typed():
         parse_scenario(json.dumps(minimal(options={"quiet": True})))
 
 
+def test_unknown_element_keys_are_unknown_references():
+    doc = minimal()
+    mats = doc["representations"]["flip"]["matrices"]
+    mats["2"] = mats.pop("1")
+    with pytest.raises(UnknownReference) as err:
+        parse_scenario(json.dumps(doc))
+    assert "'2'" in str(err.value) and "representations" in str(err.value)
+    doc = minimal()
+    doc["frames"]["F"] = {
+        "rep": "flip",
+        "effects": {"0": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]], "l": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]},
+    }
+    with pytest.raises(UnknownReference) as err:
+        parse_scenario(json.dumps(doc))
+    assert "'l'" in str(err.value) and "frames" in str(err.value)
+
+
+Z2_TABLE = {"type": "table", "mult": [[0, 1], [1, 0]]}
+
+
+@pytest.mark.parametrize(
+    "key, group",
+    [
+        ("identity", dict(Z2_TABLE, identity="e")),
+        ("identity", dict(Z2_TABLE, identity=[0])),
+        ("identity", dict(Z2_TABLE, identity=True)),
+        ("identity", dict(Z2_TABLE, identity=2)),
+        ("labels", dict(Z2_TABLE, labels=5)),
+        ("labels", dict(Z2_TABLE, labels="ex")),
+        ("labels", dict(Z2_TABLE, labels=["e", 1])),
+        ("mult", dict(Z2_TABLE, mult=[[0, 1.5], [1, 0]])),
+        ("mult", dict(Z2_TABLE, mult=[[0, "1"], [1, 0]])),
+        ("mult", dict(Z2_TABLE, mult=[[0, True], [1, 0]])),
+        ("mult", dict(Z2_TABLE, mult=[[0, 1], [1]])),
+        ("order", {"type": "cyclic", "order": True}),
+    ],
+)
+def test_group_stanza_is_typed(key, group):
+    with pytest.raises(ScenarioSyntaxError) as err:
+        parse_scenario(json.dumps(minimal(group=group)))
+    assert f"'{key}'" in str(err.value)
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from _leaf_paths(v, path + (k,))
+    elif isinstance(node, list) and node:
+        for i, v in enumerate(node):
+            yield from _leaf_paths(v, path + (i,))
+    else:
+        yield path
+
+
+def _replaced(node, path, value):
+    """A copy of ``node`` with the leaf at ``path`` replaced, sharing everything off the path."""
+    if not path:
+        return value
+    copy = dict(node) if isinstance(node, dict) else list(node)
+    copy[path[0]] = _replaced(node[path[0]], path[1:], value)
+    return copy
+
+
+def test_single_leaf_mutations_parse_or_raise_scenario_errors():
+    escaped = []
+    for name, section in (("golden_z2.json", None), ("golden_s3.json", "group")):
+        doc = json.loads((FIXTURES / name).read_text())
+        for path in _leaf_paths(doc if section is None else {section: doc[section]}):
+            for value in ("x", 1.5, True, None, [], {}):
+                try:
+                    parse_scenario(json.dumps(_replaced(doc, path, value)))
+                except FramerelError:
+                    pass
+                except Exception as exc:
+                    escaped.append((name, path, value, type(exc).__name__))
+    assert not escaped, escaped[:5]
+
+
 def test_tolerance_resolution_order():
     doc = minimal(options={"tolerance": 1e-6})
     spec = parse_scenario(json.dumps(doc))
@@ -242,6 +321,19 @@ def test_golden_fixtures_are_serialization_fixed_points():
     ):
         text = (FIXTURES / name).read_text()
         assert serialize_scenario(parse_scenario(text)) == text
+
+
+def test_serialized_text_parses_back_to_bit_identical_objects():
+    doc = minimal()
+    # a + XaX = I, so this seed's orbit is a frame; 1/3, 2/3 and 1/7 do not survive rounding to 12 digits
+    doc["frames"]["F"]["seed"] = [[[1 / 3, 0], [0, 0.1]], [[0, -0.1], [2 / 3, 0]]]
+    doc["tasks"][0]["relativize"]["operator"] = [[[1 / 7, 0], [0, 0]], [[0, 0], [-1 / 7, 0]]]
+    spec = parse_scenario(json.dumps(doc))
+    assert spec.document == doc
+    again = parse_scenario(serialize_scenario(spec))
+    assert again.document == doc
+    assert np.array_equal(again.frames["F"].effects, spec.frames["F"].effects)
+    assert np.array_equal(again.tasks[0].params["operator"], spec.tasks[0].params["operator"])
 
 
 def test_checked_in_fixtures_are_exactly_what_the_generator_writes(tmp_path, monkeypatch):
@@ -524,3 +616,17 @@ def test_cli_diagnostics_for_unreadable_and_malformed_files(tmp_path):
     proc = run_cli("validate", str(bad))
     assert proc.returncode == 2
     assert "ScenarioSyntaxError" in proc.stderr
+
+
+def test_cli_reports_scenario_type_errors_without_a_traceback(tmp_path):
+    unknown_key = minimal()
+    mats = unknown_key["representations"]["flip"]["matrices"]
+    mats["2"] = mats.pop("1")
+    named_identity = minimal(group={"type": "table", "mult": [[0, 1], [1, 0]], "identity": "e"})
+    for doc, error in ((named_identity, "ScenarioSyntaxError"), (unknown_key, "UnknownReference")):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli("run", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"framerel: {error}:")
+        assert "Traceback" not in proc.stderr
