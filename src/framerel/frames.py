@@ -9,17 +9,20 @@ with the projection onto the identity basis vector, which makes every
 effect a rank-1 projection.  A frame holds its effects once, as the
 read-only (|G|, d, d) stack that relativization reads, and validates
 them as a stack: positivity, value-span membership and the projection
-test are one batched call each.
+test are one batched call each.  Covariance is tested on the group's
+generators first, under the rule of ``groups``; only a bound above the
+tolerance runs the loop over every pair (g, h).
 
 A frame morphism is a channel between the value systems that carries
 the source effects exactly onto the target effects.  Such a channel is
 automatically equivariant on the span of the source effects (this is
-checked numerically anyway); equivariance on the whole value system is
-neither checked nor assumed.
+checked numerically anyway, on the generators first); equivariance on
+the whole value system is neither checked nor assumed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +36,7 @@ from .errors import (
     NotAState,
     NotCentral,
     ObjectMismatch,
+    OperatorOutsideSystem,
     SeedNotNormalizing,
     SeedNotPSD,
 )
@@ -45,6 +49,7 @@ from .groups import (
     same_rep,
     support_values,
     translates,
+    word_bound,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -52,6 +57,7 @@ from .linalg import (
     block_partition,
     dagger,
     hermitian_part,
+    hs_norms,
     identity,
     is_density_matrix,
     is_psd,
@@ -79,12 +85,15 @@ class FrameObservable:
     ``effects`` is one read-only (|G|, d, d) stack: E(g) is ``effects[g]``.
     ``components`` is ``block_partition`` of the effects' union support
     (where some E(g)[i, j] != 0), computed once, on first request.
+    ``covariance`` is what validation measured on the generators s: the
+    largest ||E(s h) - s.E(h)||_HS and the largest ||E(h)||_HS.
     """
 
     rep: UnitaryRep
     effects: np.ndarray
     value_system: SemiQuantumSystem
     is_ideal: bool
+    covariance: tuple[float, float]
     _components: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
 
     @property
@@ -107,11 +116,18 @@ def _validate_frame(
     effects: list[np.ndarray],
     value_system: SemiQuantumSystem,
     tol: float,
-) -> tuple[np.ndarray, bool]:
-    """The effects as one read-only stack, and whether they are all projections.
+) -> FrameObservable:
+    """The frame of the effects, held as one read-only stack.
 
     Each test runs on the whole stack; a failure names the first failing
     element, positivity before membership, as a loop over them would.
+    Covariance, |E(gh) - g.E(h)| <= ``tol`` entrywise for every pair, is
+    tested on the generators s first.  E(gh) - g.E(h) telescopes along
+    g's word, g = p s: E(p (s h)) - p.E(s h) + p.(E(s h) - s.E(h)), so
+    with eps the generators' largest ||E(s h) - s.E(h)||_HS every pair
+    deviates by at most ``word_bound(rep, eps, max_h ||E(h)||_HS)``.
+    When that exceeds ``tol`` the loop over every pair runs and names
+    the first failing pair.
     """
     group = rep.group
     if len(effects) != group.order:
@@ -140,17 +156,47 @@ def _validate_frame(
     dev = max_abs(sum(stack) - identity(rep.dim))
     if dev > tol:
         raise FrameInvalid(f"effects do not sum to the identity (deviation {dev:.3e})")
+    values, moved = _translated_entries(rep, stack)
+    covariance = _covariance_on_generators(group, values, moved)
+    if word_bound(rep, *covariance) > tol:
+        _covariance_loop(group, values, moved, tol)
+    return FrameObservable(
+        rep=rep,
+        effects=stack,
+        value_system=value_system,
+        is_ideal=bool(np.all(np.abs(stack @ stack - stack) <= tol)),
+        covariance=covariance,
+    )
+
+
+def _translated_entries(rep: UnitaryRep, stack):
+    """``(values, moved)``: the (|G|, m) entries of the effects that covariance
+    compares, and ``moved(g)``, the same entries of g.E(h) for every h.
+
+    For a monomial rep g.E(h) is E(h) with rows and columns permuted and
+    scaled, so both sides of E(gh) = g.E(h) vanish off the support's
+    orbit and only those entries are compared; other reps compare all.
+    """
     if rep.perms is not None:
-        # g.E(h) is E(h) with rows and columns permuted and scaled, so both
-        # sides of E(gh) = g.E(h) vanish off the support's orbit: compare only there
         p = rep.perms
         support = np.any(stack != 0, axis=0)
         orbit = np.flatnonzero(support[p[:, :, None], p[:, None, :]].any(axis=0))
         values = stack.reshape(len(stack), -1)[:, orbit]
-        moved = lambda g: support_values(rep, values, orbit, g)
-    else:
-        values = stack.reshape(len(stack), -1)
-        moved = lambda g: act(rep, g, stack).reshape(len(stack), -1)
+        return values, lambda g: support_values(rep, values, orbit, g)
+    values = stack.reshape(len(stack), -1)
+    return values, lambda g: act(rep, g, stack).reshape(len(stack), -1)
+
+
+def _covariance_on_generators(group: FiniteGroup, values, moved) -> tuple[float, float]:
+    """The largest ||E(s h) - s.E(h)|| over the generators s, and the largest
+    ||E(h)||, both HS, from ``_translated_entries``."""
+    gaps = [hs_norms(values[group.mult[s]] - moved(s)).max() for s in group.generators]
+    return float(max(gaps, default=0.0)), float(hs_norms(values).max())
+
+
+def _covariance_loop(group: FiniteGroup, values, moved, tol: float) -> None:
+    """Raise FrameInvalid at the first pair (g, h), in element order, where
+    |E(g h) - g.E(h)| exceeds ``tol`` entrywise."""
     for g in group.elements():
         devs = np.abs(values[group.mult[g]] - moved(g)).max(axis=1)
         bad = np.flatnonzero(devs > tol)
@@ -160,7 +206,6 @@ def _validate_frame(
                 f"covariance fails at pair ({group.label(g)}, {group.label(h)}) "
                 f"(deviation {devs[h]:.3e})"
             )
-    return stack, bool(np.all(np.abs(stack @ stack - stack) <= tol))
 
 
 def frame_from_effects(
@@ -172,8 +217,7 @@ def frame_from_effects(
     """Validate an explicit effect family into a frame observable."""
     effs = [as_operator(e) for e in effects]
     vs = value_system if value_system is not None else full_system(rep, tol)
-    stack, ideal = _validate_frame(rep, effs, vs, tol)
-    return FrameObservable(rep=rep, effects=stack, value_system=vs, is_ideal=ideal)
+    return _validate_frame(rep, effs, vs, tol)
 
 
 def principal_frame_from_seed(
@@ -196,8 +240,7 @@ def principal_frame_from_seed(
     if dev > tol:
         raise SeedNotNormalizing(dev)
     vs = value_system if value_system is not None else full_system(rep, tol)
-    stack, ideal = _validate_frame(rep, effects, vs, tol)
-    return FrameObservable(rep=rep, effects=stack, value_system=vs, is_ideal=ideal)
+    return _validate_frame(rep, effects, vs, tol)
 
 
 def canonical_ideal_frame(group: FiniteGroup, tol: float = DEFAULT_TOL) -> FrameObservable:
@@ -251,7 +294,14 @@ def build_frame_morphism(
     channel: ChannelMap,
     tol: float = DEFAULT_TOL,
 ) -> FrameMorphism:
-    """Validate the factorization target.E(g) = channel(source.E(g)) for all g."""
+    """Validate the factorization target.E(g) = channel(source.E(g)) for all g.
+
+    Then the channel must be equivariant on the source effects:
+    |channel(g.E(h)) - g.channel(E(h))| <= ``tol`` entrywise for every g
+    and h.  The generators decide it first (``_equivariant_on_generators``);
+    only a bound above ``tol`` builds the element table, and
+    EffectSpanNotEquivariant names its first failing element.
+    """
     if not same_group(source.group, target.group):
         raise GroupMismatch("frame morphism endpoints live over different groups")
     if not same_system(channel.source, source.value_system, tol):
@@ -266,11 +316,74 @@ def build_frame_morphism(
         raise FactorizationFails(g, float(devs[g]), label=source.group.label(g))
     # Equivariance on the effect span is forced by factorization and
     # covariance; verify it numerically on the effects themselves.
-    worst = _equivariance_table(channel, source.effects, images, tol).max(axis=1)
-    bad = np.flatnonzero(worst > tol)
-    if bad.size:
-        raise EffectSpanNotEquivariant(int(bad[0]), float(worst[bad[0]]))
+    if not _equivariant_on_generators(source, channel, images, tol):
+        worst = _equivariance_table(channel, source.effects, images, tol).max(axis=1)
+        bad = np.flatnonzero(worst > tol)
+        if bad.size:
+            raise EffectSpanNotEquivariant(int(bad[0]), float(worst[bad[0]]))
     return FrameMorphism(source=source, target=target, channel=channel)
+
+
+def _hs_gain(channel: ChannelMap) -> float:
+    """Phi >= ||channel.apply(a)||_HS / ||a||_HS for every operator ``a``.
+
+    ``apply`` takes the HS coefficients of ``a`` on the orthonormal
+    source basis (a contraction) and sums them against the images, so by
+    Cauchy-Schwarz an explicit channel has Phi = ||images||_HS over the
+    whole stack; a chain multiplies its factors' bounds (1 for the
+    identity, which returns its input).
+    """
+    if channel.factors is None:
+        return float(np.linalg.norm(hs_norms(channel.images)))
+    return float(math.prod(_hs_gain(f) for f in channel.factors))
+
+
+def _equivariant_on_generators(
+    source: FrameObservable, channel: ChannelMap, images, tol: float
+) -> bool:
+    """True when the generators prove every entry of ``_equivariance_table`` <= ``tol``.
+
+    The table holds |Delta_g(x_h)|, Delta_g = phi T_g - T'_g phi, for the
+    source effects x_h with images phi(x_h), T and T' conjugation by the
+    source and target reps.  The effects are closed under the action up
+    to the covariance error c_(s,h) = T_s x_h - x_(sh).  For g = p s
+    along its word, Delta_g = Delta_p T_s + T'_p Delta_s, and
+    Delta_p(T_s x_h) = Delta_p(x_(sh)) + Delta_p(c_(s,h)), where
+    ||Delta_p(c)|| <= (mu Phi + mu' Phi) ||c|| with Phi from ``_hs_gain``
+    and mu, mu' the two reps' growth (``word_bound``).  So each letter
+    adds at most mu' alpha + (mu + mu') Phi gamma, where alpha and gamma
+    are the generators' largest ||Delta_s(x_h)|| and ||c_(s,h)|| (HS;
+    gamma is the source frame's ``covariance`` when the channel acts by
+    the frame's own rep).  Replacing the words by the reps' own matrices
+    adds theta Phi |x| + theta' |phi(x)|.  Together that is
+    word_bound(source, Phi gamma, Phi |x|) + word_bound(target, alpha +
+    Phi gamma, |phi(x)|).  A proper source also needs every translate
+    inside the span, as ``apply`` checks: its residual is at most the
+    effect's own, rho, plus ||T_g x_h - x_(gh)||, at most
+    word_bound(source, gamma, |x|).
+    """
+    src, tgt, stack = channel.source.rep, channel.target.rep, source.effects
+    group = src.group
+    alpha = 0.0
+    for s in group.generators:
+        try:
+            mapped = channel.apply(act(src, s, stack), tol)
+        except OperatorOutsideSystem:
+            return False
+        alpha = max(alpha, hs_norms(mapped - act(tgt, s, images)).max())
+    gamma, size = (
+        source.covariance
+        if src is source.rep
+        else _covariance_on_generators(group, *_translated_entries(src, stack))
+    )
+    size_t, phi = hs_norms(images).max(), _hs_gain(channel)
+    space = channel.source.space
+    if not space.is_full:
+        rho = space.residuals(stack).max()
+        if rho + word_bound(src, gamma, size) > tol:
+            return False
+    bound = word_bound(src, phi * gamma, phi * size) + word_bound(tgt, alpha + phi * gamma, size_t)
+    return bound <= tol
 
 
 def identity_frame_morphism(

@@ -1,11 +1,35 @@
 """Finite groups as multiplication tables, and their unitary representations.
 
 Group elements are integer ids ``0..order-1`` with optional string labels
-for reports and scenario files.  Tables are validated eagerly and
-exhaustively (associativity up to a configurable cap), and representations
-are validated eagerly too: once a ``UnitaryRep`` exists, every matrix is
-unitary, the identity maps to I and the assignment is a homomorphism, so
-downstream code never re-checks.
+for reports and scenario files.  Tables are validated eagerly: every
+entry, the identity and every inverse, and associativity on every triple
+up to a configurable cap on the order.  Representations are validated
+eagerly too: once a ``UnitaryRep`` exists, every matrix is unitary, the
+identity maps to I and the assignment is a homomorphism, each within the
+tolerance, so downstream code never re-checks.
+
+Group laws are tested on generators.  ``FiniteGroup.generators`` is a
+small generating set, and ``words`` the breadth-first word tree over it:
+every element g is a product of k <= L = ``word_length`` generators, with
+no inverse letters, since g^-1 is a positive power of g.  The checks that
+only decide (span closure and invariance in ``systems``, frame covariance
+and frame-morphism equivariance in ``frames``) test the generators first,
+in the Hilbert-Schmidt norm.  It bounds every entry (|a_ij| <= ||a||_HS),
+which is what their element loops compare with the tolerance.
+Conjugation by a product of at most L generator matrices scales HS norms
+by at most mu = nu^(2L), with nu = max(1, ||U(s)||_op).  So a deviation
+that grows by at most eps per letter, carried along by the letters before
+it, stays at most k mu eps after k letters.  A rep validated within the
+tolerance need not equal its words W(g): ||U a U^dag - W a W^dag||_HS <=
+||U - W||_op (||U||_op + ||W||_op) ||a||_HS <= theta ||a||_HS
+(``UnitaryRep.word_constants``).  Each check states which eps it
+measures.  When ``word_bound`` = L mu eps + theta |a| is at most the
+tolerance, every element passes and the element loop is skipped.  A
+permutation rep has mu = 1 and theta = 0, so the test is L eps <= tol.
+Any larger bound runs the element loop, so every verdict, error and
+witness is the loop's.  The order-1 group has no generators and L = 0.
+The checks that report a deviation (``systems.is_equivariant``,
+``invariance_deviation``) keep their element tables.
 
 A representation whose matrices are all monomial, U(g) = diag(chi_g) P_g
 with one nonzero entry per row and column (regular representations,
@@ -30,6 +54,7 @@ representation keeps its matrices and takes the matrix path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import permutations
 
 import numpy as np
@@ -81,6 +106,88 @@ class FiniteGroup:
             return None
         return g if 0 <= g < self.order else None
 
+    @property
+    def generators(self) -> tuple[int, ...]:
+        """A small generating set, chosen once and deterministically.
+
+        Candidates run by decreasing element order, then by id.  The
+        first candidate, which generates the largest cyclic subgroup,
+        joins; then each round adds the first candidate that, with the
+        set so far, generates the whole group, or else the one that
+        generates the largest subgroup.  A cyclic group gets its first
+        element of full order (1 for ``build_cyclic_group``), the order-1
+        group none.
+        """
+        return self._word_tree[0]
+
+    @property
+    def words(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """The breadth-first word tree over ``generators``: ``(elements,
+        parents, letters, L)``.
+
+        Every element but the identity is listed once, by increasing word
+        length, as parent * letter: a parent one letter shorter times one
+        generator.  L is the longest word length.  No inverse letters are
+        needed: in a finite group g^-1 is the positive power g^(ord g - 1).
+        """
+        return self._word_tree[1]
+
+    @property
+    def word_length(self) -> int:
+        """L, the longest word: every element is a product of at most L generators."""
+        return self._word_tree[1][3]
+
+    @cached_property
+    def _word_tree(self):
+        """``generators`` and ``words``, from the search that picks the set."""
+        n, e = self.order, self.identity
+        powers, orders = np.arange(n), np.ones(n, dtype=np.int64)
+        while np.any(powers != e):  # powers[g] = g^k until every g is back at e
+            orders += powers != e
+            powers = self.mult[powers, np.arange(n)]
+        candidates = sorted(range(n), key=lambda g: (-orders[g], g))
+        rows = self.mult.tolist()
+        gens = candidates[:1] if n > 1 else []
+        levels, reached = _word_levels(rows, e, gens)
+        while len(reached) < n:
+            best = None
+            for g in candidates:
+                if g in reached:
+                    continue
+                grown = _word_levels(rows, e, gens + [g])
+                if best is None or len(grown[1]) > len(best[1][1]):
+                    best = g, grown
+                if len(grown[1]) == n:
+                    break
+            gens.append(best[0])
+            levels, reached = best[1]
+        tree = [np.array([x for level in levels for x in level[k]], dtype=np.int64) for k in range(3)]
+        return tuple(gens), (*tree, len(levels))
+
+
+def _word_levels(rows: list[list[int]], e: int, gens: list[int]):
+    """Breadth-first search from ``e`` by right multiplication with ``gens``.
+
+    ``rows`` is the multiplication table as lists.  Returns the levels,
+    each (elements, parents, letters) as lists with the elements in
+    increasing id (see ``FiniteGroup.words``), and the set of reached
+    elements.  A new element takes the first (parent, letter) pair that
+    reaches it, parents in increasing id, then letters in order.
+    """
+    reached, frontier, levels = {e}, [e], []
+    while frontier and gens:
+        found: dict[int, tuple[int, int]] = {}
+        for p in frontier:
+            for s in gens:
+                g = rows[p][s]
+                if g not in reached and g not in found:
+                    found[g] = p, s
+        reached.update(found)
+        frontier = sorted(found)
+        if frontier:
+            levels.append((frontier, [found[g][0] for g in frontier], [found[g][1] for g in frontier]))
+    return levels, reached
+
 
 def same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
     return (
@@ -102,7 +209,10 @@ def build_group_from_table(
     are checked exhaustively; associativity is vectorized and capped at
     ``associativity_cap`` elements (default 64).
     """
-    mult = np.array(table, dtype=np.int64)
+    try:
+        mult = np.array(table, dtype=np.int64)
+    except (TypeError, ValueError) as exc:  # ragged rows or entries that are not ids
+        raise DimensionError("multiplication table must be a square array of element ids") from exc
     if mult.ndim != 2 or mult.shape[0] != mult.shape[1]:
         raise DimensionError(f"multiplication table must be square, got {mult.shape}")
     n = mult.shape[0]
@@ -114,6 +224,8 @@ def build_group_from_table(
     ids = np.arange(n)
     if identity_element is not None:
         e = int(identity_element)
+        if not 0 <= e < n:
+            raise NoIdentity(f"declared identity {e} is not an element id in 0..{n - 1}")
         if not (np.array_equal(mult[e, :], ids) and np.array_equal(mult[:, e], ids)):
             raise NoIdentity(f"declared identity {e} is not a two-sided identity")
     else:
@@ -199,6 +311,7 @@ class UnitaryRep:
     perms: np.ndarray | None = None
     phases: np.ndarray | None = None
     _matrices: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
+    _word_constants: tuple[float, float] | None = field(default=None, repr=False)
 
     @property
     def matrices(self) -> tuple[np.ndarray, ...]:
@@ -212,6 +325,53 @@ class UnitaryRep:
 
     def matrix(self, g: int) -> np.ndarray:
         return self.matrices[g]
+
+    @property
+    def word_constants(self) -> tuple[float, float]:
+        """(nu, D) of ``word_bound``, computed once (``_word_constants``).
+
+        nu = max(1, ||U(s)||_op over the generators s) and D bounds every
+        ||U(g) - W(g)||_op, W(g) the product of U along g's word.
+        ``tensor_rep`` derives a product's constants from its factors'.
+        """
+        if self._word_constants is None:
+            object.__setattr__(self, "_word_constants", _word_constants(self))
+        return self._word_constants
+
+
+def _word_constants(rep: UnitaryRep) -> tuple[float, float]:
+    """(nu, D) of ``UnitaryRep.word_constants``.
+
+    W(g) = W(p) U(s) for g = p s in ``group.words``, so ||U(g) - W(g)||_op
+    is at most e + nu ||U(p) - W(p)||_op, where e >= ||U(g) - U(p) U(s)||_op,
+    down to ||U(e) - I||_op at the identity.  Along a word of length
+    k <= L that sums to D = nu^L (L e_max + ||U(e) - I||_op).  A monomial
+    rep reads e from its index arrays and phases, exactly (D is infinite
+    if a permutation differs), and a permutation rep has D = 0.  Other
+    reps multiply matrices and take the Frobenius norm, an upper bound.
+    """
+    group = rep.group
+    elements, parents, letters, length = group.words
+    gens = list(group.generators)
+    if rep.perms is not None:
+        p, c = rep.perms, _phases(rep)
+        moved = p[parents]
+        if np.any(p[letters[:, None], moved] != p[elements]) or np.any(
+            p[group.identity] != np.arange(rep.dim)
+        ):
+            return 1.0, np.inf
+        if rep.phases is None:
+            return 1.0, 0.0
+        nu = np.abs(c[gens]).max(initial=1.0)
+        edge = np.abs(c[elements] - c[parents] * c[letters[:, None], moved]).max(initial=0.0)
+        root = np.abs(c[group.identity] - 1).max()
+    else:
+        us = np.stack(rep.matrices)
+        nu = max([1.0, *(np.linalg.norm(us[s], 2) for s in gens)])
+        edges = np.linalg.norm(us[elements] - us[parents] @ us[letters], axis=(1, 2))
+        edge = edges.max(initial=0.0)
+        root = np.linalg.norm(us[group.identity] - identity(rep.dim))
+    return float(nu), float(nu**length * (length * edge + root))
 
 
 def _phases(rep: UnitaryRep) -> np.ndarray:
@@ -340,6 +500,16 @@ def regular_representation(group: FiniteGroup) -> UnitaryRep:
     return UnitaryRep(group=group, dim=group.order, perms=perms)
 
 
+def word_bound(rep: UnitaryRep, deviation: float, size: float) -> float:
+    """L mu ``deviation`` + theta ``size``, the generator rule's bound on
+    every element (module docstring): mu = nu^(2L) and theta =
+    D (2 nu^L + D), with (nu, D) = ``rep.word_constants``."""
+    nu, defect = rep.word_constants
+    length = rep.group.word_length
+    reach = nu**length
+    return length * reach**2 * deviation + defect * (2 * reach + defect) * size
+
+
 def _check_operand(rep: UnitaryRep, a) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim not in (2, 3) or m.shape[-2:] != (rep.dim, rep.dim):
@@ -433,21 +603,27 @@ def _support_sources(perms: np.ndarray, support, d: int) -> np.ndarray:
     return perms[..., rows] * d + perms[..., cols]
 
 
-def support_translates(rep: UnitaryRep, support) -> tuple[np.ndarray, np.ndarray]:
+def support_translates(
+    rep: UnitaryRep, support, elements=slice(None)
+) -> tuple[np.ndarray, np.ndarray]:
     """Where a monomial rep (``rep.perms`` set) moves the entries of operators on ``support``.
 
     ``support`` holds increasing flat (row-major) indices.  Returns
-    ``(src, leaves)``, both (|G|, len(support)): on the support, g.a
-    reads a.flat[src[g]] (``support_values`` gives the scaled values),
-    and ``leaves[g, k]`` is True when g carries the entry support[k] off
-    the support, where g.a then holds that value times a phase.  Every
-    other entry of g.a is zero.  g carries entry s to the entry that the
-    gather of g^-1 reads at s, so no permutation is inverted.
+    ``(src, leaves)``, both (len(elements), len(support)), for the
+    ``elements`` (all of them by default, or a slice or id array): on
+    the support, g.a reads a.flat[src[g]] (``support_values`` gives the
+    scaled values), and ``leaves[g, k]`` is True when g carries the
+    entry support[k] off the support, where g.a then holds that value
+    times a phase.  Every other entry of g.a is zero.  g carries entry s
+    to the entry that the gather of g^-1 reads at s, so no permutation
+    is inverted.
     """
     inside = np.zeros(rep.dim * rep.dim, dtype=bool)
     inside[support] = True
-    src = _support_sources(rep.perms, support, rep.dim)
-    return src, ~inside[src[rep.group.inverse]]
+    ids = np.arange(rep.group.order)[elements]
+    src = _support_sources(rep.perms[ids], support, rep.dim)
+    back = _support_sources(rep.perms[rep.group.inverse[ids]], support, rep.dim)
+    return src, ~inside[back]
 
 
 def _lookup(values, support, src) -> tuple[np.ndarray, np.ndarray]:
@@ -513,19 +689,29 @@ def tensor_rep(r1: UnitaryRep, r2: UnitaryRep) -> UnitaryRep:
     (i, k) to column (p1[g, i], p2[g, k]) with entry c1[g, i] * c2[g, k],
     which is index and phase arithmetic; its matrices, built on request,
     equal the Kronecker products.
+
+    Its ``word_constants`` come from the factors'.  Along one word the
+    product's W(g) is W1(g) (x) W2(g), and ||A (x) B||_op = ||A||_op ||B||_op,
+    so nu <= nu1 nu2, and U1 (x) U2 - W1 (x) W2 = (U1 - W1) (x) U2 +
+    W1 (x) (U2 - W2) gives D <= D1 (nu2^L + D2) + nu1^L D2.
     """
     if not same_group(r1.group, r2.group):
         raise GroupMismatch("tensor product of representations of different groups")
     n, dim = r1.group.order, r1.dim * r2.dim
+    (nu1, d1), (nu2, d2) = r1.word_constants, r2.word_constants
+    length = r1.group.word_length
+    constants = nu1 * nu2, d1 * (nu2**length + d2) + nu1**length * d2
     if r1.perms is None or r2.perms is None:
         mats = [np.kron(r1.matrices[g], r2.matrices[g]) for g in r1.group.elements()]
         for m in mats:
             m.setflags(write=False)
-        return UnitaryRep(group=r1.group, dim=dim, _matrices=tuple(mats))
+        return UnitaryRep(group=r1.group, dim=dim, _matrices=tuple(mats), _word_constants=constants)
     perms = (r1.perms[:, :, None] * r2.dim + r2.perms[:, None, :]).reshape(n, dim)
     perms.setflags(write=False)
     phases = None
     if r1.phases is not None or r2.phases is not None:
         phases = (_phases(r1)[:, :, None] * _phases(r2)[:, None, :]).reshape(n, dim)
         phases.setflags(write=False)
-    return UnitaryRep(group=r1.group, dim=dim, perms=perms, phases=phases)
+    return UnitaryRep(
+        group=r1.group, dim=dim, perms=perms, phases=phases, _word_constants=constants
+    )

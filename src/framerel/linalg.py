@@ -39,6 +39,10 @@ product with C^inner, ``diagonal_blocks`` gathers each stack into
 block, the identity gather, so those values are the dense call's bit for
 bit.
 
+``hs_norms`` gives the Hilbert-Schmidt norm of every item of a stack, the
+norm in which the group-law checks compare a group's generators (see
+``groups``).
+
 ``psd_span_samples`` draws the inputs of sampled positivity checks as one
 stack, shifted into the PSD cone with one batched ``eigvalsh``.
 
@@ -58,6 +62,8 @@ scenario runner threads a configured value through.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -97,6 +103,14 @@ def max_abs(m) -> float:
     """Largest entrywise absolute value (0.0 for empty input)."""
     a = np.asarray(m)
     return float(np.max(np.abs(a))) if a.size else 0.0
+
+
+def hs_norms(stack) -> np.ndarray:
+    """The Hilbert-Schmidt norm of every item of a (k, ...) stack, real or
+    complex: one dot product of each item's real and imaginary parts."""
+    a = np.ascontiguousarray(stack)
+    flat = a.reshape(len(a), math.prod(a.shape[1:])).view(np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", flat, flat))
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -200,13 +214,15 @@ def block_operator_norms(blocks) -> np.ndarray:
 
     As :func:`block_min_eigenvalues`: one batched 2-norm per block size,
     then the largest block norm of each operator.  Only blocks with a
-    nonzero entry are decomposed; a zero block's norm is exactly 0.0.
+    nonzero entry are decomposed; a zero block's norm is exactly 0.0, and
+    a stack of zero blocks takes no decomposition call at all.
     """
     out = []
     for b in blocks:
         norms = np.zeros(b.shape[:-2])
         nonzero = b.any(axis=(-2, -1))
-        norms[nonzero] = np.linalg.norm(b[nonzero], 2, axis=(-2, -1))
+        if nonzero.any():
+            norms[nonzero] = np.linalg.norm(b[nonzero], 2, axis=(-2, -1))
         out.append(norms.max(axis=-1))
     return np.maximum.reduce(out)
 

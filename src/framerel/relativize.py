@@ -386,6 +386,25 @@ def _operator_norms(stack) -> np.ndarray:
     return np.linalg.norm(stack, 2, axis=(1, 2))
 
 
+def _pair_products(blocks: np.ndarray, right: np.ndarray, run: slice) -> np.ndarray:
+    """q_i q_j blockwise for the rows i in ``run`` and every j: (r, n, m, k, k).
+
+    ``blocks`` is one (n, m, k, k) block stack q and ``right`` its
+    (m, k, n k) rearrangement ``_pair_right(blocks)``.  Block mu of every
+    product in the run is one (r k, k) @ (k, n k) matrix product, so m
+    products replace r n m small ones; each entry is the same k-term sum.
+    """
+    m, k = blocks.shape[1], blocks.shape[-1]
+    left = blocks[run].transpose(1, 0, 2, 3).reshape(m, -1, k)  # (m, r k, k): rows (i, a)
+    return (left @ right).reshape(m, -1, k, len(blocks), k).transpose(1, 3, 0, 2, 4)
+
+
+def _pair_right(blocks: np.ndarray) -> np.ndarray:
+    """The (m, k, n k) right factor of ``_pair_products``: columns (j, b)."""
+    n, m, k = blocks.shape[:3]
+    return np.ascontiguousarray(blocks.transpose(1, 2, 0, 3)).reshape(m, k, n * k)
+
+
 def check_channel_axioms(
     rmap: RelativizationMap,
     tol: float = DEFAULT_TOL,
@@ -477,8 +496,9 @@ def check_ideal_isomorphism(rmap: RelativizationMap, tol: float = DEFAULT_TOL) -
     Relativization is linear, so the image of b_i b_j (and of b_k^dag) is
     the combination of the block images along its basis coefficients,
     exact 0/1 on the unit span.  The products q_i q_j run a working set
-    of rows at a time (``chunks``), and norms are taken per block, of the
-    nonzero blocks alone.  The witness is the first basis pair in
+    of rows at a time (``chunks``), one matrix product per block
+    (``_pair_products``), and norms are taken per block, of the nonzero
+    blocks alone.  The witness is the first basis pair in
     row-major order whose multiplicativity deviation lies within ``tol``
     of the largest: pairs that tie mathematically differ by rounding
     alone.
@@ -491,12 +511,13 @@ def check_ideal_isomorphism(rmap: RelativizationMap, tol: float = DEFAULT_TOL) -
     frame, images, space = rmap.frame, rmap.blocks, system.space
     basis = space.basis_stack
     n = len(basis)
+    rights = [_pair_right(q) for q in images]
     rows = []
     for run in chunks(n, n * sum(q[0].size for q in images)):
         products = (basis[run, None] @ basis[None]).reshape(-1, *basis.shape[1:])
         coeffs = space.coefficients(products).reshape(-1, n, n)  # [i, j]: b_i b_j along the basis
         rows.append(block_operator_norms(
-            [np.tensordot(coeffs, q, axes=1) - q[run, None] @ q[None] for q in images]
+            [np.tensordot(coeffs, q, axes=1) - _pair_products(q, r, run) for q, r in zip(images, rights)]
         ))
     devs = np.concatenate(rows)  # devs[i, j]: deviation of the pair (i, j)
     mult_dev = float(devs.max())

@@ -30,7 +30,10 @@ entries off the support are compared with the tolerance directly.  A
 monomial representation moves the support entries alone, and
 products are formed on the diagonal blocks of the support, so a span
 that lives on a few blocks of a large joint space costs what its blocks
-cost.
+cost.  Closure and invariance are tested on the group's generators
+first, under the rule of ``groups``, and on every element only when
+the generators' bound exceeds the tolerance.  ``is_equivariant``
+reports a deviation, so it keeps its table over every element.
 
 States enter through operational equivalence: two density matrices are
 the same state of a system when every observable in the span gives them
@@ -67,6 +70,7 @@ from .groups import (
     support_translates,
     support_values,
     translates,
+    word_bound,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -78,6 +82,7 @@ from .linalg import (
     dagger,
     diagonal_blocks,
     hermitian_part,
+    hs_norms,
     identity,
     is_density_matrix,
     is_unitary,
@@ -158,15 +163,20 @@ def _assemble_system(rep: UnitaryRep, space: MatrixSubspace, tol: float) -> Semi
 
     A full span holds every translate, and it is invariant iff every
     U(g) is a scalar within ``tol``, so it is read from the rep and no
-    basis element is moved.  On a proper span the translates of the
-    basis give both closure and invariance, the group elements a working
-    set at a time (``chunks``).  A monomial rep moves the support entries
-    alone and scales them by its phases (``support_translates``,
-    ``support_values``): a translate that carries an entry above ``tol``
-    off the support leaves the span, and the rest is tested on the
-    support through ``support_residuals``.  Other reps conjugate the
-    basis densely, as ``act`` does, and ``residuals`` tests the
-    translates on the span's support and off it.
+    basis element is moved.  A proper span is closed when every
+    translate g.x_i of its orthonormal basis has residual at most
+    ``tol``, and invariant when every |g.x_i - x_i| is, entrywise.
+    Both are decided on the generators first (``_generator_deviations``):
+    HS norms bound the largest entry, and ``groups.word_bound`` carries
+    a generator's deviation to every element.  For closure the
+    generator's deviation is the HS norm of the residual map P_perp s
+    on the span, at most (sum_i ||P_perp s.x_i||^2)^(1/2); a word of
+    length k then leaves the span by at most k nu^(2(k-1)) times it,
+    since each letter either moves the part still in the span (by the
+    residual map) or carries the part already outside (norm <= nu^2).
+    For invariance it is the largest ||s.x_i - x_i||, which telescopes
+    along the word.  A verdict the bound does not prove runs the element
+    loop (``_element_loop``), so no verdict changes.
     """
     if space.ambient_dim != rep.dim:
         raise DimensionError(
@@ -176,35 +186,91 @@ def _assemble_system(rep: UnitaryRep, space: MatrixSubspace, tol: float) -> Semi
     if not space.contains(identity(rep.dim), tol):
         raise FramerelError("system span does not contain the identity")
     full = space.is_full
-    invariant = True
     if full:
         invariant = acts_trivially(rep, tol)
-    elif rep.perms is not None:
-        support, values = space.support, space.support_basis
-        _, leaves = support_translates(rep, support)
-        if np.any(leaves[:, np.abs(values).max(axis=0) > tol]):
-            raise FramerelError(_NOT_CLOSED)
-        for run in chunks(rep.group.order, values.size):
-            # (dim, elements, support): the translates on the support
-            moved = support_values(rep, values, support, run)
-            if np.any(space.support_residuals(moved.reshape(-1, values.shape[1])) > tol):
-                raise FramerelError(_NOT_CLOSED)
-            invariant = invariant and max_abs(moved - values[:, None]) <= tol
     else:
-        basis = space.basis_stack
-        us = np.stack(rep.matrices)
-        for run in chunks(rep.group.order, basis.size):
-            u = us[run, None]
-            moved = u @ basis @ dagger(u)  # (elements, dim, d, d): translates
-            if np.any(space.residuals(moved.reshape(-1, rep.dim, rep.dim)) > tol):
-                raise FramerelError(_NOT_CLOSED)
-            invariant = invariant and max_abs(moved - basis) <= tol
+        closed, invariant = (
+            word_bound(rep, dev, 1.0) <= tol for dev in _generator_deviations(rep, space)
+        )
+        if not (closed and invariant):
+            invariant = _element_loop(rep, space, tol, closed)
     return SemiQuantumSystem(
         rep=rep,
         space=space,
         is_full_algebra=full,
         is_invariant=invariant,
     )
+
+
+def _generator_deviations(rep: UnitaryRep, space: MatrixSubspace) -> tuple[float, float]:
+    """(closure, invariance) deviations of a proper span over the generators, in HS norm.
+
+    Closure: the largest (sum_i ||P_perp s.x_i||^2)^(1/2); invariance:
+    the largest ||s.x_i - x_i||.  A monomial rep moves the support
+    entries alone (``support_values``); when some generator carries a
+    support entry off the support, the support is not invariant and
+    both are infinite.  Otherwise the permutations, which compose
+    exactly (``word_constants``), keep every translate on the support.
+    Other reps conjugate the basis densely, as ``act`` does.
+    """
+    gens = np.array(rep.group.generators, dtype=np.int64)
+    if rep.perms is not None:
+        support, values = space.support, space.support_basis
+        _, leaves = support_translates(rep, support, gens)
+        if leaves.any():
+            return np.inf, np.inf
+        moved = support_values(rep, values, support, gens).swapaxes(0, 1)  # (gens, dim, support)
+        outside = projection_errors(moved.reshape(-1, values.shape[1]), values)
+        outside = outside.reshape(moved.shape)
+        diff = moved - values
+    else:
+        basis = space.basis_stack
+        u = np.stack(rep.matrices)[gens, None]
+        moved = u @ basis @ dagger(u)  # (gens, dim, d, d)
+        outside = moved - space.project(moved.reshape(-1, rep.dim, rep.dim)).reshape(moved.shape)
+        diff = moved - basis
+    closure = hs_norms(outside)
+    change = hs_norms(diff.reshape(-1, *diff.shape[2:]))
+    return float(closure.max(initial=0.0)), float(change.max(initial=0.0))
+
+
+def _element_loop(rep: UnitaryRep, space: MatrixSubspace, tol: float, closed: bool) -> bool:
+    """Invariance of a proper span over every element, the elements a working set at a time.
+
+    Unless ``closed`` is already proved, each translate is also tested
+    for closure, and a failure raises.  A monomial rep moves the support
+    entries alone and scales them by its phases (``support_translates``,
+    ``support_values``): a translate that carries an entry above ``tol``
+    off the support leaves the span, and the rest is tested on the
+    support through ``support_residuals``.  Other reps conjugate the
+    basis densely, as ``act`` does, and ``residuals`` tests the
+    translates on the span's support and off it.  With closure proved
+    the loop stops at the first element that moves the span.
+    """
+    order = rep.group.order
+    if rep.perms is not None:
+        support, values = space.support, space.support_basis
+        if not closed:
+            _, leaves = support_translates(rep, support)
+            if np.any(leaves[:, np.abs(values).max(axis=0) > tol]):
+                raise FramerelError(_NOT_CLOSED)
+        # (dim, elements, support): the translates on the support
+        runs = (support_values(rep, values, support, run) for run in chunks(order, values.size))
+        outside = lambda moved: space.support_residuals(moved.reshape(-1, values.shape[1]))
+        base = values[:, None]
+    else:
+        base, us = space.basis_stack, np.stack(rep.matrices)
+        # (elements, dim, d, d): the translates
+        runs = (us[run, None] @ base @ dagger(us[run, None]) for run in chunks(order, base.size))
+        outside = lambda moved: space.residuals(moved.reshape(-1, rep.dim, rep.dim))
+    invariant = True
+    for moved in runs:
+        if not closed and np.any(outside(moved) > tol):
+            raise FramerelError(_NOT_CLOSED)
+        invariant = invariant and max_abs(moved - base) <= tol
+        if closed and not invariant:
+            break
+    return invariant
 
 
 def full_system(rep: UnitaryRep, tol: float = DEFAULT_TOL) -> SemiQuantumSystem:

@@ -97,6 +97,38 @@ def test_s5_canonical_frame_builds_under_a_4_77_gib_address_space_cap():
     assert done.returncode == 0, done.stderr[-2000:]
 
 
+_S5_LAWS_ON_GENERATORS = """
+import resource
+cap = int(4.77 * 2**30)
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+import itertools
+import numpy as np
+import framerel as fr
+group = fr.build_symmetric_group(5)
+frame = fr.canonical_ideal_frame(group)
+perm5 = []
+for p in sorted(itertools.permutations(range(5))):
+    m = np.zeros((5, 5))
+    m[list(p), range(5)] = 1.0
+    perm5.append(m)
+system = fr.full_system(fr.unitary_rep(group, perm5))
+rel = fr.build_relative_subspace(frame, system)
+assert (rel.space.dim, rel.kernel.dim) == (25, 0) and rel.as_system.is_invariant
+assert fr.identity_frame_morphism(frame).channel.positivity_check == "structure"
+"""
+
+
+def test_s5_relative_subspace_and_identity_morphism_under_the_cap():
+    # Both validations are decided on two generators of S5: the loops over
+    # its 120 elements took 0.3 s and 6 s.  No timing is asserted here.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _S5_LAWS_ON_GENERATORS], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+
+
 def test_smeared_frames_are_not_ideal_but_still_covariant():
     for lam in (0.25, 0.5, 1.0):
         fr = z2_smeared_frame(lam)

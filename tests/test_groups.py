@@ -31,10 +31,11 @@ from framerel.groups import (
     translates,
     trivial_rep,
     unitary_rep,
+    word_bound,
 )
 from framerel.linalg import max_abs
 
-from .strategies import cyclic_monomial_reps
+from .strategies import cyclic_monomial_reps, permutation_matrices, standard_matrices
 from .support import I2, X, Z, s3_irrep2, z2_flip_rep, zn_phase_rep
 
 
@@ -116,6 +117,13 @@ def test_table_validation_rejects_bad_tables():
     # row without the identity entry: some element has no right inverse
     with pytest.raises(NoInverse):
         build_group_from_table([[0, 1, 2], [1, 2, 1], [2, 0, 0]])
+
+
+def test_malformed_tables_raise_engine_errors():
+    with pytest.raises(DimensionError):
+        build_group_from_table([[0, 1], [1]])  # ragged rows
+    with pytest.raises(NoIdentity):
+        build_group_from_table([[0, 1], [1, 0]], identity_element=5)
 
 
 def test_table_accepts_klein_four_group():
@@ -590,3 +598,118 @@ def test_generated_monomial_reps_act_as_dense_conjugation(data):
     joint = tensor_rep(rep, unitary_rep(rep.group, other))
     for g in rep.group.elements():
         assert np.array_equal(joint.matrices[g], np.kron(mats[g], other[g]))
+
+
+# --------------------------------------------------------------- generators
+
+
+def word_depths(group, gens):
+    """Word length of every element reachable from the identity by right
+    multiplication with ``gens``, by a plain breadth-first search."""
+    depth, frontier = {group.identity: 0}, [group.identity]
+    while frontier:
+        following = []
+        for g in frontier:
+            for s in gens:
+                h = group.multiply(g, s)
+                if h not in depth:
+                    depth[h] = depth[g] + 1
+                    following.append(h)
+        frontier = following
+    return depth
+
+
+def z2_cubed():
+    """Z2 x Z2 x Z2 as XOR on 0..7: three generators are needed."""
+    return build_group_from_table([[a ^ b for b in range(8)] for a in range(8)])
+
+
+GROUPS = {
+    "Z1": lambda: build_cyclic_group(1),
+    "Z2": lambda: build_cyclic_group(2),
+    "Z7": lambda: build_cyclic_group(7),
+    "Z16": lambda: build_cyclic_group(16),
+    "S3": lambda: build_symmetric_group(3),
+    "S4": lambda: build_symmetric_group(4),
+    "S5": lambda: build_symmetric_group(5),
+    "Z2^3": z2_cubed,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_generators_generate_the_group_and_words_are_the_bfs_tree(name):
+    group = GROUPS[name]()
+    depth = word_depths(group, group.generators)
+    assert len(depth) == group.order
+    assert group.word_length == max(depth.values())
+    elements, parents, letters, length = group.words
+    assert length == group.word_length
+    assert sorted(elements.tolist()) == sorted(set(range(group.order)) - {group.identity})
+    for g, p, s in zip(elements, parents, letters):
+        assert group.multiply(p, s) == g and s in group.generators
+        assert depth[g] == depth[p] + 1
+    assert group.generators == GROUPS[name]().generators  # deterministic
+
+
+def test_generating_set_sizes():
+    for n in (2, 5, 16):
+        assert build_cyclic_group(n).generators == (1,)
+    for n in (4, 5):
+        assert len(build_symmetric_group(n).generators) <= 2
+    assert len(z2_cubed().generators) == 3
+
+
+def test_order_one_group_has_no_generators_and_a_finite_bound():
+    group = build_cyclic_group(1)
+    assert group.generators == () and group.word_length == 0
+    rep = trivial_rep(group, 2)
+    assert rep.word_constants == (1.0, 0.0)
+    assert word_bound(rep, 1.0, 1.0) == 0.0
+
+
+def test_permutation_reps_compose_exactly_along_words():
+    s4 = build_symmetric_group(4)
+    for rep in (regular_representation(s4), unitary_rep(s4, permutation_matrices(4))):
+        assert rep.word_constants == (1.0, 0.0)
+        assert word_bound(rep, 2e-10, 5.0) == s4.word_length * 2e-10
+
+
+def word_products(rep):
+    """U(s_1) ... U(s_k) along every element's word, by plain matrix products."""
+    group = rep.group
+    mats = {group.identity: np.eye(rep.dim, dtype=complex)}
+    for g, p, s in zip(*group.words[:3]):
+        mats[int(g)] = mats[int(p)] @ rep.matrices[s]
+    return mats
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_word_constants_bound_the_defect_of_a_perturbed_element(dense):
+    # U(g0) is moved off the words' product by ~1e-7 at a non-generator g0,
+    # in a rep validated at a looser tolerance; theta must cover it
+    group = build_symmetric_group(4)
+    mats = standard_matrices(4) if dense else permutation_matrices(4)
+    g0 = next(g for g in group.elements() if g not in group.generators and g != group.identity)
+    d = len(mats[0])
+    h = np.diag(np.linspace(-1.0, 1.0, d))
+    if dense:
+        h = h + 0.5 * (np.eye(d, k=1) + np.eye(d, k=-1))
+    vals, vecs = np.linalg.eigh(1e-7 * h)
+    mats[g0] = mats[g0] @ (vecs * np.exp(1j * vals)) @ vecs.conj().T
+    rep = unitary_rep(group, mats, tol=1e-5)
+    assert (rep.perms is None) == dense
+    nu, defect = rep.word_constants
+    assert nu == pytest.approx(max(1.0, *(np.linalg.norm(rep.matrices[s], 2) for s in group.generators)))
+    gaps = word_gaps(rep)
+    assert 5e-8 < max(gaps) <= defect
+    # the product with the sign rep takes its constants from the factors
+    sign = [np.linalg.det(m.real) * np.eye(1) for m in permutation_matrices(4)]
+    joint = tensor_rep(rep, unitary_rep(group, sign))
+    assert max(word_gaps(joint)) <= joint.word_constants[1]
+    assert word_bound(joint, 0.0, 1.0) >= max(gap * (2 + gap) for gap in word_gaps(joint))
+
+
+def word_gaps(rep):
+    """||U(g) - W(g)||_op for every element, W(g) the product along its word."""
+    words = word_products(rep)
+    return [np.linalg.norm(rep.matrices[g] - words[g], 2) for g in rep.group.elements()]

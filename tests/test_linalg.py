@@ -14,6 +14,7 @@ from framerel.linalg import (
     chunks,
     diagonal_blocks,
     hermitian_basis,
+    hs_norms,
     is_density_matrix,
     is_psd,
     is_unitary,
@@ -216,6 +217,20 @@ def test_block_spectra_match_the_dense_calls():
             want_norm = np.linalg.norm(m, 2)
             assert abs(low - want_low) <= 1e-12 * abs(want_low)
             assert abs(nrm - want_norm) <= 1e-12 * want_norm
+
+
+def test_zero_blocks_have_norm_zero_without_a_decomposition(monkeypatch):
+    # every block zero: the norms are 0.0 and no 2-norm is taken; one
+    # nonzero block takes the call for that block alone
+    calls = []
+    norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda a, *args, **kw: calls.append(a.shape) or norm(a, *args, **kw))
+    blocks = [np.zeros((3, 5, 2, 2), dtype=complex), np.zeros((3, 1, 4, 4), dtype=complex)]
+    assert np.array_equal(block_operator_norms(blocks), np.zeros(3))
+    assert calls == []
+    blocks[1][2, 0] = 2 * np.eye(4)
+    assert np.array_equal(block_operator_norms(blocks), [0.0, 0.0, 2.0])
+    assert calls == [(1, 4, 4)]
 
 
 def test_one_block_spectra_are_the_dense_calls_bit_for_bit():
@@ -614,3 +629,12 @@ def test_psd_span_samples_are_psd_members_of_span():
     assert len(again) == len(samples)
     for a, b in zip(samples, again):
         assert np.array_equal(a, b)
+
+
+def test_hs_norms_are_the_frobenius_norms_of_each_item():
+    rng = np.random.default_rng(5)
+    stack = rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5))
+    for items in (stack, stack.swapaxes(1, 2), stack.real, stack[:, ::2]):
+        want = [np.sqrt(np.sum(np.abs(x) ** 2)) for x in items]
+        assert np.allclose(hs_norms(items), want, rtol=1e-14, atol=0)
+    assert hs_norms(np.zeros((0, 4, 4), dtype=complex)).shape == (0,)

@@ -64,6 +64,8 @@ from framerel.relativize import (
     relativize_morphisms,
     Workspace,
     _joint_partition,
+    _pair_products,
+    _pair_right,
     _relativize_dense,
     _relativize_stack,
     _tensor_images,
@@ -429,6 +431,38 @@ def test_ideal_isomorphism_requires_full_algebra():
     fr = z2_ideal_frame()
     with pytest.raises(RequiresFullAlgebra):
         check_ideal_isomorphism(relativization_map(fr, subspace_system(z2_flip_rep(), [Z])))
+
+
+def test_pair_products_match_the_products_pair_by_pair():
+    # one (r k, k) @ (k, n k) product per block against one small product
+    # per pair and block; each entry is a k-term sum either way, so they
+    # agree within that sum's rounding, on runs of one row, a few rows
+    # and all rows, for one and for many blocks
+    rng = np.random.default_rng(23)
+    for n, m, k in ((16, 24, 4), (5, 1, 6), (3, 7, 2)):
+        q = rng.standard_normal((n, m, k, k)) + 1j * rng.standard_normal((n, m, k, k))
+        right = _pair_right(q)
+        for run in (slice(0, 1), slice(1, 3), slice(0, n)):
+            got = _pair_products(q, right, run)
+            want = q[run, None] @ q[None]
+            assert got.shape == want.shape
+            assert max_abs(got - want) <= 4 * k * 2.0**-52 * np.abs(q).max() ** 2
+
+
+@pytest.mark.parametrize("budget", [1, 2**30])
+def test_ideal_isomorphism_reports_alike_at_any_working_set(monkeypatch, budget):
+    # one row of pair products per step, or every row at once: the same
+    # verdicts and witnesses, and deviations within rounding
+    system = full_system(s3_irrep2())
+    maps = [relativization_map(f, system) for f in (canonical_ideal_frame(s3()), smeared_canonical_frame(s3(), 0.3))]
+    default = [check_ideal_isomorphism(r) for r in maps]
+    monkeypatch.setattr(framerel.linalg, "WORKING_SET", budget)
+    for rmap, want in zip(maps, default):
+        got = check_ideal_isomorphism(rmap)
+        assert (got.passed, got.witnesses) == (want.passed, want.witnesses)
+        for key, value in want.deviations.items():
+            assert abs(got.deviations[key] - value) <= 1e-14
+    assert not default[1].passed and default[1].witnesses
 
 
 # ---------------------------------------------------- block-diagonal spectra
