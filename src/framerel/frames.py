@@ -2,16 +2,17 @@
 
 A frame observable assigns one PSD effect to each group element so that
 the effects sum to the identity and translate covariantly under the
-frame's own representation: E(g h) = g.E(h).  Principal frames arise by
-translating a single seed effect around the group; the canonical ideal
-frame of a group puts the regular representation on C^|G| and seeds it
-with the projection onto the identity basis vector, which makes every
-effect a rank-1 projection.  A frame holds its effects once, as the
-read-only (|G|, d, d) stack that relativization reads, and validates
-them as a stack: positivity, value-span membership and the projection
-test are one batched call each.  Covariance is tested on the group's
-generators first, under the rule of ``groups``; only a bound above the
-tolerance runs the loop over every pair (g, h).
+frame's own representation: E(g h) = g.E(h).  At h = e that reads
+E(g) = g.E(e), so every frame is principal and is held as its seed E(e);
+the canonical ideal frame seeds the regular representation with the
+projection onto the identity basis vector.  Conjugation preserves
+positivity and projections, and a system span is closed under the
+action, so a seed alone is validated: PSD, in the value span, its
+translates summing to I on the orbit of its support, covariance on the
+generators first under the rule of ``groups`` (the loop over every pair
+(g, h) only when the bound exceeds the tolerance), and ideal iff
+E(e)^2 = E(e).  An explicit family is first validated as a stack.  The
+(|G|, d, d) ``effects`` stack is built on request only.
 
 A frame morphism is a channel between the value systems that carries
 the source effects exactly onto the target effects.  Such a channel is
@@ -43,10 +44,12 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     UnitaryRep,
+    _lookup,
     act,
     regular_representation,
     same_group,
     same_rep,
+    support_translates,
     support_values,
     translates,
     word_bound,
@@ -80,116 +83,63 @@ from .systems import (
 
 @dataclass(frozen=True, eq=False)
 class FrameObservable:
-    """A covariant POVM over a finite group, effects indexed by element id.
-
-    ``effects`` is one read-only (|G|, d, d) stack: E(g) is ``effects[g]``.
-    ``components`` is ``block_partition`` of the effects' union support
-    (where some E(g)[i, j] != 0), computed once, on first request.
-    ``covariance`` is what validation measured on the generators s: the
-    largest ||E(s h) - s.E(h)||_HS and the largest ||E(h)||_HS.
+    """A covariant POVM over a finite group, held as its seed E(e): covariance
+    at h = e gives E(g) = g.E(e), so only the seed is validated (module
+    docstring).  ``components`` is ``block_partition`` of the effects' union
+    support, and ``effect_blocks`` holds every E(g) on its diagonal blocks, one
+    (|G|, m c^2) array per block size c, as ``act`` computes them.
+    ``covariance``, measured on the generators s, is the largest
+    ||E(s h) - s.E(h)||_HS and the largest ||E(h)||_HS.
     """
 
     rep: UnitaryRep
-    effects: np.ndarray
+    seed: np.ndarray
     value_system: SemiQuantumSystem
     is_ideal: bool
     covariance: tuple[float, float]
-    _components: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
+    components: tuple[np.ndarray, ...] = field(repr=False)
+    effect_blocks: tuple[np.ndarray, ...] = field(repr=False)
+    _effects: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def group(self) -> FiniteGroup:
         return self.rep.group
 
     @property
-    def components(self) -> tuple[np.ndarray, ...]:
-        if self._components is None:
-            support = np.any(self.effects != 0, axis=0)
-            object.__setattr__(self, "_components", block_partition(support))
-        return self._components
-
-    def effect(self, g: int) -> np.ndarray:
-        return self.effects[g]
-
-
-def _validate_frame(
-    rep: UnitaryRep,
-    effects: list[np.ndarray],
-    value_system: SemiQuantumSystem,
-    tol: float,
-) -> FrameObservable:
-    """The frame of the effects, held as one read-only stack.
-
-    Each test runs on the whole stack; a failure names the first failing
-    element, positivity before membership, as a loop over them would.
-    Covariance, |E(gh) - g.E(h)| <= ``tol`` entrywise for every pair, is
-    tested on the generators s first.  E(gh) - g.E(h) telescopes along
-    g's word, g = p s: E(p (s h)) - p.E(s h) + p.(E(s h) - s.E(h)), so
-    with eps the generators' largest ||E(s h) - s.E(h)||_HS every pair
-    deviates by at most ``word_bound(rep, eps, max_h ||E(h)||_HS)``.
-    When that exceeds ``tol`` the loop over every pair runs and names
-    the first failing pair.
-    """
-    group = rep.group
-    if len(effects) != group.order:
-        raise DimensionError(
-            f"expected {group.order} effects, got {len(effects)}"
-        )
-    if value_system.dim != rep.dim or not same_group(value_system.group, group):
-        raise ObjectMismatch("value system does not live on the frame representation")
-    if not same_rep(value_system.rep, rep, tol):
-        raise ObjectMismatch("value system carries a different action")
-    for g, e in enumerate(effects):
-        if e.shape[0] != rep.dim:
-            raise DimensionError(
-                f"effect {g} has dimension {e.shape[0]}, representation has {rep.dim}"
-            )
-    stack = np.stack(effects)
-    stack.setflags(write=False)
-    lows = np.linalg.eigvalsh(hermitian_part(stack))[:, 0]
-    psd = (np.abs(stack - dagger(stack)).max(axis=(1, 2)) <= tol) & (lows >= -tol * rep.dim)
-    inside = value_system.space.residuals(stack) <= tol
-    bad = np.flatnonzero(~(psd & inside))
-    if bad.size:
-        g = int(bad[0])
-        problem = "leaves the value system span" if psd[g] else "is not positive semidefinite"
-        raise FrameInvalid(f"effect for element {group.label(g)} {problem}")
-    dev = max_abs(sum(stack) - identity(rep.dim))
-    if dev > tol:
-        raise FrameInvalid(f"effects do not sum to the identity (deviation {dev:.3e})")
-    values, moved = _translated_entries(rep, stack)
-    covariance = _covariance_on_generators(group, values, moved)
-    if word_bound(rep, *covariance) > tol:
-        _covariance_loop(group, values, moved, tol)
-    return FrameObservable(
-        rep=rep,
-        effects=stack,
-        value_system=value_system,
-        is_ideal=bool(np.all(np.abs(stack @ stack - stack) <= tol)),
-        covariance=covariance,
-    )
+    def effects(self) -> np.ndarray:
+        """The read-only (|G|, d, d) stack, built on first request."""
+        if self._effects is None:
+            stack = translates(self.rep, self.seed)
+            stack.setflags(write=False)
+            object.__setattr__(self, "_effects", stack)
+        return self._effects
 
 
-def _translated_entries(rep: UnitaryRep, stack):
-    """``(values, moved)``: the (|G|, m) entries of the effects that covariance
-    compares, and ``moved(g)``, the same entries of g.E(h) for every h.
+def _orbit(rep: UnitaryRep, stack) -> tuple[np.ndarray, np.ndarray]:
+    """``(entries, values)``: the increasing flat entries where some g.a, a in a
+    (k, d, d) stack, can be nonzero, and the stack's (k, m) values there."""
+    flat = stack.reshape(len(stack), -1)
+    entries = np.arange(flat.shape[1])
+    if rep.perms is not None:  # the entries some g carries the union support to
+        moved = support_translates(rep, np.flatnonzero(np.any(flat != 0, axis=0)))[0]
+        entries = np.flatnonzero(np.bincount(moved.ravel(), minlength=flat.shape[1]))
+    return entries, flat[:, entries]
 
-    For a monomial rep g.E(h) is E(h) with rows and columns permuted and
-    scaled, so both sides of E(gh) = g.E(h) vanish off the support's
-    orbit and only those entries are compared; other reps compare all.
-    """
+
+def _translated(rep: UnitaryRep, entries, values):
+    """``(values, moved)``, ``moved(g)`` the values at ``entries`` of g.E(h) for every h."""
     if rep.perms is not None:
-        p = rep.perms
-        support = np.any(stack != 0, axis=0)
-        orbit = np.flatnonzero(support[p[:, :, None], p[:, None, :]].any(axis=0))
-        values = stack.reshape(len(stack), -1)[:, orbit]
-        return values, lambda g: support_values(rep, values, orbit, g)
-    values = stack.reshape(len(stack), -1)
-    return values, lambda g: act(rep, g, stack).reshape(len(stack), -1)
+        return values, lambda g: support_values(rep, values, entries, g)
+    stack = values.reshape(len(values), rep.dim, rep.dim)
+    return values, lambda g: act(rep, g, stack).reshape(len(values), -1)
 
 
 def _covariance_on_generators(group: FiniteGroup, values, moved) -> tuple[float, float]:
-    """The largest ||E(s h) - s.E(h)|| over the generators s, and the largest
-    ||E(h)||, both HS, from ``_translated_entries``."""
+    """eps, the largest ||E(s h) - s.E(h)|| over the generators s, and the
+    largest ||E(h)||, both HS, from ``_translated``.  E(gh) - g.E(h)
+    telescopes along g's word, g = p s: E(p (s h)) - p.E(s h) + p.(E(s h)
+    - s.E(h)), so every pair deviates by at most ``word_bound(rep, eps,
+    max_h ||E(h)||_HS)``; when that exceeds ``tol``, ``_covariance_loop`` decides."""
     gaps = [hs_norms(values[group.mult[s]] - moved(s)).max() for s in group.generators]
     return float(max(gaps, default=0.0)), float(hs_norms(values).max())
 
@@ -208,16 +158,71 @@ def _covariance_loop(group: FiniteGroup, values, moved, tol: float) -> None:
             )
 
 
+def _check_value_system(rep: UnitaryRep, value_system: SemiQuantumSystem, tol: float) -> None:
+    if value_system.dim != rep.dim or not same_group(value_system.group, rep.group):
+        raise ObjectMismatch("value system does not live on the frame representation")
+    if not same_rep(value_system.rep, rep, tol):
+        raise ObjectMismatch("value system carries a different action")
+
+
+def _seed_orbit(rep: UnitaryRep, seed) -> tuple[np.ndarray, np.ndarray]:
+    """``(entries, values)``: ``_orbit`` of the seed and its translates there, (|G|, m)."""
+    entries, values = _orbit(rep, seed[None])
+    if rep.perms is None:
+        return entries, translates(rep, seed).reshape(rep.group.order, -1)
+    return entries, support_values(rep, values, entries, slice(None))[0]
+
+
+def _seed_frame(rep: UnitaryRep, seed, value_system, tol: float, entries, values):
+    """The frame of ``seed`` from its ``_seed_orbit``, ideal iff seed^2 = seed on its blocks."""
+    seed.setflags(write=False)
+    blocks = (seed[c[:, :, None], c[:, None, :]] for c in block_partition(seed != 0))
+    ideal = all(max_abs(b @ b - b) <= tol for b in blocks)
+    covariance = _covariance_on_generators(rep.group, *_translated(rep, entries, values))
+    support = np.zeros(rep.dim**2, dtype=bool)
+    support[entries] = np.any(values != 0, axis=0)
+    components = block_partition(support.reshape(rep.dim, rep.dim))
+    flat = [(c[:, :, None] * rep.dim + c[:, None, :]).ravel() for c in components]
+    padded, pos = _lookup(values, entries, np.concatenate(flat))
+    effect_blocks = tuple(padded[:, p] for p in np.split(pos, np.cumsum([len(f) for f in flat])[:-1]))
+    return FrameObservable(rep, seed, value_system, ideal, covariance, components, effect_blocks)
+
+
 def frame_from_effects(
     rep: UnitaryRep,
     effects,
     value_system: SemiQuantumSystem | None = None,
     tol: float = DEFAULT_TOL,
 ) -> FrameObservable:
-    """Validate an explicit effect family into a frame observable."""
+    """Validate an explicit effect family into a frame observable.
+
+    A failure names the first failing element, positivity before membership,
+    then the sum and covariance.  Covariance at h = e is effects[g] =
+    g.effects[e] within ``tol``, so the frame keeps effects[e] alone."""
     effs = [as_operator(e) for e in effects]
     vs = value_system if value_system is not None else full_system(rep, tol)
-    return _validate_frame(rep, effs, vs, tol)
+    if len(effs) != rep.group.order:
+        raise DimensionError(f"expected {rep.group.order} effects, got {len(effs)}")
+    _check_value_system(rep, vs, tol)
+    for g, e in enumerate(effs):
+        if e.shape[0] != rep.dim:
+            raise DimensionError(f"effect {g} has dimension {e.shape[0]}, representation has {rep.dim}")
+    stack = np.stack(effs)
+    lows = np.linalg.eigvalsh(hermitian_part(stack))[:, 0]
+    psd = (np.abs(stack - dagger(stack)).max(axis=(1, 2)) <= tol) & (lows >= -tol * rep.dim)
+    bad = np.flatnonzero(~(psd & (vs.space.residuals(stack) <= tol)))
+    if bad.size:
+        g = int(bad[0])
+        problem = "leaves the value system span" if psd[g] else "is not positive semidefinite"
+        raise FrameInvalid(f"effect for element {rep.group.label(g)} {problem}")
+    dev = max_abs(sum(stack) - identity(rep.dim))
+    if dev > tol:
+        raise FrameInvalid(f"effects do not sum to the identity (deviation {dev:.3e})")
+    values, moved = _translated(rep, *_orbit(rep, stack))
+    if word_bound(rep, *_covariance_on_generators(rep.group, values, moved)) > tol:
+        _covariance_loop(rep.group, values, moved, tol)
+    seed = stack[rep.group.identity].copy()
+    return _seed_frame(rep, seed, vs, tol, *_seed_orbit(rep, seed))
 
 
 def principal_frame_from_seed(
@@ -226,21 +231,27 @@ def principal_frame_from_seed(
     value_system: SemiQuantumSystem | None = None,
     tol: float = DEFAULT_TOL,
 ) -> FrameObservable:
-    """Frame whose effects are the group translates of one seed effect."""
-    s = as_operator(seed)
+    """Frame of the translates of one seed effect, validated on the seed (module docstring)."""
+    s = as_operator(seed).copy()
     if s.shape[0] != rep.dim:
         raise DimensionError(
             f"seed of dimension {s.shape[0]} for a dimension-{rep.dim} representation"
         )
     if not is_psd(s, tol):
         raise SeedNotPSD(min_eigenvalue(s))
-    effects = list(translates(rep, s))
-    total = sum(effects)
-    dev = max_abs(total - identity(rep.dim))
+    (entries, values), total = _seed_orbit(rep, s), np.zeros(rep.dim**2, dtype=np.complex128)
+    total[entries] = values.sum(axis=0)  # row by row, as a sum over the effects
+    dev = max_abs(total.reshape(rep.dim, rep.dim) - identity(rep.dim))
     if dev > tol:
         raise SeedNotNormalizing(dev)
     vs = value_system if value_system is not None else full_system(rep, tol)
-    return _validate_frame(rep, effects, vs, tol)
+    _check_value_system(rep, vs, tol)
+    if vs.space.residuals(s[None])[0] > tol:
+        raise FrameInvalid(f"effect for element {rep.group.label(rep.group.identity)} leaves the value system span")
+    frame = _seed_frame(rep, s, vs, tol, entries, values)
+    if word_bound(rep, *frame.covariance) > tol:
+        _covariance_loop(rep.group, *_translated(rep, entries, values), tol)
+    return frame
 
 
 def canonical_ideal_frame(group: FiniteGroup, tol: float = DEFAULT_TOL) -> FrameObservable:
@@ -364,6 +375,8 @@ def _equivariant_on_generators(
     """
     src, tgt, stack = channel.source.rep, channel.target.rep, source.effects
     group = src.group
+    if len(group.generators) == group.order - 1:  # every other element: the table costs no more
+        return False
     alpha = 0.0
     for s in group.generators:
         try:
@@ -374,7 +387,7 @@ def _equivariant_on_generators(
     gamma, size = (
         source.covariance
         if src is source.rep
-        else _covariance_on_generators(group, *_translated_entries(src, stack))
+        else _covariance_on_generators(group, *_translated(src, *_orbit(src, stack)))
     )
     size_t, phi = hs_norms(images).max(), _hs_gain(channel)
     space = channel.source.space

@@ -278,17 +278,14 @@ def build_symmetric_group(n: int) -> FiniteGroup:
 
     Composition convention: (p q)(k) = p(q(k)), so element ids multiply
     like function composition and the identity permutation is id 0.
+    Products are composed at once and found by their sorted base-n codes.
     """
-    if not 1 <= n <= 5:
-        raise DimensionError("symmetric group helper supports 1 <= n <= 5")
-    perms = sorted(permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    order = len(perms)
-    table = np.zeros((order, order), dtype=np.int64)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            table[i, j] = index[tuple(p[q[k]] for k in range(n))]
-    labels = ["".join(str(x) for x in p) for p in perms]
+    if not 1 <= n <= 6:
+        raise DimensionError("symmetric group helper supports 1 <= n <= 6")
+    perms = np.array(sorted(permutations(range(n))), dtype=np.int64)
+    place = n ** np.arange(n - 1, -1, -1)
+    table = np.searchsorted(perms @ place, perms[:, perms] @ place)  # [i, j]: p_i(p_j(k))
+    labels = ["".join(str(x) for x in p) for p in perms.tolist()]
     return build_group_from_table(table, identity_element=0, labels=labels)
 
 

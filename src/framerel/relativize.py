@@ -161,10 +161,10 @@ def _relativize_stack(frame: FrameObservable, system: SemiQuantumSystem, mats) -
     Returns the diagonal blocks of ``_joint_partition(frame, d)``, one
     (n, m, c d, c d) C-contiguous array per size c of ``frame.components``.
     The sum over the group is one matrix product per block size, W.T @ M:
-    W is the (|G|, m c^2) gather of the effects on the blocks and M the
-    (|G|, n d^2) translates of the stack, taken a run of elements at a
-    time (``chunks``, the product held) and accumulated.  One transpose
-    then brings entry ((mu, i, j), (k, s, t)) of the product to entry
+    W is the frame's (|G|, m c^2) ``effect_blocks`` and M the (|G|, n d^2)
+    translates of the stack, taken a run of elements at a time
+    (``chunks``, the product held) and accumulated.  One transpose then
+    brings entry ((mu, i, j), (k, s, t)) of the product to entry
     ((i, s), (j, t)) of block mu of operator k.  Each entry is a sum of
     |G| products, so it agrees with adding E(g) (x) g.a one element at a
     time to within the rounding of that sum, and exactly where a sum has
@@ -174,9 +174,8 @@ def _relativize_stack(frame: FrameObservable, system: SemiQuantumSystem, mats) -
     d = system.dim
     stack = np.asarray(mats, dtype=np.complex128).reshape(-1, d, d)
     blocks = []
-    for c in frame.components:
+    for c, w in zip(frame.components, frame.effect_blocks):
         m, size = c.shape
-        w = frame.effects[:, c[:, :, None], c[:, None, :]].reshape(frame.group.order, -1)
         total = np.zeros((w.shape[1], stack.size), dtype=np.complex128)
         for run in chunks(frame.group.order, stack.size, total):
             weights = w[run]

@@ -189,9 +189,9 @@ def _assemble_system(rep: UnitaryRep, space: MatrixSubspace, tol: float) -> Semi
     if full:
         invariant = acts_trivially(rep, tol)
     else:
-        closed, invariant = (
-            word_bound(rep, dev, 1.0) <= tol for dev in _generator_deviations(rep, space)
-        )
+        some = len(rep.group.generators) < rep.group.order - 1  # else the loop is no dearer
+        devs = _generator_deviations(rep, space) if some else (np.inf, np.inf)
+        closed, invariant = (some and word_bound(rep, dev, 1.0) <= tol for dev in devs)
         if not (closed and invariant):
             invariant = _element_loop(rep, space, tol, closed)
     return SemiQuantumSystem(

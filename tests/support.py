@@ -75,6 +75,19 @@ def s3():
     return fr.build_symmetric_group(3)
 
 
+def symmetric_table_loop(n):
+    """``(table, labels)`` of S_n by a double loop over itertools permutations
+    in lexicographic order, (p q)(k) = p(q(k)): an oracle for
+    ``build_symmetric_group``."""
+    perms = sorted(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = np.zeros((len(perms), len(perms)), dtype=np.int64)
+    for i, p in enumerate(perms):
+        for j, q in enumerate(perms):
+            table[i, j] = index[tuple(p[q[k]] for k in range(n))]
+    return table, tuple("".join(str(x) for x in p) for p in perms)
+
+
 def s3_irrep2():
     """The 2-dimensional irreducible representation of S3.
 
@@ -356,6 +369,25 @@ def random_span_element(rng, space):
 # ----------------------------------------------------------------------- CLI
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+CAP_BYTES = int(4.77 * 2**30)
+
+
+def run_under_cap(script):
+    """Run ``script`` in a child Python that imports from src/, on one BLAS
+    thread, with its address space capped at 4.77 GiB.
+
+    The child sets the cap on itself only; one BLAS thread keeps the thread
+    buffers of a many-core machine out of the budget.  Returns the
+    ``CompletedProcess``.
+    """
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    preamble = f"import resource\nresource.setrlimit(resource.RLIMIT_AS, ({CAP_BYTES}, {CAP_BYTES}))\n"
+    return subprocess.run(
+        [sys.executable, "-c", preamble + script], capture_output=True, text=True, env=env
+    )
 
 
 def run_cli(*argv, env=None):

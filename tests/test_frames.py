@@ -1,12 +1,13 @@
 """Covariant observable frames and the morphisms between them."""
 
-import os
-import subprocess
-import sys
 import tracemalloc
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framerel.errors import (
     EffectSpanNotEquivariant,
@@ -18,6 +19,7 @@ from framerel.errors import (
     SeedNotPSD,
 )
 from framerel.frames import (
+    FrameObservable,
     born_measure,
     build_frame_morphism,
     canonical_ideal_frame,
@@ -28,17 +30,40 @@ from framerel.frames import (
     reorientation_morphism,
     same_frame,
 )
-from framerel.groups import UnitaryRep, act, build_cyclic_group, trivial_rep, unitary_rep
-from framerel.linalg import is_psd, max_abs
-from framerel.systems import build_channel, compose_channels, identity_channel, subspace_system
+from framerel.groups import (
+    UnitaryRep,
+    act,
+    build_cyclic_group,
+    build_symmetric_group,
+    regular_representation,
+    translates,
+    trivial_rep,
+    unitary_rep,
+)
+from framerel.linalg import block_partition, is_psd, max_abs
+from framerel.relativize import (
+    build_relative_subspace,
+    check_channel_axioms,
+    check_ideal_isomorphism,
+    relativization_map,
+)
+from framerel.systems import (
+    build_channel,
+    compose_channels,
+    full_system,
+    identity_channel,
+    subspace_system,
+)
 
+from .strategies import cyclic_monomial_reps, permutation_matrices, standard_matrices
 from .support import (
-    ROOT,
     I2,
     X,
+    Y,
     Z,
     ket,
     proj,
+    run_under_cap,
     s3,
     smeared_canonical_frame,
     z2,
@@ -76,9 +101,6 @@ def test_canonical_ideal_frame_on_regular_rep():
 
 
 _S5_FRAME_UNDER_A_CAP = """
-import resource
-cap = int(4.77 * 2**30)
-resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 import framerel as fr
 frame = fr.canonical_ideal_frame(fr.build_symmetric_group(5))
 assert frame.is_ideal and frame.value_system.is_full_algebra
@@ -87,32 +109,27 @@ assert frame.is_ideal and frame.value_system.is_full_algebra
 
 def test_s5_canonical_frame_builds_under_a_4_77_gib_address_space_cap():
     # The value system B(C^120) would be a 3.3 GB dense matrix-unit stack.
-    # The cap is set by the child on itself only; one BLAS thread keeps
-    # the thread buffers of a many-core machine out of the budget.
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", _S5_FRAME_UNDER_A_CAP], capture_output=True, text=True, env=env
-    )
+    done = run_under_cap(_S5_FRAME_UNDER_A_CAP)
     assert done.returncode == 0, done.stderr[-2000:]
 
 
-_S5_LAWS_ON_GENERATORS = """
-import resource
-cap = int(4.77 * 2**30)
-resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+_PERMUTATION_SYSTEM = """
 import itertools
 import numpy as np
 import framerel as fr
+def permutation_system(group, n):
+    mats = []
+    for p in sorted(itertools.permutations(range(n))):
+        m = np.zeros((n, n))
+        m[list(p), range(n)] = 1.0
+        mats.append(m)
+    return fr.full_system(fr.unitary_rep(group, mats))
+"""
+
+_S5_LAWS_ON_GENERATORS = _PERMUTATION_SYSTEM + """
 group = fr.build_symmetric_group(5)
 frame = fr.canonical_ideal_frame(group)
-perm5 = []
-for p in sorted(itertools.permutations(range(5))):
-    m = np.zeros((5, 5))
-    m[list(p), range(5)] = 1.0
-    perm5.append(m)
-system = fr.full_system(fr.unitary_rep(group, perm5))
-rel = fr.build_relative_subspace(frame, system)
+rel = fr.build_relative_subspace(frame, permutation_system(group, 5))
 assert (rel.space.dim, rel.kernel.dim) == (25, 0) and rel.as_system.is_invariant
 assert fr.identity_frame_morphism(frame).channel.positivity_check == "structure"
 """
@@ -121,11 +138,28 @@ assert fr.identity_frame_morphism(frame).channel.positivity_check == "structure"
 def test_s5_relative_subspace_and_identity_morphism_under_the_cap():
     # Both validations are decided on two generators of S5: the loops over
     # its 120 elements took 0.3 s and 6 s.  No timing is asserted here.
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", _S5_LAWS_ON_GENERATORS], capture_output=True, text=True, env=env
-    )
+    done = run_under_cap(_S5_LAWS_ON_GENERATORS)
+    assert done.returncode == 0, done.stderr[-2000:]
+
+
+_S6_LAWS_UNDER_THE_CAP = _PERMUTATION_SYSTEM + """
+group = fr.build_symmetric_group(6)
+frame = fr.canonical_ideal_frame(group)
+system = permutation_system(group, 6)
+rel = fr.build_relative_subspace(frame, system)
+assert (rel.space.dim, rel.kernel.dim) == (36, 0)
+rmap = fr.relativization_map(frame, system)
+assert fr.check_channel_axioms(rmap).passed
+embedding = fr.check_ideal_isomorphism(rmap)
+assert embedding.passed and embedding.consistent_with_ideality
+"""
+
+
+def test_s6_relativization_laws_under_the_cap():
+    # The effect stack of the S6 canonical frame alone would be 720^3
+    # complex entries, 5.97 GB; the frame holds its seed and the entries
+    # relativization reads.
+    done = run_under_cap(_S6_LAWS_UNDER_THE_CAP)
     assert done.returncode == 0, done.stderr[-2000:]
 
 
@@ -149,6 +183,9 @@ def test_principal_seed_validation():
     with pytest.raises(SeedNotNormalizing):
         # translates sum to (2/3) I, not I
         principal_frame_from_seed(rep, I2 / 3)
+    with pytest.raises(FrameInvalid, match="^effect for element 0 leaves the value system span$"):
+        # X Y X = -Y, so the translates sum to I, but Y is off the diagonal span
+        principal_frame_from_seed(rep, I2 / 2 + 0.1 * Y, subspace_system(rep, [Z]))
 
 
 def test_frame_from_effects_validation():
@@ -242,6 +279,120 @@ def test_same_frame_is_structural():
     assert same_frame(a, b)  # equal reps, equal effects
     assert not same_frame(a, z2_smeared_frame(0.5))
     assert not same_frame(a, canonical_ideal_frame(s3()))
+
+
+# ---------------------------------------------------------- seed-held frames
+
+
+def twirled_seed(mats, a):
+    """S^(-1/2) A S^(-1/2) for a positive definite A and its twirl S = sum_g U(g) A U(g)^dag:
+    a seed whose translates sum to I.  Entries of A that are zero stay
+    zero in the seed wherever the twirl is block-diagonal around them."""
+    twirl = sum(u @ a @ u.conj().T for u in mats)
+    vals, vecs = np.linalg.eigh(twirl)
+    root = (vecs / np.sqrt(vals)) @ vecs.conj().T
+    return root @ a @ root
+
+
+def sparse_positive(rng, d, density):
+    """I + a random Hermitian matrix on a random sparse pattern, positive definite."""
+    h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    mask = rng.random((d, d)) < density
+    h = h * (mask | mask.T)
+    h = (h + h.conj().T) / 2
+    return h + (np.abs(np.linalg.eigvalsh(h)).max() + 1.0) * np.eye(d)
+
+
+def assert_matches_the_translated_stack(frame, exact):
+    """The frame against the stack of its seed's translates, as a frame that
+    held that stack measured it: effects, components, ideality and the
+    generators' covariance, and the effect blocks relativization reads against the
+    stack's blocks; ``exact`` asks for equal arrays, else a few ulps."""
+    group, rep = frame.group, frame.rep
+    stack = translates(rep, frame.seed)
+    tol = 1e-9
+    want = block_partition(np.any(stack != 0, axis=0))
+    assert len(frame.components) == len(want) == len(frame.effect_blocks)
+    assert all(np.array_equal(a, b) for a, b in zip(frame.components, want))
+    assert np.array_equal(frame.effects, stack)
+    for c, w in zip(want, frame.effect_blocks):
+        gathered = stack[:, c[:, :, None], c[:, None, :]].reshape(group.order, -1)
+        if exact:
+            assert np.array_equal(w, gathered)
+        else:
+            assert np.allclose(w, gathered, rtol=0, atol=8 * 2.0**-52 * np.abs(stack).max())
+    assert frame.is_ideal == bool(np.all(np.abs(stack @ stack - stack) <= tol))
+    mats = [np.asarray(u) for u in rep.matrices]
+    gaps = [
+        np.linalg.norm(stack[group.mult[s]] - mats[s] @ stack @ mats[s].conj().T, axis=(1, 2)).max()
+        for s in group.generators
+    ]
+    gap, size = frame.covariance
+    assert np.isclose(gap, max(gaps, default=0.0), rtol=0, atol=1e-14)
+    assert np.isclose(size, np.linalg.norm(stack, axis=(1, 2)).max(), rtol=1e-14, atol=0)
+    assert not frame.seed.flags.writeable
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=cyclic_monomial_reps(), seed=st.integers(0, 2**32 - 1), density=st.sampled_from([0.0, 0.2, 1.0]))
+def test_seed_held_frames_of_monomial_cyclic_reps_match_their_translates(case, seed, density):
+    n, mats = case
+    rep = unitary_rep(build_cyclic_group(n), mats)
+    a = sparse_positive(np.random.default_rng(seed), rep.dim, density)
+    frame = principal_frame_from_seed(rep, twirled_seed(mats, a))
+    assert_matches_the_translated_stack(frame, exact=rep.phases is None)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_seed_held_frames_of_symmetric_groups_match_their_translates(n):
+    group = build_symmetric_group(n)
+    rng = np.random.default_rng(n)
+    regular = regular_representation(group)
+    frames = [canonical_ideal_frame(group), smeared_canonical_frame(group, 0.3)]
+    for rep in (regular, unitary_rep(group, permutation_matrices(n)), unitary_rep(group, standard_matrices(n))):
+        mats = [np.asarray(u) for u in rep.matrices]
+        for density in (0.1, 1.0):
+            seed = twirled_seed(mats, sparse_positive(rng, rep.dim, density))
+            frames.append(principal_frame_from_seed(rep, seed))
+    for frame in frames:
+        assert_matches_the_translated_stack(frame, exact=frame.rep.perms is not None)
+    assert frames[0].is_ideal and not frames[1].is_ideal
+
+
+def test_frames_from_effects_keep_the_seed_of_their_family():
+    smeared = smeared_canonical_frame(s3(), 0.3)
+    again = frame_from_effects(smeared.rep, list(smeared.effects), smeared.value_system)
+    assert np.array_equal(again.seed, smeared.seed)
+    assert np.array_equal(again.effects, smeared.effects)
+    assert again.covariance == smeared.covariance and not again.is_ideal
+
+
+def test_s5_canonical_frame_peaks_under_8_mib():
+    # its effect stack alone is 120^3 complex entries, 26.4 MiB
+    tracemalloc.start()
+    try:
+        frame = canonical_ideal_frame(build_symmetric_group(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert frame.is_ideal and len(frame.components) == 1 and frame.components[0].shape == (120, 1)
+    assert peak < 8 * 2**20
+
+
+def test_relativization_never_builds_the_effect_stack():
+    def refuse(self):
+        raise AssertionError("effect stack requested")
+
+    group = s3()
+    system = full_system(unitary_rep(group, permutation_matrices(3)))
+    with mock.patch.object(FrameObservable, "effects", property(refuse)):
+        for frame in (canonical_ideal_frame(group), smeared_canonical_frame(group, 0.3)):
+            rel = build_relative_subspace(frame, system)
+            rmap = relativization_map(frame, system)
+            assert check_channel_axioms(rmap).passed
+            assert check_ideal_isomorphism(rmap).consistent_with_ideality
+            assert rel.space.dim + rel.kernel.dim == 9
+            assert (rel.space.dim, rel.kernel.dim) == (9, 0) or not frame.is_ideal
 
 
 # ------------------------------------------------------------- born measure
@@ -357,6 +508,29 @@ def test_covariance_on_the_support_orbit_fails_as_the_dense_check():
         with pytest.raises(FrameInvalid) as err:
             frame_from_effects(rep, effects, vs)
         assert str(err.value) == want
+
+
+def test_seed_covariance_failure_names_the_first_pair():
+    # Z4 on C^4 by its regular rep, with element 2 (not the generator 1)
+    # carrying an extra phase e^(i theta) on basis vector 3.  The seed's
+    # off-diagonal entries, c at offset 1 and -c at offset -1, miss row 3,
+    # so its translates still sum to I exactly; but 2.(1.E0) has -c in row
+    # 3, and the phase moves it by about c theta > tol, so the loop over
+    # the pairs names the first one, as the strict loop finds it.
+    group, tol, c, theta = build_cyclic_group(4), 1e-9, 0.1, 1e-7
+    mats = [np.asarray(u) for u in regular_representation(group).matrices]
+    mats[2] = mats[2] @ np.diag([1, 1, 1, np.exp(1j * theta)])
+    rep = unitary_rep(group, mats, tol=1e-6)
+    seed = np.eye(4, dtype=complex) / 4
+    seed[0, 1] = seed[1, 0] = c
+    seed[1, 2] = seed[2, 1] = -c
+    effects = [u @ seed @ u.conj().T for u in mats]
+    assert max_abs(sum(effects) - np.eye(4)) == 0.0
+    g, h, dev = _first_failing_pair(SimpleNamespace(group=group, rep=rep), effects, tol)
+    with pytest.raises(FrameInvalid) as err:
+        principal_frame_from_seed(rep, seed, tol=tol)
+    label = group.label
+    assert str(err.value) == f"covariance fails at pair ({label(g)}, {label(h)}) (deviation {dev:.3e})"
 
 
 def test_factorization_failure_names_the_first_element():

@@ -33,6 +33,7 @@ from framerel.groups import (
     build_cyclic_group,
     build_symmetric_group,
     regular_representation,
+    trivial_rep,
     unitary_rep,
 )
 from framerel.linalg import span_subspace
@@ -304,9 +305,60 @@ def test_a_support_carried_off_itself_runs_the_loop():
     assert loop == ("FramerelError", "system span is not closed under the group action")
 
 
-@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_small_cyclic_groups_decide_on_generators(order):
+    # Z1 and Z2 are generated by every element but the identity, so their
+    # morphism goes to the equivariance table; from Z3 on nothing loops
     group = build_cyclic_group(order)
-    with no_element_loops():
+    calls = {
+        name: mock.Mock(wraps=getattr(module, name))
+        for module, name in (
+            (systems_module, "_element_loop"),
+            (frames_module, "_covariance_loop"),
+            (frames_module, "_equivariance_table"),
+        )
+    }
+    with (
+        mock.patch.object(systems_module, "_element_loop", calls["_element_loop"]),
+        mock.patch.object(frames_module, "_covariance_loop", calls["_covariance_loop"]),
+        mock.patch.object(frames_module, "_equivariance_table", calls["_equivariance_table"]),
+    ):
         frame = canonical_ideal_frame(group)
         identity_frame_morphism(frame)
+    counts = {name: call.call_count for name, call in calls.items()}
+    table = 1 if order <= 2 else 0
+    assert counts == {"_element_loop": 0, "_covariance_loop": 0, "_equivariance_table": table}
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_groups_generated_by_every_other_element_take_the_element_table(order):
+    # The generators of Z1 and Z2 are every element but the identity, so
+    # their test would do the element loop's work: a frame morphism goes
+    # straight to the equivariance table and a proper span to the element
+    # loop, with the verdicts of the generator path.
+    group = build_cyclic_group(order)
+    frame = canonical_ideal_frame(group)
+    # Z1 acts trivially on C^2, Z2 flips it: span{I, X} is invariant under
+    # both, span{I, Z} only under Z1 (Z2 keeps it closed)
+    rep = trivial_rep(group, 2) if order == 1 else frame.rep
+    x, z = np.array([[0, 1], [1, 0]]), np.diag([1, -1])
+    spans = [span_subspace([np.eye(2), a], ambient_dim=2) for a in (x, z)]
+    expect = [system_from_subspace(rep, space, TOL).is_invariant for space in spans]
+    assert expect == [True, order == 1]
+    table = mock.Mock(wraps=frames_module._equivariance_table)
+    loop = mock.Mock(wraps=systems_module._element_loop)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("generator test entered")
+
+    # a morphism's generator test moves the effects by ``act`` and bounds by ``word_bound``
+    with (
+        mock.patch.object(frames_module, "act", refuse),
+        mock.patch.object(frames_module, "word_bound", refuse),
+        mock.patch.object(systems_module, "_generator_deviations", refuse),
+        mock.patch.object(frames_module, "_equivariance_table", table),
+        mock.patch.object(systems_module, "_element_loop", loop),
+    ):
+        identity_frame_morphism(frame)
+        assert [system_from_subspace(rep, space, TOL).is_invariant for space in spans] == expect
+    assert table.call_count == 1 and loop.call_count == len(spans)

@@ -36,7 +36,7 @@ from framerel.groups import (
 from framerel.linalg import max_abs
 
 from .strategies import cyclic_monomial_reps, permutation_matrices, standard_matrices
-from .support import I2, X, Z, s3_irrep2, z2_flip_rep, zn_phase_rep
+from .support import I2, X, Z, s3_irrep2, symmetric_table_loop, z2_flip_rep, zn_phase_rep
 
 
 # ------------------------------------------------------------------ oracles
@@ -87,6 +87,26 @@ def test_symmetric_group_matches_itertools_composition():
     # the only central element of S3 is the identity
     centrals = [h for h in g.elements() if g.is_central(h)]
     assert centrals == [g.identity]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_symmetric_group_table_and_labels_match_the_double_loop(n):
+    table, labels = symmetric_table_loop(n)
+    group = build_symmetric_group(n)
+    assert np.array_equal(group.mult, table) and group.labels == labels
+
+
+def test_symmetric_group_of_six_letters():
+    group = build_symmetric_group(6)
+    perms = sorted(itertools.permutations(range(6)))
+    assert group.order == 720 and group.identity == 0 and group.labels[0] == "012345"
+    index = {p: i for i, p in enumerate(perms)}
+    rng = np.random.default_rng(6)
+    for i, j in rng.integers(0, 720, size=(200, 2)):
+        assert group.multiply(i, j) == index[compose_perms(perms[i], perms[j])]
+    assert all(group.multiply(g, group.inv(g)) == 0 for g in group.elements())
+    with pytest.raises(DimensionError):
+        build_symmetric_group(7)
 
 
 def test_labels_and_lookup():
