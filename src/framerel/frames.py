@@ -16,9 +16,12 @@ E(e)^2 = E(e).  An explicit family is first validated as a stack.  The
 
 A frame morphism is a channel between the value systems that carries
 the source effects exactly onto the target effects.  Such a channel is
-automatically equivariant on the span of the source effects (this is
-checked numerically anyway, on the generators first); equivariance on
-the whole value system is neither checked nor assumed.
+automatically equivariant on the span of the source effects: by
+linearity, phi(g.E(h)) - g.phi(E(h)) is made of the factorization
+residual and the two frames' covariance defects, so the residual and the
+covariance the frames stored bound it, and the element table runs only
+when that bound exceeds the tolerance.  Equivariance on the whole value
+system is neither checked nor assumed.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from .errors import (
     NotAState,
     NotCentral,
     ObjectMismatch,
-    OperatorOutsideSystem,
     SeedNotNormalizing,
     SeedNotPSD,
 )
@@ -309,9 +311,10 @@ def build_frame_morphism(
 
     Then the channel must be equivariant on the source effects:
     |channel(g.E(h)) - g.channel(E(h))| <= ``tol`` entrywise for every g
-    and h.  The generators decide it first (``_equivariant_on_generators``);
-    only a bound above ``tol`` builds the element table, and
-    EffectSpanNotEquivariant names its first failing element.
+    and h.  The factorization residual and the two frames' covariance
+    bound that first (``_equivariant_on_generators``); only a bound above
+    ``tol`` builds the element table, and EffectSpanNotEquivariant names
+    its first failing element.
     """
     if not same_group(source.group, target.group):
         raise GroupMismatch("frame morphism endpoints live over different groups")
@@ -320,14 +323,13 @@ def build_frame_morphism(
     if not same_system(channel.target, target.value_system, tol):
         raise ObjectMismatch("channel target is not the target value system")
     images = channel.apply(source.effects, tol)
-    devs = np.abs(images - target.effects).max(axis=(1, 2))
+    residual = images - target.effects
+    devs = np.abs(residual).max(axis=(1, 2))
     bad = np.flatnonzero(devs > tol)
     if bad.size:
         g = int(bad[0])
         raise FactorizationFails(g, float(devs[g]), label=source.group.label(g))
-    # Equivariance on the effect span is forced by factorization and
-    # covariance; verify it numerically on the effects themselves.
-    if not _equivariant_on_generators(source, channel, images, tol):
+    if not _equivariant_on_generators(source, target, channel, residual, tol):
         worst = _equivariance_table(channel, source.effects, images, tol).max(axis=1)
         bad = np.flatnonzero(worst > tol)
         if bad.size:
@@ -349,54 +351,42 @@ def _hs_gain(channel: ChannelMap) -> float:
     return float(math.prod(_hs_gain(f) for f in channel.factors))
 
 
-def _equivariant_on_generators(
-    source: FrameObservable, channel: ChannelMap, images, tol: float
-) -> bool:
-    """True when the generators prove every entry of ``_equivariance_table`` <= ``tol``.
+def _covariance_bound(frame: FrameObservable, rep: UnitaryRep) -> float:
+    """C >= ||g.E(h) - E(gh)||_HS for every g and h, g acting by ``rep``: the
+    ``word_bound`` of the frame's ``covariance``, measured again on the
+    effects when ``rep`` is not the frame's own object."""
+    if rep is frame.rep:
+        return word_bound(rep, *frame.covariance)
+    moved = _translated(rep, *_orbit(rep, frame.effects))
+    return word_bound(rep, *_covariance_on_generators(rep.group, *moved))
 
-    The table holds |Delta_g(x_h)|, Delta_g = phi T_g - T'_g phi, for the
-    source effects x_h with images phi(x_h), T and T' conjugation by the
-    source and target reps.  The effects are closed under the action up
-    to the covariance error c_(s,h) = T_s x_h - x_(sh).  For g = p s
-    along its word, Delta_g = Delta_p T_s + T'_p Delta_s, and
-    Delta_p(T_s x_h) = Delta_p(x_(sh)) + Delta_p(c_(s,h)), where
-    ||Delta_p(c)|| <= (mu Phi + mu' Phi) ||c|| with Phi from ``_hs_gain``
-    and mu, mu' the two reps' growth (``word_bound``).  So each letter
-    adds at most mu' alpha + (mu + mu') Phi gamma, where alpha and gamma
-    are the generators' largest ||Delta_s(x_h)|| and ||c_(s,h)|| (HS;
-    gamma is the source frame's ``covariance`` when the channel acts by
-    the frame's own rep).  Replacing the words by the reps' own matrices
-    adds theta Phi |x| + theta' |phi(x)|.  Together that is
-    word_bound(source, Phi gamma, Phi |x|) + word_bound(target, alpha +
-    Phi gamma, |phi(x)|).  A proper source also needs every translate
-    inside the span, as ``apply`` checks: its residual is at most the
-    effect's own, rho, plus ||T_g x_h - x_(gh)||, at most
-    word_bound(source, gamma, |x|).
+
+def _equivariant_on_generators(
+    source: FrameObservable, target: FrameObservable, channel: ChannelMap, residual, tol: float
+) -> bool:
+    """True when factorization and covariance prove every entry of
+    ``_equivariance_table`` <= ``tol``.
+
+    With the factorization residual f(k) = phi(E(k)) - E'(k) and the
+    covariance defects c(g, h) = g.E(h) - E(gh), c'(g, h) = g.E'(h) -
+    E'(gh), linearity gives phi(g.E(h)) - g.phi(E(h)) = f(gh) - g.f(h) +
+    phi(c(g, h)) - c'(g, h).  In HS norm, which bounds every entry,
+    ||g.f|| <= r^2 ||f|| with r = nu^L + D >= ||U'(g)||_op from the target
+    rep's ``word_constants``, ||phi(c)|| <= Phi ||c|| (``_hs_gain``), and
+    ||c||, ||c'|| <= C, C' (``_covariance_bound``, from the generators).
+    So every entry is at most (1 + r^2) max ||f|| + Phi C + C'.  A proper
+    source also needs every g.E(h) inside its span, as ``apply`` checks:
+    its residual is at most E(gh)'s own plus C.
     """
-    src, tgt, stack = channel.source.rep, channel.target.rep, source.effects
-    group = src.group
-    if len(group.generators) == group.order - 1:  # every other element: the table costs no more
-        return False
-    alpha = 0.0
-    for s in group.generators:
-        try:
-            mapped = channel.apply(act(src, s, stack), tol)
-        except OperatorOutsideSystem:
-            return False
-        alpha = max(alpha, hs_norms(mapped - act(tgt, s, images)).max())
-    gamma, size = (
-        source.covariance
-        if src is source.rep
-        else _covariance_on_generators(group, *_translated(src, *_orbit(src, stack)))
-    )
-    size_t, phi = hs_norms(images).max(), _hs_gain(channel)
+    src, tgt = channel.source.rep, channel.target.rep
+    gap = _covariance_bound(source, src)
     space = channel.source.space
-    if not space.is_full:
-        rho = space.residuals(stack).max()
-        if rho + word_bound(src, gamma, size) > tol:
-            return False
-    bound = word_bound(src, phi * gamma, phi * size) + word_bound(tgt, alpha + phi * gamma, size_t)
-    return bound <= tol
+    if not space.is_full and space.residuals(source.effects).max() + gap > tol:
+        return False
+    nu, defect = tgt.word_constants
+    reach = nu**tgt.group.word_length + defect
+    factor = (1 + reach**2) * hs_norms(residual).max()
+    return factor + _hs_gain(channel) * gap + _covariance_bound(target, tgt) <= tol
 
 
 def identity_frame_morphism(

@@ -13,9 +13,9 @@ small generating set, and ``words`` the breadth-first word tree over it:
 every element g is a product of k <= L = ``word_length`` generators, with
 no inverse letters, since g^-1 is a positive power of g.  The checks that
 only decide (span closure and invariance in ``systems``, frame covariance
-and frame-morphism equivariance in ``frames``) test the generators first,
-in the Hilbert-Schmidt norm.  It bounds every entry (|a_ij| <= ||a||_HS),
-which is what their element loops compare with the tolerance.
+in ``frames``) test the generators first, in the Hilbert-Schmidt norm.
+It bounds every entry (|a_ij| <= ||a||_HS), which is what their element
+loops compare with the tolerance.
 Conjugation by a product of at most L generator matrices scales HS norms
 by at most mu = nu^(2L), with nu = max(1, ||U(s)||_op).  So a deviation
 that grows by at most eps per letter, carried along by the letters before
@@ -41,6 +41,7 @@ by the phases in the order the matrix products multiply them, in place
 of two matrix products.  A permutation rep (every phase exactly 1) has
 no phase array, so its gather is the whole action and gives the matrix
 path's numbers bit for bit; other phases agree with it within rounding.
+``act`` is ``translates`` at one element, so the two agree bit for bit.
 Operators that live on a few entries are moved on those alone:
 they are given by their entries on the support, and every other entry
 is zero.  ``support_translates`` says where each g carries a support,
@@ -507,49 +508,27 @@ def word_bound(rep: UnitaryRep, deviation: float, size: float) -> float:
     return length * reach**2 * deviation + defect * (2 * reach + defect) * size
 
 
-def _check_operand(rep: UnitaryRep, a) -> np.ndarray:
+def act(rep: UnitaryRep, g: int, a) -> np.ndarray:
+    """g.a = U(g) a U(g)^dag of one operator or a (n, d, d) stack: ``translates`` at g alone."""
+    return translates(rep, a, slice(g, g + 1))[0]
+
+
+def translates(rep: UnitaryRep, a, elements=slice(None)) -> np.ndarray:
+    """g.a for every g in ``elements`` (all of them by default, or a slice
+    or id array) in order, shape (len(elements), *a.shape).
+
+    A dense rep forms U a U^dag over the selected matrices in one batched
+    product.  A monomial rep gathers the entries instead, and scales entry
+    (i, j) in the order the matrix products multiply it, (phases[g, i] *
+    a') * conj(phases[g, j]); a permutation rep only gathers.
+    """
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim not in (2, 3) or m.shape[-2:] != (rep.dim, rep.dim):
-        raise DimensionError(
-            f"operator of shape {m.shape} under a dimension-{rep.dim} action"
-        )
-    return m
-
-
-def act(rep: UnitaryRep, g: int, a) -> np.ndarray:
-    """Conjugation action g.a = U(g) a U(g)^dag.
-
-    ``a`` is one d x d operator or a stack of shape (n, d, d), moved
-    slice by slice.  A monomial representation gathers the entries
-    instead of multiplying, and scales entry (i, j) in the order the
-    matrix products do, (phases[g, i] * a') * conj(phases[g, j]); a
-    permutation rep only gathers.
-    """
-    m = _check_operand(rep, a)
+        raise DimensionError(f"operator of shape {m.shape} under a dimension-{rep.dim} action")
     if rep.perms is None:
-        u = rep.matrices[g]
+        u = np.stack([rep.matrices[g] for g in np.arange(rep.group.order)[elements]])
+        u = u.reshape(-1, *(1,) * (m.ndim - 2), rep.dim, rep.dim)
         return u @ m @ dagger(u)
-    p = rep.perms[g]
-    moved = m[..., p[:, None], p]
-    if rep.phases is not None:
-        c = rep.phases[g]
-        moved = c[:, None] * moved * np.conj(c)
-    return moved
-
-
-def translates(rep: UnitaryRep, a, elements: slice = slice(None)) -> np.ndarray:
-    """``act(rep, g, a)`` for every g in ``elements`` (all of them by
-    default) in order, shape (len(elements), *a.shape).
-
-    A monomial rep takes these translates from one gather.  A permutation
-    rep only gathers, so each slice is bit-identical to ``act``.  A phased
-    rep scales by the same products, but numpy can round a complex product
-    on this array layout apart from the one ``act`` forms, so a slice agrees
-    with ``act`` to a few units in the last place, not bit for bit.
-    """
-    m = _check_operand(rep, a)
-    if rep.perms is None:
-        return np.stack([act(rep, g, m) for g in range(rep.group.order)[elements]])
     p = rep.perms[elements]
     moved = m[..., p[:, :, None], p[:, None, :]]
     if m.ndim == 3:

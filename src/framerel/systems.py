@@ -161,9 +161,10 @@ def is_vn_algebra(system: SemiQuantumSystem, tol: float = DEFAULT_TOL) -> bool:
 def _assemble_system(rep: UnitaryRep, space: MatrixSubspace, tol: float) -> SemiQuantumSystem:
     """Validate a span against the action and record its flags.
 
-    A full span holds every translate, and it is invariant iff every
-    U(g) is a scalar within ``tol``, so it is read from the rep and no
-    basis element is moved.  A proper span is closed when every
+    A full span holds I and every translate, and it is invariant iff
+    every U(g) is a scalar within ``tol``, so it is read from the rep and
+    no basis element is moved.  A proper span must hold I, which is read
+    on its support (``_holds_identity``).  It is closed when every
     translate g.x_i of its orthonormal basis has residual at most
     ``tol``, and invariant when every |g.x_i - x_i| is, entrywise.
     Both are decided on the generators first (``_generator_deviations``):
@@ -183,9 +184,9 @@ def _assemble_system(rep: UnitaryRep, space: MatrixSubspace, tol: float) -> Semi
             f"subspace ambient dimension {space.ambient_dim} does not match "
             f"representation dimension {rep.dim}"
         )
-    if not space.contains(identity(rep.dim), tol):
-        raise FramerelError("system span does not contain the identity")
     full = space.is_full
+    if not (full or _holds_identity(space, tol)):
+        raise FramerelError("system span does not contain the identity")
     if full:
         invariant = acts_trivially(rep, tol)
     else:
@@ -202,6 +203,15 @@ def _assemble_system(rep: UnitaryRep, space: MatrixSubspace, tol: float) -> Semi
     )
 
 
+def _holds_identity(space: MatrixSubspace, tol: float) -> bool:
+    """Whether I lies in a proper span, read on the support: all d diagonal
+    entries i (d + 1) must be on it, and I's values there have
+    ``support_residuals`` <= ``tol``."""
+    d = space.ambient_dim
+    eye = (space.support % (d + 1) == 0).astype(np.complex128)
+    return np.count_nonzero(eye) == d and space.support_residuals(eye[None])[0] <= tol
+
+
 def _generator_deviations(rep: UnitaryRep, space: MatrixSubspace) -> tuple[float, float]:
     """(closure, invariance) deviations of a proper span over the generators, in HS norm.
 
@@ -211,7 +221,7 @@ def _generator_deviations(rep: UnitaryRep, space: MatrixSubspace) -> tuple[float
     support entry off the support, the support is not invariant and
     both are infinite.  Otherwise the permutations, which compose
     exactly (``word_constants``), keep every translate on the support.
-    Other reps conjugate the basis densely, as ``act`` does.
+    Other reps conjugate the basis densely (``translates``).
     """
     gens = np.array(rep.group.generators, dtype=np.int64)
     if rep.perms is not None:
@@ -225,8 +235,7 @@ def _generator_deviations(rep: UnitaryRep, space: MatrixSubspace) -> tuple[float
         diff = moved - values
     else:
         basis = space.basis_stack
-        u = np.stack(rep.matrices)[gens, None]
-        moved = u @ basis @ dagger(u)  # (gens, dim, d, d)
+        moved = translates(rep, basis, gens)  # (gens, dim, d, d)
         outside = moved - space.project(moved.reshape(-1, rep.dim, rep.dim)).reshape(moved.shape)
         diff = moved - basis
     closure = hs_norms(outside)
@@ -243,7 +252,7 @@ def _element_loop(rep: UnitaryRep, space: MatrixSubspace, tol: float, closed: bo
     ``support_values``): a translate that carries an entry above ``tol``
     off the support leaves the span, and the rest is tested on the
     support through ``support_residuals``.  Other reps conjugate the
-    basis densely, as ``act`` does, and ``residuals`` tests the
+    basis densely (``translates``), and ``residuals`` tests the
     translates on the span's support and off it.  With closure proved
     the loop stops at the first element that moves the span.
     """
@@ -259,9 +268,8 @@ def _element_loop(rep: UnitaryRep, space: MatrixSubspace, tol: float, closed: bo
         outside = lambda moved: space.support_residuals(moved.reshape(-1, values.shape[1]))
         base = values[:, None]
     else:
-        base, us = space.basis_stack, np.stack(rep.matrices)
-        # (elements, dim, d, d): the translates
-        runs = (us[run, None] @ base @ dagger(us[run, None]) for run in chunks(order, base.size))
+        base = space.basis_stack
+        runs = (translates(rep, base, run) for run in chunks(order, base.size))  # (elements, dim, d, d)
         outside = lambda moved: space.residuals(moved.reshape(-1, rep.dim, rep.dim))
     invariant = True
     for moved in runs:
@@ -649,19 +657,14 @@ def conjugation_channel(
     samples: int = DEFAULT_POSITIVITY_SAMPLES,
     seed: int = DEFAULT_POSITIVITY_SEED,
 ) -> ChannelMap:
-    """The channel a -> u a u^dag (u unitary).
-
-    ``samples``/``seed`` reach the sampled positivity check, as in
-    ``build_channel``.
-    """
+    """The one-Kraus channel a -> u a u^dag (u unitary); ``samples``/``seed`` as in ``kraus_channel``."""
     mat = as_operator(u)
     if not is_unitary(mat, tol):
         raise NotUnitary(max_abs(mat @ dagger(mat) - identity(mat.shape[0])))
     tgt = target if target is not None else system
     if mat.shape[0] != tgt.dim or mat.shape[0] != system.dim:
         raise DimensionError("conjugating unitary has the wrong dimension")
-    images = [mat @ b @ dagger(mat) for b in system.space.basis]
-    return build_channel(system, tgt, images, tol, samples, seed)
+    return kraus_channel(system, tgt, [mat], tol, samples, seed)
 
 
 def kraus_channel(
@@ -686,9 +689,8 @@ def kraus_channel(
                 f"Kraus operator of shape {k.shape}, expected "
                 f"({target.dim}, {source.dim})"
             )
-    images = [
-        sum(k @ b @ dagger(k) for k in ops) for b in source.space.basis
-    ]
+    stack = np.stack(ops)[:, None]
+    images = (stack @ source.space.basis_stack[None] @ dagger(stack)).sum(axis=0)
     return build_channel(source, target, images, tol, samples, seed)
 
 

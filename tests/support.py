@@ -13,6 +13,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 
@@ -364,6 +365,26 @@ def random_density(rng, d):
 def random_span_element(rng, space):
     c = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
     return space.combine(c)
+
+
+# ------------------------------------------------------------------ memory
+
+
+def traced_peak(call):
+    """``(result, peak)``: what ``call()`` returns and the tracemalloc peak,
+    in bytes, while it ran.
+
+    numpy imports ``numpy.random`` lazily, on the first ``default_rng``,
+    and that import takes about 0.6 MB; it is made before tracing starts,
+    so no test's peak depends on whether it is the first to sample.
+    """
+    np.random.default_rng(0).standard_normal(1)
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # ----------------------------------------------------------------------- CLI

@@ -1,6 +1,5 @@
 """Covariant observable frames and the morphisms between them."""
 
-import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
 
@@ -9,6 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import framerel.frames as frames_module
+import framerel.groups as groups_module
+import framerel.systems as systems_module
 from framerel.errors import (
     EffectSpanNotEquivariant,
     FactorizationFails,
@@ -48,6 +50,7 @@ from framerel.relativize import (
     relativization_map,
 )
 from framerel.systems import (
+    ChannelMap,
     build_channel,
     compose_channels,
     full_system,
@@ -61,11 +64,13 @@ from .support import (
     X,
     Y,
     Z,
+    depolarizing_channel,
     ket,
     proj,
     run_under_cap,
     s3,
     smeared_canonical_frame,
+    traced_peak,
     z2,
     z2_flip_rep,
     z2_ideal_frame,
@@ -369,12 +374,7 @@ def test_frames_from_effects_keep_the_seed_of_their_family():
 
 def test_s5_canonical_frame_peaks_under_8_mib():
     # its effect stack alone is 120^3 complex entries, 26.4 MiB
-    tracemalloc.start()
-    try:
-        frame = canonical_ideal_frame(build_symmetric_group(5))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    frame, peak = traced_peak(lambda: canonical_ideal_frame(build_symmetric_group(5)))
     assert frame.is_ideal and len(frame.components) == 1 and frame.components[0].shape == (120, 1)
     assert peak < 8 * 2**20
 
@@ -599,16 +599,54 @@ def test_chains_are_checked_for_factorization():
     assert chained.value.deviation == explicit.value.deviation
 
 
+def _morphism_cases(group):
+    """``(source, target, channel)`` of the identity, smearing and composite
+    morphisms of a group's canonical frame, the channels built beforehand."""
+    ideal = canonical_ideal_frame(group)
+    vs, d = ideal.value_system, group.order
+
+    def smeared(lam):
+        return principal_frame_from_seed(ideal.rep, (1 - lam) * ideal.seed + lam * np.eye(d) / d)
+
+    first, second = depolarizing_channel(vs, 0.3), depolarizing_channel(vs, 0.5)
+    return [
+        (ideal, ideal, identity_channel(vs)),
+        (ideal, smeared(0.3), first),
+        (ideal, smeared(1 - 0.7 * 0.5), compose_channels(second, first)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "group",
+    [*map(build_cyclic_group, (1, 2, 3, 4)), build_symmetric_group(3), build_symmetric_group(4)],
+    ids=["Z1", "Z2", "Z3", "Z4", "S3", "S4"],
+)
+def test_frame_morphisms_are_decided_by_one_apply(group):
+    # factorization and covariance decide equivariance: one ``apply`` of
+    # the source effects, no translate and no element table, at any order
+    def refuse(*args, **kwargs):
+        raise AssertionError("translate or element table entered")
+
+    for source, target, channel in _morphism_cases(group):
+        _ = source.effects, target.effects  # the check reads the stacks; build them first
+        with (
+            mock.patch.object(ChannelMap, "apply", autospec=True, side_effect=ChannelMap.apply) as apply,
+            mock.patch.object(frames_module, "act", refuse),
+            mock.patch.object(frames_module, "translates", refuse),
+            mock.patch.object(groups_module, "act", refuse),
+            mock.patch.object(groups_module, "translates", refuse),
+            mock.patch.object(systems_module, "translates", refuse),
+            mock.patch.object(frames_module, "_equivariance_table", refuse),
+        ):
+            morphism = build_frame_morphism(source, target, channel)
+        assert morphism.channel is channel and apply.call_count == 1
+
+
 def test_identity_morphism_on_z16_peaks_under_one_mib():
     # the matrix units of the full Z16 value system alone take 1 MiB; the
     # identity is the empty chain and builds neither them nor a Choi matrix
     frame = _cyclic_ideal(16)
-    tracemalloc.start()
-    try:
-        ident = identity_frame_morphism(frame)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    ident, peak = traced_peak(lambda: identity_frame_morphism(frame))
     assert ident.channel.factors == () and ident.channel._images is None
     assert peak < 2**20
 

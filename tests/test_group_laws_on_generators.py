@@ -256,6 +256,35 @@ def test_an_equivariance_defect_that_grows_along_words_is_judged_by_the_loop(n, 
     same_outcome(lambda: build_frame_morphism(source, target, channel, TOL), lambda m: "built")
 
 
+@pytest.mark.parametrize("side", ["source", "target"])
+@pytest.mark.parametrize("element", [1, 2])
+def test_a_value_action_off_the_frame_action_is_judged_by_the_table(side, element):
+    # Z3 frames with off-diagonal effects, covariant under the regular rep A;
+    # one value system carries A with an extra phase of 50 tol on a basis
+    # vector, at element 2 outside the generating set (the rep is off its
+    # words there), or on the generator 1 and its powers (a rep equal to
+    # its words, whose covariance moves).  The identity images factor the
+    # frame exactly, but g.E(h) under the perturbed action differs from
+    # A(g).E(h): only the covariance bound of the perturbed side, measured
+    # under its own action (C for the source, C' for the target), sends
+    # the morphism to the table, which names that element.
+    group = build_cyclic_group(3)
+    exact = regular_representation(group)
+    mats = list(exact.matrices)
+    phase = np.diag([1.0, np.exp(50j * TOL), 1.0])
+    if element == 2:
+        mats[2] = mats[2] @ phase
+    else:
+        mats = [np.linalg.matrix_power(mats[1] @ phase, k) for k in range(3)]
+    moved = full_system(unitary_rep(group, mats, tol=LOOSE))
+    effects = covariant_effects(exact.matrices, np.random.default_rng(5))
+    frames = [frame_from_effects(exact, effects, moved if side == s else None, LOOSE) for s in ("source", "target")]
+    units = np.eye(9, dtype=complex).reshape(9, 3, 3)
+    channel = build_channel(frames[0].value_system, frames[1].value_system, units, LOOSE)
+    loop = same_outcome(lambda: build_frame_morphism(*frames, channel, TOL), lambda m: "built")
+    assert loop[0] == "EffectSpanNotEquivariant" and f"element {element}" in loop[1]
+
+
 # ---------------------------------------------------------------- fast path
 
 
@@ -307,8 +336,8 @@ def test_a_support_carried_off_itself_runs_the_loop():
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_small_cyclic_groups_decide_on_generators(order):
-    # Z1 and Z2 are generated by every element but the identity, so their
-    # morphism goes to the equivariance table; from Z3 on nothing loops
+    # a frame morphism is decided by its factorization and the frames'
+    # covariance at every order, so nothing loops, Z1 and Z2 included
     group = build_cyclic_group(order)
     calls = {
         name: mock.Mock(wraps=getattr(module, name))
@@ -326,16 +355,15 @@ def test_small_cyclic_groups_decide_on_generators(order):
         frame = canonical_ideal_frame(group)
         identity_frame_morphism(frame)
     counts = {name: call.call_count for name, call in calls.items()}
-    table = 1 if order <= 2 else 0
-    assert counts == {"_element_loop": 0, "_covariance_loop": 0, "_equivariance_table": table}
+    assert counts == {"_element_loop": 0, "_covariance_loop": 0, "_equivariance_table": 0}
 
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_groups_generated_by_every_other_element_take_the_element_table(order):
     # The generators of Z1 and Z2 are every element but the identity, so
-    # their test would do the element loop's work: a frame morphism goes
-    # straight to the equivariance table and a proper span to the element
-    # loop, with the verdicts of the generator path.
+    # their test would do the element loop's work: a proper span goes
+    # straight to the element loop, with the verdicts of the generator
+    # path.  A frame morphism needs no element table at any order.
     group = build_cyclic_group(order)
     frame = canonical_ideal_frame(group)
     # Z1 acts trivially on C^2, Z2 flips it: span{I, X} is invariant under
@@ -351,14 +379,11 @@ def test_groups_generated_by_every_other_element_take_the_element_table(order):
     def refuse(*args, **kwargs):
         raise AssertionError("generator test entered")
 
-    # a morphism's generator test moves the effects by ``act`` and bounds by ``word_bound``
     with (
-        mock.patch.object(frames_module, "act", refuse),
-        mock.patch.object(frames_module, "word_bound", refuse),
         mock.patch.object(systems_module, "_generator_deviations", refuse),
         mock.patch.object(frames_module, "_equivariance_table", table),
         mock.patch.object(systems_module, "_element_loop", loop),
     ):
         identity_frame_morphism(frame)
         assert [system_from_subspace(rep, space, TOL).is_invariant for space in spans] == expect
-    assert table.call_count == 1 and loop.call_count == len(spans)
+    assert table.call_count == 0 and loop.call_count == len(spans)

@@ -1,7 +1,6 @@
 """Finite groups and unitary representations against independent oracles."""
 
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,8 +34,17 @@ from framerel.groups import (
 )
 from framerel.linalg import max_abs
 
-from .strategies import cyclic_monomial_reps, permutation_matrices, standard_matrices
-from .support import I2, X, Z, s3_irrep2, symmetric_table_loop, z2_flip_rep, zn_phase_rep
+from .strategies import cyclic_monomial_reps, group_reps, permutation_matrices, standard_matrices
+from .support import (
+    I2,
+    X,
+    Z,
+    s3_irrep2,
+    symmetric_table_loop,
+    traced_peak,
+    z2_flip_rep,
+    zn_phase_rep,
+)
 
 
 # ------------------------------------------------------------------ oracles
@@ -513,11 +521,29 @@ def test_monomial_reps_act_as_dense_conjugation():
         assert np.array_equal(translates(rep, stack), each)
         assert np.array_equal(translates(rep, stack, slice(1, 4)), each[1:4])
         assert np.array_equal(translates(rep, stack[0], slice(2, None)), each[2:, 0])
-    # on the 1-dim Z3 phase rep the two products round apart in the last place
+    # on the 1-dim Z3 phase rep two layouts of the products once rounded apart
     z3 = unitary_rep(build_cyclic_group(3), [np.array([[np.exp(2j * np.pi * k / 3)]]) for k in range(3)])
     for a in rng.standard_normal((8, 1, 1, 1)) + 1j * rng.standard_normal((8, 1, 1, 1)):
-        assert max_abs(translates(z3, a) - np.stack([act(z3, g, a) for g in range(3)])) < 1e-15
-        assert max_abs(translates(z3, a[0]) - np.stack([act(z3, g, a[0]) for g in range(3)])) < 1e-15
+        assert np.array_equal(translates(z3, a), np.stack([act(z3, g, a) for g in range(3)]))
+        assert np.array_equal(translates(z3, a[0]), np.stack([act(z3, g, a[0]) for g in range(3)]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=group_reps(), seed=st.integers(0, 2**32 - 1))
+def test_act_is_translates_at_one_element(case, seed):
+    # one formula for g.a: on monomial and dense reps alike, every slice
+    # of ``translates`` is ``act`` bit for bit, and both are U a U^dag
+    kind, n, mats = case
+    group = build_cyclic_group(n) if kind == "cyclic" else build_symmetric_group(n)
+    rep = unitary_rep(group, mats)
+    d = rep.dim
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d))
+    each = np.stack([act(rep, g, stack) for g in group.elements()])
+    assert max_abs(each - np.stack([u @ stack @ np.conj(u).T for u in mats])) < 1e-13
+    assert np.array_equal(translates(rep, stack), each)
+    assert np.array_equal(translates(rep, stack[1]), each[:, 1])
+    assert np.array_equal(translates(rep, stack, slice(1, None)), each[1:])
 
 
 def dense_homomorphism_witness(group, mats):
@@ -591,12 +617,7 @@ def test_tensor_rep_of_s5_builds_no_joint_matrices():
             m[pk, k] = 1.0
         perm5.append(m)
     perm5 = unitary_rep(group, perm5)
-    tracemalloc.start()
-    try:
-        joint = tensor_rep(regular, perm5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    joint, peak = traced_peak(lambda: tensor_rep(regular, perm5))
     assert peak < 16 * 2**20
     assert joint.dim == 600 and joint.perms.shape == (120, 600) and joint.phases is None
     assert joint._matrices is None

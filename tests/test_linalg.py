@@ -1,6 +1,5 @@
 """Linear-algebra layer: oracles first, then the library against them."""
 
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +31,7 @@ from framerel.linalg import (
     widen_partition,
 )
 
-from .support import partial_trace_first
+from .support import partial_trace_first, traced_peak
 
 # ----------------------------------------------------------------- oracles
 #
@@ -298,12 +297,7 @@ def test_vector_kernel_of_a_tall_matrix_stays_small():
     left = rng.standard_normal((3000, 2)) + 1j * rng.standard_normal((3000, 2))
     right = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
     m = left @ right  # rank 2, so the kernel has dimension 2
-    tracemalloc.start()
-    try:
-        kern = vector_kernel(m)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    kern, peak = traced_peak(lambda: vector_kernel(m))
     assert kern.shape == (2, 4)
     assert max_abs(m @ kern.T) < 1e-9
     assert max_abs(kern @ np.conj(kern).T - np.eye(2)) < 1e-12

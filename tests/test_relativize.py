@@ -5,7 +5,6 @@ import itertools
 import pathlib
 import random
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +107,7 @@ from .support import (
     s3_irrep2,
     smeared_canonical_frame,
     smearing_morphism,
+    traced_peak,
     unlocalized_canonical_frame,
     z2,
     z2_flip_rep,
@@ -243,12 +243,7 @@ def test_relativize_stack_holds_no_more_translates_than_blocks():
     frame = principal_frame_from_seed(value, np.full((2, 2), 1 / 16, dtype=complex))
     system = full_system(regular_representation(value.group))
     ops = system.space.basis_stack
-    tracemalloc.start()
-    try:
-        _relativize_stack(frame, system, ops)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: _relativize_stack(frame, system, ops))
     assert peak < 16 * 2**20
 
 
@@ -755,14 +750,20 @@ def test_s4_law_checks_peak_under_one_mib():
         lambda: check_naturality(smear, phi),
     ]
     for call in calls:
-        tracemalloc.start()
-        try:
-            call()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(call)
         assert peak < 2**20
     assert all(rmap._images is None for rmap in maps)  # built on request only
+
+
+def test_s5_relative_subspace_peaks_under_16_mib():
+    # the relative span lives on 25 of the 600 x 600 joint entries' blocks;
+    # a dense 600 x 600 identity, projected to test I in the span, took the
+    # peak to 20.5 MiB
+    group = build_symmetric_group(5)
+    frame, system = canonical_ideal_frame(group), _permutation_system(group, 5)
+    rel, peak = traced_peak(lambda: build_relative_subspace(frame, system))
+    assert (rel.space.dim, rel.kernel.dim) == (25, 0)
+    assert peak < 16 * 2**20
 
 
 # ------------------------------------------------------------------ preduals
@@ -1069,12 +1070,7 @@ def test_functor_laws_on_z16_peak_under_two_mib():
     w = np.exp(2j * np.pi / 16)
     qubit_16 = full_system(unitary_rep(group, [np.diag([1.0, w**k]) for k in range(16)]))
     links = _smearing_links(group, qubit_16, (0.35, 0.5), (0.25, 0.6))
-    tracemalloc.start()
-    try:
-        report = check_functor_laws(links)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    report, peak = traced_peak(lambda: check_functor_laws(links))
     assert report.passed
     assert peak < 2 * 2**20
 

@@ -1,6 +1,5 @@
 """Semi-quantum systems, channels, states: conventions pinned by oracles."""
 
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +72,7 @@ from .support import (
     s3,
     s3_irrep2,
     smeared_canonical_frame,
+    traced_peak,
     z2_flip_rep,
     zn_phase_rep,
 )
@@ -338,12 +338,7 @@ def test_full_system_stores_no_basis():
 def test_full_system_on_s5_allocates_no_unit_stack():
     # the dense (14400, 120, 120) unit stack would be 3.3 GB
     rep = regular_representation(build_symmetric_group(5))
-    tracemalloc.start()
-    try:
-        sq = full_system(rep)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    sq, peak = traced_peak(lambda: full_system(rep))
     assert sq.is_full_algebra and sq.space.dim == 14400
     assert peak < 64 * 2**20
 
@@ -675,6 +670,21 @@ def test_conjugation_equals_single_kraus():
     assert max_abs(conj.apply(a) - H @ a @ H) < 1e-12
 
 
+def test_kraus_images_equal_the_per_basis_loop():
+    # the images come from one batched K b K^dag product summed over the
+    # Kraus operators, in the loop's order: equal to it, not just close
+    qubit = full_system(z2_flip_rep())
+    proper = subspace_system(z2_flip_rep(), [X])
+    wide = full_system(tensor_rep(trivial_rep(qubit.group, 2), z2_flip_rep()))
+    mixed = [np.sqrt(0.5) * I2, np.sqrt(0.3) * X, np.sqrt(0.2) * Z]
+    halves = [np.kron(np.eye(2)[:, [k]], I2) for k in range(2)]  # a -> I2 (x) a
+    for source, target, ops in ((qubit, qubit, mixed), (proper, qubit, mixed), (qubit, wide, halves)):
+        channel = kraus_channel(source, target, ops)
+        loop = [sum(k @ b @ np.conj(k).T for k in ops) for b in source.space.basis]
+        assert np.array_equal(channel.images, np.stack(loop))
+    assert np.array_equal(conjugation_channel(qubit, H).images, np.stack([H @ b @ H for b in qubit.space.basis]))
+
+
 def test_compose_channels_and_endpoint_checks():
     sq = full_system(z2_flip_rep())
     dep = depolarizing_channel(sq, 0.5)
@@ -949,12 +959,7 @@ def test_equivariance_table_holds_no_more_than_the_channel_images():
     channel = depolarizing_channel(frame.value_system, 0.3)
     basis = frame.value_system.space.basis_stack
     images = channel.apply(basis)
-    tracemalloc.start()
-    try:
-        table = _equivariance_table(channel, basis, images, 1e-9)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    table, peak = traced_peak(lambda: _equivariance_table(channel, basis, images, 1e-9))
     assert table.shape == (16, 256) and table.max() < 1e-12
     assert peak < 6 * channel.images.nbytes
 
