@@ -8,25 +8,25 @@ the canonical ideal frame seeds the regular representation with the
 projection onto the identity basis vector.  Conjugation preserves
 positivity and projections, and a system span is closed under the
 action, so a seed alone is validated: PSD, in the value span, its
-translates summing to I on the orbit of its support, covariance on the
-generators first under the rule of ``groups`` (the loop over every pair
-(g, h) only when the bound exceeds the tolerance), and ideal iff
-E(e)^2 = E(e).  An explicit family is first validated as a stack.  The
-(|G|, d, d) ``effects`` stack is built on request only.
+translates summing to I on the orbit of its support (``groups``'
+``support_orbit`` and ``moved_on_support``, whatever the rep's storage),
+covariance on the generators first under the rule of ``groups`` (the
+loop over every pair only when the bound exceeds the tolerance), and
+ideal iff E(e)^2 = E(e).  An explicit family is first validated as a
+stack.  The (|G|, d, d) ``effects`` stack is built on request only.
 
 A frame morphism is a channel between the value systems that carries
 the source effects exactly onto the target effects.  Such a channel is
 automatically equivariant on the span of the source effects: by
 linearity, phi(g.E(h)) - g.phi(E(h)) is made of the factorization
-residual and the two frames' covariance defects, so the residual and the
-covariance the frames stored bound it, and the element table runs only
-when that bound exceeds the tolerance.  Equivariance on the whole value
+residual and the two frames' covariance defects, so the residual, the
+covariance the frames stored and the channel's ``hs_gain`` bound it, and
+the element table runs only when that bound exceeds the tolerance.  Equivariance on the whole value
 system is neither checked nor assumed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,13 +46,12 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     UnitaryRep,
-    _lookup,
     act,
+    moved_on_support,
     regular_representation,
     same_group,
     same_rep,
-    support_translates,
-    support_values,
+    support_orbit,
     translates,
     word_bound,
 )
@@ -68,6 +67,7 @@ from .linalg import (
     is_psd,
     max_abs,
     min_eigenvalue,
+    support_gather,
 )
 from .systems import (
     DEFAULT_POSITIVITY_SAMPLES,
@@ -118,39 +118,30 @@ class FrameObservable:
 
 
 def _orbit(rep: UnitaryRep, stack) -> tuple[np.ndarray, np.ndarray]:
-    """``(entries, values)``: the increasing flat entries where some g.a, a in a
-    (k, d, d) stack, can be nonzero, and the stack's (k, m) values there."""
+    """``(entries, values)``: the ``support_orbit`` of a (k, d, d) stack's
+    union support, and the stack's (k, m) values there."""
     flat = stack.reshape(len(stack), -1)
-    entries = np.arange(flat.shape[1])
-    if rep.perms is not None:  # the entries some g carries the union support to
-        moved = support_translates(rep, np.flatnonzero(np.any(flat != 0, axis=0)))[0]
-        entries = np.flatnonzero(np.bincount(moved.ravel(), minlength=flat.shape[1]))
+    entries = support_orbit(rep, np.flatnonzero(np.any(flat != 0, axis=0)))
     return entries, flat[:, entries]
 
 
-def _translated(rep: UnitaryRep, entries, values):
-    """``(values, moved)``, ``moved(g)`` the values at ``entries`` of g.E(h) for every h."""
-    if rep.perms is not None:
-        return values, lambda g: support_values(rep, values, entries, g)
-    stack = values.reshape(len(values), rep.dim, rep.dim)
-    return values, lambda g: act(rep, g, stack).reshape(len(values), -1)
+def _covariance_on_generators(rep: UnitaryRep, entries, values) -> tuple[float, float]:
+    """eps, the largest ||E(s h) - s.E(h)|| over the generators s, and the largest
+    ||E(h)||, both HS, from the effects' ``values`` on ``entries`` (``_orbit``).
+    E(gh) - g.E(h) telescopes along g's word, g = p s: E(p (s h)) - p.E(s h) +
+    p.(E(s h) - s.E(h)), so every pair deviates by at most ``word_bound(rep,
+    eps, max_h ||E(h)||_HS)``; when that exceeds ``tol``, ``_covariance_loop`` decides."""
+    gens = np.array(rep.group.generators, dtype=np.int64)
+    gaps = values[rep.group.mult[gens]] - moved_on_support(rep, values, entries, gens)[0]
+    return float(hs_norms(gaps.reshape(-1, len(entries))).max(initial=0.0)), float(hs_norms(values).max())
 
 
-def _covariance_on_generators(group: FiniteGroup, values, moved) -> tuple[float, float]:
-    """eps, the largest ||E(s h) - s.E(h)|| over the generators s, and the
-    largest ||E(h)||, both HS, from ``_translated``.  E(gh) - g.E(h)
-    telescopes along g's word, g = p s: E(p (s h)) - p.E(s h) + p.(E(s h)
-    - s.E(h)), so every pair deviates by at most ``word_bound(rep, eps,
-    max_h ||E(h)||_HS)``; when that exceeds ``tol``, ``_covariance_loop`` decides."""
-    gaps = [hs_norms(values[group.mult[s]] - moved(s)).max() for s in group.generators]
-    return float(max(gaps, default=0.0)), float(hs_norms(values).max())
-
-
-def _covariance_loop(group: FiniteGroup, values, moved, tol: float) -> None:
+def _covariance_loop(rep: UnitaryRep, entries, values, tol: float) -> None:
     """Raise FrameInvalid at the first pair (g, h), in element order, where
     |E(g h) - g.E(h)| exceeds ``tol`` entrywise."""
+    group = rep.group
     for g in group.elements():
-        devs = np.abs(values[group.mult[g]] - moved(g)).max(axis=1)
+        devs = np.abs(values[group.mult[g]] - moved_on_support(rep, values, entries, g)[0]).max(axis=1)
         bad = np.flatnonzero(devs > tol)
         if bad.size:
             h = int(bad[0])
@@ -170,9 +161,7 @@ def _check_value_system(rep: UnitaryRep, value_system: SemiQuantumSystem, tol: f
 def _seed_orbit(rep: UnitaryRep, seed) -> tuple[np.ndarray, np.ndarray]:
     """``(entries, values)``: ``_orbit`` of the seed and its translates there, (|G|, m)."""
     entries, values = _orbit(rep, seed[None])
-    if rep.perms is None:
-        return entries, translates(rep, seed).reshape(rep.group.order, -1)
-    return entries, support_values(rep, values, entries, slice(None))[0]
+    return entries, moved_on_support(rep, values, entries)[0][:, 0]
 
 
 def _seed_frame(rep: UnitaryRep, seed, value_system, tol: float, entries, values):
@@ -180,13 +169,12 @@ def _seed_frame(rep: UnitaryRep, seed, value_system, tol: float, entries, values
     seed.setflags(write=False)
     blocks = (seed[c[:, :, None], c[:, None, :]] for c in block_partition(seed != 0))
     ideal = all(max_abs(b @ b - b) <= tol for b in blocks)
-    covariance = _covariance_on_generators(rep.group, *_translated(rep, entries, values))
+    covariance = _covariance_on_generators(rep, entries, values)
     support = np.zeros(rep.dim**2, dtype=bool)
     support[entries] = np.any(values != 0, axis=0)
     components = block_partition(support.reshape(rep.dim, rep.dim))
-    flat = [(c[:, :, None] * rep.dim + c[:, None, :]).ravel() for c in components]
-    padded, pos = _lookup(values, entries, np.concatenate(flat))
-    effect_blocks = tuple(padded[:, p] for p in np.split(pos, np.cumsum([len(f) for f in flat])[:-1]))
+    flat = ((c[:, :, None] * rep.dim + c[:, None, :]).ravel() for c in components)
+    effect_blocks = tuple(support_gather(values, entries, f) for f in flat)
     return FrameObservable(rep, seed, value_system, ideal, covariance, components, effect_blocks)
 
 
@@ -220,9 +208,9 @@ def frame_from_effects(
     dev = max_abs(sum(stack) - identity(rep.dim))
     if dev > tol:
         raise FrameInvalid(f"effects do not sum to the identity (deviation {dev:.3e})")
-    values, moved = _translated(rep, *_orbit(rep, stack))
-    if word_bound(rep, *_covariance_on_generators(rep.group, values, moved)) > tol:
-        _covariance_loop(rep.group, values, moved, tol)
+    orbit = _orbit(rep, stack)
+    if word_bound(rep, *_covariance_on_generators(rep, *orbit)) > tol:
+        _covariance_loop(rep, *orbit, tol)
     seed = stack[rep.group.identity].copy()
     return _seed_frame(rep, seed, vs, tol, *_seed_orbit(rep, seed))
 
@@ -252,7 +240,7 @@ def principal_frame_from_seed(
         raise FrameInvalid(f"effect for element {rep.group.label(rep.group.identity)} leaves the value system span")
     frame = _seed_frame(rep, s, vs, tol, entries, values)
     if word_bound(rep, *frame.covariance) > tol:
-        _covariance_loop(rep.group, *_translated(rep, entries, values), tol)
+        _covariance_loop(rep, entries, values, tol)
     return frame
 
 
@@ -337,28 +325,13 @@ def build_frame_morphism(
     return FrameMorphism(source=source, target=target, channel=channel)
 
 
-def _hs_gain(channel: ChannelMap) -> float:
-    """Phi >= ||channel.apply(a)||_HS / ||a||_HS for every operator ``a``.
-
-    ``apply`` takes the HS coefficients of ``a`` on the orthonormal
-    source basis (a contraction) and sums them against the images, so by
-    Cauchy-Schwarz an explicit channel has Phi = ||images||_HS over the
-    whole stack; a chain multiplies its factors' bounds (1 for the
-    identity, which returns its input).
-    """
-    if channel.factors is None:
-        return float(np.linalg.norm(hs_norms(channel.images)))
-    return float(math.prod(_hs_gain(f) for f in channel.factors))
-
-
 def _covariance_bound(frame: FrameObservable, rep: UnitaryRep) -> float:
     """C >= ||g.E(h) - E(gh)||_HS for every g and h, g acting by ``rep``: the
     ``word_bound`` of the frame's ``covariance``, measured again on the
     effects when ``rep`` is not the frame's own object."""
     if rep is frame.rep:
         return word_bound(rep, *frame.covariance)
-    moved = _translated(rep, *_orbit(rep, frame.effects))
-    return word_bound(rep, *_covariance_on_generators(rep.group, *moved))
+    return word_bound(rep, *_covariance_on_generators(rep, *_orbit(rep, frame.effects)))
 
 
 def _equivariant_on_generators(
@@ -372,7 +345,7 @@ def _equivariant_on_generators(
     E'(gh), linearity gives phi(g.E(h)) - g.phi(E(h)) = f(gh) - g.f(h) +
     phi(c(g, h)) - c'(g, h).  In HS norm, which bounds every entry,
     ||g.f|| <= r^2 ||f|| with r = nu^L + D >= ||U'(g)||_op from the target
-    rep's ``word_constants``, ||phi(c)|| <= Phi ||c|| (``_hs_gain``), and
+    rep's ``word_constants``, ||phi(c)|| <= Phi ||c|| (``ChannelMap.hs_gain``), and
     ||c||, ||c'|| <= C, C' (``_covariance_bound``, from the generators).
     So every entry is at most (1 + r^2) max ||f|| + Phi C + C'.  A proper
     source also needs every g.E(h) inside its span, as ``apply`` checks:
@@ -386,7 +359,7 @@ def _equivariant_on_generators(
     nu, defect = tgt.word_constants
     reach = nu**tgt.group.word_length + defect
     factor = (1 + reach**2) * hs_norms(residual).max()
-    return factor + _hs_gain(channel) * gap + _covariance_bound(target, tgt) <= tol
+    return factor + channel.hs_gain() * gap + _covariance_bound(target, tgt) <= tol
 
 
 def identity_frame_morphism(

@@ -42,14 +42,16 @@ of two matrix products.  A permutation rep (every phase exactly 1) has
 no phase array, so its gather is the whole action and gives the matrix
 path's numbers bit for bit; other phases agree with it within rounding.
 ``act`` is ``translates`` at one element, so the two agree bit for bit.
-Operators that live on a few entries are moved on those alone:
-they are given by their entries on the support, and every other entry
-is zero.  ``support_translates`` says where each g carries a support,
-``support_values`` gives the moved and scaled entries there, and
-``invariance_deviation`` compares a stack with its translates there.
 Tensor products of monomial reps are index and phase arithmetic, and
 their matrices are built only when a caller asks for them.  Every other
 representation keeps its matrices and takes the matrix path.
+
+Only this module reads how a representation is stored.  Operators that
+live on a few entries are given by their entries on that support, zero
+elsewhere: ``moved_on_support`` gives g.a on the support and its largest
+entry off it (a monomial rep gathers, any other conjugates densely),
+``support_orbit`` the entries some g.a can fill, and
+``invariance_deviation`` compares a stack with its translates.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ from .errors import (
     NoInverse,
     NotAssociative,
 )
-from .linalg import DEFAULT_TOL, as_operator, chunks, dagger, identity, max_abs
+from .linalg import DEFAULT_TOL, as_operator, chunks, dagger, identity, max_abs, support_gather
 
 ASSOCIATIVITY_CAP = 64
 
@@ -579,82 +581,92 @@ def _support_sources(perms: np.ndarray, support, d: int) -> np.ndarray:
     return perms[..., rows] * d + perms[..., cols]
 
 
-def support_translates(
-    rep: UnitaryRep, support, elements=slice(None)
-) -> tuple[np.ndarray, np.ndarray]:
-    """Where a monomial rep (``rep.perms`` set) moves the entries of operators on ``support``.
+def support_orbit(rep: UnitaryRep, support) -> np.ndarray:
+    """The increasing flat entries where some g.a can be nonzero, for operators
+    that vanish off the flat ``support``: the entries a monomial rep carries
+    the support to, and every entry under any other rep."""
+    d = rep.dim
+    if rep.perms is None:
+        return np.arange(d * d)
+    moved = _support_sources(rep.perms, support, d)
+    return np.flatnonzero(np.bincount(moved.ravel(), minlength=d * d))
 
-    ``support`` holds increasing flat (row-major) indices.  Returns
-    ``(src, leaves)``, both (len(elements), len(support)), for the
-    ``elements`` (all of them by default, or a slice or id array): on
-    the support, g.a reads a.flat[src[g]] (``support_values`` gives the
-    scaled values), and ``leaves[g, k]`` is True when g carries the
-    entry support[k] off the support, where g.a then holds that value
-    times a phase.  Every other entry of g.a is zero.  g carries entry s
-    to the entry that the gather of g^-1 reads at s, so no permutation
-    is inverted.
+
+def moved_on_support(rep: UnitaryRep, values, support, elements=slice(None)):
+    """``(inside, outside)``: g.a on ``support`` and its largest |entry| off it.
+
+    ``values`` holds the (n, K) entries at ``support`` (increasing flat
+    indices) of operators that vanish off it.  One element gives (n, K)
+    and (n,); a slice or an id array puts the elements first, as
+    ``translates`` does.  ``inside`` is ``act``'s entries bit for bit.  A
+    monomial rep gathers and scales as ``translates`` does; g carries
+    entry s to the entry that g^-1's gather reads at s, so no permutation
+    is inverted.  Any other rep conjugates densely, a working set of
+    elements at a time.
     """
-    inside = np.zeros(rep.dim * rep.dim, dtype=bool)
-    inside[support] = True
+    values, support = np.asarray(values, dtype=np.complex128), np.asarray(support)
     ids = np.arange(rep.group.order)[elements]
-    src = _support_sources(rep.perms[ids], support, rep.dim)
-    back = _support_sources(rep.perms[rep.group.inverse[ids]], support, rep.dim)
-    return src, ~inside[back]
-
-
-def _lookup(values, support, src) -> tuple[np.ndarray, np.ndarray]:
-    """``values`` (..., k) on the increasing ``support``, with a zero column
-    appended, and the column each flat index of ``src`` reads (zero off it)."""
-    pos = np.searchsorted(support, src)
-    pos[np.append(support, -1)[pos] != src] = len(support)
-    zero = np.zeros((*values.shape[:-1], 1), dtype=values.dtype)
-    return np.concatenate([values, zero], axis=-1), pos
-
-
-def support_values(rep: UnitaryRep, values, support, elements) -> np.ndarray:
-    """The entries of g.a on ``support`` under a monomial rep, as ``act`` computes them.
-
-    ``values`` holds the entries at ``support`` (increasing flat indices)
-    of n operators that vanish off it.  ``elements`` is one element,
-    giving (n, len(support)), or a slice, giving (n, len(slice),
-    len(support)); each value is that entry of ``act``, bit for bit.
-    """
-    rows, cols = np.divmod(support, rep.dim)
-    src = _support_sources(rep.perms[elements], support, rep.dim)
-    padded, pos = _lookup(np.asarray(values), support, src)
-    moved = padded[..., pos]
-    if rep.phases is None:
-        return moved
-    c = rep.phases[elements]
-    return c[..., rows] * moved * np.conj(c[..., cols])
+    run, d, n = np.atleast_1d(ids), rep.dim, len(values)
+    if rep.perms is None:
+        stack = support_gather(values, support, np.arange(d * d)).reshape(n, d, d)
+        inside = np.empty((len(run), n, len(support)), dtype=np.complex128)
+        outside = np.empty((len(run), n))
+        for part in chunks(len(run), n * d * d):
+            moved = translates(rep, stack, run[part]).reshape(-1, n, d * d)
+            inside[part] = moved[..., support]
+            moved[..., support] = 0
+            outside[part] = np.abs(moved).max(axis=-1, initial=0.0)
+    else:
+        src, c = _support_sources(rep.perms[run], support, d), rep.phases
+        on = np.zeros(d * d, dtype=bool)
+        on[support] = True
+        inside, outside = support_gather(values, support, src).swapaxes(0, 1), np.zeros((len(run), n))
+        if c is not None:
+            rows, cols = np.divmod(support, d)
+            inside = c[run[:, None, None], rows] * inside * np.conj(c[run[:, None, None], cols])
+        # g permutes the entries, so it carries one off the support iff its gather reads one from off it
+        leak = ~on[src].all(axis=1)
+        if leak.any():
+            at = run[leak, None]
+            dest = _support_sources(rep.perms[rep.group.inverse[run[leak]]], support, d)
+            rows, cols = np.divmod(dest, d)
+            carried = values[:, None] if c is None else c[at, rows] * values[:, None] * np.conj(c[at, cols])
+            outside[leak] = np.where(~on[dest], np.abs(carried), 0.0).max(axis=-1).T
+    return (inside[0], outside[0]) if np.ndim(ids) == 0 else (inside, outside)
 
 
 def invariance_deviation(rep: UnitaryRep, values, support) -> float:
-    """Largest ``commutation_deviation`` over every group element, of
-    operators given by their entries on ``support`` as in ``support_values``.
+    """Largest ``commutation_deviation`` over every element, a working set of
+    elements at a time, of operators given on ``support`` as in
+    ``moved_on_support``.
 
-    The support may hold entries where every operator is zero.  For a
-    monomial rep, a U(g) - U(g) a is formed on the support alone, with
-    ``commutation_deviation``'s products.  Off the support it is zero
-    but where g carries an entry s of a, and there it is -a[s] times a
-    phase; g^-1 reads that entry from off the support, so its difference
-    holds a[s] times a phase at s itself.  The maximum over every
-    element is therefore the same: the same float for a permutation rep,
-    and within rounding of the phases' modulus at those entries
-    otherwise.  Any other rep compares the dense operators.
+    A monomial rep forms a U(g) - U(g) a on the support alone, with
+    ``commutation_deviation``'s products.  Off the support that difference
+    holds -a[s] times a phase where g carries an entry s off, and g^-1's
+    holds a[s] times a phase at s itself, so the maximum over the group
+    is the same: the same float for a permutation rep, and within rounding
+    of the phases' modulus otherwise.  Any other rep compares the dense
+    operators.
     """
     values, support = np.asarray(values, dtype=np.complex128), np.asarray(support)
+    d, order = rep.dim, rep.group.order
     if rep.perms is None:
-        dense = np.zeros((len(values), rep.dim * rep.dim), dtype=np.complex128)
-        dense[:, support] = values
-        dense = dense.reshape(-1, rep.dim, rep.dim)
-        return max(commutation_deviation(rep, g, dense) for g in rep.group.elements())
-    padded, pos = _lookup(values, support, _support_sources(rep.perms, support, rep.dim))
-    if rep.phases is None:
-        return max(max_abs(values - padded[:, p]) for p in pos)
-    rows, cols = np.divmod(support, rep.dim)
-    c = rep.phases
-    return max(max_abs(values * c[g, cols] - c[g, rows] * padded[:, p]) for g, p in enumerate(pos))
+        dense = support_gather(values, support, np.arange(d * d)).reshape(-1, d, d)
+        us = np.stack(rep.matrices)[:, None]
+        return max(max_abs(dense @ us[run] - us[run] @ dense) for run in chunks(order, dense.size))
+    # the column of ``padded`` each g.a reads at each support entry, 0 off the support
+    pos = support_gather(np.arange(1, len(support) + 1), support, _support_sources(rep.perms, support, d))
+    padded = np.concatenate([np.zeros((len(values), 1)), values], axis=1)
+    rows, cols = np.divmod(support, d)
+    devs = []
+    for run in chunks(order, values.size):
+        moved = padded[:, pos[run]]  # (n, elements, support)
+        if rep.phases is None:
+            devs.append(max_abs(values[:, None] - moved))
+        else:
+            c = rep.phases[run]
+            devs.append(max_abs(values[:, None] * c[:, cols] - c[:, rows] * moved))
+    return max(devs)
 
 
 def tensor_rep(r1: UnitaryRep, r2: UnitaryRep) -> UnitaryRep:

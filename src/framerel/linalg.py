@@ -22,7 +22,8 @@ and takes the larger of that residual and the largest entry off the
 support.  Callers that know where their operators live pass those
 entries alone: the translates of ``systems`` give their support entries
 to ``support_residuals``, its products their block entries to
-``projection_errors``.  Bases come from a two-pass modified
+``projection_errors``; ``support_gather`` reads operators held on a
+support at any flat entries, zero off it.  Bases come from a two-pass modified
 Gram-Schmidt with fixed input ordering, kernels from LAPACK's SVD, both
 deterministic on a given platform.  The SVD is the reduced one unless the
 matrix is wide, so a tall constraint matrix never allocates a rows x rows
@@ -292,6 +293,16 @@ def _svd_kernel(m: np.ndarray, tol: float) -> np.ndarray:
     return vh[rank:]
 
 
+def support_gather(values, support, flat) -> np.ndarray:
+    """Entries ``flat`` (flat indices, any shape) of operators given by their
+    (..., k) ``values`` on the increasing ``support``: zero off the support,
+    shape (..., *flat.shape)."""
+    pos = np.searchsorted(support, flat)
+    pos[np.append(support, -1)[pos] != flat] = len(support)
+    zero = np.zeros((*np.shape(values)[:-1], 1), dtype=np.asarray(values).dtype)
+    return np.concatenate([values, zero], axis=-1)[..., pos]
+
+
 def projection_errors(rows, basis) -> np.ndarray:
     """|r - P r| entrywise, for every row r of ``rows``, P the projection onto ``basis``.
 
@@ -391,9 +402,7 @@ class MatrixSubspace:
             return matrix_units(d)
         if self._stack is None:
             support, values = self._support
-            stack = np.zeros((len(values), d * d), dtype=np.complex128)
-            stack[:, support] = values
-            self._stack = stack.reshape(-1, d, d)
+            self._stack = support_gather(values, support, np.arange(d * d)).reshape(-1, d, d)
         return self._stack
 
     @property

@@ -26,9 +26,10 @@ map (the induced maps of ``relativize``, from their tensor form).
 A proper span is validated on its support, the entries where some basis
 element is nonzero: its translates, adjoints and products are projected
 on those entries alone (the basis vanishes elsewhere), and their
-entries off the support are compared with the tolerance directly.  A
-monomial representation moves the support entries alone, and
-products are formed on the diagonal blocks of the support, so a span
+entries off the support are compared with the tolerance directly.  The
+translates come from ``groups.moved_on_support`` (a monomial
+representation moves the support entries alone), and products are
+formed on the diagonal blocks of the support, so a span
 that lives on a few blocks of a large joint space costs what its blocks
 cost.  Closure and invariance are tested on the group's generators
 first, under the rule of ``groups``, and on every element only when
@@ -45,6 +46,7 @@ P_{S^dag}(X) = P_S(X^dag)^dag, so no system holds a second span.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,10 +67,9 @@ from .errors import (
 from .groups import (
     UnitaryRep,
     acts_trivially,
+    moved_on_support,
     same_group,
     same_rep,
-    support_translates,
-    support_values,
     translates,
     word_bound,
 )
@@ -216,30 +217,16 @@ def _generator_deviations(rep: UnitaryRep, space: MatrixSubspace) -> tuple[float
     """(closure, invariance) deviations of a proper span over the generators, in HS norm.
 
     Closure: the largest (sum_i ||P_perp s.x_i||^2)^(1/2); invariance:
-    the largest ||s.x_i - x_i||.  A monomial rep moves the support
-    entries alone (``support_values``); when some generator carries a
-    support entry off the support, the support is not invariant and
-    both are infinite.  Otherwise the permutations, which compose
-    exactly (``word_constants``), keep every translate on the support.
-    Other reps conjugate the basis densely (``translates``).
+    the largest ||s.x_i - x_i||.  Both are read on the support from the
+    ``moved_on_support`` translates, plus at most (d^2 - K) outside^2 off it.
     """
     gens = np.array(rep.group.generators, dtype=np.int64)
-    if rep.perms is not None:
-        support, values = space.support, space.support_basis
-        _, leaves = support_translates(rep, support, gens)
-        if leaves.any():
-            return np.inf, np.inf
-        moved = support_values(rep, values, support, gens).swapaxes(0, 1)  # (gens, dim, support)
-        outside = projection_errors(moved.reshape(-1, values.shape[1]), values)
-        outside = outside.reshape(moved.shape)
-        diff = moved - values
-    else:
-        basis = space.basis_stack
-        moved = translates(rep, basis, gens)  # (gens, dim, d, d)
-        outside = moved - space.project(moved.reshape(-1, rep.dim, rep.dim)).reshape(moved.shape)
-        diff = moved - basis
-    closure = hs_norms(outside)
-    change = hs_norms(diff.reshape(-1, *diff.shape[2:]))
+    support, values = space.support, space.support_basis
+    inside, outside = moved_on_support(rep, values, support, gens)  # (gens, dim, K), (gens, dim)
+    spill = (rep.dim**2 - len(support)) * outside**2
+    residual = projection_errors(inside.reshape(-1, len(support)), values).reshape(inside.shape)
+    closure = np.sqrt(hs_norms(residual) ** 2 + spill.sum(axis=1))
+    change = np.sqrt(hs_norms((inside - values).reshape(-1, len(support))) ** 2 + spill.ravel())
     return float(closure.max(initial=0.0)), float(change.max(initial=0.0))
 
 
@@ -247,35 +234,20 @@ def _element_loop(rep: UnitaryRep, space: MatrixSubspace, tol: float, closed: bo
     """Invariance of a proper span over every element, the elements a working set at a time.
 
     Unless ``closed`` is already proved, each translate is also tested
-    for closure, and a failure raises.  A monomial rep moves the support
-    entries alone and scales them by its phases (``support_translates``,
-    ``support_values``): a translate that carries an entry above ``tol``
-    off the support leaves the span, and the rest is tested on the
-    support through ``support_residuals``.  Other reps conjugate the
-    basis densely (``translates``), and ``residuals`` tests the
-    translates on the span's support and off it.  With closure proved
-    the loop stops at the first element that moves the span.
+    for closure, and a failure raises: a translate leaves the span when
+    its largest entry off the support (``moved_on_support``'s
+    ``outside``) or its residual on the support (``support_residuals``)
+    exceeds ``tol``.  Invariance compares the translates with the basis
+    entrywise, on the support and off it.  With closure proved the loop
+    stops at the first element that moves the span.
     """
-    order = rep.group.order
-    if rep.perms is not None:
-        support, values = space.support, space.support_basis
-        if not closed:
-            _, leaves = support_translates(rep, support)
-            if np.any(leaves[:, np.abs(values).max(axis=0) > tol]):
-                raise FramerelError(_NOT_CLOSED)
-        # (dim, elements, support): the translates on the support
-        runs = (support_values(rep, values, support, run) for run in chunks(order, values.size))
-        outside = lambda moved: space.support_residuals(moved.reshape(-1, values.shape[1]))
-        base = values[:, None]
-    else:
-        base = space.basis_stack
-        runs = (translates(rep, base, run) for run in chunks(order, base.size))  # (elements, dim, d, d)
-        outside = lambda moved: space.residuals(moved.reshape(-1, rep.dim, rep.dim))
-    invariant = True
-    for moved in runs:
-        if not closed and np.any(outside(moved) > tol):
+    support, values = space.support, space.support_basis
+    invariant, k = True, values.shape[1]
+    for run in chunks(rep.group.order, values.size):
+        inside, outside = moved_on_support(rep, values, support, run)  # (elements, dim, K)
+        if not closed and max(outside.max(), space.support_residuals(inside.reshape(-1, k)).max()) > tol:
             raise FramerelError(_NOT_CLOSED)
-        invariant = invariant and max_abs(moved - base) <= tol
+        invariant = invariant and max(max_abs(inside - values), max_abs(outside)) <= tol
         if closed and not invariant:
             break
     return invariant
@@ -463,6 +435,16 @@ class ChannelMap:
     def matrix(self) -> np.ndarray:
         """Superoperator matrix between the published orthonormal bases."""
         return self.target.space.coefficients(self.images).T
+
+    def hs_gain(self) -> float:
+        """Phi >= ||apply(a)||_HS / ||a||_HS for every operator ``a``.  ``apply``
+        sums the HS coefficients of ``a`` on the orthonormal source basis (a
+        contraction) against the images, so by Cauchy-Schwarz an explicit
+        channel has Phi = ||images||_HS over the whole stack; a chain
+        multiplies its factors' (1 for the identity, which returns its input)."""
+        if self.factors is None:
+            return float(np.linalg.norm(hs_norms(self.images)))
+        return float(math.prod(f.hs_gain() for f in self.factors))
 
 
 EXACT_CERTIFICATES = ("choi", "structure")

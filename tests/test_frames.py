@@ -17,6 +17,7 @@ from framerel.errors import (
     FrameInvalid,
     NotAState,
     NotCentral,
+    OperatorOutsideSystem,
     SeedNotNormalizing,
     SeedNotPSD,
 )
@@ -42,7 +43,7 @@ from framerel.groups import (
     trivial_rep,
     unitary_rep,
 )
-from framerel.linalg import block_partition, is_psd, max_abs
+from framerel.linalg import block_partition, is_psd, matrix_units, max_abs, span_subspace
 from framerel.relativize import (
     build_relative_subspace,
     check_channel_axioms,
@@ -56,6 +57,7 @@ from framerel.systems import (
     full_system,
     identity_channel,
     subspace_system,
+    system_from_subspace,
 )
 
 from .strategies import cyclic_monomial_reps, permutation_matrices, standard_matrices
@@ -597,6 +599,60 @@ def test_chains_are_checked_for_factorization():
         build_frame_morphism(ideal, ideal, chain)
     assert chained.value.element == explicit.value.element == 2
     assert chained.value.deviation == explicit.value.deviation
+
+
+# Each term of the frame-morphism bound (1 + r^2) max ||f|| + Phi C + C',
+# and the proper-source guard, is the one that lifts the bound over tol
+# in one Z2 case; without it the element table would be skipped.
+
+
+def test_the_channel_gain_term_sends_a_morphism_to_the_element_table():
+    # U(1) = [[0, 1.05], [1, 0]] is a rep within tol = 0.2 whose square is
+    # 1.05 I, so the source frame's covariance bound is C = 0.113.  The
+    # explicit identity to the Z2 canonical frame has Phi = 2 and f = 0:
+    # Phi C > tol >= C, so only Phi sends it to the table, which finds
+    # the defect 0.1025 within tol
+    tol, z2 = 0.2, build_cyclic_group(2)
+    source = principal_frame_from_seed(unitary_rep(z2, [I2, np.array([[0, 1.05], [1, 0]])], tol), E00, tol=tol)
+    target = canonical_ideal_frame(z2, tol)
+    channel = build_channel(source.value_system, target.value_system, matrix_units(2), tol)
+    assert channel.hs_gain() == 2.0
+    table = mock.Mock(wraps=frames_module._equivariance_table)
+    with mock.patch.object(frames_module, "_equivariance_table", table):
+        morphism = build_frame_morphism(source, target, channel, tol)
+    assert morphism.channel is channel and table.call_count == 1
+
+
+def test_the_target_norm_term_sends_a_morphism_to_the_element_table():
+    # U(1) = [[0, 1.1], [1/1.1, 0]] is a homomorphism, unitary within
+    # tol = 0.25, with nu = r = 1.1.  Between its frames of seeds E00 and
+    # diag(0.918, 0.082) the identity leaves residuals of HS norm at most
+    # F = 0.120: 2 F <= tol < (1 + r^2) F, so only r sends the identity to
+    # the table, which finds nothing
+    tol, z2 = 0.25, build_cyclic_group(2)
+    rep = unitary_rep(z2, [I2, np.array([[0, 1.1], [1 / 1.1, 0]])], tol)
+    vs = full_system(rep, tol)
+    source = principal_frame_from_seed(rep, E00, vs, tol)
+    target = principal_frame_from_seed(rep, np.diag([0.918, 0.082]), vs, tol)
+    table = mock.Mock(wraps=frames_module._equivariance_table)
+    with mock.patch.object(frames_module, "_equivariance_table", table):
+        morphism = build_frame_morphism(source, target, identity_channel(vs, tol), tol)
+    assert morphism.target is target and table.call_count == 1
+
+
+def test_the_proper_source_guard_sends_a_morphism_to_the_element_table():
+    # U(1) = exp(-i theta X) X is a rep within tol = 1e-3 that keeps
+    # span{I, Z} within tol.  The seed's Y part puts its translate 0.97 tol
+    # off the span, and the covariance defect carries 1.E(1) 1.09 tol off:
+    # the bound 2 C = 0.68 tol passes, the guard (0.97 + 0.34) tol does
+    # not, and the table's ``apply`` finds the translate outside the span
+    tol, theta, phi = 1e-3, -1.2e-4, 1.7e-3
+    rep = unitary_rep(build_cyclic_group(2), [I2, (np.cos(theta) * I2 - 1j * np.sin(theta) * X) @ X], tol)
+    vs = system_from_subspace(rep, span_subspace([I2, Z]), tol)
+    frame = principal_frame_from_seed(rep, (I2 + np.cos(phi) * Z + np.sin(phi) * Y) / 2, vs, tol)
+    with pytest.raises(OperatorOutsideSystem) as err:
+        build_frame_morphism(frame, frame, identity_channel(vs, tol), tol)
+    assert err.value.residual > tol
 
 
 def _morphism_cases(group):

@@ -59,7 +59,7 @@ def element_loops():
     with mock.patch.object(
         systems_module, "_generator_deviations", lambda rep, space: (math.inf, math.inf)
     ), mock.patch.object(
-        frames_module, "_covariance_on_generators", lambda group, values, moved: (math.inf, 1.0)
+        frames_module, "_covariance_on_generators", lambda rep, entries, values: (math.inf, 1.0)
     ), mock.patch.object(frames_module, "_equivariant_on_generators", lambda *args: False):
         yield
 

@@ -22,10 +22,10 @@ from framerel.groups import (
     build_symmetric_group,
     commutation_deviation,
     invariance_deviation,
+    moved_on_support,
     regular_representation,
     same_group,
-    support_translates,
-    support_values,
+    support_orbit,
     tensor_rep,
     translates,
     trivial_rep,
@@ -370,41 +370,53 @@ def _sparse_stack(rng, k, d, density):
     return (rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))) * mask
 
 
-def test_support_translates_describe_the_gather():
+def _moved_oracle(rep, stack, support):
+    """(inside, outside) from ``act``: each g.a on ``support``, and its largest |entry| off it."""
+    moved = np.stack([act(rep, g, stack).reshape(len(stack), -1) for g in rep.group.elements()])
+    return moved[..., support], np.abs(np.delete(moved, support, axis=-1)).max(axis=-1, initial=0.0)
+
+
+def _moved_cases():
+    """(rep, stack) pairs for ``moved_on_support``: permutation, dense (the S3
+    irrep) and phased reps, on supports that some element keeps and on
+    supports that some element carries off."""
     regular = regular_representation(build_symmetric_group(3))
-    joint = tensor_rep(regular, s3_permutation_rep())
+    reps = [regular, tensor_rep(regular, s3_permutation_rep()), s3_irrep2()]
+    reps += [rep for rep, _ in phased_reps()]
     rng = np.random.default_rng(19)
-    for rep in (regular, joint):
-        d = rep.dim
-        for density in (0.1, 0.5, 1.0):
-            stack = _sparse_stack(rng, 3, d, density)
-            flat = stack.reshape(3, -1)
-            support = np.flatnonzero(np.any(flat != 0, axis=0))
-            src, leaves = support_translates(rep, support)
-            for g in rep.group.elements():
-                moved = act(rep, g, stack).reshape(3, -1)
-                # on the support g.a reads a at src[g]; off it, g.a holds
-                # exactly the values that leave, and zeros elsewhere
-                assert np.array_equal(moved[:, support], flat[:, src[g]])
-                off = np.delete(moved, support, axis=1)
-                assert np.array_equal(
-                    np.sort(np.abs(off[off != 0])), np.sort(np.abs(flat[:, support[leaves[g]]]).reshape(-1))
-                )
+    for rep in reps:
+        for density in (0.1, 0.4, 1.0):
+            yield rep, _sparse_stack(rng, 3, rep.dim, density)
+
+
+def test_support_translates_describe_the_gather():
+    # off the support g.a holds what g carries off; the orbit is where it can land
+    carried_off = 0
+    for rep, stack in _moved_cases():
+        values, support = _on_support(stack)
+        _, outside = _moved_oracle(rep, stack, support)
+        carried_off += bool(outside.any())
+        every = moved_on_support(rep, values, support)[1]
+        for g in rep.group.elements():
+            for out in (moved_on_support(rep, values, support, g)[1], every[g]):
+                # exact but for the phases' rounding
+                assert np.allclose(out, outside[g], rtol=0, atol=0 if rep.phases is None else 1e-15)
+        # a monomial orbit is the entries some translate fills; a dense one is every entry
+        translated = np.stack([act(rep, g, stack) for g in rep.group.elements()])
+        orbit = np.flatnonzero(np.any(translated, axis=(0, 1))) if rep.perms is not None else np.arange(rep.dim**2)
+        assert np.array_equal(support_orbit(rep, support), orbit)
+    assert carried_off > 0
 
 
 def test_support_values_are_the_entries_of_act_bit_for_bit():
-    rng = np.random.default_rng(31)
-    regular = regular_representation(build_symmetric_group(3))
-    reps = [regular, tensor_rep(regular, s3_permutation_rep())] + [rep for rep, _ in phased_reps()]
-    for rep in reps:
-        stack = _sparse_stack(rng, 3, rep.dim, 0.4)
-        flat = stack.reshape(3, -1)
-        support = np.flatnonzero(np.any(flat != 0, axis=0))
-        each = np.stack([act(rep, g, stack).reshape(3, -1)[:, support] for g in rep.group.elements()])
+    # on the support g.a is what act gives, for every element, a slice and one element
+    for rep, stack in _moved_cases():
+        values, support = _on_support(stack)
+        inside, _ = _moved_oracle(rep, stack, support)
+        assert np.array_equal(moved_on_support(rep, values, support)[0], inside)
+        assert np.array_equal(moved_on_support(rep, values, support, slice(1, 3))[0], inside[1:3])
         for g in rep.group.elements():
-            assert np.array_equal(support_values(rep, flat[:, support], support, g), each[g])
-        chunk = support_values(rep, flat[:, support], support, slice(1, 3))
-        assert np.array_equal(chunk, each[1:3].swapaxes(0, 1))
+            assert np.array_equal(moved_on_support(rep, values, support, g)[0], inside[g])
 
 
 def _on_support(stack):
