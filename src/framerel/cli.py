@@ -10,6 +10,7 @@ then the scenario's own ``options.tolerance``, then the
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -31,8 +32,8 @@ def _fallback_tolerance() -> float:
         raise FramerelError(
             f"environment variable {ENV_TOLERANCE}={raw!r} is not a number"
         ) from None
-    if value <= 0:
-        raise FramerelError(f"environment variable {ENV_TOLERANCE} must be positive")
+    if not (math.isfinite(value) and value > 0):
+        raise FramerelError(f"environment variable {ENV_TOLERANCE} must be finite and positive")
     return value
 
 

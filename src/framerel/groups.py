@@ -3,7 +3,7 @@
 Group elements are integer ids ``0..order-1`` with optional string labels
 for reports and scenario files.  Tables are validated eagerly: every
 entry, the identity and every inverse, and associativity on every triple
-up to a configurable cap on the order.  Representations are validated
+for orders up to ``ASSOCIATIVITY_CAP``.  Representations are validated
 eagerly too: once a ``UnitaryRep`` exists, every matrix is unitary, the
 identity maps to I and the assignment is a homomorphism, each within the
 tolerance, so downstream code never re-checks.
@@ -204,13 +204,12 @@ def build_group_from_table(
     table,
     identity_element: int | None = None,
     labels=None,
-    associativity_cap: int = ASSOCIATIVITY_CAP,
 ) -> FiniteGroup:
     """Validate a multiplication table into a group.
 
     The identity is located automatically when not supplied.  All axioms
-    are checked exhaustively; associativity is vectorized and capped at
-    ``associativity_cap`` elements (default 64).
+    are checked exhaustively; associativity is vectorized and checked on
+    groups of at most ``ASSOCIATIVITY_CAP`` (64) elements.
     """
     try:
         mult = np.array(table, dtype=np.int64)
@@ -248,7 +247,7 @@ def build_group_from_table(
             raise NoInverse(a)
         inverse[a] = hits[0]
 
-    if n <= associativity_cap:
+    if n <= ASSOCIATIVITY_CAP:
         left = mult[mult, :]          # left[a,b,c] = (a b) c
         right = mult[:, mult]         # right[a,b,c] = a (b c)
         bad = np.argwhere(left != right)

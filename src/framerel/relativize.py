@@ -35,11 +35,10 @@ the predual on joint states is its adjoint.  The law checks work on
 the blocks alone: products, norms, spectra and the Choi matrix are
 taken block by block in batched calls, the relative subspace is spanned
 and validated on the entries of the blocks, and invariance is compared
-there (``groups.invariance_deviation``).  Dense (n, D, D)
-images are built on request only, for ``relativize``'s return value,
-the targets of the induced maps and witness encoding
-(``RelativizationMap.images``); an induced map takes its coefficients
-from the values on the support entries.
+there (``groups.invariance_deviation``).  Dense (n, D, D) images are
+built where they are read (``relativize``, the induced maps and
+``RelativizationMap.images``) and never kept; an induced map takes its
+coefficients from the values on the support entries.
 
 Positivity follows the rule of ``systems``: the axiom check reads the
 Choi matrix alone on a full algebra and samples one PSD stack otherwise.
@@ -116,12 +115,6 @@ from .systems import (
 DEFAULT_CHECK_SAMPLES = 12
 
 
-def _joint_partition(frame: FrameObservable, d: int) -> tuple[np.ndarray, ...]:
-    """The diagonal blocks C x {0..d-1} of every relativized operator, for
-    the components C of the effect support (``frame.components``)."""
-    return widen_partition(frame.components, inner=d)
-
-
 @dataclass(frozen=True, eq=False)
 class RelativizationMap:
     """The map a -> sum_g E(g) (x) g.a, tabulated on the system basis.
@@ -131,8 +124,8 @@ class RelativizationMap:
     mu of the image of basis element k, which vanishes off the blocks.
     They come from ``_relativize_stack``, one matrix product over the
     group per block size; the predual (``predual_relativize``) is its
-    adjoint.  ``images``, the dense (n, D, D) stack, is built on first
-    request.
+    adjoint.  ``images``, the dense (n, D, D) stack, is assembled anew,
+    read-only, on every request, and never kept.
     """
 
     frame: FrameObservable
@@ -140,7 +133,6 @@ class RelativizationMap:
     joint_rep: UnitaryRep
     blocks: tuple[np.ndarray, ...]
     partition: tuple[np.ndarray, ...]
-    _images: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def joint_dim(self) -> int:
@@ -148,18 +140,16 @@ class RelativizationMap:
 
     @property
     def images(self) -> np.ndarray:
-        if self._images is None:
-            images = block_diagonal(self.blocks, self.partition, self.joint_dim)
-            images.setflags(write=False)
-            object.__setattr__(self, "_images", images)
-        return self._images
+        images = block_diagonal(self.blocks, self.partition, self.joint_dim)
+        images.setflags(write=False)
+        return images
 
 
 def _relativize_stack(frame: FrameObservable, system: SemiQuantumSystem, mats) -> list[np.ndarray]:
     """Relativize a stack of n system operators at once, as blocks.
 
-    Returns the diagonal blocks of ``_joint_partition(frame, d)``, one
-    (n, m, c d, c d) C-contiguous array per size c of ``frame.components``.
+    Returns the diagonal blocks of ``widen_partition(frame.components, d)``,
+    one (n, m, c d, c d) C-contiguous array per size c of ``frame.components``.
     The sum over the group is one matrix product per block size, W.T @ M:
     W is the frame's (|G|, m c^2) ``effect_blocks`` and M the (|G|, n d^2)
     translates of the stack, taken a run of elements at a time
@@ -189,7 +179,7 @@ def _relativize_stack(frame: FrameObservable, system: SemiQuantumSystem, mats) -
 def _relativize_dense(frame: FrameObservable, system: SemiQuantumSystem, mats) -> np.ndarray:
     """The relativized stack as one dense (n, D, D) array, zero off the blocks."""
     blocks, d = _relativize_stack(frame, system, mats), system.dim
-    return block_diagonal(blocks, _joint_partition(frame, d), frame.rep.dim * d)
+    return block_diagonal(blocks, widen_partition(frame.components, d), frame.rep.dim * d)
 
 
 def _support_values(rmap: RelativizationMap) -> tuple[np.ndarray, np.ndarray]:
@@ -216,7 +206,7 @@ def relativization_map(
         system=system,
         joint_rep=tensor_rep(frame.rep, system.rep),
         blocks=blocks,
-        partition=_joint_partition(frame, system.dim),
+        partition=widen_partition(frame.components, system.dim),
     )
 
 
@@ -580,7 +570,7 @@ def predual_relativize(
     if not is_density_matrix(t, tol):
         raise NotAState("joint state is not a density matrix")
     # tr[T B] on block mu is the sum of B_mu[x, y] T_mu[y, x]
-    blocks = diagonal_blocks(t[None], _joint_partition(frame, d_s))
+    blocks = diagonal_blocks(t[None], widen_partition(frame.components, d_s))
     parts = [b[0].transpose(0, 2, 1).ravel() for b in blocks]
     units, traces = matrix_units(d_s), []
     for run in chunks(len(units), sum(p.size for p in parts)):
@@ -787,27 +777,21 @@ def check_functor_laws(
 
     induced = [relativize_morphisms(psi, phi, tol, samples, seed, workspace) for psi, phi in chain]
 
-    for i in range(len(chain) - 1):
-        psi_a, phi_a = chain[i]
-        psi_b, phi_b = chain[i + 1]
-        pair_morphism = compose_frame_morphisms(psi_a, psi_b, tol)
-        pair_channel = compose_channels(phi_b, phi_a, tol)
-        direct = relativize_morphisms(pair_morphism, pair_channel, tol, samples, seed, workspace)
-        deviations[f"composition[{i}]"] = max_abs(
-            direct.matrix - induced[i + 1].matrix @ induced[i].matrix
-        )
-
-    if len(chain) > 2:
-        total_morphism = chain[0][0]
-        total_channel = chain[0][1]
-        for psi, phi in chain[1:]:
-            total_morphism = compose_frame_morphisms(total_morphism, psi, tol)
-            total_channel = compose_channels(phi, total_channel, tol)
-        direct = relativize_morphisms(total_morphism, total_channel, tol, samples, seed, workspace)
-        product = induced[0].matrix
-        for step in induced[1:]:
+    def composite_gap(lo: int, hi: int) -> float:
+        """Links lo..hi-1 composed and induced, against the product of their induced maps."""
+        morphism, channel = chain[lo]
+        product = induced[lo].matrix
+        for (psi, phi), step in zip(chain[lo + 1:hi], induced[lo + 1:hi]):
+            morphism = compose_frame_morphisms(morphism, psi, tol)
+            channel = compose_channels(phi, channel, tol)
             product = step.matrix @ product
-        deviations["full_chain"] = max_abs(direct.matrix - product)
+        direct = relativize_morphisms(morphism, channel, tol, samples, seed, workspace)
+        return max_abs(direct.matrix - product)
+
+    for i in range(len(chain) - 1):
+        deviations[f"composition[{i}]"] = composite_gap(i, i + 2)
+    if len(chain) > 2:
+        deviations["full_chain"] = composite_gap(0, len(chain))
 
     detail = (
         f"identity deviation {deviations['identity']:.3e} over a chain of "

@@ -35,6 +35,7 @@ Sections
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any
@@ -125,7 +126,11 @@ def decode_matrix(obj: Any, where: str) -> np.ndarray:
                 )
             decoded.append(complex(entry[0], entry[1]))
         rows.append(decoded)
-    return np.array(rows, dtype=np.complex128)
+    m = np.array(rows, dtype=np.complex128)
+    if not np.isfinite(m).all():
+        r, c = np.argwhere(~np.isfinite(m))[0]
+        raise ScenarioSyntaxError(f"{where}: entry ({r},{c}) is not a finite number")
+    return m
 
 
 def _clean(x: float) -> float:
@@ -526,22 +531,23 @@ def parse_scenario(
 
     options = _require_mapping(root.get("options", {}), "options")
     _require_keys(options, "options", (), ("tolerance", "seed", "samples"))
-    if "tolerance" in options and not isinstance(options["tolerance"], (int, float)):
+    declared = options.get("tolerance", 0.0)
+    if isinstance(declared, bool) or not isinstance(declared, (int, float)):
         raise ScenarioSyntaxError("options.tolerance: expected a number")
-    for k in ("seed", "samples"):
-        if k in options and not isinstance(options[k], int):
-            raise ScenarioSyntaxError(f"options.{k}: expected an integer")
+    for k, override in (("seed", seed), ("samples", samples)):
+        if k in options and not (_is_int(options[k]) and options[k] >= 0):
+            raise ScenarioSyntaxError(f"options.{k}: expected a non-negative integer")
+        if override is not None and not (_is_int(override) and override >= 0):
+            raise ScenarioSyntaxError(f"{k}: expected a non-negative integer, got {override!r}")
     tol = float(
         tolerance
         if tolerance is not None
         else options.get("tolerance", fallback_tolerance)
     )
-    if tol <= 0:
-        raise ScenarioSyntaxError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ScenarioSyntaxError("tolerance must be a finite positive number")
     run_seed = int(seed if seed is not None else options.get("seed", DEFAULT_POSITIVITY_SEED))
     run_samples = int(samples if samples is not None else options.get("samples", DEFAULT_POSITIVITY_SAMPLES))
-    if run_samples < 0:
-        raise ScenarioSyntaxError("options.samples: expected a non-negative integer")
 
     group = _parse_group(root["group"])
     reps = _parse_representations(group, root.get("representations", {}), tol)

@@ -10,7 +10,7 @@ recorded by their images on the source basis, one read-only (k, d, d)
 stack, or held as a chain of such channels applied in order: the
 identity is the empty chain and a composite the chain of its factors,
 so neither forms a d^4 image stack or a product of two, and a chain
-builds its images only on request.  Positivity has one rule per source
+folds its images anew when read.  Positivity has one rule per source
 kind.  A full-algebra source is certified exactly, whatever the target:
 the Choi matrix is PSD iff the map is completely positive (Choi 1975),
 and a unital positive map has norm 1 (Russo-Dye), so the certificate
@@ -333,9 +333,9 @@ class ChannelMap:
     the image of source basis element i at ``images[i]``.  A chain holds
     ``factors``, explicit channels applied in order (``compose_channels``
     flattens nested chains); the empty chain is the identity
-    (``identity_channel``).  A chain's ``images`` and ``matrix`` are
-    built on first request, once, by folding its source basis through
-    the factors.
+    (``identity_channel``).  A chain keeps no images: ``images`` and
+    ``matrix`` fold them through the factors on every request, starting
+    from the first factor's stack.
 
     ``positivity_check`` names the certificate, one of four:
 
@@ -375,17 +375,14 @@ class ChannelMap:
 
     @property
     def images(self) -> np.ndarray:
-        """The read-only (k, d, d) image stack; a chain builds it on first request."""
-        if self._images is None:
-            if self.factors:
-                images = self.factors[0].images
-                for factor in self.factors[1:]:
-                    images = factor._product(factor.source.space.coefficients(images))
-            else:
-                images = np.array(self.source.space.basis_stack)
-            images.setflags(write=False)
-            object.__setattr__(self, "_images", images)
-        return self._images
+        """The read-only (k, d, d) image stack; a chain folds it anew on each request."""
+        if self.factors is None:
+            return self._images
+        images = self.factors[0].images if self.factors else np.array(self.source.space.basis_stack)
+        for factor in self.factors[1:]:
+            images = factor._product(factor.source.space.coefficients(images))
+        images.setflags(write=False)
+        return images
 
     def apply(self, a, tol: float = DEFAULT_TOL) -> np.ndarray:
         """Apply to one operator or a (k, d, d) stack in the source span.

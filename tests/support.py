@@ -8,12 +8,14 @@ written out in closed form so tests can cross-check library output
 against these directly.
 """
 
+import contextlib
 import itertools
 import os
 import pathlib
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 
@@ -385,6 +387,21 @@ def traced_peak(call):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@contextlib.contextmanager
+def refusing_chain_images():
+    """Within the block, asking a channel chain for its dense images raises;
+    an explicit channel still hands out its own stack."""
+    fold = fr.ChannelMap.images
+
+    def images(channel):
+        if channel.factors is not None:
+            raise AssertionError("a chain folded its dense images")
+        return fold.fget(channel)
+
+    with mock.patch.object(fr.ChannelMap, "images", property(images)):
+        yield
 
 
 # ----------------------------------------------------------------------- CLI

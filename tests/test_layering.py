@@ -4,6 +4,9 @@
 ``phases`` of a monomial rep), and ``systems`` alone how a channel is
 held (``factors`` of a chain).  Every other module goes through their
 public functions, and ``frames`` imports no private name of ``groups``.
+Memos, values computed once and kept on a frozen object, live in
+``groups`` and ``frames`` alone: every other module builds a derived
+form where it is read.
 """
 
 import ast
@@ -13,6 +16,7 @@ import pytest
 
 SOURCES = sorted((pathlib.Path(__file__).resolve().parent.parent / "src" / "framerel").glob("*.py"))
 OWNERS = {"perms": "groups.py", "phases": "groups.py", "factors": "systems.py"}
+MEMO_OWNERS = ("groups.py", "frames.py")
 
 
 def _tree(path):
@@ -42,3 +46,28 @@ def test_frames_imports_no_private_name_of_groups():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def _memos(tree):
+    """Lines that write through ``object.__setattr__`` or name ``cached_property``."""
+    names = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+    lines = []
+    for node in ast.walk(tree):
+        name = getattr(node, names.get(type(node), ""), None)
+        through_object = isinstance(node, ast.Attribute) and ast.unparse(node.value) == "object"
+        if name == "cached_property" or (name == "__setattr__" and through_object):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_memo_rule_sees_both_forms():
+    source = "from functools import cached_property\nobject.__setattr__(self, 'x', 1)\n"
+    assert _memos(ast.parse(source)) == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name not in MEMO_OWNERS], ids=lambda p: p.name
+)
+def test_memos_live_in_groups_and_frames_alone(path):
+    memos = _memos(_tree(path))
+    assert memos == [], f"{path.name} keeps a memo on a frozen object at lines {memos}"

@@ -25,6 +25,7 @@ from framerel.errors import (
 from framerel.frames import (
     build_frame_morphism,
     canonical_ideal_frame,
+    compose_frame_morphisms,
     frame_from_effects,
     identity_frame_morphism,
     principal_frame_from_seed,
@@ -47,6 +48,7 @@ from framerel.linalg import (
     operator_norm,
     psd_span_samples,
     tensor_product,
+    widen_partition,
 )
 from framerel.relativize import (
     build_relative_subspace,
@@ -62,7 +64,6 @@ from framerel.relativize import (
     relativize,
     relativize_morphisms,
     Workspace,
-    _joint_partition,
     _pair_products,
     _pair_right,
     _relativize_dense,
@@ -85,6 +86,7 @@ from framerel.systems import (
     subspace_system,
 )
 
+from .test_acceptance import _chains as acceptance_chains
 from .support import (
     H,
     I2,
@@ -245,6 +247,18 @@ def test_relativize_stack_holds_no_more_translates_than_blocks():
     ops = system.space.basis_stack
     _, peak = traced_peak(lambda: _relativize_stack(frame, system, ops))
     assert peak < 16 * 2**20
+
+
+def test_map_images_are_assembled_on_each_request_and_never_kept():
+    # the dense stack is the blocks scattered along the partition, read-only,
+    # a fresh array on every request, and the map keeps no copy of it
+    system = full_system(s3_irrep2())
+    rmap = relativization_map(smeared_canonical_frame(s3(), 0.3), system)
+    first, second = rmap.images, rmap.images
+    assert first is not second and np.array_equal(first, second)
+    assert not first.flags.writeable
+    assert np.array_equal(first, _relativize_dense(rmap.frame, system, system.space.basis_stack))
+    assert not hasattr(rmap, "_images")
 
 
 def test_ideal_frame_closed_forms():
@@ -492,7 +506,7 @@ def test_relativized_operators_and_choi_matrices_vanish_off_the_support_blocks()
     ]
     for frame in frames:
         images = relativization_map(frame, system).images
-        joint = _joint_partition(frame, d)
+        joint = widen_partition(frame.components, d)
         assert max_abs(_off_blocks(images, joint)) == 0.0
         choi = _choi_matrix(images, d)[None]
         # the blocks of C^d (x) joint space that check_channel_axioms lays out:
@@ -511,7 +525,7 @@ def test_relativized_operators_and_choi_matrices_vanish_off_the_support_blocks()
         low = block_min_eigenvalues(diagonal_blocks(choi, choi_parts))[0]
         assert abs(low - dense[0]) <= 1e-12 * np.max(np.abs(dense))
     # the canonical S3 frame is diagonal: six blocks of d joint indices
-    (idx,) = _joint_partition(canonical_ideal_frame(s3()), d)
+    (idx,) = widen_partition(canonical_ideal_frame(s3()).components, d)
     assert idx.shape == (6, d)
 
 
@@ -525,7 +539,7 @@ def test_dense_support_reports_agree_with_the_dense_calls():
     system = full_system(s3_irrep2())
     for frame in _dense_support_frames():
         rmap = relativization_map(frame, system)
-        assert len(_joint_partition(frame, system.dim)) == 1
+        assert len(rmap.partition) == 1
         axioms = check_channel_axioms(rmap, samples=5, seed=3)
         embed = check_ideal_isomorphism(rmap)
         dense = dense_law_values(frame, system, samples=5, seed=3)
@@ -716,7 +730,7 @@ def test_block_checks_agree_with_the_dense_oracle():
         (s4_ideal, s4_system),
         (s4_smear, s4_system),
     ]
-    assert len(_joint_partition(cases[2][0], 2)) == 1
+    assert len(widen_partition(cases[2][0].components, 2)) == 1
     for frame, system in cases:
         phi = depolarizing_channel(system, 0.4)
         dense = dense_law_values(frame, system, phi, samples=4, seed=5)
@@ -735,9 +749,14 @@ def test_block_checks_agree_with_the_dense_oracle():
             assert embed.witnesses == {"basis_pair": list(dense["basis_pair"])}
 
 
-def test_s4_law_checks_peak_under_one_mib():
+def test_s4_law_checks_peak_under_one_mib(monkeypatch):
     # the dense (16, 96, 96) image stack alone is 2.25 MiB; every check
     # works on the 24 support blocks of 4 x 4 and the 384 entries of them
+    # and assembles no dense stack
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense relativized stack assembled")
+
+    monkeypatch.setattr(RELATIVIZE, "block_diagonal", refuse)
     ideal, smear, system = _s4_frames_and_system()
     maps = [relativization_map(f, system) for f in (ideal, smear)]
     phi = depolarizing_channel(system, 0.4)
@@ -752,7 +771,6 @@ def test_s4_law_checks_peak_under_one_mib():
     for call in calls:
         _, peak = traced_peak(call)
         assert peak < 2**20
-    assert all(rmap._images is None for rmap in maps)  # built on request only
 
 
 def test_s5_relative_subspace_peaks_under_16_mib():
@@ -967,6 +985,42 @@ def test_functor_laws_two_link_chain():
     assert report.deviations["composition[0]"] < 1e-10
     # with two links the one composition is the whole chain
     assert list(report.deviations) == ["identity", "composition[0]"]
+
+
+def _composition_oracle(links):
+    """The composition deviations, pairs and full chain composed separately."""
+    ws = Workspace()
+    induced = [relativize_morphisms(psi, phi, workspace=ws) for psi, phi in links]
+    devs = {}
+    for i in range(len(links) - 1):
+        (psi_a, phi_a), (psi_b, phi_b) = links[i], links[i + 1]
+        direct = relativize_morphisms(
+            compose_frame_morphisms(psi_a, psi_b), compose_channels(phi_b, phi_a), workspace=ws
+        )
+        devs[f"composition[{i}]"] = max_abs(direct.matrix - induced[i + 1].matrix @ induced[i].matrix)
+    if len(links) > 2:
+        morphism, channel = links[0]
+        for psi, phi in links[1:]:
+            morphism = compose_frame_morphisms(morphism, psi)
+            channel = compose_channels(phi, channel)
+        product = induced[0].matrix
+        for step in induced[1:]:
+            product = step.matrix @ product
+        direct = relativize_morphisms(morphism, channel, workspace=ws)
+        devs["full_chain"] = max_abs(direct.matrix - product)
+    return devs
+
+
+def test_functor_composition_deviations_match_the_oracle_bit_for_bit():
+    # on the acceptance chains of 1, 2 and 3 links, composition[i] and
+    # full_chain are the same deviations, to the bit, as when the pairs
+    # and the whole chain are composed and multiplied separately
+    chains = acceptance_chains()
+    assert {len(links) for links in chains} == {1, 2, 3}
+    for links in chains:
+        report = check_functor_laws(links)
+        expected = _composition_oracle(links)
+        assert {k: v for k, v in report.deviations.items() if k != "identity"} == expected
 
 
 def test_functor_laws_take_the_sampling_settings_everywhere(monkeypatch):

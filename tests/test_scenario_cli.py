@@ -139,6 +139,37 @@ def test_options_are_typed():
         parse_scenario(json.dumps(minimal(options={"quiet": True})))
 
 
+def _nan_rep_entry():
+    doc = minimal()
+    doc["representations"]["flip"]["matrices"]["1"][0][0] = [float("nan"), 0]
+    return doc
+
+
+def test_non_finite_numbers_and_negative_counts_are_parse_errors():
+    # json reads NaN and Infinity: a matrix entry must be finite, the
+    # tolerance finite and positive, seed and samples non-negative integers
+    with pytest.raises(ScenarioSyntaxError, match=r"entry \(0,1\)"):
+        decode_matrix([[[1, 0], [0, float("inf")]]], "t")
+    inf, nan = float("inf"), float("nan")
+    docs = [
+        _nan_rep_entry(),
+        minimal(options={"tolerance": inf}),
+        minimal(options={"tolerance": nan}),
+        minimal(options={"tolerance": True}),
+        minimal(options={"seed": -3}),
+        minimal(options={"seed": True}),
+        minimal(options={"samples": -1}),
+    ]
+    for doc in docs:
+        with pytest.raises(ScenarioSyntaxError):
+            parse_scenario(json.dumps(doc))
+    for override in ({"tolerance": inf}, {"tolerance": nan}, {"seed": -1}, {"samples": -2}, {"seed": True}):
+        with pytest.raises(ScenarioSyntaxError):
+            parse_scenario(json.dumps(minimal()), **override)
+    with pytest.raises(ScenarioSyntaxError):
+        parse_scenario(json.dumps(minimal()), fallback_tolerance=inf)
+
+
 def test_unknown_element_keys_are_unknown_references():
     doc = minimal()
     mats = doc["representations"]["flip"]["matrices"]
@@ -600,11 +631,11 @@ def test_cli_tolerance_flag_overrides_document():
 
 
 def test_cli_env_tolerance_must_be_numeric():
-    proc = run_cli(
-        "run", str(FIXTURES / "golden_z2.json"), env={"FRAMEREL_TOLERANCE": "tight"}
-    )
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("framerel:")
+    for raw in ("tight", "inf", "nan"):
+        proc = run_cli("run", str(FIXTURES / "golden_z2.json"), env={"FRAMEREL_TOLERANCE": raw})
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("framerel:")
+        assert "Traceback" not in proc.stderr
 
 
 def test_cli_diagnostics_for_unreadable_and_malformed_files(tmp_path):
@@ -623,10 +654,23 @@ def test_cli_reports_scenario_type_errors_without_a_traceback(tmp_path):
     mats = unknown_key["representations"]["flip"]["matrices"]
     mats["2"] = mats.pop("1")
     named_identity = minimal(group={"type": "table", "mult": [[0, 1], [1, 0]], "identity": "e"})
-    for doc, error in ((named_identity, "ScenarioSyntaxError"), (unknown_key, "UnknownReference")):
-        path = tmp_path / "scenario.json"
+    # non-finite numbers and negative seeds, in the document or as flags
+    cases = [
+        (named_identity, (), "ScenarioSyntaxError"),
+        (unknown_key, (), "UnknownReference"),
+        (_nan_rep_entry(), (), "ScenarioSyntaxError"),
+        (minimal(options={"tolerance": float("inf")}), (), "ScenarioSyntaxError"),
+        (minimal(options={"seed": -3}), (), "ScenarioSyntaxError"),
+        (minimal(), ("--tolerance", "inf"), "ScenarioSyntaxError"),
+        (minimal(), ("--tolerance", "nan"), "ScenarioSyntaxError"),
+        (minimal(), ("--seed", "-1"), "ScenarioSyntaxError"),
+    ]
+    path = tmp_path / "scenario.json"
+    for doc, flags, error in cases:
         path.write_text(json.dumps(doc))
-        proc = run_cli("run", str(path))
-        assert proc.returncode == 2
-        assert proc.stderr.startswith(f"framerel: {error}:")
-        assert "Traceback" not in proc.stderr
+        commands = [("run", str(path), *flags)] + ([] if flags else [("validate", str(path))])
+        for argv in commands:
+            proc = run_cli(*argv)
+            assert proc.returncode == 2, argv
+            assert proc.stderr.startswith(f"framerel: {error}:"), proc.stderr
+            assert "Traceback" not in proc.stderr

@@ -69,6 +69,7 @@ from .support import (
     depolarizing_channel,
     image_stack_apply,
     random_density,
+    refusing_chain_images,
     s3,
     s3_irrep2,
     smeared_canonical_frame,
@@ -734,14 +735,18 @@ def test_chain_images_and_matrix_agree_with_the_dense_composite():
     rng = np.random.default_rng(5)
     for system in _chain_systems():
         first, second = _factor_pairs(system)
-        both = compose_channels(second, first)
-        assert both.factors == (first, second) and both._images is None
-        assert both.positivity_check == ("structure" if system.is_full_algebra else "sampled")
         ops = system.space.combine(rng.standard_normal((3, system.space.dim)))
-        assert max_abs(both.apply(ops) - second.apply(first.apply(ops))) < 1e-13
-        assert both._images is None  # apply builds no dense images
+        with refusing_chain_images():  # neither validation nor apply folds dense images
+            both = compose_channels(second, first)
+            assert both.factors == (first, second)
+            assert max_abs(both.apply(ops) - second.apply(first.apply(ops))) < 1e-13
+        assert both.positivity_check == ("structure" if system.is_full_algebra else "sampled")
         dense = second.apply(first.images)
         assert max_abs(both.images - dense) < 1e-13
+        # the fold starts from the first factor's stack, anew on each request
+        folded = both.images
+        assert folded is not both.images and np.array_equal(folded, both.images)
+        assert np.array_equal(folded, second._product(system.space.coefficients(first.images)))
         assert max_abs(both.matrix() - system.space.coefficients(dense).T) < 1e-13
         ident = identity_channel(system)
         assert np.array_equal(ident.apply(ops), ops)
