@@ -28,8 +28,8 @@ tolerance, every element passes and the element loop is skipped.  A
 permutation rep has mu = 1 and theta = 0, so the test is L eps <= tol.
 Any larger bound runs the element loop, so every verdict, error and
 witness is the loop's.  The order-1 group has no generators and L = 0.
-The checks that report a deviation (``systems.is_equivariant``,
-``invariance_deviation``) keep their element tables.
+``systems.is_equivariant`` reports a deviation and keeps its element
+table; ``invariance_deviation`` reads orbits where it can.
 
 A representation whose matrices are all monomial, U(g) = diag(chi_g) P_g
 with one nonzero entry per row and column (regular representations,
@@ -50,8 +50,8 @@ Only this module reads how a representation is stored.  Operators that
 live on a few entries are given by their entries on that support, zero
 elsewhere: ``moved_on_support`` gives g.a on the support and its largest
 entry off it (a monomial rep gathers, any other conjugates densely),
-``support_orbit`` the entries some g.a can fill, and
-``invariance_deviation`` compares a stack with its translates.
+``support_orbit`` the entries some g.a can fill, ``orbitals`` their
+orbits, and ``invariance_deviation`` compares a stack with its translates.
 """
 
 from __future__ import annotations
@@ -540,26 +540,6 @@ def translates(rep: UnitaryRep, a, elements=slice(None)) -> np.ndarray:
     return moved
 
 
-def commutation_deviation(rep: UnitaryRep, g: int, a) -> float:
-    """Largest entry of a U(g) - U(g) a over an operator or a stack of them.
-
-    For a monomial U(g), column perms[g, k] of that difference holds
-    a[i, k] phases[g, k] - phases[g, i] a[perms[g, i], perms[g, k]], the
-    products the matrix path forms; for a permutation rep these are the
-    entries of a - g.a.
-    """
-    m = np.asarray(a, dtype=np.complex128)
-    if rep.perms is None:
-        u = rep.matrices[g]
-        return max_abs(m @ u - u @ m)
-    p = rep.perms[g]
-    moved = m[..., p[:, None], p]
-    if rep.phases is None:
-        return max_abs(m - moved)
-    c = rep.phases[g]
-    return max_abs(m * c - c[:, None] * moved)
-
-
 def acts_trivially(rep: UnitaryRep, tol: float = DEFAULT_TOL) -> bool:
     """Whether every U(g) is a scalar multiple of I within ``tol``.
 
@@ -634,21 +614,76 @@ def moved_on_support(rep: UnitaryRep, values, support, elements=slice(None)):
     return (inside[0], outside[0]) if np.ndim(ids) == 0 else (inside, outside)
 
 
-def invariance_deviation(rep: UnitaryRep, values, support) -> float:
-    """Largest ``commutation_deviation`` over every element, a working set of
-    elements at a time, of operators given on ``support`` as in
-    ``moved_on_support``.
+def orbitals(rep: UnitaryRep, support, tol: float = DEFAULT_TOL):
+    """``(labels, phases, vanish)``: the orbit of each entry of the increasing
+    flat ``support`` under a monomial rep, orbits numbered by their smallest
+    entry (on the support or off it); None for any other rep.
 
-    A monomial rep forms a U(g) - U(g) a on the support alone, with
-    ``commutation_deviation``'s products.  Off the support that difference
-    holds -a[s] times a phase where g carries an entry s off, and g^-1's
-    holds a[s] times a phase at s itself, so the maximum over the group
-    is the same: the same float for a permutation rep, and within rounding
-    of the phases' modulus otherwise.  Any other rep compares the dense
-    operators.
+    An invariant X has X[t] = phases[t] X[r] on the orbit whose smallest
+    entry is r (``phases`` is None on a permutation rep).  ``vanish[o]``
+    marks an orbit that leaves the support or whose phases disagree along
+    a generator by more than ``tol``: there an invariant operator that
+    vanishes off the support vanishes too.  The support is closed under the
+    generators, then each entry takes the least label among its own and
+    those the generators read there, with the phase that carries, until
+    none moves (as ``linalg.block_partition``): |generators| gathers a round.
+    """
+    if rep.perms is None:
+        return None
+    d, gens = rep.dim, list(rep.group.generators)
+    entries = support = np.asarray(support)
+    while True:  # close the support: stop once every entry a generator reads is held
+        sources = _support_sources(rep.perms[gens], entries, d)  # (generators, entries)
+        read = np.searchsorted(entries, sources).clip(max=len(entries) - 1)
+        if np.array_equal(entries[read], sources):
+            break
+        entries = np.union1d(entries, sources)
+    labels = at = np.arange(len(entries))
+    rho = None
+    if rep.phases is not None:
+        rows, cols = np.divmod(entries, d)
+        step = rep.phases[gens][:, rows] * np.conj(rep.phases[gens][:, cols])  # X[t] = step X[read]
+        rho = np.ones(len(entries), dtype=np.complex128)
+    while True:
+        offers = np.vstack([labels, labels[read]])
+        pick = offers.argmin(axis=0)  # row 0, the entry's own label, wins ties
+        if np.array_equal(offers[pick, at], labels):
+            break
+        labels = offers[pick, at]
+        if rho is not None:
+            rho = np.vstack([rho, step * rho[read]])[pick, at]
+            rho = rho * rho[labels]
+        labels = labels[labels]  # a label's own label is in the orbit too: rounds halve the distance
+    labels = (np.cumsum(labels == at) - 1)[labels]  # numbered by their roots, the smallest entries
+    on = np.searchsorted(entries, support)
+    off = np.bincount(on, minlength=len(entries)) == 0  # the entries off the support
+    if rho is not None:
+        off |= np.any(np.abs(rho - step * rho[read]) > tol, axis=0)
+    vanish = np.bincount(labels[off], minlength=labels.max(initial=-1) + 1) > 0
+    return labels[on], None if rho is None else rho[on], vanish
+
+
+def invariance_deviation(rep: UnitaryRep, values, support) -> float:
+    """Largest entry of a U(g) - U(g) a over every element g and operator a
+    given on ``support`` as in ``moved_on_support``.
+
+    On a permutation rep with real values the pairs (s, g^-1 s) are those
+    within one orbit (``orbitals``): the deviation is the widest max - min
+    over an orbit, with the 0 of an orbit that leaves the support, and
+    rounding is monotone, so that is the loop's float.  Otherwise a
+    monomial rep forms a U(g) - U(g) a on the support, elements a working
+    set at a time: off it, g^-1's difference at s holds what g's holds
+    where g carries s off, up to the phases' modulus.  Any other rep
+    compares the dense operators.
     """
     values, support = np.asarray(values, dtype=np.complex128), np.asarray(support)
     d, order = rep.dim, rep.group.order
+    if rep.perms is not None and rep.phases is None and not values.imag.any():
+        labels, _, vanish = orbitals(rep, support)
+        by_orbit = np.argsort(labels, kind="stable")
+        real, starts = values.real[:, by_orbit], np.flatnonzero(np.diff(labels[by_orbit], prepend=-1))
+        hi, lo = np.maximum.reduceat(real, starts, axis=1), np.minimum.reduceat(real, starts, axis=1)
+        return float(np.where(vanish, np.maximum(hi, 0.0) - np.minimum(lo, 0.0), hi - lo).max(initial=0.0))
     if rep.perms is None:
         dense = support_gather(values, support, np.arange(d * d)).reshape(-1, d, d)
         us = np.stack(rep.matrices)[:, None]

@@ -75,7 +75,7 @@ from .frames import (
     identity_frame_morphism,
     same_frame,
 )
-from .groups import UnitaryRep, act, invariance_deviation, same_group, tensor_rep, translates
+from .groups import UnitaryRep, invariance_deviation, same_group, tensor_rep, translates
 from .linalg import (
     DEFAULT_TOL,
     MatrixSubspace,
@@ -594,10 +594,8 @@ def product_relative_state(
     r = as_operator(rho)
     if r.shape[0] != system.dim or not is_density_matrix(r, tol):
         raise NotAState("system state is not a density matrix of the right dimension")
-    sigma = np.zeros((system.dim, system.dim), dtype=np.complex128)
-    for g in frame.group.elements():
-        sigma += weights[g] * act(system.rep, frame.group.inv(g), r)
-    return state_class(system, sigma, tol)
+    moved = translates(system.rep, r, frame.group.inverse)  # g^-1.rho at row g
+    return state_class(system, np.add.reduce(weights[:, None, None] * moved, axis=0), tol)
 
 
 # --------------------------------------------------------------- induced maps

@@ -100,10 +100,9 @@ _MATRIX_PARAMS = ("operator", "expect", "expect_matrix", "frame_state", "system_
 
 
 def decode_matrix(obj: Any, where: str) -> np.ndarray:
-    """Decode a row-major [re, im]-pair literal into a complex matrix."""
+    """Decode a row-major [re, im]-pair literal of finite JSON numbers into a complex matrix."""
     if not isinstance(obj, list) or not obj:
         raise ScenarioSyntaxError(f"{where}: matrix literal must be a non-empty list of rows")
-    rows: list[list[complex]] = []
     width = None
     for r, row in enumerate(obj):
         if not isinstance(row, list) or not row:
@@ -114,19 +113,19 @@ def decode_matrix(obj: Any, where: str) -> np.ndarray:
             raise DimensionMismatch(
                 f"{where}: row {r} has {len(row)} entries, previous rows have {width}"
             )
-        decoded = []
         for c, entry in enumerate(row):
             if (
                 not isinstance(entry, (list, tuple))
                 or len(entry) != 2
-                or not all(isinstance(x, (int, float)) for x in entry)
+                or not {int, float}.issuperset(map(type, entry))  # a JSON boolean is a bool
             ):
                 raise ScenarioSyntaxError(
                     f"{where}: entry ({r},{c}) must be a two-element [re, im] pair"
                 )
-            decoded.append(complex(entry[0], entry[1]))
-        rows.append(decoded)
-    m = np.array(rows, dtype=np.complex128)
+    try:
+        m = np.array(obj, dtype=np.float64).view(np.complex128)[..., 0]  # (re, im) pairs as complex
+    except OverflowError:
+        raise ScenarioSyntaxError(f"{where}: an integer entry is beyond float range") from None
     if not np.isfinite(m).all():
         r, c = np.argwhere(~np.isfinite(m))[0]
         raise ScenarioSyntaxError(f"{where}: entry ({r},{c}) is not a finite number")

@@ -34,7 +34,8 @@ that lives on a few blocks of a large joint space costs what its blocks
 cost.  Closure and invariance are tested on the group's generators
 first, under the rule of ``groups``, and on every element only when
 the generators' bound exceeds the tolerance.  ``is_equivariant``
-reports a deviation, so it keeps its table over every element.
+reports a deviation, so it keeps its table over every element.  A
+monomial rep's commutant is read from the orbits of its entries.
 
 States enter through operational equivalence: two density matrices are
 the same state of a system when every observable in the span gives them
@@ -68,6 +69,7 @@ from .groups import (
     UnitaryRep,
     acts_trivially,
     moved_on_support,
+    orbitals,
     same_group,
     same_rep,
     translates,
@@ -288,17 +290,23 @@ def subspace_system(rep: UnitaryRep, generators, tol: float = DEFAULT_TOL) -> Se
 def invariant_subalgebra(rep: UnitaryRep, tol: float = DEFAULT_TOL) -> SemiQuantumSystem:
     """Commutant of the representation: all operators fixed by the action.
 
-    Computed as the joint kernel of the commutation constraints
-    X U(g) - U(g) X = 0, stacked over every group element.
+    For a monomial rep, one basis element per orbit of entries whose phases
+    agree (``groups.orbitals``): its phases, normalized.  Any other rep
+    twirls the matrix units, (1/|G|) sum_g g.E_kl, a working set of elements
+    at a time: the twirl projects onto the commutant.
     """
     d = rep.dim
-    eye = identity(d)
-    blocks = []
-    for g in rep.group.elements():
-        u = rep.matrices[g]
-        blocks.append(np.kron(eye, u.T) - np.kron(u, eye))
-    kernel_rows = vector_kernel(np.vstack(blocks), tol)
-    return _assemble_system(rep, MatrixSubspace(d, kernel_rows.reshape(-1, d, d)), tol)
+    orbits = orbitals(rep, np.arange(d * d), tol)
+    if orbits is None:
+        runs = chunks(rep.group.order, d**4)
+        twirl = sum(translates(rep, matrix_units(d), run).sum(axis=0) for run in runs) / rep.group.order
+        return _assemble_system(rep, span_subspace(twirl, d, tol), tol)
+    labels, phases, vanish = orbits
+    keep = ~vanish[labels]
+    row = (np.cumsum(~vanish) - 1)[labels[keep]]  # the kept orbits, renumbered
+    weights = (1.0 if phases is None else phases[keep]) / np.sqrt(np.bincount(row)[row])
+    values = (np.arange(np.count_nonzero(~vanish))[:, None] == row) * weights
+    return _assemble_system(rep, MatrixSubspace.on_support(d, np.flatnonzero(keep), values), tol)
 
 
 def system_from_subspace(

@@ -21,7 +21,7 @@ import numpy as np
 
 import framerel as fr
 from framerel.errors import DimensionError
-from framerel.linalg import as_operator, hermitian_basis
+from framerel.linalg import as_operator, hermitian_basis, max_abs
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -114,6 +114,39 @@ def s3_irrep2():
             perm[p[k], k] = 1.0
         mats.append((v.T @ perm @ v).astype(complex))
     return fr.unitary_rep(group, mats)
+
+
+def commutation_deviation(rep, g, a):
+    """Largest entry of a U(g) - U(g) a over an operator or a stack of them, at
+    one element: the per-element loop ``groups.invariance_deviation`` replaces.
+
+    A monomial U(g) is read from the rep's index arrays: column perms[g, k]
+    of the difference holds a[i, k] phases[g, k] - phases[g, i]
+    a[perms[g, i], perms[g, k]], the products the matrix path forms; for a
+    permutation rep these are the entries of a - g.a.
+    """
+    m = np.asarray(a, dtype=np.complex128)
+    if rep.perms is None:
+        u = rep.matrices[g]
+        return max_abs(m @ u - u @ m)
+    p = rep.perms[g]
+    moved = m[..., p[:, None], p]
+    if rep.phases is None:
+        return max_abs(m - moved)
+    c = rep.phases[g]
+    return max_abs(m * c - c[:, None] * moved)
+
+
+def commutant_svd_oracle(rep, tol=1e-9):
+    """Orthonormal rows spanning the commutant of ``rep``, vectorized row-major:
+    the joint kernel of X U(g) - U(g) X = 0 stacked over every element, by
+    one SVD of the (|G| d^2, d^2) constraint matrix."""
+    d = rep.dim
+    eye = np.eye(d, dtype=complex)
+    rows = np.vstack([np.kron(eye, u.T) - np.kron(u, eye) for u in rep.matrices])
+    _, s, vh = np.linalg.svd(rows)
+    rank = int(np.sum(s > tol * max(1.0, s[0])))
+    return np.conj(vh[rank:])
 
 
 # ------------------------------------------------------------------- frames

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from framerel import groups
 from framerel.errors import (
     DimensionError,
     GroupMismatch,
@@ -20,9 +21,9 @@ from framerel.groups import (
     build_cyclic_group,
     build_group_from_table,
     build_symmetric_group,
-    commutation_deviation,
     invariance_deviation,
     moved_on_support,
+    orbitals,
     regular_representation,
     same_group,
     support_orbit,
@@ -34,11 +35,18 @@ from framerel.groups import (
 )
 from framerel.linalg import max_abs
 
-from .strategies import cyclic_monomial_reps, group_reps, permutation_matrices, standard_matrices
+from .strategies import (
+    cyclic_monomial_reps,
+    group_reps,
+    permutation_matrices,
+    regular_matrices,
+    standard_matrices,
+)
 from .support import (
     I2,
     X,
     Z,
+    commutation_deviation,
     s3_irrep2,
     symmetric_table_loop,
     traced_peak,
@@ -438,6 +446,64 @@ def test_invariance_deviation_is_the_commutation_maximum_bit_for_bit():
             for ops in (stack, twirled + 1e-13 * stack):
                 expected = max(commutation_deviation(rep, g, ops) for g in rep.group.elements())
                 assert invariance_deviation(rep, *_on_support(ops)) == expected
+
+
+def _permutation_reps():
+    """S3 and S4 on their permutation and regular matrices, and tensor products of them."""
+    for n in (3, 4):
+        group = build_symmetric_group(n)
+        perm = unitary_rep(group, permutation_matrices(n))
+        regular = unitary_rep(group, regular_matrices(n))
+        yield from (perm, regular, tensor_rep(regular, perm), tensor_rep(perm, perm))
+
+
+def _entry_orbit_oracle(rep, t):
+    """The flat entries where some g.E_t is nonzero, E_t the matrix unit at flat entry t."""
+    unit = np.zeros(rep.dim**2, dtype=complex)
+    unit[t] = 1.0
+    moved = np.stack([act(rep, g, unit.reshape(rep.dim, rep.dim)) for g in rep.group.elements()])
+    return set(np.flatnonzero(np.any(moved != 0, axis=0)).tolist())
+
+
+def test_orbitals_are_the_orbits_of_every_element():
+    # built from the generators, the labels and leaks are those of the whole group
+    rng = np.random.default_rng(37)
+    for rep in itertools.islice(_permutation_reps(), 6):
+        for density in (0.05, 1.0):
+            support = _on_support(_sparse_stack(rng, 1, rep.dim, density))[1]
+            labels, phases, vanish = orbitals(rep, support)
+            assert phases is None and len(labels) == len(support)
+            orbits = [_entry_orbit_oracle(rep, t) for t in support]
+            smallest = [min(orbits[np.flatnonzero(labels == o)[0]]) for o in range(len(vanish))]
+            assert smallest == sorted(smallest)  # numbered by smallest entry
+            for k, orbit in enumerate(orbits):
+                assert set(support[labels == labels[k]].tolist()) == orbit & set(support.tolist())
+                assert vanish[labels[k]] == (not orbit <= set(support.tolist()))
+    assert orbitals(s3_irrep2(), np.arange(4)) is None
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the element loop ran")
+
+
+def test_real_permutation_invariance_reads_orbits_bit_for_bit(monkeypatch):
+    # real values on a permutation rep take the orbit spread, never the element
+    # loop (which alone asks ``chunks`` for its runs), on empty, leaking and full supports
+    rng = np.random.default_rng(41)
+    seen = {"empty": 0, "leaking": 0, "closed": 0}
+    for rep in _permutation_reps():
+        for density in (0.0, 0.03, 0.3, 1.0):
+            stack = _sparse_stack(rng, 3, rep.dim, density).real.astype(complex)
+            twirled = sum(act(rep, g, stack) for g in rep.group.elements()) / rep.group.order
+            for ops in (stack, twirled, twirled + 1e-13 * stack, -stack):
+                expected = max(commutation_deviation(rep, g, ops) for g in rep.group.elements())
+                values, support = _on_support(ops)
+                with monkeypatch.context() as m:
+                    m.setattr(groups, "chunks", _refuse)
+                    assert invariance_deviation(rep, values, support) == expected
+                    vanish = orbitals(rep, support)[2]
+                seen["empty" if not len(support) else "leaking" if vanish.any() else "closed"] += 1
+    assert min(seen.values()) > 0, seen
 
 
 def test_signed_and_phased_monomials_are_not_permutations():

@@ -6,7 +6,9 @@ held (``factors`` of a chain).  Every other module goes through their
 public functions, and ``frames`` imports no private name of ``groups``.
 Memos, values computed once and kept on a frozen object, live in
 ``groups`` and ``frames`` alone: every other module builds a derived
-form where it is read.
+form where it is read.  ``relativize`` and ``systems`` loop over no
+group's ``elements()``: what they ask of every element, ``groups``
+answers in one call.
 """
 
 import ast
@@ -71,3 +73,29 @@ def test_the_memo_rule_sees_both_forms():
 def test_memos_live_in_groups_and_frames_alone(path):
     memos = _memos(_tree(path))
     assert memos == [], f"{path.name} keeps a memo on a frozen object at lines {memos}"
+
+
+def _element_loops(tree):
+    """Lines of ``for`` statements and comprehensions that iterate over ``<x>.elements()``."""
+    loops = (ast.For, ast.AsyncFor, ast.comprehension)
+    return sorted(
+        node.iter.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, loops)
+        and isinstance(node.iter, ast.Call)
+        and isinstance(node.iter.func, ast.Attribute)
+        and node.iter.func.attr == "elements"
+    )
+
+
+def test_the_element_loop_rule_sees_statements_and_comprehensions():
+    source = "for g in group.elements():\n    pass\nx = [g for g in rep.group.elements()]\ny = list(group.elements())\n"
+    assert _element_loops(ast.parse(source)) == [1, 3]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name in ("relativize.py", "systems.py")], ids=lambda p: p.name
+)
+def test_relativize_and_systems_loop_over_no_group_elements(path):
+    loops = _element_loops(_tree(path))
+    assert loops == [], f"{path.name} loops over group elements at lines {loops}"

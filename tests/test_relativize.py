@@ -23,6 +23,7 @@ from framerel.errors import (
     RequiresFullAlgebra,
 )
 from framerel.frames import (
+    born_measure,
     build_frame_morphism,
     canonical_ideal_frame,
     compose_frame_morphisms,
@@ -35,7 +36,6 @@ from framerel.groups import (
     act,
     build_cyclic_group,
     build_symmetric_group,
-    commutation_deviation,
     regular_representation,
     translates,
     unitary_rep,
@@ -94,6 +94,7 @@ from .support import (
     Y,
     Z,
     ampliation_channel,
+    commutation_deviation,
     dense_induced_matrix,
     dense_law_values,
     dense_relativize,
@@ -861,6 +862,21 @@ def test_product_relative_state_matches_oracle_nonabelian():
     cls = product_relative_state(fr, sq, omega, rho)
     assert max_abs(cls.canonical - relative_state_oracle(fr, sq, mu, rho)) < 1e-11
     assert cls.same_as(predual_relativize(fr, sq, tensor_product(omega, rho)))
+
+
+def test_product_relative_state_is_the_element_loop_bit_for_bit():
+    # one batched translate and one reduction over the elements add the terms in the loop's order
+    rng = np.random.default_rng(31)
+    cases = [(canonical_ideal_frame(build_cyclic_group(n)), full_system(zn_phase_rep(n))) for n in (8, 12, 16)]
+    cases.append((smeared_canonical_frame(s3(), 0.3), full_system(s3_irrep2())))
+    for frame, system in cases:
+        omega, rho = random_density(rng, frame.rep.dim), random_density(rng, system.dim)
+        weights = born_measure(frame, omega)
+        sigma = np.zeros((system.dim, system.dim), dtype=complex)
+        for g in frame.group.elements():
+            sigma += weights[g] * act(system.rep, frame.group.inv(g), rho)
+        got = product_relative_state(frame, system, omega, rho)
+        assert np.array_equal(got.canonical, state_class(system, sigma).canonical)
 
 
 # -------------------------------------------------------------- induced maps

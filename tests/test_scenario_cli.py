@@ -139,9 +139,10 @@ def test_options_are_typed():
         parse_scenario(json.dumps(minimal(options={"quiet": True})))
 
 
-def _nan_rep_entry():
+def _rep_entry(entry):
+    """The minimal scenario with entry (0, 0) of the flip matrix replaced by ``entry``."""
     doc = minimal()
-    doc["representations"]["flip"]["matrices"]["1"][0][0] = [float("nan"), 0]
+    doc["representations"]["flip"]["matrices"]["1"][0][0] = entry
     return doc
 
 
@@ -150,9 +151,14 @@ def test_non_finite_numbers_and_negative_counts_are_parse_errors():
     # tolerance finite and positive, seed and samples non-negative integers
     with pytest.raises(ScenarioSyntaxError, match=r"entry \(0,1\)"):
         decode_matrix([[[1, 0], [0, float("inf")]]], "t")
+    # a JSON boolean is no number, and an integer beyond float range is not finite
+    with pytest.raises(ScenarioSyntaxError, match=r"entry \(0,1\) must be a two-element"):
+        decode_matrix([[[1, 0], [True, False]]], "t")
+    with pytest.raises(ScenarioSyntaxError, match="beyond float range"):
+        decode_matrix([[[1, 0]], [[0, 10**400]]], "t")
     inf, nan = float("inf"), float("nan")
     docs = [
-        _nan_rep_entry(),
+        _rep_entry([float("nan"), 0]),
         minimal(options={"tolerance": inf}),
         minimal(options={"tolerance": nan}),
         minimal(options={"tolerance": True}),
@@ -658,7 +664,9 @@ def test_cli_reports_scenario_type_errors_without_a_traceback(tmp_path):
     cases = [
         (named_identity, (), "ScenarioSyntaxError"),
         (unknown_key, (), "UnknownReference"),
-        (_nan_rep_entry(), (), "ScenarioSyntaxError"),
+        (_rep_entry([float("nan"), 0]), (), "ScenarioSyntaxError"),
+        (_rep_entry([True, False]), (), "ScenarioSyntaxError"),
+        (_rep_entry([10**400, 0]), (), "ScenarioSyntaxError"),
         (minimal(options={"tolerance": float("inf")}), (), "ScenarioSyntaxError"),
         (minimal(options={"seed": -3}), (), "ScenarioSyntaxError"),
         (minimal(), ("--tolerance", "inf"), "ScenarioSyntaxError"),

@@ -59,6 +59,7 @@ from framerel.systems import (
     system_from_subspace,
 )
 
+from .strategies import permutation_matrices
 from .support import (
     H,
     I2,
@@ -66,6 +67,7 @@ from .support import (
     Y,
     Z,
     ampliation_channel,
+    commutant_svd_oracle,
     depolarizing_channel,
     image_stack_apply,
     random_density,
@@ -143,6 +145,29 @@ def test_invariant_subalgebra_dims_match_twirl_trace_oracle():
     for b in inv.space.basis:
         for g in joint.group.elements():
             assert max_abs(act(joint, g, b) - b) < 1e-12
+
+
+def test_invariant_subalgebra_spans_what_the_svd_oracle_spans():
+    # orbitals on monomial reps (phased Z_n, S3 permutation and regular), the twirl on the dense irrep
+    s3_perm = unitary_rep(s3(), permutation_matrices(3))
+    s3_regular = regular_representation(s3())
+    phased = [zn_phase_rep(n) for n in (2, 3, 6)] + [tensor_rep(zn_phase_rep(4), zn_phase_rep(4))]
+    for rep in phased + [s3_perm, s3_regular, tensor_rep(s3_regular, s3_perm), s3_irrep2()]:
+        system = invariant_subalgebra(rep)
+        basis = system.space.basis_stack.reshape(system.space.dim, -1)
+        oracle = commutant_svd_oracle(rep)
+        assert len(basis) == len(oracle) == commutant_dim_oracle(rep)
+        assert max_abs(basis.T @ np.conj(basis) - oracle.T @ np.conj(oracle)) < 1e-12
+        assert system.is_invariant
+
+
+def test_s4_commutants_are_counted_by_orbitals():
+    # the (|G| d^2, d^2) constraint matrix of the joint rep would take 32.6 GB
+    group = build_symmetric_group(4)
+    regular = regular_representation(group)
+    assert invariant_subalgebra(regular).space.dim == commutant_dim_oracle(regular) == 24
+    joint = tensor_rep(regular, unitary_rep(group, permutation_matrices(4)))
+    assert invariant_subalgebra(joint).space.dim == commutant_dim_oracle(joint) == 384
 
 
 # ----------------------------------------------------------------- channels
