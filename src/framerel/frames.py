@@ -13,7 +13,9 @@ translates summing to I on the orbit of its support (``groups``'
 covariance on the generators first under the rule of ``groups`` (the
 loop over every pair only when the bound exceeds the tolerance), and
 ideal iff E(e)^2 = E(e).  An explicit family is first validated as a
-stack.  The (|G|, d, d) ``effects`` stack is built on request only.
+stack.  Every reader goes through the seed (or its effect blocks), a
+working set of elements at a time; no function of the package reads the
+(|G|, d, d) ``effects`` stack.
 
 A frame morphism is a channel between the value systems that carries
 the source effects exactly onto the target effects.  Such a channel is
@@ -59,6 +61,7 @@ from .linalg import (
     DEFAULT_TOL,
     as_operator,
     block_partition,
+    chunks,
     dagger,
     hermitian_part,
     hs_norms,
@@ -91,7 +94,8 @@ class FrameObservable:
     support, and ``effect_blocks`` holds every E(g) on its diagonal blocks, one
     (|G|, m c^2) array per block size c, as ``act`` computes them.
     ``covariance``, measured on the generators s, is the largest
-    ||E(s h) - s.E(h)||_HS and the largest ||E(h)||_HS.
+    ||E(s h) - s.E(h)||_HS and the largest ||E(h)||_HS.  The frame keeps
+    nothing else: ``effects`` builds the whole stack anew on each request.
     """
 
     rep: UnitaryRep
@@ -101,7 +105,6 @@ class FrameObservable:
     covariance: tuple[float, float]
     components: tuple[np.ndarray, ...] = field(repr=False)
     effect_blocks: tuple[np.ndarray, ...] = field(repr=False)
-    _effects: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def group(self) -> FiniteGroup:
@@ -109,12 +112,10 @@ class FrameObservable:
 
     @property
     def effects(self) -> np.ndarray:
-        """The read-only (|G|, d, d) stack, built on first request."""
-        if self._effects is None:
-            stack = translates(self.rep, self.seed)
-            stack.setflags(write=False)
-            object.__setattr__(self, "_effects", stack)
-        return self._effects
+        """The read-only (|G|, d, d) stack ``translates(rep, seed)``, built anew on each request."""
+        stack = translates(self.rep, self.seed)
+        stack.setflags(write=False)
+        return stack
 
 
 def _orbit(rep: UnitaryRep, stack) -> tuple[np.ndarray, np.ndarray]:
@@ -198,6 +199,10 @@ def frame_from_effects(
         if e.shape[0] != rep.dim:
             raise DimensionError(f"effect {g} has dimension {e.shape[0]}, representation has {rep.dim}")
     stack = np.stack(effs)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        g = int(np.argmin(finite))
+        raise FrameInvalid(f"effect for element {rep.group.label(g)} has a non-finite entry")
     lows = np.linalg.eigvalsh(hermitian_part(stack))[:, 0]
     psd = (np.abs(stack - dagger(stack)).max(axis=(1, 2)) <= tol) & (lows >= -tol * rep.dim)
     bad = np.flatnonzero(~(psd & (vs.space.residuals(stack) <= tol)))
@@ -227,6 +232,8 @@ def principal_frame_from_seed(
         raise DimensionError(
             f"seed of dimension {s.shape[0]} for a dimension-{rep.dim} representation"
         )
+    if not np.isfinite(s).all():
+        raise FrameInvalid("seed effect has a non-finite entry")
     if not is_psd(s, tol):
         raise SeedNotPSD(min_eigenvalue(s))
     (entries, values), total = _seed_orbit(rep, s), np.zeros(rep.dim**2, dtype=np.complex128)
@@ -261,16 +268,29 @@ def born_measure(frame: FrameObservable, omega, tol: float = DEFAULT_TOL) -> np.
         )
     if not is_density_matrix(rho, tol):
         raise NotAState("frame state is not a density matrix")
-    values = np.array([np.trace(rho @ e) for e in frame.effects])
+    # tr[rho E] sums E[j, i] rho[i, j], and every E(g) vanishes off its blocks
+    t, blocks = rho.T, zip(frame.components, frame.effect_blocks)
+    values = sum(w @ t[c[:, :, None], c[:, None, :]].ravel() for c, w in blocks)
     if max_abs(values.imag) > tol * frame.rep.dim:
         raise FrameInvalid("Born weights acquired an imaginary part")
     return values.real.copy()
 
 
 def same_frame(a: FrameObservable, b: FrameObservable, tol: float = DEFAULT_TOL) -> bool:
+    """Equal reps within ``tol``, and every E(g) - E'(g) = g.(E(e) - E'(e))
+    within ``tol`` entrywise: ``moved_on_support`` of the seeds' difference,
+    a working set of elements at a time."""
     if a is b:
         return True
-    return same_rep(a.rep, b.rep, tol) and max_abs(a.effects - b.effects) <= tol
+    if not same_rep(a.rep, b.rep, tol):
+        return False
+    gap = (a.seed - b.seed).ravel()
+    support = np.flatnonzero(gap)
+    for run in chunks(a.group.order, len(support)):
+        inside, outside = moved_on_support(a.rep, gap[None, support], support, run)
+        if max(max_abs(inside), max_abs(outside)) > tol:
+            return False
+    return True
 
 
 # ------------------------------------------------------------------- morphisms
@@ -302,7 +322,8 @@ def build_frame_morphism(
     and h.  The factorization residual and the two frames' covariance
     bound that first (``_equivariant_on_generators``); only a bound above
     ``tol`` builds the element table, and EffectSpanNotEquivariant names
-    its first failing element.
+    its first failing element.  The effects are the seeds' translates, a
+    ``chunks`` run of elements at a time, with one ``apply`` per run.
     """
     if not same_group(source.group, target.group):
         raise GroupMismatch("frame morphism endpoints live over different groups")
@@ -310,15 +331,21 @@ def build_frame_morphism(
         raise ObjectMismatch("channel source is not the source value system")
     if not same_system(channel.target, target.value_system, tol):
         raise ObjectMismatch("channel target is not the target value system")
-    images = channel.apply(source.effects, tol)
-    residual = images - target.effects
-    devs = np.abs(residual).max(axis=(1, 2))
+    order, space = source.group.order, channel.source.space
+    devs, norms, outside = np.empty(order), np.empty(order), np.empty(order)
+    for run in chunks(order, max(source.rep.dim, target.rep.dim) ** 2):
+        effects = translates(source.rep, source.seed, run)
+        residual = channel.apply(effects, tol) - translates(target.rep, target.seed, run)
+        devs[run] = np.abs(residual).max(axis=(1, 2))
+        norms[run] = hs_norms(residual)
+        outside[run] = space.residuals(effects)
     bad = np.flatnonzero(devs > tol)
     if bad.size:
         g = int(bad[0])
         raise FactorizationFails(g, float(devs[g]), label=source.group.label(g))
-    if not _equivariant_on_generators(source, target, channel, residual, tol):
-        worst = _equivariance_table(channel, source.effects, images, tol).max(axis=1)
+    if not _equivariant_on_generators(source, target, channel, norms.max(), outside.max(), tol):
+        effects = translates(source.rep, source.seed)
+        worst = _equivariance_table(channel, effects, channel.apply(effects, tol), tol).max(axis=1)
         bad = np.flatnonzero(worst > tol)
         if bad.size:
             raise EffectSpanNotEquivariant(int(bad[0]), float(worst[bad[0]]))
@@ -327,18 +354,22 @@ def build_frame_morphism(
 
 def _covariance_bound(frame: FrameObservable, rep: UnitaryRep) -> float:
     """C >= ||g.E(h) - E(gh)||_HS for every g and h, g acting by ``rep``: the
-    ``word_bound`` of the frame's ``covariance``, measured again on the
-    effects when ``rep`` is not the frame's own object."""
+    ``word_bound`` of the frame's ``covariance``, measured again when
+    ``rep`` is not the frame's own object, on the effects' values over the
+    ``rep`` orbit of the entries where some effect is nonzero."""
     if rep is frame.rep:
         return word_bound(rep, *frame.covariance)
-    return word_bound(rep, *_covariance_on_generators(rep, *_orbit(rep, frame.effects)))
+    entries, values = _seed_orbit(frame.rep, frame.seed)
+    orbit = support_orbit(rep, entries[np.any(values != 0, axis=0)])
+    return word_bound(rep, *_covariance_on_generators(rep, orbit, support_gather(values, entries, orbit)))
 
 
 def _equivariant_on_generators(
-    source: FrameObservable, target: FrameObservable, channel: ChannelMap, residual, tol: float
+    source: FrameObservable, target: FrameObservable, channel: ChannelMap, residual, outside, tol: float
 ) -> bool:
     """True when factorization and covariance prove every entry of
-    ``_equivariance_table`` <= ``tol``.
+    ``_equivariance_table`` <= ``tol``, from the largest HS norm of the
+    factorization residual and the largest span residual of a source effect.
 
     With the factorization residual f(k) = phi(E(k)) - E'(k) and the
     covariance defects c(g, h) = g.E(h) - E(gh), c'(g, h) = g.E'(h) -
@@ -353,12 +384,11 @@ def _equivariant_on_generators(
     """
     src, tgt = channel.source.rep, channel.target.rep
     gap = _covariance_bound(source, src)
-    space = channel.source.space
-    if not space.is_full and space.residuals(source.effects).max() + gap > tol:
+    if not channel.source.space.is_full and outside + gap > tol:
         return False
     nu, defect = tgt.word_constants
     reach = nu**tgt.group.word_length + defect
-    factor = (1 + reach**2) * hs_norms(residual).max()
+    factor = (1 + reach**2) * residual
     return factor + channel.hs_gain() * gap + _covariance_bound(target, tgt) <= tol
 
 
@@ -400,7 +430,7 @@ def reorientation_morphism(
     vs = frame.value_system
     images = act(frame.rep, h, vs.space.basis_stack)
     channel = build_channel(vs, vs, images, tol)
-    translated = act(frame.rep, h, frame.effects)
+    translated = translates(frame.rep, frame.seed, group.mult[h])  # E(h g) at row g
     try:
         target = frame_from_effects(frame.rep, translated, vs, tol)
     except FrameInvalid as exc:

@@ -433,6 +433,9 @@ def unitary_rep(group: FiniteGroup, matrices, tol: float = DEFAULT_TOL) -> Unita
     if any(m.shape[0] != d for m in mats):
         raise DimensionError("representation matrices have mixed dimensions")
     stack = np.stack(mats)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        raise InvalidRepresentation("matrix has a non-finite entry", element=int(np.argmin(finite)))
     monomial = _monomial_parts(stack)
     if monomial is None:
         unitarity = (max_abs(m @ dagger(m) - identity(d)) for m in stack)

@@ -124,9 +124,9 @@ def min_eigenvalue(m) -> float:
 
 
 def is_psd(m, tol: float = DEFAULT_TOL) -> bool:
-    """Hermitian within tol, then minimum eigenvalue >= -tol * dim."""
+    """Finite, Hermitian within tol, then minimum eigenvalue >= -tol * dim."""
     a = as_operator(m)
-    if max_abs(a - dagger(a)) > tol:
+    if not np.isfinite(a).all() or max_abs(a - dagger(a)) > tol:
         return False
     return min_eigenvalue(a) >= -tol * a.shape[0]
 

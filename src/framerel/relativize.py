@@ -631,14 +631,15 @@ def _tensor_images(psi: FrameMorphism, phi: ChannelMap, coeffs, tol: float) -> n
 
     x_k = sum_j coeffs[j, k] sum_g E(g) (x) g.s_j along the system basis
     s_j, so its image is sum_j coeffs[j, k] sum_g psi(E(g)) (x) phi(g.s_j).
-    psi takes the effects as one stack and phi the |G| n translates as
-    one stack; the sum over g is one matrix product, and no Kronecker
-    product or Choi matrix of psi (x) phi is formed.
+    psi takes the effects, the source seed's translates, as one stack and
+    phi the |G| n translates of the basis as one stack; the sum over g is
+    one matrix product, and no Kronecker product or Choi matrix of psi (x)
+    phi is formed.
     """
     system = phi.source
     basis = system.space.basis_stack
     n, order = len(basis), psi.group.order
-    frame_parts = psi.channel.apply(psi.source.effects, tol)
+    frame_parts = psi.channel.apply(translates(psi.source.rep, psi.source.seed), tol)
     moved = translates(system.rep, basis)
     system_parts = phi.apply(moved.reshape(-1, system.dim, system.dim), tol)
     d_f, d_s = frame_parts.shape[-1], system_parts.shape[-1]

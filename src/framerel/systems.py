@@ -483,6 +483,8 @@ def _image_stack(images, count: int, dim: int) -> np.ndarray:
     The count and the shapes are read before the one coercion, so a
     list of images of different shapes raises DimensionError naming
     the first image of the wrong shape, not numpy's ragged-array error.
+    An image with a non-finite entry lies in no span: ImageOutsideTarget
+    names the first, with residual inf.
     """
     n = len(images)
     if n != count:
@@ -491,7 +493,12 @@ def _image_stack(images, count: int, dim: int) -> np.ndarray:
     for k, shape in enumerate([images.shape[1:]] if is_stack else map(np.shape, images)):
         if shape != (dim, dim):
             raise DimensionError(f"image {k} has shape {shape}, target has dimension {dim}")
-    return np.array(images, dtype=np.complex128)
+    stack = np.array(images, dtype=np.complex128)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ImageOutsideTarget(k, np.inf, witness=stack[k].copy())
+    return stack
 
 
 def build_channel(

@@ -180,6 +180,14 @@ def unlocalized_canonical_frame(group):
     return fr.principal_frame_from_seed(rep, np.eye(n, dtype=complex) / n)
 
 
+def effect_stack(frame):
+    """The (|G|, d, d) effects U(g) E(e) U(g)^dag of a frame, one matrix
+    product per element from the rep's dense matrices: the stack oracle for
+    the functions that read a frame through its seed."""
+    seed = frame.seed
+    return np.stack([u @ seed @ np.conj(u).T for u in frame.rep.matrices])
+
+
 # ------------------------------------------------------------------ channels
 
 
@@ -198,7 +206,7 @@ def smearing_morphism(group, lam, ideal=None):
     """Morphism from a canonical-style ideal frame onto its smeared version."""
     frame = ideal if ideal is not None else fr.canonical_ideal_frame(group)
     d = frame.rep.dim
-    seed = (1 - lam) * frame.effects[group.identity] + lam * np.eye(d, dtype=complex) / d
+    seed = (1 - lam) * frame.seed + lam * np.eye(d, dtype=complex) / d
     smeared = fr.principal_frame_from_seed(frame.rep, seed)
     channel = depolarizing_channel(frame.value_system, lam)
     return fr.build_frame_morphism(frame, smeared, channel)
@@ -235,10 +243,10 @@ def image_stack_apply(channel, ops):
 
 def dense_relativize(frame, system, a):
     """sum_g E(g) (x) U(g) a U(g)^dag, one Kronecker product per element."""
-    out = 0
+    out, effects = 0, frame.effects
     for g in frame.group.elements():
         u = np.asarray(system.rep.matrices[g])
-        out = out + np.kron(frame.effects[g], u @ a @ np.conj(u).T)
+        out = out + np.kron(effects[g], u @ a @ np.conj(u).T)
     return out
 
 
@@ -257,9 +265,9 @@ def kernel_bound(frame, ops):
 def predual_loop(frame, system, t):
     """sum_g g^-1 . tr_frame[(E(g) (x) I) T], one Kronecker product per element."""
     d_r, d_s = frame.rep.dim, system.dim
-    sigma = np.zeros((d_s, d_s), dtype=complex)
+    sigma, effects = np.zeros((d_s, d_s), dtype=complex), frame.effects
     for g in frame.group.elements():
-        joint = (np.kron(frame.effects[g], np.eye(d_s)) @ t).reshape(d_r, d_s, d_r, d_s)
+        joint = (np.kron(effects[g], np.eye(d_s)) @ t).reshape(d_r, d_s, d_r, d_s)
         reduced = np.einsum("ijil->jl", joint)
         u = np.asarray(system.rep.matrices[int(frame.group.inverse[g])])
         sigma += u @ reduced @ np.conj(u).T

@@ -43,7 +43,7 @@ from framerel.groups import (
     trivial_rep,
     unitary_rep,
 )
-from framerel.linalg import block_partition, is_psd, matrix_units, max_abs, span_subspace
+from framerel.linalg import block_partition, chunks, is_psd, matrix_units, max_abs, span_subspace
 from framerel.relativize import (
     build_relative_subspace,
     check_channel_axioms,
@@ -67,11 +67,14 @@ from .support import (
     Y,
     Z,
     depolarizing_channel,
+    effect_stack,
     ket,
     proj,
+    random_density,
     refusing_chain_images,
     run_under_cap,
     s3,
+    s3_irrep2,
     smeared_canonical_frame,
     traced_peak,
     z2,
@@ -79,6 +82,7 @@ from .support import (
     z2_ideal_frame,
     z2_smeared_frame,
     z2_unlocalized_frame,
+    zn_phase_rep,
 )
 
 E00 = np.diag([1.0, 0.0]).astype(complex)
@@ -194,6 +198,21 @@ def test_principal_seed_validation():
     with pytest.raises(FrameInvalid, match="^effect for element 0 leaves the value system span$"):
         # X Y X = -Y, so the translates sum to I, but Y is off the diagonal span
         principal_frame_from_seed(rep, I2 / 2 + 0.1 * Y, subspace_system(rep, [Z]))
+
+
+def test_non_finite_seeds_and_effects_are_rejected():
+    # a NaN at (0, 0) passed ``is_psd`` and the normalization test, and the
+    # frame came back with covariance (nan, nan); elsewhere eigvalsh raised
+    rep = regular_representation(build_cyclic_group(3))
+    for entry in ((0, 0), (1, 1), (0, 1)):
+        seed = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        seed[entry] = np.nan
+        with pytest.raises(FrameInvalid, match="^seed effect has a non-finite entry$"):
+            principal_frame_from_seed(rep, seed)
+    effects = [E00.copy(), E11.copy()]
+    effects[1][0, 0] = np.inf
+    with pytest.raises(FrameInvalid, match="^effect for element 1 has a non-finite entry$"):
+        frame_from_effects(z2_flip_rep(), effects)
 
 
 def test_frame_from_effects_validation():
@@ -679,24 +698,32 @@ def _morphism_cases(group):
     ids=["Z1", "Z2", "Z3", "Z4", "S3", "S4"],
 )
 def test_frame_morphisms_are_decided_by_one_apply(group):
-    # factorization and covariance decide equivariance: one ``apply`` of
-    # the source effects, no translate and no element table, at any order
+    # factorization and covariance decide equivariance: one ``apply`` of the
+    # seeds' translates per working set of elements, no ``act`` and no
+    # element table.  Up to S3 the group is one run; S4's 24 effects of
+    # 24 x 24 entries take two
     def refuse(*args, **kwargs):
-        raise AssertionError("translate or element table entered")
+        raise AssertionError("act or element table entered")
+
+    runs = []
+
+    def counted(*args, **kwargs):
+        for run in chunks(*args, **kwargs):
+            runs.append(run)
+            yield run
 
     for source, target, channel in _morphism_cases(group):
-        _ = source.effects, target.effects  # the check reads the stacks; build them first
+        runs.clear()
         with (
             mock.patch.object(ChannelMap, "apply", autospec=True, side_effect=ChannelMap.apply) as apply,
+            mock.patch.object(frames_module, "chunks", counted),
             mock.patch.object(frames_module, "act", refuse),
-            mock.patch.object(frames_module, "translates", refuse),
             mock.patch.object(groups_module, "act", refuse),
-            mock.patch.object(groups_module, "translates", refuse),
-            mock.patch.object(systems_module, "translates", refuse),
             mock.patch.object(frames_module, "_equivariance_table", refuse),
         ):
             morphism = build_frame_morphism(source, target, channel)
-        assert morphism.channel is channel and apply.call_count == 1
+        assert morphism.channel is channel
+        assert apply.call_count == len(runs) == (2 if group.order == 24 else 1)
 
 
 def test_identity_morphism_on_z16_peaks_under_one_mib():
@@ -766,3 +793,129 @@ def test_reorientation_of_cyclic_canonical_frame():
     mor = reorientation_morphism(fr, 1)
     for g in group.elements():
         assert max_abs(mor.target.effects[g] - fr.effects[group.multiply(1, g)]) < 1e-12
+
+
+# ------------------------------------------------------ read through the seed
+
+
+def _mixed_permutation_frame(n, b):
+    """A frame on the n-dim permutation rep of S_n: (1 - lam) E_00 / (n-1)! +
+    lam I / n!, lam = 0.3, plus i b (E_01 - E_10).  The twirl of an
+    off-diagonal entry (i, j) is (n-2)! (J - I), so entries that sum to
+    zero leave the translates summing to I."""
+    group = build_symmetric_group(n)
+    rep = unitary_rep(group, permutation_matrices(n))
+    seed = 0.7 * proj(ket(0, n)) / (group.order // n) + 0.3 * np.eye(n) / group.order
+    seed[0, 1], seed[1, 0] = 1j * b, -1j * b
+    return principal_frame_from_seed(rep, seed)
+
+
+def _seed_read_frames():
+    """Frames on every storage a frame is read through: phased Z_n reps, the
+    dense S3 irrep, and S3/S4 permutation and regular reps."""
+    irrep = s3_irrep2()
+    frames = [principal_frame_from_seed(zn_phase_rep(n), (I2 + 0.5 * X) / n) for n in (3, 4, 6)]
+    frames.append(principal_frame_from_seed(irrep, (0.7 * proj(ket(0, 2)) + 0.15 * I2) / 3))
+    frames += [_mixed_permutation_frame(3, 0.1), _mixed_permutation_frame(4, 0.03)]
+    frames += [canonical_ideal_frame(s3()), smeared_canonical_frame(build_symmetric_group(4), 0.3)]
+    return frames
+
+
+SEED_READ_IDS = ["Z3-phases", "Z4-phases", "Z6-phases", "S3-irrep", "S3-perm", "S4-perm", "S3-regular", "S4-regular"]
+
+
+def _smeared_twin(frame, nu):
+    """The frame of (1 - nu) E(e) + nu I/|G|, whose effects are the depolarized
+    (1 - nu) E(g) + nu tr(E(g)) I/d of ``frame``'s: tr(E(g)) = d/|G|."""
+    d, order = frame.rep.dim, frame.group.order
+    return principal_frame_from_seed(frame.rep, (1 - nu) * frame.seed + nu * np.eye(d) / order)
+
+
+@pytest.mark.parametrize("index", range(8), ids=SEED_READ_IDS)
+def test_born_weights_match_the_stack_oracle(index):
+    frame = _seed_read_frames()[index]
+    stack = effect_stack(frame)
+    rng = np.random.default_rng(index)
+    for rho in (random_density(rng, frame.rep.dim), np.eye(frame.rep.dim) / frame.rep.dim):
+        want = np.einsum("gij,ji->g", stack, rho)
+        assert max_abs(want.imag) < 1e-14
+        assert max_abs(born_measure(frame, rho) - want.real) < 1e-14
+
+
+@pytest.mark.parametrize("index", range(8), ids=SEED_READ_IDS)
+def test_frame_equality_matches_the_stack_oracle(index):
+    frame, tol = _seed_read_frames()[index], 1e-9
+    again = principal_frame_from_seed(frame.rep, frame.seed.copy(), frame.value_system)
+    assert again is not frame and same_frame(frame, again, tol)
+    # 2 tol on one diagonal entry: a frame within 1e-6, and E(g) - E'(g)
+    # reaches 2 tol at g = e at least
+    seed = frame.seed.copy()
+    seed[1, 1] += 2 * tol
+    moved = principal_frame_from_seed(frame.rep, seed, tol=1e-6)
+    gap = max_abs(effect_stack(frame) - effect_stack(moved))
+    assert 2 * tol * (1 - 1e-6) < gap < 2 * tol * (1 + 1e-6)
+    assert not same_frame(frame, moved, tol) and not same_frame(moved, frame, tol)
+    assert same_frame(frame, moved, 2 * gap)
+    assert not same_frame(frame, _smeared_twin(frame, 0.4), tol)
+
+
+@pytest.mark.parametrize("index", range(8), ids=SEED_READ_IDS)
+def test_reorientation_targets_match_the_stack_oracle(index):
+    frame, tol = _seed_read_frames()[index], 1e-9
+    group, stack = frame.group, effect_stack(frame)
+    mats = np.stack(frame.rep.matrices)
+    for h in range(group.order) if group.order <= 6 else (0, 1):
+        family = stack[group.mult[h]]  # E(h g) at row g
+        moved = mats[:, None] @ family[None] @ np.conj(mats[:, None]).swapaxes(-1, -2)
+        covariant = max_abs(moved - family[group.mult]) <= tol  # g.F(k) against F(g k)
+        assert covariant == group.is_central(h)  # each of these frames tells the elements apart
+        if not covariant:
+            with pytest.raises(NotCentral):
+                reorientation_morphism(frame, h)
+            continue
+        target = reorientation_morphism(frame, h).target
+        assert max_abs(effect_stack(target) - family) < 1e-14
+
+
+@pytest.mark.parametrize("index", range(8), ids=SEED_READ_IDS)
+def test_factorization_deviations_match_the_stack_oracle(index):
+    frame, tol = _seed_read_frames()[index], 1e-9
+    stack, d = effect_stack(frame), frame.rep.dim
+    channel = depolarizing_channel(frame.value_system, 0.4)
+    mapped = 0.6 * stack + 0.4 * np.einsum("gii->g", stack)[:, None, None] * np.eye(d) / d
+    morphism = build_frame_morphism(frame, _smeared_twin(frame, 0.4), channel, tol)
+    assert max_abs(mapped - effect_stack(morphism.target)) <= tol
+    devs = np.abs(mapped - effect_stack(_smeared_twin(frame, 0.5))).max(axis=(1, 2))
+    first = int(np.flatnonzero(devs > tol)[0])
+    with pytest.raises(FactorizationFails) as err:
+        build_frame_morphism(frame, _smeared_twin(frame, 0.5), channel, tol)
+    assert err.value.element == first
+    assert abs(err.value.deviation - devs[first]) < 1e-14
+
+
+def test_factorization_witness_in_a_later_run_matches_the_stack_oracle():
+    # S4's 24 effects of 24 x 24 entries take two runs of ``chunks``; a
+    # swap of basis vectors 20 and 21 first fails in the second
+    ideal = canonical_ideal_frame(build_symmetric_group(4))
+    swap = np.eye(24, dtype=complex)[[*range(20), 21, 20, 22, 23]]
+    channel = build_channel(ideal.value_system, ideal.value_system, _conjugation_images(ideal, swap))
+    stack = effect_stack(ideal)
+    devs = np.abs(swap @ stack @ swap.T - stack).max(axis=(1, 2))
+    assert len(list(chunks(24, 24 * 24))) == 2 and np.flatnonzero(devs > 1e-9).tolist() == [20, 21]
+    with pytest.raises(FactorizationFails) as err:
+        build_frame_morphism(ideal, ideal, channel)
+    assert (err.value.element, err.value.deviation) == (20, 1.0)
+
+
+def test_s5_frame_reads_peak_under_a_few_mib():
+    # the S5 effect stack alone is 120^3 complex entries, 26.4 MiB; each
+    # read holds a working set of translates, or none
+    group = build_symmetric_group(5)
+    frame, twin = canonical_ideal_frame(group), canonical_ideal_frame(group)
+    rho = np.eye(120, dtype=complex) / 120
+    ident, peak = traced_peak(lambda: identity_frame_morphism(frame))
+    assert ident.target is frame and peak < 4 * 2**20
+    weights, peak = traced_peak(lambda: born_measure(frame, rho))
+    assert max_abs(weights - 1 / 120) < 1e-15 and peak < 2 * 2**20
+    same, peak = traced_peak(lambda: same_frame(frame, twin))
+    assert same and twin.rep is not frame.rep and peak < 2 * 2**20

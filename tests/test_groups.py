@@ -206,6 +206,17 @@ def test_unitary_rep_validates_homomorphism():
     assert err.value.deviation == pytest.approx(abs(np.exp(0.6j) - 1.0))
 
 
+def test_unitary_rep_rejects_a_non_finite_matrix():
+    # a dense NaN matrix passed every ``dev > tol`` test, and a frame on
+    # the rep then raised numpy's LinAlgError
+    bad = np.array([[np.nan, 1], [1, 0]], dtype=complex)
+    with pytest.raises(InvalidRepresentation, match=r"^matrix has a non-finite entry \(element 1\)$") as err:
+        unitary_rep(build_cyclic_group(2), [I2, bad])
+    assert err.value.element == 1
+    with pytest.raises(InvalidRepresentation, match="non-finite"):
+        unitary_rep(build_cyclic_group(2), [I2, np.array([[0, np.inf], [1, 0]])])
+
+
 def test_phase_rep_is_valid_for_several_orders():
     for n in (2, 3, 4, 6):
         rep = zn_phase_rep(n)

@@ -4,11 +4,13 @@
 ``phases`` of a monomial rep), and ``systems`` alone how a channel is
 held (``factors`` of a chain).  Every other module goes through their
 public functions, and ``frames`` imports no private name of ``groups``.
-Memos, values computed once and kept on a frozen object, live in
-``groups`` and ``frames`` alone: every other module builds a derived
-form where it is read.  ``relativize`` and ``systems`` loop over no
-group's ``elements()``: what they ask of every element, ``groups``
-answers in one call.
+A frame is read through its seed: no module reads the (|G|, d, d)
+``effects`` stack, which only the package's users ask for.  Memos,
+values computed once and kept on a frozen object, live in ``groups``
+alone (a monomial rep's dense matrices and its word constants): every
+other module builds a derived form where it is read.  ``relativize`` and
+``systems`` loop over no group's ``elements()``: what they ask of every
+element, ``groups`` answers in one call.
 """
 
 import ast
@@ -18,7 +20,7 @@ import pytest
 
 SOURCES = sorted((pathlib.Path(__file__).resolve().parent.parent / "src" / "framerel").glob("*.py"))
 OWNERS = {"perms": "groups.py", "phases": "groups.py", "factors": "systems.py"}
-MEMO_OWNERS = ("groups.py", "frames.py")
+MEMO_OWNERS = ("groups.py",)
 
 
 def _tree(path):
@@ -48,6 +50,16 @@ def test_frames_imports_no_private_name_of_groups():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_reads_the_effect_stack(path):
+    reads = [
+        node.lineno
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Attribute) and node.attr == "effects"
+    ]
+    assert reads == [], f"{path.name} reads a frame's effect stack at lines {reads}"
 
 
 def _memos(tree):

@@ -115,6 +115,17 @@ def test_predicates_on_fixed_matrices():
     assert min_eigenvalue(np.diag([2.0, -3.0]).astype(complex)) == -3.0
 
 
+def test_is_psd_fails_a_non_finite_matrix():
+    # a NaN on the diagonal passes both comparisons, ``dev > tol`` and
+    # ``low >= -tol d``, when eigvalsh returns finite eigenvalues for it
+    m = np.zeros((3, 3), dtype=complex)
+    m[0, 0] = np.nan
+    assert not is_psd(m)
+    m[0, 0] = np.inf
+    assert not is_psd(m)
+    assert not is_density_matrix(m)
+
+
 def test_operator_norm_is_largest_singular_value():
     m = np.diag([3.0, -4.0]).astype(complex)
     assert operator_norm(m) == 4.0

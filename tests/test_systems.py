@@ -477,6 +477,16 @@ def test_build_channel_validates_counts_unitality_and_targets():
         build_channel(sq, sq, [E00, E01, np.eye(3), E11])
 
 
+def test_build_channel_names_a_non_finite_image():
+    # a NaN image made the target, unitality and Choi checks compare NaN,
+    # and the Choi eigenvalues raised numpy's LinAlgError
+    sq = full_system(z2_flip_rep())
+    images = [E00, E01, np.full((2, 2), np.nan), E11]
+    with pytest.raises(ImageOutsideTarget, match=r"^image of basis element 2 leaves the target span \(residual inf\)$") as err:
+        build_channel(sq, sq, images)
+    assert err.value.index == 2 and np.isnan(err.value.witness).all()
+
+
 def test_positivity_rejected_via_choi_on_full_algebras():
     sq = full_system(z2_flip_rep())
     # unital map fixing I with Z -> 2Z: sends the state (I+Z)/2 to
