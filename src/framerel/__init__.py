@@ -97,6 +97,7 @@ from .systems import (
     identity_channel,
     invariant_subalgebra,
     is_equivariant,
+    is_invariant,
     is_vn_algebra,
     kraus_channel,
     predual_channel,

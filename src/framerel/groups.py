@@ -12,8 +12,8 @@ Group laws are tested on generators.  ``FiniteGroup.generators`` is a
 small generating set, and ``words`` the breadth-first word tree over it:
 every element g is a product of k <= L = ``word_length`` generators, with
 no inverse letters, since g^-1 is a positive power of g.  The checks that
-only decide (span closure and invariance in ``systems``, frame covariance
-in ``frames``) test the generators first, in the Hilbert-Schmidt norm.
+only decide (span closure in ``systems``, frame covariance in ``frames``)
+test the generators first, in the Hilbert-Schmidt norm.
 It bounds every entry (|a_ij| <= ||a||_HS), which is what their element
 loops compare with the tolerance.
 Conjugation by a product of at most L generator matrices scales HS norms

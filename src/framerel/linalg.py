@@ -146,9 +146,13 @@ def tensor_product(a, b) -> np.ndarray:
     return np.kron(as_operator(a), as_operator(b))
 
 
-def operator_norm(m) -> float:
-    """Largest singular value."""
-    return float(np.linalg.norm(as_operator(m), 2))
+def operator_norm(m) -> float | np.ndarray:
+    """Largest singular value of one operator, or of every operator of a
+    (k, d, d) stack, as ``hs_norms``: one batched 2-norm."""
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim == 3:
+        return np.linalg.norm(a, 2, axis=(1, 2))
+    return float(np.linalg.norm(as_operator(a), 2))
 
 
 def block_partition(support) -> tuple[np.ndarray, ...]:

@@ -90,6 +90,7 @@ from .linalg import (
     is_density_matrix,
     matrix_units,
     max_abs,
+    operator_norm,
     orthonormalize,
     psd_span_samples,
     vector_kernel,
@@ -193,9 +194,7 @@ def _support_values(rmap: RelativizationMap) -> tuple[np.ndarray, np.ndarray]:
     return values[:, order], entries[order]
 
 
-def relativization_map(
-    frame: FrameObservable, system: SemiQuantumSystem, tol: float = DEFAULT_TOL
-) -> RelativizationMap:
+def relativization_map(frame: FrameObservable, system: SemiQuantumSystem) -> RelativizationMap:
     if not same_group(frame.group, system.group):
         raise GroupMismatch("frame and system live over different groups")
     blocks = tuple(_relativize_stack(frame, system, system.space.basis_stack))
@@ -252,7 +251,7 @@ def build_relative_subspace(
     frame: FrameObservable, system: SemiQuantumSystem, tol: float = DEFAULT_TOL
 ) -> RelativeSubspace:
     """Span of the relativized basis, plus the kernel inside the system span."""
-    return _relative_subspace(relativization_map(frame, system, tol), tol)
+    return _relative_subspace(relativization_map(frame, system), tol)
 
 
 def _relative_subspace(rmap: RelativizationMap, tol: float) -> RelativeSubspace:
@@ -306,7 +305,7 @@ class Workspace:
     ) -> RelativizationMap:
         key = (frame, system)
         if key not in self.maps:
-            self.maps[key] = relativization_map(frame, system, self.tol)
+            self.maps[key] = relativization_map(frame, system)
         return self.maps[key]
 
     def relative_subspace(
@@ -370,11 +369,6 @@ class LawReport:
         return self.passed == self.expected
 
 
-def _operator_norms(stack) -> np.ndarray:
-    """Largest singular value of every operator of a (k, d, d) stack."""
-    return np.linalg.norm(stack, 2, axis=(1, 2))
-
-
 def _pair_products(blocks: np.ndarray, right: np.ndarray, run: slice) -> np.ndarray:
     """q_i q_j blockwise for the rows i in ``run`` and every j: (r, n, m, k, k).
 
@@ -427,7 +421,7 @@ def check_channel_axioms(
 
     invariance = invariance_deviation(rmap.joint_rep, *_support_values(rmap))
 
-    in_norms = _operator_norms(system.space.basis_stack)
+    in_norms = operator_norm(system.space.basis_stack)
     out_norms = block_operator_norms(images)
     if system.is_full_algebra:
         units = (
@@ -449,7 +443,7 @@ def check_channel_axioms(
         low = min(0.0, float(np.min(block_min_eigenvalues(outputs))))
         positive = low >= -tol * rmap.joint_dim
         mode = f"sampled over {len(psd_inputs)} inputs"
-        in_norms = np.concatenate([_operator_norms(psd_inputs), in_norms])
+        in_norms = np.concatenate([operator_norm(psd_inputs), in_norms])
         out_norms = np.concatenate([block_operator_norms(outputs), out_norms])
     kept = in_norms > tol
     excess = float(np.max(out_norms[kept] / in_norms[kept] - 1.0, initial=0.0))
@@ -514,7 +508,7 @@ def check_ideal_isomorphism(rmap: RelativizationMap, tol: float = DEFAULT_TOL) -
         None if mult_dev == 0.0
         else tuple(int(k) for k in np.unravel_index(np.argmax(devs >= mult_dev - tol), devs.shape))
     )
-    iso_dev = float(np.max(np.abs(block_operator_norms(images) - _operator_norms(basis))))
+    iso_dev = float(np.max(np.abs(block_operator_norms(images) - operator_norm(basis))))
     adjoint_coeffs = space.coefficients(dagger(basis))
     adj_dev = float(np.max(block_operator_norms(
         [np.tensordot(adjoint_coeffs, q, axes=1) - dagger(q) for q in images]
@@ -691,7 +685,7 @@ def _induce(
     kernel_image_norm = 0.0
     if source_rel.kernel.dim:
         kernel = source_rel.kernel.basis_stack
-        norms = _operator_norms(_relativize_dense(psi.target, phi.target, phi.apply(kernel, tol)))
+        norms = operator_norm(_relativize_dense(psi.target, phi.target, phi.apply(kernel, tol)))
         over = np.flatnonzero(norms > tol)
         if len(over):
             raise IllDefined(kernel_witness=kernel[over[0]], image_norm=float(norms[over[0]]))
@@ -908,6 +902,6 @@ def external_frame_transform(
     if omega.shape[0] != psi.target.rep.dim or not is_density_matrix(omega, tol):
         raise NotAState("frame-side state is not a density matrix on the target frame")
     target_side = product_relative_state(psi.target, system, omega, rho, tol)
-    transported = predual_channel(psi.channel, omega, tol)
+    transported = predual_channel(psi.channel, omega)
     source_side = product_relative_state(psi.source, system, transported, rho, tol)
     return target_side, source_side

@@ -5,23 +5,27 @@ dimensional Hilbert space, containing the identity and closed under a
 group's conjugation action.  It is the finite stand-in for an
 ultraweakly closed operator subspace: enough structure to pair with
 states, too little (in general) to multiply (``is_vn_algebra`` tells,
-on request).  Channels between systems are unital positive linear maps
-recorded by their images on the source basis, one read-only (k, d, d)
-stack, or held as a chain of such channels applied in order: the
-identity is the empty chain and a composite the chain of its factors,
-so neither forms a d^4 image stack or a product of two, and a chain
-folds its images anew when read.  Positivity has one rule per source
-kind.  A full-algebra source is certified exactly, whatever the target:
-the Choi matrix is PSD iff the map is completely positive (Choi 1975),
-and a unital positive map has norm 1 (Russo-Dye), so the certificate
-covers contraction as well.  Its spectrum is taken block by block along
-the connected components of the Choi matrix's nonzero pattern.  A chain
-of exact factors needs no spectrum: a composite of completely positive
-maps is completely positive.  A proper source is sampled over one
-deterministic PSD stack, whose images are tested with one batched
-``eigvalsh`` (and reported as sampled, never as proved), unless the
-caller has shown the map to be the restriction of a completely positive
-map (the induced maps of ``relativize``, from their tensor form).
+on request), and in general not fixed by the action (``is_invariant`` tells,
+on request, by the commutator test of ``groups.invariance_deviation``);
+it stores its representation and its span alone.  Channels between
+systems are unital positive linear maps recorded by their images on the
+source basis, one read-only (k, d, d) stack, or held as a chain of such
+channels applied in order: the identity is the empty chain, a composite
+the chain of its factors and an explicit channel the chain of itself
+alone, so every channel is applied along one path, and neither the
+identity nor a composite forms a d^4 image stack or a product of two.
+Positivity has one rule per source kind.  A full-algebra source is
+certified exactly, whatever the target: the Choi matrix is PSD iff the
+map is completely positive (Choi 1975), and a unital positive map has
+norm 1 (Russo-Dye), so the certificate covers contraction as well.  Its
+spectrum is taken block by block along the connected components of the
+Choi matrix's nonzero pattern.  A chain of exact factors needs no
+spectrum: a composite of completely positive maps is completely
+positive.  A proper source is sampled over one deterministic PSD stack,
+whose images are tested with one batched ``eigvalsh`` (and reported as
+sampled, never as proved), unless the caller has shown the map to be the
+restriction of a completely positive map (the induced maps of
+``relativize``, from their tensor form).
 
 A proper span is validated on its support, the entries where some basis
 element is nonzero: its translates, adjoints and products are projected
@@ -31,11 +35,12 @@ translates come from ``groups.moved_on_support`` (a monomial
 representation moves the support entries alone), and products are
 formed on the diagonal blocks of the support, so a span
 that lives on a few blocks of a large joint space costs what its blocks
-cost.  Closure and invariance are tested on the group's generators
-first, under the rule of ``groups``, and on every element only when
-the generators' bound exceeds the tolerance.  ``is_equivariant``
-reports a deviation, so it keeps its table over every element.  A
-monomial rep's commutant is read from the orbits of its entries.
+cost.  Closure is tested on the group's generators first, under the
+rule of ``groups``, and on every element only when the generators'
+bound exceeds the tolerance.  ``is_equivariant`` reports a deviation,
+so it keeps its table over every element.  A monomial rep's commutant
+is read from the orbits of its entries, and it holds I and is closed by
+construction, so it is not validated again.
 
 States enter through operational equivalence: two density matrices are
 the same state of a system when every observable in the span gives them
@@ -68,6 +73,7 @@ from .errors import (
 from .groups import (
     UnitaryRep,
     acts_trivially,
+    invariance_deviation,
     moved_on_support,
     orbitals,
     same_group,
@@ -111,8 +117,10 @@ class SemiQuantumSystem:
 
     rep: UnitaryRep
     space: MatrixSubspace
-    is_full_algebra: bool
-    is_invariant: bool
+
+    @property
+    def is_full_algebra(self) -> bool:
+        return self.space.is_full
 
     @property
     def dim(self) -> int:
@@ -162,48 +170,36 @@ def is_vn_algebra(system: SemiQuantumSystem, tol: float = DEFAULT_TOL) -> bool:
 
 
 def _assemble_system(rep: UnitaryRep, space: MatrixSubspace, tol: float) -> SemiQuantumSystem:
-    """Validate a span against the action and record its flags.
+    """Validate a span against the action: it holds I and is closed.
 
-    A full span holds I and every translate, and it is invariant iff
-    every U(g) is a scalar within ``tol``, so it is read from the rep and
-    no basis element is moved.  A proper span must hold I, which is read
-    on its support (``_holds_identity``).  It is closed when every
-    translate g.x_i of its orthonormal basis has residual at most
-    ``tol``, and invariant when every |g.x_i - x_i| is, entrywise.
-    Both are decided on the generators first (``_generator_deviations``):
-    HS norms bound the largest entry, and ``groups.word_bound`` carries
-    a generator's deviation to every element.  For closure the
-    generator's deviation is the HS norm of the residual map P_perp s
-    on the span, at most (sum_i ||P_perp s.x_i||^2)^(1/2); a word of
-    length k then leaves the span by at most k nu^(2(k-1)) times it,
-    since each letter either moves the part still in the span (by the
-    residual map) or carries the part already outside (norm <= nu^2).
-    For invariance it is the largest ||s.x_i - x_i||, which telescopes
-    along the word.  A verdict the bound does not prove runs the element
-    loop (``_element_loop``), so no verdict changes.
+    A full span holds I and every translate, so nothing is moved.  A
+    proper span must hold I, which is read on its support
+    (``_holds_identity``), and it is closed when every translate g.x_i
+    of its orthonormal basis has residual at most ``tol``.  That is
+    decided on the generators first (``_generator_closure``): HS norms
+    bound the largest entry, and ``groups.word_bound`` carries a
+    generator's deviation to every element.  The generator's deviation
+    is the HS norm of the residual map P_perp s on the span, at most
+    (sum_i ||P_perp s.x_i||^2)^(1/2); a word of length k then leaves the
+    span by at most k nu^(2(k-1)) times it, since each letter either
+    moves the part still in the span (by the residual map) or carries
+    the part already outside (norm <= nu^2).  A verdict the bound does
+    not prove runs the element loop (``_closure_loop``), so no verdict
+    changes.  Whether the span is fixed by the action is asked
+    separately (``is_invariant``).
     """
     if space.ambient_dim != rep.dim:
         raise DimensionError(
             f"subspace ambient dimension {space.ambient_dim} does not match "
             f"representation dimension {rep.dim}"
         )
-    full = space.is_full
-    if not (full or _holds_identity(space, tol)):
-        raise FramerelError("system span does not contain the identity")
-    if full:
-        invariant = acts_trivially(rep, tol)
-    else:
+    if not space.is_full:
+        if not _holds_identity(space, tol):
+            raise FramerelError("system span does not contain the identity")
         some = len(rep.group.generators) < rep.group.order - 1  # else the loop is no dearer
-        devs = _generator_deviations(rep, space) if some else (np.inf, np.inf)
-        closed, invariant = (some and word_bound(rep, dev, 1.0) <= tol for dev in devs)
-        if not (closed and invariant):
-            invariant = _element_loop(rep, space, tol, closed)
-    return SemiQuantumSystem(
-        rep=rep,
-        space=space,
-        is_full_algebra=full,
-        is_invariant=invariant,
-    )
+        if not (some and word_bound(rep, _generator_closure(rep, space), 1.0) <= tol):
+            _closure_loop(rep, space, tol)
+    return SemiQuantumSystem(rep, space)
 
 
 def _holds_identity(space: MatrixSubspace, tol: float) -> bool:
@@ -215,44 +211,43 @@ def _holds_identity(space: MatrixSubspace, tol: float) -> bool:
     return np.count_nonzero(eye) == d and space.support_residuals(eye[None])[0] <= tol
 
 
-def _generator_deviations(rep: UnitaryRep, space: MatrixSubspace) -> tuple[float, float]:
-    """(closure, invariance) deviations of a proper span over the generators, in HS norm.
+def _generator_closure(rep: UnitaryRep, space: MatrixSubspace) -> float:
+    """The largest (sum_i ||P_perp s.x_i||^2)^(1/2) of a proper span over the generators s.
 
-    Closure: the largest (sum_i ||P_perp s.x_i||^2)^(1/2); invariance:
-    the largest ||s.x_i - x_i||.  Both are read on the support from the
-    ``moved_on_support`` translates, plus at most (d^2 - K) outside^2 off it.
+    Read on the support from the ``moved_on_support`` translates, plus
+    at most (d^2 - K) outside^2 off it.
     """
     gens = np.array(rep.group.generators, dtype=np.int64)
     support, values = space.support, space.support_basis
     inside, outside = moved_on_support(rep, values, support, gens)  # (gens, dim, K), (gens, dim)
     spill = (rep.dim**2 - len(support)) * outside**2
     residual = projection_errors(inside.reshape(-1, len(support)), values).reshape(inside.shape)
-    closure = np.sqrt(hs_norms(residual) ** 2 + spill.sum(axis=1))
-    change = np.sqrt(hs_norms((inside - values).reshape(-1, len(support))) ** 2 + spill.ravel())
-    return float(closure.max(initial=0.0)), float(change.max(initial=0.0))
+    return float(np.sqrt(hs_norms(residual) ** 2 + spill.sum(axis=1)).max(initial=0.0))
 
 
-def _element_loop(rep: UnitaryRep, space: MatrixSubspace, tol: float, closed: bool) -> bool:
-    """Invariance of a proper span over every element, the elements a working set at a time.
-
-    Unless ``closed`` is already proved, each translate is also tested
-    for closure, and a failure raises: a translate leaves the span when
-    its largest entry off the support (``moved_on_support``'s
-    ``outside``) or its residual on the support (``support_residuals``)
-    exceeds ``tol``.  Invariance compares the translates with the basis
-    entrywise, on the support and off it.  With closure proved the loop
-    stops at the first element that moves the span.
-    """
+def _closure_loop(rep: UnitaryRep, space: MatrixSubspace, tol: float) -> None:
+    """Raise unless every translate of a proper span stays in it, the elements a
+    working set at a time: a translate leaves the span when its largest entry
+    off the support (``moved_on_support``'s ``outside``) or its residual on
+    the support (``support_residuals``) exceeds ``tol``."""
     support, values = space.support, space.support_basis
-    invariant, k = True, values.shape[1]
     for run in chunks(rep.group.order, values.size):
         inside, outside = moved_on_support(rep, values, support, run)  # (elements, dim, K)
-        if not closed and max(outside.max(), space.support_residuals(inside.reshape(-1, k)).max()) > tol:
+        if max(outside.max(), space.support_residuals(inside.reshape(-1, len(support))).max()) > tol:
             raise FramerelError(_NOT_CLOSED)
-        invariant = invariant and max(max_abs(inside - values), max_abs(outside)) <= tol
-        if closed and not invariant:
-            break
-    return invariant
+
+
+def is_invariant(system: SemiQuantumSystem, tol: float = DEFAULT_TOL) -> bool:
+    """Whether the action fixes every element of the span: x U(g) = U(g) x
+    within ``tol`` entrywise, for every g and basis element x.
+
+    A full span is fixed iff every U(g) is a scalar (``acts_trivially``);
+    a proper span reads ``groups.invariance_deviation`` on its support.
+    """
+    space = system.space
+    if space.is_full:
+        return acts_trivially(system.rep, tol)
+    return invariance_deviation(system.rep, space.support_basis, space.support) <= tol
 
 
 def full_system(rep: UnitaryRep, tol: float = DEFAULT_TOL) -> SemiQuantumSystem:
@@ -293,26 +288,29 @@ def invariant_subalgebra(rep: UnitaryRep, tol: float = DEFAULT_TOL) -> SemiQuant
     For a monomial rep, one basis element per orbit of entries whose phases
     agree (``groups.orbitals``): its phases, normalized.  Any other rep
     twirls the matrix units, (1/|G|) sum_g g.E_kl, a working set of elements
-    at a time: the twirl projects onto the commutant.
+    at a time: the twirl projects onto the commutant.  Either span holds I
+    and is fixed by the action, hence closed, by construction (the orbital
+    matrices span the commutant; Higman, Geom. Dedicata 4, 1975), so it is
+    not validated again.
     """
     d = rep.dim
     orbits = orbitals(rep, np.arange(d * d), tol)
     if orbits is None:
         runs = chunks(rep.group.order, d**4)
         twirl = sum(translates(rep, matrix_units(d), run).sum(axis=0) for run in runs) / rep.group.order
-        return _assemble_system(rep, span_subspace(twirl, d, tol), tol)
+        return SemiQuantumSystem(rep, span_subspace(twirl, d, tol))
     labels, phases, vanish = orbits
     keep = ~vanish[labels]
     row = (np.cumsum(~vanish) - 1)[labels[keep]]  # the kept orbits, renumbered
     weights = (1.0 if phases is None else phases[keep]) / np.sqrt(np.bincount(row)[row])
     values = (np.arange(np.count_nonzero(~vanish))[:, None] == row) * weights
-    return _assemble_system(rep, MatrixSubspace.on_support(d, np.flatnonzero(keep), values), tol)
+    return SemiQuantumSystem(rep, MatrixSubspace.on_support(d, np.flatnonzero(keep), values))
 
 
 def system_from_subspace(
     rep: UnitaryRep, space: MatrixSubspace, tol: float = DEFAULT_TOL
 ) -> SemiQuantumSystem:
-    """Wrap an existing orthonormal subspace as a system (flags recomputed)."""
+    """Wrap an existing orthonormal subspace as a system (validated)."""
     return _assemble_system(rep, space, tol)
 
 
@@ -341,9 +339,11 @@ class ChannelMap:
     the image of source basis element i at ``images[i]``.  A chain holds
     ``factors``, explicit channels applied in order (``compose_channels``
     flattens nested chains); the empty chain is the identity
-    (``identity_channel``).  A chain keeps no images: ``images`` and
-    ``matrix`` fold them through the factors on every request, starting
-    from the first factor's stack.
+    (``identity_channel``).  Every method reads a channel as the explicit
+    channels it applies in order, its ``_steps``: a chain's factors, or
+    an explicit channel as the chain of itself alone.  A chain keeps no
+    images: ``images`` and ``matrix`` fold them through the steps on
+    every request, starting from the first step's stack.
 
     ``positivity_check`` names the certificate, one of four:
 
@@ -365,12 +365,12 @@ class ChannelMap:
     number of samples that were asked for, so a composite starting on
     their source samples with the same settings.
 
-    ``apply`` takes one operator or a whole (k, d, d) stack.  An explicit
-    channel contracts the stack in one matrix product, over the source
-    coefficients where some operator of the stack is nonzero, so the
-    images are read once per stack; a slice agrees with applying the
-    channel to that operator alone within rounding, not bit for bit.  A
-    chain passes the stack through its factors' products in turn.
+    ``apply`` takes one operator or a whole (k, d, d) stack and passes it
+    through each step in turn.  A step contracts the stack in one matrix
+    product, over the source coefficients where some operator of the
+    stack is nonzero, so its images are read once per stack; a slice
+    agrees with applying the channel to that operator alone within
+    rounding, not bit for bit.
     """
 
     source: SemiQuantumSystem
@@ -382,13 +382,18 @@ class ChannelMap:
     _images: np.ndarray | None = field(default=None, repr=False)
 
     @property
+    def _steps(self) -> tuple[ChannelMap, ...]:
+        """The explicit channels applied in order: the factors of a chain, or
+        the explicit channel itself as a chain of one."""
+        return (self,) if self.factors is None else self.factors
+
+    @property
     def images(self) -> np.ndarray:
-        """The read-only (k, d, d) image stack; a chain folds it anew on each request."""
-        if self.factors is None:
-            return self._images
-        images = self.factors[0].images if self.factors else np.array(self.source.space.basis_stack)
-        for factor in self.factors[1:]:
-            images = factor._product(factor.source.space.coefficients(images))
+        """The read-only (k, d, d) image stack, folded through the steps from the first's."""
+        steps = self._steps
+        images = steps[0]._images if steps else np.array(self.source.space.basis_stack)
+        for step in steps[1:]:
+            images = step._product(step.source.space.coefficients(images))
         images.setflags(write=False)
         return images
 
@@ -397,22 +402,23 @@ class ChannelMap:
 
         Raises OperatorOutsideSystem with the largest residual over the
         stack when some operator leaves the source span; a full source
-        holds every operator, so it skips the check.  A chain then hands
-        the stack to each factor's product in turn, along that factor's
-        source coefficients (the identity returns a copy).
+        holds every operator, so it skips the check.  The stack then goes
+        through each step's product in turn, along that step's source
+        coefficients; the source coefficients of the check serve the
+        first step when it reads the same span, and only the identity on
+        a full source takes none (it returns a copy).
         """
-        space = self.source.space
-        # a chain reads the coefficients of a proper source for the check alone
-        c = None if space.is_full and self.factors is not None else space.coefficients(a)
+        space, steps = self.source.space, self._steps
+        out = np.array(a, dtype=np.complex128)
+        c = None if space.is_full and not steps else space.coefficients(out)
         if not space.is_full:
-            residual = max_abs(np.asarray(a, dtype=np.complex128) - space.combine(c))
+            residual = max_abs(out - space.combine(c))
             if residual > tol:
                 raise OperatorOutsideSystem(residual)
-        if self.factors is None:
-            return self._product(c)
-        out = np.array(a, dtype=np.complex128)
-        for factor in self.factors:
-            out = factor._product(factor.source.space.coefficients(out))
+        for k, step in enumerate(steps):
+            if k or step.source.space is not space:
+                c = step.source.space.coefficients(out)
+            out = step._product(c)
         return out
 
     def _product(self, c) -> np.ndarray:
@@ -429,9 +435,9 @@ class ChannelMap:
         product took 0.2 of the in-place one's time with 1/8 of the
         columns in use and 0.9-1.2 with half (one BLAS thread).
         """
-        d, n = self.target.dim, len(self.images)
+        d, n = self.target.dim, len(self._images)
         rows = c.reshape(-1, n)
-        flat = self.images.reshape(n, d * d)
+        flat = self._images.reshape(n, d * d)
         used = rows.any(axis=0).nonzero()[0]
         if 2 * len(used) <= n:
             rows, flat = rows.take(used, axis=1), flat.take(used, axis=0)
@@ -442,14 +448,12 @@ class ChannelMap:
         return self.target.space.coefficients(self.images).T
 
     def hs_gain(self) -> float:
-        """Phi >= ||apply(a)||_HS / ||a||_HS for every operator ``a``.  ``apply``
-        sums the HS coefficients of ``a`` on the orthonormal source basis (a
-        contraction) against the images, so by Cauchy-Schwarz an explicit
-        channel has Phi = ||images||_HS over the whole stack; a chain
-        multiplies its factors' (1 for the identity, which returns its input)."""
-        if self.factors is None:
-            return float(np.linalg.norm(hs_norms(self.images)))
-        return float(math.prod(f.hs_gain() for f in self.factors))
+        """Phi >= ||apply(a)||_HS / ||a||_HS for every operator ``a``.  A step
+        sums the HS coefficients of its input on its orthonormal source basis
+        (a contraction) against its images, so by Cauchy-Schwarz it has
+        Phi = ||images||_HS over the whole stack, and a chain multiplies its
+        steps' (1 for the identity, which returns its input)."""
+        return float(math.prod(np.linalg.norm(hs_norms(s._images)) for s in self._steps))
 
 
 EXACT_CERTIFICATES = ("choi", "structure")
@@ -577,20 +581,18 @@ def _validated(channel: ChannelMap, tol: float) -> ChannelMap:
     """Check a new channel's images against its target, then unitality and its certificate.
 
     A proper target tests the images a working set at a time
-    (``chunks``): an explicit channel's from its stack, a chain's
-    through ``apply`` on runs of the source basis, so no chain forms its
-    dense images here.  "choi" reads the images of the matrix units,
+    (``chunks``): a chain of at most one step reads them from its stack
+    (the source basis for the identity), a longer one through ``apply``
+    on runs of the source basis, so no chain folds its dense images here.  "choi" reads the images of the matrix units,
     "sampled" applies the channel to one PSD stack drawn with the
     recorded samples and seed, and "structure" and "tensor" are
     certified by how the channel was made.
     """
     source, target = channel.source, channel.target
     if not target.space.is_full:
+        images = channel.images if len(channel._steps) <= 1 else None
         for run in chunks(source.space.dim, target.dim**2):
-            if channel.factors is None:
-                stack = channel.images[run]
-            else:
-                stack = channel.apply(_basis_run(source.space, run), tol)
+            stack = channel.apply(_basis_run(source.space, run), tol) if images is None else images[run]
             residuals = target.space.residuals(stack)
             outside = np.flatnonzero(residuals > tol)
             if outside.size:
@@ -701,9 +703,7 @@ def compose_channels(
     """
     if not same_system(first.target, second.source, tol):
         raise ObjectMismatch("channel composition endpoints do not match")
-    factors = tuple(
-        f for ch in (first, second) for f in (ch.factors if ch.factors is not None else (ch,))
-    )
+    factors = first._steps + second._steps
     return _chain(
         first.source, second.target, factors, tol, first.positivity_samples, first.positivity_seed
     )
@@ -732,8 +732,7 @@ def _equivariance_table(channel: ChannelMap, stack, images, tol: float) -> np.nd
     src, tgt = channel.source.rep, channel.target.rep
     k = len(stack)
     table = np.empty((src.group.order, k))
-    held = channel.images if channel.factors is None else 0
-    for run in chunks(src.group.order, k * max(src.dim, tgt.dim) ** 2, held):
+    for run in chunks(src.group.order, k * max(src.dim, tgt.dim) ** 2, channel._images):
         moved = translates(src, stack, run).reshape(-1, src.dim, src.dim)
         mapped = channel.apply(moved, tol).reshape(-1, k, tgt.dim, tgt.dim)
         table[run] = np.abs(mapped - translates(tgt, images, run)).max(axis=(2, 3))
@@ -766,7 +765,7 @@ def channel_superop(channel: ChannelMap) -> np.ndarray:
     return np.ascontiguousarray(_unit_images(channel).reshape(d * d, -1).T)
 
 
-def predual_channel(channel: ChannelMap, t, tol: float = DEFAULT_TOL) -> np.ndarray:
+def predual_channel(channel: ChannelMap, t) -> np.ndarray:
     """The predual map on states, defined by tr[phi_*(T) a] = tr[T phi(a)].
 
     Only available between full matrix algebras, where the pairing is

@@ -137,6 +137,14 @@ def commutation_deviation(rep, g, a):
     return max_abs(m * c - c[:, None] * moved)
 
 
+def commutator_invariant(system, tol=1e-9):
+    """Oracle for ``systems.is_invariant``: every basis element x of the span
+    has |x U(g) - U(g) x| <= tol entrywise, one element g at a time, from the
+    rep's dense matrices."""
+    basis = system.space.basis_stack
+    return all(max_abs(basis @ u - u @ basis) <= tol for u in system.rep.matrices)
+
+
 def commutant_svd_oracle(rep, tol=1e-9):
     """Orthonormal rows spanning the commutant of ``rep``, vectorized row-major:
     the joint kernel of X U(g) - U(g) X = 0 stacked over every element, by

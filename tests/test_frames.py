@@ -142,7 +142,7 @@ _S5_LAWS_ON_GENERATORS = _PERMUTATION_SYSTEM + """
 group = fr.build_symmetric_group(5)
 frame = fr.canonical_ideal_frame(group)
 rel = fr.build_relative_subspace(frame, permutation_system(group, 5))
-assert (rel.space.dim, rel.kernel.dim) == (25, 0) and rel.as_system.is_invariant
+assert (rel.space.dim, rel.kernel.dim) == (25, 0) and fr.is_invariant(rel.as_system)
 assert fr.identity_frame_morphism(frame).channel.positivity_check == "structure"
 """
 

@@ -1,7 +1,7 @@
 """Group laws decided on generators agree with the loops over every element.
 
-Span closure and invariance, frame covariance and frame-morphism
-equivariance are decided on the group's generators first, and run their
+Span closure, frame covariance and frame-morphism equivariance are
+decided on the group's generators first, and run their
 element loops only when the generators' bound exceeds the tolerance.
 These tests run each check twice, once as the engine does and once with
 the generator test switched off, so the element loop decides alone, and
@@ -43,6 +43,7 @@ from framerel.systems import (
     conjugation_channel,
     full_system,
     identity_channel,
+    is_invariant,
     system_from_subspace,
 )
 
@@ -57,7 +58,7 @@ LOOSE = 1e-6  # validates the perturbed reps and the frames a morphism joins
 def element_loops():
     """Switch the generator tests off: every check runs its element loop."""
     with mock.patch.object(
-        systems_module, "_generator_deviations", lambda rep, space: (math.inf, math.inf)
+        systems_module, "_generator_closure", lambda rep, space: math.inf
     ), mock.patch.object(
         frames_module, "_covariance_on_generators", lambda rep, entries, values: (math.inf, 1.0)
     ), mock.patch.object(frames_module, "_equivariant_on_generators", lambda *args: False):
@@ -71,7 +72,7 @@ def no_element_loops():
     def refuse(*args, **kwargs):
         raise AssertionError("element loop entered")
 
-    with mock.patch.object(systems_module, "_element_loop", refuse), mock.patch.object(
+    with mock.patch.object(systems_module, "_closure_loop", refuse), mock.patch.object(
         frames_module, "_covariance_loop", refuse
     ), mock.patch.object(frames_module, "_equivariance_table", refuse):
         yield
@@ -137,7 +138,7 @@ def perturbed_cases(draw):
 
 
 def summary_of_system(system):
-    return system.is_full_algebra, system.is_invariant
+    return system.is_full_algebra, is_invariant(system, TOL)
 
 
 @settings(max_examples=60, deadline=None)
@@ -304,7 +305,7 @@ def test_valid_objects_never_enter_the_element_loops():
         seed = np.array([[1 / 6, 0.1], [0.1, 1 / 6]], dtype=complex)  # phases sum to 0 off the diagonal
         qubit = principal_frame_from_seed(zn_phase_rep(6), seed)
         identity_frame_morphism(qubit)
-    assert (rel.space.dim, rel.kernel.dim) == (16, 0) and rel.as_system.is_invariant
+    assert (rel.space.dim, rel.kernel.dim) == (16, 0) and is_invariant(rel.as_system)
 
 
 def test_a_failure_beyond_the_generators_is_found_by_the_loop():
@@ -342,20 +343,20 @@ def test_small_cyclic_groups_decide_on_generators(order):
     calls = {
         name: mock.Mock(wraps=getattr(module, name))
         for module, name in (
-            (systems_module, "_element_loop"),
+            (systems_module, "_closure_loop"),
             (frames_module, "_covariance_loop"),
             (frames_module, "_equivariance_table"),
         )
     }
     with (
-        mock.patch.object(systems_module, "_element_loop", calls["_element_loop"]),
+        mock.patch.object(systems_module, "_closure_loop", calls["_closure_loop"]),
         mock.patch.object(frames_module, "_covariance_loop", calls["_covariance_loop"]),
         mock.patch.object(frames_module, "_equivariance_table", calls["_equivariance_table"]),
     ):
         frame = canonical_ideal_frame(group)
         identity_frame_morphism(frame)
     counts = {name: call.call_count for name, call in calls.items()}
-    assert counts == {"_element_loop": 0, "_covariance_loop": 0, "_equivariance_table": 0}
+    assert counts == {"_closure_loop": 0, "_covariance_loop": 0, "_equivariance_table": 0}
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -371,19 +372,19 @@ def test_groups_generated_by_every_other_element_take_the_element_table(order):
     rep = trivial_rep(group, 2) if order == 1 else frame.rep
     x, z = np.array([[0, 1], [1, 0]]), np.diag([1, -1])
     spans = [span_subspace([np.eye(2), a], ambient_dim=2) for a in (x, z)]
-    expect = [system_from_subspace(rep, space, TOL).is_invariant for space in spans]
+    expect = [is_invariant(system_from_subspace(rep, space, TOL)) for space in spans]
     assert expect == [True, order == 1]
     table = mock.Mock(wraps=frames_module._equivariance_table)
-    loop = mock.Mock(wraps=systems_module._element_loop)
+    loop = mock.Mock(wraps=systems_module._closure_loop)
 
     def refuse(*args, **kwargs):
         raise AssertionError("generator test entered")
 
     with (
-        mock.patch.object(systems_module, "_generator_deviations", refuse),
+        mock.patch.object(systems_module, "_generator_closure", refuse),
         mock.patch.object(frames_module, "_equivariance_table", table),
-        mock.patch.object(systems_module, "_element_loop", loop),
+        mock.patch.object(systems_module, "_closure_loop", loop),
     ):
         identity_frame_morphism(frame)
-        assert [system_from_subspace(rep, space, TOL).is_invariant for space in spans] == expect
+        assert [is_invariant(system_from_subspace(rep, space, TOL)) for space in spans] == expect
     assert table.call_count == 0 and loop.call_count == len(spans)

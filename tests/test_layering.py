@@ -10,7 +10,8 @@ values computed once and kept on a frozen object, live in ``groups``
 alone (a monomial rep's dense matrices and its word constants): every
 other module builds a derived form where it is read.  ``relativize`` and
 ``systems`` loop over no group's ``elements()``: what they ask of every
-element, ``groups`` answers in one call.
+element, ``groups`` answers in one call.  A public function or method
+reads every parameter it declares, so no option is accepted and ignored.
 """
 
 import ast
@@ -111,3 +112,37 @@ def test_the_element_loop_rule_sees_statements_and_comprehensions():
 def test_relativize_and_systems_loop_over_no_group_elements(path):
     loops = _element_loops(_tree(path))
     assert loops == [], f"{path.name} loops over group elements at lines {loops}"
+
+
+def _unread_parameters(tree):
+    """``(line, function, parameter)`` for each parameter a public function or
+    method declares and its body never reads, sorted.  A leading underscore
+    marks a private function, which is exempt: the runner's ``_run_*``
+    executors share one dispatch signature, whatever each of them reads."""
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or node.name.startswith("_"):
+            continue
+        args = node.args
+        declared = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg) if a]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        unread += [(node.lineno, node.name, name) for name in declared if name not in read]
+    return sorted(unread)
+
+
+def test_the_unread_parameter_rule_sees_functions_methods_and_closures():
+    source = (
+        "def f(a, b=1, *args, c, **kw):\n    return a + c\n"
+        "def _private(x):\n    pass\n"
+        "class K:\n    def m(self, y):\n        return self\n"
+        "def g(t, u: int = 0):\n    def inner():\n        return t\n    return inner\n"
+    )
+    assert _unread_parameters(ast.parse(source)) == [
+        (1, "f", "args"), (1, "f", "b"), (1, "f", "kw"), (6, "m", "y"), (8, "g", "u")
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_public_functions_read_every_parameter(path):
+    unread = _unread_parameters(_tree(path))
+    assert unread == [], f"{path.name} declares parameters it never reads: {unread}"

@@ -129,6 +129,11 @@ def test_is_psd_fails_a_non_finite_matrix():
 def test_operator_norm_is_largest_singular_value():
     m = np.diag([3.0, -4.0]).astype(complex)
     assert operator_norm(m) == 4.0
+    # a stack gives one norm per operator, each the single call's bit for bit
+    rng = np.random.default_rng(29)
+    stack = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    norms = operator_norm(stack)
+    assert norms.shape == (4,) and norms.tolist() == [operator_norm(s) for s in stack]
 
 
 # ------------------------------------------------------- block-wise spectra

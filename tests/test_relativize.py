@@ -80,6 +80,7 @@ from framerel.systems import (
     conjugation_channel,
     full_system,
     identity_channel,
+    is_invariant,
     is_vn_algebra,
     predual_channel,
     state_class,
@@ -637,7 +638,7 @@ def test_s4_relative_subspace_forms_no_dense_joint_stack(monkeypatch):
     rel = build_relative_subspace(ideal, system)
     assert (rel.space.dim, rel.kernel.dim) == (16, 0)
     assert not block_sizes  # the product check runs on request only
-    assert is_vn_algebra(rel.as_system) and rel.as_system.is_invariant
+    assert is_vn_algebra(rel.as_system) and is_invariant(rel.as_system)
     assert len(rel.space.support) == 384
     assert widths and max(widths) == 384
     assert set(block_sizes) == {4}
@@ -976,7 +977,7 @@ def test_induced_map_with_no_source_kernel_relativizes_no_kernel(monkeypatch):
 
     dense = RELATIVIZE._relativize_dense
     monkeypatch.setattr(RELATIVIZE, "_relativize_dense", recorded)
-    monkeypatch.setattr(RELATIVIZE, "_operator_norms", refuse)
+    monkeypatch.setattr(RELATIVIZE, "operator_norm", refuse)
     psi = z2_smearing_morphism(0.5)
     induced = relativize_morphisms(psi, conjugation_channel(qubit(), X))
     assert induced.source.kernel.dim == 0

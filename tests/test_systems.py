@@ -3,6 +3,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import framerel.linalg
 import framerel.systems
@@ -50,6 +52,7 @@ from framerel.systems import (
     identity_channel,
     invariant_subalgebra,
     is_equivariant,
+    is_invariant,
     is_vn_algebra,
     kraus_channel,
     predual_channel,
@@ -59,7 +62,7 @@ from framerel.systems import (
     system_from_subspace,
 )
 
-from .strategies import permutation_matrices
+from .strategies import group_reps, permutation_matrices
 from .support import (
     H,
     I2,
@@ -68,6 +71,7 @@ from .support import (
     Z,
     ampliation_channel,
     commutant_svd_oracle,
+    commutator_invariant,
     depolarizing_channel,
     image_stack_apply,
     random_density,
@@ -103,7 +107,7 @@ E11 = np.diag([0.0, 1.0]).astype(complex)
 
 def test_full_system_basis_is_matrix_units_row_major():
     sq = full_system(z2_flip_rep())
-    assert sq.is_full_algebra and is_vn_algebra(sq) and not sq.is_invariant
+    assert sq.is_full_algebra and is_vn_algebra(sq) and not is_invariant(sq)
     assert sq.space.dim == 4
     for got, want in zip(sq.space.basis, [E00, E01, E10, E11]):
         assert max_abs(got - want) == 0.0
@@ -113,7 +117,7 @@ def test_subspace_system_without_saturation():
     sys_iz = subspace_system(z2_flip_rep(), [Z])
     assert sys_iz.space.dim == 2
     assert is_vn_algebra(sys_iz)  # diagonal algebra is closed under products
-    assert not sys_iz.is_invariant  # X Z X = -Z moves elements, span is fixed
+    assert not is_invariant(sys_iz)  # X Z X = -Z moves elements, span is fixed
     assert sys_iz.space.contains(np.diag([2.0, -1.0]).astype(complex))
     assert not sys_iz.space.contains(X)
 
@@ -141,7 +145,7 @@ def test_invariant_subalgebra_dims_match_twirl_trace_oracle():
     irr = s3_irrep2()
     assert invariant_subalgebra(irr).space.dim == commutant_dim_oracle(irr) == 1
     inv = invariant_subalgebra(joint)
-    assert inv.is_invariant and is_vn_algebra(inv)
+    assert is_invariant(inv) and is_vn_algebra(inv)
     for b in inv.space.basis:
         for g in joint.group.elements():
             assert max_abs(act(joint, g, b) - b) < 1e-12
@@ -158,7 +162,7 @@ def test_invariant_subalgebra_spans_what_the_svd_oracle_spans():
         oracle = commutant_svd_oracle(rep)
         assert len(basis) == len(oracle) == commutant_dim_oracle(rep)
         assert max_abs(basis.T @ np.conj(basis) - oracle.T @ np.conj(oracle)) < 1e-12
-        assert system.is_invariant
+        assert is_invariant(system)
 
 
 def test_s4_commutants_are_counted_by_orbitals():
@@ -170,21 +174,98 @@ def test_s4_commutants_are_counted_by_orbitals():
     assert invariant_subalgebra(joint).space.dim == commutant_dim_oracle(joint) == 384
 
 
+def test_invariant_subalgebra_passes_the_validation_it_skips():
+    # orbit path on monomial reps, twirl path on dense ones (the S3 irrep,
+    # and a phased Z4 rep held by its matrices): the span that is returned
+    # without validation passes it, and it is fixed and closed
+    phased = tensor_rep(regular_representation(build_cyclic_group(4)), zn_phase_rep(4))
+    dense = UnitaryRep(group=phased.group, dim=phased.dim, _matrices=phased.matrices)
+    s3_perm = unitary_rep(s3(), permutation_matrices(3))
+    reps = {
+        "orbit": [zn_phase_rep(6), phased, tensor_rep(regular_representation(s3()), s3_perm)],
+        "twirl": [s3_irrep2(), dense],
+    }
+    for path, path_reps in reps.items():
+        for rep in path_reps:
+            assert (rep.perms is None) == (path == "twirl")
+            system = invariant_subalgebra(rep)
+            checked = framerel.systems._assemble_system(rep, system.space, 1e-9)
+            assert checked.space is system.space and system.space.dim == commutant_dim_oracle(rep)
+            assert is_invariant(system) and commutator_invariant(system) and is_vn_algebra(system)
+
+
+def test_s4_commutant_is_built_without_validation_in_little_memory(monkeypatch):
+    # 384 orbit indicators on 9216 entries: the basis is 54 MiB of complex values
+    group = build_symmetric_group(4)
+    joint = tensor_rep(regular_representation(group), unitary_rep(group, permutation_matrices(4)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the commutant was validated")
+
+    monkeypatch.setattr(framerel.systems, "_assemble_system", refuse)
+    system, peak = traced_peak(lambda: invariant_subalgebra(joint))
+    assert system.space.dim == 384
+    assert peak < 128 * 2**20
+
+
+def _spans_for_invariance(rep, rng):
+    """Spans holding I and closed under ``rep``: twirled (invariant), orbit
+    spans of random, sparse and diagonal operators (mostly not), and the full
+    algebra."""
+    d = rep.dim
+    mats = rep.matrices
+    a, b = rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d))
+    mask = rng.random((d, d)) < 0.3
+    twirls = [sum(u @ m @ np.conj(u).T for u in mats) / len(mats) for m in (a, b)]
+    return [
+        system_from_subspace(rep, span_subspace([np.eye(d), *twirls])),
+        subspace_system(rep, [a]),
+        subspace_system(rep, [a * (mask | mask.T)]),
+        subspace_system(rep, [np.diag(rng.standard_normal(d))]),
+        full_system(rep),
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=group_reps(), seed=st.integers(0, 2**32 - 1))
+def test_is_invariant_agrees_with_the_commutator_loop(case, seed):
+    kind, n, mats = case
+    group = build_cyclic_group(n) if kind == "cyclic" else build_symmetric_group(n)
+    rep = unitary_rep(group, mats)
+    systems = _spans_for_invariance(rep, np.random.default_rng(seed))
+    verdicts = [is_invariant(system) for system in systems]
+    assert verdicts == [commutator_invariant(system) for system in systems]
+    assert verdicts[0]
+
+
+def test_is_invariant_agrees_with_the_commutator_loop_on_dense_and_phased_reps():
+    rng = np.random.default_rng(83)
+    phased = [zn_phase_rep(n) for n in (3, 5)] + [tensor_rep(zn_phase_rep(4), zn_phase_rep(4))]
+    dense = [UnitaryRep(group=r.group, dim=r.dim, _matrices=r.matrices) for r in phased]
+    seen = set()
+    for rep in [s3_irrep2(), *phased, *dense]:
+        for system in _spans_for_invariance(rep, rng):
+            verdict = is_invariant(system)
+            assert verdict == commutator_invariant(system)
+            seen.add(verdict)
+    assert seen == {True, False}
+
+
 # ----------------------------------------------------------------- channels
 
 
 def test_system_flags_hold_across_translate_chunks():
     # 81 basis elements: the translates are formed in more than one chunk
     group = build_cyclic_group(9)
-    assert full_system(trivial_rep(group, 9)).is_invariant
+    assert is_invariant(full_system(trivial_rep(group, 9)))
     shift = regular_representation(group)
-    assert not full_system(shift).is_invariant
+    assert not is_invariant(full_system(shift))
     rng = np.random.default_rng(23)
     gens = [rng.standard_normal((9, 9)) for _ in range(70)]
     fixed = subspace_system(trivial_rep(group, 9), gens)
-    assert fixed.space.dim == 71 and fixed.is_invariant and not is_vn_algebra(fixed)
+    assert fixed.space.dim == 71 and is_invariant(fixed) and not is_vn_algebra(fixed)
     diagonal = subspace_system(shift, [np.diag(rng.standard_normal(9))])
-    assert diagonal.space.dim == 9 and is_vn_algebra(diagonal) and not diagonal.is_invariant
+    assert diagonal.space.dim == 9 and is_vn_algebra(diagonal) and not is_invariant(diagonal)
     with pytest.raises(FramerelError, match="not closed under the group action"):
         system_from_subspace(shift, span_subspace(gens[:3] + [np.eye(9)]))
 
@@ -239,7 +320,7 @@ def test_permutation_translates_agree_with_the_dense_oracle():
         closed, invariant, algebra = flags
         if closed:
             system = system_from_subspace(rep, space)
-            assert (system.is_invariant, is_vn_algebra(system)) == (invariant, algebra), name
+            assert (is_invariant(system), is_vn_algebra(system)) == (invariant, algebra), name
         else:
             with pytest.raises(FramerelError, match="not closed under the group action"):
                 system_from_subspace(rep, space)
@@ -259,7 +340,7 @@ def test_system_flags_agree_with_the_dense_oracle_on_generated_spans():
             system = subspace_system(rep, gens)
             closed, invariant, algebra = _dense_flags_oracle(rep, system.space)
             assert closed
-            assert (system.is_invariant, is_vn_algebra(system)) == (invariant, algebra)
+            assert (is_invariant(system), is_vn_algebra(system)) == (invariant, algebra)
 
 
 def test_phased_spans_assemble_as_on_the_matrix_path():
@@ -293,7 +374,7 @@ def test_phased_spans_assemble_as_on_the_matrix_path():
             outcomes = []
             for r in (rep, dense):
                 try:
-                    outcomes.append(system_from_subspace(r, space).is_invariant)
+                    outcomes.append(is_invariant(system_from_subspace(r, space)))
                 except FramerelError as err:
                     outcomes.append(str(err))
             assert outcomes[0] == outcomes[1]
@@ -347,7 +428,7 @@ def test_full_system_invariance_agrees_with_the_translate_loop():
         trivial_rep(z4, 3),
         unitary_rep(z4, [np.exp(1j * theta * k) * np.eye(3) for k in range(4)]),
     ]
-    flags = [full_system(rep).is_invariant for rep in reps]
+    flags = [is_invariant(full_system(rep)) for rep in reps]
     assert flags == [_translate_loop_invariant(rep) for rep in reps]
     assert flags == [False, False, False, True, True]
 
@@ -719,6 +800,26 @@ def test_kraus_images_equal_the_per_basis_loop():
         loop = [sum(k @ b @ np.conj(k).T for k in ops) for b in source.space.basis]
         assert np.array_equal(channel.images, np.stack(loop))
     assert np.array_equal(conjugation_channel(qubit, H).images, np.stack([H @ b @ H for b in qubit.space.basis]))
+
+
+@pytest.mark.parametrize("proper", [False, True], ids=["full", "proper"])
+def test_an_explicit_channel_and_its_chain_of_one_agree_bit_for_bit(proper):
+    rng = np.random.default_rng(89)
+    rep = zn_phase_rep(3)
+    system = subspace_system(rep, [np.diag(rng.standard_normal(rep.dim))]) if proper else full_system(rep)
+    channels = [depolarizing_channel(system, 0.3), conjugation_channel(system, rep.matrices[1])]
+    coeffs = rng.standard_normal((5, system.space.dim)) + 1j * rng.standard_normal((5, system.space.dim))
+    stack = system.space.combine(coeffs)
+    for ch in channels:
+        for chain in (
+            compose_channels(identity_channel(ch.target), ch),
+            compose_channels(ch, identity_channel(ch.source)),
+        ):
+            assert chain.factors == (ch,)
+            assert np.array_equal(chain.images, ch.images)
+            assert np.array_equal(chain.apply(stack), ch.apply(stack))
+            assert np.array_equal(chain.apply(stack[0]), ch.apply(stack[0]))
+            assert chain.hs_gain() == ch.hs_gain()
 
 
 def test_compose_channels_and_endpoint_checks():
@@ -1114,7 +1215,7 @@ def _chunked_outputs(group, rep):
             out.append(relativization_map(frame, system).images)
     for r in (rep, regular):  # the matrix or phase path, and the permutation path
         system = subspace_system(r, [np.diag(rng.standard_normal(r.dim))])
-        out.append((system.is_full_algebra, system.is_invariant, is_vn_algebra(system)))
+        out.append((system.is_full_algebra, is_invariant(system), is_vn_algebra(system)))
         unclosed = span_subspace([np.eye(r.dim), rng.standard_normal((r.dim, r.dim))])
         with pytest.raises(FramerelError, match=_NOT_CLOSED):
             system_from_subspace(r, unclosed)
