@@ -139,16 +139,17 @@ def _covariance_on_generators(rep: UnitaryRep, entries, values) -> tuple[float, 
 
 def _covariance_loop(rep: UnitaryRep, entries, values, tol: float) -> None:
     """Raise FrameInvalid at the first pair (g, h), in element order, where
-    |E(g h) - g.E(h)| exceeds ``tol`` entrywise."""
+    |E(g h) - g.E(h)| exceeds ``tol`` entrywise, the elements g a ``chunks``
+    run at a time."""
     group = rep.group
-    for g in group.elements():
-        devs = np.abs(values[group.mult[g]] - moved_on_support(rep, values, entries, g)[0]).max(axis=1)
-        bad = np.flatnonzero(devs > tol)
+    for run in chunks(group.order, values.size):
+        devs = np.abs(values[group.mult[run]] - moved_on_support(rep, values, entries, run)[0]).max(axis=2)
+        bad = np.argwhere(devs > tol)
         if bad.size:
-            h = int(bad[0])
+            g, h = (int(k) for k in bad[0])
             raise FrameInvalid(
-                f"covariance fails at pair ({group.label(g)}, {group.label(h)}) "
-                f"(deviation {devs[h]:.3e})"
+                f"covariance fails at pair ({group.label(run.start + g)}, {group.label(h)}) "
+                f"(deviation {devs[g, h]:.3e})"
             )
 
 
@@ -398,10 +399,12 @@ def identity_frame_morphism(
     samples: int = DEFAULT_POSITIVITY_SAMPLES,
     seed: int = DEFAULT_POSITIVITY_SEED,
 ) -> FrameMorphism:
-    """The identity on a frame; ``samples``/``seed`` as in ``identity_channel``."""
-    return build_frame_morphism(
-        frame, frame, identity_channel(frame.value_system, tol, samples, seed), tol
-    )
+    """The identity on a frame; ``samples``/``seed`` as in ``identity_channel``.
+
+    The identity channel carries every effect onto itself, so the
+    factorization holds by construction and is not validated again.
+    """
+    return FrameMorphism(frame, frame, identity_channel(frame.value_system, tol, samples, seed))
 
 
 def compose_frame_morphisms(
@@ -419,20 +422,20 @@ def reorientation_morphism(
 ) -> FrameMorphism:
     """Translate a frame by a central element h: effects E'(g) = E(h g).
 
-    The value-system channel is conjugation by U(h).  For non-central h
-    the translated family is no longer covariant and NotCentral is
-    raised; centrality itself is not tested directly, so a non-faithful
-    action that stays covariant is accepted.
+    The value-system channel is conjugation by U(h), which carries E(g) to
+    h.E(g) = E(h g).  The target is the principal frame of the seed h.E(e)
+    = E(h), whose effects are g.E(h) = E(g h); the factorization check
+    compares the two, so for non-central h it fails and NotCentral is
+    raised.  Centrality itself is not tested directly, so a non-faithful
+    action with E(h g) = E(g h) for every g is accepted.
     """
     group = frame.group
     if not 0 <= h < group.order:
         raise DimensionError(f"element id {h} outside 0..{group.order - 1}")
     vs = frame.value_system
-    images = act(frame.rep, h, vs.space.basis_stack)
-    channel = build_channel(vs, vs, images, tol)
-    translated = translates(frame.rep, frame.seed, group.mult[h])  # E(h g) at row g
+    channel = build_channel(vs, vs, act(frame.rep, h, vs.space.basis_stack), tol)
+    target = principal_frame_from_seed(frame.rep, act(frame.rep, h, frame.seed), vs, tol)
     try:
-        target = frame_from_effects(frame.rep, translated, vs, tol)
-    except FrameInvalid as exc:
+        return build_frame_morphism(frame, target, channel, tol)
+    except FactorizationFails as exc:
         raise NotCentral(h) from exc
-    return build_frame_morphism(frame, target, channel, tol)

@@ -36,9 +36,13 @@ the blocks alone: products, norms, spectra and the Choi matrix are
 taken block by block in batched calls, the relative subspace is spanned
 and validated on the entries of the blocks, and invariance is compared
 there (``groups.invariance_deviation``).  Dense (n, D, D) images are
-built where they are read (``relativize``, the induced maps and
-``RelativizationMap.images``) and never kept; an induced map takes its
-coefficients from the values on the support entries.
+assembled from blocks (``linalg.block_diagonal``) where they are read
+(``relativize``, the induced maps and ``RelativizationMap.images``) and
+never kept.  An induced map relativizes the system channel's images once,
+as blocks against the target frame: the kernel's combinations of those
+blocks give the well-definedness norms, block by block, and their
+combinations along the relative basis, with coefficients read from the
+values on the support entries, give its images.
 
 Positivity follows the rule of ``systems``: the axiom check reads the
 Choi matrix alone on a full algebra and samples one PSD stack otherwise.
@@ -177,12 +181,6 @@ def _relativize_stack(frame: FrameObservable, system: SemiQuantumSystem, mats) -
     return blocks
 
 
-def _relativize_dense(frame: FrameObservable, system: SemiQuantumSystem, mats) -> np.ndarray:
-    """The relativized stack as one dense (n, D, D) array, zero off the blocks."""
-    blocks, d = _relativize_stack(frame, system, mats), system.dim
-    return block_diagonal(blocks, widen_partition(frame.components, d), frame.rep.dim * d)
-
-
 def _support_values(rmap: RelativizationMap) -> tuple[np.ndarray, np.ndarray]:
     """The images on the entries where some image is nonzero, (n, K), and
     those flat entries of the joint space, increasing."""
@@ -215,14 +213,16 @@ def relativize(
     a,
     tol: float = DEFAULT_TOL,
 ) -> np.ndarray:
-    """Relativize a single system observable (must lie in the system span), densely."""
+    """Relativize a single system observable (must lie in the system span),
+    assembled densely from its blocks."""
     if not same_group(frame.group, system.group):
         raise GroupMismatch("frame and system live over different groups")
     m = as_operator(a)
     res = system.space.residual(m)
     if res > tol:
         raise OperatorOutsideSystem(res)
-    return _relativize_dense(frame, system, m)[0]
+    partition, dim = widen_partition(frame.components, system.dim), frame.rep.dim * system.dim
+    return block_diagonal(_relativize_stack(frame, system, m), partition, dim)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -681,11 +681,14 @@ def _induce(
     tol = workspace.tol
     source_rel = workspace.relative_subspace(psi.source, phi.source)
     target_rel = workspace.relative_subspace(psi.target, phi.target)
+    # the images of the system basis, relativized once against the target frame
+    blocks = _relativize_stack(psi.target, phi.target, phi.images)
 
     kernel_image_norm = 0.0
     if source_rel.kernel.dim:
         kernel = source_rel.kernel.basis_stack
-        norms = operator_norm(_relativize_dense(psi.target, phi.target, phi.apply(kernel, tol)))
+        along = phi.source.space.coefficients(kernel)
+        norms = block_operator_norms([np.tensordot(along, b, axes=1) for b in blocks])
         over = np.flatnonzero(norms > tol)
         if len(over):
             raise IllDefined(kernel_witness=kernel[over[0]], image_norm=float(norms[over[0]]))
@@ -696,15 +699,12 @@ def _induce(
     # nonzero entry, and carried over to the target relativizations
     values, _ = _support_values(source_rel.base)
     coeffs = np.linalg.pinv(values.T) @ source_rel.space.support_basis.T
-    target_images = _relativize_dense(
-        psi.target, phi.target, phi.apply(phi.source.space.basis_stack, tol)
-    )
-    images = np.tensordot(coeffs, target_images, axes=(0, 0))
+    combined = [np.tensordot(coeffs, b, axes=(0, 0)) for b in blocks]
+    images = block_diagonal(combined, target_rel.base.partition, target_rel.base.joint_dim)
     tensor_deviation = max_abs(_tensor_images(psi, phi, coeffs, tol) - images)
     certified = (
         psi.channel.positivity_check in EXACT_CERTIFICATES
         and phi.positivity_check in EXACT_CERTIFICATES
-        and not source_rel.as_system.is_full_algebra
         and tensor_deviation <= tol
     )
     channel = build_channel(
@@ -739,8 +739,8 @@ def check_functor_laws(
     are ``identity``, ``composition[i]`` for links i and i + 1, and
     ``full_chain`` for chains of three or more links.  ``samples``/``seed``
     reach every induced channel and both identities at the first node.
-    The relative subspaces of the nodes and the induced maps of the links
-    come from ``workspace`` (a fresh private one when None).
+    The induced maps, and the relative subspaces they are built on, come
+    from ``workspace`` (a fresh private one when None).
     """
     workspace = _workspace(workspace, tol)
     chain = list(links)
@@ -752,21 +752,16 @@ def check_functor_laws(
         if not same_system(phi_a.target, phi_b.source, tol):
             raise ObjectMismatch("adjacent system channels do not compose")
 
-    nodes = [(chain[0][0].source, chain[0][1].source)]
-    for psi, phi in chain:
-        nodes.append((psi.target, phi.target))
-    rel = [workspace.relative_subspace(f, s) for f, s in nodes]
-
-    first_frame, first_system = nodes[0]
+    psi, phi = chain[0]
     ident = relativize_morphisms(
-        identity_frame_morphism(first_frame, tol, samples, seed),
-        identity_channel(first_system, tol, samples, seed),
+        identity_frame_morphism(psi.source, tol, samples, seed),
+        identity_channel(phi.source, tol, samples, seed),
         tol,
         samples,
         seed,
         workspace,
     )
-    deviations = {"identity": max_abs(ident.matrix - identity(rel[0].space.dim))}
+    deviations = {"identity": max_abs(ident.matrix - identity(ident.source.space.dim))}
 
     induced = [relativize_morphisms(psi, phi, tol, samples, seed, workspace) for psi, phi in chain]
 

@@ -342,8 +342,8 @@ class ChannelMap:
     (``identity_channel``).  Every method reads a channel as the explicit
     channels it applies in order, its ``_steps``: a chain's factors, or
     an explicit channel as the chain of itself alone.  A chain keeps no
-    images: ``images`` and ``matrix`` fold them through the steps on
-    every request, starting from the first step's stack.
+    images: ``images`` and ``matrix`` are its ``apply`` of its own source
+    basis, anew on every request.
 
     ``positivity_check`` names the certificate, one of four:
 
@@ -389,11 +389,8 @@ class ChannelMap:
 
     @property
     def images(self) -> np.ndarray:
-        """The read-only (k, d, d) image stack, folded through the steps from the first's."""
-        steps = self._steps
-        images = steps[0]._images if steps else np.array(self.source.space.basis_stack)
-        for step in steps[1:]:
-            images = step._product(step.source.space.coefficients(images))
+        """The read-only (k, d, d) images: an explicit channel's stack, a chain's ``apply`` of its source basis."""
+        images = self._images if self.factors is None else self.apply(self.source.space.basis_stack)
         images.setflags(write=False)
         return images
 
@@ -581,18 +578,18 @@ def _validated(channel: ChannelMap, tol: float) -> ChannelMap:
     """Check a new channel's images against its target, then unitality and its certificate.
 
     A proper target tests the images a working set at a time
-    (``chunks``): a chain of at most one step reads them from its stack
-    (the source basis for the identity), a longer one through ``apply``
-    on runs of the source basis, so no chain folds its dense images here.  "choi" reads the images of the matrix units,
+    (``chunks``): an explicit channel reads them from its stack, a chain
+    ``apply``s runs of the source basis, so no chain forms its whole
+    image stack here.  "choi" reads the images of the matrix units,
     "sampled" applies the channel to one PSD stack drawn with the
     recorded samples and seed, and "structure" and "tensor" are
     certified by how the channel was made.
     """
     source, target = channel.source, channel.target
     if not target.space.is_full:
-        images = channel.images if len(channel._steps) <= 1 else None
+        explicit = channel.factors is None
         for run in chunks(source.space.dim, target.dim**2):
-            stack = channel.apply(_basis_run(source.space, run), tol) if images is None else images[run]
+            stack = channel._images[run] if explicit else channel.apply(_basis_run(source.space, run), tol)
             residuals = target.space.residuals(stack)
             outside = np.flatnonzero(residuals > tol)
             if outside.size:

@@ -5,7 +5,9 @@ Everything here is deliberately independent of the library's internals:
 representations are given by explicit matrices, permutation products are
 computed with itertools, and the smearing/depolarizing channels are
 written out in closed form so tests can cross-check library output
-against these directly.
+against these directly.  The one exception is ``relativized_dense``,
+which assembles the library's own block form densely for the tests that
+pin that form.
 """
 
 import contextlib
@@ -21,7 +23,8 @@ import numpy as np
 
 import framerel as fr
 from framerel.errors import DimensionError
-from framerel.linalg import as_operator, hermitian_basis, max_abs
+from framerel.linalg import as_operator, block_diagonal, hermitian_basis, max_abs, widen_partition
+from framerel.relativize import _relativize_stack
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -258,6 +261,14 @@ def dense_relativize(frame, system, a):
     return out
 
 
+def relativized_dense(frame, system, mats):
+    """The relativization kernel's blocks of a stack (``_relativize_stack``),
+    assembled as one dense (n, D, D) array, zero off the blocks."""
+    blocks = _relativize_stack(frame, system, mats)
+    partition = widen_partition(frame.components, system.dim)
+    return block_diagonal(blocks, partition, frame.rep.dim * system.dim)
+
+
 def kernel_bound(frame, ops):
     """8 |G| 2^-52 max|E| max|a|: how far the relativization kernel may
     stray from the Kronecker loop on the operators ``ops``.
@@ -442,12 +453,12 @@ def traced_peak(call):
 def refusing_chain_images():
     """Within the block, asking a channel chain for its dense images raises;
     an explicit channel still hands out its own stack."""
-    fold = fr.ChannelMap.images
+    original = fr.ChannelMap.images
 
     def images(channel):
         if channel.factors is not None:
-            raise AssertionError("a chain folded its dense images")
-        return fold.fget(channel)
+            raise AssertionError("a chain formed its dense images")
+        return original.fget(channel)
 
     with mock.patch.object(fr.ChannelMap, "images", property(images)):
         yield

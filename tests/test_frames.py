@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import framerel.frames as frames_module
 import framerel.groups as groups_module
+import framerel.linalg
 import framerel.systems as systems_module
 from framerel.errors import (
     EffectSpanNotEquivariant,
@@ -164,13 +165,15 @@ rmap = fr.relativization_map(frame, system)
 assert fr.check_channel_axioms(rmap).passed
 embedding = fr.check_ideal_isomorphism(rmap)
 assert embedding.passed and embedding.consistent_with_ideality
+assert fr.identity_frame_morphism(frame).channel.positivity_check == "structure"
 """
 
 
 def test_s6_relativization_laws_under_the_cap():
     # The effect stack of the S6 canonical frame alone would be 720^3
     # complex entries, 5.97 GB; the frame holds its seed and the entries
-    # relativization reads.
+    # relativization reads.  The identity morphism holds by construction
+    # and is not validated over the 720 effects.
     done = run_under_cap(_S6_LAWS_UNDER_THE_CAP)
     assert done.returncode == 0, done.stderr[-2000:]
 
@@ -492,16 +495,20 @@ def _first_failing_pair(frame, effects, tol):
     return None
 
 
-def test_covariance_failure_names_the_first_pair():
+def test_covariance_failure_names_the_first_pair(monkeypatch):
     ideal = _cyclic_ideal(4)
     e = ideal.effects
     effects = [e[0], e[1], e[3], e[2]]  # sums to I, but 1.E(1) = E(2) is not E(3)
     g, h, dev = _first_failing_pair(ideal, effects, 1e-9)
     assert (g, h) == (1, 1)
-    with pytest.raises(FrameInvalid) as err:
-        frame_from_effects(ideal.rep, effects, ideal.value_system)
     label = ideal.group.label
-    assert str(err.value) == f"covariance fails at pair ({label(g)}, {label(h)}) (deviation {dev:.3e})"
+    # the elements g come in one run, then one element per run
+    for working_set in (None, 1):
+        if working_set is not None:
+            monkeypatch.setattr(framerel.linalg, "WORKING_SET", working_set)
+        with pytest.raises(FrameInvalid) as err:
+            frame_from_effects(ideal.rep, effects, ideal.value_system)
+        assert str(err.value) == f"covariance fails at pair ({label(g)}, {label(h)}) (deviation {dev:.3e})"
 
 
 def test_covariance_on_the_support_orbit_fails_as_the_dense_check():
@@ -875,6 +882,58 @@ def test_reorientation_targets_match_the_stack_oracle(index):
             continue
         target = reorientation_morphism(frame, h).target
         assert max_abs(effect_stack(target) - family) < 1e-14
+        # the principal frame of h.E(e) is the frame validated from the
+        # whole family, bit for bit
+        translated = translates(frame.rep, frame.seed, group.mult[h])
+        oracle = frame_from_effects(frame.rep, translated, frame.value_system)
+        assert np.array_equal(target.seed, oracle.seed) and target.covariance == oracle.covariance
+        assert len(target.effect_blocks) == len(oracle.effect_blocks)
+        assert all(np.array_equal(a, b) for a, b in zip(target.effect_blocks, oracle.effect_blocks))
+
+
+def test_reorientation_raises_not_central_exactly_off_the_centre(monkeypatch):
+    # the target comes from the seed alone: no family is validated, and a
+    # non-central h fails the factorization, raised as NotCentral
+    def refuse(*args, **kwargs):
+        raise AssertionError("a translated family was validated")
+
+    monkeypatch.setattr(frames_module, "frame_from_effects", refuse)
+    s4 = build_symmetric_group(4)
+    frames = [canonical_ideal_frame(s3()), canonical_ideal_frame(s4), smeared_canonical_frame(s4, 0.3)]
+    frames.append(_mixed_permutation_frame(4, 0.03))
+    for frame in frames:
+        group = frame.group
+        for h in range(group.order):
+            if group.is_central(h):
+                assert same_frame(reorientation_morphism(frame, h).target, frame)
+                continue
+            with pytest.raises(NotCentral) as err:
+                reorientation_morphism(frame, h)
+            assert err.value.element == h and isinstance(err.value.__cause__, FactorizationFails)
+
+
+def test_identity_morphism_is_built_without_validation(monkeypatch):
+    # the identity factors every frame through itself by construction, on
+    # cyclic and symmetric groups and on a proper value system alike
+    def refuse(*args, **kwargs):
+        raise AssertionError("the identity morphism was validated")
+
+    monkeypatch.setattr(frames_module, "build_frame_morphism", refuse)
+    vs = subspace_system(z2_flip_rep(), [Z])
+    s4 = build_symmetric_group(4)
+    frames = [_cyclic_ideal(n) for n in (2, 5, 8)]
+    frames += [canonical_ideal_frame(s3()), canonical_ideal_frame(s4), smeared_canonical_frame(s4, 0.3)]
+    frames.append(frame_from_effects(z2_flip_rep(), [E00, E11], vs))
+    for frame in frames:
+        ident = identity_frame_morphism(frame, samples=3, seed=5)
+        assert ident.source is frame and ident.target is frame
+        channel = ident.channel
+        assert channel.factors == () and channel.source is frame.value_system
+        assert (channel.positivity_check, channel.positivity_samples, channel.positivity_seed) == ("structure", 3, 5)
+    # S5: the identity chain's unital check alone, two 120 x 120 operators
+    frame = canonical_ideal_frame(build_symmetric_group(5))
+    ident, peak = traced_peak(lambda: identity_frame_morphism(frame))
+    assert ident.target is frame and peak < 2**20
 
 
 @pytest.mark.parametrize("index", range(8), ids=SEED_READ_IDS)

@@ -8,9 +8,9 @@ A frame is read through its seed: no module reads the (|G|, d, d)
 ``effects`` stack, which only the package's users ask for.  Memos,
 values computed once and kept on a frozen object, live in ``groups``
 alone (a monomial rep's dense matrices and its word constants): every
-other module builds a derived form where it is read.  ``relativize`` and
-``systems`` loop over no group's ``elements()``: what they ask of every
-element, ``groups`` answers in one call.  A public function or method
+other module builds a derived form where it is read.  ``frames``,
+``relativize`` and ``systems`` loop over no group's ``elements()``: what
+they ask of every element, ``groups`` answers in one call.  A public function or method
 reads every parameter it declares, so no option is accepted and ignored.
 """
 
@@ -107,7 +107,7 @@ def test_the_element_loop_rule_sees_statements_and_comprehensions():
 
 
 @pytest.mark.parametrize(
-    "path", [p for p in SOURCES if p.name in ("relativize.py", "systems.py")], ids=lambda p: p.name
+    "path", [p for p in SOURCES if p.name in ("frames.py", "relativize.py", "systems.py")], ids=lambda p: p.name
 )
 def test_relativize_and_systems_loop_over_no_group_elements(path):
     loops = _element_loops(_tree(path))

@@ -66,7 +66,6 @@ from framerel.relativize import (
     Workspace,
     _pair_products,
     _pair_right,
-    _relativize_dense,
     _relativize_stack,
     _tensor_images,
 )
@@ -107,6 +106,7 @@ from .support import (
     psd_span_samples_loop,
     random_density,
     random_span_element,
+    relativized_dense,
     s3,
     s3_irrep2,
     smeared_canonical_frame,
@@ -175,7 +175,7 @@ def test_relativize_stack_matches_the_kron_loop():
             n = system.space.dim
             coeff = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             ops = np.stack(list(system.space.basis) + [system.space.combine(coeff)])
-            got = _relativize_dense(frame, system, ops)
+            got = relativized_dense(frame, system, ops)
             assert got.shape == (n + 1, 6 * system.dim, 6 * system.dim)
             bound = kernel_bound(frame, ops)
             for a, out in zip(ops, got):
@@ -202,7 +202,7 @@ def test_relativize_stack_matches_the_kron_loop_on_generated_reps(rep, lam, seed
     ops = system.space.combine(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     moved = translates(system.rep, ops)
     for frame in (ideal, smeared, rotated_frame(smeared, v)):
-        got = _relativize_dense(frame, system, ops)
+        got = relativized_dense(frame, system, ops)
         for k, out in enumerate(got):
             expected = sum(np.kron(e, m) for e, m in zip(frame.effects, moved[:, k]))
             if frame is ideal:
@@ -230,7 +230,7 @@ def test_relativize_stack_takes_translates_a_few_elements_at_a_time(monkeypatch)
     for system in (full_system(zn_phase_rep(8)), full_system(regular_representation(value.group))):
         ops = system.space.basis_stack
         runs.clear()
-        got = _relativize_dense(frame, system, ops)
+        got = relativized_dense(frame, system, ops)
         assert runs == [slice(0, 4), slice(4, 8)]
         for a, out in zip(ops, got):
             expected = np.zeros_like(out)
@@ -259,7 +259,7 @@ def test_map_images_are_assembled_on_each_request_and_never_kept():
     first, second = rmap.images, rmap.images
     assert first is not second and np.array_equal(first, second)
     assert not first.flags.writeable
-    assert np.array_equal(first, _relativize_dense(rmap.frame, system, system.space.basis_stack))
+    assert np.array_equal(first, relativized_dense(rmap.frame, system, system.space.basis_stack))
     assert not hasattr(rmap, "_images")
 
 
@@ -962,27 +962,61 @@ def test_induced_maps_match_the_dense_pinv_oracle():
         assert max_abs(induced.matrix - dense_induced_matrix(induced)) <= 1e-12
 
 
-def test_induced_map_with_no_source_kernel_relativizes_no_kernel(monkeypatch):
-    # the ideal Z2 frame has kernel dimension 0: the only stack relativized
-    # against the target is the image of the system basis, and no kernel
-    # norm is taken
-    stacks = []
+def _relativized_by_induce(monkeypatch, psi, phi):
+    """``(calls, result)``: the ``(frame, system, count)`` of every stack that
+    ``relativize_morphisms`` relativizes for (psi, phi) on a workspace that
+    already holds both relative subspaces, with dense operator norms
+    refused, and the induced map or the IllDefined it raised."""
+    ws = Workspace()
+    ws.relative_subspace(psi.source, phi.source)
+    ws.relative_subspace(psi.target, phi.target)
+    calls = []
 
     def recorded(frame, system, mats):
-        stacks.append(len(mats))
-        return dense(frame, system, mats)
+        calls.append((frame, system, len(mats)))
+        return _relativize_stack(frame, system, mats)
 
-    def refuse(stack):
+    def refuse(a):
+        raise AssertionError("a dense operator norm was taken")
+
+    monkeypatch.setattr(RELATIVIZE, "_relativize_stack", recorded)
+    monkeypatch.setattr(RELATIVIZE, "operator_norm", refuse)
+    try:
+        return calls, relativize_morphisms(psi, phi, workspace=ws)
+    except IllDefined as exc:
+        return calls, exc
+
+
+def test_induced_map_with_no_source_kernel_relativizes_no_kernel(monkeypatch):
+    # the ideal Z2 frame has kernel dimension 0: the only stack relativized
+    # is the image of the system basis, against the target, and no kernel
+    # norm is taken
+    def refuse(blocks):
         raise AssertionError("kernel norms taken")
 
-    dense = RELATIVIZE._relativize_dense
-    monkeypatch.setattr(RELATIVIZE, "_relativize_dense", recorded)
-    monkeypatch.setattr(RELATIVIZE, "operator_norm", refuse)
-    psi = z2_smearing_morphism(0.5)
-    induced = relativize_morphisms(psi, conjugation_channel(qubit(), X))
+    monkeypatch.setattr(RELATIVIZE, "block_operator_norms", refuse)
+    psi, phi = z2_smearing_morphism(0.5), conjugation_channel(qubit(), X)
+    calls, induced = _relativized_by_induce(monkeypatch, psi, phi)
     assert induced.source.kernel.dim == 0
-    assert stacks == [4]
+    assert calls == [(psi.target, phi.target, 4)]
     assert induced.kernel_image_norm == 0.0
+
+
+def test_induced_map_relativizes_once_against_the_target_frame(monkeypatch):
+    # the unlocalized Z2 frame of the ill-defined fixture has a kernel: its
+    # images are combinations of the one relativized stack, measured on
+    # blocks, whether the map is well defined (the identity) or not (the
+    # Hadamard average, whose witness norm is 1/sqrt(8))
+    spec = parse_scenario((FIXTURES / "fixture_illdefined.json").read_text())
+    psi = spec.frame_morphisms["stay"]
+    calls, induced = _relativized_by_induce(monkeypatch, psi, spec.channels["ident"])
+    assert induced.source.kernel.dim == 2
+    assert calls == [(psi.target, spec.channels["ident"].target, 4)]
+    assert induced.kernel_image_norm <= 1e-12
+    calls, err = _relativized_by_induce(monkeypatch, psi, spec.channels["avg_h"])
+    assert isinstance(err, IllDefined)
+    assert calls == [(psi.target, spec.channels["avg_h"].target, 4)]
+    assert abs(err.image_norm - 0.5 / np.sqrt(2)) <= 1e-12
 
 
 def test_functor_laws_two_link_chain():
@@ -1271,7 +1305,7 @@ def test_tensor_images_match_the_kronecker_unit_oracle():
             (smearing_morphism(group, 0.3), smearing_morphism(group, 0.3, rotated)),
             (depolarizing_channel(system, 0.4), conjugation_channel(system, H)),
         ):
-            xs = _relativize_dense(psi.source, system, system.space.basis_stack)
+            xs = relativized_dense(psi.source, system, system.space.basis_stack)
             tensor = _tensor_images(psi, phi, np.eye(len(xs)), 1e-9)
             assert tensor.shape == xs.shape[:1] + (psi.target.rep.dim * system.dim,) * 2
             assert max_abs(tensor - _kron_unit_oracle(psi, phi, xs)) <= 1e-12

@@ -872,17 +872,17 @@ def test_chain_images_and_matrix_agree_with_the_dense_composite():
     for system in _chain_systems():
         first, second = _factor_pairs(system)
         ops = system.space.combine(rng.standard_normal((3, system.space.dim)))
-        with refusing_chain_images():  # neither validation nor apply folds dense images
+        with refusing_chain_images():  # neither validation nor apply forms dense images
             both = compose_channels(second, first)
             assert both.factors == (first, second)
             assert max_abs(both.apply(ops) - second.apply(first.apply(ops))) < 1e-13
         assert both.positivity_check == ("structure" if system.is_full_algebra else "sampled")
         dense = second.apply(first.images)
         assert max_abs(both.images - dense) < 1e-13
-        # the fold starts from the first factor's stack, anew on each request
-        folded = both.images
-        assert folded is not both.images and np.array_equal(folded, both.images)
-        assert np.array_equal(folded, second._product(system.space.coefficients(first.images)))
+        # a chain's images are its apply of its own source basis, anew on each request
+        stack = both.images
+        assert stack is not both.images and np.array_equal(stack, both.images)
+        assert np.array_equal(stack, both.apply(system.space.basis_stack))
         assert max_abs(both.matrix() - system.space.coefficients(dense).T) < 1e-13
         ident = identity_channel(system)
         assert np.array_equal(ident.apply(ops), ops)
@@ -892,6 +892,25 @@ def test_chain_images_and_matrix_agree_with_the_dense_composite():
         nested = compose_channels(ident, compose_channels(both, ident))
         assert nested.factors == (first, second)
         assert max_abs(nested.images - dense) < 1e-13
+
+
+def test_chain_images_follow_the_chain_basis_not_the_first_factor_basis():
+    # the diagonal span of Z3 regular, rebuilt from another generating set,
+    # publishes another orthonormal basis: a chain starting on the rebuilt
+    # span reads its images along that basis, while its only explicit
+    # factor holds them along its own
+    rep = regular_representation(build_cyclic_group(3))
+    s1 = subspace_system(rep, [np.diag([1.0, 0, 0])])
+    s2 = subspace_system(rep, [np.diag([1.0, 1, 0]), np.diag([0, 1.0, 1]), np.diag([1.0, 0, 1])])
+    assert same_system(s1, s2) and max_abs(s1.space.basis_stack - s2.space.basis_stack) > 0.1
+    ch = depolarizing_channel(s1, 0.3)
+    both = compose_channels(ch, identity_channel(s2))
+    assert both.factors == (ch,)
+    applied = both.apply(s2.space.basis_stack)
+    assert max_abs(both.images - applied) <= 1e-13
+    assert max_abs(both.matrix() - both.target.space.coefficients(applied).T) <= 1e-13
+    # an explicit channel still hands out its own stored stack
+    assert ch.images is ch._images
 
 
 def test_structure_chains_are_completely_positive_by_the_dense_choi_matrix():
