@@ -34,8 +34,8 @@ matrix product over the group per block size (``_relativize_stack``);
 the predual on joint states is its adjoint.  The law checks work on
 the blocks alone: products, norms, spectra and the Choi matrix are
 taken block by block in batched calls, the relative subspace is spanned
-and validated on the entries of the blocks, and invariance is compared
-there (``groups.invariance_deviation``).  Dense (n, D, D) images are
+on the entries of the blocks, and invariance is compared there
+(``groups.invariance_deviation``).  Dense (n, D, D) images are
 assembled from blocks (``linalg.block_diagonal``) where they are read
 (``relativize``, the induced maps and ``RelativizationMap.images``) and
 never kept.  An induced map relativizes the system channel's images once,
@@ -44,15 +44,19 @@ blocks give the well-definedness norms, block by block, and their
 combinations along the relative basis, with coefficients read from the
 values on the support entries, give its images.
 
-Positivity follows the rule of ``systems``: the axiom check reads the
-Choi matrix alone on a full algebra and samples one PSD stack otherwise.
-Every induced map is compared once, where it is built, with psi (x) phi
-formed from generators; the largest gap is its ``tensor_deviation``.
-The tensor-form law reads it, and so does positivity: with exact
-factors (Choi-certified, or "structure" chains such as the identities
-and composites of the functor laws) the map is then the restriction of
-the completely positive psi (x) phi ("tensor"), sampled only when a
-factor was not exact or the two disagree.
+Relativization is a unital channel into the invariant algebra, so what
+it derives is built without validation: a relative subspace holds
+yen(I) = I and is fixed by the joint action, and an induced map sends
+yen(a) to yen'(phi(a)) in the target span and I to I.  Positivity
+follows the rule of ``systems``: the axiom check reads the Choi matrix
+alone on a full algebra and samples one PSD stack otherwise, and an
+induced map runs its certificate alone (``_induced_channel``).  Every
+induced map is compared once with psi (x) phi formed from generators;
+the largest gap is its ``tensor_deviation``, which the tensor-form law
+reads.  With exact factors (Choi-certified, or "structure" chains such
+as the identities and composites of the functor laws) and a gap within
+tol, a map on a proper relative subspace is the restriction of the
+completely positive psi (x) phi ("tensor") and nothing is sampled.
 """
 
 from __future__ import annotations
@@ -103,18 +107,16 @@ from .linalg import (
 from .systems import (
     DEFAULT_POSITIVITY_SAMPLES,
     DEFAULT_POSITIVITY_SEED,
-    EXACT_CERTIFICATES,
     ChannelMap,
     SemiQuantumSystem,
     StateClass,
-    build_channel,
+    _induced_channel,
     compose_channels,
     identity_channel,
     is_equivariant,
     predual_channel,
     same_system,
     state_class,
-    system_from_subspace,
 )
 
 DEFAULT_CHECK_SAMPLES = 12
@@ -259,8 +261,11 @@ def _relative_subspace(rmap: RelativizationMap, tol: float) -> RelativeSubspace:
 
     Image and kernel both come from the (n, K) matrix of the images on
     the entries where some image is nonzero: the span is orthonormalised
-    and held there (``MatrixSubspace.on_support``) and validated as a
-    system on that support, and the kernel is that of the (K, n) matrix.
+    and held there (``MatrixSubspace.on_support``), and the kernel is that
+    of the (K, n) matrix.  The span is a system over the joint rep by
+    construction, so it is not validated again: it holds yen(I) = I, and
+    h.yen(a) = sum_g E(hg) (x) (hg).a = yen(a) by covariance, so the
+    action fixes it.
     """
     system = rmap.system
     values, support = _support_values(rmap)
@@ -276,7 +281,7 @@ def _relative_subspace(rmap: RelativizationMap, tol: float) -> RelativeSubspace:
     return RelativeSubspace(
         base=rmap,
         kernel=kernel,
-        as_system=system_from_subspace(rmap.joint_rep, space, tol),
+        as_system=SemiQuantumSystem(rmap.joint_rep, space),
     )
 
 
@@ -410,9 +415,8 @@ def check_channel_axioms(
     rng = np.random.default_rng(seed)
     n = system.space.dim
 
-    coeffs = np.reshape(
-        [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(samples)], (-1, n)
-    )
+    z = rng.standard_normal((samples, 2, n))
+    coeffs = z[:, 0] + 1j * z[:, 1]
     combos = _relativize_stack(frame, system, system.space.combine(coeffs))
     linearity = max(max_abs(c - np.tensordot(coeffs, q, axes=1)) for c, q in zip(combos, images))
 
@@ -658,12 +662,11 @@ def relativize_morphisms(
     after the system channel, otherwise IllDefined carries the witness.
     The images of the relative basis are compared once with
     (psi (x) phi) from generators (``_tensor_images``), and the largest
-    gap is ``tensor_deviation``.  When psi's channel and phi are both
-    exact ("choi" or "structure"), the induced channel on a proper
-    relative subspace is certified "tensor" if that gap is within
-    ``tol``; otherwise ``samples``/``seed`` reach its sampled positivity
-    check, as in ``build_channel``.  A "tensor" channel records them as
-    well.
+    gap is ``tensor_deviation``.  The induced channel is certified by
+    the rule of ``systems._induced_channel``: "choi" on a full relative
+    subspace, "tensor" when psi's channel and phi are both exact ("choi"
+    or "structure") and that gap is within ``tol``, and otherwise sampled
+    with ``samples``/``seed``, which a "tensor" channel records as well.
 
     The two relative subspaces and the induced map come from
     ``workspace`` (a fresh private one when None), so a pair asked for
@@ -702,14 +705,9 @@ def _induce(
     combined = [np.tensordot(coeffs, b, axes=(0, 0)) for b in blocks]
     images = block_diagonal(combined, target_rel.base.partition, target_rel.base.joint_dim)
     tensor_deviation = max_abs(_tensor_images(psi, phi, coeffs, tol) - images)
-    certified = (
-        psi.channel.positivity_check in EXACT_CERTIFICATES
-        and phi.positivity_check in EXACT_CERTIFICATES
-        and tensor_deviation <= tol
-    )
-    channel = build_channel(
-        source_rel.as_system, target_rel.as_system, images, tol, samples, seed,
-        _tensor_certified=certified,
+    channel = _induced_channel(
+        source_rel.as_system, target_rel.as_system, images, (psi.channel, phi), tensor_deviation,
+        tol, samples, seed,
     )
     return RelativeChannel(
         source=source_rel,

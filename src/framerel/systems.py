@@ -23,9 +23,10 @@ Choi matrix's nonzero pattern.  A chain of exact factors needs no
 spectrum: a composite of completely positive maps is completely
 positive.  A proper source is sampled over one deterministic PSD stack,
 whose images are tested with one batched ``eigvalsh`` (and reported as
-sampled, never as proved), unless the caller has shown the map to be the
-restriction of a completely positive map (the induced maps of
-``relativize``, from their tensor form).
+sampled, never as proved).  An induced map of ``relativize`` lies in its
+target and sends I to I by construction, so it runs the certificate step
+alone (``_induced_channel``), and one that agrees with psi (x) phi of two
+exact factors is the restriction of a completely positive map ("tensor").
 
 A proper span is validated on its support, the entries where some basis
 element is nonzero: its translates, adjoints and products are projected
@@ -509,7 +510,6 @@ def build_channel(
     tol: float = DEFAULT_TOL,
     samples: int = DEFAULT_POSITIVITY_SAMPLES,
     seed: int = DEFAULT_POSITIVITY_SEED,
-    _tensor_certified: bool = False,
 ) -> ChannelMap:
     """Validate one image per source basis element into an explicit channel.
 
@@ -520,35 +520,36 @@ def build_channel(
     eigenvalue over the diagonal blocks of the Choi matrix.  A proper
     source is sampled: ``psd_span_samples`` of the source span with
     ``samples``/``seed``, all images tested at once, and NotPositive
-    names the first failing sample as witness.  ``_tensor_certified``
-    is set by ``relativize_morphisms`` alone, when the images agree with
-    the tensor product of two exact channels: a proper source then
-    records "tensor" and skips the samples.
+    names the first failing sample as witness.
     """
     if not same_group(source.group, target.group):
         raise GroupMismatch("channel endpoints live over different groups")
     stack = _image_stack(images, source.space.dim, target.dim)
     stack.setflags(write=False)
-    exact = source.is_full_algebra
-    channel = ChannelMap(
-        source=source,
-        target=target,
-        positivity_check="choi" if exact else "tensor" if _tensor_certified else "sampled",
-        positivity_seed=None if exact else seed,
-        positivity_samples=0 if exact else samples,
-        _images=stack,
-    )
-    return _validated(channel, tol)
+    return _validated(ChannelMap(source, target, *_certificate(source, samples, seed), _images=stack), tol)
 
 
-def _chain(
-    source: SemiQuantumSystem,
-    target: SemiQuantumSystem,
-    factors: tuple[ChannelMap, ...],
-    tol: float,
-    samples: int,
-    seed: int | None,
-) -> ChannelMap:
+def _certificate(source: SemiQuantumSystem, samples: int, seed, proper: str = "sampled") -> tuple:
+    """(positivity_check, positivity_seed, positivity_samples) on ``source``: "choi"
+    on a full algebra, seed None and 0 samples; else ``proper``, ``seed``, ``samples``."""
+    return ("choi", None, 0) if source.is_full_algebra else (proper, seed, samples)
+
+
+def _induced_channel(source, target, images, factors, tensor_deviation, tol, samples, seed) -> ChannelMap:
+    """An induced map of ``relativize`` on its read-only ``images``, certified alone.
+
+    Its images lie in the target relative subspace and it sends I to I by
+    construction, so only ``_certified`` runs: "choi" on a full source, else
+    "tensor" when both ``factors`` (the frame morphism's channel and the
+    system channel) are exact and ``tensor_deviation`` <= ``tol``, else "sampled".
+    """
+    exact = tensor_deviation <= tol and all(f.positivity_check in EXACT_CERTIFICATES for f in factors)
+    images.setflags(write=False)
+    certificate = _certificate(source, samples, seed, "tensor" if exact else "sampled")
+    return _certified(ChannelMap(source, target, *certificate, _images=images), tol)
+
+
+def _chain(source, target, factors: tuple[ChannelMap, ...], tol: float, samples: int, seed) -> ChannelMap:
     """Validate explicit ``factors``, applied in order, into a chain.
 
     All exact factors give "structure".  Otherwise the chain takes the
@@ -556,16 +557,8 @@ def _chain(
     ``samples``/``seed``.
     """
     exact = all(f.positivity_check in EXACT_CERTIFICATES for f in factors)
-    choi = not exact and source.is_full_algebra
-    channel = ChannelMap(
-        source=source,
-        target=target,
-        positivity_check="structure" if exact else "choi" if choi else "sampled",
-        positivity_seed=None if choi else seed,
-        positivity_samples=0 if choi else samples,
-        factors=factors,
-    )
-    return _validated(channel, tol)
+    certificate = ("structure", seed, samples) if exact else _certificate(source, samples, seed)
+    return _validated(ChannelMap(source, target, *certificate, factors=factors), tol)
 
 
 def _basis_run(space: MatrixSubspace, run: slice) -> np.ndarray:
@@ -575,15 +568,12 @@ def _basis_run(space: MatrixSubspace, run: slice) -> np.ndarray:
 
 
 def _validated(channel: ChannelMap, tol: float) -> ChannelMap:
-    """Check a new channel's images against its target, then unitality and its certificate.
+    """Check a new channel's declared data, then certify it (``_certified``).
 
     A proper target tests the images a working set at a time
     (``chunks``): an explicit channel reads them from its stack, a chain
     ``apply``s runs of the source basis, so no chain forms its whole
-    image stack here.  "choi" reads the images of the matrix units,
-    "sampled" applies the channel to one PSD stack drawn with the
-    recorded samples and seed, and "structure" and "tensor" are
-    certified by how the channel was made.
+    image stack here.  Then the image of I must be I.
     """
     source, target = channel.source, channel.target
     if not target.space.is_full:
@@ -599,7 +589,15 @@ def _validated(channel: ChannelMap, tol: float) -> ChannelMap:
     unital_dev = max_abs(channel.apply(identity(source.dim), tol) - identity(target.dim))
     if unital_dev > tol:
         raise NotUnital(unital_dev)
+    return _certified(channel, tol)
 
+
+def _certified(channel: ChannelMap, tol: float) -> ChannelMap:
+    """Run the certificate ``positivity_check`` names: "choi" reads the images
+    of the matrix units, "sampled" applies the channel to one PSD stack drawn
+    with the recorded samples and seed, and "structure" and "tensor" hold by
+    how the channel was made."""
+    source, target = channel.source, channel.target
     if channel.positivity_check == "choi":
         choi = _choi_matrix(_unit_images(channel, tol), source.dim)
         herm_dev = max_abs(choi - dagger(choi))

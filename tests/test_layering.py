@@ -12,6 +12,9 @@ other module builds a derived form where it is read.  ``frames``,
 ``relativize`` and ``systems`` loop over no group's ``elements()``: what
 they ask of every element, ``groups`` answers in one call.  A public function or method
 reads every parameter it declares, so no option is accepted and ignored.
+``relativize`` validates nothing it derives: its relative subspaces and
+induced maps are systems and channels by construction, so it calls
+neither ``build_channel`` nor ``system_from_subspace``.
 """
 
 import ast
@@ -146,3 +149,26 @@ def test_the_unread_parameter_rule_sees_functions_methods_and_closures():
 def test_public_functions_read_every_parameter(path):
     unread = _unread_parameters(_tree(path))
     assert unread == [], f"{path.name} declares parameters it never reads: {unread}"
+
+
+VALIDATING_BUILDERS = {"build_channel", "system_from_subspace"}
+
+
+def _calls(tree, names):
+    """Lines that call one of ``names``, by its bare name or as an attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in names
+    )
+
+
+def test_the_call_rule_sees_names_and_attributes():
+    source = "build_channel(a, b, c)\nx = systems.system_from_subspace(r, s)\ny = build_channel\nf(build_channel)\n"
+    assert _calls(ast.parse(source), VALIDATING_BUILDERS) == [1, 2]
+
+
+def test_relativize_validates_nothing_it_derives():
+    calls = _calls(_tree(next(p for p in SOURCES if p.name == "relativize.py")), VALIDATING_BUILDERS)
+    assert calls == [], f"relativize.py validates derived objects again at lines {calls}"

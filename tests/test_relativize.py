@@ -38,6 +38,7 @@ from framerel.groups import (
     build_symmetric_group,
     regular_representation,
     translates,
+    trivial_rep,
     unitary_rep,
 )
 from framerel.linalg import (
@@ -122,7 +123,7 @@ from .support import (
     z2_unlocalized_frame,
     zn_phase_rep,
 )
-from .strategies import cyclic_monomial_reps
+from .strategies import cyclic_monomial_reps, group_reps, permutation_matrices
 
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
@@ -1089,22 +1090,20 @@ def test_functor_laws_take_the_sampling_settings_everywhere(monkeypatch):
     images = [0.5 * b + 0.5 * np.trace(b) * I2 / 2 for b in system.space.basis]
     phi = build_channel(system, system, images, samples=3, seed=0)
 
-    built, chains = [], []
-    original, original_chain = framerel.systems.build_channel, framerel.systems._chain
+    # every channel made on the way reaches the certificate step: the
+    # induced maps as explicit channels, the identities and composites as chains
+    certified = []
+    original = framerel.systems._certified
 
-    def recording(*args, **kwargs):
-        built.append(original(*args, **kwargs))
-        return built[-1]
+    def recording(channel, tol):
+        certified.append(original(channel, tol))
+        return certified[-1]
 
-    def recording_chain(*args, **kwargs):
-        chains.append(original_chain(*args, **kwargs))
-        return chains[-1]
-
-    for name in ("systems", "frames", "relativize"):
-        monkeypatch.setattr(importlib.import_module(f"framerel.{name}"), "build_channel", recording)
-    monkeypatch.setattr(framerel.systems, "_chain", recording_chain)
+    monkeypatch.setattr(framerel.systems, "_certified", recording)
     report = check_functor_laws([(psi, phi), (psi, phi)], samples=3, seed=0)
     assert report.passed
+    built = [ch for ch in certified if ch.factors is None]
+    chains = [ch for ch in certified if ch.factors is not None]
 
     def settings(channels):
         return {(ch.positivity_check, ch.positivity_samples, ch.positivity_seed) for ch in channels}
@@ -1481,3 +1480,159 @@ def test_external_transform_requires_full_value_algebra():
     psi = identity_frame_morphism(fr)
     with pytest.raises(RequiresFullAlgebra):
         external_frame_transform(psi, qubit(), proj(ket(0, 2)), I2 / 2)
+
+
+# ------------------------------------------------- built as what they are
+
+
+def _relative_cases():
+    """(frame, system) pairs: the ideal and smeared Z_n frames against the
+    phase qubit, the S3 frames against a proper span of its 2-dim irrep
+    (the real symmetric matrices), and the S4 regular frame against the
+    permutation rep of S4."""
+    cases = []
+    for n in (2, 5, 8):
+        group, phase_qubit = build_cyclic_group(n), full_system(zn_phase_rep(n))
+        cases += [(canonical_ideal_frame(group), phase_qubit), (smeared_canonical_frame(group, 0.3), phase_qubit)]
+    span = subspace_system(s3_irrep2(), [np.diag([1.0, 0.0])])
+    assert not span.is_full_algebra
+    cases += [(canonical_ideal_frame(s3()), span), (smeared_canonical_frame(s3(), 0.3), span)]
+    s4 = build_symmetric_group(4)
+    cases.append((canonical_ideal_frame(s4), full_system(unitary_rep(s4, permutation_matrices(4)))))
+    return cases
+
+
+def _induced_pairs(frame, system):
+    """The identity morphism of ``frame``, and for a canonical ideal frame its
+    smearing, each with the identity and a depolarizing system channel."""
+    morphisms = [identity_frame_morphism(frame)]
+    if frame.is_ideal:
+        morphisms.append(smearing_morphism(frame.group, 0.3, frame))
+    return list(itertools.product(morphisms, (identity_channel(system), depolarizing_channel(system, 0.4))))
+
+
+def _assert_skipped_checks_hold(pairs, tol=1e-9):
+    """What relativization no longer checks, checked: each relative subspace
+    validates as a system and is fixed by the joint action, and each induced
+    map's images lie in its target and send I to I."""
+    for psi, phi in pairs:
+        induced = relativize_morphisms(psi, phi, tol)
+        for rel in (induced.source, induced.target):
+            framerel.systems._assemble_system(rel.base.joint_rep, rel.space, tol)
+            assert is_invariant(rel.as_system, tol)
+        assert induced.target.space.residuals(induced.channel.images).max() <= tol
+        d_in, d_out = induced.source.base.joint_dim, induced.target.base.joint_dim
+        assert max_abs(induced.apply(np.eye(d_in)) - np.eye(d_out)) <= tol
+
+
+def test_relative_subspaces_are_built_without_validation(monkeypatch):
+    # a relative subspace holds yen(I) = I and the joint action fixes it,
+    # by construction, so it is never validated as a system again
+    cases = _relative_cases()
+
+    def refuse(*args):
+        raise AssertionError("relative subspace validated as a system")
+
+    monkeypatch.setattr(framerel.systems, "_assemble_system", refuse)
+    for frame, system in cases:
+        rel = build_relative_subspace(frame, system)
+        assert rel.as_system.rep is rel.base.joint_rep
+        assert rel.space.dim + rel.kernel.dim == system.space.dim
+
+
+def test_relative_subspaces_and_induced_maps_pass_the_checks_they_skip():
+    for frame, system in _relative_cases():
+        _assert_skipped_checks_hold(_induced_pairs(frame, system))
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=group_reps(), seed=st.integers(0, 2**32 - 1))
+def test_relative_subspaces_and_induced_maps_pass_the_checks_they_skip_on_generated_reps(case, seed):
+    # a proper span (one hermitian orbit and I) of every generated rep, and
+    # the full algebra of the small ones, against the canonical frames
+    kind, n, mats = case
+    group = build_cyclic_group(n) if kind == "cyclic" else build_symmetric_group(n)
+    rep = unitary_rep(group, mats)
+    a = np.random.default_rng(seed).standard_normal((rep.dim, rep.dim, 2)) @ [1, 1j]
+    systems = [subspace_system(rep, [a + a.conj().T])] + ([full_system(rep)] if rep.dim <= 3 else [])
+    for system in systems:
+        for frame in (canonical_ideal_frame(group), smeared_canonical_frame(group, 0.3)):
+            _assert_skipped_checks_hold(_induced_pairs(frame, system))
+
+
+def test_induced_maps_are_certified_without_validation(monkeypatch):
+    # an induced map lies in its target relative subspace and sends I to I
+    # by construction: only its certificate runs, "tensor" for an exact pair
+    # that agrees with psi (x) phi and "sampled" for one that does not, and
+    # the ill-defined pair of the fixture raises with the same witness
+    group = build_cyclic_group(4)
+    system, ideal = full_system(zn_phase_rep(4)), canonical_ideal_frame(group)
+    cases = [
+        ((smearing_morphism(group, 0.35, ideal), depolarizing_channel(system, 0.6)), "tensor"),
+        ((identity_frame_morphism(ideal), conjugation_channel(system, H)), "sampled"),
+    ]
+    spec = parse_scenario((FIXTURES / "fixture_illdefined.json").read_text())
+    ill = (spec.frame_morphisms["stay"], spec.channels["avg_h"])
+    with pytest.raises(IllDefined) as expected:
+        relativize_morphisms(*ill)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("induced map validated")
+
+    for name in ("build_channel", "_validated"):
+        monkeypatch.setattr(framerel.systems, name, refuse)
+    for (psi, phi), check in cases:
+        channel = relativize_morphisms(psi, phi, samples=5, seed=3).channel
+        assert (channel.positivity_check, channel.positivity_samples, channel.positivity_seed) == (check, 5, 3)
+    with pytest.raises(IllDefined) as err:
+        relativize_morphisms(*ill)
+    assert np.array_equal(err.value.kernel_witness, expected.value.kernel_witness)
+    assert err.value.image_norm == expected.value.image_norm
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_induced_maps_on_full_relative_subspaces_keep_the_choi_certificate(order):
+    # the canonical frame of Z1, and Z3 with seed I/3 on its 1-dim trivial
+    # rep, relativize a trivially acted-on qubit onto the full joint algebra:
+    # the induced map of an exact pair agrees with psi (x) phi but is
+    # certified by its Choi matrix
+    group = build_cyclic_group(order)
+    frame = (
+        canonical_ideal_frame(group)
+        if order == 1
+        else principal_frame_from_seed(trivial_rep(group), np.eye(1) / 3)
+    )
+    system = full_system(trivial_rep(group, 2))
+    induced = relativize_morphisms(identity_frame_morphism(frame), depolarizing_channel(system, 0.3))
+    assert induced.source.as_system.is_full_algebra and induced.tensor_deviation <= 1e-12
+    channel = induced.channel
+    assert (channel.positivity_check, channel.positivity_seed, channel.positivity_samples) == ("choi", None, 0)
+
+
+def test_linearity_coefficients_are_the_stream_of_the_per_sample_loop(monkeypatch):
+    # one (samples, 2, n) draw gives the coefficients that 2 samples calls of
+    # standard_normal(n) gave, real then imaginary part, bit for bit
+    first = []
+
+    def recorded(frame, system, mats):
+        first.append(np.array(mats))
+        return _relativize_stack(frame, system, mats)
+
+    monkeypatch.setattr(RELATIVIZE, "_relativize_stack", recorded)
+    cyclic4, s3_group = build_cyclic_group(4), s3()
+    cases = [
+        (cyclic4, subspace_system(zn_phase_rep(4), [])),  # n = 1: the span of I
+        (cyclic4, full_system(zn_phase_rep(4))),
+        (s3_group, full_system(unitary_rep(s3_group, permutation_matrices(3)))),
+        (cyclic4, full_system(regular_representation(cyclic4))),
+    ]
+    for group, system in cases:
+        n = system.space.dim
+        rmap = relativization_map(canonical_ideal_frame(group), system)
+        for seed, samples in itertools.product((0, 7, 123), (0, 1, 12, 16)):
+            first.clear()
+            check_channel_axioms(rmap, samples=samples, seed=seed)
+            loop = np.random.default_rng(seed)
+            coeffs = [loop.standard_normal(n) + 1j * loop.standard_normal(n) for _ in range(samples)]
+            assert np.array_equal(first[0], system.space.combine(np.reshape(coeffs, (-1, n))))
+    assert {system.space.dim for _, system in cases} == {1, 4, 9, 16}
