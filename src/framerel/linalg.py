@@ -214,20 +214,32 @@ def block_min_eigenvalues(blocks) -> np.ndarray:
     )
 
 
-def block_operator_norms(blocks) -> np.ndarray:
+def block_operator_norms(blocks, floor: float = 0.0) -> np.ndarray:
     """Largest singular value of every operator, from its diagonal blocks.
 
     As :func:`block_min_eigenvalues`: one batched 2-norm per block size,
     then the largest block norm of each operator.  Only blocks with a
     nonzero entry are decomposed; a zero block's norm is exactly 0.0, and
     a stack of zero blocks takes no decomposition call at all.
+
+    A caller after the norms of at least ``floor`` alone passes it: a
+    block whose HS norm, a bound on its operator norm, lies below
+    ``floor`` is not decomposed either and reads 0.0.  An operator whose
+    norm reaches ``floor`` reads it as without ``floor``, bit for bit;
+    any other reads at most its norm.  The HS norms are compared with a
+    relative margin of 1e-6, far above their rounding.
     """
     out = []
     for b in blocks:
         norms = np.zeros(b.shape[:-2])
-        nonzero = b.any(axis=(-2, -1))
-        if nonzero.any():
-            norms[nonzero] = np.linalg.norm(b[nonzero], 2, axis=(-2, -1))
+        if floor > 0.0:
+            re, im = b.real, b.imag
+            squares = np.einsum("...ij,...ij->...", re, re) + np.einsum("...ij,...ij->...", im, im)
+            kept = squares >= (floor * (1.0 - 1e-6)) ** 2
+        else:
+            kept = b.any(axis=(-2, -1))
+        if kept.any():
+            norms[kept] = np.linalg.norm(b[kept], 2, axis=(-2, -1))
         out.append(norms.max(axis=-1))
     return np.maximum.reduce(out)
 

@@ -108,6 +108,7 @@ from .systems import (
     DEFAULT_POSITIVITY_SAMPLES,
     DEFAULT_POSITIVITY_SEED,
     ChannelMap,
+    EquivarianceResult,
     SemiQuantumSystem,
     StateClass,
     _induced_channel,
@@ -290,9 +291,10 @@ class Workspace:
     """Relativizations shared by every caller that holds this workspace.
 
     A relativization map and a relative subspace depend only on their
-    (frame, system) pair, and an induced map only on its (frame
-    morphism, system channel) pair and its positivity ``samples`` and
-    ``seed``, all at the workspace's ``tol``.  Each is built on first
+    (frame, system) pair, an induced map only on its (frame morphism,
+    system channel) pair and its positivity ``samples`` and ``seed``, and
+    a channel's equivariance verdict (``is_equivariant``) only on the
+    channel, all at the workspace's ``tol``.  Each is built on first
     request and then handed out again.  The keys are the engine's own
     objects, which compare by identity, and the workspace holds them, so
     a key stays unique while it lives.  Only successes are stored: a
@@ -304,6 +306,7 @@ class Workspace:
     maps: dict = field(default_factory=dict, init=False, repr=False)
     subspaces: dict = field(default_factory=dict, init=False, repr=False)
     channels: dict = field(default_factory=dict, init=False, repr=False)
+    verdicts: dict = field(default_factory=dict, init=False, repr=False)
 
     def relativization_map(
         self, frame: FrameObservable, system: SemiQuantumSystem
@@ -329,6 +332,11 @@ class Workspace:
         if key not in self.channels:
             self.channels[key] = _induce(psi, phi, self, samples, seed)
         return self.channels[key]
+
+    def equivariance(self, phi: ChannelMap) -> EquivarianceResult:
+        if phi not in self.verdicts:
+            self.verdicts[phi] = is_equivariant(phi, self.tol)
+        return self.verdicts[phi]
 
 
 def _workspace(workspace: Workspace | None, tol: float) -> Workspace:
@@ -391,6 +399,21 @@ def _pair_right(blocks: np.ndarray) -> np.ndarray:
     """The (m, k, n k) right factor of ``_pair_products``: columns (j, b)."""
     n, m, k = blocks.shape[:3]
     return np.ascontiguousarray(blocks.transpose(1, 2, 0, 3)).reshape(m, k, n * k)
+
+
+def _unit_product_gaps(blocks: np.ndarray, right: np.ndarray, run: slice, d: int) -> np.ndarray:
+    """q_i q_j - yen(b_i b_j) on the unit span, for the rows i in ``run``.
+
+    With b_i = E_ab and b_j = E_ce the product is E_ae when c = b and 0
+    otherwise, so row i subtracts the image of E_ae, e = 0..d-1, at the
+    columns j = b d + e and nothing elsewhere: the same entries as the
+    combination along the 0/1 coefficients, without its products.
+    """
+    gaps = _pair_products(blocks, right, run)
+    a, b = np.divmod(np.arange(len(blocks))[run], d)
+    e = np.arange(d)
+    gaps[np.repeat(np.arange(len(a)), d), (b[:, None] * d + e).ravel()] -= blocks[(a[:, None] * d + e).ravel()]
+    return gaps
 
 
 def check_channel_axioms(
@@ -481,14 +504,19 @@ def check_ideal_isomorphism(rmap: RelativizationMap, tol: float = DEFAULT_TOL) -
     the basis (bilinearity carries them to the whole algebra).  Only
     meaningful on full algebras, where products stay inside the domain.
     Relativization is linear, so the image of b_i b_j (and of b_k^dag) is
-    the combination of the block images along its basis coefficients,
-    exact 0/1 on the unit span.  The products q_i q_j run a working set
-    of rows at a time (``chunks``), one matrix product per block
-    (``_pair_products``), and norms are taken per block, of the nonzero
-    blocks alone.  The witness is the first basis pair in
-    row-major order whose multiplicativity deviation lies within ``tol``
-    of the largest: pairs that tie mathematically differ by rounding
-    alone.
+    the combination of the block images along its basis coefficients.  On
+    the unit span E_ab E_ce = delta_bc E_ae and E_ab^dag = E_ba, so those
+    images are gathered, one image each (``_unit_product_gaps``).  The
+    products q_i q_j run a working set of rows at a time (``chunks``),
+    one matrix product per block (``_pair_products``), and norms are
+    taken per block, of the nonzero blocks alone, and of those alone
+    whose HS norm, which bounds the operator norm, reaches the largest
+    deviation of the rows before less ``tol``.  The witness is the
+    first basis pair in row-major order whose multiplicativity deviation
+    lies within ``tol`` of the largest: pairs that tie mathematically
+    differ by rounding alone.  A block left out lies more than ``tol``
+    below a deviation of an earlier row, so it is neither the largest nor
+    the one that makes its pair the witness.
     """
     system = rmap.system
     if not system.is_full_algebra:
@@ -500,22 +528,32 @@ def check_ideal_isomorphism(rmap: RelativizationMap, tol: float = DEFAULT_TOL) -
     n = len(basis)
     rights = [_pair_right(q) for q in images]
     rows = []
+    largest = 0.0
     for run in chunks(n, n * sum(q[0].size for q in images)):
-        products = (basis[run, None] @ basis[None]).reshape(-1, *basis.shape[1:])
-        coeffs = space.coefficients(products).reshape(-1, n, n)  # [i, j]: b_i b_j along the basis
-        rows.append(block_operator_norms(
-            [np.tensordot(coeffs, q, axes=1) - _pair_products(q, r, run) for q, r in zip(images, rights)]
-        ))
-    devs = np.concatenate(rows)  # devs[i, j]: deviation of the pair (i, j)
+        if space.is_unit_span:
+            gaps = [_unit_product_gaps(q, r, run, system.dim) for q, r in zip(images, rights)]
+        else:
+            products = (basis[run, None] @ basis[None]).reshape(-1, *basis.shape[1:])
+            coeffs = space.coefficients(products).reshape(-1, n, n)  # [i, j]: b_i b_j along the basis
+            gaps = [_pair_products(q, r, run) - np.tensordot(coeffs, q, axes=1) for q, r in zip(images, rights)]
+        rows.append(block_operator_norms(gaps, largest - tol))
+        largest = max(largest, float(rows[-1].max()))
+    devs = np.concatenate(rows)  # devs[i, j]: deviation of the pair (i, j), where it matters
     mult_dev = float(devs.max())
     witness = (
         None if mult_dev == 0.0
         else tuple(int(k) for k in np.unravel_index(np.argmax(devs >= mult_dev - tol), devs.shape))
     )
     iso_dev = float(np.max(np.abs(block_operator_norms(images) - operator_norm(basis))))
-    adjoint_coeffs = space.coefficients(dagger(basis))
+    if space.is_unit_span:
+        d = system.dim
+        adjoints = np.arange(n).reshape(d, d).T.ravel()  # E_ab^dag = E_ba
+        adjoint_images = [q[adjoints] for q in images]
+    else:
+        adjoint_coeffs = space.coefficients(dagger(basis))
+        adjoint_images = [np.tensordot(adjoint_coeffs, q, axes=1) for q in images]
     adj_dev = float(np.max(block_operator_norms(
-        [np.tensordot(adjoint_coeffs, q, axes=1) - dagger(q) for q in images]
+        [a - dagger(q) for a, q in zip(adjoint_images, images)]
     )))
     passed = mult_dev <= tol and iso_dev <= tol and adj_dev <= tol
     if frame.is_ideal:
@@ -786,9 +824,10 @@ def check_functor_laws(
     return LawReport(deviations, all(d <= tol for d in deviations.values()), {}, detail)
 
 
-def _require_equivariant(phi: ChannelMap, tol: float) -> None:
-    """Raise ChannelNotEquivariant, with the worst witness, unless phi is equivariant."""
-    eq = is_equivariant(phi, tol)
+def _require_equivariant(phi: ChannelMap, workspace: Workspace) -> None:
+    """Raise ChannelNotEquivariant, with the worst witness, unless phi is
+    equivariant, by the verdict of ``workspace``."""
+    eq = workspace.equivariance(phi)
     if not eq.equivariant:
         raise ChannelNotEquivariant(
             eq.witness_element if eq.witness_element is not None else -1,
@@ -815,9 +854,11 @@ def check_equivariant_tensor_form(
     so it lies in the product of the value span and the system span, and
     psi (x) phi is defined on it.  Raises ChannelNotEquivariant when phi
     is not equivariant.  ``samples``/``seed`` reach the induced channel,
-    which comes from ``workspace`` (a fresh private one when None).
+    which, with the equivariance verdict, comes from ``workspace`` (a
+    fresh private one when None).
     """
-    _require_equivariant(phi, tol)
+    workspace = _workspace(workspace, tol)
+    _require_equivariant(phi, workspace)
     worst = relativize_morphisms(psi, phi, tol, samples, seed, workspace).tensor_deviation
     return LawReport(
         {"tensor_form": worst},
@@ -842,15 +883,17 @@ def check_naturality(
     already relativized observable), both on the support blocks, where
     the two sides have every nonzero entry.  The relativized source basis
     is the blocks of the (frame, source system) map of ``workspace`` (a
-    fresh private one when None).
+    fresh private one when None), and the equivariance verdict is its
+    own.
     """
-    _require_equivariant(phi, tol)
+    workspace = _workspace(workspace, tol)
+    _require_equivariant(phi, workspace)
     if not same_group(frame.group, phi.source.group):
         raise GroupMismatch("frame and channel live over different groups")
     basis = phi.source.space.basis_stack
     n, d_in, d_out = len(basis), phi.source.dim, phi.target.dim
     lhs = _relativize_stack(frame, phi.target, phi.apply(basis, tol))
-    source = _workspace(workspace, tol).relativization_map(frame, phi.source)
+    source = workspace.relativization_map(frame, phi.source)
     devs = np.zeros(n)
     for left, right in zip(lhs, source.blocks):
         m, c = right.shape[1], right.shape[2] // d_in

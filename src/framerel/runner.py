@@ -5,12 +5,16 @@ Tasks run in declared order, fail-soft: a violated law becomes a
 entry, and the run always produces exactly one entry per task.  The
 tasks of one run share one ``Workspace``, so a relativization map,
 relative subspace or induced map that several tasks ask for is built
-once, and its build time is charged to the first task that asks.  The
-machine report is canonical JSON (sorted keys, floats normalized to 12
-significant digits, witness matrices rounded) and is byte-identical
-across repeat runs with the same scenario, seed and tolerance on one
-platform; wall-clock time is therefore carried as ``null`` there and
-only the human table shows it.
+once, and its build time is charged to the first task that asks; a
+channel's equivariance is decided once per run too.  The machine report
+is canonical JSON (sorted keys, floats normalized to 13 significant
+digits, witness matrices to 12 decimal places) and is byte-identical across repeat
+runs with the same scenario, seed and tolerance on one platform;
+wall-clock time is therefore carried as ``null`` there and only the
+human table shows it.  Its text comes from ``scenario.canonical_json``,
+the bytes of ``json.dumps(payload, indent=2, sort_keys=True)`` without
+``json``'s pure-Python encoder, and its witness matrices from
+``scenario.encode_matrix``, which rounds a whole matrix at once.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .relativize import (
     relativize,
     relativize_morphisms,
 )
-from .scenario import ScenarioSpec, ScenarioTask, encode_matrix
+from .scenario import ScenarioSpec, ScenarioTask, canonical_json, encode_matrix
 
 _STATUS_ORDER = {"pass": 0, "fail": 1, "error": 2}
 
@@ -274,8 +278,6 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
 
 
 def _machine_text(report: RunReport) -> str:
-    import json
-
     payload = {
         "format": "machine/1",
         "tolerance": _canon_float(report.tolerance),
@@ -299,7 +301,7 @@ def _machine_text(report: RunReport) -> str:
             for e in report.entries
         ],
     }
-    return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=True) + "\n"
+    return canonical_json(payload) + "\n"
 
 
 def _human_text(report: RunReport) -> str:

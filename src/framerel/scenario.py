@@ -9,7 +9,8 @@ validated immediately, so a scenario that parses is a scenario whose
 declared objects all exist.  Validation failures from the constructors
 are wrapped in :class:`~framerel.errors.ScenarioValidationError` with
 the section and name attached.  The spec keeps the document as parsed,
-and :func:`serialize_scenario` writes it back as sorted, indented JSON.
+and :func:`serialize_scenario` writes it back as sorted, indented JSON
+through :func:`canonical_json`, the writer of the machine reports too.
 
 Sections
 --------
@@ -38,6 +39,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -132,21 +134,151 @@ def decode_matrix(obj: Any, where: str) -> np.ndarray:
     return m
 
 
-def _clean(x: float) -> float:
-    v = round(float(x), 12)
-    return 0.0 if v == 0 else v
-
-
 def encode_matrix(m) -> list:
     """Encode a complex matrix as the row-major [re, im] literal.
 
-    Entries are rounded to 12 decimal digits and negative zero is
-    normalized away, so the encoding is byte-stable across runs.
+    Entries are rounded to 12 decimal digits, as ``round(x, 12)`` does,
+    bit for bit, and negative zero is normalized away, so the encoding is
+    byte-stable across runs.  The whole (re, im) view is rounded at once,
+    as rint(y) / 1e12 with y = x 1e12.  Rounding is monotonic and every
+    half-integer below 2^52 is a double, so y lies on the same side of
+    each half-integer as the exact x 10^12, or on one.  Off them, rint(y)
+    is the integer K that round takes, and K / 1e12, both exact, is
+    correctly rounded, as round's result is.  The entries whose y is a
+    half-integer, reaches 2^52 or is not finite are rounded one at a time,
+    as ``float('%.12f' % x)``: the same rounding by another path.
     """
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim == 1:
         a = a.reshape(1, -1)
-    return [[[_clean(z.real), _clean(z.imag)] for z in row] for row in a]
+    x = np.ascontiguousarray(a).view(np.float64).reshape(*a.shape, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = x * 1e12
+        k = np.rint(y)
+        rounded = k / 1e12 + 0.0  # + 0.0 turns -0.0 into 0.0
+        exact = (np.abs(y - k) != 0.5) & (np.abs(y) < 2.0**52)
+    at = np.flatnonzero(~exact)
+    rounded.reshape(-1)[at] = [float("%.12f" % v) + 0.0 for v in x.reshape(-1)[at].tolist()]
+    return rounded.tolist()
+
+
+# ------------------------------------------------------------ canonical JSON
+
+_encode_string = json.encoder.encode_basestring_ascii
+_SEQUENCES = {list, tuple}
+_NUMBERS = {int, float}
+
+
+def canonical_json(obj: Any) -> str:
+    """The text of ``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
+
+    ``json`` writes indented text with its pure-Python encoder, one
+    generator step per token.  This is one recursive walk with the same
+    rules: sorted keys, strings through ``encode_basestring_ascii``,
+    ``int.__repr__``, ``float.__repr__`` via ``isinstance``, ``NaN`` and
+    ``±Infinity``, and ``TypeError`` on what ``json`` rejects.  A matrix
+    literal is written with one ``%`` format (``_matrix_text``).
+    """
+    out: list[str] = []
+    _write(obj, "\n", out)
+    return "".join(out)
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(key: Any) -> str:
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _write(o: Any, newline: str, out: list[str]) -> None:
+    """Append the text of ``o``, whose closing bracket goes after ``newline``."""
+    if isinstance(o, str):
+        out.append(_encode_string(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_float_text(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        text = _matrix_text(o, newline)
+        if text is not None:
+            out.append(text)
+            return
+        inner = newline + "  "
+        opening = "[" + inner
+        for value in o:
+            out.append(opening)
+            _write(value, inner, out)
+            opening = "," + inner
+        out.append(newline + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        opening = "{" + inner
+        for key, value in sorted(o.items()):
+            out.append(opening + _encode_string(_key_text(key)) + ": ")
+            _write(value, inner, out)
+            opening = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _matrix_text(rows: list | tuple, newline: str) -> str | None:
+    """The text of rows of equal width of [re, im] pairs of finite numbers,
+    each exactly an ``int`` or a ``float``; None for anything else.
+
+    One template for the whole matrix takes every number through ``%r``,
+    which is ``int.__repr__`` or ``float.__repr__`` on these exact types.
+    A non-finite float writes ``inf`` or ``nan``, the only number text
+    with an "n", and sends the matrix back to the walk.
+    """
+    if not set(map(type, rows)) <= _SEQUENCES:
+        return None
+    widths = set(map(len, rows))
+    if len(widths) != 1 or 0 in widths:
+        return None
+    pairs = tuple(chain.from_iterable(rows))
+    if not set(map(type, pairs)) <= _SEQUENCES or set(map(len, pairs)) != {2}:
+        return None
+    numbers = tuple(chain.from_iterable(pairs))
+    if not set(map(type, numbers)) <= _NUMBERS:
+        return None
+    rows_at, pairs_at, numbers_at = newline + "  ", newline + "    ", newline + "      "
+    pair = "[" + numbers_at + "%r," + numbers_at + "%r" + pairs_at + "]"
+    row = "[" + pairs_at + ("," + pairs_at).join([pair] * widths.pop()) + rows_at + "]"
+    text = ("[" + rows_at + ("," + rows_at).join([row] * len(rows)) + newline + "]") % numbers
+    return None if "n" in text else text
 
 
 # ----------------------------------------------------------------- spec types
@@ -184,7 +316,7 @@ def serialize_scenario(spec: ScenarioSpec) -> str:
     Nothing is rounded on the way, so parsing the text back builds the
     same objects bit for bit.
     """
-    return json.dumps(spec.document, indent=2, sort_keys=True) + "\n"
+    return canonical_json(spec.document) + "\n"
 
 
 # -------------------------------------------------------------------- helpers

@@ -14,7 +14,10 @@ they ask of every element, ``groups`` answers in one call.  A public function or
 reads every parameter it declares, so no option is accepted and ignored.
 ``relativize`` validates nothing it derives: its relative subspaces and
 induced maps are systems and channels by construction, so it calls
-neither ``build_channel`` nor ``system_from_subspace``.
+neither ``build_channel`` nor ``system_from_subspace``.  No module hands
+``json`` an ``indent``, with which it writes through its pure-Python
+encoder, one generator step per token: indented text comes from
+``scenario.canonical_json``.
 """
 
 import ast
@@ -172,3 +175,29 @@ def test_the_call_rule_sees_names_and_attributes():
 def test_relativize_validates_nothing_it_derives():
     calls = _calls(_tree(next(p for p in SOURCES if p.name == "relativize.py")), VALIDATING_BUILDERS)
     assert calls == [], f"relativize.py validates derived objects again at lines {calls}"
+
+
+def _indented_json(tree):
+    """Lines that call ``dumps`` or ``dump``, by bare name or as an attribute,
+    with an ``indent`` other than None."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("dumps", "dump")
+        and any(
+            k.arg == "indent" and not (isinstance(k.value, ast.Constant) and k.value.value is None)
+            for k in node.keywords
+        )
+    )
+
+
+def test_the_indented_json_rule_sees_both_calls_and_passes_indent_none():
+    source = "json.dumps(x, indent=2)\njson.dumps(x)\ndumps(y, indent=None)\njson.dump(x, f, sort_keys=True, indent=1)\n"
+    assert _indented_json(ast.parse(source)) == [1, 4]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_writes_indented_json_through_json(path):
+    calls = _indented_json(_tree(path))
+    assert calls == [], f"{path.name} writes indented JSON through json's pure-Python encoder at lines {calls}"

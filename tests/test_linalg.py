@@ -248,6 +248,34 @@ def test_zero_blocks_have_norm_zero_without_a_decomposition(monkeypatch):
     assert calls == [(1, 4, 4)]
 
 
+def test_blocks_under_the_floor_are_not_decomposed(monkeypatch):
+    # a block whose HS norm lies under the floor reads 0.0 and takes no
+    # 2-norm; an operator whose norm reaches the floor reads it bit for
+    # bit, and any other at most its norm
+    rng = np.random.default_rng(19)
+    blocks = [
+        rng.standard_normal((40, 3, 2, 2)) + 1j * rng.standard_normal((40, 3, 2, 2)),
+        rng.standard_normal((40, 2, 3, 3)) * np.geomspace(1e-3, 3, 40)[:, None, None, None],
+    ]
+    full = block_operator_norms(blocks)
+    floor = float(np.median(full))
+    calls = []
+    norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda a, *args, **kw: calls.append(len(a)) or norm(a, *args, **kw))
+    got = block_operator_norms(blocks, floor)
+    reach = full >= floor
+    assert np.array_equal(got[reach], full[reach])
+    assert np.all(got[~reach] <= full[~reach])
+    hs = [norm(b, axis=(-2, -1)) for b in blocks]
+    assert calls == [int(np.sum(h >= floor * (1 - 1e-6))) for h in hs]
+    assert 0 < sum(calls) < sum(h.size for h in hs)
+    assert np.array_equal(block_operator_norms(blocks, -1.0), full)
+    # a rank-one block's HS norm is its operator norm, so at the floor it
+    # is still decomposed
+    rank_one = [np.array([[[[3.0, 4.0], [0.0, 0.0]]]], dtype=complex)]
+    assert block_operator_norms(rank_one, 5.0) == block_operator_norms(rank_one)
+
+
 def test_one_block_spectra_are_the_dense_calls_bit_for_bit():
     rng = np.random.default_rng(18)
     stack = rng.standard_normal((6, 9, 9)) + 1j * rng.standard_normal((6, 9, 9))

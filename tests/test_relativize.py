@@ -45,6 +45,7 @@ from framerel.linalg import (
     MatrixSubspace,
     block_min_eigenvalues,
     diagonal_blocks,
+    matrix_units,
     max_abs,
     operator_norm,
     psd_span_samples,
@@ -437,6 +438,47 @@ def test_canonical_s3_frame_embedding_is_isometric():
         relativization_map(canonical_ideal_frame(s3()), full_system(s3_irrep2()))
     )
     assert rep.expected and rep.passed and rep.consistent_with_ideality
+
+
+def _embedding_cases():
+    """Ideal and smeared frames against full algebras: S3 on the qubit irrep, S4 on its permutation rep."""
+    s4_ideal, s4_smear, s4_system = _s4_frames_and_system()
+    s3_system = full_system(s3_irrep2())
+    return [
+        (canonical_ideal_frame(s3()), s3_system),
+        (smeared_canonical_frame(s3(), 0.3), s3_system),
+        (s4_ideal, s4_system),
+        (s4_smear, s4_system),
+    ]
+
+
+def _same_report(a, b):
+    return a == b and repr(a.deviations) == repr(b.deviations)
+
+
+def test_unit_span_gathers_the_images_the_coefficients_combine():
+    # the matrix units held as an explicit basis take the coefficient
+    # path; the unit span gathers one image per product and adjoint,
+    # and the report is the same bit for bit
+    for frame, system in _embedding_cases():
+        units = subspace_system(system.rep, list(matrix_units(system.dim)))
+        assert system.space.is_unit_span and not units.space.is_unit_span
+        assert np.array_equal(units.space.basis_stack, system.space.basis_stack)
+        gathered = check_ideal_isomorphism(relativization_map(frame, system))
+        combined = check_ideal_isomorphism(relativization_map(frame, units))
+        assert _same_report(gathered, combined)
+
+
+def test_embedding_check_decomposes_every_block_that_matters(monkeypatch):
+    # blocks under the largest deviation of the earlier rows less tol are
+    # not decomposed, and the report is the one that decomposes them all
+    cases = _embedding_cases()
+    want = [check_ideal_isomorphism(relativization_map(f, s)) for f, s in cases]
+    norms = RELATIVIZE.block_operator_norms
+    monkeypatch.setattr(RELATIVIZE, "block_operator_norms", lambda blocks, floor=0.0: norms(blocks))
+    for (frame, system), report in zip(cases, want):
+        assert _same_report(check_ideal_isomorphism(relativization_map(frame, system)), report)
+    assert not want[1].passed and want[1].witnesses and not want[3].passed
 
 
 def test_ideal_isomorphism_requires_full_algebra():
@@ -895,6 +937,32 @@ def test_induced_map_intertwines_relativizations():
         lhs = induced.apply(relativize(src_fr, sq, a))
         rhs = relativize(tgt_fr, sq, phi.apply(a))
         assert max_abs(lhs - rhs) < 1e-11
+
+
+def test_workspace_decides_each_channel_once(monkeypatch):
+    # naturality and the tensor form share the workspace's verdict, and a
+    # refused channel raises the same ChannelNotEquivariant every time
+    decided = []
+    real = RELATIVIZE.is_equivariant
+    monkeypatch.setattr(RELATIVIZE, "is_equivariant", lambda phi, tol: decided.append(phi) or real(phi, tol))
+    psi, sq = z2_smearing_morphism(0.5), qubit()
+    good, bad = conjugation_channel(sq, X), conjugation_channel(sq, H)
+    ws = Workspace()
+    assert check_naturality(psi.source, good, workspace=ws).passed
+    assert check_equivariant_tensor_form(psi, good, workspace=ws).passed
+    raised = []
+    for _ in range(2):
+        with pytest.raises(ChannelNotEquivariant) as info:
+            check_naturality(psi.source, bad, workspace=ws)
+        raised.append(info.value)
+    with pytest.raises(ChannelNotEquivariant) as info:
+        check_equivariant_tensor_form(psi, bad, workspace=ws)
+    raised.append(info.value)
+    assert decided == [good, bad]
+    verdict = real(bad, ws.tol)
+    for exc in raised:
+        assert (exc.element, exc.deviation) == (verdict.witness_element, verdict.deviation)
+        assert np.array_equal(exc.witness, bad.source.space.basis[verdict.witness_index])
 
 
 def test_workspace_builds_each_relativization_once():
