@@ -15,6 +15,9 @@ Witness payloads ride on attributes so reports can quote them.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+from typing import Any, Mapping
+
 
 class FramerelError(Exception):
     """Base class for every error raised by this package."""
@@ -25,7 +28,13 @@ class EngineError(FramerelError):
 
 
 class LawViolation(FramerelError):
-    """A checked mathematical law does not hold; carries a witness."""
+    """A checked mathematical law does not hold: its size ``deviation``, the
+    group ``element`` where it shows (each None when the law has none) and
+    the ``witnesses`` that exhibit it, by name."""
+
+    deviation: float | None = None
+    element: int | None = None
+    witnesses: Mapping[str, Any] = MappingProxyType({})
 
 
 # ---------------------------------------------------------------- structure
@@ -199,7 +208,8 @@ class IllDefined(LawViolation):
 
     def __init__(self, kernel_witness, image_norm):
         self.kernel_witness = kernel_witness
-        self.image_norm = float(image_norm)
+        self.image_norm = self.deviation = float(image_norm)
+        self.witnesses = {"kernel_witness": kernel_witness}
         super().__init__(
             f"kernel element maps to a nonzero relative observable "
             f"(norm {self.image_norm:.3e}); the induced map is not well defined"
@@ -211,6 +221,7 @@ class ChannelNotEquivariant(LawViolation):
         self.element = int(element)
         self.deviation = float(deviation)
         self.witness = witness
+        self.witnesses = {} if witness is None else {"witness": witness}
         super().__init__(
             f"channel is not equivariant at group element {self.element} "
             f"(deviation {self.deviation:.3e})"

@@ -2,11 +2,13 @@
 
 Group elements are integer ids ``0..order-1`` with optional string labels
 for reports and scenario files.  Tables are validated eagerly: every
-entry, the identity and every inverse, and associativity on every triple
-for orders up to ``ASSOCIATIVITY_CAP``.  Representations are validated
-eagerly too: once a ``UnitaryRep`` exists, every matrix is unitary, the
-identity maps to I and the assignment is a homomorphism, each within the
-tolerance, so downstream code never re-checks.
+entry, the identity and every inverse, and associativity by Light's
+test, (x s) y = x (s y) for all x, y and each generator s.  The elements
+a with (x a) y = x (a y) for all x, y are closed under products, so when
+they hold the generators they are the whole table.  Representations are
+validated eagerly too: once a ``UnitaryRep`` exists, every matrix is
+unitary, the identity maps to I and the assignment is a homomorphism,
+each within the tolerance, so downstream code never re-checks.
 
 Group laws are tested on generators.  ``FiniteGroup.generators`` is a
 small generating set, and ``words`` the breadth-first word tree over it:
@@ -71,8 +73,6 @@ from .errors import (
     NotAssociative,
 )
 from .linalg import DEFAULT_TOL, as_operator, chunks, dagger, identity, max_abs, support_gather
-
-ASSOCIATIVITY_CAP = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,7 +145,9 @@ class FiniteGroup:
         """``generators`` and ``words``, from the search that picks the set."""
         n, e = self.order, self.identity
         powers, orders = np.arange(n), np.ones(n, dtype=np.int64)
-        while np.any(powers != e):  # powers[g] = g^k until every g is back at e
+        for _ in range(n):  # powers[g] = g^k until every g is back at e: at most n steps in a group
+            if (powers == e).all():
+                break
             orders += powers != e
             powers = self.mult[powers, np.arange(n)]
         candidates = sorted(range(n), key=lambda g: (-orders[g], g))
@@ -207,9 +209,11 @@ def build_group_from_table(
 ) -> FiniteGroup:
     """Validate a multiplication table into a group.
 
-    The identity is located automatically when not supplied.  All axioms
-    are checked exhaustively; associativity is vectorized and checked on
-    groups of at most ``ASSOCIATIVITY_CAP`` (64) elements.
+    The identity is located automatically when not supplied.  Entries,
+    the identity and the inverses are checked exhaustively, associativity
+    by Light's test on the group's ``generators``: (x s) y = x (s y) for
+    all x, y and each generator s, a ``chunks`` run of x at a time.  The
+    returned group keeps the generators the test chose.
     """
     try:
         mult = np.array(table, dtype=np.int64)
@@ -247,13 +251,6 @@ def build_group_from_table(
             raise NoInverse(a)
         inverse[a] = hits[0]
 
-    if n <= ASSOCIATIVITY_CAP:
-        left = mult[mult, :]          # left[a,b,c] = (a b) c
-        right = mult[:, mult]         # right[a,b,c] = a (b c)
-        bad = np.argwhere(left != right)
-        if bad.size:
-            raise NotAssociative(bad[0])
-
     if labels is None:
         label_tuple = tuple(str(i) for i in range(n))
     else:
@@ -263,7 +260,14 @@ def build_group_from_table(
 
     mult.setflags(write=False)
     inverse.setflags(write=False)
-    return FiniteGroup(order=n, mult=mult, identity=e, inverse=inverse, labels=label_tuple)
+    group = FiniteGroup(order=n, mult=mult, identity=e, inverse=inverse, labels=label_tuple)
+    for s in group.generators:
+        for run in chunks(n, n):  # (x s) y against x (s y), at [x - run.start, y]
+            bad = np.argwhere(mult[mult[run, s]] != mult[run][:, mult[s]])
+            if bad.size:
+                x, y = bad[0]
+                raise NotAssociative((run.start + x, s, y))
+    return group
 
 
 def build_cyclic_group(n: int) -> FiniteGroup:

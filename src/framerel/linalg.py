@@ -468,18 +468,16 @@ class MatrixSubspace:
         return self.combine(self.coefficients(m))
 
     def residual(self, m) -> float:
-        """Entrywise distance from ``m`` to the subspace (0.0 for a full span)."""
-        a = self._operators(m, ndims=(2,))
-        return 0.0 if self.is_full else max_abs(a - self.project(a))
+        """Entrywise distance from one operator ``m`` to the subspace (``residuals``)."""
+        return float(self.residuals(self._operators(m, ndims=(2,))[None])[0])
 
     def residuals(self, stack) -> np.ndarray:
-        """``residual`` of every operator in a (k, d, d) stack, at once.
+        """Entrywise distance to the subspace of every operator in a (k, d, d)
+        stack, at once (0.0 for a full span).
 
         The projection of an operator vanishes off the support, so its
         residual is the larger of the residual on the support columns
-        (``support_residuals``) and the largest entry off them.  The
-        projections are two matrix products over the whole stack, so the
-        values agree with ``residual`` up to rounding, not bit for bit.
+        (``support_residuals``) and the largest entry off them.
         """
         a = self._operators(stack, ndims=(3,))
         if self.is_full:

@@ -374,7 +374,7 @@ class LawReport:
 
     @property
     def max_deviation(self) -> float:
-        return max(0.0, *self.deviations.values())
+        return max([0.0, *self.deviations.values()])
 
     @property
     def consistent_with_ideality(self) -> bool:

@@ -2,11 +2,13 @@
 
 Tasks run in declared order, fail-soft: a violated law becomes a
 ``fail`` entry, a structurally impossible request becomes an ``error``
-entry, and the run always produces exactly one entry per task.  The
-tasks of one run share one ``Workspace``, so a relativization map,
-relative subspace or induced map that several tasks ask for is built
-once, and its build time is charged to the first task that asks; a
-channel's equivariance is decided once per run too.  The machine report
+entry, and the run always produces exactly one entry per task.  Every
+task yields one ``LawReport`` (its components, detail and witnesses),
+and a raised ``LawViolation`` is quoted by its deviation, element and
+witnesses.  The tasks of one run share one ``Workspace``, so a
+relativization map, relative subspace or induced map that several tasks
+ask for is built once, and its build time is charged to the first task
+that asks; a channel's equivariance is decided once per run too.  The machine report
 is canonical JSON (sorted keys, floats normalized to 13 significant
 digits, witness matrices to 12 decimal places) and is byte-identical across repeat
 runs with the same scenario, seed and tolerance on one platform;
@@ -21,12 +23,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
 from typing import Any
 
 from .errors import DimensionMismatch, FramerelError, LawViolation, UnknownFormat
 from .linalg import max_abs
 from .relativize import (
+    LawReport,
     Workspace,
     check_channel_axioms,
     check_equivariant_tensor_form,
@@ -90,40 +92,37 @@ def _canon_float(x) -> float | None:
 # ------------------------------------------------------------- task executors
 
 
-def _deviation_from(result, expected, name: str) -> float:
-    """Largest entry of ``result - expected``; the shapes must agree."""
-    if expected.shape != result.shape:
+def _expected(result, p: dict, name: str) -> dict[str, float]:
+    """``{name: largest entry of result - p[name]}``, or {} when the task
+    gives no ``name``; the shapes must agree."""
+    if name not in p:
+        return {}
+    if p[name].shape != result.shape:
         raise DimensionMismatch(
-            f"{name} has shape {expected.shape}, the result has shape {result.shape}"
+            f"{name} has shape {p[name].shape}, the result has shape {result.shape}"
         )
-    return max_abs(result - expected)
+    return {name: max_abs(result - p[name])}
 
 
-def _run_relativize(spec: ScenarioSpec, p: dict, ws: Workspace) -> tuple[bool, float, str, dict]:
+def _run_relativize(spec: ScenarioSpec, p: dict, ws: Workspace) -> LawReport:
     frame = spec.frames[p["frame"]]
     system = spec.systems[p["system"]]
     result = relativize(frame, system, p["operator"], spec.tolerance)
-    witnesses = {"result": encode_matrix(result)}
-    if "expect" in p:
-        dev = _deviation_from(result, p["expect"], "expect")
-        return dev <= spec.tolerance, dev, "relativized observable compared with expectation", witnesses
-    return True, 0.0, "relativized observable computed", witnesses
+    deviations = _expected(result, p, "expect")
+    detail = "relativized observable " + ("compared with expectation" if deviations else "computed")
+    passed = all(dev <= spec.tolerance for dev in deviations.values())
+    return LawReport(deviations, passed, {"result": encode_matrix(result)}, detail)
 
 
-def _run_relative_subspace(spec: ScenarioSpec, p: dict, ws: Workspace) -> tuple[bool, float, str, dict]:
+def _run_relative_subspace(spec: ScenarioSpec, p: dict, ws: Workspace) -> LawReport:
     rel = ws.relative_subspace(spec.frames[p["frame"]], spec.systems[p["system"]])
+    dims = {"expect_dim": rel.space.dim, "expect_kernel_dim": rel.kernel.dim}
+    deviations = {key: float(abs(dim - p[key])) for key, dim in dims.items() if key in p}
     detail = f"image dimension {rel.space.dim}, kernel dimension {rel.kernel.dim}"
-    passed, dev = True, 0.0
-    if "expect_dim" in p and rel.space.dim != p["expect_dim"]:
-        passed = False
-        dev = max(dev, float(abs(rel.space.dim - p["expect_dim"])))
-    if "expect_kernel_dim" in p and rel.kernel.dim != p["expect_kernel_dim"]:
-        passed = False
-        dev = max(dev, float(abs(rel.kernel.dim - p["expect_kernel_dim"])))
-    return passed, dev, detail, {}
+    return LawReport(deviations, not any(deviations.values()), {}, detail)
 
 
-def _run_yen_morphism(spec: ScenarioSpec, p: dict, ws: Workspace) -> tuple[bool, float, str, dict]:
+def _run_yen_morphism(spec: ScenarioSpec, p: dict, ws: Workspace) -> LawReport:
     induced = relativize_morphisms(
         spec.frame_morphisms[p["morphism"]],
         spec.channels[p["channel"]],
@@ -136,14 +135,12 @@ def _run_yen_morphism(spec: ScenarioSpec, p: dict, ws: Workspace) -> tuple[bool,
         f"induced map on a {induced.source.space.dim}-dimensional relative "
         f"subspace (kernel image norm {induced.kernel_image_norm:.3e})"
     )
-    witnesses = {"matrix": encode_matrix(induced.matrix)}
-    if "expect_matrix" in p:
-        dev = _deviation_from(induced.matrix, p["expect_matrix"], "expect_matrix")
-        return dev <= spec.tolerance, dev, detail, witnesses
-    return True, 0.0, detail, witnesses
+    deviations = _expected(induced.matrix, p, "expect_matrix")
+    passed = all(dev <= spec.tolerance for dev in deviations.values())
+    return LawReport(deviations, passed, {"matrix": encode_matrix(induced.matrix)}, detail)
 
 
-def _run_external_transform(spec: ScenarioSpec, p: dict, ws: Workspace) -> tuple[bool, float, str, dict]:
+def _run_external_transform(spec: ScenarioSpec, p: dict, ws: Workspace) -> LawReport:
     target_side, source_side = external_frame_transform(
         spec.frame_morphisms[p["morphism"]],
         spec.systems[p["system"]],
@@ -152,12 +149,11 @@ def _run_external_transform(spec: ScenarioSpec, p: dict, ws: Workspace) -> tuple
         spec.tolerance,
     )
     dev = target_side.deviation(source_side)
-    witnesses = {"relative_state": encode_matrix(target_side.canonical)}
-    return (
+    return LawReport(
+        {"state_classes": dev},
         dev <= spec.tolerance,
-        dev,
+        {"relative_state": encode_matrix(target_side.canonical)},
         "relative states from both ends of the frame morphism compared",
-        witnesses,
     )
 
 
@@ -165,15 +161,19 @@ def _rmap(spec: ScenarioSpec, p: dict, ws: Workspace):
     return ws.relativization_map(spec.frames[p["frame"]], spec.systems[p["system"]])
 
 
-# check name -> adapter from (spec, params, workspace) to the law check's LawReport
-_CHECKS = {
-    "channel_axioms": lambda spec, p, ws: check_channel_axioms(
+# task kind -> executor from (spec, params, workspace) to the task's LawReport
+_EXECUTORS = {
+    "relativize": _run_relativize,
+    "relative_subspace": _run_relative_subspace,
+    "yen_morphism": _run_yen_morphism,
+    "external_transform": _run_external_transform,
+    "check:channel_axioms": lambda spec, p, ws: check_channel_axioms(
         _rmap(spec, p, ws), spec.tolerance, spec.samples, spec.seed
     ),
-    "ideal_isomorphism": lambda spec, p, ws: check_ideal_isomorphism(
+    "check:ideal_isomorphism": lambda spec, p, ws: check_ideal_isomorphism(
         _rmap(spec, p, ws), spec.tolerance
     ),
-    "functor_laws": lambda spec, p, ws: check_functor_laws(
+    "check:functor_laws": lambda spec, p, ws: check_functor_laws(
         [
             (spec.frame_morphisms[link["morphism"]], spec.channels[link["channel"]])
             for link in p["links"]
@@ -183,10 +183,10 @@ _CHECKS = {
         spec.seed,
         ws,
     ),
-    "naturality": lambda spec, p, ws: check_naturality(
+    "check:naturality": lambda spec, p, ws: check_naturality(
         spec.frames[p["frame"]], spec.channels[p["channel"]], spec.tolerance, ws
     ),
-    "tensor_form": lambda spec, p, ws: check_equivariant_tensor_form(
+    "check:tensor_form": lambda spec, p, ws: check_equivariant_tensor_form(
         spec.frame_morphisms[p["morphism"]],
         spec.channels[p["channel"]],
         spec.tolerance,
@@ -197,41 +197,11 @@ _CHECKS = {
 }
 
 
-def _run_check(check, spec: ScenarioSpec, p: dict, ws: Workspace) -> tuple[bool, float, str, dict]:
-    """A law check passes when its verdict is the one the law predicts
-    (and, for ``expect_ideal``, the one the scenario declares)."""
-    rep = check(spec, p, ws)
-    passed = rep.passed == rep.expected and p.get("expect_ideal", rep.expected) == rep.expected
-    return passed, rep.max_deviation, rep.detail, rep.witnesses
-
-
-_EXECUTORS = {
-    "relativize": _run_relativize,
-    "relative_subspace": _run_relative_subspace,
-    "yen_morphism": _run_yen_morphism,
-    "external_transform": _run_external_transform,
-    **{f"check:{name}": partial(_run_check, check) for name, check in _CHECKS.items()},
-}
-
-
 def _violation_payload(exc: LawViolation) -> tuple[float | None, dict[str, Any]]:
-    witnesses: dict[str, Any] = {}
-    deviation = None
-    for attr in ("deviation", "image_norm"):
-        value = getattr(exc, attr, None)
-        if value is not None:
-            deviation = float(value)
-            break
-    kernel_witness = getattr(exc, "kernel_witness", None)
-    if kernel_witness is not None:
-        witnesses["kernel_witness"] = encode_matrix(kernel_witness)
-    witness = getattr(exc, "witness", None)
-    if witness is not None:
-        witnesses["witness"] = encode_matrix(witness)
-    element = getattr(exc, "element", None)
-    if element is not None:
-        witnesses["group_element"] = int(element)
-    return deviation, witnesses
+    witnesses: dict[str, Any] = {name: encode_matrix(op) for name, op in exc.witnesses.items()}
+    if exc.element is not None:
+        witnesses["group_element"] = int(exc.element)
+    return exc.deviation, witnesses
 
 
 def run_task(spec: ScenarioSpec, task: ScenarioTask, workspace: Workspace | None = None) -> TaskResult:
@@ -240,8 +210,12 @@ def run_task(spec: ScenarioSpec, task: ScenarioTask, workspace: Workspace | None
         workspace = Workspace(spec.tolerance)
     start = time.perf_counter()
     try:
-        passed, deviation, detail, witnesses = _EXECUTORS[task.kind](spec, task.params, workspace)
-        status = "pass" if passed else "fail"
+        report = _EXECUTORS[task.kind](spec, task.params, workspace)
+        # a task passes when its verdict is the one the law predicts (and, for
+        # ``expect_ideal``, the one the scenario declares)
+        declared = task.params.get("expect_ideal", report.expected)
+        status = "pass" if report.passed == report.expected == declared else "fail"
+        deviation, detail, witnesses = report.max_deviation, report.detail, report.witnesses
     except LawViolation as exc:
         status = "fail"
         deviation, witnesses = _violation_payload(exc)

@@ -11,21 +11,34 @@ are byte-stable under a parse/serialize round trip.  The two golden
 reports are produced by an actual run and then frozen; the generator
 refuses to write anything if a scenario does not produce the statuses it
 is supposed to.
+
+It also writes ``manifest.json``, the regression manifest of the five
+fixtures and of every ``generate_zoo(seed)`` scenario of
+``perfbench/zoo.py`` for the seeds in ``MANIFEST_SEEDS``.  Per scenario
+it holds the SHA-256 of the machine report, a short digest of each task
+entry, and the sorted ``(positivity_check, positivity_seed,
+positivity_samples)`` of every induced channel the run's ``Workspace``
+builds.  A refactor that moves none of them keeps the manifest as it is.
 """
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
 import json
 import pathlib
 
 import numpy as np
 
-from framerel.runner import emit_report, run_scenario
-from framerel.scenario import encode_matrix, parse_scenario, serialize_scenario
+from framerel.relativize import Workspace
+from framerel.runner import RunReport, emit_report, run_scenario, run_task
+from framerel.scenario import canonical_json, encode_matrix, parse_scenario, serialize_scenario
 
 from ..support import s3, s3_irrep2
 
 HERE = pathlib.Path(__file__).resolve().parent
+ZOO = HERE.parent.parent / "perfbench" / "zoo.py"
+MANIFEST_SEEDS = range(1, 41)
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -383,7 +396,87 @@ def pin_induced_matrix(doc, task_id):
     return doc
 
 
-def main():
+# ------------------------------------------------------------- manifest
+
+
+def zoo_module():
+    """``perfbench/zoo.py``, loaded by path (perfbench is not a package)."""
+    spec = importlib.util.spec_from_file_location("perfbench_zoo", ZOO)
+    zoo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(zoo)
+    return zoo
+
+
+def manifest_scenarios(seeds):
+    """(name, scenario text) of the five fixtures and the zoo scenarios of ``seeds``."""
+    zoo = zoo_module()
+    scenarios = [(name, (HERE / f"{name}.json").read_text()) for name in zoo.FIXTURES]
+    for seed in seeds:
+        scenarios += [(f"{name}-seed{seed}", text) for name, text, _ in zoo.generate_zoo(seed)]
+    return scenarios
+
+
+def run_for_manifest(text):
+    """The machine report of one scenario and the certificates of its induced channels.
+
+    Runs the tasks as ``run_scenario`` does, on one workspace, and reads
+    that workspace's induced channels afterwards.
+    """
+    spec = parse_scenario(text)
+    workspace = Workspace(spec.tolerance)
+    entries = tuple(run_task(spec, task, workspace) for task in spec.tasks)
+    report = emit_report(RunReport(spec.tolerance, spec.seed, spec.samples, entries), "machine")
+    certificates = [
+        [c.channel.positivity_check, c.channel.positivity_seed, c.channel.positivity_samples]
+        for c in workspace.channels.values()
+    ]
+    return report, sorted(certificates, key=repr)
+
+
+def manifest_record(report, certificates):
+    """One scenario's manifest entry, from its machine report text."""
+    tasks = {
+        task["id"]: hashlib.sha256(canonical_json(task).encode()).hexdigest()[:12]
+        for task in json.loads(report)["tasks"]
+    }
+    return {
+        "report_sha256": hashlib.sha256(report.encode()).hexdigest(),
+        "tasks": tasks,
+        "induced_certificates": certificates,
+    }
+
+
+def manifest_mismatch(name, record, pinned):
+    """None when ``record`` is ``pinned``, else a message naming the scenario
+    and its first differing task (in the order the run reports them)."""
+    if pinned is None:
+        return f"{name}: not in the manifest"
+    if record == pinned:
+        return None
+    for task_id, digest in record["tasks"].items():
+        if pinned["tasks"].get(task_id) != digest:
+            return f"{name}: task {task_id!r} differs from the manifest"
+    if record["tasks"] != pinned["tasks"]:
+        return f"{name}: the manifest lists other tasks {sorted(pinned['tasks'])}"
+    if record["induced_certificates"] != pinned["induced_certificates"]:
+        return f"{name}: induced channel certificates differ from the manifest"
+    return f"{name}: the report differs from the manifest outside its tasks"
+
+
+def write_manifest():
+    """``manifest.json``: one JSON object, one line per scenario, sorted by name."""
+    records = {
+        name: manifest_record(*run_for_manifest(text))
+        for name, text in manifest_scenarios(MANIFEST_SEEDS)
+    }
+    lines = [f"{json.dumps(name)}: {json.dumps(records[name], sort_keys=True)}" for name in sorted(records)]
+    (HERE / "manifest.json").write_text("{\n" + ",\n".join(lines) + "\n}\n")
+
+
+# ------------------------------------------------------------------ main
+
+
+def write_fixtures():
     golden_z2 = pin_induced_matrix(build_golden_z2(), "induce")
     spec_z2 = write_fixture("golden_z2.json", golden_z2)
     report_z2 = run_scenario(spec_z2)
@@ -418,7 +511,11 @@ def main():
     by_id = {e.task_id: e for e in report_ill.entries}
     assert by_id["bad-induce"].max_deviation >= 1e-3
 
-    print("fixtures written to", HERE)
+
+def main():
+    write_fixtures()
+    write_manifest()
+    print("fixtures and manifest written to", HERE)
 
 
 if __name__ == "__main__":

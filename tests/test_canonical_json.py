@@ -6,10 +6,8 @@ and ``encode_matrix`` must round exactly as the per-entry ``round(x, 12)``
 it replaced.
 """
 
-import importlib.util
 import json
 import math
-import pathlib
 
 import numpy as np
 import pytest
@@ -21,9 +19,8 @@ import framerel.runner as runner
 from framerel.runner import emit_report, run_scenario
 from framerel.scenario import canonical_json, encode_matrix, parse_scenario, serialize_scenario
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-FIXTURES = ROOT / "tests" / "fixtures"
-ZOO = ROOT / "perfbench" / "zoo.py"
+from .fixtures import generate
+
 
 
 def _dumps(obj):
@@ -197,19 +194,8 @@ def test_encoder_keeps_nan():
 # ------------------------------------------------------------ real reports
 
 
-def _zoo():
-    spec = importlib.util.spec_from_file_location("perfbench_zoo", ZOO)
-    zoo = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(zoo)
-    return zoo
-
-
 def _scenario_texts():
-    zoo = _zoo()
-    texts = [(name, (FIXTURES / f"{name}.json").read_text()) for name in zoo.FIXTURES]
-    for seed in range(1, 9):
-        texts += [(f"{name}-seed{seed}", text) for name, text, _ in zoo.generate_zoo(seed)]
-    return texts
+    return generate.manifest_scenarios(range(1, 9))
 
 
 def test_every_report_is_what_json_dumps_writes(monkeypatch):

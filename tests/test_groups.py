@@ -155,6 +155,42 @@ def test_table_validation_rejects_bad_tables():
         build_group_from_table([[0, 1, 2], [1, 2, 1], [2, 0, 0]])
 
 
+def _swapped(table, row, a, b):
+    """``table`` with entries (row, a) and (row, b) swapped: identity and
+    inverses survive when neither entry is the identity 0, associativity not."""
+    table = [list(r) for r in table]
+    assert 0 not in (table[row][a], table[row][b])
+    table[row][a], table[row][b] = table[row][b], table[row][a]
+    return table
+
+
+def _assert_non_associative_witness(table):
+    with pytest.raises(NotAssociative) as err:
+        build_group_from_table(table)
+    x, s, y = err.value.triple
+    assert table[table[x][s]][y] != table[x][table[s][y]]
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        [[(i + j) % 65 for j in range(65)] for i in range(65)],  # beyond any small-order cap
+        build_symmetric_group(6).mult.tolist(),
+    ],
+    ids=["Z65", "S6"],
+)
+def test_light_test_rejects_one_swapped_entry_at_every_order(table):
+    # one swap in row 2: Light's test on the generators finds a failing triple,
+    # and the generator search itself terminates on a table that is no group
+    _assert_non_associative_witness(_swapped(table, 2, 3, 4))
+
+
+def test_light_test_accepts_groups_and_keeps_their_generators():
+    assert build_symmetric_group(4).generators == (9, 10)
+    assert build_symmetric_group(5).generators == (27, 31)
+    assert build_symmetric_group(6).generators == (27, 128)
+
+
 def test_malformed_tables_raise_engine_errors():
     with pytest.raises(DimensionError):
         build_group_from_table([[0, 1], [1]])  # ragged rows

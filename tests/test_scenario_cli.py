@@ -9,14 +9,17 @@ import numpy as np
 import pytest
 
 from framerel.errors import (
+    ChannelNotEquivariant,
     DimensionMismatch,
     FramerelError,
+    IllDefined,
+    NotCentral,
     ScenarioSyntaxError,
     ScenarioValidationError,
     UnknownFormat,
     UnknownReference,
 )
-from framerel.relativize import Workspace
+from framerel.relativize import LawReport, Workspace
 from framerel.runner import emit_report, run_scenario, run_task
 from framerel.scenario import decode_matrix, encode_matrix, parse_scenario, serialize_scenario
 
@@ -372,9 +375,10 @@ def test_checked_in_fixtures_are_exactly_what_the_generator_writes(tmp_path, mon
     from .fixtures import generate
 
     monkeypatch.setattr(generate, "HERE", tmp_path)
-    generate.main()
+    generate.write_fixtures()
     written = sorted(path.name for path in tmp_path.iterdir())
-    assert written == sorted(path.name for path in FIXTURES.glob("*.json"))
+    # manifest.json is checked against live runs in test_manifest.py
+    assert written == sorted(path.name for path in FIXTURES.glob("*.json") if path.name != "manifest.json")
     for name in written:
         assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes(), name
 
@@ -383,6 +387,39 @@ def test_every_task_kind_has_an_executor():
     from framerel import runner, scenario
 
     assert set(scenario._TASK_PARAMS) == set(runner._EXECUTORS)
+
+
+def test_every_executor_returns_a_law_report():
+    from framerel import runner
+
+    from .fixtures import generate
+
+    returned = Counter()
+    for name, text in generate.manifest_scenarios([1]):
+        spec = parse_scenario(text)
+        workspace = Workspace(spec.tolerance)
+        for task in spec.tasks:
+            try:
+                report = runner._EXECUTORS[task.kind](spec, task.params, workspace)
+            except FramerelError:  # the runner quotes these as fail or error entries
+                continue
+            assert isinstance(report, LawReport), (name, task.task_id)
+            assert report.max_deviation == max([0.0, *report.deviations.values()])
+            returned[task.kind] += 1
+    assert set(returned) == set(runner._EXECUTORS)
+
+
+def test_law_violations_declare_deviation_element_and_witnesses():
+    w = np.eye(2)
+    ill = IllDefined(w, 0.5)
+    assert (ill.deviation, ill.element, ill.image_norm) == (0.5, None, 0.5)
+    assert list(ill.witnesses) == ["kernel_witness"] and ill.witnesses["kernel_witness"] is w
+    bad = ChannelNotEquivariant(3, 0.25, w)
+    assert (bad.deviation, bad.element) == (0.25, 3)
+    assert list(bad.witnesses) == ["witness"] and bad.witnesses["witness"] is w
+    assert dict(ChannelNotEquivariant(3, 0.25).witnesses) == {}
+    central = NotCentral(2)
+    assert (central.deviation, central.element, dict(central.witnesses)) == (None, 2, {})
 
 
 # ------------------------------------------------------------------ runner
@@ -648,6 +685,24 @@ def test_cli_diagnostics_for_unreadable_and_malformed_files(tmp_path):
     proc = run_cli("validate", str(bad))
     assert proc.returncode == 2
     assert "ScenarioSyntaxError" in proc.stderr
+
+
+def test_cli_validate_rejects_a_non_associative_table_of_order_65(tmp_path):
+    n = 65
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    table[2][3], table[2][4] = table[2][4], table[2][3]
+    doc = {
+        "group": {"type": "table", "mult": table},
+        "representations": {"triv": {"dim": 1, "matrices": {str(g): [[[1.0, 0.0]]] for g in range(n)}}},
+        "systems": {"s": {"rep": "triv", "basis": "full"}},
+        "frames": {"f": {"rep": "triv", "seed": [[[1.0 / n, 0.0]]]}},
+        "tasks": [],
+    }
+    path = tmp_path / "z65.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("validate", str(path))
+    assert proc.returncode == 2
+    assert "multiplication table is not associative at triple" in proc.stderr
 
 
 def test_cli_reports_scenario_type_errors_without_a_traceback(tmp_path):
